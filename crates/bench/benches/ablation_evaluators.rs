@@ -35,8 +35,10 @@ fn bench_ablation(c: &mut Criterion) {
     });
     group.bench_function(BenchmarkId::new("sgb", "parallel_x4"), |b| {
         b.iter(|| {
-            black_box(tpp_core::extensions::parallel_sgb_greedy(
-                &instance, k, motif, 4,
+            black_box(sgb_greedy(
+                &instance,
+                k,
+                &GreedyConfig::scalable(motif).with_threads(4),
             ))
         });
     });

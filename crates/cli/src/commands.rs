@@ -7,10 +7,9 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use tpp_core::{
-    celf_greedy, celf_greedy_batch, critical_budget, ct_greedy_batch, delta_dirty_edges,
-    divide_budget, random_deletion, random_deletion_from_subgraphs, sgb_greedy, sgb_greedy_batch,
-    sgb_greedy_incremental, wt_greedy_batch, BudgetDivision, GreedyConfig, ProtectionPlan,
-    StepRecord, TppInstance,
+    celf_greedy_batch, critical_budget, ct_greedy_batch, delta_dirty_edges, divide_budget,
+    random_deletion, random_deletion_from_subgraphs, sgb_greedy_batch, sgb_greedy_incremental,
+    wt_greedy_batch, BudgetDivision, GreedyConfig, ProtectionPlan, StepRecord, TppInstance,
 };
 use tpp_graph::{parse_edge_list, write_edge_list, Edge, FastSet, Graph};
 use tpp_linkpred::{evaluate_attack_on, sample_non_edges, Attacker, SimilarityIndex};
@@ -554,10 +553,8 @@ pub(crate) fn run_protect(
             let (prior_steps, dirty) = incremental.as_ref().expect("checked above");
             sgb_greedy_incremental(&instance, budget, prior_steps, dirty, &cfg)
         }
-        "sgb" if batch > 1 => sgb_greedy_batch(&instance, budget, batch, &cfg),
-        "sgb" => sgb_greedy(&instance, budget, &cfg),
-        "celf" if batch > 1 => celf_greedy_batch(&instance, budget, batch, &cfg),
-        "celf" => celf_greedy(&instance, budget, &cfg),
+        "sgb" => sgb_greedy_batch(&instance, budget, batch, &cfg),
+        "celf" => celf_greedy_batch(&instance, budget, batch, &cfg),
         "ct" | "wt" => {
             let division = match p.get_or("division", "tbd") {
                 "tbd" => BudgetDivision::Tbd,
@@ -1458,50 +1455,50 @@ mod tests {
             .unwrap(),
         )
         .unwrap();
-        // --batch 1 must be byte-identical to the default sequential path.
-        let mut plans = Vec::new();
-        for (label, extra) in [
-            ("default", None),
-            ("batch1", Some("1")),
-            ("batch4", Some("4")),
+        // Every greedy strategy takes --batch, and --batch 1 must be
+        // byte-identical to its default sequential path.
+        for (alg, name) in [
+            ("sgb", "SGB-Greedy"),
+            ("celf", "CELF-Greedy"),
+            ("ct", "CT-Greedy"),
+            ("wt", "WT-Greedy"),
         ] {
-            let plan_path = dir.join(format!("plan-{label}.json"));
-            let mut args = vec![
-                "protect",
-                graph_path.to_str().unwrap(),
-                "--budget",
-                "6",
-                "--random",
-                "4",
-                "--plan",
-            ];
-            let plan_str = plan_path.to_str().unwrap().to_string();
-            args.push(&plan_str);
-            if let Some(j) = extra {
-                args.push("--batch");
-                args.push(j);
+            let mut plans = Vec::new();
+            for (label, extra) in [
+                ("default", None),
+                ("batch1", Some("1")),
+                ("batch4", Some("4")),
+            ] {
+                let plan_path = dir.join(format!("plan-{alg}-{label}.json"));
+                let mut args = vec![
+                    "protect",
+                    graph_path.to_str().unwrap(),
+                    "--budget",
+                    "6",
+                    "--random",
+                    "4",
+                    "--algorithm",
+                    alg,
+                    "--plan",
+                ];
+                let plan_str = plan_path.to_str().unwrap().to_string();
+                args.push(&plan_str);
+                if let Some(j) = extra {
+                    args.push("--batch");
+                    args.push(j);
+                }
+                dispatch(&parse(&strs(&args)).unwrap())
+                    .unwrap_or_else(|e| panic!("{alg} {label}: {e}"));
+                plans.push(std::fs::read_to_string(&plan_path).unwrap());
             }
-            dispatch(&parse(&strs(&args)).unwrap()).unwrap();
-            plans.push(std::fs::read_to_string(&plan_path).unwrap());
-        }
-        assert_eq!(plans[0], plans[1], "--batch 1 must be the exact greedy");
-        assert!(plans[2].contains("SGB-Greedy"), "batched run still SGB");
-        // --batch is valid for every greedy strategy now.
-        for alg in ["celf", "ct", "wt"] {
-            let p = parse(&strs(&[
-                "protect",
-                graph_path.to_str().unwrap(),
-                "--budget",
-                "6",
-                "--random",
-                "4",
-                "--algorithm",
-                alg,
-                "--batch",
-                "4",
-            ]))
-            .unwrap();
-            dispatch(&p).unwrap_or_else(|e| panic!("{alg} --batch 4: {e}"));
+            assert_eq!(
+                plans[0], plans[1],
+                "{alg}: --batch 1 must be the exact greedy"
+            );
+            assert!(
+                plans[2].contains(name),
+                "batched {alg} run keeps its algorithm"
+            );
         }
         // Guard rails: batch 0, and batch with a scan-less baseline.
         for (bad_flags, needle) in [

@@ -20,14 +20,7 @@ use crate::problem::TppInstance;
 /// from skipped candidates just the same).
 #[must_use]
 pub fn celf_greedy(instance: &TppInstance, k: usize, config: &GreedyConfig) -> ProtectionPlan {
-    let exec = config.parallelism();
-    let mut engine = RoundEngine::with_parallelism(
-        AnyOracle::for_instance(instance, config, &exec),
-        config.candidates,
-        exec,
-    );
-    engine.run_global_lazy(k);
-    engine.into_global_plan(AlgorithmKind::CelfGreedy)
+    celf_greedy_batch(instance, k, 1, config)
 }
 
 /// Runs the CELF + batch hybrid with global budget `k`: each lazy refresh

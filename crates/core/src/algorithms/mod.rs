@@ -11,9 +11,8 @@
 //! Every algorithm is parameterized by a [`GreedyConfig`]:
 //!
 //! * `evaluator` selects the gain oracle — [`EvaluatorKind::Index`] is the
-//!   incremental coverage index, [`EvaluatorKind::NaiveRecount`] recounts
-//!   motifs from adjacency on every evaluation (the paper's plain cost
-//!   model);
+//!   incremental coverage index, [`EvaluatorKind::DeltaRecount`] recounts
+//!   motifs on every evaluation (the paper's plain cost model);
 //! * `candidates` selects the candidate policy — all edges (plain) or only
 //!   target-subgraph edges (`-R`, Lemma 5);
 //! * `threads` shards each round's scan across workers — plans are
@@ -51,11 +50,10 @@ use tpp_obs::Recorder;
 pub enum EvaluatorKind {
     /// Incremental coverage index (fast; exact).
     Index,
-    /// Full motif recount per evaluation (the paper's plain algorithms).
-    NaiveRecount,
-    /// Full motif recount over a `tpp_store::DeltaView` overlay: the plain
-    /// cost model with zero graph clones — the released graph is borrowed
-    /// immutably and candidate deletions are tentative overlay entries.
+    /// Full motif recount per evaluation (the paper's plain cost model)
+    /// over a `tpp_store::DeltaView` overlay with zero graph clones — the
+    /// released graph is borrowed immutably and candidate deletions are
+    /// tentative overlay entries.
     DeltaRecount,
 }
 
@@ -241,7 +239,7 @@ impl GreedyConfig {
         GreedyConfig {
             motif,
             candidates: CandidatePolicy::AllEdges,
-            evaluator: EvaluatorKind::NaiveRecount,
+            evaluator: EvaluatorKind::DeltaRecount,
             threads: 1,
             obs: ObsConfig::default(),
             index_seed: IndexSeed::default(),

@@ -18,14 +18,7 @@ use crate::problem::TppInstance;
 /// changing a single pick.
 #[must_use]
 pub fn sgb_greedy(instance: &TppInstance, k: usize, config: &GreedyConfig) -> ProtectionPlan {
-    let exec = config.parallelism();
-    let mut engine = RoundEngine::with_parallelism(
-        AnyOracle::for_instance(instance, config, &exec),
-        config.candidates,
-        exec,
-    );
-    engine.run_global(k);
-    engine.into_global_plan(AlgorithmKind::SgbGreedy)
+    sgb_greedy_batch(instance, k, 1, config)
 }
 
 /// Runs SGB-Greedy with global budget `k` in **batch-commit rounds**: each
@@ -124,6 +117,31 @@ mod tests {
             b.check_invariants();
             d.check_invariants();
         }
+    }
+
+    #[test]
+    fn parallel_matches_sequential_exactly() {
+        let g = tpp_graph::generators::holme_kim(200, 4, 0.5, 6);
+        let inst = TppInstance::with_random_targets(g, 8, 6);
+        for motif in Motif::ALL {
+            let seq = sgb_greedy(&inst, 12, &GreedyConfig::scalable(motif));
+            for threads in [1, 2, 4, 7] {
+                let config = GreedyConfig::scalable(motif).with_threads(threads);
+                let par = sgb_greedy(&inst, 12, &config);
+                assert_eq!(seq.protectors, par.protectors, "{motif} x{threads}");
+                assert_eq!(seq.final_similarity, par.final_similarity);
+            }
+        }
+    }
+
+    #[test]
+    fn full_protection_parallel() {
+        let g = tpp_graph::generators::holme_kim(150, 4, 0.4, 2);
+        let inst = TppInstance::with_random_targets(g, 6, 2);
+        let config = GreedyConfig::scalable(Motif::Triangle).with_threads(4);
+        let plan = sgb_greedy(&inst, usize::MAX, &config);
+        assert!(plan.is_full_protection());
+        plan.check_invariants();
     }
 
     #[test]

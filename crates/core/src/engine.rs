@@ -13,8 +13,8 @@
 //!
 //! Each round's candidate scan fans out across worker threads for **any**
 //! oracle, not just the read-only coverage index: workers score candidates
-//! through per-worker [`GainProbe`]s (a borrowed index view, a scratch
-//! graph clone, or a shared-snapshot [`tpp_store::DeltaView`] overlay —
+//! through per-worker [`GainProbe`]s (a borrowed index view or a
+//! shared-snapshot [`tpp_store::DeltaView`] overlay —
 //! see [`GainOracle::probe`]). The scan is **work-stealing**: candidates
 //! are pre-cut into contiguous weight-balanced spans (the same
 //! partition-range discipline as `tpp_store::CsrGraph::shard_ranges`, but
@@ -24,7 +24,7 @@
 //! that inherited the hubs. Span results still reduce in span order, so
 //! the selected protector is **bit-identical to the sequential
 //! left-to-right scan for every thread count**. The determinism proptests
-//! pin this across all three oracles.
+//! pin this across every oracle.
 //!
 //! The workers themselves belong to a persistent [`Parallelism`] pool
 //! (`tpp-exec`), created **once** per run and plumbed through the engine
@@ -226,40 +226,30 @@ where
     E: Fn(&mut C, T) -> Option<S> + Sync,
     B: Fn(&S, &S) -> bool + Sync,
 {
-    fn scan<T: Copy, C, S>(
-        chunk: &[T],
-        ctx: &mut C,
-        eval: &impl Fn(&mut C, T) -> Option<S>,
-        better: &impl Fn(&S, &S) -> bool,
-    ) -> Option<(S, T)> {
-        let mut best: Option<(S, T)> = None;
-        for &item in chunk {
-            if let Some(score) = eval(ctx, item) {
-                if best.as_ref().is_none_or(|(b, _)| better(&score, b)) {
-                    best = Some((score, item));
-                }
-            }
-        }
-        best
-    }
-
     if items.is_empty() {
         return None;
     }
-    if exec.is_sequential() {
-        return scan(items, &mut make_ctx(), &eval, &better);
-    }
-    let span_best = exec.steal_spans(items, span_count, weights, &make_ctx, |ctx, chunk| {
-        scan(chunk, ctx, &eval, &better)
+    let span_best = exec.steal_spans(items, span_count, weights, &make_ctx, |ctx, span| {
+        first_max(
+            span.iter()
+                .filter_map(|&item| eval(ctx, item).map(|s| (s, item))),
+            &better,
+        )
     });
     // Canonical-order reduce over the span-ordered maxima.
-    let mut best: Option<(S, T)> = None;
-    for cb in span_best.into_iter().flatten() {
-        if best.as_ref().is_none_or(|(b, _)| better(&cb.0, b)) {
-            best = Some(cb);
-        }
-    }
-    best
+    first_max(span_best.into_iter().flatten(), &better)
+}
+
+/// The first strict maximum of `scored` under `better(new, best)` — the
+/// canonical tie-break every argmax scan and every span reduce shares.
+fn first_max<S, T>(
+    scored: impl IntoIterator<Item = (S, T)>,
+    better: &impl Fn(&S, &S) -> bool,
+) -> Option<(S, T)> {
+    scored.into_iter().fold(None, |best, next| match best {
+        Some(b) if !better(&next.0, &b.0) => Some(b),
+        _ => Some(next),
+    })
 }
 
 /// Maps `eval` over `items` with the same per-worker-context,
@@ -301,15 +291,8 @@ where
     if items.is_empty() {
         return Vec::new();
     }
-    if exec.is_sequential() {
-        let mut ctx = make_ctx();
-        return items.iter().map(|&i| eval(&mut ctx, i)).collect();
-    }
-    let per_span = exec.steal_spans(items, span_count, weights, &make_ctx, |ctx, chunk| {
-        chunk
-            .iter()
-            .map(|&item| eval(ctx, item))
-            .collect::<Vec<R>>()
+    let per_span = exec.steal_spans(items, span_count, weights, &make_ctx, |ctx, span| {
+        span.iter().map(|&item| eval(ctx, item)).collect::<Vec<R>>()
     });
     per_span.into_iter().flatten().collect()
 }
@@ -325,6 +308,128 @@ pub struct TargetedPick {
     pub own: usize,
     /// Instances of all other targets broken by the deletion.
     pub cross: usize,
+}
+
+/// Charges a per-target gain vector to the first `open` target maximizing
+/// lexicographic `(own, cross)` — the CT/WT round score. Returns
+/// `(own, cross, target)`; `None` when the deletion breaks nothing.
+fn charge_to_open(v: &[usize], open: &[usize]) -> Option<(usize, usize, usize)> {
+    let total: usize = v.iter().sum();
+    if total == 0 {
+        return None;
+    }
+    let mut best: Option<(usize, usize, usize)> = None;
+    for &t in open {
+        let (own, cross) = (v[t], total - v[t]);
+        if best.is_none_or(|(bo, bc, _)| (own, cross) > (bo, bc)) {
+            best = Some((own, cross, t));
+        }
+    }
+    best
+}
+
+/// What a [`BatchAcceptor`] did with an offered candidate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Admission {
+    /// Joins the batch.
+    Accepted,
+    /// Conflicts with the batch: skipped this round, rescored next round.
+    Skipped,
+    /// Nothing more can join: the gain sets are unknowable, or the
+    /// round's conflict budget is spent.
+    Closed,
+}
+
+/// Disjoint-gain-set admission for one batch round — the one acceptance
+/// rule of the eager, lazy, and targeted batch modes, which differ only in
+/// what they do with a non-accepted candidate.
+///
+/// The first offer is always accepted: it is exactly the pick the
+/// sequential round would commit. Later offers are accepted iff their gain
+/// set ([`GainOracle::gain_set`]) is disjoint from every accepted pick's,
+/// which makes every accepted scanned gain exact at commit.
+struct BatchAcceptor {
+    room: usize,
+    /// Accepted picks in commit order: `(protector, charged target, own)`.
+    picks: Vec<(Edge, Option<usize>, Option<usize>)>,
+    /// The scanned gain of each accepted pick.
+    gains: Vec<usize>,
+    /// Instances in the accepted picks' gain sets.
+    claimed: FastSet<InstanceId>,
+    /// `true` once a pick's gain set is unknown: nothing further can be
+    /// proven disjoint, so the round degrades to one sequential commit.
+    opaque: bool,
+    /// Conflict probes left before the batch closes
+    /// (`room × BATCH_CONFLICTS_PER_SLOT`).
+    conflicts_left: usize,
+}
+
+impl BatchAcceptor {
+    fn new(room: usize) -> Self {
+        BatchAcceptor {
+            room,
+            picks: Vec::with_capacity(room),
+            gains: Vec::with_capacity(room),
+            claimed: FastSet::default(),
+            opaque: false,
+            conflicts_left: room * BATCH_CONFLICTS_PER_SLOT,
+        }
+    }
+
+    fn is_full(&self) -> bool {
+        self.picks.len() >= self.room
+    }
+
+    /// Offers the next candidate in the round's canonical order.
+    fn offer(
+        &mut self,
+        oracle: &mut impl GainOracle,
+        obs: &Recorder,
+        pick: (Edge, Option<usize>, Option<usize>),
+        gain: usize,
+    ) -> Admission {
+        if self.picks.is_empty() {
+            // Only a batch with room for a second pick needs the top
+            // pick's gain set.
+            if self.room > 1 {
+                match oracle.gain_set(pick.0) {
+                    Some(ids) => self.claimed.extend(ids),
+                    None => {
+                        self.opaque = true;
+                        if let Some(st) = obs.stats() {
+                            st.round.sequential_fallbacks.inc();
+                        }
+                    }
+                }
+            }
+        } else if self.opaque {
+            return Admission::Closed;
+        } else {
+            match oracle.gain_set(pick.0) {
+                Some(ids) if ids.iter().all(|id| !self.claimed.contains(id)) => {
+                    self.claimed.extend(ids);
+                }
+                // Conflict (or unknowable). Each probe walks a posting
+                // list, so a bounded number of them keeps a hub-dominated
+                // round from out-costing the sequential rounds it
+                // replaces.
+                _ => {
+                    if let Some(st) = obs.stats() {
+                        st.round.batch_conflicts.inc();
+                    }
+                    self.conflicts_left -= 1;
+                    return if self.conflicts_left == 0 {
+                        Admission::Closed
+                    } else {
+                        Admission::Skipped
+                    };
+                }
+            }
+        }
+        self.picks.push(pick);
+        self.gains.push(gain);
+        Admission::Accepted
+    }
 }
 
 /// The shared per-round selection loop: candidate scan (sequential or
@@ -415,80 +520,67 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
         (weights, total)
     }
 
-    /// `Δ_p` for every candidate, in candidate order: sequential on the
-    /// oracle itself, otherwise a work-stealing scan over spans sized by
-    /// the [`ScanTuner`] (and feeding its next observation).
-    fn scan_deltas(&mut self, candidates: &[Edge]) -> Vec<usize> {
-        if self.exec.is_sequential() {
-            let t0 = self.obs.is_enabled().then(Instant::now);
-            let probe: &mut dyn GainProbe = &mut self.oracle;
-            let gains: Vec<usize> = candidates.iter().map(|&p| probe.delta(p)).collect();
-            if let (Some(t0), Some(st)) = (t0, self.obs.stats()) {
+    /// **The** candidate scan behind every round mode: runs `span` over
+    /// contiguous spans of `candidates` and returns the span results in
+    /// span order. A sequential executor scores the whole list as one span
+    /// with the oracle as its own probe (no per-round scratch setup);
+    /// otherwise workers claim spans sized by the [`ScanTuner`] (and
+    /// feeding its next observation), each scoring through a private
+    /// [`GainOracle::probe`]. Either way the round stats record one scan.
+    fn scan<R: Send>(
+        &mut self,
+        candidates: &[Edge],
+        span: impl Fn(&mut dyn GainProbe, &[Edge]) -> R + Sync,
+    ) -> Vec<R> {
+        // The parallel span plan: (span count, weights, total weight).
+        let plan = (!self.exec.is_sequential()).then(|| {
+            let (weights, total) = self.candidate_weights(candidates);
+            let spans = self.tuner.spans_for(self.exec.threads(), total);
+            (spans, weights, total)
+        });
+        // Parallel scans are always timed (the tuner needs the sample);
+        // sequential ones only for an enabled recorder.
+        let started = (plan.is_some() || self.obs.is_enabled()).then(Instant::now);
+        let out = match &plan {
+            None => vec![span(&mut self.oracle, candidates)],
+            Some((spans, weights, _)) => {
+                let oracle = &self.oracle;
+                self.exec.steal_spans(
+                    candidates,
+                    *spans,
+                    Some(weights.as_slice()),
+                    || oracle.probe(),
+                    |probe, chunk| span(probe.as_mut(), chunk),
+                )
+            }
+        };
+        if let Some(elapsed) = started.map(|t0| t0.elapsed()) {
+            if let Some((_, _, total)) = &plan {
+                self.tuner.record(*total, elapsed);
+            }
+            if let Some(st) = self.obs.stats() {
                 st.round.scans.inc();
                 st.round.candidates_probed.add(candidates.len() as u64);
-                st.round.scan_ns.record_duration(t0.elapsed());
+                st.round.scan_ns.record_duration(elapsed);
+                if let Some((spans, ..)) = &plan {
+                    st.round.scan_spans.record(*spans as u64);
+                }
             }
-            return gains;
         }
-        let (weights, total) = self.candidate_weights(candidates);
-        let spans = self.tuner.spans_for(self.exec.threads(), total);
-        let started = Instant::now();
-        let oracle = &self.oracle;
-        let gains = sharded_map_spans(
-            candidates,
-            &self.exec,
-            spans,
-            Some(&weights),
-            || oracle.probe(),
-            |probe, p| probe.delta(p),
-        );
-        let elapsed = started.elapsed();
-        self.tuner.record(total, elapsed);
-        if let Some(st) = self.obs.stats() {
-            st.round.scans.inc();
-            st.round.candidates_probed.add(candidates.len() as u64);
-            st.round.scan_ns.record_duration(elapsed);
-            st.round.scan_spans.record(spans as u64);
-        }
-        gains
+        out
     }
 
-    /// Per-target gain vectors for every candidate, in candidate order
-    /// (the targeted-round analogue of [`scan_deltas`](Self::scan_deltas)).
-    fn scan_delta_vectors(&mut self, candidates: &[Edge]) -> Vec<Vec<usize>> {
-        if self.exec.is_sequential() {
-            let t0 = self.obs.is_enabled().then(Instant::now);
-            let probe: &mut dyn GainProbe = &mut self.oracle;
-            let vectors: Vec<Vec<usize>> =
-                candidates.iter().map(|&p| probe.delta_vector(p)).collect();
-            if let (Some(t0), Some(st)) = (t0, self.obs.stats()) {
-                st.round.scans.inc();
-                st.round.candidates_probed.add(candidates.len() as u64);
-                st.round.scan_ns.record_duration(t0.elapsed());
-            }
-            return vectors;
-        }
-        let (weights, total) = self.candidate_weights(candidates);
-        let spans = self.tuner.spans_for(self.exec.threads(), total);
-        let started = Instant::now();
-        let oracle = &self.oracle;
-        let vectors = sharded_map_spans(
-            candidates,
-            &self.exec,
-            spans,
-            Some(&weights),
-            || oracle.probe(),
-            |probe, p| probe.delta_vector(p),
-        );
-        let elapsed = started.elapsed();
-        self.tuner.record(total, elapsed);
-        if let Some(st) = self.obs.stats() {
-            st.round.scans.inc();
-            st.round.candidates_probed.add(candidates.len() as u64);
-            st.round.scan_ns.record_duration(elapsed);
-            st.round.scan_spans.record(spans as u64);
-        }
-        vectors
+    /// `eval` for every candidate, in candidate order, through
+    /// [`scan`](Self::scan).
+    fn scan_map<R: Send>(
+        &mut self,
+        candidates: &[Edge],
+        eval: impl Fn(&mut dyn GainProbe, Edge) -> R + Sync,
+    ) -> Vec<R> {
+        let per_span = self.scan(candidates, |probe, span| {
+            span.iter().map(|&p| eval(probe, p)).collect::<Vec<R>>()
+        });
+        per_span.into_iter().flatten().collect()
     }
 
     /// Read access to the oracle's committed state.
@@ -518,72 +610,72 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
         better: impl Fn(&S, &S) -> bool + Sync,
     ) -> Option<(S, Edge)> {
         let candidates = self.oracle.candidates(self.policy);
-        if self.exec.is_sequential() {
-            let t0 = self.obs.is_enabled().then(Instant::now);
-            // The oracle is its own probe: no per-round scratch setup.
-            let probe: &mut dyn GainProbe = &mut self.oracle;
-            let mut best: Option<(S, Edge)> = None;
-            for &p in &candidates {
-                if let Some(s) = eval(probe, p) {
-                    if best.as_ref().is_none_or(|(b, _)| better(&s, b)) {
-                        best = Some((s, p));
-                    }
-                }
-            }
-            if let (Some(t0), Some(st)) = (t0, self.obs.stats()) {
-                st.round.scans.inc();
-                st.round.candidates_probed.add(candidates.len() as u64);
-                st.round.scan_ns.record_duration(t0.elapsed());
-            }
-            return best;
-        }
-        let (weights, total) = self.candidate_weights(&candidates);
-        let spans = self.tuner.spans_for(self.exec.threads(), total);
-        let started = Instant::now();
-        let oracle = &self.oracle;
-        let best = sharded_argmax_spans(
-            &candidates,
-            &self.exec,
-            spans,
-            Some(&weights),
-            || oracle.probe(),
-            |probe, p| eval(probe.as_mut(), p),
-            better,
-        );
-        let elapsed = started.elapsed();
-        self.tuner.record(total, elapsed);
-        if let Some(st) = self.obs.stats() {
-            st.round.scans.inc();
-            st.round.candidates_probed.add(candidates.len() as u64);
-            st.round.scan_ns.record_duration(elapsed);
-            st.round.scan_spans.record(spans as u64);
-        }
-        best
+        // One fused first-maximizer fold per span (no per-round score
+        // vector), then the canonical reduce over the span maxima.
+        let span_best = self.scan(&candidates, |probe, span| {
+            first_max(
+                span.iter().filter_map(|&p| eval(probe, p).map(|s| (s, p))),
+                &better,
+            )
+        });
+        first_max(span_best.into_iter().flatten(), &better)
     }
 
     /// Commits protector `p`: deletes it through the oracle, pushes it to
     /// the plan, and records the audit step. Returns the realized break
     /// count.
     pub fn commit_pick(&mut self, p: Edge, charged: Option<usize>, own: Option<usize>) -> usize {
+        self.commit_picks(&[(p, charged, own)])[0]
+    }
+
+    /// **The** commit path of every round mode: deletes `picks` —
+    /// `(protector, charged target, own breaks)` — through one
+    /// [`GainOracle::commit_batch`] (shard-parallel on the partitioned
+    /// index) and records one audit step per pick, `own` defaulting to the
+    /// realized total. Returns the realized break counts in pick order.
+    fn commit_picks(&mut self, picks: &[(Edge, Option<usize>, Option<usize>)]) -> Vec<usize> {
+        let edges: Vec<Edge> = picks.iter().map(|&(e, ..)| e).collect();
+        let mut sim = self.oracle.total_similarity();
         let t0 = self.obs.is_enabled().then(Instant::now);
-        let broken = self.oracle.commit(p);
+        let broken = self.oracle.commit_batch(&edges);
         if let (Some(t0), Some(st)) = (t0, self.obs.stats()) {
             st.round.rounds.inc();
             st.round.commit_ns.record_duration(t0.elapsed());
+            if picks.len() > 1 {
+                st.round.batch_commits.inc();
+            }
         }
-        if let Some(t) = charged {
-            self.per_target[t].push(p);
+        for (&(p, charged, own), &broken) in picks.iter().zip(&broken) {
+            sim -= broken;
+            if let Some(t) = charged {
+                self.per_target[t].push(p);
+            }
+            self.protectors.push(p);
+            self.steps.push(StepRecord {
+                round: self.steps.len(),
+                protector: p,
+                charged_target: charged,
+                own_broken: own.unwrap_or(broken),
+                total_broken: broken,
+                similarity_after: sim,
+            });
         }
-        self.protectors.push(p);
-        self.steps.push(StepRecord {
-            round: self.steps.len(),
-            protector: p,
-            charged_target: charged,
-            own_broken: own.unwrap_or(broken),
-            total_broken: broken,
-            similarity_after: self.oracle.total_similarity(),
-        });
+        debug_assert_eq!(sim, self.oracle.total_similarity());
         broken
+    }
+
+    /// Commits the batch `accepted` holds (nothing when it is empty) and
+    /// returns its size.
+    fn commit_accepted(&mut self, accepted: &BatchAcceptor) -> usize {
+        if accepted.picks.is_empty() {
+            return 0;
+        }
+        let broken = self.commit_picks(&accepted.picks);
+        debug_assert_eq!(
+            broken, accepted.gains,
+            "disjoint batch gains must be exact at commit"
+        );
+        broken.len()
     }
 
     /// One SGB round: commit the candidate with the highest total gain
@@ -743,46 +835,6 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
         }
     }
 
-    /// Commits an accepted disjoint batch through
-    /// [`GainOracle::commit_batch`] and records every pick — the commit
-    /// bookkeeping shared by all three batch modes (global, lazy,
-    /// targeted). Each pick is `(edge, expected gain, charged target,
-    /// own)`; disjointness is the caller's admission invariant, asserted
-    /// here against the realized break counts.
-    fn commit_accepted_batch(&mut self, picks: &[(Edge, usize, Option<usize>, Option<usize>)]) {
-        let edges: Vec<Edge> = picks.iter().map(|&(e, ..)| e).collect();
-        let mut sim = self.oracle.total_similarity();
-        let t0 = self.obs.is_enabled().then(Instant::now);
-        let broken = self.oracle.commit_batch(&edges);
-        if let (Some(t0), Some(st)) = (t0, self.obs.stats()) {
-            st.round.rounds.inc();
-            st.round.commit_ns.record_duration(t0.elapsed());
-            if picks.len() > 1 {
-                st.round.batch_commits.inc();
-            }
-        }
-        for (&(p, expected, charged, own), &broken) in picks.iter().zip(&broken) {
-            debug_assert_eq!(
-                broken, expected,
-                "disjoint batch gains must be exact at commit"
-            );
-            sim -= broken;
-            if let Some(t) = charged {
-                self.per_target[t].push(p);
-            }
-            self.protectors.push(p);
-            self.steps.push(StepRecord {
-                round: self.steps.len(),
-                protector: p,
-                charged_target: charged,
-                own_broken: own.unwrap_or(broken),
-                total_broken: broken,
-                similarity_after: sim,
-            });
-        }
-        debug_assert_eq!(sim, self.oracle.total_similarity());
-    }
-
     /// Batch-commit rounds: runs until `k` picks are committed or gains
     /// are exhausted, committing up to `j` picks per candidate scan.
     ///
@@ -824,76 +876,23 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
             return usize::from(self.select_global().is_some());
         }
         let candidates = self.oracle.candidates(self.policy);
-        if candidates.is_empty() {
-            return 0;
-        }
-        let gains = self.scan_deltas(&candidates);
+        let gains = self.scan_map(&candidates, |probe, p| probe.delta(p));
         // Canonical commit order: highest gain first, ties to the
         // canonically smallest edge — the sequential argmax, repeated.
         let mut order: Vec<usize> = (0..candidates.len()).collect();
         order.sort_unstable_by_key(|&i| (Reverse(gains[i]), candidates[i]));
-
-        let mut accepted: Vec<(Edge, usize, Option<usize>, Option<usize>)> =
-            Vec::with_capacity(room);
-        let mut claimed: FastSet<InstanceId> = FastSet::default();
-        // `true` once a pick's gain set is unknown: nothing further can be
-        // proven disjoint, so the round degrades to sequential commits.
-        let mut opaque = false;
-        let mut conflict_budget = room * BATCH_CONFLICTS_PER_SLOT;
+        let mut batch = BatchAcceptor::new(room);
         for &i in &order {
-            if accepted.len() >= room {
+            // Order is gain-descending: after a 0, everything left is 0.
+            if batch.is_full() || gains[i] == 0 {
                 break;
             }
-            let (p, gain) = (candidates[i], gains[i]);
-            if gain == 0 {
-                break; // order is gain-descending: everything left is 0
-            }
-            if accepted.is_empty() {
-                // The top pick is unconditionally correct — it is what the
-                // sequential round would commit.
-                if room > 1 {
-                    match self.oracle.gain_set(p) {
-                        Some(ids) => claimed.extend(ids),
-                        None => {
-                            opaque = true;
-                            if let Some(st) = self.obs.stats() {
-                                st.round.sequential_fallbacks.inc();
-                            }
-                        }
-                    }
-                }
-                accepted.push((p, gain, None, None));
-            } else {
-                if opaque {
-                    break;
-                }
-                match self.oracle.gain_set(p) {
-                    Some(ids) if ids.iter().all(|id| !claimed.contains(id)) => {
-                        claimed.extend(ids);
-                        accepted.push((p, gain, None, None));
-                    }
-                    // Conflict (or unknowable): skip for this round; the
-                    // candidate stays live and is rescored next round. A
-                    // bounded number of conflict probes keeps a
-                    // hub-dominated round from out-costing the sequential
-                    // rounds it replaces.
-                    _ => {
-                        if let Some(st) = self.obs.stats() {
-                            st.round.batch_conflicts.inc();
-                        }
-                        conflict_budget -= 1;
-                        if conflict_budget == 0 {
-                            break;
-                        }
-                    }
-                }
+            let pick = (candidates[i], None, None);
+            if batch.offer(&mut self.oracle, &self.obs, pick, gains[i]) == Admission::Closed {
+                break;
             }
         }
-        if accepted.is_empty() {
-            return 0;
-        }
-        self.commit_accepted_batch(&accepted);
-        accepted.len()
+        self.commit_accepted(&batch)
     }
 
     /// Runs the same rounds as [`run_global`](Self::run_global) through a
@@ -902,47 +901,16 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
     /// are never re-evaluated. The initial bound sweep is sharded across
     /// the engine's threads; refreshes are sequential. Output is identical
     /// to the eager loop for every oracle and thread count.
+    ///
+    /// The lazy loop with one pick per refresh phase:
+    /// `run_global_lazy_batch(k, 1)`.
     pub fn run_global_lazy(&mut self, k: usize) {
-        if k == 0 {
-            return;
-        }
-        let candidates = self.oracle.candidates(self.policy);
-        let gains = self.scan_deltas(&candidates);
-        // Max-heap of (cached_gain, Reverse(edge), round_evaluated):
-        // ordering by Reverse(edge) second pops the canonically smallest
-        // edge on gain ties — the linear scan's tie-break exactly.
-        let mut heap: BinaryHeap<(usize, Reverse<Edge>, usize)> = candidates
-            .into_iter()
-            .zip(gains)
-            .map(|(p, g)| (g, Reverse(p), 0usize))
-            .collect();
-        let mut round = 0usize;
-        while self.picks() < k {
-            let Some((cached, Reverse(p), evaluated_at)) = heap.pop() else {
-                break;
-            };
-            if cached == 0 {
-                break; // all remaining upper bounds are 0
-            }
-            if evaluated_at < round {
-                // Stale bound: refresh and reinsert. Submodularity
-                // guarantees fresh <= cached, so the heap stays sound.
-                let fresh = self.oracle.gain(p);
-                debug_assert!(fresh <= cached, "submodularity violated");
-                heap.push((fresh, Reverse(p), round));
-                continue;
-            }
-            let broken = self.commit_pick(p, None, None);
-            debug_assert_eq!(broken, cached);
-            round += 1;
-        }
+        self.run_global_lazy_batch(k, 1);
     }
 
-    /// The CELF + batch hybrid: the same lazy queue as
-    /// [`run_global_lazy`](Self::run_global_lazy), but each refresh phase
-    /// pops up to `j` **fresh** heap tops whose gain sets are pairwise
-    /// disjoint and commits them as one batch through
-    /// [`GainOracle::commit_batch`].
+    /// The CELF lazy queue with up to `j` commits per refresh phase: each
+    /// phase pops **fresh** heap tops whose gain sets are pairwise disjoint
+    /// and commits them as one batch through [`GainOracle::commit_batch`].
     ///
     /// A popped fresh top whose gain set conflicts with the accepted set
     /// (or cannot be enumerated) is pushed back and the batch commits
@@ -953,19 +921,20 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
     /// bound predating the batch is re-verified before it can win.
     ///
     /// Disjointness makes every accepted cached gain exact at commit
-    /// (the same argument as [`select_batch`](Self::select_batch)), and
-    /// `j = 1` delegates to the sequential lazy loop — bit-identical by
-    /// construction.
+    /// (the same argument as [`select_batch`](Self::select_batch)). A phase
+    /// with room for one pick never enumerates a gain set, so `j = 1` is
+    /// the classic CELF loop — bit-identical to
+    /// [`run_global`](Self::run_global).
     pub fn run_global_lazy_batch(&mut self, k: usize, j: usize) {
         let j = j.max(1);
-        if j == 1 {
-            return self.run_global_lazy(k);
-        }
         if k == 0 {
             return;
         }
         let candidates = self.oracle.candidates(self.policy);
-        let gains = self.scan_deltas(&candidates);
+        let gains = self.scan_map(&candidates, |probe, p| probe.delta(p));
+        // Max-heap of (cached_gain, Reverse(edge), round_evaluated):
+        // ordering by Reverse(edge) second pops the canonically smallest
+        // edge on gain ties — the linear scan's tie-break exactly.
         let mut heap: BinaryHeap<(usize, Reverse<Edge>, usize)> = candidates
             .into_iter()
             .zip(gains)
@@ -973,12 +942,8 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
             .collect();
         let mut round = 0usize;
         while self.picks() < k {
-            let room = j.min(k - self.picks());
-            let mut accepted: Vec<(Edge, usize, Option<usize>, Option<usize>)> =
-                Vec::with_capacity(room);
-            let mut claimed: FastSet<InstanceId> = FastSet::default();
-            let mut opaque = false;
-            while accepted.len() < room {
+            let mut batch = BatchAcceptor::new(j.min(k - self.picks()));
+            while !batch.is_full() {
                 let Some((cached, Reverse(p), evaluated_at)) = heap.pop() else {
                     break;
                 };
@@ -986,50 +951,25 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
                     break; // all remaining upper bounds are 0
                 }
                 if evaluated_at < round {
+                    // Stale bound: refresh and reinsert. Submodularity
+                    // guarantees fresh <= cached, so the heap stays sound.
                     let fresh = self.oracle.gain(p);
                     debug_assert!(fresh <= cached, "submodularity violated");
                     heap.push((fresh, Reverse(p), round));
                     continue;
                 }
-                if accepted.is_empty() {
-                    // The fresh top is the exact sequential argmax.
-                    match self.oracle.gain_set(p) {
-                        Some(ids) => claimed.extend(ids),
-                        None => {
-                            opaque = true;
-                            if let Some(st) = self.obs.stats() {
-                                st.round.sequential_fallbacks.inc();
-                            }
-                        }
-                    }
-                    accepted.push((p, cached, None, None));
-                    continue;
-                }
-                if opaque {
+                let pick = (p, None, None);
+                if batch.offer(&mut self.oracle, &self.obs, pick, cached) != Admission::Accepted {
+                    // Push the top back: it is re-evaluated sequentially
+                    // in the next refresh phase.
                     heap.push((cached, Reverse(p), evaluated_at));
                     break;
                 }
-                match self.oracle.gain_set(p) {
-                    Some(ids) if ids.iter().all(|id| !claimed.contains(id)) => {
-                        claimed.extend(ids);
-                        accepted.push((p, cached, None, None));
-                    }
-                    // Conflict (or unknowable): push the top back and fall
-                    // back to sequential re-evaluation next refresh phase.
-                    _ => {
-                        if let Some(st) = self.obs.stats() {
-                            st.round.batch_conflicts.inc();
-                        }
-                        heap.push((cached, Reverse(p), evaluated_at));
-                        break;
-                    }
-                }
             }
-            if accepted.is_empty() {
-                break;
+            match self.commit_accepted(&batch) {
+                0 => break,
+                committed => round += committed,
             }
-            self.commit_accepted_batch(&accepted);
-            round += accepted.len();
         }
     }
 
@@ -1042,26 +982,10 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
         if open.is_empty() {
             return None;
         }
-        let best = self.select_custom(
-            |probe, p| {
-                let v = probe.delta_vector(p);
-                let total: usize = v.iter().sum();
-                if total == 0 {
-                    return None;
-                }
-                let mut local: Option<(usize, usize, usize)> = None;
-                for &t in open {
-                    let own = v[t];
-                    let cross = total - own;
-                    if local.is_none_or(|(bo, bc, _)| (own, cross) > (bo, bc)) {
-                        local = Some((own, cross, t));
-                    }
-                }
-                local
-            },
+        let ((own, cross, target), p) = self.select_custom(
+            |probe, p| charge_to_open(&probe.delta_vector(p), open),
             |a, b| (a.0, a.1) > (b.0, b.1),
-        );
-        let ((own, cross, target), p) = best?;
+        )?;
         let broken = self.commit_pick(p, Some(target), Some(own));
         debug_assert_eq!(broken, own + cross, "gain vector must match break");
         Some(TargetedPick {
@@ -1114,31 +1038,10 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
             return self.select_for_targets(&open_targets).into_iter().collect();
         }
         let candidates = self.oracle.candidates(self.policy);
-        if candidates.is_empty() {
-            return Vec::new();
-        }
-        let vectors = self.scan_delta_vectors(&candidates);
-        // Score every candidate exactly as the sequential round does:
-        // charge to the first open target maximizing lexicographic
-        // (own, cross).
-        let scored: Vec<Option<(usize, usize, usize)>> = vectors
-            .iter()
-            .map(|v| {
-                let total: usize = v.iter().sum();
-                if total == 0 {
-                    return None;
-                }
-                let mut local: Option<(usize, usize, usize)> = None;
-                for &t in &open_targets {
-                    let own = v[t];
-                    let cross = total - own;
-                    if local.is_none_or(|(bo, bc, _)| (own, cross) > (bo, bc)) {
-                        local = Some((own, cross, t));
-                    }
-                }
-                local
-            })
-            .collect();
+        // Score every candidate exactly as the sequential round does.
+        let scored = self.scan_map(&candidates, |probe, p| {
+            charge_to_open(&probe.delta_vector(p), &open_targets)
+        });
         let mut order: Vec<usize> = (0..candidates.len())
             .filter(|&i| scored[i].is_some())
             .collect();
@@ -1152,72 +1055,35 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
         for &(t, remaining) in open {
             budget_left[t] = remaining;
         }
-        let mut accepted: Vec<(Edge, usize, usize, usize)> = Vec::with_capacity(room);
-        let mut claimed: FastSet<InstanceId> = FastSet::default();
-        let mut opaque = false;
-        let mut conflict_budget = room * BATCH_CONFLICTS_PER_SLOT;
+        let mut batch = BatchAcceptor::new(room);
         for &i in &order {
-            if accepted.len() >= room {
+            if batch.is_full() {
                 break;
             }
             let (own, cross, t) = scored[i].expect("filtered to scored candidates");
-            let p = candidates[i];
             if budget_left[t] == 0 {
                 continue; // target full this round: rescored next round
             }
-            if accepted.is_empty() {
-                // The top pick is unconditionally the sequential round's.
-                match self.oracle.gain_set(p) {
-                    Some(ids) => claimed.extend(ids),
-                    None => {
-                        opaque = true;
-                        if let Some(st) = self.obs.stats() {
-                            st.round.sequential_fallbacks.inc();
-                        }
-                    }
-                }
-                budget_left[t] -= 1;
-                accepted.push((p, own, cross, t));
-            } else {
-                if opaque {
-                    break;
-                }
-                match self.oracle.gain_set(p) {
-                    Some(ids) if ids.iter().all(|id| !claimed.contains(id)) => {
-                        claimed.extend(ids);
-                        budget_left[t] -= 1;
-                        accepted.push((p, own, cross, t));
-                    }
-                    // Conflict: skip for this round only, under the same
-                    // bounded probe budget as the global batch round.
-                    _ => {
-                        if let Some(st) = self.obs.stats() {
-                            st.round.batch_conflicts.inc();
-                        }
-                        conflict_budget -= 1;
-                        if conflict_budget == 0 {
-                            break;
-                        }
-                    }
-                }
+            let pick = (candidates[i], Some(t), Some(own));
+            match batch.offer(&mut self.oracle, &self.obs, pick, own + cross) {
+                Admission::Accepted => budget_left[t] -= 1,
+                Admission::Skipped => {}
+                Admission::Closed => break,
             }
         }
-        if accepted.is_empty() {
-            return Vec::new();
-        }
-
-        let records: Vec<(Edge, usize, Option<usize>, Option<usize>)> = accepted
+        self.commit_accepted(&batch);
+        batch
+            .picks
             .iter()
-            .map(|&(p, own, cross, t)| (p, own + cross, Some(t), Some(own)))
-            .collect();
-        self.commit_accepted_batch(&records);
-        accepted
-            .into_iter()
-            .map(|(p, own, cross, t)| TargetedPick {
-                protector: p,
-                target: t,
-                own,
-                cross,
+            .zip(&batch.gains)
+            .map(|(&(protector, target, own), &gain)| {
+                let (target, own) = (target.expect("charged"), own.expect("charged"));
+                TargetedPick {
+                    protector,
+                    target,
+                    own,
+                    cross: gain - own,
+                }
             })
             .collect()
     }
@@ -1314,6 +1180,29 @@ mod tests {
             |a, b| a > b,
         );
         assert_eq!(got, seq);
+    }
+
+    #[test]
+    fn single_slot_batch_rounds_never_fall_back() {
+        // With room for one pick there is nothing to prove disjoint, so an
+        // oracle without gain sets must not count a sequential fallback.
+        type Strategy =
+            fn(&crate::TppInstance, usize, usize, &crate::GreedyConfig) -> ProtectionPlan;
+        let g = tpp_graph::generators::holme_kim(80, 3, 0.4, 3);
+        let instance = crate::TppInstance::with_random_targets(g, 4, 3);
+        let strategies: [(&str, Strategy); 2] = [
+            ("sgb", crate::sgb_greedy_batch),
+            ("celf", crate::celf_greedy_batch),
+        ];
+        for (name, strategy) in strategies {
+            let recorder = Recorder::enabled();
+            let config = crate::GreedyConfig::snapshot(tpp_motif::Motif::Triangle)
+                .with_obs(recorder.clone());
+            let plan = strategy(&instance, 1, 4, &config);
+            assert_eq!(plan.deletions(), 1, "{name}");
+            let fallbacks = recorder.stats().unwrap().round.sequential_fallbacks.get();
+            assert_eq!(fallbacks, 0, "{name}");
+        }
     }
 
     #[test]

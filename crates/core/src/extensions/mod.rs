@@ -1,11 +1,9 @@
 //! Extensions beyond the paper's core contribution: the §VII future-work
 //! items (Katz-aware defense, target-node privacy), importance-weighted
-//! targets, the link-switching anti-baseline of §VI-D, and a parallel
-//! SGB-Greedy for large graphs.
+//! targets, and the link-switching anti-baseline of §VI-D.
 
 mod katz_defense;
 mod node_privacy;
-mod parallel;
 mod switching;
 mod weighted;
 
@@ -16,6 +14,5 @@ pub use node_privacy::{
     full_isolation_is_self_protecting, node_exposure, node_instance, partial_node_instance,
     protect_node, protect_node_links, NodeProtection,
 };
-pub use parallel::parallel_sgb_greedy;
 pub use switching::{backfire_rate, backfire_rate_parallel, random_switch, SwitchOutcome};
 pub use weighted::{weighted_celf_greedy_batch, weighted_sgb_greedy, WeightedIndexOracle};

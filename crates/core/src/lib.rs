@@ -52,7 +52,7 @@ pub use critical::critical_budget;
 pub use engine::{RoundEngine, ScanTuner, TargetedPick};
 pub use error::TppError;
 pub use oracle::{
-    AnyOracle, CandidatePolicy, GainOracle, GainProbe, IndexOracle, NaiveOracle, SnapshotOracle,
+    AnyOracle, CandidatePolicy, GainOracle, GainProbe, IndexOracle, SnapshotOracle,
     DEFAULT_INDEX_PARTITIONS,
 };
 pub use plan::{AlgorithmKind, ProtectionPlan, StepRecord};

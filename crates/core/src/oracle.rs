@@ -6,16 +6,13 @@
 //!   built once, with incremental shard-parallel deletion. Candidate edges
 //!   can be restricted to target-subgraph edges (Lemma 5), giving the
 //!   paper's `-R` algorithms.
-//! * [`NaiveOracle`] — the paper-faithful plain path: every gain is a fresh
-//!   motif recount on a scratch graph (delete, recount all targets, restore).
-//!   This is what makes the plain algorithms ~20× slower in Fig. 5 and
-//!   week-long on DBLP — we keep it both for fidelity and as an ablation
-//!   baseline.
-//! * [`SnapshotOracle`] — the recount cost model without any graph copy:
-//!   candidate evaluation layers a tentative deletion over a
-//!   [`tpp_store::DeltaView`] of the released graph (or any snapshot).
-//!   Setup is `O(1)` and the base is never cloned or mutated, so one
-//!   immutable snapshot can back many concurrent evaluations.
+//! * [`SnapshotOracle`] — the paper-faithful plain path: every gain is a
+//!   fresh motif recount (delete, recount all targets, restore). This is
+//!   what makes the plain algorithms ~20× slower in Fig. 5 and week-long on
+//!   DBLP — kept both for fidelity and as an ablation baseline. Candidate
+//!   evaluation layers a tentative deletion over a [`tpp_store::DeltaView`]
+//!   of the released graph (or any snapshot), so setup is `O(1)` and the
+//!   base is never cloned or mutated.
 
 use tpp_exec::Parallelism;
 use tpp_graph::{Edge, Graph, NeighborAccess};
@@ -298,114 +295,9 @@ impl GainOracle for IndexOracle {
     }
 }
 
-/// Recount-everything oracle: each gain is two full similarity evaluations
-/// on a scratch graph. Deliberately unoptimized — this reproduces the cost
-/// model of the paper's plain algorithms.
-#[derive(Clone)]
-pub struct NaiveOracle {
-    graph: Graph,
-    targets: Vec<Edge>,
-    motif: Motif,
-}
-
-impl NaiveOracle {
-    /// Builds the oracle (clones the released graph as scratch space).
-    #[must_use]
-    pub fn new(released: &Graph, targets: &[Edge], motif: Motif) -> Self {
-        NaiveOracle {
-            graph: released.clone(),
-            targets: targets.to_vec(),
-            motif,
-        }
-    }
-
-    fn similarity_of(&self, target_idx: usize) -> usize {
-        let t = self.targets[target_idx];
-        count_target_subgraphs(&self.graph, t.u(), t.v(), self.motif)
-    }
-
-    /// The graph with all committed deletions applied.
-    #[must_use]
-    pub fn graph(&self) -> &Graph {
-        &self.graph
-    }
-}
-
-impl GainOracle for NaiveOracle {
-    fn total_similarity(&self) -> usize {
-        (0..self.targets.len()).map(|i| self.similarity_of(i)).sum()
-    }
-
-    fn target_similarity(&self, target_idx: usize) -> usize {
-        self.similarity_of(target_idx)
-    }
-
-    fn gain(&mut self, p: Edge) -> usize {
-        if !self.graph.contains(p) {
-            return 0;
-        }
-        let before = self.total_similarity();
-        // What-if evaluation by mutate-and-restore: remove p, recount every
-        // target from adjacency, add p back. This is the paper's plain cost
-        // model O(n (log N)^2) per candidate.
-        self.graph.remove_edge(p.u(), p.v());
-        let after = self.total_similarity();
-        self.graph.add_edge(p.u(), p.v());
-        before - after
-    }
-
-    fn gain_vector(&mut self, p: Edge) -> Vec<usize> {
-        if !self.graph.contains(p) {
-            return vec![0; self.targets.len()];
-        }
-        let before: Vec<usize> = (0..self.targets.len())
-            .map(|i| self.similarity_of(i))
-            .collect();
-        self.graph.remove_edge(p.u(), p.v());
-        let after: Vec<usize> = (0..self.targets.len())
-            .map(|i| self.similarity_of(i))
-            .collect();
-        self.graph.add_edge(p.u(), p.v());
-        before.iter().zip(&after).map(|(b, a)| b - a).collect()
-    }
-
-    fn candidates(&self, policy: CandidatePolicy) -> Vec<Edge> {
-        match policy {
-            CandidatePolicy::AllEdges => self.graph.edge_vec(),
-            CandidatePolicy::SubgraphEdges => {
-                // Re-enumerate instances from scratch (the restricted variant
-                // without the incremental index).
-                subgraph_edge_candidates(&self.graph, &self.targets, self.motif)
-            }
-        }
-    }
-
-    fn commit(&mut self, p: Edge) -> usize {
-        let before = self.total_similarity();
-        self.graph.remove_edge(p.u(), p.v());
-        before - self.total_similarity()
-    }
-
-    fn insert_edge(&mut self, e: Edge) -> usize {
-        let before = self.total_similarity();
-        self.graph.add_edge(e.u(), e.v());
-        self.total_similarity() - before
-    }
-
-    fn target_count(&self) -> usize {
-        self.targets.len()
-    }
-
-    fn probe(&self) -> Box<dyn GainProbe + '_> {
-        // One scratch clone per worker per round — still the plain cost
-        // model per candidate, but the recounts fan out.
-        Box::new(self.clone())
-    }
-}
-
-/// Recount oracle over a [`DeltaView`]: the same cost model as
-/// [`NaiveOracle`], but with **zero** graph clones — the base stays
-/// immutable and shared; committed deletions live in the overlay, and each
+/// Recount oracle over a [`DeltaView`]: the paper's plain cost model (every
+/// gain is a fresh motif recount), with **zero** graph clones — the base
+/// stays immutable and shared; committed deletions live in the overlay, and each
 /// candidate evaluation is a tentative overlay delete + recount + restore.
 ///
 /// The base can be the released [`Graph`] itself or a `tpp_store::CsrGraph`
@@ -467,8 +359,8 @@ fn count_each<G: NeighborAccess>(g: &G, targets: &[Edge], motif: Motif) -> Vec<u
 }
 
 /// Re-enumerates the Lemma 5 restricted candidate set (edges of alive
-/// target subgraphs) from scratch on any readable representation — shared
-/// by the non-incremental oracles.
+/// target subgraphs) from scratch on any readable representation — the
+/// recount oracle's restricted candidate source.
 fn subgraph_edge_candidates<G: NeighborAccess>(g: &G, targets: &[Edge], motif: Motif) -> Vec<Edge> {
     let mut out: tpp_graph::FastSet<Edge> = tpp_graph::FastSet::default();
     for (idx, t) in targets.iter().enumerate() {
@@ -566,9 +458,6 @@ impl<B: NeighborAccess> GainOracle for SnapshotOracle<'_, B> {
 pub enum AnyOracle<'a> {
     /// Incremental coverage index ([`EvaluatorKind::Index`](crate::EvaluatorKind::Index)).
     Index(IndexOracle),
-    /// Plain recount on a scratch clone
-    /// ([`EvaluatorKind::NaiveRecount`](crate::EvaluatorKind::NaiveRecount)).
-    Naive(NaiveOracle),
     /// Overlay recount over the borrowed released graph
     /// ([`EvaluatorKind::DeltaRecount`](crate::EvaluatorKind::DeltaRecount)).
     Snapshot(SnapshotOracle<'a, Graph>),
@@ -605,9 +494,6 @@ impl<'a> AnyOracle<'a> {
                 };
                 AnyOracle::Index(oracle)
             }
-            EvaluatorKind::NaiveRecount => {
-                AnyOracle::Naive(NaiveOracle::new(released, targets, config.motif))
-            }
             EvaluatorKind::DeltaRecount => {
                 AnyOracle::Snapshot(SnapshotOracle::new(released, targets, config.motif))
             }
@@ -619,7 +505,6 @@ macro_rules! any_oracle_delegate {
     ($self:ident, $o:ident => $body:expr) => {
         match $self {
             AnyOracle::Index($o) => $body,
-            AnyOracle::Naive($o) => $body,
             AnyOracle::Snapshot($o) => $body,
         }
     };
@@ -688,21 +573,21 @@ mod tests {
     use super::*;
     use tpp_graph::generators::erdos_renyi_gnp;
 
-    fn fixture(motif: Motif) -> (Graph, Vec<Edge>, IndexOracle, NaiveOracle) {
+    fn fixture(motif: Motif) -> (Graph, Vec<Edge>, IndexOracle) {
         let mut g = erdos_renyi_gnp(24, 0.25, 5);
         let targets = vec![Edge::new(0, 1), Edge::new(2, 3), Edge::new(4, 5)];
         for t in &targets {
             g.remove_edge(t.u(), t.v());
         }
         let idx = IndexOracle::new(&g, &targets, motif);
-        let naive = NaiveOracle::new(&g, &targets, motif);
-        (g, targets, idx, naive)
+        (g, targets, idx)
     }
 
     #[test]
     fn oracles_agree_on_everything() {
         for motif in Motif::ALL {
-            let (_, targets, mut idx, mut naive) = fixture(motif);
+            let (g, targets, mut idx) = fixture(motif);
+            let mut naive = SnapshotOracle::new(&g, &targets, motif);
             assert_eq!(idx.total_similarity(), naive.total_similarity());
             let cands = idx.candidates(CandidatePolicy::SubgraphEdges);
             assert_eq!(cands, naive.candidates(CandidatePolicy::SubgraphEdges));
@@ -728,7 +613,7 @@ mod tests {
 
     #[test]
     fn gain_split_sums_to_gain() {
-        let (_, _, mut idx, _) = fixture(Motif::Triangle);
+        let (_, _, mut idx) = fixture(Motif::Triangle);
         for p in idx.candidates(CandidatePolicy::SubgraphEdges) {
             let total = idx.gain(p);
             let split_sum: usize = (0..idx.target_count())
@@ -742,7 +627,7 @@ mod tests {
 
     #[test]
     fn all_edges_policy_includes_zero_gain_edges() {
-        let (g, _, idx, _) = fixture(Motif::Triangle);
+        let (g, _, idx) = fixture(Motif::Triangle);
         let all = idx.candidates(CandidatePolicy::AllEdges);
         let restricted = idx.candidates(CandidatePolicy::SubgraphEdges);
         assert_eq!(all.len(), g.edge_count());
@@ -754,7 +639,7 @@ mod tests {
 
     #[test]
     fn committed_edges_leave_candidates() {
-        let (_, _, mut idx, _) = fixture(Motif::Triangle);
+        let (_, _, mut idx) = fixture(Motif::Triangle);
         let all_before = idx.candidates(CandidatePolicy::AllEdges).len();
         let p = idx.candidates(CandidatePolicy::SubgraphEdges)[0];
         idx.commit(p);
@@ -767,7 +652,7 @@ mod tests {
     #[test]
     fn snapshot_oracle_agrees_with_both_paths() {
         for motif in Motif::ALL {
-            let (g, targets, mut idx, mut naive) = fixture(motif);
+            let (g, targets, mut idx) = fixture(motif);
             let csr = tpp_store::CsrGraph::from_graph(&g);
             let mut snap_graph = SnapshotOracle::new(&g, &targets, motif);
             let mut snap_csr = SnapshotOracle::new(&csr, &targets, motif);
@@ -778,7 +663,11 @@ mod tests {
             assert_eq!(cands, snap_csr.candidates(CandidatePolicy::SubgraphEdges));
             assert_eq!(
                 snap_csr.candidates(CandidatePolicy::AllEdges),
-                naive.candidates(CandidatePolicy::AllEdges)
+                idx.candidates(CandidatePolicy::AllEdges)
+            );
+            assert_eq!(
+                snap_graph.candidates(CandidatePolicy::AllEdges),
+                idx.candidates(CandidatePolicy::AllEdges)
             );
             for &p in cands.iter().take(10) {
                 assert_eq!(idx.gain(p), snap_graph.gain(p), "{motif} gain({p})");
@@ -790,7 +679,6 @@ mod tests {
             }
             for &p in cands.iter().take(3) {
                 let broken = idx.commit(p);
-                assert_eq!(broken, naive.commit(p));
                 assert_eq!(broken, snap_graph.commit(p), "{motif} commit({p})");
                 assert_eq!(broken, snap_csr.commit(p));
                 assert_eq!(idx.total_similarity(), snap_csr.total_similarity());
@@ -802,7 +690,7 @@ mod tests {
 
     #[test]
     fn snapshot_oracle_gain_on_missing_edge_is_zero() {
-        let (g, targets, _, _) = fixture(Motif::Triangle);
+        let (g, targets, _) = fixture(Motif::Triangle);
         let csr = tpp_store::CsrGraph::from_graph(&g);
         let mut snap = SnapshotOracle::new(&csr, &targets, Motif::Triangle);
         // Find a guaranteed-absent pair so the assertions always execute.
@@ -817,7 +705,9 @@ mod tests {
 
     #[test]
     fn naive_gain_on_missing_edge_is_zero() {
-        let (_, _, _, mut naive) = fixture(Motif::Triangle);
+        // The plain-config recount oracle over the released graph itself.
+        let (g, targets, _) = fixture(Motif::Triangle);
+        let mut naive = SnapshotOracle::new(&g, &targets, Motif::Triangle);
         assert_eq!(naive.gain(Edge::new(0, 1)), 0, "target edge absent");
         assert_eq!(naive.gain_split(Edge::new(0, 1), 0), (0, 0));
     }

@@ -7,8 +7,8 @@ use tpp_bench::fixtures::er_instance;
 use tpp_core::{
     celf_greedy, celf_greedy_batch, critical_budget, ct_greedy, ct_greedy_batch, delta_dirty_edges,
     divide_budget, random_deletion, random_deletion_from_subgraphs, sgb_greedy, sgb_greedy_batch,
-    sgb_greedy_incremental, verify_plan, wt_greedy, wt_greedy_batch, BudgetDivision, EvaluatorKind,
-    GreedyConfig, ObsConfig, TppInstance,
+    sgb_greedy_incremental, verify_plan, wt_greedy, wt_greedy_batch, BudgetDivision, GreedyConfig,
+    ObsConfig, TppInstance,
 };
 use tpp_graph::{Edge, FastSet};
 use tpp_motif::Motif;
@@ -170,18 +170,9 @@ proptest! {
     }
 }
 
-/// The restricted-candidate config for each of the three oracle kinds
-/// (the naive recount stays on restricted candidates so the proptest
-/// volume stays tractable — the determinism property is policy-agnostic).
-fn evaluator_configs(motif: Motif) -> [GreedyConfig; 3] {
-    [
-        GreedyConfig::scalable(motif),
-        GreedyConfig::snapshot(motif),
-        GreedyConfig {
-            evaluator: EvaluatorKind::NaiveRecount,
-            ..GreedyConfig::scalable(motif)
-        },
-    ]
+/// The restricted-candidate config for each oracle kind.
+fn evaluator_configs(motif: Motif) -> [GreedyConfig; 2] {
+    [GreedyConfig::scalable(motif), GreedyConfig::snapshot(motif)]
 }
 
 proptest! {
@@ -190,7 +181,7 @@ proptest! {
     /// The round engine's core contract: plans are **bit-identical**
     /// across `threads ∈ {1, 2, 4}` for every oracle kind — the full
     /// plan (protectors, steps, similarities), not just the pick set —
-    /// and the three oracles agree with each other on the same config.
+    /// and the oracles agree with each other on the same config.
     #[test]
     fn engine_plans_are_thread_and_oracle_invariant(
         instance in instance_strategy(),

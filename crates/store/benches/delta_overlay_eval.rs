@@ -5,7 +5,7 @@
 //! * `clone_per_candidate` — the pattern this subsystem exists to kill:
 //!   materialize a full `Graph` copy per candidate, delete, recount.
 //! * `mutate_restore` — one upfront clone, then delete/recount/restore on
-//!   it (the `NaiveOracle` cost model).
+//!   it (the old scratch-clone recount cost model).
 //! * `delta_overlay_iter_merge` — the overlay with its slice fast path
 //!   suppressed (a no-slice base wrapper): every scan runs the merge
 //!   iterator, the discipline this bench originally recorded a ~2-3×
