@@ -1,13 +1,17 @@
 //! Microbenchmark: each Table II utility metric on the Arenas-email
 //! substitute (identifies which metrics dominate the Tables III-V cost and
-//! justifies the paper's reduced Table V metric set).
+//! justifies the paper's reduced Table V metric set), plus the Table V
+//! utility-loss report on a 50k-node Barabási–Albert graph: clustering
+//! from scratch, and the report for a 200-edge release whose clustering is
+//! patched from the original's triangle counts.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use tpp_datasets::arenas_email_like;
+use tpp_graph::generators::barabasi_albert;
 use tpp_metrics::{
     assortativity, average_clustering, average_core_number, louvain_modularity,
-    sampled_path_length, second_largest_laplacian_eigenvalue,
+    sampled_path_length, second_largest_laplacian_eigenvalue, utility_loss, UtilityConfig,
 };
 
 fn bench_metrics(c: &mut Criterion) {
@@ -31,6 +35,23 @@ fn bench_metrics(c: &mut Criterion) {
     });
     group.bench_function("louvain_modularity", |b| {
         b.iter(|| black_box(louvain_modularity(&g, 3)));
+    });
+    group.finish();
+
+    let big = barabasi_albert(50_000, 4, 1);
+    let edges = big.edge_vec();
+    let mut released = big.clone();
+    for e in edges.iter().step_by(edges.len() / 200).take(200) {
+        released.remove_edge(e.u(), e.v());
+    }
+    let config = UtilityConfig::large_graph(1);
+    let mut group = c.benchmark_group("utility_metrics");
+    group.sample_size(10);
+    group.bench_function("clustering_ba50k", |b| {
+        b.iter(|| black_box(average_clustering(&big)));
+    });
+    group.bench_function("utility_loss_ba50k_deleted200", |b| {
+        b.iter(|| black_box(utility_loss(&big, &released, &config)));
     });
     group.finish();
 }

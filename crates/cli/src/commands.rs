@@ -297,7 +297,7 @@ fn stats(p: &Parsed) -> Result<(), String> {
         g.degree_sum() as f64 / g.node_count().max(1) as f64
     );
     let seed: u64 = p.num_or("seed", 1u64)?;
-    let config = if p.has("full") || p.flags.contains_key("full") {
+    let config = if p.has("full") {
         UtilityConfig::full(seed)
     } else {
         UtilityConfig::large_graph(seed)
@@ -590,7 +590,14 @@ pub(crate) fn run_protect(
     }
 
     let released = instance.apply_protectors(&plan.protectors);
+    let t0 = recorder.is_enabled().then(std::time::Instant::now);
     let loss = utility_loss(&original, &released, &UtilityConfig::large_graph(seed));
+    if let (Some(t0), Some(st)) = (t0, recorder.stats()) {
+        st.utility.utility_ns.add_duration(t0.elapsed());
+        st.utility
+            .deleted_edges
+            .add(original.edge_count().saturating_sub(released.edge_count()) as u64);
+    }
     let _ = writeln!(out, "utility loss (clust, cn): {}", loss.average_percent());
 
     if let Some(path) = p.flags.get("out") {
@@ -1570,9 +1577,24 @@ mod tests {
             "\"attack\"",
             "\"kernels\"",
             "\"update\"",
+            "\"utility\"",
         ] {
             assert!(stats.contains(key), "missing {key} in: {stats}");
         }
+        // The utility phase walked the removed targets plus the plan's
+        // protector deletions, and took measurable time.
+        let stat = |field: &str| -> u64 {
+            let line = stats
+                .lines()
+                .find(|l| l.contains(field))
+                .unwrap_or_else(|| panic!("missing {field} in: {stats}"));
+            let value = line.rsplit(':').next().unwrap();
+            value.trim().trim_end_matches(',').parse().unwrap()
+        };
+        let plan: PlanFileIn = serde_json::from_str(&plans[1]).unwrap();
+        let deleted = plan.targets.len() + plan.plan.protectors.len();
+        assert_eq!(stat("\"deleted_edges\""), deleted as u64);
+        assert!(stat("\"utility_ns\"") > 0);
         for field in [
             "\"rounds\"",
             "\"scan_ns\"",

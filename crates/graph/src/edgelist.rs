@@ -2,8 +2,11 @@
 //!
 //! Format: one edge per line, two whitespace-separated node ids. Blank lines
 //! and lines starting with `#` or `%` (KONECT/SNAP header styles) are
-//! ignored. Node ids may be arbitrary non-negative integers; the graph is
-//! grown to the maximum id seen.
+//! ignored, except a `# nodes: N ...` header (the first line
+//! [`write_edge_list`] emits), which sizes the graph to at least `N` nodes
+//! so that isolated nodes past the last edge survive a round trip. Node
+//! ids may be arbitrary non-negative integers; the graph is grown to the
+//! maximum id seen.
 
 use crate::edge::NodeId;
 use crate::error::GraphError;
@@ -20,6 +23,16 @@ pub fn parse_edge_list(input: &str) -> Result<Graph, GraphError> {
     let mut g = Graph::new(0);
     for (idx, raw) in input.lines().enumerate() {
         let line = raw.trim();
+        let declared = declared_node_count(line).map_err(|reason| GraphError::Parse {
+            line: idx + 1,
+            reason,
+        })?;
+        if let Some(n) = declared {
+            if n > 0 {
+                g.ensure_node((n - 1) as NodeId);
+            }
+            continue;
+        }
         if line.is_empty() || line.starts_with('#') || line.starts_with('%') {
             continue;
         }
@@ -34,6 +47,29 @@ pub fn parse_edge_list(input: &str) -> Result<Graph, GraphError> {
         g.add_edge(u, v);
     }
     Ok(g)
+}
+
+/// The node count declared by a `# nodes: N ...` header line, or `None`
+/// for any other line (a header whose count is not a number is an
+/// ordinary comment).
+///
+/// # Errors
+/// A declared count beyond the [`NodeId`] range.
+pub fn declared_node_count(line: &str) -> Result<Option<usize>, String> {
+    let Some(count) = line
+        .trim()
+        .strip_prefix("# nodes:")
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|tok| tok.parse::<u64>().ok())
+    else {
+        return Ok(None);
+    };
+    if count > u64::from(NodeId::MAX) + 1 {
+        return Err(format!(
+            "declared node count {count} exceeds the node id range"
+        ));
+    }
+    Ok(Some(count as usize))
 }
 
 fn parse_id(token: Option<&str>, line: usize) -> Result<NodeId, GraphError> {
@@ -99,6 +135,25 @@ mod tests {
         let text = "# comment\n% konect header\n\n  0 1  \n1 2 0.75\n";
         let g = parse_edge_list(text).unwrap();
         assert_eq!(g.edge_count(), 2);
+    }
+
+    #[test]
+    fn header_keeps_trailing_isolated_nodes() {
+        let mut g = parse_edge_list("0 1\n1 2\n0 2\n").unwrap();
+        g.ensure_node(4);
+        let text = write_edge_list(&g);
+        assert!(text.starts_with("# nodes: 5 edges: 3\n"), "{text}");
+        let back = parse_edge_list(&text).unwrap();
+        assert_eq!(back.node_count(), 5);
+        assert_eq!(back, g);
+        // The header is a lower bound: edges past it still grow the graph.
+        let g = parse_edge_list("# nodes: 2 edges: 1\n0 5\n").unwrap();
+        assert_eq!(g.node_count(), 6);
+        // Other comments, and headers without a count, stay comments.
+        let g = parse_edge_list("# Nodes: 9\n# nodes: many\n0 1\n").unwrap();
+        assert_eq!(g.node_count(), 2);
+        let err = parse_edge_list("0 1\n# nodes: 9999999999 edges: 0\n").unwrap_err();
+        assert!(matches!(err, GraphError::Parse { line: 2, .. }), "{err:?}");
     }
 
     #[test]

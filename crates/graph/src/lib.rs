@@ -36,7 +36,10 @@ mod view;
 
 pub use access::{merge_sorted_slices, NeighborAccess};
 pub use edge::{Edge, NodeId};
-pub use edgelist::{parse_edge_list, read_edge_list_file, write_edge_list, write_edge_list_file};
+pub use edgelist::{
+    declared_node_count, parse_edge_list, read_edge_list_file, write_edge_list,
+    write_edge_list_file,
+};
 pub use error::GraphError;
 pub use graph::Graph;
 pub use hash::{fast_map_with_capacity, fast_set_with_capacity, FastMap, FastSet};

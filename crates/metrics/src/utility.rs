@@ -3,7 +3,9 @@
 
 use crate::{
     assortativity::assortativity,
-    clustering::average_clustering,
+    clustering::{
+        average_clustering, average_from_counts, remove_deleted_triangles, triangle_counts,
+    },
     community::louvain_modularity,
     core_number::average_core_number,
     paths::{average_path_length, sampled_path_length},
@@ -11,7 +13,7 @@ use crate::{
 };
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use tpp_graph::Graph;
+use tpp_graph::{Edge, Graph};
 
 /// The six utility metrics of Table II.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -123,24 +125,74 @@ pub fn compute_utility(g: &Graph, config: &UtilityConfig) -> UtilityValues {
     let values = config
         .metrics
         .iter()
-        .map(|&m| {
-            let v = match m {
-                UtilityMetric::AvgPathLength => match config.path_sources {
-                    None => average_path_length(g).mean,
-                    Some(s) => sampled_path_length(g, s, config.seed).mean,
-                },
-                UtilityMetric::Clustering => average_clustering(g),
-                UtilityMetric::Assortativity => assortativity(g).unwrap_or(0.0),
-                UtilityMetric::CoreNumber => average_core_number(g),
-                UtilityMetric::SecondEigenvalue => {
-                    second_largest_laplacian_eigenvalue(g, config.seed)
-                }
-                UtilityMetric::Modularity => louvain_modularity(g, config.seed),
-            };
-            (m, v)
-        })
+        .map(|&m| (m, metric_value(g, m, config)))
         .collect();
     UtilityValues { values }
+}
+
+/// One metric of `g` under `config`, from scratch.
+fn metric_value(g: &Graph, metric: UtilityMetric, config: &UtilityConfig) -> f64 {
+    match metric {
+        UtilityMetric::AvgPathLength => match config.path_sources {
+            None => average_path_length(g).mean,
+            Some(s) => sampled_path_length(g, s, config.seed).mean,
+        },
+        UtilityMetric::Clustering => average_clustering(g),
+        UtilityMetric::Assortativity => assortativity(g).unwrap_or(0.0),
+        UtilityMetric::CoreNumber => average_core_number(g),
+        UtilityMetric::SecondEigenvalue => second_largest_laplacian_eigenvalue(g, config.seed),
+        UtilityMetric::Modularity => louvain_modularity(g, config.seed),
+    }
+}
+
+/// The edges of `original` missing from `released`, ascending in
+/// canonical order — or `None` when `released` is not an edge subset of
+/// `original` on the same node set (an added or rewired edge).
+///
+/// Compares the two graphs' per-node neighbour slices: equal slices cost
+/// one memcmp, and a differing slice is walked as a sorted subsequence.
+/// A degree check would not do, because a degree-preserving rewiring
+/// keeps every degree.
+fn deleted_edges(original: &Graph, released: &Graph) -> Option<Vec<Edge>> {
+    if original.node_count() != released.node_count() {
+        return None;
+    }
+    let mut deleted = Vec::new();
+    for u in original.nodes() {
+        let (before, after) = (original.neighbors(u), released.neighbors(u));
+        if before == after {
+            continue;
+        }
+        let mut kept = after.iter().peekable();
+        for &v in before {
+            if kept.next_if_eq(&&v).is_none() && u < v {
+                deleted.push(Edge::new(u, v));
+            }
+        }
+        if kept.next().is_some() {
+            return None;
+        }
+    }
+    Some(deleted)
+}
+
+/// `(average_clustering(original), average_clustering(released))`,
+/// bit-identical to the two from-scratch calls. When `released` is
+/// `original` minus some edges, the original's per-node triangle counts
+/// are computed once, summed, patched in place for the deleted edges,
+/// and re-summed with the released degrees; otherwise `released` is
+/// counted from scratch.
+fn clustering_pair(original: &Graph, released: &Graph) -> (f64, f64) {
+    let deleted = deleted_edges(original, released);
+    let mut counts = triangle_counts(original);
+    let before = average_from_counts(original, &counts);
+    let Some(deleted) = deleted else {
+        // Free the original's counts first: one count array live at a time.
+        drop(counts);
+        return (before, average_clustering(released));
+    };
+    remove_deleted_triangles(original, &mut counts, &deleted);
+    (before, average_from_counts(released, &counts))
 }
 
 /// The paper's utility loss ratio for one metric:
@@ -178,19 +230,32 @@ impl UtilityLossReport {
 }
 
 /// Measures both graphs under `config` and reports the loss ratios.
+///
+/// Every value equals, bit for bit, what [`compute_utility`] gives on
+/// each graph. Clustering is the one metric not recomputed twice: when
+/// `released` only lacks edges of `original` (the paper's `G − T − P`),
+/// the deleted edges' triangles are patched out of the original's
+/// per-node counts instead.
 #[must_use]
 pub fn utility_loss(
     original: &Graph,
     released: &Graph,
     config: &UtilityConfig,
 ) -> UtilityLossReport {
-    let before = compute_utility(original, config);
-    let after = compute_utility(released, config);
-    let per_metric: Vec<(UtilityMetric, f64)> = before
-        .values
+    let per_metric: Vec<(UtilityMetric, f64)> = config
+        .metrics
         .iter()
-        .zip(&after.values)
-        .map(|(&(m, a), &(_, b))| (m, loss_ratio(a, b)))
+        .map(|&m| {
+            let (a, b) = if m == UtilityMetric::Clustering {
+                clustering_pair(original, released)
+            } else {
+                (
+                    metric_value(original, m, config),
+                    metric_value(released, m, config),
+                )
+            };
+            (m, loss_ratio(a, b))
+        })
         .collect();
     let average = if per_metric.is_empty() {
         0.0
@@ -245,6 +310,40 @@ mod tests {
             "heavy deletion should show loss, got {}",
             report.average_percent()
         );
+    }
+
+    #[test]
+    fn deleted_edges_finds_exactly_the_removed_edges() {
+        let g = holme_kim(60, 3, 0.5, 4);
+        assert_eq!(deleted_edges(&g, &g), Some(Vec::new()));
+        let edges = g.edge_vec();
+        let mut released = g.clone();
+        let gone = [edges[40], edges[3], edges[17]];
+        for e in gone {
+            released.remove_edge(e.u(), e.v());
+        }
+        let mut expected = gone.to_vec();
+        expected.sort_unstable();
+        assert_eq!(deleted_edges(&g, &released), Some(expected));
+    }
+
+    #[test]
+    fn deleted_edges_rejects_additions_rewirings_and_new_nodes() {
+        let g = tpp_graph::generators::cycle_graph(6);
+        let mut added = g.clone();
+        added.add_edge(0, 3);
+        assert_eq!(deleted_edges(&g, &added), None);
+        // (0,1), (3,4) -> (0,4), (3,1): every degree stays 2.
+        let mut rewired = g.clone();
+        rewired.remove_edge(0, 1);
+        rewired.remove_edge(3, 4);
+        rewired.add_edge(0, 4);
+        rewired.add_edge(3, 1);
+        assert_eq!(rewired.degrees(), g.degrees());
+        assert_eq!(deleted_edges(&g, &rewired), None);
+        let mut grown = g.clone();
+        grown.add_node();
+        assert_eq!(deleted_edges(&g, &grown), None);
     }
 
     #[test]

@@ -1,0 +1,198 @@
+//! Property tests pinning the utility-loss report's incremental
+//! clustering path: the oriented triangle kernel counts what the per-node
+//! loop counts, and `utility_loss(g, g − D)` is bit-identical to measuring
+//! both graphs from scratch — for deletion sets of every shape, and for
+//! released graphs that add or rewire edges (which take the recount path).
+
+use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+use tpp_graph::{generators, Edge, Graph};
+use tpp_metrics::clustering::{triangle_counts, triangles_through};
+use tpp_metrics::{compute_utility, loss_ratio, triangle_count, utility_loss, UtilityConfig};
+
+/// One of three generator families, sized by `n` (graphs too small for
+/// the attachment models fall back to G(n, p)).
+fn random_graph(family: u8, n: usize, seed: u64) -> Graph {
+    match family % 3 {
+        _ if n <= 3 => generators::erdos_renyi_gnp(n, 0.5, seed),
+        0 => generators::holme_kim(n, 3, 0.6, seed),
+        1 => generators::erdos_renyi_gnp(n, 0.15, seed),
+        _ => generators::barabasi_albert(n, 2, seed),
+    }
+}
+
+/// Deterministic pseudo-random stream from a seed (the shim has no
+/// collection strategies, so the seed alone reproduces a case).
+fn lcg(seed: u64) -> impl FnMut() -> u64 {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
+    move || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        state >> 33
+    }
+}
+
+/// A deletion set of the given shape: 0 empty, 1 one edge, 2 a random
+/// quarter of the edges, 3 every edge at one node (its whole star),
+/// 4 every edge.
+fn deletion_set(g: &Graph, shape: u8, seed: u64) -> Vec<Edge> {
+    let edges = g.edge_vec();
+    let mut next = lcg(seed);
+    match shape % 5 {
+        0 => Vec::new(),
+        1 if !edges.is_empty() => vec![edges[next() as usize % edges.len()]],
+        2 => edges
+            .into_iter()
+            .filter(|_| next().is_multiple_of(4))
+            .collect(),
+        3 if g.node_count() > 0 => {
+            let u = (next() % g.node_count() as u64) as u32;
+            g.neighbors(u).iter().map(|&v| Edge::new(u, v)).collect()
+        }
+        _ => edges,
+    }
+}
+
+/// `g` minus the given edges.
+fn without(g: &Graph, deleted: &[Edge]) -> Graph {
+    let mut out = g.clone();
+    for e in deleted {
+        assert!(out.remove_edge(e.u(), e.v()), "{e} is not an edge");
+    }
+    out
+}
+
+/// Asserts the report equals the from-scratch pair bit for bit.
+fn assert_matches_scratch(
+    original: &Graph,
+    released: &Graph,
+    config: &UtilityConfig,
+) -> Result<(), TestCaseError> {
+    let report = utility_loss(original, released, config);
+    let before = compute_utility(original, config);
+    let after = compute_utility(released, config);
+    prop_assert_eq!(report.per_metric.len(), config.metrics.len());
+    let mut sum = 0.0;
+    for (i, &(m, loss)) in report.per_metric.iter().enumerate() {
+        let ((bm, a), (_, b)) = (before.values[i], after.values[i]);
+        prop_assert_eq!(m, bm);
+        let expected = loss_ratio(a, b);
+        prop_assert_eq!(loss.to_bits(), expected.to_bits(), "metric {}", m);
+        sum += expected;
+    }
+    let average = sum / config.metrics.len() as f64;
+    prop_assert_eq!(report.average.to_bits(), average.to_bits());
+    Ok(())
+}
+
+/// Asserts both presets' reports equal the from-scratch pair.
+fn assert_presets_match(
+    original: &Graph,
+    released: &Graph,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    assert_matches_scratch(original, released, &UtilityConfig::large_graph(seed))?;
+    assert_matches_scratch(original, released, &UtilityConfig::full(seed))
+}
+
+/// The first node pair at or after a seeded offset that is not an edge.
+fn some_non_edge(g: &Graph, seed: u64) -> Option<(u32, u32)> {
+    let n = g.node_count() as u32;
+    let start = (lcg(seed)() % u64::from(n.max(1))) as u32;
+    (0..n)
+        .map(|i| (start + i) % n)
+        .flat_map(|a| (0..n).map(move |b| (a, b)))
+        .find(|&(a, b)| a != b && !g.has_edge(a, b))
+}
+
+/// A degree-preserving double-edge swap `(a, b), (c, d) -> (a, d), (c, b)`
+/// found by scanning edge pairs from a seeded offset.
+fn some_swap(g: &Graph, seed: u64) -> Option<(Edge, Edge)> {
+    let edges = g.edge_vec();
+    let len = edges.len();
+    let start = lcg(seed)() as usize % len.max(1);
+    (0..len)
+        .map(|i| edges[(start + i) % len])
+        .flat_map(|e1| edges.iter().map(move |&e2| (e1, e2)))
+        .find(|&(e1, e2)| {
+            let ((a, b), (c, d)) = (e1.endpoints(), e2.endpoints());
+            a != c && a != d && b != c && b != d && !g.has_edge(a, d) && !g.has_edge(c, b)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The oriented kernel's per-node counts equal `triangles_through`,
+    /// and `triangle_count` is their sum over three corners.
+    #[test]
+    fn kernel_matches_per_node_triangles(
+        family in 0u8..3,
+        n in 0usize..80,
+        seed in 0u64..5_000,
+    ) {
+        let g = random_graph(family, n, seed);
+        let counts = triangle_counts(&g);
+        prop_assert_eq!(counts.len(), g.node_count());
+        let mut total = 0usize;
+        for v in g.nodes() {
+            let through = triangles_through(&g, v);
+            prop_assert_eq!(counts[v as usize] as usize, through, "node {}", v);
+            total += through;
+        }
+        prop_assert_eq!(triangle_count(&g), total / 3);
+    }
+
+    /// `utility_loss(g, g − D)` equals the from-scratch pair bit for bit,
+    /// for every metric of both presets and every deletion-set shape.
+    #[test]
+    fn deletion_report_matches_scratch(
+        family in 0u8..3,
+        n in 3usize..40,
+        seed in 0u64..5_000,
+        shape in 0u8..5,
+    ) {
+        let g = random_graph(family, n, seed);
+        let released = without(&g, &deletion_set(&g, shape, seed));
+        assert_presets_match(&g, &released, seed)?;
+    }
+
+    /// A released graph that adds an edge, rewires two with every degree
+    /// kept, or grows a node is not `g − D`: it is counted from scratch
+    /// and still matches.
+    #[test]
+    fn non_subset_release_matches_scratch(
+        family in 0u8..3,
+        n in 6usize..40,
+        seed in 0u64..5_000,
+        mode in 0u8..3,
+    ) {
+        let g = random_graph(family, n, seed);
+        let mut released = without(&g, &deletion_set(&g, 2, seed));
+        match mode {
+            0 => {
+                let pair = some_non_edge(&released, seed);
+                prop_assume!(pair.is_some());
+                let (a, b) = pair.unwrap();
+                released.add_edge(a, b);
+            }
+            1 => {
+                let swap = some_swap(&released, seed);
+                prop_assume!(swap.is_some());
+                let (e1, e2) = swap.unwrap();
+                let degrees = released.degrees();
+                let ((a, b), (c, d)) = (e1.endpoints(), e2.endpoints());
+                released.remove_edge(a, b);
+                released.remove_edge(c, d);
+                released.add_edge(a, d);
+                released.add_edge(c, b);
+                prop_assert_eq!(released.degrees(), degrees);
+            }
+            _ => {
+                released.add_node();
+            }
+        }
+        assert_presets_match(&g, &released, seed)?;
+    }
+}

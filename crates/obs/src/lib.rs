@@ -24,5 +24,5 @@ mod recorder;
 pub use metrics::{timed, Counter, Histogram, HistogramSnapshot, SpanTimer};
 pub use recorder::{
     AttackStats, ExecStats, IndexStats, KernelStats, Recorder, RoundStats, ServeStats, Stats,
-    StoreStats, UpdateStats,
+    StoreStats, UpdateStats, UtilityStats,
 };

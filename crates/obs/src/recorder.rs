@@ -159,6 +159,16 @@ pub struct UpdateStats {
     pub candidates_memoized: Counter,
 }
 
+/// Utility-report telemetry: what the `utility_loss` phase of a protect
+/// run cost, and how many deleted edges its clustering patch walked.
+#[derive(Debug, Default)]
+pub struct UtilityStats {
+    /// Wall time of the utility-loss report.
+    pub utility_ns: Counter,
+    /// Edges of the original graph missing from the released one.
+    pub deleted_edges: Counter,
+}
+
 /// The full telemetry tree, one section per instrumented layer.
 ///
 /// Every field is atomic, so a single `Arc<Stats>` is shared freely across
@@ -181,6 +191,8 @@ pub struct Stats {
     pub serve: ServeStats,
     /// Incremental-update section.
     pub update: UpdateStats,
+    /// Utility-report section.
+    pub utility: UtilityStats,
 }
 
 /// The shared instrumentation handle threaded through every layer.
@@ -275,7 +287,7 @@ fn section(out: &mut String, name: &str, fields: &[(&str, String)], last: bool) 
 impl Stats {
     /// Serializes the whole tree as one pretty-printed JSON document with
     /// top-level `round` / `index` / `exec` / `store` / `attack` /
-    /// `kernels` / `serve` / `update` sections, flat snake_case `_ns`
+    /// `kernels` / `serve` / `update` / `utility` sections, flat snake_case `_ns`
     /// keys — the same shape the committed bench results use.
     #[must_use]
     pub fn to_json_pretty(&self) -> String {
@@ -443,6 +455,18 @@ impl Stats {
                     self.update.candidates_memoized.get().to_string(),
                 ),
             ],
+            false,
+        );
+        section(
+            &mut out,
+            "utility",
+            &[
+                ("utility_ns", self.utility.utility_ns.get().to_string()),
+                (
+                    "deleted_edges",
+                    self.utility.deleted_edges.get().to_string(),
+                ),
+            ],
             true,
         );
         out.push_str("}\n");
@@ -500,6 +524,8 @@ mod tests {
             "\"update\":",
             "\"graph_evictions\":",
             "\"candidates_memoized\":",
+            "\"utility\":",
+            "\"deleted_edges\":",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }

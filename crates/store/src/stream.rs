@@ -29,7 +29,8 @@
 //! two copies in *both* endpoints' slices, and per-slice dedup drops both,
 //! so the result is bit-identical to the in-memory build. The edge-list
 //! dialect matches `tpp_graph::edgelist`: blank lines and `#`/`%` comments
-//! skipped, two whitespace-separated ids, trailing columns tolerated,
+//! skipped, a `# nodes: N ...` header sizing the node range to at least
+//! `N`, two whitespace-separated ids, trailing columns tolerated,
 //! self-loops rejected.
 
 use crate::error::StoreError;
@@ -174,6 +175,14 @@ pub fn build_stream<P: AsRef<Path>, Q: AsRef<Path>>(
                 break;
             }
             lineno += 1;
+            let declared = tpp_graph::declared_node_count(&line)
+                .map_err(|reason| StoreError::Ingest(format!("line {lineno}: {reason}")))?;
+            if let Some(n) = declared {
+                if n > degrees.len() {
+                    degrees.resize(n, 0);
+                }
+                continue;
+            }
             let Some((u, v)) = parse_line(&line, lineno)? else {
                 continue;
             };
@@ -462,6 +471,20 @@ mod tests {
     }
 
     #[test]
+    fn header_keeps_trailing_isolated_nodes_like_the_parser() {
+        let text = "# nodes: 7 edges: 2\n0 1\n1 2\n";
+        let report = assert_matches_in_memory(text, &StreamConfig { chunk_bytes: 8 }, "header");
+        assert_eq!((report.nodes, report.edges), (7, 2));
+        // Edges past the declared count still grow the node range.
+        let report = assert_matches_in_memory(
+            "# nodes: 2 edges: 1\n0 4\n",
+            &StreamConfig::default(),
+            "header-low",
+        );
+        assert_eq!(report.nodes, 5);
+    }
+
+    #[test]
     fn empty_input_builds_an_empty_snapshot() {
         let report =
             assert_matches_in_memory("# nothing here\n", &StreamConfig::default(), "empty");
@@ -496,6 +519,10 @@ mod tests {
             ("0 1\n2 2\n", "line 2: self-loop"),
             ("0 1\nnot numbers\n", "line 2: invalid node id"),
             ("0\n", "line 1: expected two node ids"),
+            (
+                "# nodes: 9999999999 edges: 1\n0 1\n",
+                "line 1: declared node count",
+            ),
         ] {
             let edges = dir.join("bad.txt");
             std::fs::write(&edges, text).unwrap();
