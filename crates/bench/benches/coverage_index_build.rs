@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use tpp_core::TppInstance;
 use tpp_datasets::arenas_email_like;
-use tpp_motif::{CoverageIndex, Motif};
+use tpp_motif::Motif;
 
 fn bench_index_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("coverage_index_build");
@@ -16,13 +16,7 @@ fn bench_index_build(c: &mut Criterion) {
                 BenchmarkId::new(format!("T{targets}"), motif.name()),
                 &motif,
                 |b, &motif| {
-                    b.iter(|| {
-                        black_box(CoverageIndex::build(
-                            instance.released(),
-                            instance.targets(),
-                            motif,
-                        ))
-                    });
+                    b.iter(|| black_box(instance.build_index(motif)));
                 },
             );
         }

@@ -23,7 +23,8 @@ pub fn random_deletion(
     let mut rng = StdRng::seed_from_u64(seed);
     pool.shuffle(&mut rng);
     pool.truncate(k);
-    apply_fixed_deletions(instance, motif, pool, AlgorithmKind::RandomDeletion)
+    let oracle = IndexOracle::new(instance.released(), instance.targets(), motif);
+    apply_fixed_deletions(oracle, pool, AlgorithmKind::RandomDeletion)
 }
 
 /// RDT: deletes `k` links drawn uniformly at random from the edges that
@@ -37,24 +38,22 @@ pub fn random_deletion_from_subgraphs(
     motif: Motif,
     seed: u64,
 ) -> ProtectionPlan {
-    let index = instance.build_index(motif);
-    let mut pool = index.all_candidate_edges();
+    let oracle = IndexOracle::new(instance.released(), instance.targets(), motif);
+    let mut pool = oracle.index().all_candidate_edges();
     let mut rng = StdRng::seed_from_u64(seed);
     pool.shuffle(&mut rng);
     pool.truncate(k);
-    apply_fixed_deletions(instance, motif, pool, AlgorithmKind::RandomFromSubgraphs)
+    apply_fixed_deletions(oracle, pool, AlgorithmKind::RandomFromSubgraphs)
 }
 
 /// Deletes a predetermined edge list, recording the similarity trajectory
 /// through the coverage index (the baselines never *compute* gains — they
 /// only pay for deletions — so measured running time stays baseline-cheap).
 fn apply_fixed_deletions(
-    instance: &TppInstance,
-    motif: Motif,
+    mut oracle: IndexOracle,
     deletions: Vec<Edge>,
     algorithm: AlgorithmKind,
 ) -> ProtectionPlan {
-    let mut oracle = IndexOracle::new(instance.released(), instance.targets(), motif);
     let initial = oracle.total_similarity();
     let mut steps = Vec::with_capacity(deletions.len());
     for (round, &p) in deletions.iter().enumerate() {

@@ -165,17 +165,13 @@ impl IndexOracle {
     /// [`DEFAULT_INDEX_PARTITIONS`] index partitions.
     #[must_use]
     pub fn new(released: &Graph, targets: &[Edge], motif: Motif) -> Self {
-        Self::with_partitions(released, targets, motif, DEFAULT_INDEX_PARTITIONS)
-    }
-
-    /// Builds the oracle with an explicit partition count (a pure
-    /// performance knob: plans are bit-identical for every value).
-    ///
-    /// # Panics
-    /// Panics if `parts == 0`.
-    #[must_use]
-    pub fn with_partitions(released: &Graph, targets: &[Edge], motif: Motif, parts: usize) -> Self {
-        Self::with_partitions_on(released, targets, motif, parts, &Parallelism::sequential())
+        Self::with_partitions_on(
+            released,
+            targets,
+            motif,
+            DEFAULT_INDEX_PARTITIONS,
+            &Parallelism::sequential(),
+        )
     }
 
     /// Builds the oracle with an explicit partition count on a shared

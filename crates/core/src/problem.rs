@@ -5,7 +5,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use tpp_graph::{Edge, FastSet, Graph};
-use tpp_motif::{CoverageIndex, Motif};
+use tpp_motif::{Motif, PartitionedCoverageIndex};
 
 /// A Target Privacy Preserving instance.
 ///
@@ -106,10 +106,10 @@ impl TppInstance {
         self.targets.len()
     }
 
-    /// Builds the motif coverage index on the released graph.
+    /// Builds the motif coverage index on the released graph, as one shard.
     #[must_use]
-    pub fn build_index(&self, motif: Motif) -> CoverageIndex {
-        CoverageIndex::build(&self.released, &self.targets, motif)
+    pub fn build_index(&self, motif: Motif) -> PartitionedCoverageIndex {
+        PartitionedCoverageIndex::build(&self.released, &self.targets, motif, 1)
     }
 
     /// Initial total similarity `s(∅, T)` for a motif.

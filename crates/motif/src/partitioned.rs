@@ -1,31 +1,51 @@
-//! [`PartitionedCoverageIndex`]: the coverage index with its candidate-edge
-//! → motif-instance postings split across degree-balanced node-range
-//! partitions, so **commits scale like scans do**.
+//! [`PartitionedCoverageIndex`]: the coverage index — the incidence
+//! structure between candidate protector edges and alive target subgraphs.
 //!
-//! The monolithic [`CoverageIndex`](crate::CoverageIndex) keeps one posting
-//! map and one alive-candidate list; every deletion that retires candidates
-//! pays a compaction pass over the *whole* list. Here the postings and the
-//! candidate list are partitioned by the owning shard of each edge (the
-//! shard whose node range contains the edge's lower endpoint — the same
-//! ownership discipline as `tpp_store::CsrShard::owns_edge`, over the same
-//! degree-balanced boundaries as `tpp_store::CsrGraph::shard_ranges`).
+//! This is the data structure behind every greedy algorithm in the paper:
+//! the dissimilarity gain of deleting edge `p` is exactly the number of
+//! alive instances containing `p` (`Δ_p`), and deleting `p` kills those
+//! instances. Because phase 1 fixes the instance universe (edge deletions
+//! never *create* instances), a deletion only ever shrinks the index —
+//! which is also the combinatorial heart of the monotonicity and
+//! submodularity proofs (Lemmas 1–4). Beyond the posting lists, the index
+//! maintains a **per-edge alive count** (`Δ_p` itself, so `gain` is an
+//! `O(1)` lookup) and a **sorted alive-candidate list** (Lemma 5's
+//! restricted candidate set), compacted in place when deletions retire
+//! edges.
+//!
+//! The postings and the candidate list are split across degree-balanced
+//! node-range partitions, so **commits scale like scans do**: each edge is
+//! owned by the shard whose node range contains its lower endpoint (the
+//! same ownership discipline as `tpp_store::CsrShard::owns_edge`, over the
+//! same degree-balanced boundaries as `tpp_store::CsrGraph::shard_ranges`).
 //! A deletion therefore touches only the shards that actually contain edges
 //! of the broken instances, and the per-shard updates are independent: with
 //! a parallel [`Parallelism`] handle they run concurrently on the shared
 //! executor pool (`tpp-exec`) — spawn-once workers, not per-commit threads.
+//! One shard is the plain single-map layout.
 //!
 //! Every result is **bit-identical for every shard count and every thread
 //! count**: the kill phase walks instances in posting order, per-shard
 //! update sets are disjoint by construction, and aggregate counts reduce in
 //! shard order.
 
-use crate::coverage::{build_postings, enumerate_instances, Posting};
 use crate::instance::MotifInstance;
 use crate::pattern::Motif;
 use tpp_exec::Parallelism;
 use tpp_graph::{Edge, FastMap, NeighborAccess, NodeId};
 
-pub use crate::coverage::InstanceId;
+/// Index id of a motif instance inside a [`PartitionedCoverageIndex`].
+pub type InstanceId = u32;
+
+/// Posting list of one candidate edge: the instances containing it, plus
+/// the maintained count of how many of them are still alive (= `Δ_p`).
+#[derive(Debug, Clone, Default)]
+struct Posting {
+    /// Ids of every instance containing the edge, alive or dead.
+    ids: Vec<InstanceId>,
+    /// How many of `ids` are currently alive.
+    alive: u32,
+}
 
 /// Below this many count decrements a commit applies its shard updates
 /// inline: a handful of hash-map decrements costs tens of nanoseconds,
@@ -109,11 +129,12 @@ impl IndexShard {
     }
 }
 
-/// A [`CoverageIndex`](crate::CoverageIndex) whose postings are partitioned
-/// across degree-balanced node-range shards, with shard-parallel commits.
+/// Incidence index between edges and alive motif instances for a fixed
+/// (graph, target set, motif) triple, with its postings partitioned across
+/// degree-balanced node-range shards and shard-parallel commits.
 ///
-/// Scans read it exactly like the monolithic index (`gain` is an `O(1)`
-/// count lookup, `gain_vector`/`gain_split` walk one posting list);
+/// Scans are pure reads (`gain` is an `O(1)` count lookup,
+/// `gain_vector`/`gain_split` walk one posting list);
 /// [`delete_edge`](Self::delete_edge) and the batch
 /// [`delete_edges`](Self::delete_edges) update only the dirty shards.
 #[derive(Debug, Clone)]
@@ -143,6 +164,20 @@ pub struct PartitionedCoverageIndex {
     op_scratch: Vec<Vec<Edge>>,
 }
 
+/// Rejects a graph that still contains a target edge: instances must not
+/// lean on links the adversary cannot see.
+///
+/// # Panics
+/// Panics if any target edge is still present in `g` (phase 1 not run).
+fn assert_phase_one<G: NeighborAccess>(g: &G, targets: &[Edge]) {
+    for t in targets {
+        assert!(
+            !g.has_edge(t.u(), t.v()),
+            "target {t} still present: run phase 1 (delete targets) before indexing"
+        );
+    }
+}
+
 /// Builds the node → target-indexes inverted map (two entries per target,
 /// one when the endpoints coincide — which [`Edge`] forbids anyway).
 fn invert_targets(targets: &[Edge]) -> FastMap<NodeId, Vec<u32>> {
@@ -168,19 +203,32 @@ impl PartitionedCoverageIndex {
     #[must_use]
     pub fn build<G: NeighborAccess>(g: &G, targets: &[Edge], motif: Motif, parts: usize) -> Self {
         assert!(parts >= 1, "need at least one partition");
-        let (instances, per_target_alive) = enumerate_instances(g, targets, motif);
+        assert_phase_one(g, targets);
+        let mut instances = Vec::new();
+        let mut per_target_alive = vec![0usize; targets.len()];
+        for (idx, t) in targets.iter().enumerate() {
+            let mut found =
+                crate::enumerate::enumerate_target_subgraphs(g, t.u(), t.v(), motif, idx);
+            per_target_alive[idx] = found.len();
+            instances.append(&mut found);
+        }
 
         let bounds = degree_balanced_bounds(g, parts);
         let shard_count = bounds.len() - 1;
 
-        // Partition the global posting map by edge ownership; per-shard
-        // candidate lists sort locally, and concatenate globally sorted
-        // because ownership follows ascending lower-endpoint ranges.
+        // Post every instance edge in its owner shard; per-shard candidate
+        // lists sort locally, and concatenate globally sorted because
+        // ownership follows ascending lower-endpoint ranges.
         let mut shards: Vec<IndexShard> = vec![IndexShard::default(); shard_count];
-        for (e, posting) in build_postings(&instances) {
-            shards[owner_shard(&bounds, e.u())]
-                .postings
-                .insert(e, posting);
+        for (id, inst) in instances.iter().enumerate() {
+            for &e in inst.edges() {
+                let po = shards[owner_shard(&bounds, e.u())]
+                    .postings
+                    .entry(e)
+                    .or_default();
+                po.ids.push(id as InstanceId);
+                po.alive += 1;
+            }
         }
         for shard in &mut shards {
             shard.alive_candidates = shard.postings.keys().copied().collect();
@@ -205,9 +253,9 @@ impl PartitionedCoverageIndex {
         }
     }
 
-    /// The **shard-parallel build**: enumerates motif targets directly
-    /// into per-shard postings, with no monolithic posting map built and
-    /// split afterwards (what [`build`](Self::build) does).
+    /// The **shard-parallel build**: the work of [`build`](Self::build),
+    /// with target enumeration and per-shard posting merges spread over
+    /// `exec`.
     ///
     /// Two phases, both dispatched on `exec`'s shared executor pool
     /// (`tpp-exec`), work claimed through one atomic cursor:
@@ -243,12 +291,7 @@ impl PartitionedCoverageIndex {
         let stats = exec.recorder().stats();
         let build_span = tpp_obs::SpanTimer::counter(stats.map(|s| &s.index.build_ns));
         let threads = exec.threads();
-        for t in targets {
-            assert!(
-                !g.has_edge(t.u(), t.v()),
-                "target {t} still present: run phase 1 (delete targets) before indexing"
-            );
-        }
+        assert_phase_one(g, targets);
         let bounds = degree_balanced_bounds(g, parts);
         let shard_count = bounds.len() - 1;
         let shard_of = |u: NodeId| -> usize { owner_shard(&bounds, u) };
@@ -331,10 +374,7 @@ impl PartitionedCoverageIndex {
         let merge_shard = |s: usize, shard: &mut IndexShard| {
             for (out, &off) in chunk_outs.iter().zip(&offsets) {
                 for (&e, local_ids) in &out.fragments[s] {
-                    let po = shard.postings.entry(e).or_insert_with(|| Posting {
-                        ids: Vec::new(),
-                        alive: 0,
-                    });
+                    let po = shard.postings.entry(e).or_default();
                     po.ids.extend(local_ids.iter().map(|&id| id + off));
                     po.alive += local_ids.len() as u32;
                 }
@@ -458,26 +498,42 @@ impl PartitionedCoverageIndex {
             .map_or(0, |po| po.alive as usize)
     }
 
-    /// `(own, cross)` gain split relative to `target_idx` (CT/WT score).
+    /// Split gain for CT/WT-Greedy: `(own, cross)` where `own` counts alive
+    /// instances of `target_idx` containing `p` and `cross` counts alive
+    /// instances of every other target containing `p`. The paper's score is
+    /// `Δ_t^p = own + cross / C`, i.e. lexicographic `(own, cross)`.
     #[must_use]
     pub fn gain_split(&self, p: Edge, target_idx: usize) -> (usize, usize) {
-        crate::coverage::posting_gain_split(
-            self.shards[self.shard_of(p.u())].postings.get(&p),
-            &self.alive,
-            &self.instances,
-            target_idx,
-        )
+        let (mut own, mut cross) = (0usize, 0usize);
+        for id in self.alive_ids_of(p) {
+            if self.instances[id as usize].target_idx == target_idx {
+                own += 1;
+            } else {
+                cross += 1;
+            }
+        }
+        (own, cross)
     }
 
-    /// Per-target gain vector for deleting `p`.
+    /// Per-target gain vector: entry `t` counts the alive instances of
+    /// target `t` containing `p`. One pass over `p`'s posting list.
     #[must_use]
     pub fn gain_vector(&self, p: Edge) -> Vec<usize> {
-        crate::coverage::posting_gain_vector(
-            self.shards[self.shard_of(p.u())].postings.get(&p),
-            &self.alive,
-            &self.instances,
-            self.targets.len(),
-        )
+        let mut v = vec![0usize; self.targets.len()];
+        for id in self.alive_ids_of(p) {
+            v[self.instances[id as usize].target_idx] += 1;
+        }
+        v
+    }
+
+    /// The alive entries of `p`'s posting list, in posting order.
+    fn alive_ids_of(&self, p: Edge) -> impl Iterator<Item = InstanceId> + '_ {
+        self.shards[self.shard_of(p.u())]
+            .postings
+            .get(&p)
+            .into_iter()
+            .flat_map(|po| po.ids.iter().copied())
+            .filter(|&id| self.alive[id as usize])
     }
 
     /// Ids of the **alive** instances containing `p` — `p`'s current gain
@@ -485,16 +541,7 @@ impl PartitionedCoverageIndex {
     /// which is exactly the batch-commit admission test in `tpp-core`.
     #[must_use]
     pub fn alive_instance_ids(&self, p: Edge) -> Vec<InstanceId> {
-        self.shards[self.shard_of(p.u())]
-            .postings
-            .get(&p)
-            .map_or_else(Vec::new, |po| {
-                po.ids
-                    .iter()
-                    .copied()
-                    .filter(|&id| self.alive[id as usize])
-                    .collect()
-            })
+        self.alive_ids_of(p).collect()
     }
 
     /// Deletes edge `p`, killing every alive instance containing it.
@@ -697,10 +744,7 @@ impl PartitionedCoverageIndex {
                 let id = self.instances.len() as InstanceId;
                 for &edge in inst.edges() {
                     let shard = &mut self.shards[owner_shard(&self.bounds, edge.u())];
-                    let po = shard.postings.entry(edge).or_insert_with(|| Posting {
-                        ids: Vec::new(),
-                        alive: 0,
-                    });
+                    let po = shard.postings.entry(edge).or_default();
                     if po.alive == 0 {
                         // Compaction keeps candidate lists exactly the
                         // alive>0 edges, so a zero-count posting is never
@@ -792,9 +836,17 @@ impl PartitionedCoverageIndex {
             for &e in shard.postings.keys() {
                 assert_eq!(self.shard_of(e.u()), s, "edge {e} posted off-shard");
             }
+            let mut candidates = Vec::new();
+            for (&e, po) in &shard.postings {
+                let walked = po.ids.iter().filter(|&&id| self.alive[id as usize]).count();
+                assert_eq!(walked, po.alive as usize, "alive count of {e} out of sync");
+                if walked > 0 {
+                    candidates.push(e);
+                }
+            }
+            candidates.sort_unstable();
             assert_eq!(
-                crate::coverage::verify_posting_map(&shard.postings, &self.alive),
-                shard.alive_candidates,
+                candidates, shard.alive_candidates,
                 "candidate list of shard {s} out of sync"
             );
         }
@@ -804,7 +856,7 @@ impl PartitionedCoverageIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CoverageIndex;
+    use crate::enumerate::count_all_targets;
     use tpp_graph::Graph;
 
     fn fixture() -> (Graph, Vec<Edge>) {
@@ -816,12 +868,165 @@ mod tests {
         (g, targets)
     }
 
+    /// Fig. 2(a)-style shared-protector fixture for triangles:
+    /// targets (0,1) and (0,2); node 3 adjacent to 0, 1, 2 so protector
+    /// (0,3) participates in instances of both targets.
+    fn shared_protector_graph() -> (Graph, Vec<Edge>) {
+        let g = Graph::from_edges([(0u32, 3u32), (3, 1), (3, 2)]);
+        (g, vec![Edge::new(0, 1), Edge::new(0, 2)])
+    }
+
+    #[test]
+    fn build_counts_instances() {
+        let (g, targets) = shared_protector_graph();
+        for parts in [1usize, 3] {
+            let idx = PartitionedCoverageIndex::build(&g, &targets, Motif::Triangle, parts);
+            assert_eq!(idx.total_similarity(), 2);
+            assert_eq!(idx.target_similarity(0), 1);
+            assert_eq!(idx.target_similarity(1), 1);
+            assert_eq!(idx.initial_similarity(), 2);
+            idx.check_invariants();
+        }
+    }
+
+    #[test]
+    fn gain_counts_cross_target_coverage() {
+        let (g, targets) = shared_protector_graph();
+        for parts in [1usize, 3] {
+            let idx = PartitionedCoverageIndex::build(&g, &targets, Motif::Triangle, parts);
+            // (0,3) covers one instance of each target.
+            assert_eq!(idx.gain(Edge::new(0, 3)), 2);
+            assert_eq!(idx.gain(Edge::new(1, 3)), 1);
+            assert_eq!(idx.gain(Edge::new(5, 6)), 0);
+            assert_eq!(idx.gain_split(Edge::new(0, 3), 0), (1, 1));
+            assert_eq!(idx.gain_split(Edge::new(1, 3), 0), (1, 0));
+            assert_eq!(idx.gain_split(Edge::new(1, 3), 1), (0, 1));
+            assert_eq!(idx.gain_vector(Edge::new(0, 3)), vec![1, 1]);
+        }
+    }
+
+    #[test]
+    fn delete_kills_instances_once() {
+        let (g, targets) = shared_protector_graph();
+        for parts in [1usize, 3] {
+            let mut idx = PartitionedCoverageIndex::build(&g, &targets, Motif::Triangle, parts);
+            assert_eq!(idx.delete_edge(Edge::new(0, 3)), 2);
+            assert_eq!(idx.total_similarity(), 0);
+            assert_eq!(idx.delete_edge(Edge::new(1, 3)), 0, "already dead");
+            assert_eq!(idx.gain(Edge::new(1, 3)), 0);
+            idx.check_invariants();
+        }
+    }
+
+    #[test]
+    fn candidates_shrink_as_instances_die() {
+        let (g, targets) = shared_protector_graph();
+        for parts in [1usize, 3] {
+            let mut idx = PartitionedCoverageIndex::build(&g, &targets, Motif::Triangle, parts);
+            assert_eq!(
+                idx.all_candidate_edges(),
+                vec![Edge::new(0, 3), Edge::new(1, 3), Edge::new(2, 3)]
+            );
+            idx.delete_edge(Edge::new(1, 3)); // kills target-0 instance
+            assert_eq!(
+                idx.alive_candidate_edges(),
+                vec![Edge::new(0, 3), Edge::new(2, 3)]
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "phase 1")]
+    fn build_rejects_unremoved_targets() {
+        let g = Graph::from_edges([(0u32, 1u32), (0, 2), (2, 1)]);
+        let _ = PartitionedCoverageIndex::build(&g, &[Edge::new(0, 1)], Motif::Triangle, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "phase 1")]
+    fn build_parallel_rejects_unremoved_targets() {
+        let g = Graph::from_edges([(0u32, 1u32), (0, 2), (2, 1)]);
+        let exec = Parallelism::new(2);
+        let _ = PartitionedCoverageIndex::build_parallel(
+            &g,
+            &[Edge::new(0, 1)],
+            Motif::Triangle,
+            3,
+            &exec,
+        );
+    }
+
+    #[test]
+    fn deletion_gain_matches_recount() {
+        // Property-style check on a random graph: Δ_p from the index equals
+        // the recount difference from the graph.
+        let mut g = tpp_graph::generators::erdos_renyi_gnp(30, 0.2, 99);
+        let targets = vec![Edge::new(0, 1), Edge::new(2, 3), Edge::new(4, 5)];
+        for t in &targets {
+            g.remove_edge(t.u(), t.v());
+        }
+        for motif in Motif::ALL {
+            let before: usize = count_all_targets(&g, &targets, motif).iter().sum();
+            for parts in [1usize, 3] {
+                let idx = PartitionedCoverageIndex::build(&g, &targets, motif, parts);
+                assert_eq!(idx.total_similarity(), before);
+                for p in idx.all_candidate_edges() {
+                    let mut g2 = g.clone();
+                    g2.remove_edge(p.u(), p.v());
+                    let after: usize = count_all_targets(&g2, &targets, motif).iter().sum();
+                    assert_eq!(
+                        idx.gain(p),
+                        before - after,
+                        "motif {motif} x{parts} edge {p}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn alive_instances_iterator() {
+        let (g, targets) = shared_protector_graph();
+        for parts in [1usize, 3] {
+            let mut idx = PartitionedCoverageIndex::build(&g, &targets, Motif::Triangle, parts);
+            assert_eq!(idx.alive_instances().count(), 2);
+            idx.delete_edge(Edge::new(2, 3));
+            assert_eq!(idx.alive_instances().count(), 1);
+            assert_eq!(idx.alive_instances().next().unwrap().target_idx, 0);
+        }
+    }
+
+    #[test]
+    fn maintained_gains_track_deletions() {
+        // The O(1) gain counts must track an arbitrary deletion sequence
+        // exactly (cross-checked against the posting walk in invariants).
+        let mut g = tpp_graph::generators::erdos_renyi_gnp(24, 0.3, 7);
+        let targets = vec![Edge::new(0, 1), Edge::new(2, 3)];
+        for t in &targets {
+            g.remove_edge(t.u(), t.v());
+        }
+        for parts in [1usize, 3] {
+            let mut idx = PartitionedCoverageIndex::build(&g, &targets, Motif::Triangle, parts);
+            while let Some(&p) = idx.alive_candidate_edges().first() {
+                let expect = idx.gain(p);
+                assert!(expect > 0, "candidate list must only hold alive edges");
+                assert_eq!(idx.delete_edge(p), expect);
+                idx.check_invariants();
+            }
+            assert_eq!(idx.total_similarity(), 0);
+            assert!(idx.alive_candidate_edges().is_empty());
+        }
+    }
+
+    /// Every shard count reads exactly like the one-shard (monolithic)
+    /// layout, which itself agrees with the brute-force recount.
     #[test]
     fn matches_monolithic_index_at_every_part_count() {
         let (g, targets) = fixture();
         for motif in Motif::ALL {
-            let mono = CoverageIndex::build(&g, &targets, motif);
-            for parts in [1usize, 2, 3, 7] {
+            let mono = PartitionedCoverageIndex::build(&g, &targets, motif, 1);
+            assert_eq!(mono.similarities(), count_all_targets(&g, &targets, motif));
+            for parts in [2usize, 3, 7] {
                 let part = PartitionedCoverageIndex::build(&g, &targets, motif, parts);
                 assert_eq!(part.total_similarity(), mono.total_similarity());
                 assert_eq!(part.similarities(), mono.similarities());
@@ -831,7 +1036,7 @@ mod tests {
                     mono.alive_candidate_edges(),
                     "{motif} x{parts}"
                 );
-                for &p in mono.alive_candidate_edges() {
+                for p in mono.alive_candidate_edges() {
                     assert_eq!(part.gain(p), mono.gain(p), "{motif} gain({p})");
                     assert_eq!(part.gain_vector(p), mono.gain_vector(p));
                     assert_eq!(part.gain_split(p, 0), mono.gain_split(p, 0));
@@ -841,10 +1046,12 @@ mod tests {
         }
     }
 
+    /// A full teardown driven by the sequential one-shard (monolithic)
+    /// layout breaks the same counts at every shard and thread count.
     #[test]
     fn deletions_agree_with_monolithic_for_all_parts_and_threads() {
         let (g, targets) = fixture();
-        let mut mono = CoverageIndex::build(&g, &targets, Motif::Triangle);
+        let mut mono = PartitionedCoverageIndex::build(&g, &targets, Motif::Triangle, 1);
         let mut parted: Vec<PartitionedCoverageIndex> = Vec::new();
         for parts in [1usize, 4, 8] {
             for threads in [1usize, 3] {
@@ -911,7 +1118,7 @@ mod tests {
         let (g, targets) = fixture();
         let mut idx = PartitionedCoverageIndex::build(&g, &targets, Motif::Triangle, 3);
         let before = idx.total_similarity();
-        let mono = CoverageIndex::build(&g, &targets, Motif::Triangle);
+        let mono = PartitionedCoverageIndex::build(&g, &targets, Motif::Triangle, 1);
         assert_eq!(idx.gain(Edge::new(70, 79)), mono.gain(Edge::new(70, 79)));
         assert_eq!(idx.gain(Edge::new(1000, 2000)), 0, "out-of-range edge");
         assert_eq!(idx.delete_edges(&[]), Vec::<usize>::new());

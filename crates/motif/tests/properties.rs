@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use tpp_bench::fixtures::er_released_workload;
 use tpp_graph::{Edge, Graph};
-use tpp_motif::{count_all_targets, CoverageIndex, Motif, PartitionedCoverageIndex};
+use tpp_motif::{count_all_targets, Motif, PartitionedCoverageIndex};
 
 /// Strategy: a random simple graph with `n in 8..=24` nodes and
 /// seed-derived edge probability, plus deterministic target pairs removed
@@ -85,50 +85,55 @@ proptest! {
     }
 
     /// The incremental coverage index agrees with fresh recounts after any
-    /// deletion sequence.
+    /// deletion sequence, with one shard and with several.
     #[test]
     fn index_matches_recount_after_deletions((g, targets) in instance_strategy(), order in 0usize..1000) {
         for motif in MOTIFS {
-            let mut index = CoverageIndex::build(&g, &targets, motif);
-            let mut g2 = g.clone();
-            let mut edges = g.edge_vec();
-            if edges.is_empty() { continue; }
-            let rot = order % edges.len();
-            edges.rotate_left(rot);
-            for e in edges.iter().take(6) {
-                index.delete_edge(*e);
-                g2.remove_edge(e.u(), e.v());
-                prop_assert_eq!(
-                    index.total_similarity(),
-                    total_similarity(&g2, &targets, motif),
-                    "motif {} diverged after deleting {}", motif, e
-                );
-                index.check_invariants();
+            for parts in [1usize, 3] {
+                let mut index = PartitionedCoverageIndex::build(&g, &targets, motif, parts);
+                let mut g2 = g.clone();
+                let mut edges = g.edge_vec();
+                if edges.is_empty() { continue; }
+                let rot = order % edges.len();
+                edges.rotate_left(rot);
+                for e in edges.iter().take(6) {
+                    index.delete_edge(*e);
+                    g2.remove_edge(e.u(), e.v());
+                    prop_assert_eq!(
+                        index.total_similarity(),
+                        total_similarity(&g2, &targets, motif),
+                        "motif {} x{} diverged after deleting {}", motif, parts, e
+                    );
+                    index.check_invariants();
+                }
             }
         }
     }
 
-    /// Instance gains reported by the index equal physical recount deltas.
+    /// Instance gains reported by the index equal physical recount deltas,
+    /// with one shard and with several.
     #[test]
     fn index_gain_equals_recount_delta((g, targets) in instance_strategy()) {
         for motif in MOTIFS {
-            let index = CoverageIndex::build(&g, &targets, motif);
             let before = total_similarity(&g, &targets, motif);
-            prop_assert_eq!(index.total_similarity(), before);
-            for p in index.all_candidate_edges().into_iter().take(10) {
-                let mut g2 = g.clone();
-                g2.remove_edge(p.u(), p.v());
-                let after = total_similarity(&g2, &targets, motif);
-                prop_assert_eq!(index.gain(p), before - after);
-                // gain vector consistency
-                let v = index.gain_vector(p);
-                prop_assert_eq!(v.iter().sum::<usize>(), index.gain(p));
+            for parts in [1usize, 3] {
+                let index = PartitionedCoverageIndex::build(&g, &targets, motif, parts);
+                prop_assert_eq!(index.total_similarity(), before);
+                for p in index.all_candidate_edges().into_iter().take(10) {
+                    let mut g2 = g.clone();
+                    g2.remove_edge(p.u(), p.v());
+                    let after = total_similarity(&g2, &targets, motif);
+                    prop_assert_eq!(index.gain(p), before - after);
+                    // gain vector consistency
+                    let v = index.gain_vector(p);
+                    prop_assert_eq!(v.iter().sum::<usize>(), index.gain(p));
+                }
             }
         }
     }
 
     /// Randomized delete sequences keep the partitioned index consistent
-    /// with a **freshly built** index on the mutated graph — for every
+    /// with a **freshly built** one-shard index on the mutated graph — for every
     /// partition count and with the shard-parallel commit phase on: total
     /// and per-target similarities, the O(1) gains, and the maintained
     /// alive-candidate list all match a from-scratch build after every
@@ -160,14 +165,14 @@ proptest! {
                 prop_assert!(broken.windows(2).all(|w| w[0] == w[1]),
                     "partition counts disagree on delete({})", e);
                 g2.remove_edge(e.u(), e.v());
-                let fresh = CoverageIndex::build(&g2, &targets, motif);
+                let fresh = PartitionedCoverageIndex::build(&g2, &targets, motif, 1);
                 let idx = &indexes[0];
                 prop_assert_eq!(idx.total_similarity(), fresh.total_similarity(),
                     "motif {} diverged after deleting {}", motif, e);
                 prop_assert_eq!(idx.similarities(), fresh.similarities());
                 prop_assert_eq!(idx.alive_candidate_edges(),
-                    fresh.alive_candidate_edges().to_vec(), "candidates after {}", e);
-                for &p in fresh.alive_candidate_edges() {
+                    fresh.alive_candidate_edges(), "candidates after {}", e);
+                for p in fresh.alive_candidate_edges() {
                     prop_assert_eq!(idx.gain(p), fresh.gain(p), "gain({}) stale", p);
                     prop_assert_eq!(
                         idx.alive_instance_ids(p).len(), idx.gain(p),

@@ -1,24 +1,20 @@
 //! Benchmark: the **commit phase** of a greedy round — deleting a protector
 //! edge from the coverage index and keeping the alive-candidate set current
-//! — under the monolithic and the partitioned index disciplines, on the
-//! `ba_50k` workload (Barabási–Albert, 50 000 nodes, m = 4, rectangle
-//! motif over 2 500 hidden targets).
+//! — on the partitioned index, on the `ba_50k` workload (Barabási–Albert,
+//! 50 000 nodes, m = 4, rectangle motif over 2 500 hidden targets).
 //!
 //! What is being compared:
 //!
-//! * `monolithic_commit` — `CoverageIndex::delete_edge`, one posting map
-//!   and one global alive-candidate list: every deletion that retires a
-//!   candidate pays a compaction pass over the **whole** list.
 //! * `partitioned_commit` — `PartitionedCoverageIndex::delete_edge` over
-//!   16 degree-balanced shards: the same deletions touch only the shards
+//!   16 degree-balanced shards: each deletion touches only the shards
 //!   owning edges of the broken instances, so compaction cost is bounded
 //!   by the dirty shards' lists (single-threaded here — the win is
 //!   structural, not parallelism).
 //! * `partitioned_commit_batch8` — the same deletion sequence through
 //!   `delete_edges` in batches of 8 (the engine's `select_batch(k, 8)`
 //!   commit shape): one routing + compaction pass per batch.
-//! * `clone_*` — the per-iteration index clone both commit benches pay, so
-//!   the JSON keeps the commit-only margins readable.
+//! * `clone_partitioned` — the per-iteration index clone both commit
+//!   benches pay, so the JSON keeps the commit-only margins readable.
 //! * `rounds_sequential` vs `rounds_batch_j2` / `rounds_batch_j8` — 64
 //!   greedy commits driven the round-loop way on the partitioned index:
 //!   argmax-scan-per-commit versus one scan per 2 or 8 disjoint-gain-set
@@ -29,8 +25,9 @@
 //!   scan capped per charged target (this PR's batch-aware targeted
 //!   rounds, modeled directly on the index).
 //!
-//! Both disciplines are asserted to produce identical break counts and
-//! final state before anything is timed.
+//! The 16-shard sequential and batch commits, and a one-shard index, are
+//! asserted to produce identical break counts and final state before
+//! anything is timed.
 //!
 //! The workload is the shared `ba_50k` fixture
 //! ([`tpp_bench::fixtures::ba_50k_rectangle`]).
@@ -38,7 +35,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use tpp_graph::Edge;
-use tpp_motif::{CoverageIndex, InstanceId, Motif, PartitionedCoverageIndex};
+use tpp_motif::{InstanceId, Motif, PartitionedCoverageIndex};
 
 const MOTIF: Motif = Motif::Rectangle;
 const PARTS: usize = 16;
@@ -47,7 +44,7 @@ const BATCH_J: usize = 8;
 const ROUND_COMMITS: usize = 64;
 
 /// A fixed, spread deletion sequence over the initial candidate set.
-fn deletion_sequence(index: &CoverageIndex, n: usize) -> Vec<Edge> {
+fn deletion_sequence(index: &PartitionedCoverageIndex, n: usize) -> Vec<Edge> {
     let cands = index.alive_candidate_edges();
     let n = n.min(cands.len());
     (0..n).map(|i| cands[i * cands.len() / n]).collect()
@@ -186,22 +183,22 @@ fn rounds_targeted_batch_j8(mut idx: PartitionedCoverageIndex) -> usize {
 
 fn bench_commit_scaling(c: &mut Criterion) {
     let (g, targets) = tpp_bench::fixtures::ba_50k_rectangle();
-    let mono = CoverageIndex::build(&g, &targets, MOTIF);
     let mut part = PartitionedCoverageIndex::build(&g, &targets, MOTIF, PARTS);
     // The margin under test is structural, not threads.
     part.set_parallelism(tpp_exec::Parallelism::sequential());
-    let deletes = deletion_sequence(&mono, DELETES);
+    let deletes = deletion_sequence(&part, DELETES);
     assert!(deletes.len() >= 256, "workload must yield a real sequence");
 
-    // Both disciplines must agree exactly before anything is timed.
+    // Every commit shape must agree exactly before anything is timed.
     {
-        let (mut m, mut p) = (mono.clone(), part.clone());
+        let mut m = PartitionedCoverageIndex::build(&g, &targets, MOTIF, 1);
+        let mut p = part.clone();
         let mut pb = part.clone();
         let batched: usize = pb.delete_edges(&deletes).iter().sum();
         let mut seq = 0usize;
         for &e in &deletes {
             let broken = m.delete_edge(e);
-            assert_eq!(broken, p.delete_edge(e), "disciplines diverged at {e}");
+            assert_eq!(broken, p.delete_edge(e), "shard counts diverged at {e}");
             seq += broken;
         }
         assert!(seq > 0, "sequence must break instances");
@@ -213,21 +210,8 @@ fn bench_commit_scaling(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("commit_scaling");
     group.sample_size(10);
-    group.bench_function("clone_monolithic", |b| {
-        b.iter(|| black_box(mono.clone()));
-    });
     group.bench_function("clone_partitioned", |b| {
         b.iter(|| black_box(part.clone()));
-    });
-    group.bench_function("monolithic_commit", |b| {
-        b.iter(|| {
-            let mut idx = mono.clone();
-            let mut broken = 0usize;
-            for &e in &deletes {
-                broken += idx.delete_edge(e);
-            }
-            black_box(broken)
-        });
     });
     group.bench_function("partitioned_commit", |b| {
         b.iter(|| {

@@ -6,7 +6,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use tpp_graph::generators::barabasi_albert;
-use tpp_store::{format, CsrGraph};
+use tpp_obs::Recorder;
+use tpp_store::{format, CsrGraph, VerifyMode};
 
 fn bench_csr_build(c: &mut Criterion) {
     let arenas = tpp_datasets::arenas_email_like(1);
@@ -59,7 +60,13 @@ fn bench_csr_build(c: &mut Criterion) {
             });
         });
         group.bench_with_input(BenchmarkId::new("decode", name), &bytes, |b, bytes| {
-            b.iter(|| black_box(format::read_snapshot(&mut black_box(bytes).as_slice()).unwrap()));
+            b.iter(|| {
+                let mut r = black_box(bytes).as_slice();
+                black_box(
+                    format::read_snapshot_with(&mut r, VerifyMode::Full, &Recorder::disabled())
+                        .unwrap(),
+                )
+            });
         });
     }
     group.finish();

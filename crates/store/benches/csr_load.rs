@@ -29,7 +29,14 @@ fn bench_csr_load(c: &mut Criterion) {
         // The baseline everything is measured against: open, decode both
         // arrays into owned Vecs, verify checksum + structure.
         group.bench_with_input(BenchmarkId::new("owned_full", name), &path, |b, path| {
-            b.iter(|| black_box(format::load(black_box(path)).unwrap()));
+            b.iter(|| {
+                let file = std::fs::File::open(black_box(path)).unwrap();
+                let mut r = std::io::BufReader::new(file);
+                black_box(
+                    format::read_snapshot_with(&mut r, VerifyMode::Full, &Recorder::disabled())
+                        .unwrap(),
+                )
+            });
         });
         // The zero-copy path at each verification tier. Work touched per
         // tier: full = whole payload (checksum + validation), header =

@@ -1,29 +1,24 @@
 //! Benchmark: **building** the coverage index on the `ba_50k` workload
 //! (Barabási–Albert, 50 000 nodes, m = 4, rectangle motif over 2 500
 //! hidden targets — the shared [`tpp_bench::fixtures::ba_50k_rectangle`]
-//! fixture), under the three build disciplines:
+//! fixture), under two build disciplines:
 //!
-//! * `monolithic` — `CoverageIndex::build`: one global posting map, one
-//!   global candidate list.
-//! * `partitioned_split` — `PartitionedCoverageIndex::build`: the same
-//!   enumeration into a global posting map, then split across 16
-//!   degree-balanced shards (build-then-split).
+//! * `partitioned_split` — the sequential `PartitionedCoverageIndex::build`:
+//!   one enumeration pass over all targets, posting each instance edge in
+//!   its owner shard among 16 degree-balanced shards.
 //! * `partitioned_direct_t{1,2,4}` — the shard-parallel
-//!   `PartitionedCoverageIndex::build_parallel`: targets enumerate
-//!   **directly into per-shard postings** (no monolithic intermediate),
-//!   chunked across 1/2/4 worker threads.
+//!   `PartitionedCoverageIndex::build_parallel`: targets enumerate in
+//!   chunks into per-chunk shard fragments, merged per shard, across 1/2/4
+//!   worker threads.
 //!
-//! On the single-core CI container `t2`/`t4` cannot beat `t1` — the win
-//! there is **structural** (no global map to build, split, and throw
-//! away; the merge phase touches each shard exactly once) and the
-//! threaded variants document the scaling headroom for real cores. All
-//! disciplines are asserted bit-identical before anything is timed (the
-//! differential build tests in `tpp-motif` pin the same equality
-//! property-style).
+//! On a single core `t2`/`t4` cannot beat `t1`; the threaded variants
+//! document the scaling headroom for real cores. Both disciplines are
+//! asserted bit-identical before anything is timed (the differential build
+//! tests in `tpp-motif` pin the same equality property-style).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use tpp_motif::{CoverageIndex, Motif, PartitionedCoverageIndex};
+use tpp_motif::{Motif, PartitionedCoverageIndex};
 
 const MOTIF: Motif = Motif::Rectangle;
 const PARTS: usize = 16;
@@ -33,15 +28,12 @@ fn bench_index_build(c: &mut Criterion) {
 
     // Every discipline must agree exactly before anything is timed.
     {
-        let mono = CoverageIndex::build(&g, &targets, MOTIF);
         let split = PartitionedCoverageIndex::build(&g, &targets, MOTIF, PARTS);
-        assert_eq!(split.total_similarity(), mono.total_similarity());
-        assert_eq!(split.alive_candidate_edges(), mono.alive_candidate_edges());
         for threads in [1usize, 2, 4] {
             let exec = tpp_exec::Parallelism::new(threads);
             let direct =
                 PartitionedCoverageIndex::build_parallel(&g, &targets, MOTIF, PARTS, &exec);
-            assert_eq!(direct.total_similarity(), mono.total_similarity());
+            assert_eq!(direct.total_similarity(), split.total_similarity());
             assert_eq!(direct.similarities(), split.similarities());
             assert_eq!(
                 direct.alive_candidate_edges(),
@@ -53,9 +45,6 @@ fn bench_index_build(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("index_build");
     group.sample_size(10);
-    group.bench_function("monolithic", |b| {
-        b.iter(|| black_box(CoverageIndex::build(&g, &targets, MOTIF)));
-    });
     group.bench_function("partitioned_split", |b| {
         b.iter(|| black_box(PartitionedCoverageIndex::build(&g, &targets, MOTIF, PARTS)));
     });

@@ -427,40 +427,12 @@ pub fn write_snapshot_v1<W: Write>(g: &CsrGraph, w: &mut W) -> Result<(), StoreE
     write_payload(g, w)
 }
 
-/// Deserializes a snapshot from `r` with **full** verification (checksum
-/// + structural invariants).
-///
-/// # Errors
-/// Returns the specific [`StoreError`] variant describing what failed.
-pub fn read_snapshot<R: Read>(r: &mut R) -> Result<CsrGraph, StoreError> {
-    read_snapshot_versioned(r).map(|(g, _)| g)
-}
-
-/// Like [`read_snapshot`], but also returns the file's header version
-/// (1 for legacy files, 2 for current ones).
-///
-/// # Errors
-/// Returns the specific [`StoreError`] variant describing what failed.
-pub fn read_snapshot_versioned<R: Read>(r: &mut R) -> Result<(CsrGraph, u32), StoreError> {
-    read_snapshot_observed(r, &Recorder::disabled())
-}
-
-/// Like [`read_snapshot_versioned`], reporting per-phase wall time into
-/// `obs`'s store section.
-///
-/// # Errors
-/// Returns the specific [`StoreError`] variant describing what failed.
-pub fn read_snapshot_observed<R: Read>(
-    r: &mut R,
-    obs: &Recorder,
-) -> Result<(CsrGraph, u32), StoreError> {
-    read_snapshot_with(r, VerifyMode::Full, obs)
-}
-
-/// The one streaming decode path: deserializes a snapshot (v1 or v2) into
-/// owned arrays, applying the chosen verification tier. Phase wall time
-/// (parse, fill, validate, checksum) lands in `obs`'s store section; a
-/// disabled recorder never reads the clock.
+/// The one streaming decode path: deserializes a snapshot (v1 or v2) from
+/// any reader into owned arrays, applying the chosen verification tier.
+/// [`load_mapped`] falls back to it where memory mapping is unsupported.
+/// Phase wall time (parse, fill, validate, checksum) lands in `obs`'s store
+/// section; a disabled recorder never reads the clock. The returned `u32`
+/// is the header version (1 for legacy files, 2 for current ones).
 ///
 /// # Errors
 /// Returns the specific [`StoreError`] variant describing what failed.
@@ -533,35 +505,6 @@ pub fn save<P: AsRef<Path>>(g: &CsrGraph, path: P) -> Result<(), StoreError> {
     write_snapshot(g, &mut w)?;
     w.flush()?;
     Ok(())
-}
-
-/// Loads and fully validates a snapshot from `path` into owned arrays.
-///
-/// # Errors
-/// Returns the specific [`StoreError`] describing what failed.
-pub fn load<P: AsRef<Path>>(path: P) -> Result<CsrGraph, StoreError> {
-    load_with_version(path).map(|(g, _)| g)
-}
-
-/// Like [`load`], but also returns the file's header version.
-///
-/// # Errors
-/// Returns the specific [`StoreError`] describing what failed.
-pub fn load_with_version<P: AsRef<Path>>(path: P) -> Result<(CsrGraph, u32), StoreError> {
-    let file = std::fs::File::open(path)?;
-    let mut r = std::io::BufReader::new(file);
-    read_snapshot_versioned(&mut r)
-}
-
-/// Like [`load`], reporting per-phase decode wall time into `obs`'s store
-/// section (see [`read_snapshot_observed`]).
-///
-/// # Errors
-/// Returns the specific [`StoreError`] describing what failed.
-pub fn load_observed<P: AsRef<Path>>(path: P, obs: &Recorder) -> Result<CsrGraph, StoreError> {
-    let file = std::fs::File::open(path)?;
-    let mut r = std::io::BufReader::new(file);
-    read_snapshot_observed(&mut r, obs).map(|(g, _)| g)
 }
 
 /// Zero-copy load: memory-maps `path` and serves the CSR arrays straight
@@ -737,6 +680,11 @@ mod tests {
         buf
     }
 
+    /// Owned, fully verified decode of an in-memory snapshot image.
+    fn decode(mut bytes: &[u8]) -> Result<CsrGraph, StoreError> {
+        read_snapshot_with(&mut bytes, VerifyMode::Full, &Recorder::disabled()).map(|(g, _)| g)
+    }
+
     fn tmpfile(tag: &str, bytes: &[u8]) -> std::path::PathBuf {
         let path =
             std::env::temp_dir().join(format!("tpp-format-{}-{tag}.csr", std::process::id()));
@@ -748,7 +696,7 @@ mod tests {
     fn round_trips_through_memory() {
         let g = sample();
         let bytes = encode(&g);
-        let back = read_snapshot(&mut bytes.as_slice()).unwrap();
+        let back = decode(&bytes).unwrap();
         assert_eq!(g, back);
     }
 
@@ -757,7 +705,13 @@ mod tests {
         let g = sample();
         let path = std::env::temp_dir().join(format!("tpp-store-{}.csr", std::process::id()));
         save(&g, &path).unwrap();
-        let back = load(&path).unwrap();
+        let file = std::fs::File::open(&path).unwrap();
+        let (back, _) = read_snapshot_with(
+            &mut std::io::BufReader::new(file),
+            VerifyMode::Full,
+            &Recorder::disabled(),
+        )
+        .unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(g.to_graph(), back.to_graph());
     }
@@ -784,7 +738,9 @@ mod tests {
         let g = sample();
         let mut v1 = Vec::new();
         write_snapshot_v1(&g, &mut v1).unwrap();
-        let (back, version) = read_snapshot_versioned(&mut v1.as_slice()).unwrap();
+        let (back, version) =
+            read_snapshot_with(&mut v1.as_slice(), VerifyMode::Full, &Recorder::disabled())
+                .unwrap();
         assert_eq!(version, 1);
         assert_eq!(g, back);
         // The mapped loader falls back to an owned decode for v1.
@@ -899,7 +855,7 @@ mod tests {
                 "verify {verify:?}: {err}"
             );
         }
-        assert!(read_snapshot(&mut bytes.as_slice()).is_err());
+        assert!(decode(&bytes).is_err());
         std::fs::remove_file(&path).ok();
     }
 
@@ -924,7 +880,8 @@ mod tests {
         let g = sample();
         let bytes = encode(&g);
         let obs = Recorder::enabled();
-        let (back, version) = read_snapshot_observed(&mut bytes.as_slice(), &obs).unwrap();
+        let (back, version) =
+            read_snapshot_with(&mut bytes.as_slice(), VerifyMode::Full, &obs).unwrap();
         assert_eq!(g, back);
         assert_eq!(version, VERSION);
         let st = obs.stats().unwrap();
@@ -933,14 +890,15 @@ mod tests {
         // phase (array decode) is the only one guaranteed measurable on
         // every machine — just pin that all three were driven through the
         // same decode by decoding again and watching loads advance.
-        let (_again, _) = read_snapshot_observed(&mut bytes.as_slice(), &obs).unwrap();
+        let (_again, _) =
+            read_snapshot_with(&mut bytes.as_slice(), VerifyMode::Full, &obs).unwrap();
         assert_eq!(st.store.loads.get(), 2);
     }
 
     #[test]
     fn empty_graph_round_trips() {
         let g = CsrGraph::from_graph(&Graph::new(0));
-        let back = read_snapshot(&mut encode(&g).as_slice()).unwrap();
+        let back = decode(&encode(&g)).unwrap();
         assert_eq!(back.node_count(), 0);
         assert_eq!(back.edge_count(), 0);
         let path = tmpfile("empty", &encode(&g));
@@ -953,10 +911,7 @@ mod tests {
     fn rejects_bad_magic() {
         let mut bytes = encode(&sample());
         bytes[0] ^= 0xFF;
-        assert!(matches!(
-            read_snapshot(&mut bytes.as_slice()),
-            Err(StoreError::BadMagic(_))
-        ));
+        assert!(matches!(decode(&bytes), Err(StoreError::BadMagic(_))));
         let path = tmpfile("magic", &bytes);
         assert!(matches!(read_header(&path), Err(StoreError::BadMagic(_))));
         std::fs::remove_file(&path).ok();
@@ -967,7 +922,7 @@ mod tests {
         let mut bytes = encode(&sample());
         bytes[8] = 99;
         assert!(matches!(
-            read_snapshot(&mut bytes.as_slice()),
+            decode(&bytes),
             Err(StoreError::UnsupportedVersion { found: 99, .. })
         ));
     }
@@ -982,7 +937,7 @@ mod tests {
         for pos in (PAYLOAD_OFFSET_V2 as usize..bytes.len()).step_by(997) {
             let mut bad = bytes.clone();
             bad[pos] ^= 0x01;
-            match read_snapshot(&mut bad.as_slice()) {
+            match decode(&bad) {
                 Err(_) => flipped += 1,
                 Ok(decoded) => {
                     panic!("bitflip at {pos} went undetected: {decoded:?}")
@@ -997,16 +952,13 @@ mod tests {
         let bytes = encode(&sample());
         for cut in [0, 4, 12, 40, 60, bytes.len() - 3] {
             assert!(
-                read_snapshot(&mut bytes[..cut].as_ref()).is_err(),
+                decode(&bytes[..cut]).is_err(),
                 "truncation at {cut} accepted"
             );
         }
         let mut padded = bytes.clone();
         padded.push(0);
-        assert!(matches!(
-            read_snapshot(&mut padded.as_slice()),
-            Err(StoreError::Corrupt(_))
-        ));
+        assert!(matches!(decode(&padded), Err(StoreError::Corrupt(_))));
     }
 
     #[test]
@@ -1023,7 +975,7 @@ mod tests {
         bytes.extend_from_slice(&0u64.to_le_bytes()); // checksum
         bytes.extend_from_slice(&[0u8; 64]); // padding + a few stray bytes
         assert!(matches!(
-            read_snapshot(&mut bytes.as_slice()),
+            decode(&bytes),
             Err(StoreError::Corrupt(msg)) if msg.contains("truncated")
         ));
         // The mapped path refuses via the exact-length cross-check
@@ -1038,7 +990,7 @@ mod tests {
         let mut bytes = encode(&sample());
         // Inflate the edge count; payload length check must catch it.
         bytes[24] = bytes[24].wrapping_add(1);
-        assert!(read_snapshot(&mut bytes.as_slice()).is_err());
+        assert!(decode(&bytes).is_err());
     }
 
     #[test]

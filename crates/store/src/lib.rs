@@ -15,7 +15,7 @@
 //! * [`CsrGraph`] — an immutable snapshot: one offset table + one packed,
 //!   sorted neighbor array. Build it once (in parallel for large graphs),
 //!   share it freely across threads, and persist it with
-//!   [`format::save`] / [`format::load`] instead of re-parsing edge lists.
+//!   [`format::save`] / [`format::load_mapped`] instead of re-parsing edge lists.
 //! * [`DeltaView`] — an `O(1)`-setup overlay recording net edge
 //!   deletions/additions against any base. Tentative candidate evaluation
 //!   becomes `delete_edge → recount → restore_edge` with **zero** graph

@@ -424,7 +424,7 @@ mod tests {
             std::fs::read(&eager).unwrap(),
             "streamed file must be bit-identical to the eager build"
         );
-        let loaded = format::load(&streamed).unwrap();
+        let loaded = format::load_mapped(&streamed, VerifyMode::Full).unwrap();
         assert_eq!(loaded, reference);
         assert_eq!(report.nodes, reference.node_count() as u64);
         assert_eq!(report.edges, reference.edge_count() as u64);
@@ -570,7 +570,7 @@ mod tests {
         });
         // Whoever published last, the file is a complete valid snapshot,
         // identical to the eager build.
-        let loaded = format::load(&out).unwrap();
+        let loaded = format::load_mapped(&out, VerifyMode::Full).unwrap();
         assert_eq!(loaded, CsrGraph::from_graph(&g));
         // Both scratch dirs are gone.
         let leftovers: Vec<_> = std::fs::read_dir(&dir)

@@ -9,6 +9,12 @@ use tpp_graph::{generators, Edge, Graph, NeighborAccess, NodeId};
 use tpp_motif::{count_target_subgraphs, Motif};
 use tpp_store::{format, CsrGraph, DeltaView, StoreError, VerifyMode};
 
+/// The owned streaming decode of a snapshot file, with its header version.
+fn load_owned(path: &std::path::Path) -> (CsrGraph, u32) {
+    let mut r = std::io::BufReader::new(std::fs::File::open(path).unwrap());
+    format::read_snapshot_with(&mut r, VerifyMode::Full, &tpp_obs::Recorder::disabled()).unwrap()
+}
+
 /// Strategy: a random simple graph (alternating ER and BA families).
 fn graph_strategy() -> impl Strategy<Value = Graph> {
     (10usize..=60, 0u64..=5_000).prop_map(|(n, seed)| {
@@ -69,7 +75,12 @@ proptest! {
         let csr = CsrGraph::from_graph(&g);
         let mut bytes = Vec::new();
         format::write_snapshot(&csr, &mut bytes).unwrap();
-        let back = format::read_snapshot(&mut bytes.as_slice()).unwrap();
+        let (back, _) = format::read_snapshot_with(
+            &mut bytes.as_slice(),
+            VerifyMode::Full,
+            &tpp_obs::Recorder::disabled(),
+        )
+        .unwrap();
         prop_assert_eq!(csr, back);
     }
 
@@ -89,7 +100,7 @@ proptest! {
             format::write_snapshot_v1(&csr, &mut w).unwrap();
         }
 
-        let owned = format::load(&v2_path).unwrap();
+        let (owned, _) = load_owned(&v2_path);
         prop_assert!(!owned.is_mapped());
         prop_assert_eq!(&owned, &csr);
         for verify in [VerifyMode::Full, VerifyMode::Header, VerifyMode::None] {
@@ -104,7 +115,7 @@ proptest! {
             prop_assert!(!v1.is_mapped(), "v1 falls back to owned");
             prop_assert_eq!(&v1, &csr);
         }
-        let (v1_owned, version) = format::load_with_version(&v1_path).unwrap();
+        let (v1_owned, version) = load_owned(&v1_path);
         prop_assert_eq!(version, 1);
         prop_assert_eq!(&v1_owned, &csr);
         std::fs::remove_file(&v2_path).ok();
@@ -355,7 +366,7 @@ fn arenas_scale_round_trip_with_parallel_build() {
 
     let path = std::env::temp_dir().join(format!("tpp-store-prop-{}.csr", std::process::id()));
     format::save(&csr, &path).unwrap();
-    let back = format::load(&path).unwrap();
+    let (back, _) = load_owned(&path);
     std::fs::remove_file(&path).ok();
     assert_eq!(csr, back);
 }

@@ -7,7 +7,7 @@
 //! ```
 
 use tpp::prelude::*;
-use tpp_store::{format, CsrGraph, DeltaView, NeighborAccess};
+use tpp_store::{format, CsrGraph, DeltaView, NeighborAccess, VerifyMode};
 
 fn main() {
     // A social graph with two sensitive links to hide.
@@ -20,7 +20,7 @@ fn main() {
     let snapshot = CsrGraph::from_graph(instance.released());
     let path = std::env::temp_dir().join("karate.csr");
     format::save(&snapshot, &path).expect("save snapshot");
-    let loaded = format::load(&path).expect("load snapshot");
+    let loaded = format::load_mapped(&path, VerifyMode::Full).expect("load snapshot");
     std::fs::remove_file(&path).ok();
     assert_eq!(snapshot, loaded);
     println!(

@@ -54,5 +54,5 @@ pub mod prelude {
     pub use tpp_graph::{Edge, Graph, NodeId};
     pub use tpp_linkpred::{evaluate_attack, sample_non_edges, Attacker, SimilarityIndex};
     pub use tpp_metrics::{utility_loss, UtilityConfig, UtilityMetric};
-    pub use tpp_motif::{CoverageIndex, Motif};
+    pub use tpp_motif::{Motif, PartitionedCoverageIndex};
 }
