@@ -6,17 +6,18 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use tpp_core::{
     celf_greedy_batch, critical_budget, ct_greedy_batch, delta_dirty_edges, divide_budget,
     random_deletion, random_deletion_from_subgraphs, sgb_greedy_batch, sgb_greedy_incremental,
     wt_greedy_batch, BudgetDivision, GreedyConfig, ProtectionPlan, StepRecord, TppInstance,
 };
-use tpp_graph::{parse_edge_list, write_edge_list, Edge, FastSet, Graph};
+use tpp_graph::{parse_edge_list, write_edge_list, Edge, FastSet, Graph, NeighborAccess};
 use tpp_linkpred::{evaluate_attack_on, sample_non_edges, Attacker, SimilarityIndex};
 use tpp_metrics::{compute_utility, utility_loss, UtilityConfig};
 use tpp_motif::Motif;
 use tpp_obs::Recorder;
-use tpp_store::{GraphDelta, VerifyMode};
+use tpp_store::{CsrGraph, DeltaView, GraphDelta, VerifyMode};
 
 /// Runs a subcommand; returns an error message for the shell on failure.
 pub fn dispatch(p: &Parsed) -> Result<(), String> {
@@ -209,11 +210,16 @@ pub(crate) fn is_snapshot(path: &str) -> bool {
         && magic == tpp_store::format::MAGIC
 }
 
-/// Loads the input graph — a binary snapshot (by magic sniff, zero-copy
-/// mapped at the `--verify` tier, default full) or a text edge list —
-/// with load wall time reported into the recorder's store section (a
-/// disabled recorder never reads the clock).
-pub(crate) fn load_graph_observed(p: &Parsed, recorder: &Recorder) -> Result<Graph, String> {
+/// Loads the input graph as the shared CSR snapshot every request path
+/// runs on — a binary snapshot (by magic sniff, zero-copy mapped at the
+/// `--verify` tier, default full, and used as is) or a text edge list
+/// (parsed once, copied into a snapshot once) — with load wall time
+/// reported into the recorder's store section (a disabled recorder never
+/// reads the clock).
+pub(crate) fn load_graph_observed(
+    p: &Parsed,
+    recorder: &Recorder,
+) -> Result<Arc<CsrGraph>, String> {
     let path = p
         .positional
         .first()
@@ -222,19 +228,19 @@ pub(crate) fn load_graph_observed(p: &Parsed, recorder: &Recorder) -> Result<Gra
         let verify = parse_verify(p, "full")?;
         let (csr, _version) = tpp_store::format::load_mapped_observed(path, verify, recorder)
             .map_err(|e| format!("loading snapshot {path}: {e}"))?;
-        return Ok(csr.to_graph());
+        return Ok(Arc::new(csr));
     }
     let t0 = recorder.is_enabled().then(std::time::Instant::now);
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let g = parse_edge_list(&text).map_err(|e| e.to_string())?;
+    let csr = CsrGraph::from_graph(&parse_edge_list(&text).map_err(|e| e.to_string())?);
     if let (Some(t0), Some(st)) = (t0, recorder.stats()) {
         st.store.loads.inc();
         st.store.parse_ns.add_duration(t0.elapsed());
     }
-    Ok(g)
+    Ok(Arc::new(csr))
 }
 
-fn load_graph(p: &Parsed) -> Result<Graph, String> {
+fn load_graph(p: &Parsed) -> Result<Arc<CsrGraph>, String> {
     load_graph_observed(p, &Recorder::disabled())
 }
 
@@ -243,7 +249,9 @@ pub(crate) fn parse_motif(p: &Parsed) -> Result<Motif, String> {
     Motif::from_name(name).ok_or_else(|| format!("unknown motif {name:?}"))
 }
 
-pub(crate) fn parse_targets(p: &Parsed, g: &Graph) -> Result<Vec<Edge>, String> {
+/// Resolves `--targets u-v,...` (validated against `g`'s node range; a
+/// listed pair need not be an edge) or `--random N` sampled targets.
+pub(crate) fn parse_targets(p: &Parsed, g: &CsrGraph) -> Result<Vec<Edge>, String> {
     if let Some(spec) = p.flags.get("targets") {
         let mut out = Vec::new();
         for token in spec.split(',') {
@@ -252,6 +260,15 @@ pub(crate) fn parse_targets(p: &Parsed, g: &Graph) -> Result<Vec<Edge>, String> 
                 .ok_or_else(|| format!("target {token:?} must look like u-v"))?;
             let a: u32 = a.trim().parse().map_err(|_| format!("bad node id {a:?}"))?;
             let b: u32 = b.trim().parse().map_err(|_| format!("bad node id {b:?}"))?;
+            if a == b {
+                return Err(format!("target {a}-{b} is a self-loop"));
+            }
+            if let Some(x) = [a, b].into_iter().find(|&x| x as usize >= g.node_count()) {
+                return Err(format!(
+                    "target {a}-{b}: node {x} is out of range (the graph has {} nodes)",
+                    g.node_count()
+                ));
+            }
             out.push(Edge::new(a, b));
         }
         Ok(out)
@@ -291,10 +308,11 @@ fn stats(p: &Parsed) -> Result<(), String> {
     let g = load_graph(p)?;
     println!("nodes:  {}", g.node_count());
     println!("edges:  {}", g.edge_count());
-    println!("max-degree: {}", g.max_degree());
+    let max_degree = g.node_ids().map(|u| g.degree(u)).max().unwrap_or(0);
+    println!("max-degree: {max_degree}");
     println!(
         "mean-degree: {:.2}",
-        g.degree_sum() as f64 / g.node_count().max(1) as f64
+        (2 * g.edge_count()) as f64 / g.node_count().max(1) as f64
     );
     let seed: u64 = p.num_or("seed", 1u64)?;
     let config = if p.has("full") {
@@ -302,7 +320,7 @@ fn stats(p: &Parsed) -> Result<(), String> {
     } else {
         UtilityConfig::large_graph(seed)
     };
-    let values = compute_utility(&g, &config);
+    let values = compute_utility(&*g, &config);
     for (metric, value) in &values.values {
         println!("{metric}: {value:.4}");
     }
@@ -341,9 +359,8 @@ struct PlanFileIn {
 /// candidate set the memoized engine re-scores.
 struct IncrementalRun {
     motif: Motif,
-    /// The base graph with the delta applied (the new "original").
-    original: Graph,
-    /// The TPP instance over the mutated graph.
+    /// The TPP instance over the mutated graph (the base graph with the
+    /// delta applied is its original).
     instance: TppInstance,
     /// Step records of the prior run, aligned round for round.
     prior_steps: Vec<StepRecord>,
@@ -355,13 +372,14 @@ struct IncrementalRun {
 }
 
 /// Resolves `--incremental`: loads the prior plan (`--plan-in`) and the
-/// edge delta (`--delta`), applies the delta to the base graph, and
-/// computes the dirty candidate set by localized through-enumeration.
+/// edge delta (`--delta`), applies the delta to the base graph (an
+/// overlay, copied once into the mutated snapshot), and computes the dirty
+/// candidate set by localized through-enumeration.
 /// Targets and motif come from the plan file — the repair must solve the
 /// same problem the prior run did, just on the mutated graph.
 fn prepare_incremental(
     p: &Parsed,
-    g: Graph,
+    g: Arc<CsrGraph>,
     algorithm: &str,
     batch: usize,
 ) -> Result<IncrementalRun, String> {
@@ -408,41 +426,35 @@ fn prepare_incremental(
     }
     let delta = GraphDelta::load(std::path::Path::new(delta_path))
         .map_err(|e| format!("loading --delta {delta_path}: {e}"))?;
-    let applied = delta
-        .apply(&g)
+    let view = delta
+        .overlay(&*g)
         .map_err(|e| format!("applying --delta {delta_path}: {e}"))?;
+    let (removed, added) = (view.deleted_edges(), view.added_edges());
+    let mutated = CsrGraph::from_access(&view);
     let targets = prior.targets;
-    if let Some(t) = applied
-        .removed
-        .iter()
-        .chain(&applied.added)
-        .find(|e| targets.contains(e))
-    {
+    if let Some(t) = removed.iter().chain(&added).find(|e| targets.contains(e)) {
         return Err(format!(
             "--delta {delta_path} touches target edge {t}; incremental repair \
              requires a stable target list"
         ));
     }
     let base = TppInstance::new(g, targets.clone()).map_err(|e| e.to_string())?;
-    let original = applied.graph;
-    let instance =
-        TppInstance::new(original.clone(), targets.clone()).map_err(|e| e.to_string())?;
+    let instance = TppInstance::new(mutated, targets.clone()).map_err(|e| e.to_string())?;
     let dirty = delta_dirty_edges(
         base.released(),
         instance.released(),
         &targets,
         motif,
-        &applied.removed,
-        &applied.added,
+        &removed,
+        &added,
     );
     Ok(IncrementalRun {
         motif,
-        original,
         instance,
         prior_steps: prior.plan.steps,
         dirty,
-        removed: applied.removed.len(),
-        added: applied.added.len(),
+        removed: removed.len(),
+        added: added.len(),
     })
 }
 
@@ -486,7 +498,7 @@ fn protect(p: &Parsed) -> Result<(), String> {
 /// the report.
 pub(crate) fn run_protect(
     p: &Parsed,
-    g: Graph,
+    g: Arc<CsrGraph>,
     recorder: &Recorder,
     kernel_base: Option<tpp_graph::KernelCounts>,
     stats_out: Option<&StatsOut>,
@@ -515,7 +527,7 @@ pub(crate) fn run_protect(
     // scan for the memoized repair; everything downstream (report,
     // --out, --plan) is shared, which is what keeps the repaired plan
     // file byte-identical to a from-scratch run on the mutated graph.
-    let (motif, original, instance, incremental) = if p.has("incremental") {
+    let (motif, instance, incremental) = if p.has("incremental") {
         let ir = prepare_incremental(p, g, algorithm, batch)?;
         let dirty_len = ir.dirty.len();
         let _ = writeln!(
@@ -523,18 +535,12 @@ pub(crate) fn run_protect(
             "incremental: delta -{}/+{} edges, {} dirty candidate(s)",
             ir.removed, ir.added, dirty_len
         );
-        (
-            ir.motif,
-            ir.original,
-            ir.instance,
-            Some((ir.prior_steps, ir.dirty)),
-        )
+        (ir.motif, ir.instance, Some((ir.prior_steps, ir.dirty)))
     } else {
         let motif = parse_motif(p)?;
         let targets = parse_targets(p, &g)?;
-        let original = g.clone();
         let instance = TppInstance::new(g, targets).map_err(|e| e.to_string())?;
-        (motif, original, instance, None)
+        (motif, instance, None)
     };
 
     let mut cfg = GreedyConfig::scalable(motif)
@@ -589,9 +595,10 @@ pub(crate) fn run_protect(
         );
     }
 
+    let original = instance.original();
     let released = instance.apply_protectors(&plan.protectors);
     let t0 = recorder.is_enabled().then(std::time::Instant::now);
-    let loss = utility_loss(&original, &released, &UtilityConfig::large_graph(seed));
+    let loss = utility_loss(original, &released, &UtilityConfig::large_graph(seed));
     if let (Some(t0), Some(st)) = (t0, recorder.stats()) {
         st.utility.utility_ns.add_duration(t0.elapsed());
         st.utility
@@ -652,7 +659,7 @@ fn attack(p: &Parsed) -> Result<(), String> {
 /// `tpp serve` (see [`run_protect`]).
 pub(crate) fn run_attack(
     p: &Parsed,
-    g: Graph,
+    g: Arc<CsrGraph>,
     recorder: &Recorder,
     kernel_base: Option<tpp_graph::KernelCounts>,
     stats_out: Option<&StatsOut>,
@@ -661,13 +668,26 @@ pub(crate) fn run_attack(
     use std::fmt::Write as _;
     let mut out = String::new();
     let targets = parse_targets(p, &g)?;
-    // Attacked graph = as-released: hide any target edges still present.
-    let mut released = g.clone();
-    for t in &targets {
-        released.remove_edge(t.u(), t.v());
+    // Attacked graph = as-released: an overlay hiding any target edges
+    // still present (a short-lived read-only view, never copied).
+    let mut released = DeltaView::new(&*g);
+    for &t in &targets {
+        released.delete_edge(t);
     }
     let seed: u64 = p.num_or("seed", 2020u64)?;
     let negatives_count: usize = p.num_or("negatives", 500usize)?;
+    // Non-edge pairs outside the targets: every pair, less the released
+    // edges, less the (distinct) targets, none of which is released.
+    let n = released.node_count() as u64;
+    let hidden = targets.iter().collect::<FastSet<_>>().len() as u64;
+    let available =
+        (n * n.saturating_sub(1) / 2).saturating_sub(released.edge_count() as u64 + hidden);
+    if n < 2 || negatives_count as u64 > available {
+        return Err(format!(
+            "--negatives {negatives_count} exceeds the {available} non-edge pair(s) \
+             available outside the targets"
+        ));
+    }
     let negatives = sample_non_edges(&released, negatives_count, &targets, seed);
 
     let name = p.get_or("attacker", "cn");
@@ -900,13 +920,12 @@ fn store(p: &Parsed) -> Result<(), String> {
             let out = p.require("out")?;
             let verify = parse_verify(p, "full")?;
             let csr = tpp_store::format::load_mapped(path, verify).map_err(|e| e.to_string())?;
-            let g = csr.to_graph();
-            std::fs::write(out, write_edge_list(&g)).map_err(|e| e.to_string())?;
+            std::fs::write(out, write_edge_list(&csr)).map_err(|e| e.to_string())?;
             println!(
                 "wrote {} ({} nodes, {} edges)",
                 out,
-                g.node_count(),
-                g.edge_count()
+                csr.node_count(),
+                csr.edge_count()
             );
             Ok(())
         }
@@ -1134,6 +1153,39 @@ mod tests {
     }
 
     #[test]
+    fn bad_targets_and_negatives_are_named_errors() {
+        let dir = tmpdir();
+        let graph_path = dir.join("g-karate-errors.txt");
+        let graph = graph_path.to_str().unwrap();
+        dispatch(&parse(&strs(&["generate", "--model", "karate", "--out", graph])).unwrap())
+            .unwrap();
+        let run = |args: &[&str]| dispatch(&parse(&strs(args)).unwrap());
+        let err = |args: &[&str]| run(args).expect_err("expected a named error");
+
+        for cmd in ["protect", "attack"] {
+            let e = err(&[cmd, graph, "--budget", "2", "--targets", "3-3"]);
+            assert_eq!(e, "target 3-3 is a self-loop", "{cmd}");
+            let e = err(&[cmd, graph, "--budget", "2", "--targets", "0-99"]);
+            assert_eq!(
+                e, "target 0-99: node 99 is out of range (the graph has 34 nodes)",
+                "{cmd}"
+            );
+        }
+        // Karate has 561 pairs and 78 edges; with 5 targets hidden, 483
+        // non-edge pairs remain, so the default --negatives 500 cannot be
+        // sampled but 483 can.
+        let e = err(&["attack", graph, "--random", "5"]);
+        assert!(
+            e.contains("--negatives 500 exceeds the 483 non-edge pair(s)"),
+            "{e}"
+        );
+        run(&["attack", graph, "--random", "5", "--negatives", "483"]).unwrap();
+        // A target that is not an edge (already gone from a released file)
+        // is still a valid attack target.
+        run(&["attack", graph, "--targets", "0-9", "--negatives", "100"]).unwrap();
+    }
+
+    #[test]
     fn every_algorithm_is_dispatchable() {
         let dir = tmpdir();
         let graph_path = dir.join("g4.txt");
@@ -1298,7 +1350,7 @@ mod tests {
         let delta_path = dir.join("delta.txt");
         std::fs::write(&delta_path, &delta_text).unwrap();
         let mutated_path = dir.join("g-inc-mutated.txt");
-        std::fs::write(&mutated_path, write_edge_list(&view.to_graph())).unwrap();
+        std::fs::write(&mutated_path, write_edge_list(&view)).unwrap();
 
         // From-scratch greedy on the mutated graph...
         let scratch_path = dir.join("scratch.json");

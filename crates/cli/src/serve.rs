@@ -5,8 +5,9 @@
 //! index. `serve` keeps one process alive on a unix socket and answers
 //! `protect` / `attack` / `info` requests against warm registries:
 //!
-//! * **graph registry** — keyed by canonicalized input path; a hit clones
-//!   the cached graph instead of re-reading the file;
+//! * **graph registry** — keyed by canonicalized input path, holding the
+//!   shared CSR snapshot (a mapped file stays mapped); a hit is an `Arc`
+//!   clone instead of a re-read;
 //! * **index registry** — keyed by `(path, motif, target list)`; a hit
 //!   clones the cached [`PartitionedCoverageIndex`] into the run as an
 //!   index seed, skipping the build entirely (the targets are part of the
@@ -25,11 +26,12 @@
 //! Registries are bounded: `--max-graphs` / `--max-indexes` cap each
 //! registry (the least-recently-used entries are evicted past the cap)
 //! and `--ttl-secs` expires entries idle longer than the window; both
-//! default off. An `update <graph> --delta FILE` request mutates a
-//! resident graph in place and patches every warm coverage index over it
-//! incrementally — removals through the kill-flag delete path, insertions
-//! by localized through-enumeration — after which the registries serve
-//! the mutated graph regardless of what is on disk.
+//! default off. An `update <graph> --delta FILE` request replaces a
+//! resident graph with the delta applied (an overlay of the old snapshot,
+//! copied once into the next one) and patches every warm coverage index
+//! over it incrementally — removals through the kill-flag delete path,
+//! insertions by localized through-enumeration — after which the
+//! registries serve the mutated graph regardless of what is on disk.
 //!
 //! ## Protocol
 //!
@@ -50,9 +52,10 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use tpp_core::{TppInstance, DEFAULT_INDEX_PARTITIONS};
 use tpp_exec::Parallelism;
-use tpp_graph::Graph;
+use tpp_graph::Edge;
 use tpp_motif::PartitionedCoverageIndex;
 use tpp_obs::{Recorder, ServeStats};
+use tpp_store::{CsrGraph, DeltaView};
 
 /// Frame payload cap: far above any real request or reply, low enough
 /// that a corrupt length prefix cannot trigger a giant allocation.
@@ -155,7 +158,7 @@ fn graph_key(path: &str) -> String {
 }
 
 struct GraphEntry {
-    graph: Graph,
+    graph: Arc<CsrGraph>,
     snapshot: bool,
     /// Last request that touched this entry (the LRU/TTL clock).
     last_used: Instant,
@@ -427,10 +430,10 @@ impl Server {
     }
 
     /// An `update <graph> --delta FILE` request: applies the edge delta
-    /// to the resident graph and patches every warm coverage index over
-    /// it in place — removals through the kill-flag delete path,
-    /// insertions by localized through-enumeration — instead of
-    /// rebuilding. The registries then serve the mutated graph: they
+    /// to the resident graph — an overlay of the old snapshot, copied once
+    /// into the next one — and patches every warm coverage index over it
+    /// in place — removals through the kill-flag delete path, insertions
+    /// by localized through-enumeration — instead of rebuilding. The registries then serve the mutated graph: they
     /// deliberately diverge from the file on disk until a restart (or an
     /// eviction) reloads it. An index whose target list collides with the
     /// delta cannot be patched (targets are phase-1-removed from its
@@ -465,11 +468,13 @@ impl Server {
         let entry = graphs
             .get_mut(&key)
             .ok_or("graph evicted mid-update; retry")?;
-        let base = entry.graph.clone();
-        let applied = delta
-            .apply(&base)
+        let base = Arc::clone(&entry.graph);
+        let view = delta
+            .overlay(&*base)
             .map_err(|e| format!("applying --delta {delta_path}: {e}"))?;
-        entry.graph = applied.graph.clone();
+        let (removed, added) = (view.deleted_edges(), view.added_edges());
+        let next = Arc::new(CsrGraph::from_access(&view));
+        entry.graph = Arc::clone(&next);
         entry.last_used = Instant::now();
         drop(graphs);
 
@@ -479,10 +484,9 @@ impl Server {
         let mut indexes = lock(&self.indexes);
         let keys: Vec<IndexKey> = indexes.keys().filter(|k| k.0 == key).cloned().collect();
         for ikey in keys {
-            let collides = applied
-                .removed
+            let collides = removed
                 .iter()
-                .chain(&applied.added)
+                .chain(&added)
                 .any(|e| ikey.2.contains(&(e.u(), e.v())));
             if collides {
                 indexes.remove(&ikey);
@@ -495,19 +499,20 @@ impl Server {
             // patched one.
             let mut idx = (*entry.index).clone();
             idx.set_parallelism(self.pool.attach_recorder(recorder.clone()));
-            // Replay the net delta on this index's released view (its
-            // targets removed): deletions need no graph, each insertion
-            // enumerates against the state that already holds it.
-            let mut released = base.clone();
+            // Replay the net delta on this index's released view (an
+            // overlay of the old snapshot with its targets removed):
+            // deletions need no graph, each insertion enumerates against
+            // the state that already holds it.
+            let mut released = DeltaView::new(&*base);
             for &(u, v) in &ikey.2 {
-                released.remove_edge(u, v);
+                released.delete_edge(Edge::new(u, v));
             }
-            for &e in &applied.removed {
+            for &e in &removed {
                 idx.delete_edge(e);
-                released.remove_edge(e.u(), e.v());
+                released.delete_edge(e);
             }
-            for &e in &applied.added {
-                released.add_edge(e.u(), e.v());
+            for &e in &added {
+                released.add_edge(e);
                 discovered += idx.insert_edge(&released, e);
             }
             entry.index = Arc::new(idx);
@@ -520,10 +525,10 @@ impl Server {
         let _ = writeln!(
             out,
             "updated {path}: -{}/+{} edge(s), now {} nodes, {} edges (resident only)",
-            applied.removed.len(),
-            applied.added.len(),
-            applied.graph.node_count(),
-            applied.graph.edge_count(),
+            removed.len(),
+            added.len(),
+            next.node_count(),
+            next.edge_count(),
         );
         let _ = writeln!(
             out,
@@ -536,7 +541,7 @@ impl Server {
         Ok(out)
     }
 
-    fn graph_for(&self, p: &Parsed, recorder: &Recorder) -> Result<Graph, String> {
+    fn graph_for(&self, p: &Parsed, recorder: &Recorder) -> Result<Arc<CsrGraph>, String> {
         let path = p
             .positional
             .first()
@@ -544,7 +549,7 @@ impl Server {
         let key = graph_key(path);
         if let Some(entry) = lock(&self.graphs).get_mut(&key) {
             entry.last_used = Instant::now();
-            let g = entry.graph.clone();
+            let g = Arc::clone(&entry.graph);
             self.bump(Some(recorder), |s| s.graph_hits.inc());
             return Ok(g);
         }
@@ -556,7 +561,7 @@ impl Server {
         lock(&self.graphs).insert(
             key,
             GraphEntry {
-                graph: g.clone(),
+                graph: Arc::clone(&g),
                 snapshot,
                 last_used: Instant::now(),
             },
@@ -571,7 +576,7 @@ impl Server {
     fn index_for(
         &self,
         p: &Parsed,
-        g: &Graph,
+        g: &Arc<CsrGraph>,
         recorder: &Recorder,
     ) -> Result<Option<Arc<PartitionedCoverageIndex>>, String> {
         if !matches!(p.get_or("algorithm", "sgb"), "sgb" | "celf" | "ct" | "wt") {
@@ -597,7 +602,7 @@ impl Server {
         // The instance defines the released graph the index covers; the
         // run will rebuild the same instance from the same inputs, so the
         // seed's motif/target check matches.
-        let instance = TppInstance::new(g.clone(), targets).map_err(|e| e.to_string())?;
+        let instance = TppInstance::new(Arc::clone(g), targets).map_err(|e| e.to_string())?;
         let exec = self.pool.attach_recorder(recorder.clone());
         let index = Arc::new(PartitionedCoverageIndex::build_parallel(
             instance.released(),

@@ -102,15 +102,15 @@ mod tests {
     /// Applies a small delta to `g` (remove `removals` non-target edges,
     /// add `additions` non-edges), returning the mutated graph and the
     /// canonical (removed, added) lists.
-    fn mutate(
-        g: &Graph,
+    fn mutate<G: NeighborAccess>(
+        g: &G,
         targets: &[Edge],
         removals: usize,
         additions: usize,
     ) -> (Graph, Vec<Edge>, Vec<Edge>) {
         let mut view = DeltaView::new(g);
         let mut removed = 0usize;
-        for e in g.edge_vec() {
+        for e in g.collect_edges() {
             if removed == removals {
                 break;
             }

@@ -159,7 +159,7 @@ mod tests {
         for p in &plan.protectors {
             assert!(!inst.targets().contains(p));
             assert!(
-                inst.released().contains(*p),
+                inst.released().has_edge(p.u(), p.v()),
                 "protector must be a real edge"
             );
         }

@@ -7,7 +7,7 @@ use crate::problem::TppInstance;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use tpp_graph::Edge;
+use tpp_graph::{Edge, NeighborAccess};
 use tpp_motif::Motif;
 
 /// RD: deletes `k` links drawn uniformly at random from the released edge
@@ -19,7 +19,7 @@ pub fn random_deletion(
     motif: Motif,
     seed: u64,
 ) -> ProtectionPlan {
-    let mut pool = instance.released().edge_vec();
+    let mut pool = instance.released().collect_edges();
     let mut rng = StdRng::seed_from_u64(seed);
     pool.shuffle(&mut rng);
     pool.truncate(k);
@@ -50,7 +50,7 @@ pub fn random_deletion_from_subgraphs(
 /// through the coverage index (the baselines never *compute* gains — they
 /// only pay for deletions — so measured running time stays baseline-cheap).
 fn apply_fixed_deletions(
-    mut oracle: IndexOracle,
+    mut oracle: IndexOracle<'_>,
     deletions: Vec<Edge>,
     algorithm: AlgorithmKind,
 ) -> ProtectionPlan {
@@ -93,7 +93,7 @@ mod tests {
         plan.check_invariants();
         assert_eq!(plan.deletions(), 6);
         for p in &plan.protectors {
-            assert!(inst.released().contains(*p));
+            assert!(inst.released().has_edge(p.u(), p.v()));
         }
     }
 

@@ -24,6 +24,7 @@ use crate::plan::ProtectionPlan;
 use crate::problem::TppInstance;
 use tpp_graph::{Edge, Graph, NodeId};
 use tpp_motif::Motif;
+use tpp_store::CsrGraph;
 
 /// A node-protection result.
 #[derive(Debug, Clone)]
@@ -39,7 +40,7 @@ pub struct NodeProtection {
 impl NodeProtection {
     /// The graph to publish: node's links removed plus protectors deleted.
     #[must_use]
-    pub fn released_graph(&self) -> Graph {
+    pub fn released_graph(&self) -> CsrGraph {
         self.instance.apply_protectors(&self.plan.protectors)
     }
 }

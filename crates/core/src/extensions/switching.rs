@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tpp_graph::{Edge, Graph, NeighborAccess, NodeId};
 use tpp_motif::{count_all_targets, Motif};
-use tpp_store::{CsrGraph, DeltaView};
+use tpp_store::DeltaView;
 
 /// Outcome of a random link-switching perturbation.
 #[derive(Debug, Clone)]
@@ -110,8 +110,8 @@ pub fn random_switch(instance: &TppInstance, k: usize, motif: Motif, seed: u64) 
 /// Runs `trials` independent random switches and returns how many backfired
 /// (similarity increased) — an empirical estimate of the §VI-D failure rate.
 ///
-/// All trials share one immutable [`CsrGraph`] snapshot of the released
-/// graph; each trial is an overlay that is dropped without ever
+/// All trials share the instance's released [`tpp_store::CsrGraph`]
+/// snapshot; each trial is an overlay that is dropped without ever
 /// materializing a perturbed graph. Equivalent to
 /// [`backfire_rate_parallel`] with one thread.
 #[must_use]
@@ -131,8 +131,8 @@ pub fn backfire_rate_parallel(
     trials: u64,
     threads: usize,
 ) -> f64 {
-    let snapshot = CsrGraph::from_graph(instance.released());
-    let before: usize = count_all_targets(&snapshot, instance.targets(), motif)
+    let snapshot = instance.released();
+    let before: usize = count_all_targets(snapshot, instance.targets(), motif)
         .iter()
         .sum();
     // One seed range per worker, streamed — memory stays O(threads), not
@@ -158,7 +158,7 @@ pub fn backfire_rate_parallel(
             (lo..hi)
                 .filter(|&seed| {
                     let mut rng = StdRng::seed_from_u64(seed);
-                    let mut view = DeltaView::new(&snapshot);
+                    let mut view = DeltaView::new(snapshot);
                     switch_on_view(&mut view, instance.targets(), k, &mut rng);
                     let after: usize = count_all_targets(&view, instance.targets(), motif)
                         .iter()

@@ -26,6 +26,7 @@ use crate::plan::{AlgorithmKind, ProtectionPlan};
 use crate::problem::TppInstance;
 use tpp_graph::Edge;
 use tpp_motif::{InstanceId, Motif, PartitionedCoverageIndex};
+use tpp_store::CsrGraph;
 
 /// Runs weighted SGB-Greedy: each round deletes the candidate maximizing
 /// the weighted broken-instance mass `Σ_t w_t · Δ_t(p)`.
@@ -106,24 +107,19 @@ pub fn weighted_sgb_greedy(
 /// contribution but never change *which* instances a deletion breaks, so
 /// disjointness — and therefore exactness of accepted batch gains — is
 /// the unweighted test verbatim.
-pub struct WeightedIndexOracle {
-    inner: IndexOracle,
+pub struct WeightedIndexOracle<'a> {
+    inner: IndexOracle<'a>,
     weights: Vec<usize>,
 }
 
-impl WeightedIndexOracle {
+impl<'a> WeightedIndexOracle<'a> {
     /// Builds the oracle over the released graph (sequential index
     /// build). `weights[t]` is the integer importance of target `t`.
     ///
     /// # Panics
     /// Panics if `weights.len() != targets.len()`.
     #[must_use]
-    pub fn new(
-        released: &tpp_graph::Graph,
-        targets: &[Edge],
-        motif: Motif,
-        weights: &[usize],
-    ) -> Self {
+    pub fn new(released: &'a CsrGraph, targets: &[Edge], motif: Motif, weights: &[usize]) -> Self {
         Self::with_parallelism(
             released,
             targets,
@@ -140,7 +136,7 @@ impl WeightedIndexOracle {
     /// Panics if `weights.len() != targets.len()`.
     #[must_use]
     pub fn with_parallelism(
-        released: &tpp_graph::Graph,
+        released: &'a CsrGraph,
         targets: &[Edge],
         motif: Motif,
         weights: &[usize],
@@ -201,7 +197,7 @@ impl GainProbe for WeightedProbe<'_> {
     }
 }
 
-impl GainOracle for WeightedIndexOracle {
+impl GainOracle for WeightedIndexOracle<'_> {
     fn total_similarity(&self) -> usize {
         weighted_mass(self.inner.index().similarities(), &self.weights)
     }

@@ -56,4 +56,4 @@ pub use oracle::{
     DEFAULT_INDEX_PARTITIONS,
 };
 pub use plan::{AlgorithmKind, ProtectionPlan, StepRecord};
-pub use problem::TppInstance;
+pub use problem::{IntoSharedCsr, TppInstance};

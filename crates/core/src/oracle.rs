@@ -15,9 +15,9 @@
 //!   base is never cloned or mutated.
 
 use tpp_exec::Parallelism;
-use tpp_graph::{Edge, Graph, NeighborAccess};
+use tpp_graph::{Edge, FastSet, NeighborAccess};
 use tpp_motif::{count_target_subgraphs, InstanceId, Motif, PartitionedCoverageIndex};
-use tpp_store::DeltaView;
+use tpp_store::{CsrGraph, DeltaView};
 
 /// Candidate-set policy (Lemma 5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,15 +54,6 @@ pub trait GainOracle {
     fn candidates(&self, policy: CandidatePolicy) -> Vec<Edge>;
     /// Permanently deletes `p`; returns the realized gain.
     fn commit(&mut self, p: Edge) -> usize;
-    /// Applies an edge **insertion** to the oracle's committed state (a
-    /// graph-delta addition, the mirror of [`commit`](Self::commit));
-    /// returns the similarity increase. `e` must be absent and must not be
-    /// a target. Oracles without an insertion path keep the default, which
-    /// panics — the incremental re-protection flow only drives oracles
-    /// that override it.
-    fn insert_edge(&mut self, e: Edge) -> usize {
-        panic!("this oracle does not support edge insertion ({e})");
-    }
     /// Permanently deletes a batch of edges; returns the per-edge realized
     /// gains in input order. The default commits sequentially; oracles with
     /// a partition-parallel index override it with one shard-parallel
@@ -151,20 +142,23 @@ impl GainProbe for IndexProbe<'_> {
 /// shard-parallel commit phase to scale when threads are available.
 pub const DEFAULT_INDEX_PARTITIONS: usize = 8;
 
-/// Incremental oracle over a [`PartitionedCoverageIndex`] plus a mutable
-/// graph copy (the graph copy keeps `AllEdges` candidate sets accurate).
-/// Commits are shard-parallel: a deletion updates only the index partitions
-/// containing edges of the broken instances.
-pub struct IndexOracle {
+/// Incremental oracle over a [`PartitionedCoverageIndex`] and the borrowed
+/// released graph it was built over. Commits are shard-parallel: a deletion
+/// updates only the index partitions containing edges of the broken
+/// instances. The graph is never copied: `AllEdges` candidates are the
+/// released edges minus the committed deletions.
+pub struct IndexOracle<'a> {
     index: PartitionedCoverageIndex,
-    graph: Graph,
+    released: &'a CsrGraph,
+    /// Edges committed so far.
+    deleted: FastSet<Edge>,
 }
 
-impl IndexOracle {
+impl<'a> IndexOracle<'a> {
     /// Builds the oracle from the released graph and targets, with
     /// [`DEFAULT_INDEX_PARTITIONS`] index partitions.
     #[must_use]
-    pub fn new(released: &Graph, targets: &[Edge], motif: Motif) -> Self {
+    pub fn new(released: &'a CsrGraph, targets: &[Edge], motif: Motif) -> Self {
         Self::with_partitions_on(
             released,
             targets,
@@ -185,16 +179,16 @@ impl IndexOracle {
     /// Panics if `parts == 0`.
     #[must_use]
     pub fn with_partitions_on(
-        released: &Graph,
+        released: &'a CsrGraph,
         targets: &[Edge],
         motif: Motif,
         parts: usize,
         exec: &Parallelism,
     ) -> Self {
-        IndexOracle {
-            index: PartitionedCoverageIndex::build_parallel(released, targets, motif, parts, exec),
-            graph: released.clone(),
-        }
+        Self::from_prebuilt(
+            PartitionedCoverageIndex::build_parallel(released, targets, motif, parts, exec),
+            released,
+        )
     }
 
     /// Wraps an already-built index (a warm clone from a serve registry)
@@ -202,10 +196,11 @@ impl IndexOracle {
     /// over `released` with the run's motif and targets; a deterministic
     /// build means the clone behaves bit-identically to a fresh build.
     #[must_use]
-    pub fn from_prebuilt(index: PartitionedCoverageIndex, released: &Graph) -> Self {
+    pub fn from_prebuilt(index: PartitionedCoverageIndex, released: &'a CsrGraph) -> Self {
         IndexOracle {
             index,
-            graph: released.clone(),
+            released,
+            deleted: FastSet::default(),
         }
     }
 
@@ -215,15 +210,9 @@ impl IndexOracle {
     pub fn index(&self) -> &PartitionedCoverageIndex {
         &self.index
     }
-
-    /// The graph with all committed deletions applied.
-    #[must_use]
-    pub fn graph(&self) -> &Graph {
-        &self.graph
-    }
 }
 
-impl GainOracle for IndexOracle {
+impl GainOracle for IndexOracle<'_> {
     fn total_similarity(&self) -> usize {
         self.index.total_similarity()
     }
@@ -246,26 +235,23 @@ impl GainOracle for IndexOracle {
 
     fn candidates(&self, policy: CandidatePolicy) -> Vec<Edge> {
         match policy {
-            CandidatePolicy::AllEdges => self.graph.edge_vec(),
+            CandidatePolicy::AllEdges => {
+                let mut edges = self.released.collect_edges();
+                edges.retain(|e| !self.deleted.contains(e));
+                edges
+            }
             CandidatePolicy::SubgraphEdges => self.index.alive_candidate_edges(),
         }
     }
 
     fn commit(&mut self, p: Edge) -> usize {
-        self.graph.remove_edge(p.u(), p.v());
+        self.deleted.insert(p);
         self.index.delete_edge(p)
     }
 
     fn commit_batch(&mut self, edges: &[Edge]) -> Vec<usize> {
-        for e in edges {
-            self.graph.remove_edge(e.u(), e.v());
-        }
+        self.deleted.extend(edges.iter().copied());
         self.index.delete_edges(edges)
-    }
-
-    fn insert_edge(&mut self, e: Edge) -> usize {
-        self.graph.add_edge(e.u(), e.v());
-        self.index.insert_edge(&self.graph, e)
     }
 
     fn gain_set(&mut self, p: Edge) -> Option<Vec<InstanceId>> {
@@ -286,8 +272,10 @@ impl GainOracle for IndexOracle {
 
     fn candidate_weight(&self, p: Edge) -> usize {
         // Index gains walk the instance lists of p's endpoints — degree is
-        // the cheap proxy for that list mass.
-        self.graph.degree(p.u()) + self.graph.degree(p.v()) + 1
+        // the cheap proxy for that list mass. Released degrees ignore the
+        // committed deletions; weights only place chunk boundaries, never
+        // change a gain.
+        self.released.degree(p.u()) + self.released.degree(p.v()) + 1
     }
 }
 
@@ -296,8 +284,8 @@ impl GainOracle for IndexOracle {
 /// stays immutable and shared; committed deletions live in the overlay, and each
 /// candidate evaluation is a tentative overlay delete + recount + restore.
 ///
-/// The base can be the released [`Graph`] itself or a `tpp_store::CsrGraph`
-/// snapshot (anything implementing [`NeighborAccess`]).
+/// The base can be the released [`CsrGraph`] itself or any other
+/// representation implementing [`NeighborAccess`].
 pub struct SnapshotOracle<'a, B: NeighborAccess> {
     view: DeltaView<'a, B>,
     targets: Vec<Edge>,
@@ -426,17 +414,6 @@ impl<B: NeighborAccess> GainOracle for SnapshotOracle<'_, B> {
         broken
     }
 
-    fn insert_edge(&mut self, e: Edge) -> usize {
-        if !self.view.add_edge(e) {
-            return 0;
-        }
-        self.current_per_target = count_each(&self.view, &self.targets, self.motif);
-        let after: usize = self.current_per_target.iter().sum();
-        let gained = after - self.current_total;
-        self.current_total = after;
-        gained
-    }
-
     fn target_count(&self) -> usize {
         self.targets.len()
     }
@@ -453,10 +430,10 @@ impl<B: NeighborAccess> GainOracle for SnapshotOracle<'_, B> {
 /// round engine instead of triplicating its evaluator dispatch.
 pub enum AnyOracle<'a> {
     /// Incremental coverage index ([`EvaluatorKind::Index`](crate::EvaluatorKind::Index)).
-    Index(IndexOracle),
+    Index(IndexOracle<'a>),
     /// Overlay recount over the borrowed released graph
     /// ([`EvaluatorKind::DeltaRecount`](crate::EvaluatorKind::DeltaRecount)).
-    Snapshot(SnapshotOracle<'a, Graph>),
+    Snapshot(SnapshotOracle<'a, CsrGraph>),
 }
 
 impl<'a> AnyOracle<'a> {
@@ -539,10 +516,6 @@ impl GainOracle for AnyOracle<'_> {
         any_oracle_delegate!(self, o => o.commit_batch(edges))
     }
 
-    fn insert_edge(&mut self, e: Edge) -> usize {
-        any_oracle_delegate!(self, o => o.insert_edge(e))
-    }
-
     fn gain_set(&mut self, p: Edge) -> Option<Vec<InstanceId>> {
         any_oracle_delegate!(self, o => o.gain_set(p))
     }
@@ -568,21 +541,25 @@ impl GainOracle for AnyOracle<'_> {
 mod tests {
     use super::*;
     use tpp_graph::generators::erdos_renyi_gnp;
+    use tpp_graph::Graph;
 
-    fn fixture(motif: Motif) -> (Graph, Vec<Edge>, IndexOracle) {
+    /// The released graph (as a `Graph` and as its CSR snapshot) and the
+    /// targets it hides.
+    fn fixture() -> (Graph, CsrGraph, Vec<Edge>) {
         let mut g = erdos_renyi_gnp(24, 0.25, 5);
         let targets = vec![Edge::new(0, 1), Edge::new(2, 3), Edge::new(4, 5)];
         for t in &targets {
             g.remove_edge(t.u(), t.v());
         }
-        let idx = IndexOracle::new(&g, &targets, motif);
-        (g, targets, idx)
+        let csr = CsrGraph::from_graph(&g);
+        (g, csr, targets)
     }
 
     #[test]
     fn oracles_agree_on_everything() {
         for motif in Motif::ALL {
-            let (g, targets, mut idx) = fixture(motif);
+            let (g, csr, targets) = fixture();
+            let mut idx = IndexOracle::new(&csr, &targets, motif);
             let mut naive = SnapshotOracle::new(&g, &targets, motif);
             assert_eq!(idx.total_similarity(), naive.total_similarity());
             let cands = idx.candidates(CandidatePolicy::SubgraphEdges);
@@ -609,7 +586,8 @@ mod tests {
 
     #[test]
     fn gain_split_sums_to_gain() {
-        let (_, _, mut idx) = fixture(Motif::Triangle);
+        let (_, csr, targets) = fixture();
+        let mut idx = IndexOracle::new(&csr, &targets, Motif::Triangle);
         for p in idx.candidates(CandidatePolicy::SubgraphEdges) {
             let total = idx.gain(p);
             let split_sum: usize = (0..idx.target_count())
@@ -623,7 +601,8 @@ mod tests {
 
     #[test]
     fn all_edges_policy_includes_zero_gain_edges() {
-        let (g, _, idx) = fixture(Motif::Triangle);
+        let (g, csr, targets) = fixture();
+        let idx = IndexOracle::new(&csr, &targets, Motif::Triangle);
         let all = idx.candidates(CandidatePolicy::AllEdges);
         let restricted = idx.candidates(CandidatePolicy::SubgraphEdges);
         assert_eq!(all.len(), g.edge_count());
@@ -635,7 +614,8 @@ mod tests {
 
     #[test]
     fn committed_edges_leave_candidates() {
-        let (_, _, mut idx) = fixture(Motif::Triangle);
+        let (_, csr, targets) = fixture();
+        let mut idx = IndexOracle::new(&csr, &targets, Motif::Triangle);
         let all_before = idx.candidates(CandidatePolicy::AllEdges).len();
         let p = idx.candidates(CandidatePolicy::SubgraphEdges)[0];
         idx.commit(p);
@@ -648,8 +628,8 @@ mod tests {
     #[test]
     fn snapshot_oracle_agrees_with_both_paths() {
         for motif in Motif::ALL {
-            let (g, targets, mut idx) = fixture(motif);
-            let csr = tpp_store::CsrGraph::from_graph(&g);
+            let (g, csr, targets) = fixture();
+            let mut idx = IndexOracle::new(&csr, &targets, motif);
             let mut snap_graph = SnapshotOracle::new(&g, &targets, motif);
             let mut snap_csr = SnapshotOracle::new(&csr, &targets, motif);
             assert_eq!(snap_graph.total_similarity(), idx.total_similarity());
@@ -686,8 +666,7 @@ mod tests {
 
     #[test]
     fn snapshot_oracle_gain_on_missing_edge_is_zero() {
-        let (g, targets, _) = fixture(Motif::Triangle);
-        let csr = tpp_store::CsrGraph::from_graph(&g);
+        let (_, csr, targets) = fixture();
         let mut snap = SnapshotOracle::new(&csr, &targets, Motif::Triangle);
         // Find a guaranteed-absent pair so the assertions always execute.
         let absent = (0..24u32)
@@ -702,7 +681,7 @@ mod tests {
     #[test]
     fn naive_gain_on_missing_edge_is_zero() {
         // The plain-config recount oracle over the released graph itself.
-        let (g, targets, _) = fixture(Motif::Triangle);
+        let (g, _, targets) = fixture();
         let mut naive = SnapshotOracle::new(&g, &targets, Motif::Triangle);
         assert_eq!(naive.gain(Edge::new(0, 1)), 0, "target edge absent");
         assert_eq!(naive.gain_split(Edge::new(0, 1), 0), (0, 0));

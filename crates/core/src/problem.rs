@@ -4,18 +4,49 @@ use crate::error::TppError;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use tpp_graph::{Edge, FastSet, Graph};
+use std::sync::Arc;
+use tpp_graph::{Edge, Graph, NeighborAccess};
 use tpp_motif::{Motif, PartitionedCoverageIndex};
+use tpp_store::{CsrGraph, DeltaView};
+
+/// A graph [`TppInstance::new`] can take as its original: an
+/// `Arc<CsrGraph>` (owned or mapped) is shared as is, a [`CsrGraph`] moves
+/// in, and an adjacency-list [`Graph`] is copied into a snapshot once.
+pub trait IntoSharedCsr {
+    /// The graph as a shared snapshot.
+    fn into_shared_csr(self) -> Arc<CsrGraph>;
+}
+
+impl IntoSharedCsr for Arc<CsrGraph> {
+    fn into_shared_csr(self) -> Arc<CsrGraph> {
+        self
+    }
+}
+
+impl IntoSharedCsr for CsrGraph {
+    fn into_shared_csr(self) -> Arc<CsrGraph> {
+        Arc::new(self)
+    }
+}
+
+impl IntoSharedCsr for Graph {
+    fn into_shared_csr(self) -> Arc<CsrGraph> {
+        Arc::new(CsrGraph::from_graph(&self))
+    }
+}
 
 /// A Target Privacy Preserving instance.
 ///
 /// Construction performs **phase 1** of the paper's model: all target links
 /// are removed from the edge list (`E ← E \ T`), producing the *released*
-/// graph on which protectors are selected in phase 2.
+/// graph on which protectors are selected in phase 2. Both graphs are CSR
+/// snapshots: the original is shared (a mapped snapshot stays mapped), and
+/// the released graph is one sequential copy of it with the targets
+/// filtered out.
 #[derive(Debug, Clone)]
 pub struct TppInstance {
-    original: Graph,
-    released: Graph,
+    original: Arc<CsrGraph>,
+    released: CsrGraph,
     targets: Vec<Edge>,
 }
 
@@ -26,23 +57,23 @@ impl TppInstance {
     /// [`TppError::NoTargets`] for an empty target set,
     /// [`TppError::DuplicateTarget`] for repeated targets, and
     /// [`TppError::TargetNotInGraph`] if a target is not an original edge.
-    pub fn new(original: Graph, targets: Vec<Edge>) -> Result<Self, TppError> {
+    pub fn new(original: impl IntoSharedCsr, targets: Vec<Edge>) -> Result<Self, TppError> {
         if targets.is_empty() {
             return Err(TppError::NoTargets);
         }
-        let mut seen: FastSet<Edge> = FastSet::default();
+        let original = original.into_shared_csr();
+        let mut phase1 = DeltaView::new(&*original);
         for &t in &targets {
-            if !original.contains(t) {
+            if !original.has_edge(t.u(), t.v()) {
                 return Err(TppError::TargetNotInGraph(t));
             }
-            if !seen.insert(t) {
+            // An original edge the overlay no longer holds was deleted by
+            // an earlier entry of the list.
+            if !phase1.delete_edge(t) {
                 return Err(TppError::DuplicateTarget(t));
             }
         }
-        let mut released = original.clone();
-        for &t in &targets {
-            released.remove_edge(t.u(), t.v());
-        }
+        let released = CsrGraph::from_access(&phase1);
         Ok(TppInstance {
             original,
             released,
@@ -57,8 +88,8 @@ impl TppInstance {
     /// # Panics
     /// Panics if `count` exceeds the number of edges.
     #[must_use]
-    pub fn sample_targets(g: &Graph, count: usize, seed: u64) -> Vec<Edge> {
-        let mut edges = g.edge_vec();
+    pub fn sample_targets<G: NeighborAccess>(g: &G, count: usize, seed: u64) -> Vec<Edge> {
+        let mut edges = g.collect_edges();
         assert!(
             count <= edges.len(),
             "cannot sample {count} targets from {} edges",
@@ -76,21 +107,22 @@ impl TppInstance {
     /// # Panics
     /// Panics if `count` exceeds the edge count (see [`Self::sample_targets`]).
     #[must_use]
-    pub fn with_random_targets(g: Graph, count: usize, seed: u64) -> Self {
-        let targets = Self::sample_targets(&g, count, seed);
+    pub fn with_random_targets(g: impl IntoSharedCsr, count: usize, seed: u64) -> Self {
+        let g = g.into_shared_csr();
+        let targets = Self::sample_targets(&*g, count, seed);
         Self::new(g, targets).expect("sampled targets are valid by construction")
     }
 
     /// The original (pre-release) graph, including target links.
     #[must_use]
-    pub fn original(&self) -> &Graph {
+    pub fn original(&self) -> &CsrGraph {
         &self.original
     }
 
     /// The phase-1 graph: original minus all targets. Protector selection
     /// and adversarial analysis both operate on this graph.
     #[must_use]
-    pub fn released(&self) -> &Graph {
+    pub fn released(&self) -> &CsrGraph {
         &self.released
     }
 
@@ -121,12 +153,16 @@ impl TppInstance {
     }
 
     /// Applies a protector set: the final graph the releaser publishes
-    /// (released graph minus the given protectors).
+    /// (released graph minus the given protectors), as one filtered CSR
+    /// copy of the released graph. Protectors that are not released edges
+    /// are ignored.
     #[must_use]
-    pub fn apply_protectors(&self, protectors: &[Edge]) -> Graph {
-        let mut g = self.released.clone();
-        g.remove_edges(protectors);
-        g
+    pub fn apply_protectors(&self, protectors: &[Edge]) -> CsrGraph {
+        let mut release = DeltaView::new(&self.released);
+        for &p in protectors {
+            release.delete_edge(p);
+        }
+        CsrGraph::from_access(&release)
     }
 }
 
@@ -134,6 +170,7 @@ impl TppInstance {
 mod tests {
     use super::*;
     use tpp_graph::generators::complete_graph;
+    use tpp_graph::FastSet;
 
     #[test]
     fn phase1_removes_targets() {
@@ -142,8 +179,9 @@ mod tests {
         let inst = TppInstance::new(g.clone(), targets.clone()).unwrap();
         assert_eq!(inst.original().edge_count(), 10);
         assert_eq!(inst.released().edge_count(), 8);
-        assert!(!inst.released().contains(Edge::new(0, 1)));
-        assert!(!inst.released().contains(Edge::new(2, 3)));
+        assert!(!inst.released().has_edge(0, 1));
+        assert!(!inst.released().has_edge(2, 3));
+        inst.released().check_invariants();
         assert_eq!(inst.targets(), targets.as_slice());
         assert_eq!(inst.target_count(), 2);
     }
@@ -174,6 +212,12 @@ mod tests {
         let set: FastSet<Edge> = a.iter().copied().collect();
         assert_eq!(set.len(), 8);
         assert!(a.iter().all(|t| g.contains(*t)));
+        // Sampling reads the canonical edge order, so any representation
+        // of the same graph draws the same targets.
+        assert_eq!(
+            TppInstance::sample_targets(&CsrGraph::from_graph(&g), 8, 42),
+            a
+        );
         let c = TppInstance::sample_targets(&g, 8, 43);
         assert_ne!(a, c);
     }
@@ -194,8 +238,9 @@ mod tests {
         let inst = TppInstance::new(g, vec![Edge::new(0, 1)]).unwrap();
         let out = inst.apply_protectors(&[Edge::new(2, 3), Edge::new(0, 2)]);
         assert_eq!(out.edge_count(), inst.released().edge_count() - 2);
+        out.check_invariants();
         // instance untouched
-        assert!(inst.released().contains(Edge::new(2, 3)));
+        assert!(inst.released().has_edge(2, 3));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use tpp_core::{
     sgb_greedy_incremental, verify_plan, wt_greedy, wt_greedy_batch, BudgetDivision, GreedyConfig,
     ObsConfig, TppInstance,
 };
-use tpp_graph::{Edge, FastSet};
+use tpp_graph::{Edge, FastSet, NeighborAccess};
 use tpp_motif::Motif;
 
 fn instance_strategy() -> impl Strategy<Value = TppInstance> {
@@ -26,7 +26,7 @@ fn check_feasible(instance: &TppInstance, plan: &tpp_core::ProtectionPlan, motif
     let seen: FastSet<Edge> = plan.protectors.iter().copied().collect();
     assert_eq!(seen.len(), plan.protectors.len());
     for p in &plan.protectors {
-        assert!(instance.released().contains(*p));
+        assert!(instance.released().has_edge(p.u(), p.v()));
         assert!(!instance.targets().contains(p));
     }
     // bookkeeping matches a physical recount
@@ -35,6 +35,36 @@ fn check_feasible(instance: &TppInstance, plan: &tpp_core::ProtectionPlan, motif
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Phase 1 (`G − T`) and the release (`G − T − P`), built as filtered
+    /// CSR copies, equal the adjacency-list path they replaced: clone the
+    /// graph, then remove the edges. The protector list mixes a greedy
+    /// plan, a spread of released edges, repeats and the (already absent)
+    /// targets.
+    #[test]
+    fn derived_snapshots_match_the_graph_path(
+        instance in instance_strategy(),
+        k in 0usize..=4,
+        stride in 2usize..=9,
+    ) {
+        let mut phase1 = instance.original().to_graph();
+        for t in instance.targets() {
+            prop_assert!(phase1.remove_edge(t.u(), t.v()));
+        }
+        instance.released().check_invariants();
+        prop_assert_eq!(instance.released().to_graph(), phase1.clone());
+
+        let plan = sgb_greedy(&instance, k, &GreedyConfig::scalable(Motif::Triangle));
+        let mut protectors = plan.protectors.clone();
+        protectors.extend(phase1.edge_vec().into_iter().step_by(stride));
+        protectors.extend_from_slice(&plan.protectors);
+        protectors.extend_from_slice(instance.targets());
+        let release = instance.apply_protectors(&protectors);
+        release.check_invariants();
+        let mut expected = phase1;
+        expected.remove_edges(&protectors);
+        prop_assert_eq!(release.to_graph(), expected);
+    }
 
     /// SGB plans are feasible and achieve at least (1 - 1/e) of the brute
     /// force optimum for k = 2 (Theorem 3).
@@ -400,7 +430,7 @@ proptest! {
         let base_released = instance.released();
         let mut view = tpp_store::DeltaView::new(base_released);
         let mut done = 0usize;
-        for e in base_released.edge_vec() {
+        for e in base_released.collect_edges() {
             if done == removals { break; }
             if view.delete_edge(e) { done += 1; }
         }

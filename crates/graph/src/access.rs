@@ -31,6 +31,7 @@ use crate::edge::{Edge, NodeId};
 use crate::graph::Graph;
 use crate::kernels;
 use crate::view::MaskedGraph;
+use std::borrow::Cow;
 
 /// Read-only access to a simple undirected graph with sorted adjacency.
 pub trait NeighborAccess {
@@ -60,6 +61,17 @@ pub trait NeighborAccess {
     fn neighbors_slice(&self, u: NodeId) -> Option<&[NodeId]> {
         let _ = u;
         None
+    }
+
+    /// The sorted neighbor list of `u` as a slice: borrowed from
+    /// [`NeighborAccess::neighbors_slice`] when the representation has one,
+    /// collected from the iterator otherwise. For loops that need prefix
+    /// sub-slices or a slice comparison rather than a stream.
+    fn neighbors_cow(&self, u: NodeId) -> Cow<'_, [NodeId]> {
+        match self.neighbors_slice(u) {
+            Some(s) => Cow::Borrowed(s),
+            None => Cow::Owned(self.neighbors_iter(u).collect()),
+        }
     }
 
     /// Iterates all node ids.
@@ -300,6 +312,11 @@ mod tests {
         // A masked view is iterator-only: the default must stay None.
         let view = MaskedGraph::new(&g, []);
         assert!(view.neighbors_slice(0).is_none());
+        // neighbors_cow borrows on the slice path and collects otherwise.
+        for u in 0..30u32 {
+            assert!(matches!(g.neighbors_cow(u), Cow::Borrowed(_)));
+            assert_eq!(*view.neighbors_cow(u), *g.neighbors(u));
+        }
     }
 
     #[test]

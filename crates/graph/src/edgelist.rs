@@ -8,6 +8,7 @@
 //! ids may be arbitrary non-negative integers; the graph is grown to the
 //! maximum id seen.
 
+use crate::access::NeighborAccess;
 use crate::edge::NodeId;
 use crate::error::GraphError;
 use crate::graph::Graph;
@@ -85,11 +86,13 @@ fn parse_id(token: Option<&str>, line: usize) -> Result<NodeId, GraphError> {
 
 /// Serializes a graph to edge-list text (canonical order, one edge per line).
 #[must_use]
-pub fn write_edge_list(g: &Graph) -> String {
+pub fn write_edge_list<G: NeighborAccess>(g: &G) -> String {
     let mut out = String::with_capacity(g.edge_count() * 12);
     let _ = writeln!(out, "# nodes: {} edges: {}", g.node_count(), g.edge_count());
-    for e in g.edges() {
-        let _ = writeln!(out, "{} {}", e.u(), e.v());
+    for u in g.node_ids() {
+        for v in g.neighbors_iter(u).filter(|&v| u < v) {
+            let _ = writeln!(out, "{u} {v}");
+        }
     }
     out
 }
@@ -111,7 +114,10 @@ pub fn read_edge_list_file<P: AsRef<Path>>(path: P) -> Result<Graph, GraphError>
 ///
 /// # Errors
 /// I/O failures are surfaced as [`GraphError::Parse`] at line 0.
-pub fn write_edge_list_file<P: AsRef<Path>>(g: &Graph, path: P) -> Result<(), GraphError> {
+pub fn write_edge_list_file<G: NeighborAccess, P: AsRef<Path>>(
+    g: &G,
+    path: P,
+) -> Result<(), GraphError> {
     std::fs::write(path.as_ref(), write_edge_list(g)).map_err(|e| GraphError::Parse {
         line: 0,
         reason: format!("io error writing {}: {e}", path.as_ref().display()),

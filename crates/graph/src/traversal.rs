@@ -1,5 +1,6 @@
 //! Breadth-first traversal, connectivity, and shortest-path utilities.
 
+use crate::access::NeighborAccess;
 use crate::edge::NodeId;
 use crate::graph::Graph;
 use std::collections::VecDeque;
@@ -10,14 +11,14 @@ pub const UNREACHABLE: u32 = u32::MAX;
 /// BFS distances (in hops) from `src` to every node.
 /// Unreachable nodes get [`UNREACHABLE`].
 #[must_use]
-pub fn bfs_distances(g: &Graph, src: NodeId) -> Vec<u32> {
+pub fn bfs_distances<G: NeighborAccess>(g: &G, src: NodeId) -> Vec<u32> {
     let mut dist = vec![UNREACHABLE; g.node_count()];
     let mut queue = VecDeque::with_capacity(64);
     dist[src as usize] = 0;
     queue.push_back(src);
     while let Some(u) = queue.pop_front() {
         let du = dist[u as usize];
-        for &v in g.neighbors(u) {
+        for v in g.neighbors_iter(u) {
             if dist[v as usize] == UNREACHABLE {
                 dist[v as usize] = du + 1;
                 queue.push_back(v);

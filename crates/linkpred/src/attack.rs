@@ -11,7 +11,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 use tpp_exec::Parallelism;
-use tpp_graph::{Edge, Graph, NodeId};
+use tpp_graph::{Edge, NeighborAccess, NodeId};
 use tpp_motif::{count_target_subgraphs, Motif};
 
 /// Spans per worker for the pair-scoring sweep — enough stealable slack
@@ -33,7 +33,7 @@ pub enum Attacker {
 impl Attacker {
     /// Scores the candidate pair `(u, v)` against the released graph.
     #[must_use]
-    pub fn score(&self, g: &Graph, u: NodeId, v: NodeId) -> f64 {
+    pub fn score<G: NeighborAccess>(&self, g: &G, u: NodeId, v: NodeId) -> f64 {
         match *self {
             Attacker::Index(idx) => idx.score(g, u, v),
             Attacker::MotifCount(motif) => count_target_subgraphs(g, u, v, motif) as f64,
@@ -80,7 +80,12 @@ impl AttackOutcome {
 /// Samples `count` node pairs that are neither edges of `g` nor listed in
 /// `exclude` (e.g. the hidden targets themselves).
 #[must_use]
-pub fn sample_non_edges(g: &Graph, count: usize, exclude: &[Edge], seed: u64) -> Vec<Edge> {
+pub fn sample_non_edges<G: NeighborAccess>(
+    g: &G,
+    count: usize,
+    exclude: &[Edge],
+    seed: u64,
+) -> Vec<Edge> {
     let n = g.node_count();
     assert!(n >= 2, "need at least two nodes to sample non-edges");
     let excluded: tpp_graph::FastSet<Edge> = exclude.iter().copied().collect();
@@ -100,7 +105,7 @@ pub fn sample_non_edges(g: &Graph, count: usize, exclude: &[Edge], seed: u64) ->
             continue;
         }
         let e = Edge::new(u, v);
-        if g.contains(e) || excluded.contains(&e) || seen.contains(&e) {
+        if g.has_edge(u, v) || excluded.contains(&e) || seen.contains(&e) {
             continue;
         }
         seen.insert(e);
@@ -115,7 +120,12 @@ pub fn sample_non_edges(g: &Graph, count: usize, exclude: &[Edge], seed: u64) ->
 /// factor for every attacker kind), claim them work-stealing, and flatten
 /// the per-span results **in span order** — so the score vector is
 /// bit-identical at every thread count.
-fn score_pairs(g: &Graph, pairs: &[Edge], attacker: Attacker, exec: &Parallelism) -> Vec<f64> {
+fn score_pairs<G: NeighborAccess + Sync>(
+    g: &G,
+    pairs: &[Edge],
+    attacker: Attacker,
+    exec: &Parallelism,
+) -> Vec<f64> {
     let stats = exec.recorder().stats();
     let t0 = stats.map(|_| Instant::now());
     let scores: Vec<f64> = if exec.is_sequential() || pairs.len() <= 1 {
@@ -156,8 +166,8 @@ fn score_pairs(g: &Graph, pairs: &[Edge], attacker: Attacker, exec: &Parallelism
 /// Sequential reference entry point — delegates to
 /// [`evaluate_attack_on`] with a sequential executor.
 #[must_use]
-pub fn evaluate_attack(
-    g: &Graph,
+pub fn evaluate_attack<G: NeighborAccess + Sync>(
+    g: &G,
     targets: &[Edge],
     negatives: &[Edge],
     attacker: Attacker,
@@ -173,8 +183,8 @@ pub fn evaluate_attack(
 /// recorder, the attack section counts evaluations, pairs scored, and
 /// scoring wall time.
 #[must_use]
-pub fn evaluate_attack_on(
-    g: &Graph,
+pub fn evaluate_attack_on<G: NeighborAccess + Sync>(
+    g: &G,
     targets: &[Edge],
     negatives: &[Edge],
     attacker: Attacker,

@@ -2,7 +2,7 @@
 //! future work; we implement it so the attack harness can evaluate TPP
 //! protections against a path-counting adversary too.
 
-use tpp_graph::{Graph, NodeId};
+use tpp_graph::{NeighborAccess, NodeId};
 
 /// Katz similarity truncated at `max_len` hops:
 /// `Σ_{ℓ=1..max_len} β^ℓ · |walks of length ℓ from u to v|`.
@@ -12,14 +12,20 @@ use tpp_graph::{Graph, NodeId};
 /// the adjacency spectral radius for the untruncated series to converge;
 /// the truncated sum is always finite.
 #[must_use]
-pub fn katz_score(g: &Graph, u: NodeId, v: NodeId, beta: f64, max_len: usize) -> f64 {
+pub fn katz_score<G: NeighborAccess>(
+    g: &G,
+    u: NodeId,
+    v: NodeId,
+    beta: f64,
+    max_len: usize,
+) -> f64 {
     katz_row(g, u, beta, max_len)[v as usize]
 }
 
 /// Katz scores from `u` to every node (shared-work variant for ranking many
 /// candidate pairs with the same source).
 #[must_use]
-pub fn katz_row(g: &Graph, u: NodeId, beta: f64, max_len: usize) -> Vec<f64> {
+pub fn katz_row<G: NeighborAccess>(g: &G, u: NodeId, beta: f64, max_len: usize) -> Vec<f64> {
     let n = g.node_count();
     let mut walks = vec![0.0f64; n]; // walk counts of current length
     let mut next = vec![0.0f64; n];
@@ -29,12 +35,12 @@ pub fn katz_row(g: &Graph, u: NodeId, beta: f64, max_len: usize) -> Vec<f64> {
     for _ in 1..=max_len {
         beta_pow *= beta;
         next.iter_mut().for_each(|x| *x = 0.0);
-        for a in g.nodes() {
+        for a in g.node_ids() {
             let w = walks[a as usize];
             if w == 0.0 {
                 continue;
             }
-            for &b in g.neighbors(a) {
+            for b in g.neighbors_iter(a) {
                 next[b as usize] += w;
             }
         }

@@ -1,6 +1,6 @@
 //! Degree assortativity coefficient (Table II metric `r`).
 
-use tpp_graph::Graph;
+use tpp_graph::NeighborAccess;
 
 /// Newman's degree assortativity: the Pearson correlation of the degrees at
 /// the two ends of each edge.
@@ -16,19 +16,21 @@ use tpp_graph::Graph;
 /// Returns `None` when the graph has no edges or zero degree variance
 /// (e.g. regular graphs), where the correlation is undefined.
 #[must_use]
-pub fn assortativity(g: &Graph) -> Option<f64> {
+pub fn assortativity<G: NeighborAccess>(g: &G) -> Option<f64> {
     let m = g.edge_count();
     if m == 0 {
         return None;
     }
     let m_inv = 1.0 / m as f64;
     let (mut s_jk, mut s_half_sum, mut s_half_sq) = (0.0f64, 0.0f64, 0.0f64);
-    for e in g.edges() {
-        let j = g.degree(e.u()) as f64;
-        let k = g.degree(e.v()) as f64;
-        s_jk += j * k;
-        s_half_sum += 0.5 * (j + k);
-        s_half_sq += 0.5 * (j * j + k * k);
+    for u in g.node_ids() {
+        let j = g.degree(u) as f64;
+        for v in g.neighbors_iter(u).filter(|&v| u < v) {
+            let k = g.degree(v) as f64;
+            s_jk += j * k;
+            s_half_sum += 0.5 * (j + k);
+            s_half_sq += 0.5 * (j * j + k * k);
+        }
     }
     let mean = m_inv * s_half_sum;
     let var = m_inv * s_half_sq - mean * mean;

@@ -1,13 +1,13 @@
 //! Clustering coefficients (Table II metric `clust`).
 
 use tpp_graph::kernels::intersect_with;
-use tpp_graph::{fast_set_with_capacity, Edge, FastSet, Graph, NodeId};
+use tpp_graph::{fast_set_with_capacity, Edge, FastSet, NeighborAccess, NodeId};
 
 /// Local clustering coefficient of node `v`:
 /// `|{(a, b) ∈ E : a, b ∈ Γ(v)}| / (d_v (d_v − 1) / 2)`.
 /// Nodes with degree < 2 have coefficient 0 by convention.
 #[must_use]
-pub fn local_clustering(g: &Graph, v: NodeId) -> f64 {
+pub fn local_clustering<G: NeighborAccess>(g: &G, v: NodeId) -> f64 {
     coefficient(triangles_through(g, v) as f64, g.degree(v))
 }
 
@@ -27,10 +27,9 @@ fn coefficient(links: f64, d: usize) -> f64 {
 /// pairwise `has_edge` loop — the same result through the size-adaptive
 /// merge/gallop dispatch instead of `d_v²/2` binary searches.
 #[must_use]
-pub fn triangles_through(g: &Graph, v: NodeId) -> usize {
-    g.neighbors(v)
-        .iter()
-        .map(|&a| g.common_neighbor_count(v, a))
+pub fn triangles_through<G: NeighborAccess>(g: &G, v: NodeId) -> usize {
+    g.neighbors_iter(v)
+        .map(|a| g.common_neighbor_count(v, a))
         .sum::<usize>()
         / 2
 }
@@ -48,16 +47,16 @@ pub fn triangles_through(g: &Graph, v: NodeId) -> usize {
 /// A count never exceeds the edge count, so `u32` holds it for any graph
 /// with fewer than 2³² edges.
 #[must_use]
-pub fn triangle_counts(g: &Graph) -> Vec<u32> {
+pub fn triangle_counts<G: NeighborAccess>(g: &G) -> Vec<u32> {
     assert!(
         u32::try_from(g.edge_count()).is_ok(),
         "triangle_counts: more than u32::MAX edges"
     );
     let mut counts = vec![0u32; g.node_count()];
-    for u in g.nodes() {
-        let nu = g.neighbors(u);
+    for u in g.node_ids() {
+        let nu = g.neighbors_cow(u);
         for (i, &v) in nu.iter().enumerate().take_while(|&(_, &v)| v < u) {
-            let nv = g.neighbors(v);
+            let nv = g.neighbors_cow(v);
             let nv_below = &nv[..nv.partition_point(|&x| x < v)];
             let mut found = 0u32;
             intersect_with(&nu[..i], nv_below, None, None, |w| {
@@ -80,7 +79,11 @@ pub fn triangle_counts(g: &Graph) -> Vec<u32> {
 /// walk, so each destroyed triangle is subtracted exactly once, at its
 /// first deleted edge. `O(Σ_{(u,v) ∈ deleted} d_u + d_v)`, and `original`
 /// is only read.
-pub(crate) fn remove_deleted_triangles(original: &Graph, counts: &mut [u32], deleted: &[Edge]) {
+pub(crate) fn remove_deleted_triangles<G: NeighborAccess>(
+    original: &G,
+    counts: &mut [u32],
+    deleted: &[Edge],
+) {
     let mut removed: FastSet<Edge> = fast_set_with_capacity(deleted.len());
     for &e in deleted {
         let (u, v) = e.endpoints();
@@ -99,13 +102,13 @@ pub(crate) fn remove_deleted_triangles(original: &Graph, counts: &mut [u32], del
 /// the graph `g` they describe: in node order, each node contributing
 /// `t / (d (d − 1) / 2)` exactly as [`local_clustering`] does, so the
 /// result is bit-identical to the per-node loop.
-pub(crate) fn average_from_counts(g: &Graph, counts: &[u32]) -> f64 {
+pub(crate) fn average_from_counts<G: NeighborAccess>(g: &G, counts: &[u32]) -> f64 {
     let n = g.node_count();
     if n == 0 {
         return 0.0;
     }
     let sum: f64 = g
-        .nodes()
+        .node_ids()
         .map(|v| coefficient(f64::from(counts[v as usize]), g.degree(v)))
         .sum();
     sum / n as f64
@@ -114,13 +117,13 @@ pub(crate) fn average_from_counts(g: &Graph, counts: &[u32]) -> f64 {
 /// Average clustering coefficient `clust = Σ_v clust_v / N` over **all**
 /// nodes, exactly as defined in the paper (§VI, metric 2).
 #[must_use]
-pub fn average_clustering(g: &Graph) -> f64 {
+pub fn average_clustering<G: NeighborAccess>(g: &G) -> f64 {
     average_from_counts(g, &triangle_counts(g))
 }
 
 /// Total number of triangles in the graph (each counted once).
 #[must_use]
-pub fn triangle_count(g: &Graph) -> usize {
+pub fn triangle_count<G: NeighborAccess>(g: &G) -> usize {
     // Each triangle is counted at all 3 of its corners.
     triangle_counts(g)
         .iter()

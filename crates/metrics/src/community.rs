@@ -3,14 +3,14 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use tpp_graph::{Graph, NodeId};
+use tpp_graph::{Graph, NeighborAccess, NodeId};
 
 /// Newman modularity `Q` of a community assignment:
 /// `Q = Σ_c ( e_c / m − (deg_c / 2m)² )`
 /// where `e_c` is the number of intra-community edges and `deg_c` the total
 /// degree of community `c`. Returns 0 for edgeless graphs.
 #[must_use]
-pub fn modularity(g: &Graph, labels: &[usize]) -> f64 {
+pub fn modularity<G: NeighborAccess>(g: &G, labels: &[usize]) -> f64 {
     assert_eq!(labels.len(), g.node_count(), "labels must cover every node");
     let m = g.edge_count();
     if m == 0 {
@@ -19,12 +19,12 @@ pub fn modularity(g: &Graph, labels: &[usize]) -> f64 {
     let ncomm = labels.iter().copied().max().map_or(0, |c| c + 1);
     let mut intra = vec![0usize; ncomm];
     let mut deg_sum = vec![0u64; ncomm];
-    for u in g.nodes() {
+    for u in g.node_ids() {
         deg_sum[labels[u as usize]] += g.degree(u) as u64;
-    }
-    for e in g.edges() {
-        if labels[e.u() as usize] == labels[e.v() as usize] {
-            intra[labels[e.u() as usize]] += 1;
+        for v in g.neighbors_iter(u).filter(|&v| u < v) {
+            if labels[u as usize] == labels[v as usize] {
+                intra[labels[u as usize]] += 1;
+            }
         }
     }
     let m_f = m as f64;
@@ -42,7 +42,7 @@ pub fn modularity(g: &Graph, labels: &[usize]) -> f64 {
 /// usable at DBLP scale; quality below Louvain but adequate for utility-loss
 /// deltas.
 #[must_use]
-pub fn label_propagation(g: &Graph, seed: u64, max_sweeps: usize) -> Vec<usize> {
+pub fn label_propagation<G: NeighborAccess>(g: &G, seed: u64, max_sweeps: usize) -> Vec<usize> {
     let n = g.node_count();
     let mut labels: Vec<usize> = (0..n).collect();
     if n == 0 {
@@ -59,7 +59,7 @@ pub fn label_propagation(g: &Graph, seed: u64, max_sweeps: usize) -> Vec<usize> 
                 continue;
             }
             counts.clear();
-            for &v in g.neighbors(u) {
+            for v in g.neighbors_iter(u) {
                 *counts.entry(labels[v as usize]).or_insert(0) += 1;
             }
             // Deterministic tie-break: highest count, then smallest label.
@@ -85,23 +85,27 @@ pub fn label_propagation(g: &Graph, seed: u64, max_sweeps: usize) -> Vec<usize> 
 /// One-level Louvain local-moving + aggregation, repeated until modularity
 /// stops improving. Deterministic for a given seed.
 #[must_use]
-pub fn louvain(g: &Graph, seed: u64) -> Vec<usize> {
+pub fn louvain<G: NeighborAccess>(g: &G, seed: u64) -> Vec<usize> {
     let n = g.node_count();
     let mut labels: Vec<usize> = (0..n).collect();
     if g.edge_count() == 0 {
         return labels;
     }
     // node -> community mapping refined over levels, working on aggregated
-    // graphs. `membership[v]` maps an original node to its community.
-    let mut work = g.clone();
+    // graphs (level 0 reads `g` itself). `membership[v]` maps an original
+    // node to its community.
+    let mut work: Option<Graph> = None;
     let mut membership: Vec<usize> = (0..n).collect();
     let mut rng = StdRng::seed_from_u64(seed);
     for _level in 0..16 {
-        let moved = local_moving(&work, &mut rng);
+        let (moved, work_nodes) = match &work {
+            None => (local_moving(g, &mut rng), n),
+            Some(w) => (local_moving(w, &mut rng), w.node_count()),
+        };
         let mut level_labels = moved.clone();
         compact_labels(&mut level_labels);
         let ncomm = level_labels.iter().copied().max().map_or(0, |c| c + 1);
-        if ncomm == work.node_count() {
+        if ncomm == work_nodes {
             break; // no merge happened; converged
         }
         // Project to original nodes.
@@ -111,13 +115,10 @@ pub fn louvain(g: &Graph, seed: u64) -> Vec<usize> {
         // Aggregate: one node per community; keep simple-graph structure
         // (self-loops and multiplicities are dropped — adequate because the
         // stopping criterion is monotone modularity measured on `g`).
-        let mut agg = Graph::new(ncomm);
-        for e in work.edges() {
-            let (a, b) = (level_labels[e.u() as usize], level_labels[e.v() as usize]);
-            if a != b {
-                agg.add_edge(a as NodeId, b as NodeId);
-            }
-        }
+        let agg = match &work {
+            None => aggregate(g, &level_labels, ncomm),
+            Some(w) => aggregate(w, &level_labels, ncomm),
+        };
         // Stop if aggregation no longer improves modularity on the original.
         let q_before = modularity(g, &labels);
         let q_after = modularity(g, &membership);
@@ -125,18 +126,33 @@ pub fn louvain(g: &Graph, seed: u64) -> Vec<usize> {
             break;
         }
         labels.copy_from_slice(&membership);
-        work = agg;
+        work = Some(agg);
     }
     compact_labels(&mut labels);
     labels
 }
 
+/// Louvain phase 2: one node per community, one edge per pair of linked
+/// communities.
+fn aggregate<G: NeighborAccess>(g: &G, level_labels: &[usize], ncomm: usize) -> Graph {
+    let mut agg = Graph::new(ncomm);
+    for u in g.node_ids() {
+        for v in g.neighbors_iter(u).filter(|&v| u < v) {
+            let (a, b) = (level_labels[u as usize], level_labels[v as usize]);
+            if a != b {
+                agg.add_edge(a as NodeId, b as NodeId);
+            }
+        }
+    }
+    agg
+}
+
 /// Louvain phase 1: greedy local moving maximizing the modularity gain.
-fn local_moving(g: &Graph, rng: &mut StdRng) -> Vec<usize> {
+fn local_moving<G: NeighborAccess>(g: &G, rng: &mut StdRng) -> Vec<usize> {
     let n = g.node_count();
     let m2 = (2 * g.edge_count()) as f64; // 2m
     let mut labels: Vec<usize> = (0..n).collect();
-    let mut comm_degree: Vec<f64> = g.degrees().iter().map(|&d| d as f64).collect();
+    let mut comm_degree: Vec<f64> = g.node_ids().map(|u| g.degree(u) as f64).collect();
     let degrees: Vec<f64> = comm_degree.clone();
     let mut order: Vec<NodeId> = (0..n as NodeId).collect();
     order.shuffle(rng);
@@ -147,7 +163,7 @@ fn local_moving(g: &Graph, rng: &mut StdRng) -> Vec<usize> {
             let ui = u as usize;
             let current = labels[ui];
             neighbor_weights.clear();
-            for &v in g.neighbors(u) {
+            for v in g.neighbors_iter(u) {
                 *neighbor_weights.entry(labels[v as usize]).or_insert(0.0) += 1.0;
             }
             // Remove u from its community for the gain computation.
@@ -188,7 +204,7 @@ pub fn compact_labels(labels: &mut [usize]) {
 
 /// Convenience: best modularity of the graph under Louvain communities.
 #[must_use]
-pub fn louvain_modularity(g: &Graph, seed: u64) -> f64 {
+pub fn louvain_modularity<G: NeighborAccess>(g: &G, seed: u64) -> f64 {
     let labels = louvain(g, seed);
     modularity(g, &labels)
 }

@@ -1,17 +1,17 @@
 //! k-shell decomposition / core numbers (Table II metric `cn`).
 
-use tpp_graph::{Graph, NodeId};
+use tpp_graph::{NeighborAccess, NodeId};
 
 /// Core number of every node via the linear-time bucket peeling algorithm
 /// (Batagelj–Zaveršnik). `core[v]` is the largest `k` such that `v` belongs
 /// to a subgraph where every node has degree ≥ `k`.
 #[must_use]
-pub fn core_numbers(g: &Graph) -> Vec<u32> {
+pub fn core_numbers<G: NeighborAccess>(g: &G) -> Vec<u32> {
     let n = g.node_count();
     if n == 0 {
         return Vec::new();
     }
-    let mut degree: Vec<usize> = g.degrees();
+    let mut degree: Vec<usize> = g.node_ids().map(|u| g.degree(u)).collect();
     let max_deg = *degree.iter().max().unwrap_or(&0);
 
     // bucket sort nodes by degree
@@ -38,7 +38,7 @@ pub fn core_numbers(g: &Graph) -> Vec<u32> {
     for i in 0..n {
         let v = order[i];
         core[v as usize] = degree[v as usize] as u32;
-        for &u in g.neighbors(v) {
+        for u in g.neighbors_iter(v) {
             let u_us = u as usize;
             if degree[u_us] > degree[v as usize] {
                 // Move u one bucket down: swap with the first node of its bucket.
@@ -61,7 +61,7 @@ pub fn core_numbers(g: &Graph) -> Vec<u32> {
 
 /// Average core number `cn = Σ_v cn_v / N` (paper §VI, metric 4).
 #[must_use]
-pub fn average_core_number(g: &Graph) -> f64 {
+pub fn average_core_number<G: NeighborAccess>(g: &G) -> f64 {
     let n = g.node_count();
     if n == 0 {
         return 0.0;
@@ -72,7 +72,7 @@ pub fn average_core_number(g: &Graph) -> f64 {
 
 /// Maximum core number (the graph's degeneracy).
 #[must_use]
-pub fn degeneracy(g: &Graph) -> u32 {
+pub fn degeneracy<G: NeighborAccess>(g: &G) -> u32 {
     core_numbers(g).into_iter().max().unwrap_or(0)
 }
 

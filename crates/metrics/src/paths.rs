@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use tpp_graph::traversal::{bfs_distances, UNREACHABLE};
-use tpp_graph::{Graph, NodeId};
+use tpp_graph::{NeighborAccess, NodeId};
 
 /// Aggregate path-length statistics.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,12 +35,12 @@ impl PathLengthStats {
 /// connected; after protector deletion small disconnections can appear and
 /// must not produce infinities).
 #[must_use]
-pub fn average_path_length(g: &Graph) -> PathLengthStats {
+pub fn average_path_length<G: NeighborAccess>(g: &G) -> PathLengthStats {
     let n = g.node_count();
     let total_pairs = n * n.saturating_sub(1) / 2;
     let mut sum = 0u64;
     let mut reachable = 0usize;
-    for u in g.nodes() {
+    for u in g.node_ids() {
         let dist = bfs_distances(g, u);
         for v in (u + 1)..n as NodeId {
             let d = dist[v as usize];
@@ -65,7 +65,7 @@ pub fn average_path_length(g: &Graph) -> PathLengthStats {
 /// `O(sources (V + E))`. Used for DBLP-scale graphs where the exact metric
 /// "can't be efficiently computed on a general server" (paper §VI).
 #[must_use]
-pub fn sampled_path_length(g: &Graph, sources: usize, seed: u64) -> PathLengthStats {
+pub fn sampled_path_length<G: NeighborAccess>(g: &G, sources: usize, seed: u64) -> PathLengthStats {
     let n = g.node_count();
     let total_pairs = n * n.saturating_sub(1) / 2;
     if n < 2 || sources == 0 {

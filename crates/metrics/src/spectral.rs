@@ -4,7 +4,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tpp_graph::Graph;
+use tpp_graph::NeighborAccess;
 
 /// Default number of power-iteration steps. The Laplacians of the paper's
 /// graphs have well-separated top eigenvalues, so convergence is fast; the
@@ -15,11 +15,11 @@ pub const DEFAULT_ITERS: usize = 600;
 pub const DEFAULT_TOL: f64 = 1e-10;
 
 /// Multiplies `y = L x` where `L = D − A`, without materializing `L`.
-fn laplacian_mul(g: &Graph, x: &[f64], y: &mut [f64]) {
-    for u in g.nodes() {
+fn laplacian_mul<G: NeighborAccess>(g: &G, x: &[f64], y: &mut [f64]) {
+    for u in g.node_ids() {
         let ui = u as usize;
         let mut acc = g.degree(u) as f64 * x[ui];
-        for &v in g.neighbors(u) {
+        for v in g.neighbors_iter(u) {
             acc -= x[v as usize];
         }
         y[ui] = acc;
@@ -47,8 +47,8 @@ fn orthogonalize_against(v: &mut [f64], basis: &[Vec<f64>]) {
 
 /// Power iteration for the dominant eigenpair of `L`, deflated against
 /// `basis` (previously found eigenvectors). Returns `(eigenvalue, vector)`.
-fn dominant_eigenpair(
-    g: &Graph,
+fn dominant_eigenpair<G: NeighborAccess>(
+    g: &G,
     basis: &[Vec<f64>],
     iters: usize,
     tol: f64,
@@ -80,7 +80,7 @@ fn dominant_eigenpair(
 
 /// Largest eigenvalue `λ₁` of the Laplacian.
 #[must_use]
-pub fn largest_laplacian_eigenvalue(g: &Graph, seed: u64) -> f64 {
+pub fn largest_laplacian_eigenvalue<G: NeighborAccess>(g: &G, seed: u64) -> f64 {
     if g.node_count() == 0 {
         return 0.0;
     }
@@ -93,7 +93,7 @@ pub fn largest_laplacian_eigenvalue(g: &Graph, seed: u64) -> f64 {
 /// For Laplacians with a repeated top eigenvalue (e.g. complete graphs),
 /// deflation correctly returns the same value again.
 #[must_use]
-pub fn second_largest_laplacian_eigenvalue(g: &Graph, seed: u64) -> f64 {
+pub fn second_largest_laplacian_eigenvalue<G: NeighborAccess>(g: &G, seed: u64) -> f64 {
     if g.node_count() < 2 {
         return 0.0;
     }

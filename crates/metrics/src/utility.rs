@@ -13,7 +13,7 @@ use crate::{
 };
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use tpp_graph::{Edge, Graph};
+use tpp_graph::{Edge, NeighborAccess};
 
 /// The six utility metrics of Table II.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -121,7 +121,7 @@ impl UtilityValues {
 
 /// Evaluates the configured metrics on `g`.
 #[must_use]
-pub fn compute_utility(g: &Graph, config: &UtilityConfig) -> UtilityValues {
+pub fn compute_utility<G: NeighborAccess>(g: &G, config: &UtilityConfig) -> UtilityValues {
     let values = config
         .metrics
         .iter()
@@ -131,7 +131,7 @@ pub fn compute_utility(g: &Graph, config: &UtilityConfig) -> UtilityValues {
 }
 
 /// One metric of `g` under `config`, from scratch.
-fn metric_value(g: &Graph, metric: UtilityMetric, config: &UtilityConfig) -> f64 {
+fn metric_value<G: NeighborAccess>(g: &G, metric: UtilityMetric, config: &UtilityConfig) -> f64 {
     match metric {
         UtilityMetric::AvgPathLength => match config.path_sources {
             None => average_path_length(g).mean,
@@ -153,18 +153,21 @@ fn metric_value(g: &Graph, metric: UtilityMetric, config: &UtilityConfig) -> f64
 /// one memcmp, and a differing slice is walked as a sorted subsequence.
 /// A degree check would not do, because a degree-preserving rewiring
 /// keeps every degree.
-fn deleted_edges(original: &Graph, released: &Graph) -> Option<Vec<Edge>> {
+fn deleted_edges<G: NeighborAccess, H: NeighborAccess>(
+    original: &G,
+    released: &H,
+) -> Option<Vec<Edge>> {
     if original.node_count() != released.node_count() {
         return None;
     }
     let mut deleted = Vec::new();
-    for u in original.nodes() {
-        let (before, after) = (original.neighbors(u), released.neighbors(u));
+    for u in original.node_ids() {
+        let (before, after) = (original.neighbors_cow(u), released.neighbors_cow(u));
         if before == after {
             continue;
         }
         let mut kept = after.iter().peekable();
-        for &v in before {
+        for &v in before.iter() {
             if kept.next_if_eq(&&v).is_none() && u < v {
                 deleted.push(Edge::new(u, v));
             }
@@ -182,7 +185,7 @@ fn deleted_edges(original: &Graph, released: &Graph) -> Option<Vec<Edge>> {
 /// are computed once, summed, patched in place for the deleted edges,
 /// and re-summed with the released degrees; otherwise `released` is
 /// counted from scratch.
-fn clustering_pair(original: &Graph, released: &Graph) -> (f64, f64) {
+fn clustering_pair<G: NeighborAccess, H: NeighborAccess>(original: &G, released: &H) -> (f64, f64) {
     let deleted = deleted_edges(original, released);
     let mut counts = triangle_counts(original);
     let before = average_from_counts(original, &counts);
@@ -232,14 +235,16 @@ impl UtilityLossReport {
 /// Measures both graphs under `config` and reports the loss ratios.
 ///
 /// Every value equals, bit for bit, what [`compute_utility`] gives on
-/// each graph. Clustering is the one metric not recomputed twice: when
+/// each graph, whatever their representations (the two are independent
+/// type parameters: an adjacency-list original against a CSR release is
+/// fine). Clustering is the one metric not recomputed twice: when
 /// `released` only lacks edges of `original` (the paper's `G − T − P`),
 /// the deleted edges' triangles are patched out of the original's
 /// per-node counts instead.
 #[must_use]
-pub fn utility_loss(
-    original: &Graph,
-    released: &Graph,
+pub fn utility_loss<G: NeighborAccess, H: NeighborAccess>(
+    original: &G,
+    released: &H,
     config: &UtilityConfig,
 ) -> UtilityLossReport {
     let per_metric: Vec<(UtilityMetric, f64)> = config

@@ -2,13 +2,15 @@
 //! clustering path: the oriented triangle kernel counts what the per-node
 //! loop counts, and `utility_loss(g, g − D)` is bit-identical to measuring
 //! both graphs from scratch — for deletion sets of every shape, and for
-//! released graphs that add or rewire edges (which take the recount path).
+//! released graphs that add or rewire edges (which take the recount path),
+//! and whichever graph representation the two inputs use.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use tpp_graph::{generators, Edge, Graph};
 use tpp_metrics::clustering::{triangle_counts, triangles_through};
 use tpp_metrics::{compute_utility, loss_ratio, triangle_count, utility_loss, UtilityConfig};
+use tpp_store::CsrGraph;
 
 /// One of three generator families, sized by `n` (graphs too small for
 /// the attachment models fall back to G(n, p)).
@@ -156,6 +158,34 @@ proptest! {
         let g = random_graph(family, n, seed);
         let released = without(&g, &deletion_set(&g, shape, seed));
         assert_presets_match(&g, &released, seed)?;
+    }
+
+    /// The report reads both graphs through `NeighborAccess` alone: CSR
+    /// snapshots of the pair, and a Graph original against a CSR release,
+    /// give the Graph pair's report bit for bit on every metric.
+    #[test]
+    fn csr_inputs_match_graph_inputs(
+        family in 0u8..3,
+        n in 3usize..40,
+        seed in 0u64..5_000,
+        shape in 0u8..5,
+    ) {
+        let g = random_graph(family, n, seed);
+        let released = without(&g, &deletion_set(&g, shape, seed));
+        let (g_csr, released_csr) = (CsrGraph::from_graph(&g), CsrGraph::from_graph(&released));
+        let config = UtilityConfig::full(seed);
+        let want = utility_loss(&g, &released, &config);
+        for got in [
+            utility_loss(&g_csr, &released_csr, &config),
+            utility_loss(&g, &released_csr, &config),
+        ] {
+            prop_assert_eq!(got.per_metric.len(), want.per_metric.len());
+            for (&(m, a), &(wm, b)) in got.per_metric.iter().zip(&want.per_metric) {
+                prop_assert_eq!(m, wm);
+                prop_assert_eq!(a.to_bits(), b.to_bits(), "metric {}", m);
+            }
+            prop_assert_eq!(got.average.to_bits(), want.average.to_bits());
+        }
     }
 
     /// A released graph that adds an edge, rewires two with every degree

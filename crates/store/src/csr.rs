@@ -88,18 +88,38 @@ impl CsrGraph {
         }
     }
 
-    /// Snapshot of an adjacency-list [`Graph`] (single-threaded copy).
+    /// Materializes any readable graph into an owned snapshot: one
+    /// sequential pass that appends each node's sorted neighbor list to
+    /// the packed array (a slice copy when the representation exposes
+    /// [`NeighborAccess::neighbors_slice`], the iterator otherwise).
+    ///
+    /// This is the one routine behind every derived snapshot on the
+    /// request path: a parsed text edge list, the phase-1 graph `G − T`
+    /// and the release `G − T − P` (a [`crate::DeltaView`] of deletions
+    /// over the base), and the next resident graph after a served update.
+    /// The [`NeighborAccess`] contract (sorted, duplicate-free, symmetric)
+    /// is exactly the CSR invariant, so no re-validation is needed.
     #[must_use]
-    pub fn from_graph(g: &Graph) -> Self {
+    pub fn from_access<G: NeighborAccess>(g: &G) -> Self {
         let n = g.node_count();
         let mut offsets = Vec::with_capacity(n + 1);
-        let mut neighbors = Vec::with_capacity(g.degree_sum());
+        let mut neighbors = Vec::with_capacity(2 * g.edge_count());
         offsets.push(0u64);
-        for u in g.nodes() {
-            neighbors.extend_from_slice(g.neighbors(u));
+        for u in g.node_ids() {
+            match g.neighbors_slice(u) {
+                Some(nbrs) => neighbors.extend_from_slice(nbrs),
+                None => neighbors.extend(g.neighbors_iter(u)),
+            }
             offsets.push(neighbors.len() as u64);
         }
         CsrGraph::from_arrays(offsets, neighbors)
+    }
+
+    /// Snapshot of an adjacency-list [`Graph`] (single-threaded copy,
+    /// [`CsrGraph::from_access`]).
+    #[must_use]
+    pub fn from_graph(g: &Graph) -> Self {
+        Self::from_access(g)
     }
 
     /// Snapshot of a [`Graph`] with the neighbor array filled by the
@@ -282,15 +302,22 @@ impl CsrGraph {
     #[inline]
     #[must_use]
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        if u as usize >= self.node_count() || v as usize >= self.node_count() {
+        // One offset-table fetch for the range checks, both degrees and
+        // the search window (the motif DFS calls this per visited node).
+        let offsets = self.offsets();
+        let (ui, vi) = (u as usize, v as usize);
+        if ui + 1 >= offsets.len() || vi + 1 >= offsets.len() {
             return false;
         }
-        let (a, b) = if self.degree(u) <= self.degree(v) {
-            (u, v)
+        let (u_span, v_span) = (offsets[ui]..offsets[ui + 1], offsets[vi]..offsets[vi + 1]);
+        let (span, b) = if u_span.end - u_span.start <= v_span.end - v_span.start {
+            (u_span, v)
         } else {
-            (v, u)
+            (v_span, u)
         };
-        self.neighbors(a).binary_search(&b).is_ok()
+        self.neighbor_array()[span.start as usize..span.end as usize]
+            .binary_search(&b)
+            .is_ok()
     }
 
     /// Splits the node space into up to `parts` contiguous ranges balanced

@@ -12,7 +12,7 @@
 use crate::delta::DeltaView;
 use crate::error::StoreError;
 use std::path::Path;
-use tpp_graph::{Edge, Graph, NodeId};
+use tpp_graph::{Edge, Graph, NeighborAccess, NodeId};
 
 /// One edge operation of a delta file, in file order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,15 +124,20 @@ impl GraphDelta {
         self.ops.is_empty()
     }
 
-    /// Applies the operations in file order to `base` and returns the
-    /// mutated graph plus the canonical net delta.
+    /// Replays the operations in file order as an overlay over `base` and
+    /// returns the view: the mutated graph without a copy. Its
+    /// [`DeltaView::deleted_edges`] / [`DeltaView::added_edges`] are the
+    /// canonical net delta.
     ///
     /// Every operation must be effective: adding a present edge, removing
     /// an absent one, or touching a node outside `base`'s range is an
     /// error — a delta that disagrees with the graph it claims to mutate
     /// is stale, and silently skipping would desynchronize the net lists
     /// from what the incremental plan repair assumes.
-    pub fn apply(&self, base: &Graph) -> Result<AppliedDelta, StoreError> {
+    pub fn overlay<'a, B: NeighborAccess>(
+        &self,
+        base: &'a B,
+    ) -> Result<DeltaView<'a, B>, StoreError> {
         let nodes = base.node_count();
         let mut view = DeltaView::new(base);
         for op in &self.ops {
@@ -158,6 +163,14 @@ impl GraphDelta {
                 return Err(StoreError::Ingest(format!("cannot {verb} edge {e}")));
             }
         }
+        Ok(view)
+    }
+
+    /// Applies the operations in file order to `base` and returns the
+    /// mutated graph plus the canonical net delta: [`Self::overlay`],
+    /// materialized into an owned [`Graph`].
+    pub fn apply(&self, base: &Graph) -> Result<AppliedDelta, StoreError> {
+        let view = self.overlay(base)?;
         Ok(AppliedDelta {
             graph: view.to_graph(),
             removed: view.deleted_edges(),

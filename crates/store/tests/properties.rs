@@ -7,7 +7,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tpp_graph::{generators, Edge, Graph, NeighborAccess, NodeId};
 use tpp_motif::{count_target_subgraphs, Motif};
-use tpp_store::{format, CsrGraph, DeltaView, StoreError, VerifyMode};
+use tpp_store::{format, CsrGraph, DeltaView, GraphDelta, StoreError, VerifyMode};
 
 /// The owned streaming decode of a snapshot file, with its header version.
 fn load_owned(path: &std::path::Path) -> (CsrGraph, u32) {
@@ -167,6 +167,53 @@ proptest! {
                 "motif {} at ({}, {})", motif, u, v
             );
         }
+    }
+
+    /// A mixed add/remove overlay materialized by `from_access` equals the
+    /// physically mutated Graph, and so does a `GraphDelta` of the same
+    /// net edits, whether replayed as an overlay of the snapshot (the
+    /// served-update path) or applied to the Graph (the `apply` wrapper).
+    #[test]
+    fn from_access_materializes_a_mixed_delta(
+        g in graph_strategy(),
+        seed in 0u64..2_000,
+        script_len in 1usize..40,
+    ) {
+        let csr = CsrGraph::from_graph(&g);
+        let mut view = DeltaView::new(&csr);
+        let mut oracle = g.clone();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = g.node_count() as NodeId;
+        for _ in 0..script_len {
+            let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if a == b {
+                continue;
+            }
+            let e = Edge::new(a, b);
+            if rng.gen_bool(0.5) {
+                prop_assert_eq!(view.delete_edge(e), oracle.remove_edge(a, b));
+            } else {
+                prop_assert_eq!(view.add_edge(e), oracle.add_edge(a, b));
+            }
+        }
+        let snap = CsrGraph::from_access(&view);
+        snap.check_invariants();
+        prop_assert_eq!(snap.to_graph(), oracle.clone());
+
+        let mut text = String::new();
+        for e in view.deleted_edges() {
+            text.push_str(&format!("- {} {}\n", e.u(), e.v()));
+        }
+        for e in view.added_edges() {
+            text.push_str(&format!("+ {} {}\n", e.u(), e.v()));
+        }
+        let delta = GraphDelta::parse(&text).unwrap();
+        let over = delta.overlay(&csr).unwrap();
+        prop_assert_eq!(CsrGraph::from_access(&over).to_graph(), oracle.clone());
+        let applied = delta.apply(&g).unwrap();
+        prop_assert_eq!(applied.graph, oracle);
+        prop_assert_eq!(applied.removed, over.deleted_edges());
+        prop_assert_eq!(applied.added, over.added_edges());
     }
 
     /// Deleting and restoring the same edges leaves the view exactly at

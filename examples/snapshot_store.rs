@@ -1,4 +1,4 @@
-//! The storage subsystem end to end: snapshot a graph into CSR, persist it,
+//! The storage subsystem end to end: persist an instance's CSR snapshot,
 //! reload it, evaluate protector candidates over a zero-clone overlay, and
 //! run the greedy planner through the snapshot evaluator.
 //!
@@ -7,7 +7,7 @@
 //! ```
 
 use tpp::prelude::*;
-use tpp_store::{format, CsrGraph, DeltaView, NeighborAccess, VerifyMode};
+use tpp_store::{format, DeltaView, NeighborAccess, VerifyMode};
 
 fn main() {
     // A social graph with two sensitive links to hide.
@@ -15,14 +15,14 @@ fn main() {
     let targets = vec![Edge::new(0, 1), Edge::new(32, 33)];
     let instance = TppInstance::new(g, targets).unwrap();
 
-    // Snapshot the released (phase-1) graph and round-trip it through the
-    // binary format.
-    let snapshot = CsrGraph::from_graph(instance.released());
+    // The released (phase-1) graph is already a CSR snapshot; round-trip
+    // it through the binary format.
+    let snapshot = instance.released();
     let path = std::env::temp_dir().join("karate.csr");
-    format::save(&snapshot, &path).expect("save snapshot");
+    format::save(snapshot, &path).expect("save snapshot");
     let loaded = format::load_mapped(&path, VerifyMode::Full).expect("load snapshot");
     std::fs::remove_file(&path).ok();
-    assert_eq!(snapshot, loaded);
+    assert_eq!(*snapshot, loaded);
     println!(
         "snapshot: {} nodes / {} edges, round-tripped through {:?}",
         loaded.node_count(),
