@@ -603,7 +603,8 @@ pub(crate) fn run_protect(
         st.utility.utility_ns.add_duration(t0.elapsed());
         st.utility
             .deleted_edges
-            .add(original.edge_count().saturating_sub(released.edge_count()) as u64);
+            .add(loss.deleted_edges.unwrap_or(0) as u64);
+        st.utility.core_evaluations.add(loss.core_evaluations);
     }
     let _ = writeln!(out, "utility loss (clust, cn): {}", loss.average_percent());
 
@@ -1634,7 +1635,9 @@ mod tests {
             assert!(stats.contains(key), "missing {key} in: {stats}");
         }
         // The utility phase walked the removed targets plus the plan's
-        // protector deletions, and took measurable time.
+        // protector deletions, patched the cores with a local h-index
+        // pass (some evaluations, fewer than the 150 nodes), and took
+        // measurable time.
         let stat = |field: &str| -> u64 {
             let line = stats
                 .lines()
@@ -1646,6 +1649,8 @@ mod tests {
         let plan: PlanFileIn = serde_json::from_str(&plans[1]).unwrap();
         let deleted = plan.targets.len() + plan.plan.protectors.len();
         assert_eq!(stat("\"deleted_edges\""), deleted as u64);
+        let evaluations = stat("\"core_evaluations\"");
+        assert!(evaluations > 0 && evaluations < 150, "{evaluations}");
         assert!(stat("\"utility_ns\"") > 0);
         for field in [
             "\"rounds\"",

@@ -85,21 +85,42 @@ impl TppInstance {
     /// edges ("the targets are randomly sampled from the existing links of
     /// the original graph", §VI-C). Deterministic per seed.
     ///
+    /// The draw is a Fisher–Yates shuffle of the `m` edge ranks (rank `r`
+    /// is the `r`-th edge in canonical order), truncated to `count` and
+    /// sorted — the same edges as shuffling the edge list itself, without
+    /// materializing it. The kept ranks map back to edges in one walk over
+    /// the nodes, each owning as many ranks as it has neighbours above it.
+    ///
     /// # Panics
-    /// Panics if `count` exceeds the number of edges.
+    /// Panics if `count` exceeds the number of edges, or if the graph has
+    /// more than `u32::MAX` edges.
     #[must_use]
     pub fn sample_targets<G: NeighborAccess>(g: &G, count: usize, seed: u64) -> Vec<Edge> {
-        let mut edges = g.collect_edges();
-        assert!(
-            count <= edges.len(),
-            "cannot sample {count} targets from {} edges",
-            edges.len()
-        );
-        let mut rng = StdRng::seed_from_u64(seed);
-        edges.shuffle(&mut rng);
-        edges.truncate(count);
-        edges.sort_unstable(); // canonical order for reproducible reports
-        edges
+        let m = g.edge_count();
+        assert!(count <= m, "cannot sample {count} targets from {m} edges");
+        let Ok(m) = u32::try_from(m) else {
+            panic!("cannot sample targets from {m} edges: more than u32::MAX edges");
+        };
+        let mut ranks: Vec<u32> = (0..m).collect();
+        ranks.shuffle(&mut StdRng::seed_from_u64(seed));
+        ranks.truncate(count);
+        ranks.sort_unstable(); // canonical order for reproducible reports
+        let mut ranks = ranks.into_iter().peekable();
+        let mut targets = Vec::with_capacity(count);
+        let mut first = 0u32; // rank of the current node's first upper edge
+        for u in g.node_ids() {
+            if ranks.peek().is_none() {
+                break;
+            }
+            let nu = g.neighbors_cow(u);
+            let upper = &nu[nu.partition_point(|&v| v < u)..];
+            let end = first + upper.len() as u32;
+            while let Some(r) = ranks.next_if(|&r| r < end) {
+                targets.push(Edge::new(u, upper[(r - first) as usize]));
+            }
+            first = end;
+        }
+        targets
     }
 
     /// Convenience: sample targets and build the instance in one step.
@@ -241,6 +262,81 @@ mod tests {
         out.check_invariants();
         // instance untouched
         assert!(inst.released().has_edge(2, 3));
+    }
+
+    /// The edge-list algorithm `sample_targets` replaced: collect every
+    /// edge, shuffle, truncate, sort.
+    fn reference_sample<G: NeighborAccess>(g: &G, count: usize, seed: u64) -> Vec<Edge> {
+        let mut edges = g.collect_edges();
+        edges.shuffle(&mut StdRng::seed_from_u64(seed));
+        edges.truncate(count);
+        edges.sort_unstable();
+        edges
+    }
+
+    #[test]
+    fn rank_sampling_matches_the_edge_list_shuffle() {
+        use tpp_graph::generators::{barabasi_albert, erdos_renyi_gnp, holme_kim};
+        let mut trailing = holme_kim(60, 3, 0.5, 9);
+        for _ in 0..5 {
+            trailing.add_node(); // isolated nodes after the last edge
+        }
+        let cases = [
+            ("ba", barabasi_albert(300, 3, 1)),
+            ("hk", holme_kim(300, 4, 0.5, 2)),
+            ("er", erdos_renyi_gnp(120, 0.08, 3)),
+            ("trailing isolated", trailing),
+            ("single edge", Graph::from_edges([(3u32, 7u32)])),
+        ];
+        for (name, g) in &cases {
+            let m = g.edge_count();
+            for seed in 0..24u64 {
+                for count in [0, 1, m.min(7), m / 2, m] {
+                    let want = reference_sample(g, count, seed);
+                    assert_eq!(
+                        TppInstance::sample_targets(g, count, seed),
+                        want,
+                        "{name}: count {count}, seed {seed}"
+                    );
+                    assert_eq!(
+                        TppInstance::sample_targets(&CsrGraph::from_graph(g), count, seed),
+                        want,
+                        "{name} as CSR: count {count}, seed {seed}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A graph that claims more edges than `u32` ranks can address; it is
+    /// never read past its edge count.
+    struct TooManyEdges;
+
+    impl NeighborAccess for TooManyEdges {
+        fn node_count(&self) -> usize {
+            2
+        }
+        fn edge_count(&self) -> usize {
+            u32::MAX as usize + 1
+        }
+        fn degree(&self, _: tpp_graph::NodeId) -> usize {
+            unreachable!()
+        }
+        fn neighbors_iter(
+            &self,
+            _: tpp_graph::NodeId,
+        ) -> impl Iterator<Item = tpp_graph::NodeId> + '_ {
+            std::iter::empty()
+        }
+        fn has_edge(&self, _: tpp_graph::NodeId, _: tpp_graph::NodeId) -> bool {
+            unreachable!()
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "more than u32::MAX edges")]
+    fn sampling_beyond_u32_ranks_panics() {
+        let _ = TppInstance::sample_targets(&TooManyEdges, 1, 0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Clustering coefficients (Table II metric `clust`).
 
-use tpp_graph::kernels::intersect_with;
+use tpp_graph::kernels::intersect_merge;
 use tpp_graph::{fast_set_with_capacity, Edge, FastSet, NeighborAccess, NodeId};
 
 /// Local clustering coefficient of node `v`:
@@ -36,13 +36,15 @@ pub fn triangles_through<G: NeighborAccess>(g: &G, v: NodeId) -> usize {
 
 /// Per-node triangle counts: `counts[v] == triangles_through(g, v)`.
 ///
-/// Each edge is oriented toward its lower id, so every triangle
-/// `w < v < u` is found exactly once, from its highest corner `u` along
-/// the edge to its middle corner `v`, by intersecting `N(u)`'s prefix
-/// below `v` with `N(v)`'s prefix below `v` (the size-adaptive kernel
-/// dispatcher, over the sorted adjacency itself — nothing is copied).
-/// That is half the edge visits of the per-node `triangles_through` loop,
-/// each on shorter lists (Schank & Wagner 2005; Latapy 2008).
+/// Each edge is oriented toward its lower id (Schank & Wagner 2005): one
+/// sequential pass copies every node's neighbours below it into a
+/// lower-oriented adjacency of `m` entries with `u32` offsets. Every
+/// triangle `w < v < u` is then found exactly once, from its highest
+/// corner `u` along the edge to its middle corner `v`, by merging the part
+/// of `u`'s lower list before `v` with `v`'s whole lower list. That is half
+/// the edge visits of the per-node `triangles_through` loop, each on
+/// shorter lists, and the prefixes are never searched for: a lower list is
+/// exactly the prefix the intersection needs.
 ///
 /// A count never exceeds the edge count, so `u32` holds it for any graph
 /// with fewer than 2³² edges.
@@ -52,14 +54,21 @@ pub fn triangle_counts<G: NeighborAccess>(g: &G) -> Vec<u32> {
         u32::try_from(g.edge_count()).is_ok(),
         "triangle_counts: more than u32::MAX edges"
     );
-    let mut counts = vec![0u32; g.node_count()];
+    let n = g.node_count();
+    let mut offsets = Vec::with_capacity(n + 1);
+    let mut below = Vec::with_capacity(g.edge_count());
+    offsets.push(0u32);
     for u in g.node_ids() {
-        let nu = g.neighbors_cow(u);
-        for (i, &v) in nu.iter().enumerate().take_while(|&(_, &v)| v < u) {
-            let nv = g.neighbors_cow(v);
-            let nv_below = &nv[..nv.partition_point(|&x| x < v)];
+        below.extend(g.neighbors_cow(u).iter().take_while(|&&v| v < u));
+        offsets.push(below.len() as u32);
+    }
+    let lower = |u: NodeId| &below[offsets[u as usize] as usize..offsets[u as usize + 1] as usize];
+    let mut counts = vec![0u32; n];
+    for u in g.node_ids() {
+        let nu = lower(u);
+        for (i, &v) in nu.iter().enumerate() {
             let mut found = 0u32;
-            intersect_with(&nu[..i], nv_below, None, None, |w| {
+            intersect_merge(&nu[..i], lower(v), |w| {
                 counts[w as usize] += 1;
                 found += 1;
             });

@@ -1,73 +1,158 @@
 //! k-shell decomposition / core numbers (Table II metric `cn`).
 
-use tpp_graph::{NeighborAccess, NodeId};
+use std::collections::VecDeque;
+use tpp_graph::{fast_set_with_capacity, Edge, FastSet, NeighborAccess, NodeId};
 
 /// Core number of every node via the linear-time bucket peeling algorithm
 /// (Batagelj–Zaveršnik). `core[v]` is the largest `k` such that `v` belongs
 /// to a subgraph where every node has degree ≥ `k`.
+///
+/// Every array is `u32` (a degree or a position is below the node count,
+/// and node ids are `u32`), and the peel's degree array ends as the core
+/// array: a node's degree is final once it is peeled, because only
+/// neighbours of strictly higher degree are decremented.
 #[must_use]
 pub fn core_numbers<G: NeighborAccess>(g: &G) -> Vec<u32> {
     let n = g.node_count();
     if n == 0 {
         return Vec::new();
     }
-    let mut degree: Vec<usize> = g.node_ids().map(|u| g.degree(u)).collect();
-    let max_deg = *degree.iter().max().unwrap_or(&0);
+    let mut degree: Vec<u32> = g.node_ids().map(|u| g.degree(u) as u32).collect();
+    let max_deg = degree.iter().copied().max().unwrap_or(0) as usize;
 
     // bucket sort nodes by degree
-    let mut bin_start = vec![0usize; max_deg + 2];
+    let mut bin_start = vec![0u32; max_deg + 2];
     for &d in &degree {
-        bin_start[d + 1] += 1;
+        bin_start[d as usize + 1] += 1;
     }
     for i in 1..bin_start.len() {
         bin_start[i] += bin_start[i - 1];
     }
-    let mut pos = vec![0usize; n]; // node -> index in `order`
+    let mut pos = vec![0u32; n]; // node -> index in `order`
     let mut order = vec![0 as NodeId; n]; // sorted by current degree
     {
         let mut next = bin_start.clone();
-        for v in 0..n {
-            let d = degree[v];
-            pos[v] = next[d];
-            order[next[d]] = v as NodeId;
+        for v in g.node_ids() {
+            let d = degree[v as usize] as usize;
+            pos[v as usize] = next[d];
+            order[next[d] as usize] = v;
             next[d] += 1;
         }
     }
     // `bin_start[d]` = first index in `order` of a node with degree d.
-    let mut core = vec![0u32; n];
     for i in 0..n {
         let v = order[i];
-        core[v as usize] = degree[v as usize] as u32;
-        for u in g.neighbors_iter(v) {
+        let dv = degree[v as usize];
+        for &u in g.neighbors_cow(v).iter() {
             let u_us = u as usize;
-            if degree[u_us] > degree[v as usize] {
+            let du = degree[u_us];
+            if du > dv {
                 // Move u one bucket down: swap with the first node of its bucket.
-                let du = degree[u_us];
                 let pu = pos[u_us];
-                let pw = bin_start[du];
-                let w = order[pw];
+                let pw = bin_start[du as usize];
+                let w = order[pw as usize];
                 if u != w {
-                    order.swap(pu, pw);
+                    order.swap(pu as usize, pw as usize);
                     pos[u_us] = pw;
                     pos[w as usize] = pu;
                 }
-                bin_start[du] += 1;
-                degree[u_us] -= 1;
+                bin_start[du as usize] += 1;
+                degree[u_us] = du - 1;
             }
         }
     }
-    core
+    degree
+}
+
+/// Lowers `core` (the [`core_numbers`] of `released + deleted`) to the core
+/// numbers of `released`, and returns how many node evaluations it took.
+///
+/// The h-index operator maps a node to the largest `h` such that at least
+/// `h` of its neighbours have value ≥ `h`; coreness is its greatest fixed
+/// point (Lü et al., Nat. Commun. 2016). The patch starts from the
+/// original cores — a pointwise upper bound on the released coreness,
+/// since deleting edges never raises one — and runs the operator
+/// asynchronously (Montresor et al., IEEE TPDS 2013), each evaluation
+/// capped at the node's current value, on a worklist seeded with the
+/// endpoints of `deleted`. An endpoint's first evaluation thus yields at
+/// most `min(core(u), deg_released(u))`, as an h-index never exceeds the
+/// number of values. A value that drops to `h` queues the neighbours
+/// valued above `h`; every other neighbour's capped evaluation reads the
+/// same input as before.
+///
+/// Why it is exact: values only fall, and never below the coreness (the
+/// operator is monotone and the coreness is a fixed point). At an empty
+/// worklist every node `u` has at least `core(u)` neighbours valued
+/// ≥ `core(u)`, so the nodes valued ≥ `k` induce a subgraph of minimum
+/// degree `k`, inside the `k`-core. The result is the coreness.
+/// `O(Σ d_u)` over the nodes evaluated, and `released` is only read.
+pub fn patch_core_numbers<H: NeighborAccess>(
+    released: &H,
+    core: &mut [u32],
+    deleted: &[Edge],
+) -> u64 {
+    let mut queue = VecDeque::new();
+    let mut queued: FastSet<NodeId> = fast_set_with_capacity(2 * deleted.len());
+    for u in deleted.iter().flat_map(|e| [e.u(), e.v()]) {
+        if queued.insert(u) {
+            queue.push_back(u);
+        }
+    }
+    let mut evaluations = 0u64;
+    let mut counts = Vec::new();
+    while let Some(u) = queue.pop_front() {
+        queued.remove(&u);
+        evaluations += 1;
+        let h = capped_h_index(released, core, u, &mut counts);
+        if h < core[u as usize] {
+            core[u as usize] = h;
+            for &w in released.neighbors_cow(u).iter() {
+                if core[w as usize] > h && queued.insert(w) {
+                    queue.push_back(w);
+                }
+            }
+        }
+    }
+    evaluations
+}
+
+/// The h-index of `u`'s neighbour values in `released`, capped at
+/// `core[u]`. `counts` is scratch space, reused across calls.
+fn capped_h_index<H: NeighborAccess>(
+    released: &H,
+    core: &[u32],
+    u: NodeId,
+    counts: &mut Vec<u32>,
+) -> u32 {
+    let cap = core[u as usize];
+    counts.clear();
+    counts.resize(cap as usize + 1, 0);
+    for &w in released.neighbors_cow(u).iter() {
+        counts[core[w as usize].min(cap) as usize] += 1;
+    }
+    let mut at_least = 0;
+    for h in (1..=cap).rev() {
+        at_least += counts[h as usize];
+        if at_least >= h {
+            return h;
+        }
+    }
+    0
+}
+
+/// `Σ core / N`, or 0 for an empty graph.
+pub(crate) fn average_of(core: &[u32]) -> f64 {
+    if core.is_empty() {
+        return 0.0;
+    }
+    let total: u64 = core.iter().map(|&c| u64::from(c)).sum();
+    total as f64 / core.len() as f64
 }
 
 /// Average core number `cn = Σ_v cn_v / N` (paper §VI, metric 4).
 #[must_use]
 pub fn average_core_number<G: NeighborAccess>(g: &G) -> f64 {
-    let n = g.node_count();
-    if n == 0 {
-        return 0.0;
-    }
-    let total: u64 = core_numbers(g).iter().map(|&c| u64::from(c)).sum();
-    total as f64 / n as f64
+    average_of(&core_numbers(g))
 }
 
 /// Maximum core number (the graph's degeneracy).
@@ -121,6 +206,60 @@ mod tests {
         assert_eq!(core_numbers(&g), vec![0, 0, 0]);
         assert_eq!(average_core_number(&g), 0.0);
         assert_eq!(core_numbers(&Graph::new(0)), Vec::<u32>::new());
+    }
+
+    /// Lowers `g`'s cores across `deleted` and checks them against a peel
+    /// of the release; returns the patched cores and the evaluations.
+    fn patched(g: &Graph, deleted: &[Edge]) -> (Vec<u32>, u64) {
+        let mut released = g.clone();
+        for e in deleted {
+            assert!(released.remove_edge(e.u(), e.v()));
+        }
+        let mut core = core_numbers(g);
+        let evaluations = patch_core_numbers(&released, &mut core, deleted);
+        assert_eq!(core, core_numbers(&released));
+        (core, evaluations)
+    }
+
+    #[test]
+    fn patch_drops_k5_minus_an_edge_to_three_everywhere() {
+        let (core, evaluations) = patched(&complete_graph(5), &[Edge::new(0, 1)]);
+        assert_eq!(core, vec![3; 5]);
+        assert!(evaluations >= 5, "all five nodes re-evaluated");
+    }
+
+    #[test]
+    fn patch_cascades_around_a_ring_of_triangles() {
+        // The square of a 40-cycle: triangles (i, i+1, i+2) closed into a
+        // ring, 4-regular, every node in the 4-core. One deletion leaves
+        // two nodes of degree 3, and the drop travels the whole ring.
+        let n = 40u32;
+        let ring = Graph::from_edges((0..n).flat_map(|i| [(i, (i + 1) % n), (i, (i + 2) % n)]));
+        assert_eq!(core_numbers(&ring), vec![4; n as usize]);
+        let (core, evaluations) = patched(&ring, &[Edge::new(0, 1)]);
+        assert_eq!(core, vec![3; n as usize]);
+        assert!(evaluations >= u64::from(n), "{evaluations} evaluations");
+    }
+
+    #[test]
+    fn patch_of_nothing_evaluates_nothing() {
+        let g = tpp_graph::generators::holme_kim(80, 3, 0.5, 2);
+        let (core, evaluations) = patched(&g, &[]);
+        assert_eq!(core, core_numbers(&g));
+        assert_eq!(evaluations, 0);
+    }
+
+    #[test]
+    fn patch_stays_local_when_a_hub_keeps_its_core() {
+        // K5 with a pendant path 4-5-6: cutting the path's last edge
+        // lowers node 6 to 0 and touches nothing inside the clique.
+        let mut g = complete_graph(5);
+        g.ensure_node(6);
+        g.add_edge(4, 5);
+        g.add_edge(5, 6);
+        let (core, evaluations) = patched(&g, &[Edge::new(5, 6)]);
+        assert_eq!(core, vec![4, 4, 4, 4, 4, 1, 0]);
+        assert!(evaluations <= 3, "{evaluations} evaluations");
     }
 
     #[test]

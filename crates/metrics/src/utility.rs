@@ -7,7 +7,7 @@ use crate::{
         average_clustering, average_from_counts, remove_deleted_triangles, triangle_counts,
     },
     community::louvain_modularity,
-    core_number::average_core_number,
+    core_number::{average_core_number, average_of, core_numbers, patch_core_numbers},
     paths::{average_path_length, sampled_path_length},
     spectral::second_largest_laplacian_eigenvalue,
 };
@@ -181,12 +181,15 @@ fn deleted_edges<G: NeighborAccess, H: NeighborAccess>(
 
 /// `(average_clustering(original), average_clustering(released))`,
 /// bit-identical to the two from-scratch calls. When `released` is
-/// `original` minus some edges, the original's per-node triangle counts
-/// are computed once, summed, patched in place for the deleted edges,
-/// and re-summed with the released degrees; otherwise `released` is
-/// counted from scratch.
-fn clustering_pair<G: NeighborAccess, H: NeighborAccess>(original: &G, released: &H) -> (f64, f64) {
-    let deleted = deleted_edges(original, released);
+/// `original` minus the edges `deleted`, the original's per-node triangle
+/// counts are computed once, summed, patched in place for the deleted
+/// edges, and re-summed with the released degrees; otherwise (`None`)
+/// `released` is counted from scratch.
+fn clustering_pair<G: NeighborAccess, H: NeighborAccess>(
+    original: &G,
+    released: &H,
+    deleted: Option<&[Edge]>,
+) -> (f64, f64) {
     let mut counts = triangle_counts(original);
     let before = average_from_counts(original, &counts);
     let Some(deleted) = deleted else {
@@ -194,8 +197,34 @@ fn clustering_pair<G: NeighborAccess, H: NeighborAccess>(original: &G, released:
         drop(counts);
         return (before, average_clustering(released));
     };
-    remove_deleted_triangles(original, &mut counts, &deleted);
+    remove_deleted_triangles(original, &mut counts, deleted);
     (before, average_from_counts(released, &counts))
+}
+
+/// `(average_core_number(original), average_core_number(released))` and
+/// the number of h-index evaluations spent, bit-identical to the two
+/// from-scratch calls. When `released` is `original` minus the edges
+/// `deleted`, the original's cores are patched down to the release's by
+/// [`patch_core_numbers`] instead of peeling `released` again (checked
+/// against that peel in debug builds); otherwise (`None`) `released` is
+/// peeled from scratch and no evaluation is spent.
+fn core_pair<G: NeighborAccess, H: NeighborAccess>(
+    original: &G,
+    released: &H,
+    deleted: Option<&[Edge]>,
+) -> (f64, f64, u64) {
+    let mut core = core_numbers(original);
+    let before = average_of(&core);
+    let Some(deleted) = deleted else {
+        drop(core);
+        return (before, average_core_number(released), 0);
+    };
+    let evaluations = patch_core_numbers(released, &mut core, deleted);
+    debug_assert!(
+        core == core_numbers(released),
+        "h-index core patch differs from a peel of the release"
+    );
+    (before, average_of(&core), evaluations)
 }
 
 /// The paper's utility loss ratio for one metric:
@@ -222,6 +251,12 @@ pub struct UtilityLossReport {
     pub per_metric: Vec<(UtilityMetric, f64)>,
     /// `ulr(G, G')`: mean loss ratio over all measured metrics.
     pub average: f64,
+    /// `|D|`, the edges of the original missing from the release, or
+    /// `None` when the release is not an edge subset of the original.
+    pub deleted_edges: Option<usize>,
+    /// Node evaluations of the h-index core patch; 0 when the release's
+    /// cores were peeled from scratch (or `cn` was not measured).
+    pub core_evaluations: u64,
 }
 
 impl UtilityLossReport {
@@ -237,27 +272,36 @@ impl UtilityLossReport {
 /// Every value equals, bit for bit, what [`compute_utility`] gives on
 /// each graph, whatever their representations (the two are independent
 /// type parameters: an adjacency-list original against a CSR release is
-/// fine). Clustering is the one metric not recomputed twice: when
-/// `released` only lacks edges of `original` (the paper's `G − T − P`),
-/// the deleted edges' triangles are patched out of the original's
-/// per-node counts instead.
+/// fine). Clustering and core number are the metrics not recomputed
+/// twice: when `released` only lacks the edges `D` of `original` (the
+/// paper's `G − T − P`), `D` is derived once, the deleted edges'
+/// triangles are patched out of the original's per-node counts, and the
+/// original's core numbers are patched down to the release's.
 #[must_use]
 pub fn utility_loss<G: NeighborAccess, H: NeighborAccess>(
     original: &G,
     released: &H,
     config: &UtilityConfig,
 ) -> UtilityLossReport {
+    let deleted = deleted_edges(original, released);
+    let mut core_evaluations = 0;
     let per_metric: Vec<(UtilityMetric, f64)> = config
         .metrics
         .iter()
         .map(|&m| {
-            let (a, b) = if m == UtilityMetric::Clustering {
-                clustering_pair(original, released)
-            } else {
-                (
+            let (a, b) = match m {
+                UtilityMetric::Clustering => {
+                    clustering_pair(original, released, deleted.as_deref())
+                }
+                UtilityMetric::CoreNumber => {
+                    let (a, b, evaluations) = core_pair(original, released, deleted.as_deref());
+                    core_evaluations += evaluations;
+                    (a, b)
+                }
+                _ => (
                     metric_value(original, m, config),
                     metric_value(released, m, config),
-                )
+                ),
             };
             (m, loss_ratio(a, b))
         })
@@ -270,6 +314,8 @@ pub fn utility_loss<G: NeighborAccess, H: NeighborAccess>(
     UtilityLossReport {
         per_metric,
         average,
+        deleted_edges: deleted.map(|d| d.len()),
+        core_evaluations,
     }
 }
 
@@ -374,6 +420,8 @@ mod tests {
         let report = UtilityLossReport {
             per_metric: vec![(UtilityMetric::Clustering, 0.0195)],
             average: 0.0195,
+            deleted_edges: None,
+            core_evaluations: 0,
         };
         assert_eq!(report.average_percent(), "1.95%");
     }

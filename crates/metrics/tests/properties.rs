@@ -1,15 +1,19 @@
-//! Property tests pinning the utility-loss report's incremental
-//! clustering path: the oriented triangle kernel counts what the per-node
-//! loop counts, and `utility_loss(g, g − D)` is bit-identical to measuring
-//! both graphs from scratch — for deletion sets of every shape, and for
-//! released graphs that add or rewire edges (which take the recount path),
-//! and whichever graph representation the two inputs use.
+//! Property tests pinning the utility-loss report's incremental paths:
+//! the oriented triangle kernel counts what the per-node loop counts, the
+//! h-index core patch lands exactly on a peel of the release, and
+//! `utility_loss(g, g − D)` is bit-identical to measuring both graphs from
+//! scratch — for deletion sets of every shape, and for released graphs
+//! that add or rewire edges (which take the recount path), and whichever
+//! graph representation the two inputs use.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use tpp_graph::{generators, Edge, Graph};
 use tpp_metrics::clustering::{triangle_counts, triangles_through};
-use tpp_metrics::{compute_utility, loss_ratio, triangle_count, utility_loss, UtilityConfig};
+use tpp_metrics::core_number::patch_core_numbers;
+use tpp_metrics::{
+    compute_utility, core_numbers, loss_ratio, triangle_count, utility_loss, UtilityConfig,
+};
 use tpp_store::CsrGraph;
 
 /// One of three generator families, sized by `n` (graphs too small for
@@ -147,7 +151,8 @@ proptest! {
     }
 
     /// `utility_loss(g, g − D)` equals the from-scratch pair bit for bit,
-    /// for every metric of both presets and every deletion-set shape.
+    /// for every metric of both presets and every deletion-set shape, and
+    /// reports `|D|`.
     #[test]
     fn deletion_report_matches_scratch(
         family in 0u8..3,
@@ -156,8 +161,12 @@ proptest! {
         shape in 0u8..5,
     ) {
         let g = random_graph(family, n, seed);
-        let released = without(&g, &deletion_set(&g, shape, seed));
+        let deleted = deletion_set(&g, shape, seed);
+        let released = without(&g, &deleted);
         assert_presets_match(&g, &released, seed)?;
+        let report = utility_loss(&g, &released, &UtilityConfig::large_graph(seed));
+        prop_assert_eq!(report.deleted_edges, Some(deleted.len()));
+        prop_assert_eq!(report.core_evaluations == 0, deleted.is_empty());
     }
 
     /// The report reads both graphs through `NeighborAccess` alone: CSR
@@ -224,5 +233,44 @@ proptest! {
             }
         }
         assert_presets_match(&g, &released, seed)?;
+        // The added edges may re-add deleted ones, which leaves a subset.
+        let subset = released.node_count() == g.node_count()
+            && released.edge_vec().iter().all(|e| g.has_edge(e.u(), e.v()));
+        let report = utility_loss(&g, &released, &UtilityConfig::large_graph(seed));
+        if subset {
+            prop_assert_eq!(report.deleted_edges, Some(g.edge_count() - released.edge_count()));
+        } else {
+            prop_assert_eq!(report.deleted_edges, None);
+            prop_assert_eq!(report.core_evaluations, 0);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Patching `core_numbers(g)` across a deletion set `D` gives
+    /// `core_numbers(g − D)` element for element, for every family and
+    /// deletion-set shape, on an adjacency-list and a CSR release alike;
+    /// an empty `D` costs no evaluation. Few small random deletions
+    /// cascade past their endpoints, hence the larger case count.
+    #[test]
+    fn core_patch_matches_peel(
+        family in 0u8..3,
+        n in 0usize..80,
+        seed in 0u64..5_000,
+        shape in 0u8..5,
+    ) {
+        let g = random_graph(family, n, seed);
+        let deleted = deletion_set(&g, shape, seed);
+        let released = without(&g, &deleted);
+        let want = core_numbers(&released);
+        let mut core = core_numbers(&g);
+        let evaluations = patch_core_numbers(&released, &mut core, &deleted);
+        prop_assert_eq!(&core, &want);
+        prop_assert_eq!(evaluations == 0, deleted.is_empty());
+        let mut core = core_numbers(&g);
+        patch_core_numbers(&CsrGraph::from_graph(&released), &mut core, &deleted);
+        prop_assert_eq!(&core, &want);
     }
 }

@@ -160,13 +160,17 @@ pub struct UpdateStats {
 }
 
 /// Utility-report telemetry: what the `utility_loss` phase of a protect
-/// run cost, and how many deleted edges its clustering patch walked.
+/// run cost, how many deleted edges its clustering and core patches
+/// walked, and how many nodes the core patch re-evaluated.
 #[derive(Debug, Default)]
 pub struct UtilityStats {
     /// Wall time of the utility-loss report.
     pub utility_ns: Counter,
-    /// Edges of the original graph missing from the released one.
+    /// Edges of the original graph missing from the released one (`|D|`).
     pub deleted_edges: Counter,
+    /// h-index node evaluations of the core-number patch; 0 when the
+    /// release's cores were peeled from scratch.
+    pub core_evaluations: Counter,
 }
 
 /// The full telemetry tree, one section per instrumented layer.
@@ -466,6 +470,10 @@ impl Stats {
                     "deleted_edges",
                     self.utility.deleted_edges.get().to_string(),
                 ),
+                (
+                    "core_evaluations",
+                    self.utility.core_evaluations.get().to_string(),
+                ),
             ],
             true,
         );
@@ -526,6 +534,7 @@ mod tests {
             "\"candidates_memoized\":",
             "\"utility\":",
             "\"deleted_edges\":",
+            "\"core_evaluations\":",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
