@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use tpp_core::{
     celf_greedy_batch, critical_budget, ct_greedy_batch, delta_dirty_edges, divide_budget,
     random_deletion, random_deletion_from_subgraphs, sgb_greedy_batch, sgb_greedy_incremental,
@@ -14,7 +14,7 @@ use tpp_core::{
 };
 use tpp_graph::{parse_edge_list, write_edge_list, Edge, FastSet, Graph, NeighborAccess};
 use tpp_linkpred::{evaluate_attack_on, sample_non_edges, Attacker, SimilarityIndex};
-use tpp_metrics::{compute_utility, utility_loss, UtilityConfig};
+use tpp_metrics::{compute_utility, utility_loss, utility_loss_with, BaseStats, UtilityConfig};
 use tpp_motif::Motif;
 use tpp_obs::Recorder;
 use tpp_store::{CsrGraph, DeltaView, GraphDelta, VerifyMode};
@@ -467,6 +467,9 @@ pub(crate) struct RunSeeds {
     pub index: Option<std::sync::Arc<tpp_motif::PartitionedCoverageIndex>>,
     /// The server's shared executor pool.
     pub pool: Option<tpp_exec::Parallelism>,
+    /// The registry's base-statistics slot for the run's graph: read when
+    /// filled, filled by this run otherwise (see [`run_protect`]).
+    pub base: Option<Arc<OnceLock<BaseStats>>>,
 }
 
 fn protect(p: &Parsed) -> Result<(), String> {
@@ -598,9 +601,28 @@ pub(crate) fn run_protect(
     let original = instance.original();
     let released = instance.apply_protectors(&plan.protectors);
     let t0 = recorder.is_enabled().then(std::time::Instant::now);
-    let loss = utility_loss(original, &released, &UtilityConfig::large_graph(seed));
+    let mut base_ns = None;
+    let mut compute_base = || {
+        let t = std::time::Instant::now();
+        let base = BaseStats::compute(original);
+        base_ns = Some(t.elapsed());
+        base
+    };
+    let config = UtilityConfig::large_graph(seed);
+    // A registry slot describes the run's input graph; an incremental
+    // run's original is the delta-mutated graph, so it computes its own.
+    let loss = match seeds.base.as_ref().filter(|_| incremental.is_none()) {
+        Some(slot) => {
+            utility_loss_with(slot.get_or_init(compute_base), original, &released, &config)
+        }
+        None => utility_loss_with(&compute_base(), original, &released, &config),
+    };
     if let (Some(t0), Some(st)) = (t0, recorder.stats()) {
         st.utility.utility_ns.add_duration(t0.elapsed());
+        match base_ns {
+            Some(ns) => st.utility.base_ns.add_duration(ns),
+            None => st.utility.base_reused.inc(),
+        }
         st.utility
             .deleted_edges
             .add(loss.deleted_edges.unwrap_or(0) as u64);

@@ -6,8 +6,10 @@
 //! `protect` / `attack` / `info` requests against warm registries:
 //!
 //! * **graph registry** — keyed by canonicalized input path, holding the
-//!   shared CSR snapshot (a mapped file stays mapped); a hit is an `Arc`
-//!   clone instead of a re-read;
+//!   shared CSR snapshot (a mapped file stays mapped) and, once a protect
+//!   has computed them, its [`BaseStats`] (the original's triangle counts
+//!   and core numbers for the utility report); a hit is an `Arc` clone
+//!   instead of a re-read and a recount;
 //! * **index registry** — keyed by `(path, motif, target list)`; a hit
 //!   clones the cached [`PartitionedCoverageIndex`] into the run as an
 //!   index seed, skipping the build entirely (the targets are part of the
@@ -30,7 +32,8 @@
 //! resident graph with the delta applied (an overlay of the old snapshot,
 //! copied once into the next one) and patches every warm coverage index
 //! over it incrementally — removals through the kill-flag delete path,
-//! insertions by localized through-enumeration — after which the
+//! insertions by localized through-enumeration — as well as its resident
+//! base statistics (an insertion re-peels the cores), after which the
 //! registries serve the mutated graph regardless of what is on disk.
 //!
 //! ## Protocol
@@ -39,7 +42,8 @@
 //! count, then the payload (capped at 1 MiB). A request payload is the
 //! command's argv joined with NUL bytes — exactly the tokens the one-shot
 //! CLI would take. A reply payload is one status byte (`+` success, `-`
-//! error) followed by UTF-8 text. One request per connection.
+//! error) followed by UTF-8 text; a reply too big for one frame is sent
+//! as an error naming its size. One request per connection.
 
 use crate::args::{self, Parsed};
 use crate::commands::{self, RunSeeds};
@@ -48,11 +52,12 @@ use std::io::{Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 use tpp_core::{TppInstance, DEFAULT_INDEX_PARTITIONS};
 use tpp_exec::Parallelism;
 use tpp_graph::Edge;
+use tpp_metrics::BaseStats;
 use tpp_motif::PartitionedCoverageIndex;
 use tpp_obs::{Recorder, ServeStats};
 use tpp_store::{CsrGraph, DeltaView};
@@ -85,6 +90,23 @@ fn read_frame(stream: &mut UnixStream) -> std::io::Result<Vec<u8>> {
     let mut buf = vec![0u8; len];
     stream.read_exact(&mut buf)?;
     Ok(buf)
+}
+
+/// A reply frame's payload: the status byte, then the text. A reply too
+/// big for one frame becomes an error reply that names its size and the
+/// cap, so the client sees why instead of a bare end of stream.
+fn reply_payload(status: u8, text: &str) -> Vec<u8> {
+    if text.len() + 1 > MAX_FRAME_BYTES {
+        let error = format!(
+            "reply of {} bytes exceeds the 1 MiB ({MAX_FRAME_BYTES}-byte) frame cap",
+            text.len() + 1
+        );
+        return reply_payload(b'-', &error);
+    }
+    let mut reply = Vec::with_capacity(text.len() + 1);
+    reply.push(status);
+    reply.extend_from_slice(text.as_bytes());
+    reply
 }
 
 /// Sends one request to the server at `socket` and returns the reply
@@ -157,8 +179,14 @@ fn graph_key(path: &str) -> String {
         .map_or_else(|_| path.to_string(), |p| p.to_string_lossy().into_owned())
 }
 
+/// The registry's base statistics of one resident graph: empty until the
+/// first protect on it computes them, replaced with the graph by every
+/// `update`, so a filled slot always describes the graph it sits beside.
+type BaseSlot = Arc<OnceLock<BaseStats>>;
+
 struct GraphEntry {
     graph: Arc<CsrGraph>,
+    base: BaseSlot,
     snapshot: bool,
     /// Last request that touched this entry (the LRU/TTL clock).
     last_used: Instant,
@@ -306,10 +334,7 @@ impl Server {
                 }
             },
         };
-        let mut reply = Vec::with_capacity(text.len() + 1);
-        reply.push(status);
-        reply.extend_from_slice(text.as_bytes());
-        if let Err(e) = write_frame(&mut stream, &reply) {
+        if let Err(e) = write_frame(&mut stream, &reply_payload(status, &text)) {
             eprintln!("warning: sending reply failed: {e}");
         }
     }
@@ -383,10 +408,11 @@ impl Server {
         }
         self.sweep_registries(Some(&recorder));
         let kernel_base = commands::start_kernel_counting(&recorder);
-        let g = self.graph_for(p, &recorder)?;
+        let (g, base) = self.graph_for(p, &recorder)?;
         let mut seeds = RunSeeds {
             index: None,
             pool: Some(self.pool.clone()),
+            base: Some(base),
         };
         if p.command == "protect" {
             // An incremental request solves the delta-mutated problem, so
@@ -433,11 +459,13 @@ impl Server {
     /// to the resident graph — an overlay of the old snapshot, copied once
     /// into the next one — and patches every warm coverage index over it
     /// in place — removals through the kill-flag delete path, insertions
-    /// by localized through-enumeration — instead of rebuilding. The registries then serve the mutated graph: they
-    /// deliberately diverge from the file on disk until a restart (or an
-    /// eviction) reloads it. An index whose target list collides with the
-    /// delta cannot be patched (targets are phase-1-removed from its
-    /// released view), so it is dropped and rebuilt on next use.
+    /// by localized through-enumeration — instead of rebuilding, along
+    /// with the graph's resident base statistics. The registries then
+    /// serve the mutated graph: they deliberately diverge from the file on
+    /// disk until a restart (or an eviction) reloads it. An index whose
+    /// target list collides with the delta cannot be patched (targets are
+    /// phase-1-removed from its released view), so it is dropped and
+    /// rebuilt on next use.
     fn update(&self, p: &Parsed) -> Result<String, String> {
         use std::fmt::Write as _;
         let stats_out = commands::parse_stats_flag(p)?;
@@ -474,7 +502,25 @@ impl Server {
             .map_err(|e| format!("applying --delta {delta_path}: {e}"))?;
         let (removed, added) = (view.deleted_edges(), view.added_edges());
         let next = Arc::new(CsrGraph::from_access(&view));
+        // Resident base statistics follow the graph under the same lock:
+        // the new entry pairs the new graph with their patch (or with an
+        // empty slot, when no protect had filled the old one).
+        let next_base = OnceLock::new();
+        if let Some(stats) = entry.base.get() {
+            let t0 = Instant::now();
+            let (patched, repeeled) = stats.patched(&*base, &*next, &removed, &added);
+            debug_assert!(
+                patched == BaseStats::compute(&*next),
+                "patched base statistics differ from a recount of the updated graph"
+            );
+            let _ = next_base.set(patched);
+            if let Some(st) = recorder.stats() {
+                st.update.base_patch_ns.add_duration(t0.elapsed());
+                st.update.core_repeels.add(u64::from(repeeled));
+            }
+        }
         entry.graph = Arc::clone(&next);
+        entry.base = Arc::new(next_base);
         entry.last_used = Instant::now();
         drop(graphs);
 
@@ -541,7 +587,13 @@ impl Server {
         Ok(out)
     }
 
-    fn graph_for(&self, p: &Parsed, recorder: &Recorder) -> Result<Arc<CsrGraph>, String> {
+    /// The graph registry: the resident graph and its base-statistics
+    /// slot, read together under the lock so that they always match.
+    fn graph_for(
+        &self,
+        p: &Parsed,
+        recorder: &Recorder,
+    ) -> Result<(Arc<CsrGraph>, BaseSlot), String> {
         let path = p
             .positional
             .first()
@@ -549,24 +601,26 @@ impl Server {
         let key = graph_key(path);
         if let Some(entry) = lock(&self.graphs).get_mut(&key) {
             entry.last_used = Instant::now();
-            let g = Arc::clone(&entry.graph);
+            let pair = (Arc::clone(&entry.graph), Arc::clone(&entry.base));
             self.bump(Some(recorder), |s| s.graph_hits.inc());
-            return Ok(g);
+            return Ok(pair);
         }
         // Miss: load outside the lock (two racing first requests both
         // load; the registry keeps whichever inserts last — same bytes).
         let snapshot = commands::is_snapshot(path);
         let g = commands::load_graph_observed(p, recorder)?;
         self.bump(Some(recorder), |s| s.graph_misses.inc());
+        let base = BaseSlot::default();
         lock(&self.graphs).insert(
             key,
             GraphEntry {
                 graph: Arc::clone(&g),
+                base: Arc::clone(&base),
                 snapshot,
                 last_used: Instant::now(),
             },
         );
-        Ok(g)
+        Ok((g, base))
     }
 
     /// The index registry: a hit hands the cached build to the run as a
@@ -656,10 +710,15 @@ impl Server {
                 let entry = &graphs[key];
                 let _ = writeln!(
                     out,
-                    "  {key}: {} nodes, {} edges{}",
+                    "  {key}: {} nodes, {} edges{}{}",
                     entry.graph.node_count(),
                     entry.graph.edge_count(),
-                    if entry.snapshot { " (snapshot)" } else { "" }
+                    if entry.snapshot { " (snapshot)" } else { "" },
+                    if entry.base.get().is_some() {
+                        " (base stats resident)"
+                    } else {
+                        ""
+                    }
                 );
             }
             let _ = writeln!(
@@ -673,5 +732,43 @@ impl Server {
             );
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn oversized_reply_reaches_the_client_as_a_named_error() {
+        let dir = std::env::temp_dir().join(format!("tpp-serve-frame-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let socket = dir.join("frame.sock");
+        let _ = std::fs::remove_file(&socket);
+        let listener = UnixListener::bind(&socket).unwrap();
+        let answer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            read_frame(&mut stream).unwrap();
+            let text = "x".repeat(MAX_FRAME_BYTES + 10);
+            write_frame(&mut stream, &reply_payload(b'+', &text)).unwrap();
+        });
+        let err = request(socket.to_str().unwrap(), &["ping".to_string()]).unwrap_err();
+        answer.join().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(
+            err,
+            format!(
+                "reply of {} bytes exceeds the 1 MiB (1048576-byte) frame cap",
+                MAX_FRAME_BYTES + 11
+            )
+        );
+    }
+
+    #[test]
+    fn reply_at_the_cap_is_sent_as_is() {
+        let text = "y".repeat(MAX_FRAME_BYTES - 1);
+        let reply = reply_payload(b'+', &text);
+        assert_eq!(reply.len(), MAX_FRAME_BYTES);
+        assert_eq!(reply[0], b'+');
     }
 }

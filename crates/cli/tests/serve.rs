@@ -409,3 +409,166 @@ fn info_reports_registries_and_absurd_threads_are_rejected() {
     assert!(err.contains("unknown serve request"), "got: {err}");
     shut_down(&socket, handle);
 }
+
+/// Runs the one-shot `tpp` binary and returns its stdout.
+fn one_shot(argv: &[&str]) -> String {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_tpp"))
+        .args(argv)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "tpp {argv:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).unwrap()
+}
+
+/// Splits a `--stats -` reply into its report text and the value of its
+/// `utility.base_reused` counter.
+fn report_and_reuse(reply: &str) -> (&str, u64) {
+    let json = reply.find("\n{\n").expect("a --stats - reply") + 1;
+    let (report, stats) = reply.split_at(json);
+    let key = "\"base_reused\": ";
+    let at = stats.find(key).expect("utility.base_reused") + key.len();
+    let digits: String = stats[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    (report, digits.parse().unwrap())
+}
+
+#[test]
+fn resident_base_stats_follow_updates_and_match_one_shot() {
+    let (dir, socket) = scratch("base");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (text, csr) = (path("g.txt"), path("g.csr"));
+    dispatch(&[
+        "generate", "--model", "ba", "--nodes", "300", "--seed", "4", "--out", &text,
+    ]);
+    dispatch(&["store", "build", &text, "--out", &csr]);
+    let g = tpp_graph::parse_edge_list(&std::fs::read_to_string(&text).unwrap()).unwrap();
+
+    // +D: every missing pair among a hub and its first neighbours (added
+    // edges closing triangles among themselves), plus pairs far apart.
+    let mut view = tpp_store::DeltaView::new(&g);
+    let group: Vec<u32> = std::iter::once(0)
+        .chain(g.neighbors(0).iter().copied().take(4))
+        .collect();
+    for (i, &a) in group.iter().enumerate() {
+        for &b in &group[i + 1..] {
+            view.add_edge(tpp_graph::Edge::new(a, b));
+        }
+    }
+    for u in [150u32, 200, 250] {
+        if !g.has_edge(u, u + 30) {
+            view.add_edge(tpp_graph::Edge::new(u, u + 30));
+        }
+    }
+    let added = view.added_edges();
+    assert!(added.len() >= 5, "{added:?}");
+    let (grow, shrink, mutated) = (path("d.add"), path("d.del"), path("mutated.txt"));
+    let lines = |sign: char| -> String {
+        added
+            .iter()
+            .map(|e| format!("{sign} {} {}\n", e.u(), e.v()))
+            .collect()
+    };
+    std::fs::write(&grow, lines('+')).unwrap();
+    std::fs::write(&shrink, lines('-')).unwrap();
+    std::fs::write(&mutated, tpp_graph::write_edge_list(&view.to_graph())).unwrap();
+
+    let plan = path("plan.json");
+    let protect = |graph: &str| {
+        vec![
+            "protect".to_string(),
+            graph.to_string(),
+            "--budget".into(),
+            "4".into(),
+            "--random".into(),
+            "6".into(),
+            "--seed".into(),
+            "3".into(),
+            "--plan".into(),
+            plan.clone(),
+        ]
+    };
+    let expected = |graph: &str| {
+        let argv = protect(graph);
+        let report = one_shot(&argv.iter().map(String::as_str).collect::<Vec<_>>());
+        (report, std::fs::read(&plan).unwrap())
+    };
+    let (base_report, base_plan) = expected(&text);
+    let (grown_report, grown_plan) = expected(&mutated);
+    assert_ne!(base_plan, grown_plan, "the delta must change the plan");
+
+    let handle = start_server(&socket, 2);
+    let served = |want: &(String, Vec<u8>), reused: u64| {
+        let mut argv = protect(&csr);
+        argv.extend(strs(&["--stats", "-"]));
+        let reply = serve::request(&socket, &argv).unwrap();
+        let (report, base_reused) = report_and_reuse(&reply);
+        assert_eq!(report, want.0, "served report diverged from one-shot");
+        assert_eq!(
+            std::fs::read(&plan).unwrap(),
+            want.1,
+            "served plan diverged"
+        );
+        assert_eq!(base_reused, reused, "utility.base_reused in {reply}");
+    };
+    let update = |delta: &str| {
+        let argv = strs(&["update", &csr, "--delta", delta, "--stats", "-"]);
+        serve::request(&socket, &argv).unwrap()
+    };
+    let base = (base_report, base_plan);
+    let grown = (grown_report, grown_plan);
+    served(&base, 0);
+    served(&base, 1);
+    let reply = update(&grow);
+    assert!(reply.contains("\"core_repeels\": 1"), "got: {reply}");
+    served(&grown, 1);
+    let reply = update(&shrink);
+    assert!(reply.contains("\"core_repeels\": 0"), "got: {reply}");
+    assert!(!reply.contains("\"base_patch_ns\": 0"), "got: {reply}");
+    served(&base, 1);
+    let info = serve::request(&socket, &strs(&["info"])).unwrap();
+    assert!(
+        info.contains("(snapshot) (base stats resident)"),
+        "got: {info}"
+    );
+
+    // An update racing a protect: the protect sees the graph before or
+    // after the delta, each with its own statistics, never a mix (which
+    // would change the report, and trips the staleness check in debug
+    // builds).
+    for round in 0..4 {
+        let delta = if round % 2 == 0 { &grow } else { &shrink };
+        let replies = std::thread::scope(|s| {
+            let racer = s.spawn(|| update(delta));
+            let mut replies = Vec::new();
+            loop {
+                let race_plan = path(&format!("race-{round}-{}.json", replies.len()));
+                let mut argv = protect(&csr);
+                *argv.last_mut().unwrap() = race_plan.clone();
+                let reply = serve::request(&socket, &argv).unwrap();
+                replies.push((race_plan, reply));
+                if racer.is_finished() {
+                    break;
+                }
+            }
+            racer.join().unwrap();
+            replies
+        });
+        for (race_plan, reply) in replies {
+            let report = reply.replace(&race_plan, &plan);
+            let plan_bytes = std::fs::read(&race_plan).unwrap();
+            assert!(
+                (report == base.0 && plan_bytes == base.1)
+                    || (report == grown.0 && plan_bytes == grown.1),
+                "round {round}: a protect racing an update matched neither graph: {reply}"
+            );
+        }
+    }
+    served(&base, 1);
+    shut_down(&socket, handle);
+}

@@ -107,6 +107,33 @@ pub(crate) fn remove_deleted_triangles<G: NeighborAccess>(
     }
 }
 
+/// Adds to `counts` (the [`triangle_counts`] of `updated − added`) every
+/// triangle of `updated` that holds an edge in `added`, leaving the
+/// counts of `updated`: the mirror of [`remove_deleted_triangles`].
+///
+/// Walks `added` in order; a common neighbour `w` of `(u, v)` in
+/// `updated` closes a new triangle, counted at its first added edge, so
+/// `w` is skipped when `(u, w)` or `(v, w)` came earlier in the walk.
+/// `O(Σ_{(u,v) ∈ added} d_u + d_v)`, and `updated` is only read.
+pub(crate) fn add_inserted_triangles<G: NeighborAccess>(
+    updated: &G,
+    counts: &mut [u32],
+    added: &[Edge],
+) {
+    let mut inserted: FastSet<Edge> = fast_set_with_capacity(added.len());
+    for &e in added {
+        let (u, v) = e.endpoints();
+        updated.for_each_common_neighbor(u, v, |w| {
+            if !inserted.contains(&Edge::new(u, w)) && !inserted.contains(&Edge::new(v, w)) {
+                for x in [u, v, w] {
+                    counts[x as usize] += 1;
+                }
+            }
+        });
+        inserted.insert(e);
+    }
+}
+
 /// `clust` re-summed from per-node triangle `counts` and the degrees of
 /// the graph `g` they describe: in node order, each node contributing
 /// `t / (d (d − 1) / 2)` exactly as [`local_clustering`] does, so the

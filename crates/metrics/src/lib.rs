@@ -22,6 +22,7 @@
 #![warn(clippy::all)]
 
 pub mod assortativity;
+pub mod base;
 pub mod clustering;
 pub mod community;
 pub mod core_number;
@@ -32,6 +33,7 @@ pub mod spectral;
 pub mod utility;
 
 pub use assortativity::assortativity;
+pub use base::BaseStats;
 pub use clustering::{average_clustering, local_clustering, triangle_count};
 pub use community::{label_propagation, louvain, louvain_modularity, modularity};
 pub use core_number::{average_core_number, core_numbers, degeneracy};
@@ -40,6 +42,6 @@ pub use distance::{distance_distribution, sampled_distance_distribution, Distanc
 pub use paths::{average_path_length, sampled_path_length, PathLengthStats};
 pub use spectral::{largest_laplacian_eigenvalue, second_largest_laplacian_eigenvalue};
 pub use utility::{
-    compute_utility, loss_ratio, utility_loss, UtilityConfig, UtilityLossReport, UtilityMetric,
-    UtilityValues,
+    compute_utility, loss_ratio, utility_loss, utility_loss_with, UtilityConfig, UtilityLossReport,
+    UtilityMetric, UtilityValues,
 };

@@ -3,9 +3,8 @@
 
 use crate::{
     assortativity::assortativity,
-    clustering::{
-        average_clustering, average_from_counts, remove_deleted_triangles, triangle_counts,
-    },
+    base::BaseStats,
+    clustering::{average_clustering, average_from_counts, remove_deleted_triangles},
     community::louvain_modularity,
     core_number::{average_core_number, average_of, core_numbers, patch_core_numbers},
     paths::{average_path_length, sampled_path_length},
@@ -180,45 +179,44 @@ fn deleted_edges<G: NeighborAccess, H: NeighborAccess>(
 }
 
 /// `(average_clustering(original), average_clustering(released))`,
-/// bit-identical to the two from-scratch calls. When `released` is
-/// `original` minus the edges `deleted`, the original's per-node triangle
-/// counts are computed once, summed, patched in place for the deleted
-/// edges, and re-summed with the released degrees; otherwise (`None`)
-/// `released` is counted from scratch.
+/// bit-identical to the two from-scratch calls, with the original's side
+/// read from `base`. When `released` is `original` minus the edges
+/// `deleted`, a copy of the base triangle counts is patched for the
+/// deleted edges and re-summed with the released degrees; otherwise
+/// (`None`) `released` is counted from scratch.
 fn clustering_pair<G: NeighborAccess, H: NeighborAccess>(
+    base: &BaseStats,
     original: &G,
     released: &H,
     deleted: Option<&[Edge]>,
 ) -> (f64, f64) {
-    let mut counts = triangle_counts(original);
-    let before = average_from_counts(original, &counts);
+    let before = base.average_clustering();
     let Some(deleted) = deleted else {
-        // Free the original's counts first: one count array live at a time.
-        drop(counts);
         return (before, average_clustering(released));
     };
+    let mut counts = base.triangles().to_vec();
     remove_deleted_triangles(original, &mut counts, deleted);
     (before, average_from_counts(released, &counts))
 }
 
 /// `(average_core_number(original), average_core_number(released))` and
 /// the number of h-index evaluations spent, bit-identical to the two
-/// from-scratch calls. When `released` is `original` minus the edges
-/// `deleted`, the original's cores are patched down to the release's by
-/// [`patch_core_numbers`] instead of peeling `released` again (checked
-/// against that peel in debug builds); otherwise (`None`) `released` is
-/// peeled from scratch and no evaluation is spent.
-fn core_pair<G: NeighborAccess, H: NeighborAccess>(
-    original: &G,
+/// from-scratch calls, with the original's side read from `base`. When
+/// `released` is `original` minus the edges `deleted`, a copy of the base
+/// cores is patched down to the release's by [`patch_core_numbers`]
+/// instead of peeling `released` again (checked against that peel in
+/// debug builds); otherwise (`None`) `released` is peeled from scratch and
+/// no evaluation is spent.
+fn core_pair<H: NeighborAccess>(
+    base: &BaseStats,
     released: &H,
     deleted: Option<&[Edge]>,
 ) -> (f64, f64, u64) {
-    let mut core = core_numbers(original);
-    let before = average_of(&core);
+    let before = base.average_core_number();
     let Some(deleted) = deleted else {
-        drop(core);
         return (before, average_core_number(released), 0);
     };
+    let mut core = base.core_numbers().to_vec();
     let evaluations = patch_core_numbers(released, &mut core, deleted);
     debug_assert!(
         core == core_numbers(released),
@@ -272,17 +270,43 @@ impl UtilityLossReport {
 /// Every value equals, bit for bit, what [`compute_utility`] gives on
 /// each graph, whatever their representations (the two are independent
 /// type parameters: an adjacency-list original against a CSR release is
-/// fine). Clustering and core number are the metrics not recomputed
-/// twice: when `released` only lacks the edges `D` of `original` (the
-/// paper's `G − T − P`), `D` is derived once, the deleted edges'
-/// triangles are patched out of the original's per-node counts, and the
-/// original's core numbers are patched down to the release's.
+/// fine). Counts the original's triangles and peels its cores once
+/// ([`BaseStats::compute`]), then reports through [`utility_loss_with`].
 #[must_use]
 pub fn utility_loss<G: NeighborAccess, H: NeighborAccess>(
     original: &G,
     released: &H,
     config: &UtilityConfig,
 ) -> UtilityLossReport {
+    utility_loss_with(&BaseStats::compute(original), original, released, config)
+}
+
+/// [`utility_loss`] with the original's triangle counts and core numbers
+/// supplied: `base` must equal [`BaseStats::compute`] of `original`
+/// (checked in debug builds).
+///
+/// Clustering and core number are the metrics not recomputed twice: when
+/// `released` only lacks the edges `D` of `original` (the paper's
+/// `G − T − P`), `D` is derived once, the deleted edges' triangles are
+/// patched out of a copy of the base counts, and a copy of the base core
+/// numbers is patched down to the release's. Every other metric is
+/// measured on both graphs from scratch.
+#[must_use]
+pub fn utility_loss_with<G: NeighborAccess, H: NeighborAccess>(
+    base: &BaseStats,
+    original: &G,
+    released: &H,
+    config: &UtilityConfig,
+) -> UtilityLossReport {
+    assert_eq!(
+        base.node_count(),
+        original.node_count(),
+        "utility_loss_with: base statistics of another graph"
+    );
+    debug_assert!(
+        *base == BaseStats::compute(original),
+        "utility_loss_with: stale base statistics"
+    );
     let deleted = deleted_edges(original, released);
     let mut core_evaluations = 0;
     let per_metric: Vec<(UtilityMetric, f64)> = config
@@ -291,10 +315,10 @@ pub fn utility_loss<G: NeighborAccess, H: NeighborAccess>(
         .map(|&m| {
             let (a, b) = match m {
                 UtilityMetric::Clustering => {
-                    clustering_pair(original, released, deleted.as_deref())
+                    clustering_pair(base, original, released, deleted.as_deref())
                 }
                 UtilityMetric::CoreNumber => {
-                    let (a, b, evaluations) = core_pair(original, released, deleted.as_deref());
+                    let (a, b, evaluations) = core_pair(base, released, deleted.as_deref());
                     core_evaluations += evaluations;
                     (a, b)
                 }

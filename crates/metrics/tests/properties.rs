@@ -4,7 +4,9 @@
 //! `utility_loss(g, g − D)` is bit-identical to measuring both graphs from
 //! scratch — for deletion sets of every shape, and for released graphs
 //! that add or rewire edges (which take the recount path), and whichever
-//! graph representation the two inputs use.
+//! graph representation the two inputs use. Base statistics patched
+//! across a sequence of edge deltas equal a recount of the result, and a
+//! report read from them equals one that recounts.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -12,7 +14,8 @@ use tpp_graph::{generators, Edge, Graph};
 use tpp_metrics::clustering::{triangle_counts, triangles_through};
 use tpp_metrics::core_number::patch_core_numbers;
 use tpp_metrics::{
-    compute_utility, core_numbers, loss_ratio, triangle_count, utility_loss, UtilityConfig,
+    compute_utility, core_numbers, loss_ratio, triangle_count, utility_loss, utility_loss_with,
+    BaseStats, UtilityConfig,
 };
 use tpp_store::CsrGraph;
 
@@ -125,6 +128,54 @@ fn some_swap(g: &Graph, seed: u64) -> Option<(Edge, Edge)> {
             let ((a, b), (c, d)) = (e1.endpoints(), e2.endpoints());
             a != c && a != d && b != c && b != d && !g.has_edge(a, d) && !g.has_edge(c, b)
         })
+}
+
+/// Edges to insert into `g`, all non-edges of it: every missing pair
+/// among a few nodes around a seeded centre (so that added edges close
+/// triangles among themselves and with old edges), then a few random
+/// pairs.
+fn insertion_set(g: &Graph, seed: u64) -> Vec<Edge> {
+    let n = g.node_count() as u64;
+    let mut next = lcg(seed);
+    let centre = (next() % n) as u32;
+    let mut group: Vec<u32> = std::iter::once(centre)
+        .chain(g.neighbors(centre).iter().copied().take(2))
+        .chain((0..2).map(|_| (next() % n) as u32))
+        .collect();
+    group.sort_unstable();
+    group.dedup();
+    let mut added = Vec::new();
+    for (i, &a) in group.iter().enumerate() {
+        for &b in &group[i + 1..] {
+            added.push(Edge::new(a, b));
+        }
+    }
+    for _ in 0..3 {
+        let (a, b) = ((next() % n) as u32, (next() % n) as u32);
+        if a != b {
+            added.push(Edge::new(a, b));
+        }
+    }
+    added.sort_unstable();
+    added.dedup();
+    added.retain(|e| !g.has_edge(e.u(), e.v()));
+    added
+}
+
+/// Asserts two base statistics are equal array for array and bit for bit.
+fn assert_same_base(got: &BaseStats, want: &BaseStats) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got.triangles(), want.triangles());
+    prop_assert_eq!(got.core_numbers(), want.core_numbers());
+    prop_assert_eq!(
+        got.average_clustering().to_bits(),
+        want.average_clustering().to_bits()
+    );
+    prop_assert_eq!(
+        got.average_core_number().to_bits(),
+        want.average_core_number().to_bits()
+    );
+    prop_assert!(got == want);
+    Ok(())
 }
 
 proptest! {
@@ -272,5 +323,66 @@ proptest! {
         let mut core = core_numbers(&g);
         patch_core_numbers(&CsrGraph::from_graph(&released), &mut core, &deleted);
         prop_assert_eq!(&core, &want);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Base statistics patched across a random sequence of removal-only,
+    /// insertion-only and mixed deltas equal `BaseStats::compute` of each
+    /// resulting graph (also with CSR inputs), re-peel exactly when the
+    /// delta inserts, and give the reports of `utility_loss` bit for bit.
+    #[test]
+    fn base_stats_patch_matches_recompute(
+        family in 0u8..3,
+        n in 4usize..40,
+        seed in 0u64..5_000,
+        steps in 1usize..5,
+    ) {
+        let mut g = random_graph(family, n, seed);
+        let mut base = BaseStats::compute(&g);
+        let mut next = lcg(seed ^ 0xBA5E);
+        for step in 0..steps as u64 {
+            let step_seed = seed.wrapping_add(step * 7919);
+            let kind = next() % 3;
+            let removed = if kind == 1 {
+                Vec::new()
+            } else {
+                deletion_set(&g, 1 + (next() % 4) as u8, step_seed)
+            };
+            let added = if kind == 0 {
+                Vec::new()
+            } else {
+                insertion_set(&g, step_seed)
+            };
+            let mut after = without(&g, &removed);
+            for e in &added {
+                prop_assert!(after.add_edge(e.u(), e.v()), "{} is already an edge", e);
+            }
+            let want = BaseStats::compute(&after);
+            let (patched, repeeled) = base.patched(&g, &after, &removed, &added);
+            assert_same_base(&patched, &want)?;
+            prop_assert_eq!(repeeled, !added.is_empty());
+            let (g_csr, after_csr) = (CsrGraph::from_graph(&g), CsrGraph::from_graph(&after));
+            let (csr_patched, _) = base.patched(&g_csr, &after_csr, &removed, &added);
+            assert_same_base(&csr_patched, &want)?;
+
+            let released = without(&after, &deletion_set(&after, (next() % 5) as u8, step_seed));
+            for config in [UtilityConfig::large_graph(seed), UtilityConfig::full(seed)] {
+                let got = utility_loss_with(&patched, &after, &released, &config);
+                let scratch = utility_loss(&after, &released, &config);
+                prop_assert_eq!(got.per_metric.len(), scratch.per_metric.len());
+                for (&(m, a), &(wm, b)) in got.per_metric.iter().zip(&scratch.per_metric) {
+                    prop_assert_eq!(m, wm);
+                    prop_assert_eq!(a.to_bits(), b.to_bits(), "metric {}", m);
+                }
+                prop_assert_eq!(got.average.to_bits(), scratch.average.to_bits());
+                prop_assert_eq!(got.deleted_edges, scratch.deleted_edges);
+                prop_assert_eq!(got.core_evaluations, scratch.core_evaluations);
+            }
+            g = after;
+            base = patched;
+        }
     }
 }

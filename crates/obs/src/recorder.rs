@@ -157,15 +157,28 @@ pub struct UpdateStats {
     pub candidates_rescored: Counter,
     /// Candidate gains reused from the prior plan without re-scoring.
     pub candidates_memoized: Counter,
+    /// Wall time a served `update` spent patching the resident graph's
+    /// base statistics (0 when none were resident).
+    pub base_patch_ns: Counter,
+    /// Served `update`s whose inserted edges forced a fresh peel of the
+    /// resident base core numbers.
+    pub core_repeels: Counter,
 }
 
 /// Utility-report telemetry: what the `utility_loss` phase of a protect
-/// run cost, how many deleted edges its clustering and core patches
+/// run cost, whether the original's base statistics were computed or
+/// reused, how many deleted edges its clustering and core patches
 /// walked, and how many nodes the core patch re-evaluated.
 #[derive(Debug, Default)]
 pub struct UtilityStats {
-    /// Wall time of the utility-loss report.
+    /// Wall time of the utility-loss report, `base_ns` included.
     pub utility_ns: Counter,
+    /// 1 when a resident server supplied the original's base statistics,
+    /// 0 when the request computed them.
+    pub base_reused: Counter,
+    /// Wall time spent computing the original's base statistics (0 when
+    /// reused).
+    pub base_ns: Counter,
     /// Edges of the original graph missing from the released one (`|D|`).
     pub deleted_edges: Counter,
     /// h-index node evaluations of the core-number patch; 0 when the
@@ -458,6 +471,8 @@ impl Stats {
                     "candidates_memoized",
                     self.update.candidates_memoized.get().to_string(),
                 ),
+                ("base_patch_ns", self.update.base_patch_ns.get().to_string()),
+                ("core_repeels", self.update.core_repeels.get().to_string()),
             ],
             false,
         );
@@ -466,6 +481,8 @@ impl Stats {
             "utility",
             &[
                 ("utility_ns", self.utility.utility_ns.get().to_string()),
+                ("base_reused", self.utility.base_reused.get().to_string()),
+                ("base_ns", self.utility.base_ns.get().to_string()),
                 (
                     "deleted_edges",
                     self.utility.deleted_edges.get().to_string(),
@@ -535,6 +552,10 @@ mod tests {
             "\"utility\":",
             "\"deleted_edges\":",
             "\"core_evaluations\":",
+            "\"base_reused\":",
+            "\"base_ns\":",
+            "\"base_patch_ns\":",
+            "\"core_repeels\":",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
