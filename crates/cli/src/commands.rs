@@ -460,8 +460,11 @@ fn prepare_incremental(
 
 /// Warm-start inputs a resident server passes into a run; the one-shot
 /// commands use the default (everything cold, private pool).
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub(crate) struct RunSeeds {
+    /// The run's phase-1 instance, when the server already built it to
+    /// look up the index (never for an incremental run).
+    pub instance: Option<TppInstance>,
     /// Pre-built coverage index from the server's registry (only consulted
     /// when its motif and targets match the run).
     pub index: Option<std::sync::Arc<tpp_motif::PartitionedCoverageIndex>>,
@@ -487,7 +490,7 @@ fn protect(p: &Parsed) -> Result<(), String> {
         &recorder,
         kernel_base,
         stats_out.as_ref(),
-        &RunSeeds::default(),
+        RunSeeds::default(),
     )?;
     print!("{report}");
     Ok(())
@@ -505,7 +508,7 @@ pub(crate) fn run_protect(
     recorder: &Recorder,
     kernel_base: Option<tpp_graph::KernelCounts>,
     stats_out: Option<&StatsOut>,
-    seeds: &RunSeeds,
+    seeds: RunSeeds,
 ) -> Result<String, String> {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -541,8 +544,13 @@ pub(crate) fn run_protect(
         (ir.motif, ir.instance, Some((ir.prior_steps, ir.dirty)))
     } else {
         let motif = parse_motif(p)?;
-        let targets = parse_targets(p, &g)?;
-        let instance = TppInstance::new(g, targets).map_err(|e| e.to_string())?;
+        let instance = match seeds.instance {
+            Some(instance) => instance,
+            None => {
+                let targets = parse_targets(p, &g)?;
+                TppInstance::new(g, targets).map_err(|e| e.to_string())?
+            }
+        };
         (motif, instance, None)
     };
 

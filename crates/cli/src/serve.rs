@@ -410,6 +410,7 @@ impl Server {
         let kernel_base = commands::start_kernel_counting(&recorder);
         let (g, base) = self.graph_for(p, &recorder)?;
         let mut seeds = RunSeeds {
+            instance: None,
             index: None,
             pool: Some(self.pool.clone()),
             base: Some(base),
@@ -418,9 +419,12 @@ impl Server {
             // An incremental request solves the delta-mutated problem, so
             // the registry's pre-delta index would be the wrong seed.
             if !p.has("incremental") {
-                seeds.index = self.index_for(p, &g, &recorder)?;
+                if let Some((instance, index)) = self.index_for(p, &g, &recorder)? {
+                    seeds.instance = Some(instance);
+                    seeds.index = Some(index);
+                }
             }
-            commands::run_protect(p, g, &recorder, kernel_base, stats_out.as_ref(), &seeds)
+            commands::run_protect(p, g, &recorder, kernel_base, stats_out.as_ref(), seeds)
         } else {
             commands::run_attack(p, g, &recorder, kernel_base, stats_out.as_ref(), &seeds)
         }
@@ -623,16 +627,18 @@ impl Server {
         Ok((g, base))
     }
 
-    /// The index registry: a hit hands the cached build to the run as a
-    /// seed; a miss builds once on the shared pool (charged to this
-    /// request's recorder) and caches it. Only the greedy strategies
-    /// evaluate through the index — the random baselines return `None`.
+    /// The index registry: builds the run's phase-1 instance, whose
+    /// released graph and targets the index covers, and hands both to the
+    /// run as seeds. A hit takes the cached index; a miss builds it once
+    /// on the shared pool (charged to this request's recorder) and caches
+    /// it. Only the greedy strategies evaluate through the index — the
+    /// random baselines return `None`.
     fn index_for(
         &self,
         p: &Parsed,
         g: &Arc<CsrGraph>,
         recorder: &Recorder,
-    ) -> Result<Option<Arc<PartitionedCoverageIndex>>, String> {
+    ) -> Result<Option<(TppInstance, Arc<PartitionedCoverageIndex>)>, String> {
         if !matches!(p.get_or("algorithm", "sgb"), "sgb" | "celf" | "ct" | "wt") {
             return Ok(None);
         }
@@ -647,16 +653,15 @@ impl Server {
             motif.to_string(),
             targets.iter().map(|e| (e.u(), e.v())).collect(),
         );
-        if let Some(entry) = lock(&self.indexes).get_mut(&key) {
+        let cached = lock(&self.indexes).get_mut(&key).map(|entry| {
             entry.last_used = Instant::now();
-            let index = Arc::clone(&entry.index);
-            self.bump(Some(recorder), |s| s.index_hits.inc());
-            return Ok(Some(index));
-        }
-        // The instance defines the released graph the index covers; the
-        // run will rebuild the same instance from the same inputs, so the
-        // seed's motif/target check matches.
+            Arc::clone(&entry.index)
+        });
         let instance = TppInstance::new(Arc::clone(g), targets).map_err(|e| e.to_string())?;
+        if let Some(index) = cached {
+            self.bump(Some(recorder), |s| s.index_hits.inc());
+            return Ok(Some((instance, index)));
+        }
         let exec = self.pool.attach_recorder(recorder.clone());
         let index = Arc::new(PartitionedCoverageIndex::build_parallel(
             instance.released(),
@@ -673,7 +678,7 @@ impl Server {
                 last_used: Instant::now(),
             },
         );
-        Ok(Some(index))
+        Ok(Some((instance, index)))
     }
 
     fn info(&self) -> String {

@@ -62,7 +62,7 @@ pub fn katz_pair_score<G: NeighborAccess>(
             if w == 0.0 {
                 continue;
             }
-            for b in g.neighbors_iter(a) {
+            for &b in g.neighbors(a) {
                 next[b as usize] += w;
             }
         }

@@ -13,9 +13,9 @@
 use crate::problem::TppInstance;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tpp_graph::{Edge, Graph, NeighborAccess, NodeId};
+use tpp_graph::{Edge, NeighborAccess, NodeId};
 use tpp_motif::{count_all_targets, Motif};
-use tpp_store::DeltaView;
+use tpp_store::{CsrGraph, DeltaView};
 
 /// Outcome of a random link-switching perturbation.
 #[derive(Debug, Clone)]
@@ -29,7 +29,7 @@ pub struct SwitchOutcome {
     /// Total target similarity after switching.
     pub similarity_after: usize,
     /// The perturbed graph.
-    pub graph: Graph,
+    pub graph: CsrGraph,
 }
 
 impl SwitchOutcome {
@@ -103,7 +103,7 @@ pub fn random_switch(instance: &TppInstance, k: usize, motif: Motif, seed: u64) 
         added,
         similarity_before,
         similarity_after,
-        graph: view.to_graph(),
+        graph: CsrGraph::from_access(&view),
     }
 }
 
@@ -191,7 +191,7 @@ mod tests {
         out.graph.check_invariants();
         // never resurrects a target
         for t in inst.targets() {
-            assert!(!out.graph.contains(*t));
+            assert!(!out.graph.has_edge(t.u(), t.v()));
         }
     }
 

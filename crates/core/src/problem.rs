@@ -112,7 +112,7 @@ impl TppInstance {
             if ranks.peek().is_none() {
                 break;
             }
-            let nu = g.neighbors_cow(u);
+            let nu = g.neighbors(u);
             let upper = &nu[nu.partition_point(|&v| v < u)..];
             let end = first + upper.len() as u32;
             while let Some(r) = ranks.next_if(|&r| r < end) {
@@ -322,11 +322,8 @@ mod tests {
         fn degree(&self, _: tpp_graph::NodeId) -> usize {
             unreachable!()
         }
-        fn neighbors_iter(
-            &self,
-            _: tpp_graph::NodeId,
-        ) -> impl Iterator<Item = tpp_graph::NodeId> + '_ {
-            std::iter::empty()
+        fn neighbors(&self, _: tpp_graph::NodeId) -> &[tpp_graph::NodeId] {
+            &[]
         }
         fn has_edge(&self, _: tpp_graph::NodeId, _: tpp_graph::NodeId) -> bool {
             unreachable!()

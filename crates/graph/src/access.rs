@@ -7,18 +7,19 @@
 //!
 //! * [`Graph`] — the mutable adjacency-list structure,
 //! * `tpp_store::CsrGraph` — an immutable compressed-sparse-row snapshot,
+//! * `tpp_store::CsrShard` — one node range of a snapshot,
 //! * `tpp_store::DeltaView` — a copy-on-write overlay of tentative edge
-//!   deletions/additions layered over any snapshot,
-//! * [`MaskedGraph`] — the legacy deletion-only view in this crate.
+//!   deletions/additions layered over any of these (views stack).
 //!
 //! # Contract
 //!
 //! Implementations must guarantee, for every node `u < node_count()`:
 //!
-//! * `neighbors_iter(u)` yields neighbor ids in **strictly ascending**
-//!   order, with no duplicates, no self-loop, and every id `< node_count()`;
+//! * `neighbors(u)` is one contiguous slice of neighbor ids in **strictly
+//!   ascending** order, with no duplicates, no self-loop, and every id
+//!   `< node_count()` — the only adjacency read path;
 //! * adjacency is symmetric: `v ∈ N(u)` iff `u ∈ N(v)`;
-//! * `degree(u)` equals the iterator's length;
+//! * `degree(u)` equals the slice's length;
 //! * `edge_count()` equals `Σ degree(u) / 2`.
 //!
 //! The provided common-neighbor methods rely on the sortedness contract:
@@ -30,8 +31,6 @@
 use crate::edge::{Edge, NodeId};
 use crate::graph::Graph;
 use crate::kernels;
-use crate::view::MaskedGraph;
-use std::borrow::Cow;
 
 /// Read-only access to a simple undirected graph with sorted adjacency.
 pub trait NeighborAccess {
@@ -44,35 +43,11 @@ pub trait NeighborAccess {
     /// Degree of node `u`.
     fn degree(&self, u: NodeId) -> usize;
 
-    /// Iterates the neighbors of `u` in strictly ascending order.
-    fn neighbors_iter(&self, u: NodeId) -> impl Iterator<Item = NodeId> + '_;
+    /// The neighbors of `u` as one strictly ascending slice.
+    fn neighbors(&self, u: NodeId) -> &[NodeId];
 
     /// Whether the undirected edge `(u, v)` exists.
     fn has_edge(&self, u: NodeId, v: NodeId) -> bool;
-
-    /// The sorted neighbor list of `u` as one contiguous slice, when the
-    /// representation can provide it without allocating.
-    ///
-    /// Slice-backed stores (`Graph`, `tpp_store::CsrGraph`, a
-    /// `tpp_store::DeltaView` with its merged-slice cache) return `Some`;
-    /// purely iterator-based views return `None` and scans fall back to
-    /// the merge iterators. Callers must treat the two paths as
-    /// observationally identical: same ids, same ascending order.
-    fn neighbors_slice(&self, u: NodeId) -> Option<&[NodeId]> {
-        let _ = u;
-        None
-    }
-
-    /// The sorted neighbor list of `u` as a slice: borrowed from
-    /// [`NeighborAccess::neighbors_slice`] when the representation has one,
-    /// collected from the iterator otherwise. For loops that need prefix
-    /// sub-slices or a slice comparison rather than a stream.
-    fn neighbors_cow(&self, u: NodeId) -> Cow<'_, [NodeId]> {
-        match self.neighbors_slice(u) {
-            Some(s) => Cow::Borrowed(s),
-            None => Cow::Owned(self.neighbors_iter(u).collect()),
-        }
-    }
 
     /// Iterates all node ids.
     fn node_ids(&self) -> std::ops::Range<NodeId> {
@@ -92,33 +67,20 @@ pub trait NeighborAccess {
         None
     }
 
-    /// Calls `f(w)` for each common neighbor `w` of `u` and `v`, ascending.
-    ///
-    /// Default implementation: the size-adaptive kernel dispatcher
-    /// ([`kernels::intersect_with`]) when both endpoints expose
-    /// [`NeighborAccess::neighbors_slice`] (the hot path for motif
-    /// counting), otherwise the scalar merge of the two sorted neighbor
-    /// streams. Overrides must preserve the ascending order.
+    /// Calls `f(w)` for each common neighbor `w` of `u` and `v`, ascending,
+    /// through the size-adaptive kernel dispatcher
+    /// ([`kernels::intersect_with`]).
     fn for_each_common_neighbor<F: FnMut(NodeId)>(&self, u: NodeId, v: NodeId, f: F) {
-        if let (Some(a), Some(b)) = (self.neighbors_slice(u), self.neighbors_slice(v)) {
-            kernels::intersect_with(a, b, self.hub_bits(u), self.hub_bits(v), f);
-            return;
-        }
-        kernels::merge_iters(self.neighbors_iter(u), self.neighbors_iter(v), f);
+        let (a, b) = (self.neighbors(u), self.neighbors(v));
+        kernels::intersect_with(a, b, self.hub_bits(u), self.hub_bits(v), f);
     }
 
-    /// Number of common neighbors of `u` and `v`.
-    ///
-    /// Default implementation: the count-only kernel dispatcher
-    /// ([`kernels::count_with`]) on the slice path — no materialization,
+    /// Number of common neighbors of `u` and `v`, through the count-only
+    /// kernel dispatcher ([`kernels::count_with`]) — no materialization,
     /// and the hub-AND case degenerates to a popcount sweep.
     fn common_neighbor_count(&self, u: NodeId, v: NodeId) -> usize {
-        if let (Some(a), Some(b)) = (self.neighbors_slice(u), self.neighbors_slice(v)) {
-            return kernels::count_with(a, b, self.hub_bits(u), self.hub_bits(v));
-        }
-        let mut n = 0;
-        kernels::merge_iters(self.neighbors_iter(u), self.neighbors_iter(v), |_| n += 1);
-        n
+        let (a, b) = (self.neighbors(u), self.neighbors(v));
+        kernels::count_with(a, b, self.hub_bits(u), self.hub_bits(v))
     }
 
     /// Common neighbors of `u` and `v`, ascending.
@@ -132,7 +94,7 @@ pub trait NeighborAccess {
     fn collect_edges(&self) -> Vec<Edge> {
         let mut out = Vec::with_capacity(self.edge_count());
         for u in self.node_ids() {
-            for v in self.neighbors_iter(u) {
+            for &v in self.neighbors(u) {
                 if u < v {
                     out.push(Edge::new(u, v));
                 }
@@ -140,14 +102,6 @@ pub trait NeighborAccess {
         }
         out
     }
-}
-
-/// Slice-to-slice sorted merge — a thin alias for
-/// [`kernels::intersect_merge`], kept for API continuity. There is exactly
-/// one scalar merge in the workspace ([`kernels::merge_iters`]); this and
-/// the iterator fallback both route through it.
-pub fn merge_sorted_slices<F: FnMut(NodeId)>(a: &[NodeId], b: &[NodeId], f: F) {
-    kernels::intersect_merge(a, b, f);
 }
 
 impl NeighborAccess for Graph {
@@ -167,51 +121,13 @@ impl NeighborAccess for Graph {
     }
 
     #[inline]
-    fn neighbors_iter(&self, u: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.neighbors(u).iter().copied()
+    fn neighbors(&self, u: NodeId) -> &[NodeId] {
+        Graph::neighbors(self, u)
     }
 
     #[inline]
     fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         Graph::has_edge(self, u, v)
-    }
-
-    #[inline]
-    fn neighbors_slice(&self, u: NodeId) -> Option<&[NodeId]> {
-        Some(self.neighbors(u))
-    }
-
-    #[inline]
-    fn for_each_common_neighbor<F: FnMut(NodeId)>(&self, u: NodeId, v: NodeId, f: F) {
-        // The slice-based merge avoids the peekable-iterator overhead.
-        Graph::for_each_common_neighbor(self, u, v, f);
-    }
-}
-
-impl NeighborAccess for MaskedGraph<'_> {
-    #[inline]
-    fn node_count(&self) -> usize {
-        MaskedGraph::node_count(self)
-    }
-
-    #[inline]
-    fn edge_count(&self) -> usize {
-        MaskedGraph::edge_count(self)
-    }
-
-    #[inline]
-    fn degree(&self, u: NodeId) -> usize {
-        MaskedGraph::degree(self, u)
-    }
-
-    #[inline]
-    fn neighbors_iter(&self, u: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        MaskedGraph::neighbors(self, u)
-    }
-
-    #[inline]
-    fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        MaskedGraph::has_edge(self, u, v)
     }
 }
 
@@ -228,28 +144,16 @@ impl<G: NeighborAccess> NeighborAccess for &G {
         (**self).degree(u)
     }
 
-    fn neighbors_iter(&self, u: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        (**self).neighbors_iter(u)
+    fn neighbors(&self, u: NodeId) -> &[NodeId] {
+        (**self).neighbors(u)
     }
 
     fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         (**self).has_edge(u, v)
     }
 
-    fn neighbors_slice(&self, u: NodeId) -> Option<&[NodeId]> {
-        (**self).neighbors_slice(u)
-    }
-
     fn hub_bits(&self, u: NodeId) -> Option<&[u64]> {
         (**self).hub_bits(u)
-    }
-
-    fn for_each_common_neighbor<F: FnMut(NodeId)>(&self, u: NodeId, v: NodeId, f: F) {
-        (**self).for_each_common_neighbor(u, v, f);
-    }
-
-    fn common_neighbor_count(&self, u: NodeId, v: NodeId) -> usize {
-        (**self).common_neighbor_count(u, v)
     }
 }
 
@@ -270,6 +174,28 @@ mod tests {
         )
     }
 
+    /// A wrapper exposing only the required methods, so every common-
+    /// neighbor query runs the trait defaults.
+    struct Wrap<'a>(&'a Graph);
+
+    impl NeighborAccess for Wrap<'_> {
+        fn node_count(&self) -> usize {
+            self.0.node_count()
+        }
+        fn edge_count(&self) -> usize {
+            self.0.edge_count()
+        }
+        fn degree(&self, u: NodeId) -> usize {
+            self.0.degree(u)
+        }
+        fn neighbors(&self, u: NodeId) -> &[NodeId] {
+            self.0.neighbors(u)
+        }
+        fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
+            self.0.has_edge(u, v)
+        }
+    }
+
     #[test]
     fn graph_implements_the_contract() {
         let g = fixture();
@@ -284,68 +210,24 @@ mod tests {
     }
 
     #[test]
-    fn masked_graph_implements_the_contract() {
-        let g = fixture();
-        let view = MaskedGraph::new(&g, [Edge::new(1, 3)]);
-        let (n, m, cn, edges) = generic_probe(&view);
-        assert_eq!(n, 4);
-        assert_eq!(m, 4);
-        assert_eq!(cn, vec![2]);
-        assert_eq!(edges.len(), 4);
-        assert!(!edges.contains(&Edge::new(1, 3)));
-    }
-
-    #[test]
     fn reference_forwarding() {
         let g = fixture();
         let (n, m, _, _) = generic_probe(&&g);
         assert_eq!((n, m), (4, 5));
-    }
-
-    #[test]
-    fn neighbors_slice_agrees_with_iterator() {
-        let g = crate::generators::erdos_renyi_gnp(30, 0.25, 3);
-        for u in 0..30u32 {
-            let slice = g.neighbors_slice(u).expect("Graph is slice-backed");
-            assert_eq!(slice, g.neighbors_iter(u).collect::<Vec<_>>().as_slice());
-        }
-        // A masked view is iterator-only: the default must stay None.
-        let view = MaskedGraph::new(&g, []);
-        assert!(view.neighbors_slice(0).is_none());
-        // neighbors_cow borrows on the slice path and collects otherwise.
-        for u in 0..30u32 {
-            assert!(matches!(g.neighbors_cow(u), Cow::Borrowed(_)));
-            assert_eq!(*view.neighbors_cow(u), *g.neighbors(u));
+        // The slice is the graph's own storage, also through `&G`.
+        for u in 0..4u32 {
+            assert_eq!(
+                NeighborAccess::neighbors(&&g, u).as_ptr(),
+                g.neighbors(u).as_ptr()
+            );
         }
     }
 
     #[test]
     fn slice_default_merge_matches_override() {
-        // A wrapper exposing slices but not overriding the common-neighbor
-        // merge: the trait default must take the slice path and agree.
+        // The trait default must agree with Graph's own common neighbors.
         let g = crate::generators::erdos_renyi_gnp(40, 0.2, 11);
-        struct SliceWrap<'a>(&'a Graph);
-        impl NeighborAccess for SliceWrap<'_> {
-            fn node_count(&self) -> usize {
-                self.0.node_count()
-            }
-            fn edge_count(&self) -> usize {
-                self.0.edge_count()
-            }
-            fn degree(&self, u: NodeId) -> usize {
-                self.0.degree(u)
-            }
-            fn neighbors_iter(&self, u: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-                self.0.neighbors(u).iter().copied()
-            }
-            fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-                self.0.has_edge(u, v)
-            }
-            fn neighbors_slice(&self, u: NodeId) -> Option<&[NodeId]> {
-                Some(self.0.neighbors(u))
-            }
-        }
-        let w = SliceWrap(&g);
+        let w = Wrap(&g);
         for u in 0..12u32 {
             for v in (u + 1)..12 {
                 assert_eq!(
@@ -359,34 +241,16 @@ mod tests {
 
     #[test]
     fn default_merge_matches_slice_merge() {
+        // The dispatcher defaults (list and count) agree with the plain
+        // scalar merge of the two slices.
         let g = crate::generators::erdos_renyi_gnp(40, 0.2, 9);
-        struct Wrap<'a>(&'a Graph);
-        impl NeighborAccess for Wrap<'_> {
-            fn node_count(&self) -> usize {
-                self.0.node_count()
-            }
-            fn edge_count(&self) -> usize {
-                self.0.edge_count()
-            }
-            fn degree(&self, u: NodeId) -> usize {
-                self.0.degree(u)
-            }
-            fn neighbors_iter(&self, u: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-                self.0.neighbors(u).iter().copied()
-            }
-            fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-                self.0.has_edge(u, v)
-            }
-            // no override: exercises the default merge
-        }
         let w = Wrap(&g);
         for u in 0..10u32 {
             for v in (u + 1)..10 {
-                assert_eq!(
-                    w.common_neighbors_vec(u, v),
-                    g.common_neighbors(u, v),
-                    "({u},{v})"
-                );
+                let mut merged = Vec::new();
+                kernels::intersect_merge(g.neighbors(u), g.neighbors(v), |x| merged.push(x));
+                assert_eq!(w.common_neighbors_vec(u, v), merged, "({u},{v})");
+                assert_eq!(w.common_neighbor_count(u, v), merged.len(), "({u},{v})");
             }
         }
     }

@@ -90,7 +90,7 @@ pub fn write_edge_list<G: NeighborAccess>(g: &G) -> String {
     let mut out = String::with_capacity(g.edge_count() * 12);
     let _ = writeln!(out, "# nodes: {} edges: {}", g.node_count(), g.edge_count());
     for u in g.node_ids() {
-        for v in g.neighbors_iter(u).filter(|&v| u < v) {
+        for &v in g.neighbors(u).iter().filter(|&&v| u < v) {
             let _ = writeln!(out, "{u} {v}");
         }
     }

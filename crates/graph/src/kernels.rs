@@ -9,8 +9,7 @@
 //! one dispatcher that picks per `(deg(u), deg(v))` pair:
 //!
 //! * **merge** — the classic linear merge, `O(|a| + |b|)`. The fallback,
-//!   and the single scalar merge the whole workspace shares (the
-//!   iterator form backs iterator-only views such as `MaskedGraph`).
+//!   and the single scalar merge the whole workspace shares.
 //! * **gallop** — exponential probing + binary search from the smaller
 //!   list into the larger, `O(|small| · log(|large| / |small|))`. Wins
 //!   when the degree ratio is skewed (see [`GALLOP_RATIO`]).
@@ -97,39 +96,24 @@ pub fn choose(
     }
 }
 
-/// Intersects two strictly ascending sorted streams, calling `f` on each
-/// common element in ascending order.
+/// Linear two-pointer slice merge (the dispatcher's fallback kernel):
+/// calls `f` on each element common to the strictly ascending `a` and `b`,
+/// in ascending order.
 ///
-/// This is the **one** scalar merge in the workspace: the slice kernel
-/// [`intersect_merge`] and every iterator-only fallback route through it.
-pub fn merge_iters<A, B, F>(a: A, b: B, mut f: F)
-where
-    A: Iterator<Item = NodeId>,
-    B: Iterator<Item = NodeId>,
-    F: FnMut(NodeId),
-{
-    let mut a = a.peekable();
-    let mut b = b.peekable();
-    while let (Some(&x), Some(&y)) = (a.peek(), b.peek()) {
+/// This is the **one** scalar merge in the workspace.
+pub fn intersect_merge<F: FnMut(NodeId)>(a: &[NodeId], b: &[NodeId], mut f: F) {
+    let (mut i, mut j) = (0, 0);
+    while let (Some(&x), Some(&y)) = (a.get(i), b.get(j)) {
         match x.cmp(&y) {
-            std::cmp::Ordering::Less => {
-                a.next();
-            }
-            std::cmp::Ordering::Greater => {
-                b.next();
-            }
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
             std::cmp::Ordering::Equal => {
                 f(x);
-                a.next();
-                b.next();
+                i += 1;
+                j += 1;
             }
         }
     }
-}
-
-/// Linear slice-to-slice merge (the dispatcher's fallback kernel).
-pub fn intersect_merge<F: FnMut(NodeId)>(a: &[NodeId], b: &[NodeId], f: F) {
-    merge_iters(a.iter().copied(), b.iter().copied(), f);
 }
 
 /// Galloping intersection: for each element of `probe` (the smaller list),
@@ -331,7 +315,7 @@ impl HubBitsets {
         let mut rows = vec![0u64; hubs.len() * words_per_row];
         for (i, &h) in hubs.iter().enumerate() {
             let row = &mut rows[i * words_per_row..(i + 1) * words_per_row];
-            for v in g.neighbors_iter(h) {
+            for &v in g.neighbors(h) {
                 row[(v >> 6) as usize] |= 1u64 << (v & 63);
             }
         }

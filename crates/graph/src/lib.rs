@@ -32,9 +32,8 @@ mod graph;
 pub mod hash;
 pub mod kernels;
 pub mod traversal;
-mod view;
 
-pub use access::{merge_sorted_slices, NeighborAccess};
+pub use access::NeighborAccess;
 pub use edge::{Edge, NodeId};
 pub use edgelist::{
     declared_node_count, parse_edge_list, read_edge_list_file, write_edge_list,
@@ -44,4 +43,3 @@ pub use error::GraphError;
 pub use graph::Graph;
 pub use hash::{fast_map_with_capacity, fast_set_with_capacity, FastMap, FastSet};
 pub use kernels::{HubBitsets, KernelCounts};
-pub use view::MaskedGraph;

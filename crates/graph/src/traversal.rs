@@ -18,7 +18,7 @@ pub fn bfs_distances<G: NeighborAccess>(g: &G, src: NodeId) -> Vec<u32> {
     queue.push_back(src);
     while let Some(u) = queue.pop_front() {
         let du = dist[u as usize];
-        for v in g.neighbors_iter(u) {
+        for &v in g.neighbors(u) {
             if dist[v as usize] == UNREACHABLE {
                 dist[v as usize] = du + 1;
                 queue.push_back(v);

@@ -101,7 +101,6 @@ proptest! {
         prop_assert_eq!(run(&|f| kernels::intersect_merge(&a, &b, f)), naive.clone());
         prop_assert_eq!(run(&|f| kernels::intersect_gallop(&a, &b, f)), naive.clone());
         prop_assert_eq!(run(&|f| kernels::intersect_gallop(&b, &a, f)), naive.clone());
-        prop_assert_eq!(run(&|f| kernels::merge_iters(a.iter().copied(), b.iter().copied(), f)), naive.clone());
         // Hub rows over the 0..512 universe for either side.
         let mut row_a = vec![0u64; 8];
         for &x in &a {

@@ -40,7 +40,7 @@ pub fn katz_row<G: NeighborAccess>(g: &G, u: NodeId, beta: f64, max_len: usize) 
             if w == 0.0 {
                 continue;
             }
-            for b in g.neighbors_iter(a) {
+            for &b in g.neighbors(a) {
                 next[b as usize] += w;
             }
         }

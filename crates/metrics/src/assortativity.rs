@@ -25,7 +25,7 @@ pub fn assortativity<G: NeighborAccess>(g: &G) -> Option<f64> {
     let (mut s_jk, mut s_half_sum, mut s_half_sq) = (0.0f64, 0.0f64, 0.0f64);
     for u in g.node_ids() {
         let j = g.degree(u) as f64;
-        for v in g.neighbors_iter(u).filter(|&v| u < v) {
+        for &v in g.neighbors(u).iter().filter(|&&v| u < v) {
             let k = g.degree(v) as f64;
             s_jk += j * k;
             s_half_sum += 0.5 * (j + k);

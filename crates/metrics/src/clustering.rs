@@ -28,8 +28,9 @@ fn coefficient(links: f64, d: usize) -> f64 {
 /// merge/gallop dispatch instead of `d_v²/2` binary searches.
 #[must_use]
 pub fn triangles_through<G: NeighborAccess>(g: &G, v: NodeId) -> usize {
-    g.neighbors_iter(v)
-        .map(|a| g.common_neighbor_count(v, a))
+    g.neighbors(v)
+        .iter()
+        .map(|&a| g.common_neighbor_count(v, a))
         .sum::<usize>()
         / 2
 }
@@ -59,7 +60,7 @@ pub fn triangle_counts<G: NeighborAccess>(g: &G) -> Vec<u32> {
     let mut below = Vec::with_capacity(g.edge_count());
     offsets.push(0u32);
     for u in g.node_ids() {
-        below.extend(g.neighbors_cow(u).iter().take_while(|&&v| v < u));
+        below.extend(g.neighbors(u).iter().take_while(|&&v| v < u));
         offsets.push(below.len() as u32);
     }
     let lower = |u: NodeId| &below[offsets[u as usize] as usize..offsets[u as usize + 1] as usize];

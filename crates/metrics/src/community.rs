@@ -21,7 +21,7 @@ pub fn modularity<G: NeighborAccess>(g: &G, labels: &[usize]) -> f64 {
     let mut deg_sum = vec![0u64; ncomm];
     for u in g.node_ids() {
         deg_sum[labels[u as usize]] += g.degree(u) as u64;
-        for v in g.neighbors_iter(u).filter(|&v| u < v) {
+        for &v in g.neighbors(u).iter().filter(|&&v| u < v) {
             if labels[u as usize] == labels[v as usize] {
                 intra[labels[u as usize]] += 1;
             }
@@ -59,7 +59,7 @@ pub fn label_propagation<G: NeighborAccess>(g: &G, seed: u64, max_sweeps: usize)
                 continue;
             }
             counts.clear();
-            for v in g.neighbors_iter(u) {
+            for &v in g.neighbors(u) {
                 *counts.entry(labels[v as usize]).or_insert(0) += 1;
             }
             // Deterministic tie-break: highest count, then smallest label.
@@ -137,7 +137,7 @@ pub fn louvain<G: NeighborAccess>(g: &G, seed: u64) -> Vec<usize> {
 fn aggregate<G: NeighborAccess>(g: &G, level_labels: &[usize], ncomm: usize) -> Graph {
     let mut agg = Graph::new(ncomm);
     for u in g.node_ids() {
-        for v in g.neighbors_iter(u).filter(|&v| u < v) {
+        for &v in g.neighbors(u).iter().filter(|&&v| u < v) {
             let (a, b) = (level_labels[u as usize], level_labels[v as usize]);
             if a != b {
                 agg.add_edge(a as NodeId, b as NodeId);
@@ -163,7 +163,7 @@ fn local_moving<G: NeighborAccess>(g: &G, rng: &mut StdRng) -> Vec<usize> {
             let ui = u as usize;
             let current = labels[ui];
             neighbor_weights.clear();
-            for v in g.neighbors_iter(u) {
+            for &v in g.neighbors(u) {
                 *neighbor_weights.entry(labels[v as usize]).or_insert(0.0) += 1.0;
             }
             // Remove u from its community for the gain computation.

@@ -43,7 +43,7 @@ pub fn core_numbers<G: NeighborAccess>(g: &G) -> Vec<u32> {
     for i in 0..n {
         let v = order[i];
         let dv = degree[v as usize];
-        for &u in g.neighbors_cow(v).iter() {
+        for &u in g.neighbors(v) {
             let u_us = u as usize;
             let du = degree[u_us];
             if du > dv {
@@ -106,7 +106,7 @@ pub fn patch_core_numbers<H: NeighborAccess>(
         let h = capped_h_index(released, core, u, &mut counts);
         if h < core[u as usize] {
             core[u as usize] = h;
-            for &w in released.neighbors_cow(u).iter() {
+            for &w in released.neighbors(u) {
                 if core[w as usize] > h && queued.insert(w) {
                     queue.push_back(w);
                 }
@@ -127,7 +127,7 @@ fn capped_h_index<H: NeighborAccess>(
     let cap = core[u as usize];
     counts.clear();
     counts.resize(cap as usize + 1, 0);
-    for &w in released.neighbors_cow(u).iter() {
+    for &w in released.neighbors(u) {
         counts[core[w as usize].min(cap) as usize] += 1;
     }
     let mut at_least = 0;

@@ -19,7 +19,7 @@ fn laplacian_mul<G: NeighborAccess>(g: &G, x: &[f64], y: &mut [f64]) {
     for u in g.node_ids() {
         let ui = u as usize;
         let mut acc = g.degree(u) as f64 * x[ui];
-        for v in g.neighbors_iter(u) {
+        for &v in g.neighbors(u) {
             acc -= x[v as usize];
         }
         y[ui] = acc;

@@ -161,7 +161,7 @@ fn deleted_edges<G: NeighborAccess, H: NeighborAccess>(
     }
     let mut deleted = Vec::new();
     for u in original.node_ids() {
-        let (before, after) = (original.neighbors_cow(u), released.neighbors_cow(u));
+        let (before, after) = (original.neighbors(u), released.neighbors(u));
         if before == after {
             continue;
         }

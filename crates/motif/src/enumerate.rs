@@ -104,7 +104,7 @@ fn dfs_k_path<G: NeighborAccess, F: FnMut(Vec<Edge>)>(
         }
         return;
     }
-    for next in g.neighbors_iter(current) {
+    for &next in g.neighbors(current) {
         if visited[next as usize] {
             continue; // interior nodes must be distinct and avoid u, v
         }
@@ -139,11 +139,11 @@ fn enumerate_rectangles<G: NeighborAccess, F: FnMut(Vec<Edge>)>(
     v: NodeId,
     mut emit: F,
 ) {
-    for a in g.neighbors_iter(u) {
+    for &a in g.neighbors(u) {
         if a == v {
             continue; // would require the deleted target edge's endpoint
         }
-        for b in g.neighbors_iter(a) {
+        for &b in g.neighbors(a) {
             if b == u || b == v || b == a {
                 continue;
             }
@@ -310,7 +310,7 @@ fn dfs_leg<G: NeighborAccess, F: FnMut(Vec<Edge>)>(
         }
         return;
     }
-    for next in g.neighbors_iter(current) {
+    for &next in g.neighbors(current) {
         if visited[next as usize] {
             continue;
         }
@@ -456,7 +456,7 @@ pub(crate) fn through_target_ball<G: NeighborAccess>(
     let mut ball = tpp_graph::fast_set_with_capacity(2 + g.degree(e.u()) + g.degree(e.v()));
     for n in [e.u(), e.v()] {
         ball.insert(n);
-        ball.extend(g.neighbors_iter(n));
+        ball.extend(g.neighbors(n));
     }
     Some(ball)
 }

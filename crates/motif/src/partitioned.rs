@@ -712,8 +712,8 @@ impl PartitionedCoverageIndex {
             let mut tids = Vec::new();
             for n in [e.u(), e.v()]
                 .into_iter()
-                .chain(g.neighbors_iter(e.u()))
-                .chain(g.neighbors_iter(e.v()))
+                .chain(g.neighbors(e.u()).iter().copied())
+                .chain(g.neighbors(e.v()).iter().copied())
             {
                 if let Some(hits) = self.targets_by_node.get(&n) {
                     tids.extend_from_slice(hits);

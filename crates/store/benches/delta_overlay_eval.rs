@@ -1,54 +1,25 @@
 //! Benchmark: one greedy candidate-evaluation sweep — "for every candidate
 //! protector edge, how many target subgraphs would its deletion break?" —
-//! under four evaluation disciplines:
+//! under three evaluation disciplines:
 //!
 //! * `clone_per_candidate` — the pattern this subsystem exists to kill:
 //!   materialize a full `Graph` copy per candidate, delete, recount.
 //! * `mutate_restore` — one upfront clone, then delete/recount/restore on
 //!   it (the old scratch-clone recount cost model).
-//! * `delta_overlay_iter_merge` — the overlay with its slice fast path
-//!   suppressed (a no-slice base wrapper): every scan runs the merge
-//!   iterator, the discipline this bench originally recorded a ~2-3×
-//!   raw-slice gap for.
-//! * `delta_overlay_merged_slice` — the overlay's default path since the
-//!   merged-slice cache landed: dirty nodes serve one cached contiguous
-//!   slice, clean nodes forward the CSR slice. This is what the round
-//!   engine's workers run on.
+//! * `delta_overlay_merged_slice` — the overlay: dirty nodes serve one
+//!   cached contiguous slice, clean nodes forward the CSR slice. This is
+//!   what the round engine's workers run on.
 //!
 //! All disciplines compute identical gain vectors (asserted before
 //! timing); the JSON output pins the margins between them.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use tpp_graph::{Edge, Graph, NeighborAccess, NodeId};
+use tpp_graph::{Edge, Graph, NeighborAccess};
 use tpp_motif::{count_all_targets, Motif};
 use tpp_store::{CsrGraph, DeltaView};
 
 const MOTIF: Motif = Motif::Triangle;
-
-/// A `CsrGraph` stripped of its slice access: scans over a `DeltaView` of
-/// this base must take the merge-iterator fallback on every node — the
-/// overlay's pre-merged-slice behavior, kept measurable.
-struct NoSlice<'a>(&'a CsrGraph);
-
-impl NeighborAccess for NoSlice<'_> {
-    fn node_count(&self) -> usize {
-        self.0.node_count()
-    }
-    fn edge_count(&self) -> usize {
-        self.0.edge_count()
-    }
-    fn degree(&self, u: NodeId) -> usize {
-        self.0.degree(u)
-    }
-    fn neighbors_iter(&self, u: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.0.neighbors(u).iter().copied()
-    }
-    fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.0.has_edge(u, v)
-    }
-    // deliberately no neighbors_slice / for_each_common_neighbor overrides
-}
 
 /// Sum of per-target similarities on any readable graph representation.
 fn total_similarity<G: NeighborAccess>(g: &G, targets: &[Edge]) -> usize {
@@ -121,11 +92,9 @@ fn bench_delta_overlay_eval(c: &mut Criterion) {
     let csr = CsrGraph::from_graph(&g);
 
     // Every discipline must agree before we time it.
-    let no_slice = NoSlice(&csr);
     let expect = sweep_clone_per_candidate(&g, &targets, &pool);
     assert_eq!(expect, sweep_mutate_restore(&g, &targets, &pool));
     assert_eq!(expect, sweep_delta_overlay(&csr, &targets, &pool));
-    assert_eq!(expect, sweep_delta_overlay(&no_slice, &targets, &pool));
     assert!(
         expect.iter().any(|&gain| gain > 0),
         "sweep must evaluate real gains"
@@ -138,9 +107,6 @@ fn bench_delta_overlay_eval(c: &mut Criterion) {
     });
     group.bench_function("mutate_restore", |b| {
         b.iter(|| black_box(sweep_mutate_restore(&g, &targets, &pool)));
-    });
-    group.bench_function("delta_overlay_iter_merge", |b| {
-        b.iter(|| black_box(sweep_delta_overlay(&no_slice, &targets, &pool)));
     });
     group.bench_function("delta_overlay_merged_slice", |b| {
         b.iter(|| black_box(sweep_delta_overlay(&csr, &targets, &pool)));

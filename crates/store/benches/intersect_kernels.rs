@@ -42,8 +42,8 @@ fn bench_kernel_grid(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("intersect_kernels");
     for (tier, u, v) in tiers {
-        let a = csr.neighbors_slice(u).unwrap();
-        let b = csr.neighbors_slice(v).unwrap();
+        let a = csr.neighbors(u);
+        let b = csr.neighbors(v);
         let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
         let (row_u, row_v) = (csr.hub_bits(u), csr.hub_bits(v));
 

@@ -90,8 +90,7 @@ impl CsrGraph {
 
     /// Materializes any readable graph into an owned snapshot: one
     /// sequential pass that appends each node's sorted neighbor list to
-    /// the packed array (a slice copy when the representation exposes
-    /// [`NeighborAccess::neighbors_slice`], the iterator otherwise).
+    /// the packed array (one slice copy per node).
     ///
     /// This is the one routine behind every derived snapshot on the
     /// request path: a parsed text edge list, the phase-1 graph `G − T`
@@ -106,10 +105,7 @@ impl CsrGraph {
         let mut neighbors = Vec::with_capacity(2 * g.edge_count());
         offsets.push(0u64);
         for u in g.node_ids() {
-            match g.neighbors_slice(u) {
-                Some(nbrs) => neighbors.extend_from_slice(nbrs),
-                None => neighbors.extend(g.neighbors_iter(u)),
-            }
+            neighbors.extend_from_slice(g.neighbors(u));
             offsets.push(neighbors.len() as u64);
         }
         CsrGraph::from_arrays(offsets, neighbors)
@@ -479,18 +475,13 @@ impl NeighborAccess for CsrGraph {
     }
 
     #[inline]
-    fn neighbors_iter(&self, u: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.neighbors(u).iter().copied()
+    fn neighbors(&self, u: NodeId) -> &[NodeId] {
+        CsrGraph::neighbors(self, u)
     }
 
     #[inline]
     fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         CsrGraph::has_edge(self, u, v)
-    }
-
-    #[inline]
-    fn neighbors_slice(&self, u: NodeId) -> Option<&[NodeId]> {
-        Some(self.neighbors(u))
     }
 
     #[inline]
@@ -503,9 +494,8 @@ impl NeighborAccess for CsrGraph {
         }
         hb.row(u)
     }
-    // No for_each_common_neighbor override: the trait default already runs
-    // the kernel dispatcher whenever neighbors_slice returns Some, feeding
-    // it this snapshot's hub rows via hub_bits.
+    // No for_each_common_neighbor override: the trait default runs the
+    // kernel dispatcher, fed this snapshot's hub rows via hub_bits.
 }
 
 #[cfg(test)]

@@ -13,17 +13,15 @@
 //!
 //! ## The merged-slice cache
 //!
-//! Overlay iteration used to pay a ~2-3× tax over a raw slice scan (see
-//! `benches/results/delta_overlay_eval/`): every neighbor had to pass
-//! through a three-way merge of base, `removed`, and `added` streams. The
-//! view now keeps, for each *dirty* node, the fully merged neighbor list
+//! [`NeighborAccess`] serves every neighbor list as one sorted slice, so
+//! the view keeps, for each *dirty* node, the fully merged neighbor list
 //! `(base \ removed) ∪ added` as one sorted `Vec` maintained incrementally
 //! on every overlay mutation — and forwards *clean* nodes straight to the
-//! base's slice when the base is slice-backed. Repeated scans (a motif
-//! recount touches each endpoint neighborhood once per target) therefore
-//! hit contiguous slices on both paths, and the common-neighbor merge runs
-//! at full [`CsrGraph`](crate::CsrGraph) speed. The merge iterator remains
-//! only as the fallback for clean nodes over iterator-only bases.
+//! base's slice. Repeated scans (a motif recount touches each endpoint
+//! neighborhood once per target) therefore hit contiguous slices on both
+//! paths, and the common-neighbor merge runs at full
+//! [`CsrGraph`](crate::CsrGraph) speed. Views stack: a view over a view
+//! reads the inner layer's slices as its base.
 
 use tpp_graph::{Edge, FastMap, Graph, NeighborAccess, NodeId};
 
@@ -209,7 +207,7 @@ impl<'a, B: NeighborAccess> DeltaView<'a, B> {
     pub fn to_graph(&self) -> Graph {
         let mut g = Graph::new(self.node_count());
         for u in 0..self.node_count() as NodeId {
-            for v in self.neighbors_iter(u) {
+            for &v in self.neighbors(u) {
                 if u < v {
                     g.add_edge(u, v);
                 }
@@ -246,7 +244,7 @@ impl<'a, B: NeighborAccess> DeltaView<'a, B> {
         self.delta.entry(u).or_insert_with(|| NodeDelta {
             removed: Vec::new(),
             added: Vec::new(),
-            merged: base.neighbors_iter(u).collect(),
+            merged: base.neighbors(u).to_vec(),
         })
     }
 
@@ -303,18 +301,6 @@ impl<'a, B: NeighborAccess> DeltaView<'a, B> {
     fn node_delta(&self, u: NodeId) -> Option<&NodeDelta> {
         self.delta.get(&u).filter(|d| !d.is_empty())
     }
-
-    /// The merged neighbor list of `u` as one contiguous slice, when
-    /// available without allocation: the cache for dirty nodes, the base's
-    /// own slice for clean ones (`None` only for clean nodes over an
-    /// iterator-only base).
-    #[must_use]
-    pub fn merged_slice(&self, u: NodeId) -> Option<&[NodeId]> {
-        match self.node_delta(u) {
-            Some(d) => Some(&d.merged),
-            None => self.base.neighbors_slice(u),
-        }
-    }
 }
 
 impl<B: NeighborAccess> NeighborAccess for DeltaView<'_, B> {
@@ -336,22 +322,13 @@ impl<B: NeighborAccess> NeighborAccess for DeltaView<'_, B> {
         }
     }
 
-    fn neighbors_iter(&self, u: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        // Dirty nodes iterate their merged cache; clean nodes over a
-        // slice-backed base iterate the base slice. Only clean nodes over
-        // an iterator-only base fall back to the base's own iterator —
-        // no overlay filtering is needed there by definition.
-        let slice = self.merged_slice(u);
-        let fallback = if slice.is_none() {
-            Some(self.base.neighbors_iter(u))
-        } else {
-            None
-        };
-        slice
-            .unwrap_or(&[])
-            .iter()
-            .copied()
-            .chain(fallback.into_iter().flatten())
+    /// The merged cache for dirty nodes, the base's own slice for clean
+    /// ones.
+    fn neighbors(&self, u: NodeId) -> &[NodeId] {
+        match self.node_delta(u) {
+            Some(d) => &d.merged,
+            None => self.base.neighbors(u),
+        }
     }
 
     fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
@@ -362,10 +339,6 @@ impl<B: NeighborAccess> NeighborAccess for DeltaView<'_, B> {
             return false;
         }
         self.base.has_edge(u, v) || self.overlay_added(u, v)
-    }
-
-    fn neighbors_slice(&self, u: NodeId) -> Option<&[NodeId]> {
-        self.merged_slice(u)
     }
 
     /// Hub rows are precomputed against the *base* adjacency, so they are
@@ -394,11 +367,7 @@ mod tests {
         assert_eq!(view.node_count(), oracle.node_count());
         assert_eq!(view.edge_count(), oracle.edge_count());
         for u in 0..oracle.node_count() as NodeId {
-            assert_eq!(
-                view.neighbors_iter(u).collect::<Vec<_>>(),
-                oracle.neighbors(u),
-                "neighbors of {u}"
-            );
+            assert_eq!(view.neighbors(u), oracle.neighbors(u), "neighbors of {u}");
             assert_eq!(NeighborAccess::degree(view, u), oracle.degree(u), "deg {u}");
         }
         for u in 0..oracle.node_count() as NodeId {
@@ -503,12 +472,7 @@ mod tests {
         let mut oracle = g.clone();
         let check = |view: &DeltaView<'_, CsrGraph>, oracle: &Graph, what: &str| {
             for u in 0..oracle.node_count() as NodeId {
-                assert_eq!(
-                    view.merged_slice(u).expect("CSR base is slice-backed"),
-                    oracle.neighbors(u),
-                    "{what}: node {u}"
-                );
-                assert_eq!(view.neighbors_slice(u).unwrap(), oracle.neighbors(u));
+                assert_eq!(view.neighbors(u), oracle.neighbors(u), "{what}: node {u}");
             }
         };
         check(&view, &oracle, "clean view");
@@ -555,21 +519,10 @@ mod tests {
         view.delete_edge(Edge::new(0, 2));
         // Node 1 is untouched: its slice must be the base's own storage.
         let base_ptr = csr.neighbors(1).as_ptr();
-        assert_eq!(view.neighbors_slice(1).unwrap().as_ptr(), base_ptr);
+        assert_eq!(view.neighbors(1).as_ptr(), base_ptr);
         // Nodes 0 and 2 are dirty: served from the merged cache.
-        assert_eq!(view.neighbors_slice(0).unwrap(), &[1, 3]);
-        assert_eq!(view.neighbors_slice(2).unwrap(), &[1, 3]);
-        // Over an iterator-only base, clean nodes have no slice but the
-        // iterator still works.
-        let masked = tpp_graph::MaskedGraph::new(&g, []);
-        let mut over_masked = DeltaView::new(&masked);
-        over_masked.delete_edge(Edge::new(0, 2));
-        assert!(over_masked.neighbors_slice(1).is_none());
-        assert_eq!(
-            over_masked.neighbors_iter(1).collect::<Vec<_>>(),
-            vec![0, 2]
-        );
-        assert_eq!(over_masked.neighbors_slice(0).unwrap(), &[1, 3]);
+        assert_eq!(view.neighbors(0), &[1, 3]);
+        assert_eq!(view.neighbors(2), &[1, 3]);
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! * [`DeltaView`] — an `O(1)`-setup overlay recording net edge
 //!   deletions/additions against any base. Tentative candidate evaluation
 //!   becomes `delete_edge → recount → restore_edge` with **zero** graph
-//!   clones and `O(changed)` memory. A per-node merged-slice cache keeps
-//!   repeated scans on contiguous slices instead of merge iterators.
+//!   clones and `O(changed)` memory. A per-node merged-slice cache serves
+//!   every neighbor list of a dirty node as one contiguous slice.
 //! * [`CsrShard`] — a node-range-restricted, zero-copy view of a snapshot:
 //!   degree-balanced ranges from [`CsrGraph::shard_ranges`] split candidate
 //!   scans across parallel evaluators without handing every thread the

@@ -118,16 +118,12 @@ impl NeighborAccess for CsrShard<'_> {
         self.neighbors(u).len()
     }
 
-    fn neighbors_iter(&self, u: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.neighbors(u).iter().copied()
+    fn neighbors(&self, u: NodeId) -> &[NodeId] {
+        CsrShard::neighbors(self, u)
     }
 
     fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         self.owns(u) && self.owns(v) && self.base.has_edge(u, v)
-    }
-
-    fn neighbors_slice(&self, u: NodeId) -> Option<&[NodeId]> {
-        Some(self.neighbors(u))
     }
 }
 
@@ -215,7 +211,7 @@ mod tests {
                 assert_eq!(shard.neighbors(u), induced.neighbors(u), "node {u}");
                 assert_eq!(NeighborAccess::degree(&shard, u), induced.degree(u));
                 assert_eq!(
-                    shard.neighbors_slice(u).unwrap(),
+                    NeighborAccess::neighbors(&shard, u),
                     induced.neighbors(u),
                     "slice of {u}"
                 );
