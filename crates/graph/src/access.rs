@@ -214,12 +214,26 @@ mod tests {
         let g = fixture();
         let (n, m, _, _) = generic_probe(&&g);
         assert_eq!((n, m), (4, 5));
-        // The slice is the graph's own storage, also through `&G`.
-        for u in 0..4u32 {
-            assert_eq!(
-                NeighborAccess::neighbors(&&g, u).as_ptr(),
-                g.neighbors(u).as_ptr()
-            );
+    }
+
+    #[test]
+    fn neighbors_slice_agrees_with_iterator() {
+        let g = crate::generators::erdos_renyi_gnp(30, 0.25, 3);
+        // Adjacency rebuilt by iterating the edge list.
+        let mut expected = vec![Vec::new(); 30];
+        for e in g.edges() {
+            let (u, v) = e.endpoints();
+            expected[u as usize].push(v);
+            expected[v as usize].push(u);
+        }
+        for u in 0..30u32 {
+            let slice = NeighborAccess::neighbors(&g, u);
+            expected[u as usize].sort_unstable();
+            assert_eq!(slice, expected[u as usize].as_slice(), "node {u}");
+            assert!(slice.windows(2).all(|w| w[0] < w[1]), "node {u}");
+            // The slice is the graph's own storage, also through `&G`.
+            assert_eq!(slice.as_ptr(), g.neighbors(u).as_ptr());
+            assert_eq!(NeighborAccess::neighbors(&&g, u).as_ptr(), slice.as_ptr());
         }
     }
 
