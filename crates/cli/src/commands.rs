@@ -12,7 +12,7 @@ use tpp_core::{
     random_deletion, random_deletion_from_subgraphs, sgb_greedy_batch, sgb_greedy_incremental,
     wt_greedy_batch, BudgetDivision, GreedyConfig, ProtectionPlan, StepRecord, TppInstance,
 };
-use tpp_graph::{parse_edge_list, write_edge_list, Edge, FastSet, Graph, NeighborAccess};
+use tpp_graph::{parse_edge_list, write_edge_list, Edge, FastSet, NeighborAccess};
 use tpp_linkpred::{evaluate_attack_on, sample_non_edges, Attacker, SimilarityIndex};
 use tpp_metrics::{compute_utility, utility_loss, utility_loss_with, BaseStats, UtilityConfig};
 use tpp_motif::Motif;
@@ -79,11 +79,11 @@ BATCH:       --batch J commits up to J non-interacting picks per candidate
              by the charged targets' remaining budgets. --batch 1
              (default) is the exact sequential greedy; J must be >= 1.
              rd/rdt have no candidate scan and reject --batch
-SNAPSHOTS:   protect/attack/kstar/stats accept a .csr snapshot anywhere an
-             edge list is expected (detected by file magic); snapshots are
-             memory-mapped zero-copy and re-verified at the --verify tier
-             (full = checksum + structure, the default; header = offset
-             sweep only; none = trust the payload)
+SNAPSHOTS:   protect/attack/kstar/stats/utility accept a .csr snapshot
+             anywhere an edge list is expected (detected by file magic);
+             snapshots are memory-mapped zero-copy and re-verified at the
+             --verify tier (full = checksum + structure, the default;
+             header = offset sweep only; none = trust the payload)
 STREAM:      store build --stream builds the snapshot out-of-core: two
              passes over the edge list with a bounded chunk buffer
              (--chunk-mb, default 64), so graphs larger than RAM build
@@ -210,12 +210,8 @@ pub(crate) fn is_snapshot(path: &str) -> bool {
         && magic == tpp_store::format::MAGIC
 }
 
-/// Loads the input graph as the shared CSR snapshot every request path
-/// runs on — a binary snapshot (by magic sniff, zero-copy mapped at the
-/// `--verify` tier, default full, and used as is) or a text edge list
-/// (parsed once, copied into a snapshot once) — with load wall time
-/// reported into the recorder's store section (a disabled recorder never
-/// reads the clock).
+/// Loads the input graph (the first positional) as the shared CSR
+/// snapshot every request path runs on; see [`load_graph_at`].
 pub(crate) fn load_graph_observed(
     p: &Parsed,
     recorder: &Recorder,
@@ -224,9 +220,18 @@ pub(crate) fn load_graph_observed(
         .positional
         .first()
         .ok_or("expected an edge-list or snapshot file argument")?;
+    load_graph_at(p, path, recorder)
+}
+
+/// Loads `path` as a CSR snapshot — a binary snapshot (by magic sniff,
+/// zero-copy mapped at the `--verify` tier, default full, and used as is)
+/// or a text edge list (parsed once, copied into a snapshot once) — with
+/// load wall time reported into the recorder's store section (a disabled
+/// recorder never reads the clock).
+fn load_graph_at(p: &Parsed, path: &str, recorder: &Recorder) -> Result<Arc<CsrGraph>, String> {
     if is_snapshot(path) {
         let verify = parse_verify(p, "full")?;
-        let (csr, _version) = tpp_store::format::load_mapped_observed(path, verify, recorder)
+        let (csr, _header) = tpp_store::format::load_mapped_observed(path, verify, recorder)
             .map_err(|e| format!("loading snapshot {path}: {e}"))?;
         return Ok(Arc::new(csr));
     }
@@ -756,38 +761,41 @@ pub(crate) fn run_attack(
 }
 
 fn utility(p: &Parsed) -> Result<(), String> {
-    let original_path = p
-        .positional
-        .first()
-        .ok_or("expected <original> <released>")?;
-    let released_path = p
-        .positional
-        .get(1)
-        .ok_or("expected <original> <released>")?;
-    let read = |path: &str| -> Result<Graph, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        parse_edge_list(&text).map_err(|e| e.to_string())
+    print!("{}", utility_report(p)?);
+    Ok(())
+}
+
+/// The `tpp utility` report: edge counts and per-metric utility loss of
+/// `<released>` against `<original>`, each a text edge list or a snapshot.
+fn utility_report(p: &Parsed) -> Result<String, String> {
+    use std::fmt::Write as _;
+    let (Some(original_path), Some(released_path)) = (p.positional.first(), p.positional.get(1))
+    else {
+        return Err("expected <original> <released>".into());
     };
-    let original = read(original_path)?;
-    let released = read(released_path)?;
+    let recorder = Recorder::disabled();
+    let original = load_graph_at(p, original_path, &recorder)?;
+    let released = load_graph_at(p, released_path, &recorder)?;
     let seed: u64 = p.num_or("seed", 1u64)?;
     let config = if p.has("full") {
         UtilityConfig::full(seed)
     } else {
         UtilityConfig::large_graph(seed)
     };
-    let report = utility_loss(&original, &released, &config);
-    println!(
+    let report = utility_loss(&*original, &*released, &config);
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
         "edges: {} -> {} ({} deleted)",
         original.edge_count(),
         released.edge_count(),
         original.edge_count().saturating_sub(released.edge_count())
     );
     for (metric, loss) in &report.per_metric {
-        println!("ulr({metric}): {:.4}%", loss * 100.0);
+        let _ = writeln!(out, "ulr({metric}): {:.4}%", loss * 100.0);
     }
-    println!("average utility loss: {}", report.average_percent());
-    Ok(())
+    let _ = writeln!(out, "average utility loss: {}", report.average_percent());
+    Ok(out)
 }
 
 /// `tpp store build|info|convert` — the binary snapshot store.
@@ -861,12 +869,13 @@ fn store(p: &Parsed) -> Result<(), String> {
             Ok(())
         }
         "info" => {
-            // Header facts come from the header-only fast path; the graph
-            // itself is mapped zero-copy at the chosen tier (default
-            // header: the offset-table sweep, never the neighbor pages).
-            let header = tpp_store::format::read_header(path).map_err(|e| e.to_string())?;
+            // One load serves the header facts and the graph, mapped
+            // zero-copy at the chosen tier (default header: the
+            // offset-table sweep, never the neighbor pages).
             let verify = parse_verify(p, "header")?;
-            let csr = tpp_store::format::load_mapped(path, verify).map_err(|e| e.to_string())?;
+            let (csr, header) =
+                tpp_store::format::load_mapped_observed(path, verify, &Recorder::disabled())
+                    .map_err(|e| e.to_string())?;
             println!("file:    {path}");
             println!(
                 "format:  TPPCSR v{} (payload at byte {}, {}-byte aligned)",
@@ -1142,6 +1151,32 @@ mod tests {
         .unwrap();
         // missing second positional
         assert!(dispatch(&parse(&strs(&["utility", orig.to_str().unwrap()])).unwrap()).is_err());
+    }
+
+    #[test]
+    fn utility_reads_snapshots_like_edge_lists() {
+        let dir = tmpdir();
+        let [orig, rel, snap] = ["u-orig.txt", "u-rel.txt", "u-orig.csr"].map(|f| dir.join(f));
+        let [orig, rel, snap] = [&orig, &rel, &snap].map(|f| f.to_str().unwrap().to_string());
+        let run = |args: &[&str]| dispatch(&parse(&strs(args)).unwrap()).unwrap();
+        run(&["generate", "--model", "karate", "--out", &orig]);
+        run(&[
+            "protect",
+            &orig,
+            "--budget",
+            "4",
+            "--targets",
+            "0-1",
+            "--out",
+            &rel,
+        ]);
+        run(&["store", "build", &orig, "--out", &snap]);
+        let report = |first: &str| {
+            utility_report(&parse(&strs(&["utility", first, &rel, "--full"])).unwrap()).unwrap()
+        };
+        let text = report(&orig);
+        assert!(text.starts_with("edges: 78 -> "), "{text}");
+        assert_eq!(report(&snap), text);
     }
 
     #[test]

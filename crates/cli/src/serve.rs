@@ -132,7 +132,8 @@ pub fn request(socket: &str, argv: &[String]) -> Result<String, String> {
 /// returned for stdout. Raw argv (not flag-parsed) so the request reaches
 /// the server token-for-token.
 pub fn client_main(raw: &[String]) -> Result<String, String> {
-    const USAGE: &str = "usage: tpp client <socket> <protect|attack|info|ping|shutdown> [args...]";
+    const USAGE: &str =
+        "usage: tpp client <socket> <protect|attack|update|info|ping|shutdown> [args...]";
     let (socket, argv) = raw.split_first().ok_or(USAGE)?;
     if argv.is_empty() {
         return Err(USAGE.into());

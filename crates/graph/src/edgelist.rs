@@ -23,42 +23,66 @@ use std::path::Path;
 pub fn parse_edge_list(input: &str) -> Result<Graph, GraphError> {
     let mut g = Graph::new(0);
     for (idx, raw) in input.lines().enumerate() {
-        let line = raw.trim();
-        let declared = declared_node_count(line).map_err(|reason| GraphError::Parse {
-            line: idx + 1,
-            reason,
-        })?;
-        if let Some(n) = declared {
-            if n > 0 {
-                g.ensure_node((n - 1) as NodeId);
+        match parse_edge_line(raw, idx + 1)? {
+            EdgeLine::Skip | EdgeLine::Nodes(0) => {}
+            EdgeLine::Nodes(n) => g.ensure_node((n - 1) as NodeId),
+            EdgeLine::Edge(u, v) => {
+                g.ensure_node(u.max(v));
+                g.add_edge(u, v);
             }
-            continue;
         }
-        if line.is_empty() || line.starts_with('#') || line.starts_with('%') {
-            continue;
-        }
-        let mut it = line.split_whitespace();
-        let u = parse_id(it.next(), idx + 1)?;
-        let v = parse_id(it.next(), idx + 1)?;
-        // Trailing columns (weights, timestamps) are tolerated and ignored.
-        if u == v {
-            return Err(GraphError::SelfLoop { node: u });
-        }
-        g.ensure_node(u.max(v));
-        g.add_edge(u, v);
     }
     Ok(g)
 }
 
-/// The node count declared by a `# nodes: N ...` header line, or `None`
-/// for any other line (a header whose count is not a number is an
+/// One edge-list line, as classified by [`parse_edge_line`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EdgeLine {
+    /// A blank line or a comment.
+    Skip,
+    /// A `# nodes: N ...` header declaring `N` nodes.
+    Nodes(usize),
+    /// An edge between two distinct nodes.
+    Edge(NodeId, NodeId),
+}
+
+/// The per-line grammar of the edge-list format, shared by
+/// [`parse_edge_list`] and the streaming snapshot builder: blank lines and
+/// `#`/`%` comments are skipped, a `# nodes: N ...` header declares a
+/// node count, and an edge is two whitespace-separated ids with trailing
+/// columns (weights, timestamps) tolerated and ignored.
+///
+/// # Errors
+/// [`GraphError::Parse`] at 1-based `line` for a malformed line or a
+/// declared count beyond the id range, and [`GraphError::SelfLoop`] for
+/// `u u`.
+pub fn parse_edge_line(raw: &str, line: usize) -> Result<EdgeLine, GraphError> {
+    let text = raw.trim();
+    if let Some(n) =
+        declared_node_count(text).map_err(|reason| GraphError::Parse { line, reason })?
+    {
+        return Ok(EdgeLine::Nodes(n));
+    }
+    if text.is_empty() || text.starts_with('#') || text.starts_with('%') {
+        return Ok(EdgeLine::Skip);
+    }
+    let mut it = text.split_whitespace();
+    let u = parse_id(it.next(), line)?;
+    let v = parse_id(it.next(), line)?;
+    if u == v {
+        return Err(GraphError::SelfLoop { node: u });
+    }
+    Ok(EdgeLine::Edge(u, v))
+}
+
+/// The node count declared by a trimmed `# nodes: N ...` header line, or
+/// `None` for any other line (a header whose count is not a number is an
 /// ordinary comment).
 ///
 /// # Errors
 /// A declared count beyond the [`NodeId`] range.
-pub fn declared_node_count(line: &str) -> Result<Option<usize>, String> {
+fn declared_node_count(line: &str) -> Result<Option<usize>, String> {
     let Some(count) = line
-        .trim()
         .strip_prefix("# nodes:")
         .and_then(|rest| rest.split_whitespace().next())
         .and_then(|tok| tok.parse::<u64>().ok())
@@ -127,6 +151,32 @@ pub fn write_edge_list_file<G: NeighborAccess, P: AsRef<Path>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn parse_edge_line_classifies_each_kind() {
+        for skip in ["", "   ", "# comment", "% konect", "# nodes: many"] {
+            assert_eq!(parse_edge_line(skip, 1), Ok(EdgeLine::Skip), "{skip:?}");
+        }
+        assert_eq!(
+            parse_edge_line("  # nodes: 7 edges: 3\r\n", 1),
+            Ok(EdgeLine::Nodes(7))
+        );
+        assert_eq!(
+            parse_edge_line("3 9 0.5 1700000000\n", 1),
+            Ok(EdgeLine::Edge(3, 9))
+        );
+        assert_eq!(
+            parse_edge_line("4 4", 2),
+            Err(GraphError::SelfLoop { node: 4 })
+        );
+        assert_eq!(
+            parse_edge_line("5", 6),
+            Err(GraphError::Parse {
+                line: 6,
+                reason: "expected two node ids".into()
+            })
+        );
+    }
 
     #[test]
     fn parses_basic_list() {

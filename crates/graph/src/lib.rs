@@ -36,8 +36,8 @@ pub mod traversal;
 pub use access::NeighborAccess;
 pub use edge::{Edge, NodeId};
 pub use edgelist::{
-    declared_node_count, parse_edge_list, read_edge_list_file, write_edge_list,
-    write_edge_list_file,
+    parse_edge_line, parse_edge_list, read_edge_list_file, write_edge_list, write_edge_list_file,
+    EdgeLine,
 };
 pub use error::GraphError;
 pub use graph::Graph;

@@ -1,13 +1,12 @@
 //! Benchmark: CSR snapshot construction — sequential vs parallel fill, and
-//! the edge-list (counting sort) build path — plus binary encode/decode
+//! the edge-list (counting sort) build path — plus binary encode
 //! throughput. Pins the cost of "snapshot once" that the overlay evaluation
 //! amortizes away.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use tpp_graph::generators::barabasi_albert;
-use tpp_obs::Recorder;
-use tpp_store::{format, CsrGraph, VerifyMode};
+use tpp_store::{format, CsrGraph};
 
 fn bench_csr_build(c: &mut Criterion) {
     let arenas = tpp_datasets::arenas_email_like(1);
@@ -57,15 +56,6 @@ fn bench_csr_build(c: &mut Criterion) {
                 let mut out = Vec::with_capacity(bytes.len());
                 format::write_snapshot(black_box(csr), &mut out).unwrap();
                 black_box(out)
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("decode", name), &bytes, |b, bytes| {
-            b.iter(|| {
-                let mut r = black_box(bytes).as_slice();
-                black_box(
-                    format::read_snapshot_with(&mut r, VerifyMode::Full, &Recorder::disabled())
-                        .unwrap(),
-                )
             });
         });
     }

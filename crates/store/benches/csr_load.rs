@@ -1,8 +1,7 @@
-//! Benchmark: snapshot load paths — the owned deserializing read vs. the
-//! zero-copy mapped load at each verification tier, plus the streaming
-//! out-of-core build. Pins the tentpole claim of the mmap work: loading a
-//! v2 snapshot with `--verify header` is order-of-magnitude cheaper than
-//! decoding it, because nothing is copied and only the offset table is
+//! Benchmark: the snapshot loader at each verification tier, plus the
+//! streaming out-of-core build. Pins the claim of the mmap work: loading a
+//! v2 snapshot with `--verify header` is orders of magnitude cheaper than
+//! a full verify, because nothing is copied and only the offset table is
 //! touched.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -26,18 +25,6 @@ fn bench_csr_load(c: &mut Criterion) {
         let path = dir.join(format!("{name}.csr"));
         format::save(&csr, &path).unwrap();
 
-        // The baseline everything is measured against: open, decode both
-        // arrays into owned Vecs, verify checksum + structure.
-        group.bench_with_input(BenchmarkId::new("owned_full", name), &path, |b, path| {
-            b.iter(|| {
-                let file = std::fs::File::open(black_box(path)).unwrap();
-                let mut r = std::io::BufReader::new(file);
-                black_box(
-                    format::read_snapshot_with(&mut r, VerifyMode::Full, &Recorder::disabled())
-                        .unwrap(),
-                )
-            });
-        });
         // The zero-copy path at each verification tier. Work touched per
         // tier: full = whole payload (checksum + validation), header =
         // offset table only, none = header bytes only.
@@ -52,7 +39,7 @@ fn bench_csr_load(c: &mut Criterion) {
         }
         // Mapped load + one full sequential read of every neighbor slice:
         // the honest end-to-end cost when the payload is actually used
-        // (page faults included), for comparison against owned_full.
+        // (page faults included), for comparison against mapped_full.
         group.bench_with_input(
             BenchmarkId::new("mapped_header_touch_all", name),
             &path,

@@ -70,22 +70,19 @@ impl CsrGraph {
         }
     }
 
-    /// `true` when the arrays are zero-copy windows into a mapped
-    /// snapshot file, `false` for heap-owned arrays.
+    /// `true` when the arrays are zero-copy windows into a memory-mapped
+    /// snapshot file, `false` for arrays held on the heap.
     #[must_use]
     pub fn is_mapped(&self) -> bool {
-        self.storage.is_mapped()
+        self.storage_kind() == "mapped"
     }
 
-    /// Human-readable backing name (`"mapped"` / `"owned"`), for status
-    /// output like `tpp store info`.
+    /// Human-readable backing name (`"mapped"`, `"heap"` for a snapshot
+    /// file read without `mmap`, or `"owned"`), for status output like
+    /// `tpp store info`.
     #[must_use]
     pub fn storage_kind(&self) -> &'static str {
-        if self.is_mapped() {
-            "mapped"
-        } else {
-            "owned"
-        }
+        self.storage.kind()
     }
 
     /// Materializes any readable graph into an owned snapshot: one

@@ -1,12 +1,13 @@
-//! Read-only memory-mapped file regions, dependency-free.
+//! Read-only file regions for snapshot loads, dependency-free.
 //!
 //! The build environment has no crates.io, so this module carries its own
 //! minimal `mmap`/`munmap` FFI surface instead of the `memmap2` crate: two
 //! `extern "C"` declarations against the platform libc that `std` already
-//! links, wrapped in one safe RAII type. Linux-only by design (gated on
+//! links, wrapped in one safe RAII type. Mapping is Linux-only (gated on
 //! `target_os = "linux"`); on other platforms [`MmapRegion::map_file`]
-//! reports [`std::io::ErrorKind::Unsupported`] and callers fall back to the
-//! owned read path.
+//! reads the file into an 8-byte-aligned heap buffer instead
+//! ([`MmapRegion::read_file`]), so the snapshot loader serves the same
+//! payload windows from either backing.
 //!
 //! Safety model: the mapping is `PROT_READ` + `MAP_PRIVATE`, so the kernel
 //! serves the pages straight from the page cache and writes through the
@@ -47,21 +48,26 @@ mod sys {
     }
 }
 
-/// A read-only memory mapping of an entire file, unmapped on drop.
+/// The read-only bytes of an entire file: a memory mapping (unmapped on
+/// drop) or an 8-byte-aligned heap copy.
 ///
 /// Zero-length files are represented without a kernel mapping (POSIX
 /// `mmap` rejects `length == 0`), so [`MmapRegion::bytes`] is total.
 #[derive(Debug)]
 pub struct MmapRegion {
-    /// Base address of the mapping; null iff `len == 0`.
+    /// Base address of the bytes; null iff `len == 0` for a mapping.
     ptr: *mut u8,
-    /// Mapped length in bytes.
+    /// Length in bytes.
     len: usize,
+    /// The heap words `ptr` points into when the file was read rather
+    /// than mapped; `None` for a mapping.
+    heap: Option<Vec<u64>>,
 }
 
-// SAFETY: the region is immutable for its whole lifetime (PROT_READ,
-// private mapping, no API hands out `&mut`), so shared references from any
-// thread are sound; the raw pointer is only freed once, in Drop.
+// SAFETY: the region is immutable for its whole lifetime (PROT_READ
+// private mapping or a heap buffer no API hands out `&mut` to), so shared
+// references from any thread are sound; a mapping is only freed once, in
+// Drop.
 unsafe impl Send for MmapRegion {}
 unsafe impl Sync for MmapRegion {}
 
@@ -69,8 +75,7 @@ impl MmapRegion {
     /// Maps the whole of `file` read-only.
     ///
     /// # Errors
-    /// Returns the OS error from `mmap`, or
-    /// [`std::io::ErrorKind::Unsupported`] on non-Linux targets.
+    /// Returns the OS error from `mmap`.
     #[cfg(target_os = "linux")]
     pub fn map_file(file: &File) -> io::Result<MmapRegion> {
         use std::os::unix::io::AsRawFd;
@@ -81,6 +86,7 @@ impl MmapRegion {
             return Ok(MmapRegion {
                 ptr: std::ptr::null_mut(),
                 len: 0,
+                heap: None,
             });
         }
         // SAFETY: fd is a valid open file descriptor for `file`; length is
@@ -102,19 +108,43 @@ impl MmapRegion {
         Ok(MmapRegion {
             ptr: ptr.cast::<u8>(),
             len,
+            heap: None,
         })
     }
 
-    /// Non-Linux stub: always [`std::io::ErrorKind::Unsupported`].
+    /// Without `mmap`: reads the whole of `file` via [`MmapRegion::read_file`].
     ///
     /// # Errors
-    /// Always.
+    /// As [`MmapRegion::read_file`].
     #[cfg(not(target_os = "linux"))]
-    pub fn map_file(_file: &File) -> io::Result<MmapRegion> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "memory-mapped snapshots are only supported on Linux",
-        ))
+    pub fn map_file(file: &File) -> io::Result<MmapRegion> {
+        MmapRegion::read_file(file)
+    }
+
+    /// Reads the whole of `file` into a heap buffer aligned to 8 bytes,
+    /// the widest element a snapshot payload holds, so payload windows
+    /// that are aligned in a page-aligned mapping are aligned here too.
+    ///
+    /// # Errors
+    /// Returns the OS error from reading, or
+    /// [`std::io::ErrorKind::UnexpectedEof`] if the file shrinks mid-read.
+    pub fn read_file(mut file: &File) -> io::Result<MmapRegion> {
+        use std::io::Read;
+        let len = usize::try_from(file.metadata()?.len()).map_err(|_| {
+            io::Error::new(io::ErrorKind::InvalidData, "file exceeds address space")
+        })?;
+        let mut words = vec![0u64; len.div_ceil(8)];
+        let ptr = words.as_mut_ptr().cast::<u8>();
+        // SAFETY: the buffer holds at least `len` initialized bytes, any
+        // byte pattern is a valid u64, and this is the only live view.
+        file.read_exact(unsafe { std::slice::from_raw_parts_mut(ptr, len) })?;
+        // Moving the Vec into the region keeps its heap buffer (and so
+        // `ptr`) where it is.
+        Ok(MmapRegion {
+            ptr,
+            len,
+            heap: Some(words),
+        })
     }
 
     /// The mapped bytes.
@@ -123,15 +153,21 @@ impl MmapRegion {
         if self.len == 0 {
             return &[];
         }
-        // SAFETY: ptr/len describe a live PROT_READ mapping owned by self;
-        // no mutable access exists anywhere.
+        // SAFETY: ptr/len describe a live PROT_READ mapping or heap buffer
+        // owned by self; no mutable access exists anywhere.
         unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
     }
 
-    /// Mapped length in bytes.
+    /// Length in bytes.
     #[must_use]
     pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// `true` for a memory mapping, `false` for a heap copy.
+    #[must_use]
+    pub fn is_mapped(&self) -> bool {
+        self.heap.is_none()
     }
 
     /// `true` for a zero-length file.
@@ -144,7 +180,7 @@ impl MmapRegion {
 impl Drop for MmapRegion {
     fn drop(&mut self) {
         #[cfg(target_os = "linux")]
-        if self.len != 0 {
+        if self.heap.is_none() && self.len != 0 {
             // SAFETY: ptr/len came from a successful mmap and are unmapped
             // exactly once. munmap failure is unrecoverable and ignored.
             unsafe {
@@ -199,5 +235,20 @@ mod tests {
         let t = std::thread::spawn(move || r2.bytes().iter().map(|&b| u64::from(b)).sum::<u64>());
         assert_eq!(t.join().unwrap(), 7 * 9000);
         assert_eq!(region.bytes()[8999], 7);
+    }
+
+    #[test]
+    fn heap_read_matches_the_mapping_and_is_word_aligned() {
+        let contents: Vec<u8> = (0..9001u32).map(|i| (i % 251) as u8).collect();
+        let path = tmp("heap", &contents);
+        let f = File::open(&path).unwrap();
+        let mapped = MmapRegion::map_file(&f).unwrap();
+        let heap = MmapRegion::read_file(&f).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert!(mapped.is_mapped());
+        assert!(!heap.is_mapped());
+        assert_eq!(heap.bytes(), mapped.bytes());
+        assert_eq!(heap.len(), 9001);
+        assert!((heap.bytes().as_ptr() as usize).is_multiple_of(8));
     }
 }

@@ -1,5 +1,6 @@
-//! The storage backing of a [`crate::CsrGraph`]: owned heap arrays or a
-//! zero-copy view into a memory-mapped snapshot file.
+//! The storage backing of a [`crate::CsrGraph`]: owned heap arrays or
+//! windows into a snapshot file's bytes (a zero-copy memory mapping, or a
+//! heap copy of the file where `mmap` is unavailable).
 //!
 //! Every consumer of a snapshot reads through `offsets()` / `neighbors()`
 //! slices, so the backing is invisible above this module: `DeltaView`,
@@ -12,21 +13,25 @@ use crate::mmap::MmapRegion;
 use std::sync::Arc;
 use tpp_graph::NodeId;
 
+// The windows read the file's little-endian arrays in place.
+#[cfg(target_endian = "big")]
+compile_error!("snapshot payload windows require a little-endian target");
+
 /// The two ways a CSR snapshot's arrays can be held.
 #[derive(Debug, Clone)]
 pub(crate) enum CsrStorage {
-    /// Heap-allocated arrays (every in-memory build and the v1 read path).
+    /// Heap-allocated arrays (every in-memory build).
     Owned {
         /// The offset table, length `node_count + 1`.
         offsets: Vec<u64>,
         /// The packed neighbor array, length `2 * edge_count`.
         neighbors: Vec<NodeId>,
     },
-    /// Slices into a shared read-only file mapping (the v2 zero-copy path).
+    /// Slices into a shared read-only file region (every snapshot load).
     Mapped(MappedCsr),
 }
 
-/// A validated window pair into a mapped snapshot file.
+/// A validated window pair into a snapshot file's region.
 ///
 /// Construction via [`MappedCsr::new`] checks bounds and alignment once;
 /// after that the accessors are branch-free pointer casts. The region is
@@ -137,8 +142,13 @@ impl CsrStorage {
         }
     }
 
-    /// `true` for the mapped variant.
-    pub(crate) fn is_mapped(&self) -> bool {
-        matches!(self, CsrStorage::Mapped(_))
+    /// What holds the arrays: `"owned"`, `"mapped"` (a memory-mapped
+    /// file) or `"heap"` (a file read into memory without `mmap`).
+    pub(crate) fn kind(&self) -> &'static str {
+        match self {
+            CsrStorage::Owned { .. } => "owned",
+            CsrStorage::Mapped(m) if m.region.is_mapped() => "mapped",
+            CsrStorage::Mapped(_) => "heap",
+        }
     }
 }

@@ -27,18 +27,18 @@
 //!
 //! Duplicate edges are resolved symmetrically: an edge listed twice puts
 //! two copies in *both* endpoints' slices, and per-slice dedup drops both,
-//! so the result is bit-identical to the in-memory build. The edge-list
-//! dialect matches `tpp_graph::edgelist`: blank lines and `#`/`%` comments
-//! skipped, a `# nodes: N ...` header sizing the node range to at least
-//! `N`, two whitespace-separated ids, trailing columns tolerated,
-//! self-loops rejected.
+//! so the result is bit-identical to the in-memory build. Lines are read
+//! by [`tpp_graph::parse_edge_line`], the grammar `parse_edge_list` uses:
+//! blank lines and `#`/`%` comments skipped, a `# nodes: N ...` header
+//! sizing the node range to at least `N`, two whitespace-separated ids,
+//! trailing columns tolerated, self-loops rejected.
 
 use crate::error::StoreError;
 use crate::format::{self, Fnv1a};
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use tpp_graph::NodeId;
+use tpp_graph::{EdgeLine, GraphError, NodeId};
 use tpp_obs::{Recorder, SpanTimer};
 
 /// Tuning for [`build_stream`].
@@ -76,29 +76,16 @@ pub struct StreamReport {
     pub peak_chunk_bytes: usize,
 }
 
-/// One parsed edge-list line: `Ok(None)` for blanks/comments.
-fn parse_line(raw: &str, lineno: usize) -> Result<Option<(NodeId, NodeId)>, StoreError> {
-    let line = raw.trim();
-    if line.is_empty() || line.starts_with('#') || line.starts_with('%') {
-        return Ok(None);
-    }
-    let mut it = line.split_whitespace();
-    let mut id = || -> Result<NodeId, StoreError> {
-        let tok = it
-            .next()
-            .ok_or_else(|| StoreError::Ingest(format!("line {lineno}: expected two node ids")))?;
-        tok.parse::<NodeId>()
-            .map_err(|e| StoreError::Ingest(format!("line {lineno}: invalid node id {tok:?}: {e}")))
-    };
-    let u = id()?;
-    let v = id()?;
-    // Trailing columns (weights, timestamps) are tolerated and ignored.
-    if u == v {
-        return Err(StoreError::Ingest(format!(
-            "line {lineno}: self-loop at node {u}"
-        )));
-    }
-    Ok(Some((u, v)))
+/// [`tpp_graph::parse_edge_line`] with its errors in this builder's
+/// `line N: ...` wording.
+fn parse_line(raw: &str, lineno: usize) -> Result<EdgeLine, StoreError> {
+    tpp_graph::parse_edge_line(raw, lineno).map_err(|e| {
+        StoreError::Ingest(match e {
+            GraphError::SelfLoop { node } => format!("line {lineno}: self-loop at node {node}"),
+            GraphError::Parse { reason, .. } => format!("line {lineno}: {reason}"),
+            other => format!("line {lineno}: {other}"),
+        })
+    })
 }
 
 /// A scratch directory next to the output file, removed on drop (success
@@ -175,16 +162,15 @@ pub fn build_stream<P: AsRef<Path>, Q: AsRef<Path>>(
                 break;
             }
             lineno += 1;
-            let declared = tpp_graph::declared_node_count(&line)
-                .map_err(|reason| StoreError::Ingest(format!("line {lineno}: {reason}")))?;
-            if let Some(n) = declared {
-                if n > degrees.len() {
-                    degrees.resize(n, 0);
+            let (u, v) = match parse_line(&line, lineno)? {
+                EdgeLine::Edge(u, v) => (u, v),
+                EdgeLine::Nodes(n) => {
+                    if n > degrees.len() {
+                        degrees.resize(n, 0);
+                    }
+                    continue;
                 }
-                continue;
-            }
-            let Some((u, v)) = parse_line(&line, lineno)? else {
-                continue;
+                EdgeLine::Skip => continue,
             };
             let hi = u.max(v) as usize;
             if hi >= degrees.len() {
@@ -241,7 +227,7 @@ pub fn build_stream<P: AsRef<Path>, Q: AsRef<Path>>(
                 break;
             }
             lineno += 1;
-            let Some((u, v)) = parse_line(&line, lineno)? else {
+            let EdgeLine::Edge(u, v) = parse_line(&line, lineno)? else {
                 continue;
             };
             if u.max(v) as usize >= n {

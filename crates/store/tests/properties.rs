@@ -9,10 +9,12 @@ use tpp_graph::{generators, Edge, Graph, NeighborAccess, NodeId};
 use tpp_motif::{count_target_subgraphs, Motif};
 use tpp_store::{format, CsrGraph, DeltaView, GraphDelta, StoreError, VerifyMode};
 
-/// The owned streaming decode of a snapshot file, with its header version.
-fn load_owned(path: &std::path::Path) -> (CsrGraph, u32) {
-    let mut r = std::io::BufReader::new(std::fs::File::open(path).unwrap());
-    format::read_snapshot_with(&mut r, VerifyMode::Full, &tpp_obs::Recorder::disabled()).unwrap()
+/// The fully verified load of a snapshot file, with its header version.
+fn load_verified(path: &std::path::Path) -> (CsrGraph, u32) {
+    let (g, header) =
+        format::load_mapped_observed(path, VerifyMode::Full, &tpp_obs::Recorder::disabled())
+            .unwrap();
+    (g, header.version)
 }
 
 /// Strategy: a random simple graph (alternating ER and BA families).
@@ -71,18 +73,17 @@ proptest! {
         let csr = CsrGraph::from_graph(&g);
         let mut bytes = Vec::new();
         format::write_snapshot(&csr, &mut bytes).unwrap();
-        let (back, _) = format::read_snapshot_with(
-            &mut bytes.as_slice(),
-            VerifyMode::Full,
-            &tpp_obs::Recorder::disabled(),
-        )
-        .unwrap();
+        let path = std::env::temp_dir()
+            .join(format!("tpp-prop-round-trip-{}.csr", std::process::id()));
+        std::fs::write(&path, &bytes).unwrap();
+        let (back, _) = load_verified(&path);
+        std::fs::remove_file(&path).ok();
         prop_assert_eq!(csr, back);
     }
 
-    /// Every load path yields the same snapshot: mapped at all three
-    /// verify tiers, the owned streaming decode, and a legacy v1 file —
-    /// and all of them agree with the in-memory build on every read.
+    /// Every load yields the same snapshot: v2 and legacy v1 files, mapped
+    /// at all three verify tiers — and all of them agree with the
+    /// in-memory build on every read.
     #[test]
     fn mapped_owned_and_v1_loads_agree(g in graph_strategy()) {
         let csr = CsrGraph::from_graph(&g);
@@ -96,9 +97,6 @@ proptest! {
             format::write_snapshot_v1(&csr, &mut w).unwrap();
         }
 
-        let (owned, _) = load_owned(&v2_path);
-        prop_assert!(!owned.is_mapped());
-        prop_assert_eq!(&owned, &csr);
         for verify in [VerifyMode::Full, VerifyMode::Header, VerifyMode::None] {
             let mapped = format::load_mapped(&v2_path, verify).unwrap();
             prop_assert!(mapped.is_mapped());
@@ -108,12 +106,12 @@ proptest! {
             let view = DeltaView::new(&mapped);
             assert_reads_agree(&view, &g);
             let v1 = format::load_mapped(&v1_path, verify).unwrap();
-            prop_assert!(!v1.is_mapped(), "v1 falls back to owned");
+            prop_assert!(v1.is_mapped(), "v1 is served through the mapping");
             prop_assert_eq!(&v1, &csr);
         }
-        let (v1_owned, version) = load_owned(&v1_path);
+        let (v1_full, version) = load_verified(&v1_path);
         prop_assert_eq!(version, 1);
-        prop_assert_eq!(&v1_owned, &csr);
+        prop_assert_eq!(&v1_full, &csr);
         std::fs::remove_file(&v2_path).ok();
         std::fs::remove_file(&v1_path).ok();
     }
@@ -397,7 +395,6 @@ fn corrupted_snapshots_fail_by_tier_contract() {
     for verify in every_tier {
         assert!(format::load_mapped(&path, verify).is_err(), "{verify:?}");
     }
-    assert!(format::read_header(&path).is_err());
 
     // Nonzero header padding: caught eagerly everywhere.
     let mut bad = good.clone();
@@ -433,7 +430,7 @@ fn arenas_scale_round_trip_with_parallel_build() {
 
     let path = std::env::temp_dir().join(format!("tpp-store-prop-{}.csr", std::process::id()));
     format::save(&csr, &path).unwrap();
-    let (back, _) = load_owned(&path);
+    let (back, _) = load_verified(&path);
     std::fs::remove_file(&path).ok();
     assert_eq!(csr, back);
 }
