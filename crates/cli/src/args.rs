@@ -16,7 +16,7 @@ pub struct Parsed {
 }
 
 /// Flags that never take a value.
-const BOOLEAN_FLAGS: [&str; 6] = ["quick", "verbose", "help", "full", "stream", "incremental"];
+const BOOLEAN_FLAGS: [&str; 5] = ["quick", "verbose", "help", "full", "incremental"];
 
 /// Parses raw arguments (without the program name).
 ///
@@ -74,7 +74,7 @@ impl Parsed {
 
     /// Optional parsed numeric flag with default, **rejecting zero**: for
     /// count-like knobs where `0` is a user error, not a sentinel (e.g.
-    /// `--batch`, `store build --threads`). The error names the flag and
+    /// `--batch`, `store build --chunk-mb`). The error names the flag and
     /// states the floor.
     pub fn positive_or(&self, name: &str, default: usize) -> Result<usize, String> {
         let value: usize = self.num_or(name, default)?;

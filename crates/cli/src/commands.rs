@@ -59,8 +59,8 @@ USAGE:
                [--negatives N] [--seed S] [--threads T] [--stats stats.json|-]
   tpp kstar    <edgelist> [--motif M] [--targets ... | --random N] [--seed S]
   tpp utility  <original> <released> [--full] [--seed S]
-  tpp store build   <edgelist> --out FILE.csr [--threads N]
-                    [--stream [--chunk-mb M]] [--stats stats.json|-]
+  tpp store build   <edgelist> --out FILE.csr [--chunk-mb M]
+                    [--stats stats.json|-]
   tpp store info    <FILE.csr> [--verify full|header|none] [--shards N] [--hubs K]
   tpp store convert <FILE.csr> --out edgelist.txt [--verify full|header|none]
   tpp serve  --socket FILE.sock [--threads T] [--max-graphs N]
@@ -84,10 +84,10 @@ SNAPSHOTS:   protect/attack/kstar/stats/utility accept a .csr snapshot
              snapshots are memory-mapped zero-copy and re-verified at the
              --verify tier (full = checksum + structure, the default;
              header = offset sweep only; none = trust the payload)
-STREAM:      store build --stream builds the snapshot out-of-core: two
-             passes over the edge list with a bounded chunk buffer
-             (--chunk-mb, default 64), so graphs larger than RAM build
-             fine; the output is bit-identical to the in-memory build
+STORE BUILD: store build writes the snapshot out-of-core: two passes
+             over the edge list with a bounded chunk buffer (--chunk-mb,
+             default 64), so graphs larger than RAM build fine; a pipe
+             or FIFO input is copied once next to the output first
 STATS:       --stats FILE (or - for stdout) writes one JSON document with
              per-round scan/commit timings, coverage-index commit stats,
              executor dispatch/steal counters, load phase times, and
@@ -810,59 +810,41 @@ fn store(p: &Parsed) -> Result<(), String> {
         .ok_or("expected a file argument after the store subcommand")?;
     match sub.as_str() {
         "build" => {
-            // Resolve every argument before the (potentially long) parse
-            // and build, so arg errors are instant.
+            // Resolve every argument before the (potentially long) build,
+            // so arg errors are instant.
             let out = p.require("out")?;
+            let chunk_mb: usize = p.positive_or("chunk-mb", 64)?;
+            let chunk_bytes = chunk_mb
+                .checked_mul(1024 * 1024)
+                .ok_or_else(|| format!("flag --chunk-mb {chunk_mb} overflows the chunk size"))?;
             let stats_out = parse_stats_flag(p)?;
             let recorder = if stats_out.is_some() {
                 Recorder::enabled()
             } else {
                 Recorder::disabled()
             };
-            if p.has("stream") {
-                // Out-of-core build: two passes over the edge list, a
-                // bounded chunk buffer, payload spilled through disk.
-                let chunk_mb: usize = p.positive_or("chunk-mb", 64)?;
-                let cfg = tpp_store::StreamConfig {
-                    chunk_bytes: chunk_mb * 1024 * 1024,
-                };
-                let report = tpp_store::build_stream(path, out, &cfg, &recorder)
-                    .map_err(|e| e.to_string())?;
-                let bytes = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
-                println!(
-                    "wrote {} ({} nodes, {} edges, {} bytes, format v{}, streamed)",
-                    out,
-                    report.nodes,
-                    report.edges,
-                    bytes,
-                    tpp_store::format::VERSION,
-                );
-                println!(
-                    "stream: {} chunk(s), peak chunk buffer {} KiB, \
-                     {} KiB spilled, {} duplicate edge(s) dropped",
-                    report.chunks,
-                    report.peak_chunk_bytes.div_ceil(1024),
-                    report.spill_bytes.div_ceil(1024),
-                    report.duplicates_dropped,
-                );
-            } else {
-                let threads: usize = p.positive_or("threads", 1)?;
-                let text =
-                    std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-                let g = parse_edge_list(&text).map_err(|e| e.to_string())?;
-                let exec = tpp_exec::Parallelism::new(threads);
-                let csr = tpp_store::CsrGraph::from_graph_parallel(&g, &exec);
-                tpp_store::format::save(&csr, out).map_err(|e| e.to_string())?;
-                let bytes = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
-                println!(
-                    "wrote {} ({} nodes, {} edges, {} bytes, format v{})",
-                    out,
-                    csr.node_count(),
-                    csr.edge_count(),
-                    bytes,
-                    tpp_store::format::VERSION,
-                );
-            }
+            // Two passes over the edge list, a bounded chunk buffer,
+            // payload spilled through disk.
+            let cfg = tpp_store::StreamConfig { chunk_bytes };
+            let report = tpp_store::build_stream(path, out, &cfg, &recorder)
+                .map_err(|e| format!("{path}: {e}"))?;
+            let bytes = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
+            println!(
+                "wrote {} ({} nodes, {} edges, {} bytes, format v{})",
+                out,
+                report.nodes,
+                report.edges,
+                bytes,
+                tpp_store::format::VERSION,
+            );
+            println!(
+                "stream: {} chunk(s), peak chunk buffer {} KiB, \
+                 {} KiB spilled, {} duplicate edge(s) dropped",
+                report.chunks,
+                report.peak_chunk_bytes.div_ceil(1024),
+                report.spill_bytes.div_ceil(1024),
+                report.duplicates_dropped,
+            );
             if let Some(out) = &stats_out {
                 emit_stats(out, &recorder)?;
             }
@@ -1921,9 +1903,9 @@ mod tests {
     }
 
     #[test]
-    fn store_stream_build_matches_eager_and_info_reads_header_only() {
+    fn store_build_matches_in_memory_reference_and_info_reads_header_only() {
         let dir = tmpdir();
-        let edges = dir.join("stream-src.txt");
+        let edges = dir.join("build-src.txt");
         dispatch(
             &parse(&strs(&[
                 "generate",
@@ -1937,47 +1919,39 @@ mod tests {
             .unwrap(),
         )
         .unwrap();
-        let eager = dir.join("eager.csr");
-        let streamed = dir.join("streamed.csr");
-        dispatch(
-            &parse(&strs(&[
-                "store",
-                "build",
-                edges.to_str().unwrap(),
-                "--out",
-                eager.to_str().unwrap(),
-            ]))
-            .unwrap(),
+        let reference = dir.join("reference.csr");
+        let text = std::fs::read_to_string(&edges).unwrap();
+        tpp_store::format::save(
+            &tpp_store::CsrGraph::from_graph(&parse_edge_list(&text).unwrap()),
+            &reference,
         )
         .unwrap();
         // --chunk-mb floors at 1 MiB via the CLI; the library tests cover
         // the multi-chunk path with smaller buffers.
-        dispatch(
-            &parse(&strs(&[
+        let built = dir.join("built.csr");
+        for chunk_mb in [None, Some("1")] {
+            let mut argv = vec![
                 "store",
                 "build",
                 edges.to_str().unwrap(),
                 "--out",
-                streamed.to_str().unwrap(),
-                "--stream",
-                "--chunk-mb",
-                "1",
-            ]))
-            .unwrap(),
-        )
-        .unwrap();
-        assert_eq!(
-            std::fs::read(&eager).unwrap(),
-            std::fs::read(&streamed).unwrap(),
-            "streamed snapshot must be bit-identical to the eager build"
-        );
-        // info at every verify tier, on the streamed file.
+                built.to_str().unwrap(),
+            ];
+            argv.extend(chunk_mb.iter().flat_map(|mb| ["--chunk-mb", *mb]));
+            dispatch(&parse(&strs(&argv)).unwrap()).unwrap();
+            assert_eq!(
+                std::fs::read(&reference).unwrap(),
+                std::fs::read(&built).unwrap(),
+                "--chunk-mb {chunk_mb:?}: store build must be bit-identical to format::save"
+            );
+        }
+        // info at every verify tier, on the built file.
         for verify in ["full", "header", "none"] {
             dispatch(
                 &parse(&strs(&[
                     "store",
                     "info",
-                    streamed.to_str().unwrap(),
+                    built.to_str().unwrap(),
                     "--verify",
                     verify,
                 ]))
@@ -1990,7 +1964,7 @@ mod tests {
             &parse(&strs(&[
                 "store",
                 "info",
-                streamed.to_str().unwrap(),
+                built.to_str().unwrap(),
                 "--verify",
                 "paranoid",
             ]))
@@ -1998,6 +1972,153 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("paranoid"), "got: {err}");
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn store_build_from_a_pipe_or_fifo_matches_the_regular_file() {
+        use std::os::fd::AsRawFd;
+        // The builder reads its input twice; a pipe or FIFO can be read
+        // once, so it must be copied aside instead of yielding an empty
+        // (pipe) or blocked (FIFO) pass 2.
+        let dir = tmpdir();
+        let edges = dir.join("pipe-src.txt");
+        dispatch(
+            &parse(&strs(&[
+                "generate",
+                "--model",
+                "hk",
+                "--nodes",
+                "300",
+                "--out",
+                edges.to_str().unwrap(),
+            ]))
+            .unwrap(),
+        )
+        .unwrap();
+        let build = |input: &str, out: &std::path::Path| {
+            dispatch(
+                &parse(&strs(&[
+                    "store",
+                    "build",
+                    input,
+                    "--out",
+                    out.to_str().unwrap(),
+                ]))
+                .unwrap(),
+            )
+        };
+        let reference = dir.join("pipe-file.csr");
+        build(edges.to_str().unwrap(), &reference).unwrap();
+        let expect = std::fs::read(&reference).unwrap();
+
+        // An anonymous pipe, as `<(cat file)` passes it.
+        let mut cat = std::process::Command::new("cat")
+            .arg(&edges)
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .unwrap();
+        let fd = cat.stdout.as_ref().unwrap().as_raw_fd();
+        let from_pipe = dir.join("pipe-pipe.csr");
+        build(&format!("/dev/fd/{fd}"), &from_pipe).unwrap();
+        cat.wait().unwrap();
+        assert_eq!(
+            expect,
+            std::fs::read(&from_pipe).unwrap(),
+            "a pipe input must build the same snapshot as the regular file"
+        );
+
+        // A named FIFO, fed by a writer thread.
+        let fifo = dir.join("pipe-src.fifo");
+        let _ = std::fs::remove_file(&fifo);
+        let made = std::process::Command::new("mkfifo")
+            .arg(&fifo)
+            .status()
+            .unwrap();
+        assert!(made.success(), "mkfifo failed");
+        let writer = {
+            let (fifo, text) = (fifo.clone(), std::fs::read(&edges).unwrap());
+            std::thread::spawn(move || std::fs::write(fifo, text))
+        };
+        let from_fifo = dir.join("pipe-fifo.csr");
+        let built = build(fifo.to_str().unwrap(), &from_fifo);
+        if built.is_err() {
+            // Unblock the writer if the build never opened the FIFO.
+            let _ = std::fs::read(&fifo);
+        }
+        writer.join().unwrap().unwrap();
+        built.unwrap();
+        assert_eq!(
+            expect,
+            std::fs::read(&from_fifo).unwrap(),
+            "a FIFO input must build the same snapshot as the regular file"
+        );
+        std::fs::remove_file(&fifo).ok();
+    }
+
+    #[test]
+    fn store_build_rejects_an_overflowing_chunk_mb() {
+        let dir = tmpdir();
+        let out = dir.join("chunk-overflow.csr");
+        // 2^44 MiB is 2^64 bytes: one past usize on 64-bit targets.
+        let err = dispatch(
+            &parse(&strs(&[
+                "store",
+                "build",
+                "unread.txt",
+                "--out",
+                out.to_str().unwrap(),
+                "--chunk-mb",
+                &(usize::MAX / (1024 * 1024) + 1).to_string(),
+            ]))
+            .unwrap(),
+        )
+        .unwrap_err();
+        assert!(err.contains("--chunk-mb"), "got: {err}");
+        assert!(!out.exists());
+    }
+
+    #[test]
+    fn store_build_stats_report_pass_times() {
+        let dir = tmpdir();
+        let edges = dir.join("build-stats-src.txt");
+        dispatch(
+            &parse(&strs(&[
+                "generate",
+                "--model",
+                "ba",
+                "--nodes",
+                "2000",
+                "--out",
+                edges.to_str().unwrap(),
+            ]))
+            .unwrap(),
+        )
+        .unwrap();
+        let stats_path = dir.join("build-stats.json");
+        dispatch(
+            &parse(&strs(&[
+                "store",
+                "build",
+                edges.to_str().unwrap(),
+                "--out",
+                dir.join("build-stats.csr").to_str().unwrap(),
+                "--stats",
+                stats_path.to_str().unwrap(),
+            ]))
+            .unwrap(),
+        )
+        .unwrap();
+        let stats = std::fs::read_to_string(&stats_path).unwrap();
+        for key in ["pass1_ns", "pass2_ns"] {
+            let value: u64 = stats
+                .split(&format!("\"{key}\": "))
+                .nth(1)
+                .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
+                .and_then(|digits| digits.parse().ok())
+                .unwrap_or_else(|| panic!("no {key} in {stats}"));
+            assert!(value > 0, "{key} is zero: {stats}");
+        }
     }
 
     #[test]

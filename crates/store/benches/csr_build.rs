@@ -1,6 +1,5 @@
-//! Benchmark: CSR snapshot construction — sequential vs parallel fill, and
-//! the edge-list (counting sort) build path — plus binary encode
-//! throughput. Pins the cost of "snapshot once" that the overlay evaluation
+//! Benchmark: CSR snapshot construction — the adjacency copy and the
+//! edge-list (counting sort) build path — plus binary encode throughput. Pins the cost of "snapshot once" that the overlay evaluation
 //! amortizes away.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -11,7 +10,6 @@ use tpp_store::{format, CsrGraph};
 fn bench_csr_build(c: &mut Criterion) {
     let arenas = tpp_datasets::arenas_email_like(1);
     let big = barabasi_albert(50_000, 6, 7);
-    // Above the 1M-entry fallback threshold: the threaded fill really runs.
     let huge = barabasi_albert(200_000, 6, 7);
 
     let mut group = c.benchmark_group("csr_build");
@@ -25,18 +23,6 @@ fn bench_csr_build(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("from_graph", name), g, |b, g| {
             b.iter(|| black_box(CsrGraph::from_graph(black_box(g))));
         });
-        for threads in [2usize, 4, 8] {
-            // One persistent pool per thread count, reused by every timed
-            // build — the executor's whole point.
-            let exec = tpp_exec::Parallelism::new(threads);
-            group.bench_with_input(
-                BenchmarkId::new(format!("from_graph_parallel_t{threads}"), name),
-                g,
-                |b, g| {
-                    b.iter(|| black_box(CsrGraph::from_graph_parallel(black_box(g), &exec)));
-                },
-            );
-        }
         let edges = g.edge_vec();
         let n = g.node_count();
         group.bench_with_input(BenchmarkId::new("from_edges", name), &edges, |b, edges| {

@@ -9,7 +9,6 @@
 use crate::error::StoreError;
 use crate::storage::CsrStorage;
 use std::sync::OnceLock;
-use tpp_exec::Parallelism;
 use tpp_graph::{Edge, Graph, HubBitsets, NeighborAccess, NodeId};
 
 /// An immutable CSR snapshot of a simple undirected graph.
@@ -40,9 +39,9 @@ pub struct CsrGraph {
 }
 
 /// Equality is structural over the CSR arrays only — the hub-bitset cache
-/// is derived data and must not affect snapshot identity (the
-/// parallel-build and format round-trip tests compare snapshots whose
-/// caches may differ in build state), and a mapped snapshot equals the
+/// is derived data and must not affect snapshot identity (the build and
+/// format round-trip tests compare snapshots whose caches may differ in
+/// build state), and a mapped snapshot equals the
 /// owned snapshot with the same arrays.
 impl PartialEq for CsrGraph {
     fn eq(&self, other: &Self) -> bool {
@@ -113,64 +112,6 @@ impl CsrGraph {
     #[must_use]
     pub fn from_graph(g: &Graph) -> Self {
         Self::from_access(g)
-    }
-
-    /// Snapshot of a [`Graph`] with the neighbor array filled by the
-    /// executor's workers over disjoint node ranges.
-    ///
-    /// The offset table is a sequential prefix sum (`O(n)`, memory-bound);
-    /// the payload copy — the dominant cost on big graphs — is
-    /// embarrassingly parallel because every node's slice lands in a
-    /// disjoint region of the output array. Dispatch goes through the
-    /// shared [`Parallelism`] pool (`tpp-exec`): the workers are spawned
-    /// once per pool, not once per build.
-    ///
-    /// Small payloads (under ~1M adjacency entries) fall back to the
-    /// sequential copy: even a pooled dispatch costs more than the memcpy
-    /// it saves below that point (measured in the `csr_build` bench).
-    #[must_use]
-    pub fn from_graph_parallel(g: &Graph, exec: &Parallelism) -> Self {
-        let n = g.node_count();
-        if exec.is_sequential() || g.degree_sum() < 1_000_000 {
-            return Self::from_graph(g);
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u64);
-        let mut total = 0u64;
-        for u in g.nodes() {
-            total += g.degree(u) as u64;
-            offsets.push(total);
-        }
-        let mut neighbors = vec![0 as NodeId; total as usize];
-
-        // Carve the output array into degree-balanced windows at node
-        // boundaries — the same partition-range split that backs
-        // [`CsrGraph::shards`] — so every worker copies a near-equal share
-        // of the payload regardless of degree skew. Each window is a
-        // disjoint `&mut` slice, so the executor's claimed-index dispatch
-        // applies.
-        {
-            let mut windows: Vec<(std::ops::Range<usize>, &mut [NodeId])> = Vec::new();
-            let mut rest: &mut [NodeId] = &mut neighbors;
-            let mut consumed = 0usize;
-            for range in balanced_node_ranges(&offsets, exec.threads()) {
-                let span = (offsets[range.end] - offsets[range.start]) as usize;
-                let (window, tail) = rest.split_at_mut(span);
-                rest = tail;
-                debug_assert_eq!(consumed, offsets[range.start] as usize);
-                consumed += span;
-                windows.push((range, window));
-            }
-            exec.for_each_mut(&mut windows, |_, (range, window)| {
-                let mut cursor = 0usize;
-                for u in range.clone() {
-                    let nbrs = g.neighbors(u as NodeId);
-                    window[cursor..cursor + nbrs.len()].copy_from_slice(nbrs);
-                    cursor += nbrs.len();
-                }
-            });
-        }
-        CsrGraph::from_arrays(offsets, neighbors)
     }
 
     /// Builds a snapshot from an edge list over `n` nodes. Duplicate edges
@@ -321,14 +262,14 @@ impl CsrGraph {
     /// The ranges are non-empty, ascending, and cover `0..node_count()`
     /// exactly; fewer than `parts` ranges are returned when the graph has
     /// fewer nodes. This is the boundary computation behind
-    /// [`CsrGraph::shards`] and the parallel build, and the model for the
+    /// [`CsrGraph::shards`], and the model for the
     /// candidate-chunk splitting in `tpp-core`'s round engine.
     ///
     /// # Panics
     /// Panics if `parts == 0`.
     #[must_use]
     pub fn shard_ranges(&self, parts: usize) -> Vec<std::ops::Range<NodeId>> {
-        balanced_node_ranges(self.offsets(), parts)
+        balanced_prefix_ranges(self.offsets(), parts)
             .into_iter()
             .map(|r| r.start as NodeId..r.end as NodeId)
             .collect()
@@ -440,14 +381,11 @@ impl CsrGraph {
     }
 }
 
-/// The one boundary computation behind [`CsrGraph::shard_ranges`], the
-/// parallel snapshot build, and the round engine's scan chunking in
-/// `tpp-core`. It lives in `tpp-exec` now (re-exported here for API
-/// continuity): the split and the dispatch share one crate.
+/// The one boundary computation behind [`CsrGraph::shard_ranges`] and
+/// the round engine's scan chunking in `tpp-core`. It lives in `tpp-exec`
+/// (re-exported here for API continuity): the split and the dispatch
+/// share one crate.
 pub use tpp_exec::balanced_prefix_ranges;
-
-/// Internal alias kept for the CSR offset-table call sites.
-pub(crate) use tpp_exec::balanced_prefix_ranges as balanced_node_ranges;
 
 impl From<&Graph> for CsrGraph {
     fn from(g: &Graph) -> Self {
@@ -515,24 +453,6 @@ mod tests {
         assert!(csr.has_edge(0, 2) && csr.has_edge(2, 0));
         assert!(!csr.has_edge(1, 3));
         assert_eq!(csr.to_graph(), g);
-    }
-
-    #[test]
-    fn parallel_build_matches_sequential() {
-        // Big enough to clear the parallel fallback threshold (degree sum
-        // 1M) so the threaded fill path is actually exercised.
-        let g = tpp_graph::generators::barabasi_albert(90_000, 6, 17);
-        assert!(g.degree_sum() >= 1_000_000, "fixture under threshold");
-        let seq = CsrGraph::from_graph(&g);
-        for threads in [1, 2, 3, 8] {
-            let exec = Parallelism::new(threads);
-            let par = CsrGraph::from_graph_parallel(&g, &exec);
-            assert_eq!(seq, par, "threads = {threads}");
-            // The pool is persistent: a second build through the same
-            // handle must be identical too.
-            assert_eq!(seq, CsrGraph::from_graph_parallel(&g, &exec));
-        }
-        seq.check_invariants();
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! pattern with:
 //!
 //! * [`CsrGraph`] — an immutable snapshot: one offset table + one packed,
-//!   sorted neighbor array. Build it once (in parallel for large graphs),
-//!   share it freely across threads, and persist it with
-//!   [`format::save`] / [`format::load_mapped`] instead of re-parsing edge lists.
+//!   sorted neighbor array. Build it once, share it freely across threads,
+//!   and persist it ([`build_stream`] writes one straight from an edge
+//!   list, [`format::load_mapped`] maps it back) instead of re-parsing.
 //! * [`DeltaView`] — an `O(1)`-setup overlay recording net edge
 //!   deletions/additions against any base. Tentative candidate evaluation
 //!   becomes `delete_edge → recount → restore_edge` with **zero** graph

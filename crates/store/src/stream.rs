@@ -1,16 +1,18 @@
 //! Streaming, out-of-core CSR snapshot construction.
 //!
-//! [`build_stream`] turns a text edge list directly into an on-disk v2
-//! snapshot without ever materializing the graph in memory. The classic
-//! in-memory route (`parse_edge_list` → `Graph` → `CsrGraph` → `save`)
-//! holds every adjacency set on the heap at once; this builder's peak
-//! memory is `O(node_count)` bookkeeping plus **one bounded chunk buffer**
-//! ([`StreamConfig::chunk_bytes`], default 64 MiB), so the neighbor
-//! payload — the part that dwarfs everything else on dense graphs — lives
-//! on disk from start to finish. Graphs larger than RAM build fine.
+//! [`build_stream`] is the one writer that turns a text edge list into an
+//! on-disk v2 snapshot (`tpp store build`). It never materializes the
+//! graph: peak memory is `O(node_count)` bookkeeping plus **one bounded
+//! chunk buffer** ([`StreamConfig::chunk_bytes`], default 64 MiB), so the
+//! neighbor payload — the part that dwarfs everything else on dense
+//! graphs — lives on disk from start to finish. Graphs larger than RAM
+//! build fine.
 //!
 //! The shape is a textbook two-pass external CSR build:
 //!
+//! 0. **Input** — the builder reads the edge list twice, so an input that
+//!    is not a regular file (a pipe, a FIFO, `<(...)`) is first copied
+//!    once into the build's scratch directory.
 //! 1. **Pass 1 (degree count)** — scan the edge list once, tally each
 //!    node's degree (duplicates included) and the node-id range.
 //! 2. **Chunking** — split the node range into contiguous chunks whose
@@ -27,7 +29,9 @@
 //!
 //! Duplicate edges are resolved symmetrically: an edge listed twice puts
 //! two copies in *both* endpoints' slices, and per-slice dedup drops both,
-//! so the result is bit-identical to the in-memory build. Lines are read
+//! so the result is bit-identical to
+//! `format::save(&CsrGraph::from_graph(&parse_edge_list(..)))`, the
+//! in-memory reference the tests compare against. Lines are read
 //! by [`tpp_graph::parse_edge_line`], the grammar `parse_edge_list` uses:
 //! blank lines and `#`/`%` comments skipped, a `# nodes: N ...` header
 //! sizing the node range to at least `N`, two whitespace-separated ids,
@@ -59,7 +63,7 @@ impl Default for StreamConfig {
     }
 }
 
-/// What a streaming build did — printed by `tpp store build --stream`.
+/// What a streaming build did — printed by `tpp store build`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamReport {
     /// Nodes in the snapshot (max id + 1).
@@ -76,16 +80,35 @@ pub struct StreamReport {
     pub peak_chunk_bytes: usize,
 }
 
-/// [`tpp_graph::parse_edge_line`] with its errors in this builder's
-/// `line N: ...` wording.
-fn parse_line(raw: &str, lineno: usize) -> Result<EdgeLine, StoreError> {
-    tpp_graph::parse_edge_line(raw, lineno).map_err(|e| {
-        StoreError::Ingest(match e {
-            GraphError::SelfLoop { node } => format!("line {lineno}: self-loop at node {node}"),
-            GraphError::Parse { reason, .. } => format!("line {lineno}: {reason}"),
-            other => format!("line {lineno}: {other}"),
-        })
-    })
+/// Reads `reader` to its end and hands every line, parsed by
+/// [`tpp_graph::parse_edge_line`], to `f` with its 1-based number. Parse
+/// errors come back in this builder's `line N: ...` wording.
+fn for_each_line<R: BufRead>(
+    mut reader: R,
+    mut f: impl FnMut(usize, EdgeLine) -> Result<(), StoreError>,
+) -> Result<(), StoreError> {
+    let mut line = String::new();
+    let mut lineno = 0usize;
+    loop {
+        line.clear();
+        if reader.read_line(&mut line)? == 0 {
+            return Ok(());
+        }
+        lineno += 1;
+        let parsed = tpp_graph::parse_edge_line(&line, lineno).map_err(|e| {
+            StoreError::Ingest(match e {
+                GraphError::SelfLoop { node } => format!("line {lineno}: self-loop at node {node}"),
+                GraphError::Parse { reason, .. } => format!("line {lineno}: {reason}"),
+                other => format!("line {lineno}: {other}"),
+            })
+        })?;
+        f(lineno, parsed)?;
+    }
+}
+
+/// The error for an input whose pass-2 contents disagree with pass 1.
+fn changed_between_passes(at: &str) -> StoreError {
+    StoreError::Ingest(format!("{at}: edge list changed between passes"))
 }
 
 /// A scratch directory next to the output file, removed on drop (success
@@ -136,7 +159,8 @@ impl Drop for TempDir {
 ///
 /// # Errors
 /// [`StoreError::Ingest`] for malformed edge-list lines (with the 1-based
-/// line number), [`StoreError::Io`] for filesystem failures.
+/// line number) and for an input that changed between the two passes,
+/// [`StoreError::Io`] for filesystem failures.
 pub fn build_stream<P: AsRef<Path>, Q: AsRef<Path>>(
     edges: P,
     out: Q,
@@ -145,6 +169,36 @@ pub fn build_stream<P: AsRef<Path>, Q: AsRef<Path>>(
 ) -> Result<StreamReport, StoreError> {
     let edges = edges.as_ref();
     let out = out.as_ref();
+    let tmp = TempDir::create(out)?;
+
+    // Both passes reopen the input, which a pipe cannot serve twice:
+    // anything but a regular file is read once into the scratch dir.
+    let copied;
+    let edges = if std::fs::metadata(edges)?.is_file() {
+        edges
+    } else {
+        copied = tmp.path().join("input.txt");
+        std::io::copy(&mut File::open(edges)?, &mut File::create(&copied)?)?;
+        copied.as_path()
+    };
+    build_two_pass(
+        || Ok(BufReader::new(File::open(edges)?)),
+        out,
+        &tmp,
+        cfg,
+        obs,
+    )
+}
+
+/// The two passes of [`build_stream`]; `open` yields the edge list from
+/// its start, once per pass.
+fn build_two_pass<R: BufRead>(
+    mut open: impl FnMut() -> std::io::Result<R>,
+    out: &Path,
+    tmp: &TempDir,
+    cfg: &StreamConfig,
+    obs: &Recorder,
+) -> Result<StreamReport, StoreError> {
     let stats = obs.stats();
     let chunk_bytes = cfg.chunk_bytes.max(8);
 
@@ -152,39 +206,30 @@ pub fn build_stream<P: AsRef<Path>, Q: AsRef<Path>>(
     let pass1 = SpanTimer::counter(stats.map(|s| &s.store.pass1_ns));
     let mut degrees: Vec<u32> = Vec::new();
     let mut directed_total: u64 = 0;
-    {
-        let mut reader = BufReader::new(File::open(edges)?);
-        let mut line = String::new();
-        let mut lineno = 0usize;
-        loop {
-            line.clear();
-            if reader.read_line(&mut line)? == 0 {
-                break;
-            }
-            lineno += 1;
-            let (u, v) = match parse_line(&line, lineno)? {
-                EdgeLine::Edge(u, v) => (u, v),
-                EdgeLine::Nodes(n) => {
-                    if n > degrees.len() {
-                        degrees.resize(n, 0);
-                    }
-                    continue;
+    for_each_line(open()?, |_, parsed| {
+        let (u, v) = match parsed {
+            EdgeLine::Edge(u, v) => (u, v),
+            EdgeLine::Nodes(n) => {
+                if n > degrees.len() {
+                    degrees.resize(n, 0);
                 }
-                EdgeLine::Skip => continue,
-            };
-            let hi = u.max(v) as usize;
-            if hi >= degrees.len() {
-                degrees.resize(hi + 1, 0);
+                return Ok(());
             }
-            for node in [u, v] {
-                let d = &mut degrees[node as usize];
-                *d = d.checked_add(1).ok_or_else(|| {
-                    StoreError::Ingest(format!("node {node} exceeds u32 degree range"))
-                })?;
-            }
-            directed_total += 2;
+            EdgeLine::Skip => return Ok(()),
+        };
+        let hi = u.max(v) as usize;
+        if hi >= degrees.len() {
+            degrees.resize(hi + 1, 0);
         }
-    }
+        for node in [u, v] {
+            let d = &mut degrees[node as usize];
+            *d = d.checked_add(1).ok_or_else(|| {
+                StoreError::Ingest(format!("node {node} exceeds u32 degree range"))
+            })?;
+        }
+        directed_total += 2;
+        Ok(())
+    })?;
     pass1.stop();
     let n = degrees.len();
 
@@ -209,7 +254,6 @@ pub fn build_stream<P: AsRef<Path>, Q: AsRef<Path>>(
 
     // ---- Pass 2: route, fill, assemble ---------------------------------
     let pass2 = SpanTimer::counter(stats.map(|s| &s.store.pass2_ns));
-    let tmp = TempDir::create(out)?;
     let mut spill_bytes: u64 = 0;
 
     // Route every directed entry (u → v) to the spill file of u's chunk.
@@ -218,22 +262,12 @@ pub fn build_stream<P: AsRef<Path>, Q: AsRef<Path>>(
         let mut writers: Vec<BufWriter<File>> = (0..chunks)
             .map(|k| File::create(spill_path(k)).map(BufWriter::new))
             .collect::<Result<_, _>>()?;
-        let mut reader = BufReader::new(File::open(edges)?);
-        let mut line = String::new();
-        let mut lineno = 0usize;
-        loop {
-            line.clear();
-            if reader.read_line(&mut line)? == 0 {
-                break;
-            }
-            lineno += 1;
-            let EdgeLine::Edge(u, v) = parse_line(&line, lineno)? else {
-                continue;
+        for_each_line(open()?, |lineno, parsed| {
+            let EdgeLine::Edge(u, v) = parsed else {
+                return Ok(());
             };
             if u.max(v) as usize >= n {
-                return Err(StoreError::Ingest(format!(
-                    "line {lineno}: edge list changed between passes"
-                )));
+                return Err(changed_between_passes(&format!("line {lineno}")));
             }
             for (src, dst) in [(u, v), (v, u)] {
                 let mut rec = [0u8; 8];
@@ -242,7 +276,8 @@ pub fn build_stream<P: AsRef<Path>, Q: AsRef<Path>>(
                 writers[chunk_of(src)].write_all(&rec)?;
                 spill_bytes += 8;
             }
-        }
+            Ok(())
+        })?;
         for w in &mut writers {
             w.flush()?;
         }
@@ -282,9 +317,17 @@ pub fn build_stream<P: AsRef<Path>, Q: AsRef<Path>>(
             }
             let src = NodeId::from_le_bytes(rec[..4].try_into().expect("4 bytes")) as usize;
             let dst = NodeId::from_le_bytes(rec[4..].try_into().expect("4 bytes"));
+            // Pass 2 may not place more entries at a node than pass 1
+            // counted, nor (checked below) fewer.
             let at = &mut cursor[src - lo];
+            if *at == starts[src - lo + 1] {
+                return Err(changed_between_passes(&format!("node {src}")));
+            }
             buf[*at] = dst;
             *at += 1;
+        }
+        if let Some(i) = (0..hi - lo).find(|&i| cursor[i] != starts[i + 1]) {
+            return Err(changed_between_passes(&format!("node {}", lo + i)));
         }
 
         let mut write_buf: Vec<u8> = Vec::with_capacity(64 * 1024);
@@ -408,7 +451,7 @@ mod tests {
         assert_eq!(
             std::fs::read(&streamed).unwrap(),
             std::fs::read(&eager).unwrap(),
-            "streamed file must be bit-identical to the eager build"
+            "streamed file must be bit-identical to the in-memory reference"
         );
         let loaded = format::load_mapped(&streamed, VerifyMode::Full).unwrap();
         assert_eq!(loaded, reference);
@@ -529,6 +572,38 @@ mod tests {
     }
 
     #[test]
+    fn input_changed_between_passes_is_a_named_error() {
+        // Pass 1 sizes every node's slice; a pass 2 that brings more
+        // entries, fewer, or a node past the counted range must fail by
+        // name, never panic or publish a snapshot.
+        let dir = tmpdir("changed");
+        let out = dir.join("out.csr");
+        for (pass1, pass2, needle) in [
+            ("0 1\n1 2\n", "0 1\n1 2\n0 2\n", "node 0: edge list changed"),
+            ("0 1\n1 2\n", "0 1\n", "node 1: edge list changed"),
+            ("0 1\n", "0 1\n1 5\n", "line 2: edge list changed"),
+        ] {
+            for chunk_bytes in [8, StreamConfig::default().chunk_bytes] {
+                let mut passes = [pass1, pass2].into_iter();
+                let err = build_two_pass(
+                    || Ok(std::io::Cursor::new(passes.next().unwrap())),
+                    &out,
+                    &TempDir::create(&out).unwrap(),
+                    &StreamConfig { chunk_bytes },
+                    &Recorder::disabled(),
+                )
+                .unwrap_err();
+                assert!(
+                    matches!(&err, StoreError::Ingest(m) if m.contains(needle)),
+                    "{pass2:?} at {chunk_bytes} B: {err}"
+                );
+            }
+        }
+        assert!(!out.exists(), "failed builds leave no output file");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn concurrent_builds_of_the_same_target_do_not_collide() {
         // Two simultaneous streamed builds of one output path inside one
         // process (the resident-service shape): each must get its own
@@ -555,7 +630,7 @@ mod tests {
             }
         });
         // Whoever published last, the file is a complete valid snapshot,
-        // identical to the eager build.
+        // identical to the in-memory reference.
         let loaded = format::load_mapped(&out, VerifyMode::Full).unwrap();
         assert_eq!(loaded, CsrGraph::from_graph(&g));
         // Both scratch dirs are gone.

@@ -42,14 +42,12 @@ fn assert_reads_agree<A: NeighborAccess, B: NeighborAccess>(a: &A, b: &B) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Graph → CsrGraph → Graph is the identity, for both build paths.
+    /// Graph → CsrGraph → Graph is the identity.
     #[test]
     fn csr_round_trips_graph(g in graph_strategy()) {
         let csr = CsrGraph::from_graph(&g);
         csr.check_invariants();
         prop_assert_eq!(csr.to_graph(), g.clone());
-        let par = CsrGraph::from_graph_parallel(&g, &tpp_exec::Parallelism::new(4));
-        prop_assert_eq!(&csr, &par);
         assert_reads_agree(&csr, &g);
     }
 
@@ -420,11 +418,11 @@ fn corrupted_snapshots_fail_by_tier_contract() {
 }
 
 #[test]
-fn arenas_scale_round_trip_with_parallel_build() {
+fn arenas_scale_round_trip() {
     // One larger fixed case: the Arenas-email stand-in (1,133 nodes,
-    // 5,451 edges) through parallel build, disk format, and back.
+    // 5,451 edges) through the build, disk format, and back.
     let g = tpp_datasets::arenas_email_like(1);
-    let csr = CsrGraph::from_graph_parallel(&g, &tpp_exec::Parallelism::new(8));
+    let csr = CsrGraph::from_graph(&g);
     csr.check_invariants();
     assert_eq!(csr.to_graph(), g);
 
