@@ -902,39 +902,7 @@ fn store(p: &Parsed) -> Result<(), String> {
             }
             let shards: usize = p.num_or("shards", 0usize)?;
             if shards > 0 {
-                println!("shard plan ({shards} requested, degree-balanced):");
-                let plan = csr.shards(shards);
-                let total_payload = csr.neighbor_array().len().max(1);
-                let mut max_payload = 0usize;
-                for (i, shard) in plan.iter().enumerate() {
-                    let r = shard.node_range();
-                    // Owned edges follow the lower endpoint (the commit-
-                    // partitioning discipline); intra edges have both
-                    // endpoints in range (the induced-scan view).
-                    let owned: usize = (r.start..r.end)
-                        .map(|u| {
-                            let nbrs = csr.neighbors(u);
-                            nbrs.len() - nbrs.partition_point(|&v| v <= u)
-                        })
-                        .sum();
-                    max_payload = max_payload.max(shard.payload_span());
-                    println!(
-                        "  shard {i}: nodes {}..{} ({} nodes, payload {} = {:.1}%, \
-                         owned-edges {}, intra-edges {})",
-                        r.start,
-                        r.end,
-                        r.end - r.start,
-                        shard.payload_span(),
-                        shard.payload_span() as f64 * 100.0 / total_payload as f64,
-                        owned,
-                        tpp_graph::NeighborAccess::edge_count(shard),
-                    );
-                }
-                let ideal = total_payload as f64 / plan.len() as f64;
-                println!(
-                    "  balance: max payload {:.2}x the ideal even split",
-                    max_payload as f64 / ideal.max(1.0),
-                );
+                print!("{}", shard_plan_report(&csr, shards));
             }
             Ok(())
         }
@@ -955,6 +923,46 @@ fn store(p: &Parsed) -> Result<(), String> {
             "unknown store subcommand {other:?} (expected build, info, or convert)"
         )),
     }
+}
+
+/// The `store info --shards` report: the degree-balanced node ranges of
+/// [`CsrGraph::shard_ranges`], each with its payload (its share of the
+/// neighbor array), its owned edges (lower endpoint in range: the index's
+/// commit partitioning) and its intra edges (both endpoints in range).
+fn shard_plan_report(csr: &CsrGraph, shards: usize) -> String {
+    use std::fmt::Write as _;
+    let mut out = format!("shard plan ({shards} requested, degree-balanced):\n");
+    let ranges = csr.shard_ranges(shards);
+    let offsets = csr.offsets();
+    let total_payload = csr.neighbor_array().len().max(1);
+    let mut max_payload = 0usize;
+    for (i, r) in ranges.iter().enumerate() {
+        let payload = (offsets[r.end as usize] - offsets[r.start as usize]) as usize;
+        let (mut owned, mut intra) = (0usize, 0usize);
+        for u in r.clone() {
+            let nbrs = csr.neighbors(u);
+            let above = nbrs.partition_point(|&v| v <= u);
+            owned += nbrs.len() - above;
+            intra += nbrs.partition_point(|&v| v < r.end) - above;
+        }
+        max_payload = max_payload.max(payload);
+        let _ = writeln!(
+            out,
+            "  shard {i}: nodes {}..{} ({} nodes, payload {payload} = {:.1}%, \
+             owned-edges {owned}, intra-edges {intra})",
+            r.start,
+            r.end,
+            r.end - r.start,
+            payload as f64 * 100.0 / total_payload as f64,
+        );
+    }
+    let ideal = total_payload as f64 / ranges.len() as f64;
+    let _ = writeln!(
+        out,
+        "  balance: max payload {:.2}x the ideal even split",
+        max_payload as f64 / ideal.max(1.0),
+    );
+    out
 }
 
 fn kstar(p: &Parsed) -> Result<(), String> {
@@ -1845,6 +1853,37 @@ mod tests {
             .unwrap(),
         )
         .unwrap();
+    }
+
+    #[test]
+    fn shard_plan_report_is_exact_on_a_hand_checked_graph() {
+        // Two triangles' worth of edges: degrees 2 2 3 3 2 2, offsets
+        // 0 2 4 7 10 12 14. Three shards cut at the first offsets reaching
+        // 14/3 and 28/3 of the payload: 0..2, 2..4, 4..6.
+        let g = tpp_graph::Graph::from_edges([
+            (0u32, 1u32),
+            (0, 2),
+            (1, 2),
+            (2, 3),
+            (3, 4),
+            (4, 5),
+            (3, 5),
+        ]);
+        let csr = CsrGraph::from_graph(&g);
+        assert_eq!(
+            shard_plan_report(&csr, 3),
+            "shard plan (3 requested, degree-balanced):\n\
+             \x20 shard 0: nodes 0..2 (2 nodes, payload 4 = 28.6%, owned-edges 3, intra-edges 1)\n\
+             \x20 shard 1: nodes 2..4 (2 nodes, payload 6 = 42.9%, owned-edges 3, intra-edges 1)\n\
+             \x20 shard 2: nodes 4..6 (2 nodes, payload 4 = 28.6%, owned-edges 1, intra-edges 1)\n\
+             \x20 balance: max payload 1.29x the ideal even split\n"
+        );
+        assert_eq!(
+            shard_plan_report(&csr, 1),
+            "shard plan (1 requested, degree-balanced):\n\
+             \x20 shard 0: nodes 0..6 (6 nodes, payload 14 = 100.0%, owned-edges 7, intra-edges 7)\n\
+             \x20 balance: max payload 1.00x the ideal even split\n"
+        );
     }
 
     #[test]

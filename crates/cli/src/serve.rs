@@ -10,10 +10,12 @@
 //!   has computed them, its [`BaseStats`] (the original's triangle counts
 //!   and core numbers for the utility report); a hit is an `Arc` clone
 //!   instead of a re-read and a recount;
-//! * **index registry** — keyed by `(path, motif, target list)`; a hit
-//!   clones the cached [`PartitionedCoverageIndex`] into the run as an
-//!   index seed, skipping the build entirely (the targets are part of the
-//!   key because the index is built over the released graph they define);
+//! * **index registry** — keyed by `(path, motif, target list)`; each
+//!   entry also records the resident graph it covers, and a hit needs both
+//!   the key and that graph to match the request's. A hit clones the
+//!   cached [`PartitionedCoverageIndex`] into the run as an index seed,
+//!   skipping the build entirely (the targets are part of the key because
+//!   the index is built over the released graph they define);
 //! * **shared pool** — one `tpp-exec` worker set serves every request;
 //!   per-request recorders attach to it, so `--stats` replies stay
 //!   per-request while the threads are shared.
@@ -52,7 +54,7 @@ use std::io::{Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 use std::time::{Duration, Instant};
 use tpp_core::{TppInstance, DEFAULT_INDEX_PARTITIONS};
 use tpp_exec::Parallelism;
@@ -197,8 +199,20 @@ type IndexKey = (String, String, Vec<(u32, u32)>);
 
 struct IndexEntry {
     index: Arc<PartitionedCoverageIndex>,
+    /// The resident graph the index covers. A path's graph changes on
+    /// `update` and on a reload after eviction, so the key alone does not
+    /// name it. The `Weak` frees the graph with the registry but keeps its
+    /// allocation, so no later graph can take its address.
+    graph: Weak<CsrGraph>,
     /// Last request that touched this entry (the LRU/TTL clock).
     last_used: Instant,
+}
+
+impl IndexEntry {
+    /// Whether this index was built (or last patched) for `g` itself.
+    fn covers(&self, g: &Arc<CsrGraph>) -> bool {
+        std::ptr::eq(self.graph.as_ptr(), Arc::as_ptr(g))
+    }
 }
 
 struct Server {
@@ -467,10 +481,12 @@ impl Server {
     /// by localized through-enumeration — instead of rebuilding, along
     /// with the graph's resident base statistics. The registries then
     /// serve the mutated graph: they deliberately diverge from the file on
-    /// disk until a restart (or an eviction) reloads it. An index whose
-    /// target list collides with the delta cannot be patched (targets are
-    /// phase-1-removed from its released view), so it is dropped and
-    /// rebuilt on next use.
+    /// disk until a restart (or an eviction) reloads it. Only indexes that
+    /// cover the pre-update graph are patched, and they then cover the new
+    /// one. An index whose target list collides with the delta cannot be
+    /// patched (targets are phase-1-removed from its released view), and
+    /// an index built for another copy of the graph describes neither
+    /// state; both are dropped and rebuilt on next use.
     fn update(&self, p: &Parsed) -> Result<String, String> {
         use std::fmt::Write as _;
         let stats_out = commands::parse_stats_flag(p)?;
@@ -531,10 +547,22 @@ impl Server {
 
         let mut patched = 0usize;
         let mut dropped = 0usize;
+        let mut stale = 0usize;
         let mut discovered = 0usize;
         let mut indexes = lock(&self.indexes);
         let keys: Vec<IndexKey> = indexes.keys().filter(|k| k.0 == key).cloned().collect();
         for ikey in keys {
+            let entry = indexes.get_mut(&ikey).expect("key listed above");
+            if entry.covers(&next) {
+                // Built on the new graph by a request that ran after the
+                // swap above: already current.
+                continue;
+            }
+            if !entry.covers(&base) {
+                indexes.remove(&ikey);
+                stale += 1;
+                continue;
+            }
             let collides = removed
                 .iter()
                 .chain(&added)
@@ -544,7 +572,6 @@ impl Server {
                 dropped += 1;
                 continue;
             }
-            let entry = indexes.get_mut(&ikey).expect("key listed above");
             // Clone-on-write: requests holding the old Arc keep a
             // consistent pre-delta index; the registry swaps to the
             // patched one.
@@ -567,6 +594,7 @@ impl Server {
                 discovered += idx.insert_edge(&released, e);
             }
             entry.index = Arc::new(idx);
+            entry.graph = Arc::downgrade(&next);
             entry.last_used = Instant::now();
             patched += 1;
         }
@@ -586,6 +614,12 @@ impl Server {
             "indexes: {patched} patched in place, {dropped} dropped (delta hit their targets), \
              {discovered} instance(s) discovered",
         );
+        if stale > 0 {
+            let _ = writeln!(
+                out,
+                "indexes: {stale} dropped (built for another copy of the graph)"
+            );
+        }
         if let Some(dest) = &stats_out {
             out.push_str(&commands::stats_text(dest, &recorder)?);
         }
@@ -630,10 +664,13 @@ impl Server {
 
     /// The index registry: builds the run's phase-1 instance, whose
     /// released graph and targets the index covers, and hands both to the
-    /// run as seeds. A hit takes the cached index; a miss builds it once
-    /// on the shared pool (charged to this request's recorder) and caches
-    /// it. Only the greedy strategies evaluate through the index — the
-    /// random baselines return `None`.
+    /// run as seeds. A hit takes the cached index, and only an index that
+    /// covers `g` itself is a hit: an `update` or a reload may have
+    /// replaced the path's graph since `g` was read. A miss builds the
+    /// index on `g` once on the shared pool (charged to this request's
+    /// recorder) and caches it while `g` is still resident. Only the greedy
+    /// strategies evaluate through the index — the random baselines return
+    /// `None`.
     fn index_for(
         &self,
         p: &Parsed,
@@ -654,10 +691,13 @@ impl Server {
             motif.to_string(),
             targets.iter().map(|e| (e.u(), e.v())).collect(),
         );
-        let cached = lock(&self.indexes).get_mut(&key).map(|entry| {
-            entry.last_used = Instant::now();
-            Arc::clone(&entry.index)
-        });
+        let cached = lock(&self.indexes)
+            .get_mut(&key)
+            .filter(|entry| entry.covers(g))
+            .map(|entry| {
+                entry.last_used = Instant::now();
+                Arc::clone(&entry.index)
+            });
         let instance = TppInstance::new(Arc::clone(g), targets).map_err(|e| e.to_string())?;
         if let Some(index) = cached {
             self.bump(Some(recorder), |s| s.index_hits.inc());
@@ -672,13 +712,21 @@ impl Server {
             &exec,
         ));
         self.bump(Some(recorder), |s| s.index_misses.inc());
-        lock(&self.indexes).insert(
-            key,
-            IndexEntry {
-                index: Arc::clone(&index),
-                last_used: Instant::now(),
-            },
-        );
+        // Cache the index only while `g` is still the path's resident
+        // graph, checked and inserted under the graph lock that `update`
+        // swaps graphs under: a request that raced an update or a reload
+        // keeps its index to itself instead of displacing a current one.
+        let graphs = lock(&self.graphs);
+        if graphs.get(&key.0).is_some_and(|e| Arc::ptr_eq(&e.graph, g)) {
+            lock(&self.indexes).insert(
+                key,
+                IndexEntry {
+                    index: Arc::clone(&index),
+                    graph: Arc::downgrade(g),
+                    last_used: Instant::now(),
+                },
+            );
+        }
         Ok(Some((instance, index)))
     }
 
@@ -768,6 +816,98 @@ mod tests {
                 MAX_FRAME_BYTES + 11
             )
         );
+    }
+
+    /// A server with no socket, for driving its registries directly.
+    fn registry_only_server() -> Server {
+        Server {
+            socket: String::new(),
+            pool: Parallelism::sequential(),
+            lifetime: Recorder::enabled(),
+            graphs: Mutex::new(HashMap::new()),
+            indexes: Mutex::new(HashMap::new()),
+            options: ServeOptions::default(),
+            shutdown: AtomicBool::new(false),
+        }
+    }
+
+    #[test]
+    fn an_update_between_graph_and_index_lookup_never_mixes_graphs() {
+        let dir = std::env::temp_dir().join(format!("tpp-serve-race-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let graph = dir.join("g.txt").to_str().unwrap().to_string();
+        let g = tpp_graph::generators::holme_kim(300, 4, 0.4, 1);
+        std::fs::write(&graph, tpp_graph::write_edge_list(&g)).unwrap();
+        let parse = |argv: &[&str]| {
+            args::parse(&argv.iter().map(|a| (*a).to_string()).collect::<Vec<_>>()).unwrap()
+        };
+        let server = registry_only_server();
+        let recorder = Recorder::disabled();
+        // Sampled targets follow the graph's edges, so later requests name
+        // the first sample's targets explicitly to keep one index key.
+        let sampled = parse(&["protect", &graph, "--random", "5", "--seed", "3"]);
+        let (g0, _) = server.graph_for(&sampled, &recorder).unwrap();
+        let targets: Vec<String> = commands::parse_targets(&sampled, &g0)
+            .unwrap()
+            .iter()
+            .map(|t| format!("{}-{}", t.u(), t.v()))
+            .collect();
+        let targets = targets.join(",");
+        let protect = parse(&[
+            "protect",
+            &graph,
+            "--budget",
+            "4",
+            "--targets",
+            &targets,
+            "--motif",
+            "triangle",
+        ]);
+        // Warm both registries, then delete an edge the warm index covers.
+        server.run(&protect).unwrap();
+        let warm = server
+            .index_for(&protect, &g0, &recorder)
+            .unwrap()
+            .unwrap()
+            .1;
+        let hit = warm.alive_candidate_edges()[0];
+        let delta = dir.join("delta.txt");
+        std::fs::write(&delta, format!("- {} {}\n", hit.u(), hit.v())).unwrap();
+
+        // The request read the graph before the update landed: the index
+        // it gets must cover that graph, not the patched one.
+        let (g0, _) = server.graph_for(&protect, &recorder).unwrap();
+        let reply = server
+            .update(&parse(&[
+                "update",
+                &graph,
+                "--delta",
+                delta.to_str().unwrap(),
+            ]))
+            .unwrap();
+        assert!(reply.contains("1 patched in place"), "got: {reply}");
+        let (instance, index) = server.index_for(&protect, &g0, &recorder).unwrap().unwrap();
+        let fresh = PartitionedCoverageIndex::build_parallel(
+            instance.released(),
+            instance.targets(),
+            tpp_motif::Motif::Triangle,
+            DEFAULT_INDEX_PARTITIONS,
+            &Parallelism::sequential(),
+        );
+        assert_eq!(index.total_similarity(), fresh.total_similarity());
+        assert_eq!(index.alive_candidate_edges(), fresh.alive_candidate_edges());
+        assert_eq!(index.gain(hit), fresh.gain(hit));
+        assert!(fresh.gain(hit) > 0);
+
+        // The late request did not displace the patched index: a request
+        // that reads the graph now still hits it.
+        let (g1, _) = server.graph_for(&protect, &recorder).unwrap();
+        assert!(!Arc::ptr_eq(&g0, &g1));
+        let counted = Recorder::enabled();
+        let (_, patched) = server.index_for(&protect, &g1, &counted).unwrap().unwrap();
+        assert_eq!(counted.stats().unwrap().serve.index_hits.get(), 1);
+        assert_eq!(patched.gain(hit), 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

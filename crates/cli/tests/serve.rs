@@ -572,3 +572,75 @@ fn resident_base_stats_follow_updates_and_match_one_shot() {
     served(&base, 1);
     shut_down(&socket, handle);
 }
+
+/// The first protector of a `--plan` file: the first two numbers after its
+/// `"protectors"` key.
+fn first_protector(plan: &str) -> (u32, u32) {
+    let text = std::fs::read_to_string(plan).unwrap();
+    let at = text.find("\"protectors\"").expect("a protector list");
+    let mut numbers = text[at..]
+        .split(|c: char| !c.is_ascii_digit())
+        .filter(|t| !t.is_empty())
+        .map(|t| t.parse::<u32>().unwrap());
+    (numbers.next().unwrap(), numbers.next().unwrap())
+}
+
+#[test]
+fn reloaded_graph_never_reuses_the_index_patched_for_its_evicted_copy() {
+    let (dir, socket) = scratch("reload");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (a, b) = (path("a.txt"), path("b.txt"));
+    dispatch(&["generate", "--model", "hk", "--nodes", "300", "--out", &a]);
+    dispatch(&[
+        "generate", "--model", "hk", "--nodes", "300", "--seed", "2", "--out", &b,
+    ]);
+    fn protect<'a>(graph: &'a str, plan: &'a str) -> [&'a str; 12] {
+        [
+            "protect", graph, "--budget", "4", "--random", "5", "--seed", "3", "--motif",
+            "triangle", "--plan", plan,
+        ]
+    }
+    let (one_shot_plan, served_plan, scratch_plan) = (
+        path("one-shot.json"),
+        path("served.json"),
+        path("scratch.json"),
+    );
+    let expected = one_shot(&protect(&a, &one_shot_plan));
+    // The one-shot run's first protector is an instance edge of the
+    // targets' index and not a target, so the update patches it in place.
+    let (u, v) = first_protector(&one_shot_plan);
+    let delta = path("delta.txt");
+    std::fs::write(&delta, format!("- {u} {v}\n")).unwrap();
+
+    let handle = start_server_with(
+        &socket,
+        serve::ServeOptions {
+            threads: 1,
+            max_graphs: 1,
+            ..serve::ServeOptions::default()
+        },
+    );
+    let served = |graph: &str, plan: &str| {
+        let argv = protect(graph, plan);
+        serve::request(&socket, &strs(&argv)).unwrap()
+    };
+    assert_eq!(
+        served(&a, &served_plan),
+        expected.replace(&one_shot_plan, &served_plan)
+    );
+    let reply = serve::request(&socket, &strs(&["update", &a, "--delta", &delta])).unwrap();
+    assert!(reply.contains("1 patched in place"), "got: {reply}");
+    // Evicts `a`'s mutated graph; the next request on `a` reloads the file.
+    served(&b, &scratch_plan);
+    let reply = served(&a, &served_plan);
+    assert_eq!(
+        reply,
+        expected.replace(&one_shot_plan, &served_plan),
+        "a reloaded graph was served an index of its evicted copy"
+    );
+    assert_eq!(
+        std::fs::read(&served_plan).unwrap(),
+        std::fs::read(&one_shot_plan).unwrap()
+    );
+    shut_down(&socket, handle);
+}

@@ -5,6 +5,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::sync::Arc;
+use tpp_exec::Parallelism;
 use tpp_graph::{Edge, Graph, NeighborAccess};
 use tpp_motif::{Motif, PartitionedCoverageIndex};
 use tpp_store::{CsrGraph, DeltaView};
@@ -159,10 +160,17 @@ impl TppInstance {
         self.targets.len()
     }
 
-    /// Builds the motif coverage index on the released graph, as one shard.
+    /// Builds the motif coverage index on the released graph, as one shard
+    /// on the calling thread.
     #[must_use]
     pub fn build_index(&self, motif: Motif) -> PartitionedCoverageIndex {
-        PartitionedCoverageIndex::build(&self.released, &self.targets, motif, 1)
+        PartitionedCoverageIndex::build_parallel(
+            &self.released,
+            &self.targets,
+            motif,
+            1,
+            &Parallelism::sequential(),
+        )
     }
 
     /// Initial total similarity `s(∅, T)` for a motif.

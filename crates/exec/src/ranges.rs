@@ -2,9 +2,9 @@
 //!
 //! One boundary computation — [`balanced_prefix_ranges`] over a monotone
 //! prefix-sum table — backs `tpp_store::CsrGraph::shard_ranges`, the
-//! parallel snapshot build, the partitioned coverage index's target
-//! chunking, and (via [`balanced_ranges`] over candidate weights) the round
-//! engine's scan spans. It used to live in `tpp-store`; it moved here with
+//! partitioned coverage index's shard bounds and target chunking, and (via
+//! [`balanced_ranges`] over candidate weights) the round engine's scan
+//! spans. It used to live in `tpp-store`; it moved here with
 //! the executor so the split and the dispatch share one crate.
 
 /// Cuts `0..prefix.len() - 1` items into up to `parts` contiguous ranges

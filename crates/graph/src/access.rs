@@ -7,7 +7,6 @@
 //!
 //! * [`Graph`] — the mutable adjacency-list structure,
 //! * `tpp_store::CsrGraph` — an immutable compressed-sparse-row snapshot,
-//! * `tpp_store::CsrShard` — one node range of a snapshot,
 //! * `tpp_store::DeltaView` — a copy-on-write overlay of tentative edge
 //!   deletions/additions layered over any of these (views stack).
 //!

@@ -84,36 +84,7 @@ fn enumerate_k_paths<G: NeighborAccess, F: FnMut(Vec<Edge>)>(
         visited[v as usize] = true;
     }
     let mut edges: Vec<Edge> = Vec::with_capacity(k);
-    dfs_k_path(g, u, v, k, &mut visited, &mut edges, emit);
-}
-
-fn dfs_k_path<G: NeighborAccess, F: FnMut(Vec<Edge>)>(
-    g: &G,
-    current: NodeId,
-    v: NodeId,
-    remaining: usize,
-    visited: &mut [bool],
-    edges: &mut Vec<Edge>,
-    emit: &mut F,
-) {
-    if remaining == 1 {
-        if g.has_edge(current, v) {
-            edges.push(Edge::new(current, v));
-            emit(edges.clone());
-            edges.pop();
-        }
-        return;
-    }
-    for &next in g.neighbors(current) {
-        if visited[next as usize] {
-            continue; // interior nodes must be distinct and avoid u, v
-        }
-        visited[next as usize] = true;
-        edges.push(Edge::new(current, next));
-        dfs_k_path(g, next, v, remaining - 1, visited, edges, emit);
-        edges.pop();
-        visited[next as usize] = false;
-    }
+    dfs_leg(g, u, v, k, None, &mut visited, &mut edges, emit);
 }
 
 /// Triangle instances: one per common neighbor `w`, edges `{(u,w), (w,v)}`.
@@ -273,7 +244,8 @@ fn enumerate_k_paths_through<G: NeighborAccess, F: FnMut(Vec<Edge>)>(
 /// in exactly `remaining` edges over unvisited interior nodes. On
 /// completion, either recurses into `next_leg` (the suffix leg of a
 /// through-path, sharing the same visited set and edge buffer) or emits
-/// the assembled edge set.
+/// the assembled edge set. A whole `u ⤳ v` k-path is one leg with no
+/// `next_leg`.
 #[allow(clippy::too_many_arguments)] // recursive DFS plumbing: shared visited/edge buffers
 fn dfs_leg<G: NeighborAccess, F: FnMut(Vec<Edge>)>(
     g: &G,

@@ -7,6 +7,7 @@
 //! every greedy protector-selection algorithm.
 //!
 //! ```
+//! use tpp_exec::Parallelism;
 //! use tpp_graph::{Graph, Edge};
 //! use tpp_motif::{Motif, PartitionedCoverageIndex, count_target_subgraphs};
 //!
@@ -15,7 +16,9 @@
 //! g.remove_edge(0, 1); // phase 1: hide the target
 //! assert_eq!(count_target_subgraphs(&g, 0, 1, Motif::Triangle), 2);
 //!
-//! let mut index = PartitionedCoverageIndex::build(&g, &[Edge::new(0, 1)], Motif::Triangle, 1);
+//! let targets = [Edge::new(0, 1)];
+//! let exec = Parallelism::sequential();
+//! let mut index = PartitionedCoverageIndex::build_parallel(&g, &targets, Motif::Triangle, 1, &exec);
 //! assert_eq!(index.gain(Edge::new(0, 2)), 1);
 //! index.delete_edge(Edge::new(0, 2));
 //! assert_eq!(index.total_similarity(), 1);

@@ -15,9 +15,8 @@
 //!
 //! The postings and the candidate list are split across degree-balanced
 //! node-range partitions, so **commits scale like scans do**: each edge is
-//! owned by the shard whose node range contains its lower endpoint (the
-//! same ownership discipline as `tpp_store::CsrShard::owns_edge`, over the
-//! same degree-balanced boundaries as `tpp_store::CsrGraph::shard_ranges`).
+//! owned by the shard whose node range contains its lower endpoint, over the
+//! same degree-balanced boundaries as `tpp_store::CsrGraph::shard_ranges`.
 //! A deletion therefore touches only the shards that actually contain edges
 //! of the broken instances, and the per-shard updates are independent: with
 //! a parallel [`Parallelism`] handle they run concurrently on the shared
@@ -59,9 +58,8 @@ const MIN_PARALLEL_COMMIT_OPS: usize = 4096;
 /// instances than leaf targets).
 const TARGET_CHUNKS_PER_WORKER: usize = 4;
 
-/// Degree-prefix-balanced shard bounds over `g`'s node space — the
-/// boundary computation shared by both build paths (the CSR offset shape,
-/// cut into payload-balanced contiguous node ranges).
+/// Degree-prefix-balanced shard bounds over `g`'s node space (the CSR
+/// offset shape, cut into payload-balanced contiguous node ranges).
 fn degree_balanced_bounds<G: NeighborAccess>(g: &G, parts: usize) -> Vec<NodeId> {
     let n = g.node_count();
     let mut prefix = Vec::with_capacity(n + 1);
@@ -84,7 +82,7 @@ fn degree_balanced_bounds<G: NeighborAccess>(g: &G, parts: usize) -> Vec<NodeId>
 
 /// The shard owning node `u` under `bounds` (shard `i` spans
 /// `bounds[i]..bounds[i + 1]`; out-of-range nodes clamp to the last
-/// shard). **The** ownership lookup — the build paths and the commit path
+/// shard). **The** ownership lookup — the build, insert and commit paths
 /// must route edges identically, so they all call this.
 #[inline]
 fn owner_shard(bounds: &[NodeId], u: NodeId) -> usize {
@@ -192,73 +190,14 @@ fn invert_targets(targets: &[Edge]) -> FastMap<NodeId, Vec<u32>> {
 impl PartitionedCoverageIndex {
     /// Builds the index over `parts` degree-balanced partitions (the same
     /// boundary computation as `tpp_store::CsrGraph::shard_ranges`, via
-    /// [`tpp_store::balanced_prefix_ranges`] over the degree prefix sum).
-    ///
-    /// `g` must already have all targets removed (phase 1). Shard count is
-    /// purely a performance knob: every query and deletion result is
-    /// bit-identical for every `parts` value.
-    ///
-    /// # Panics
-    /// Panics if `parts == 0` or any target edge is still present in `g`.
-    #[must_use]
-    pub fn build<G: NeighborAccess>(g: &G, targets: &[Edge], motif: Motif, parts: usize) -> Self {
-        assert!(parts >= 1, "need at least one partition");
-        assert_phase_one(g, targets);
-        let mut instances = Vec::new();
-        let mut per_target_alive = vec![0usize; targets.len()];
-        for (idx, t) in targets.iter().enumerate() {
-            let mut found =
-                crate::enumerate::enumerate_target_subgraphs(g, t.u(), t.v(), motif, idx);
-            per_target_alive[idx] = found.len();
-            instances.append(&mut found);
-        }
-
-        let bounds = degree_balanced_bounds(g, parts);
-        let shard_count = bounds.len() - 1;
-
-        // Post every instance edge in its owner shard; per-shard candidate
-        // lists sort locally, and concatenate globally sorted because
-        // ownership follows ascending lower-endpoint ranges.
-        let mut shards: Vec<IndexShard> = vec![IndexShard::default(); shard_count];
-        for (id, inst) in instances.iter().enumerate() {
-            for &e in inst.edges() {
-                let po = shards[owner_shard(&bounds, e.u())]
-                    .postings
-                    .entry(e)
-                    .or_default();
-                po.ids.push(id as InstanceId);
-                po.alive += 1;
-            }
-        }
-        for shard in &mut shards {
-            shard.alive_candidates = shard.postings.keys().copied().collect();
-            shard.alive_candidates.sort_unstable();
-        }
-
-        let alive_total = instances.len();
-        let op_scratch = vec![Vec::new(); shard_count];
-        PartitionedCoverageIndex {
-            motif,
-            targets_by_node: invert_targets(targets),
-            targets: targets.to_vec(),
-            alive: vec![true; instances.len()],
-            instances,
-            per_target_alive,
-            alive_total,
-            bounds,
-            shards,
-            exec: Parallelism::sequential(),
-            kill_scratch: Vec::new(),
-            op_scratch,
-        }
-    }
-
-    /// The **shard-parallel build**: the work of [`build`](Self::build),
+    /// [`tpp_store::balanced_prefix_ranges`] over the degree prefix sum),
     /// with target enumeration and per-shard posting merges spread over
-    /// `exec`.
+    /// `exec`. This is the one index builder; pass
+    /// [`Parallelism::sequential`] to build on the calling thread.
     ///
-    /// Two phases, both dispatched on `exec`'s shared executor pool
-    /// (`tpp-exec`), work claimed through one atomic cursor:
+    /// `g` must already have all targets removed (phase 1). Two phases,
+    /// both dispatched on `exec`'s shared executor pool (`tpp-exec`), work
+    /// claimed through one atomic cursor:
     ///
     /// 1. **enumerate** — the target list is cut into contiguous chunks of
     ///    near-equal endpoint-degree mass (`TARGET_CHUNKS_PER_WORKER`
@@ -270,11 +209,11 @@ impl PartitionedCoverageIndex {
     ///    chunk's global offset.
     ///
     /// Chunks are ascending target ranges and ids shift by chunk-order
-    /// offsets, so instance ids, posting id lists, alive counts, and
-    /// candidate lists come out **bit-identical to the sequential build
-    /// for every chunk, shard, and thread count** — pinned by the
-    /// differential build tests. The handle also becomes the index's
-    /// commit-phase executor (as
+    /// offsets, so instances are numbered in target order and every posting
+    /// id list ascends: instance ids, posting id lists, alive counts, and
+    /// candidate lists are **bit-identical for every chunk, shard, and
+    /// thread count** — pinned by the differential build tests. The handle
+    /// also becomes the index's commit-phase executor (as
     /// [`set_parallelism`](Self::set_parallelism)).
     ///
     /// # Panics
@@ -358,8 +297,8 @@ impl PartitionedCoverageIndex {
             exec.run_indexed(chunks.len(), |i| enumerate_chunk(&chunks[i]));
         enumerate_span.stop();
 
-        // Chunk-order id offsets: concatenating chunk outputs reproduces
-        // the sequential enumeration order exactly.
+        // Chunk-order id offsets: concatenating chunk outputs numbers the
+        // instances in target order.
         let mut offsets = Vec::with_capacity(chunk_outs.len());
         let mut total_instances = 0usize;
         for out in &chunk_outs {
@@ -368,8 +307,8 @@ impl PartitionedCoverageIndex {
         }
 
         // Phase 2: fold fragments into each shard in chunk order (per-edge
-        // id lists ascend exactly like the sequential build's); shards are
-        // disjoint state, chunked across the worker budget.
+        // id lists ascend); shards are disjoint state, chunked across the
+        // worker budget.
         let mut shards: Vec<IndexShard> = vec![IndexShard::default(); shard_count];
         let merge_shard = |s: usize, shard: &mut IndexShard| {
             for (out, &off) in chunk_outs.iter().zip(&offsets) {
@@ -859,6 +798,22 @@ mod tests {
     use crate::enumerate::count_all_targets;
     use tpp_graph::Graph;
 
+    /// The index on the calling thread, as every sequential caller builds it.
+    fn build_seq(
+        g: &Graph,
+        targets: &[Edge],
+        motif: Motif,
+        parts: usize,
+    ) -> PartitionedCoverageIndex {
+        PartitionedCoverageIndex::build_parallel(
+            g,
+            targets,
+            motif,
+            parts,
+            &Parallelism::sequential(),
+        )
+    }
+
     fn fixture() -> (Graph, Vec<Edge>) {
         let mut g = tpp_graph::generators::holme_kim(80, 4, 0.5, 11);
         let targets = vec![Edge::new(0, 1), Edge::new(2, 5), Edge::new(3, 7)];
@@ -880,7 +835,7 @@ mod tests {
     fn build_counts_instances() {
         let (g, targets) = shared_protector_graph();
         for parts in [1usize, 3] {
-            let idx = PartitionedCoverageIndex::build(&g, &targets, Motif::Triangle, parts);
+            let idx = build_seq(&g, &targets, Motif::Triangle, parts);
             assert_eq!(idx.total_similarity(), 2);
             assert_eq!(idx.target_similarity(0), 1);
             assert_eq!(idx.target_similarity(1), 1);
@@ -893,7 +848,7 @@ mod tests {
     fn gain_counts_cross_target_coverage() {
         let (g, targets) = shared_protector_graph();
         for parts in [1usize, 3] {
-            let idx = PartitionedCoverageIndex::build(&g, &targets, Motif::Triangle, parts);
+            let idx = build_seq(&g, &targets, Motif::Triangle, parts);
             // (0,3) covers one instance of each target.
             assert_eq!(idx.gain(Edge::new(0, 3)), 2);
             assert_eq!(idx.gain(Edge::new(1, 3)), 1);
@@ -909,7 +864,7 @@ mod tests {
     fn delete_kills_instances_once() {
         let (g, targets) = shared_protector_graph();
         for parts in [1usize, 3] {
-            let mut idx = PartitionedCoverageIndex::build(&g, &targets, Motif::Triangle, parts);
+            let mut idx = build_seq(&g, &targets, Motif::Triangle, parts);
             assert_eq!(idx.delete_edge(Edge::new(0, 3)), 2);
             assert_eq!(idx.total_similarity(), 0);
             assert_eq!(idx.delete_edge(Edge::new(1, 3)), 0, "already dead");
@@ -922,7 +877,7 @@ mod tests {
     fn candidates_shrink_as_instances_die() {
         let (g, targets) = shared_protector_graph();
         for parts in [1usize, 3] {
-            let mut idx = PartitionedCoverageIndex::build(&g, &targets, Motif::Triangle, parts);
+            let mut idx = build_seq(&g, &targets, Motif::Triangle, parts);
             assert_eq!(
                 idx.all_candidate_edges(),
                 vec![Edge::new(0, 3), Edge::new(1, 3), Edge::new(2, 3)]
@@ -939,7 +894,14 @@ mod tests {
     #[should_panic(expected = "phase 1")]
     fn build_rejects_unremoved_targets() {
         let g = Graph::from_edges([(0u32, 1u32), (0, 2), (2, 1)]);
-        let _ = PartitionedCoverageIndex::build(&g, &[Edge::new(0, 1)], Motif::Triangle, 1);
+        let exec = Parallelism::sequential();
+        let _ = PartitionedCoverageIndex::build_parallel(
+            &g,
+            &[Edge::new(0, 1)],
+            Motif::Triangle,
+            1,
+            &exec,
+        );
     }
 
     #[test]
@@ -968,7 +930,7 @@ mod tests {
         for motif in Motif::ALL {
             let before: usize = count_all_targets(&g, &targets, motif).iter().sum();
             for parts in [1usize, 3] {
-                let idx = PartitionedCoverageIndex::build(&g, &targets, motif, parts);
+                let idx = build_seq(&g, &targets, motif, parts);
                 assert_eq!(idx.total_similarity(), before);
                 for p in idx.all_candidate_edges() {
                     let mut g2 = g.clone();
@@ -988,7 +950,7 @@ mod tests {
     fn alive_instances_iterator() {
         let (g, targets) = shared_protector_graph();
         for parts in [1usize, 3] {
-            let mut idx = PartitionedCoverageIndex::build(&g, &targets, Motif::Triangle, parts);
+            let mut idx = build_seq(&g, &targets, Motif::Triangle, parts);
             assert_eq!(idx.alive_instances().count(), 2);
             idx.delete_edge(Edge::new(2, 3));
             assert_eq!(idx.alive_instances().count(), 1);
@@ -1006,7 +968,7 @@ mod tests {
             g.remove_edge(t.u(), t.v());
         }
         for parts in [1usize, 3] {
-            let mut idx = PartitionedCoverageIndex::build(&g, &targets, Motif::Triangle, parts);
+            let mut idx = build_seq(&g, &targets, Motif::Triangle, parts);
             while let Some(&p) = idx.alive_candidate_edges().first() {
                 let expect = idx.gain(p);
                 assert!(expect > 0, "candidate list must only hold alive edges");
@@ -1024,10 +986,10 @@ mod tests {
     fn matches_monolithic_index_at_every_part_count() {
         let (g, targets) = fixture();
         for motif in Motif::ALL {
-            let mono = PartitionedCoverageIndex::build(&g, &targets, motif, 1);
+            let mono = build_seq(&g, &targets, motif, 1);
             assert_eq!(mono.similarities(), count_all_targets(&g, &targets, motif));
             for parts in [2usize, 3, 7] {
-                let part = PartitionedCoverageIndex::build(&g, &targets, motif, parts);
+                let part = build_seq(&g, &targets, motif, parts);
                 assert_eq!(part.total_similarity(), mono.total_similarity());
                 assert_eq!(part.similarities(), mono.similarities());
                 assert_eq!(part.all_candidate_edges(), mono.all_candidate_edges());
@@ -1051,11 +1013,11 @@ mod tests {
     #[test]
     fn deletions_agree_with_monolithic_for_all_parts_and_threads() {
         let (g, targets) = fixture();
-        let mut mono = PartitionedCoverageIndex::build(&g, &targets, Motif::Triangle, 1);
+        let mut mono = build_seq(&g, &targets, Motif::Triangle, 1);
         let mut parted: Vec<PartitionedCoverageIndex> = Vec::new();
         for parts in [1usize, 4, 8] {
             for threads in [1usize, 3] {
-                let mut idx = PartitionedCoverageIndex::build(&g, &targets, Motif::Triangle, parts);
+                let mut idx = build_seq(&g, &targets, Motif::Triangle, parts);
                 idx.set_parallelism(Parallelism::new(threads));
                 parted.push(idx);
             }
@@ -1074,7 +1036,7 @@ mod tests {
     #[test]
     fn batch_delete_equals_sequential_on_disjoint_gain_sets() {
         let (g, targets) = fixture();
-        let base = PartitionedCoverageIndex::build(&g, &targets, Motif::Triangle, 4);
+        let base = build_seq(&g, &targets, Motif::Triangle, 4);
         // Assemble a batch with pairwise-disjoint gain sets, greedily.
         let mut batch: Vec<Edge> = Vec::new();
         let mut claimed: Vec<InstanceId> = Vec::new();
@@ -1107,7 +1069,7 @@ mod tests {
         // gets the kill, the second breaks only what is left.
         let mut g = Graph::from_edges([(0u32, 1u32), (0, 2), (2, 1)]);
         g.remove_edge(0, 1);
-        let mut idx = PartitionedCoverageIndex::build(&g, &[Edge::new(0, 1)], Motif::Triangle, 2);
+        let mut idx = build_seq(&g, &[Edge::new(0, 1)], Motif::Triangle, 2);
         let broken = idx.delete_edges(&[Edge::new(0, 2), Edge::new(1, 2)]);
         assert_eq!(broken, vec![1, 0]);
         assert_eq!(idx.total_similarity(), 0);
@@ -1116,17 +1078,59 @@ mod tests {
     #[test]
     fn empty_and_unknown_edges_are_harmless() {
         let (g, targets) = fixture();
-        let mut idx = PartitionedCoverageIndex::build(&g, &targets, Motif::Triangle, 3);
+        let mut idx = build_seq(&g, &targets, Motif::Triangle, 3);
         let before = idx.total_similarity();
-        let mono = PartitionedCoverageIndex::build(&g, &targets, Motif::Triangle, 1);
+        let mono = build_seq(&g, &targets, Motif::Triangle, 1);
         assert_eq!(idx.gain(Edge::new(70, 79)), mono.gain(Edge::new(70, 79)));
         assert_eq!(idx.gain(Edge::new(1000, 2000)), 0, "out-of-range edge");
         assert_eq!(idx.delete_edges(&[]), Vec::<usize>::new());
         assert_eq!(idx.delete_edge(Edge::new(1000, 2000)), 0);
         assert_eq!(idx.total_similarity(), before);
-        let empty = PartitionedCoverageIndex::build(&Graph::new(0), &[], Motif::Triangle, 4);
+        let empty = build_seq(&Graph::new(0), &[], Motif::Triangle, 4);
         assert_eq!(empty.total_similarity(), 0);
         assert!(empty.alive_candidate_edges().is_empty());
+    }
+
+    /// Test-local reference index: the instances of
+    /// `enumerate_target_subgraphs` numbered in target order, each edge's
+    /// ascending id list, and alive flags.
+    struct Reference {
+        postings: std::collections::BTreeMap<Edge, Vec<InstanceId>>,
+        alive: Vec<bool>,
+    }
+
+    impl Reference {
+        fn new(g: &Graph, targets: &[Edge], motif: Motif) -> Self {
+            let mut r = Reference {
+                postings: std::collections::BTreeMap::new(),
+                alive: Vec::new(),
+            };
+            for (ti, t) in targets.iter().enumerate() {
+                let found =
+                    crate::enumerate::enumerate_target_subgraphs(g, t.u(), t.v(), motif, ti);
+                for inst in found {
+                    let id = r.alive.len() as InstanceId;
+                    for &e in inst.edges() {
+                        r.postings.entry(e).or_default().push(id);
+                    }
+                    r.alive.push(true);
+                }
+            }
+            r
+        }
+
+        fn alive_instance_ids(&self, p: Edge) -> Vec<InstanceId> {
+            let ids = self.postings.get(&p).into_iter().flatten().copied();
+            ids.filter(|&id| self.alive[id as usize]).collect()
+        }
+
+        fn delete_edge(&mut self, p: Edge) -> usize {
+            let ids = self.alive_instance_ids(p);
+            for &id in &ids {
+                self.alive[id as usize] = false;
+            }
+            ids.len()
+        }
     }
 
     #[test]
@@ -1136,14 +1140,23 @@ mod tests {
         let exec = tpp_exec::Parallelism::with_recorder(2, rec.clone());
         let mut observed =
             PartitionedCoverageIndex::build_parallel(&g, &targets, Motif::Triangle, 4, &exec);
-        let mut plain = PartitionedCoverageIndex::build(&g, &targets, Motif::Triangle, 4);
+        let mut reference = Reference::new(&g, &targets, Motif::Triangle);
         let st = rec.stats().unwrap();
         assert_eq!(st.index.builds.get(), 1);
         assert!(st.index.build_ns.get() >= st.index.build_enumerate_ns.get());
-        while let Some(&p) = plain.alive_candidate_edges().first() {
-            assert_eq!(observed.delete_edge(p), plain.delete_edge(p));
+        assert_eq!(
+            observed.all_candidate_edges(),
+            reference.postings.keys().copied().collect::<Vec<_>>()
+        );
+        while let Some(&p) = observed.alive_candidate_edges().first() {
+            assert_eq!(
+                observed.alive_instance_ids(p),
+                reference.alive_instance_ids(p)
+            );
+            assert_eq!(observed.delete_edge(p), reference.delete_edge(p));
         }
         assert_eq!(observed.total_similarity(), 0);
+        assert!(!reference.alive.contains(&true));
         assert_eq!(st.index.commits.get(), st.index.instances_killed.count());
         assert!(st.index.commits.get() > 0);
         assert!(st.index.compactions.get() > 0, "full teardown must compact");
@@ -1190,14 +1203,14 @@ mod tests {
         assert_eq!(adds.len(), 3);
         for motif in Motif::ALL {
             for parts in [1usize, 3, 8] {
-                let mut idx = PartitionedCoverageIndex::build(&g, &targets, motif, parts);
+                let mut idx = build_seq(&g, &targets, motif, parts);
                 let mut g2 = g.clone();
                 for &e in &adds {
                     assert!(!g2.contains(e), "fixture add {e} must be a non-edge");
                     g2.add_edge(e.u(), e.v());
                     idx.insert_edge(&g2, e);
                 }
-                let rebuilt = PartitionedCoverageIndex::build(&g2, &targets, motif, parts);
+                let rebuilt = build_seq(&g2, &targets, motif, parts);
                 assert_matches_rebuild(&idx, &rebuilt);
             }
         }
@@ -1206,7 +1219,7 @@ mod tests {
     #[test]
     fn insert_returns_the_similarity_increase() {
         let (g, targets) = fixture();
-        let mut idx = PartitionedCoverageIndex::build(&g, &targets, Motif::Triangle, 4);
+        let mut idx = build_seq(&g, &targets, Motif::Triangle, 4);
         let before = idx.total_similarity();
         let e = non_edges(&g, &targets, 1)[0];
         let mut g2 = g.clone();
@@ -1221,7 +1234,7 @@ mod tests {
     #[test]
     fn interleaved_insert_delete_matches_rebuild() {
         let (g, targets) = fixture();
-        let mut idx = PartitionedCoverageIndex::build(&g, &targets, Motif::Triangle, 4);
+        let mut idx = build_seq(&g, &targets, Motif::Triangle, 4);
         let mut live = g.clone();
         // Delete a committed protector, insert a new edge, delete another,
         // then reinsert the first deleted edge. `add` is picked from the
@@ -1241,7 +1254,7 @@ mod tests {
         live.remove_edge(kill2.u(), kill2.v());
         live.add_edge(kill1.u(), kill1.v());
         idx.insert_edge(&live, kill1);
-        let rebuilt = PartitionedCoverageIndex::build(&live, &targets, Motif::Triangle, 4);
+        let rebuilt = build_seq(&live, &targets, Motif::Triangle, 4);
         assert_matches_rebuild(&idx, &rebuilt);
     }
 
@@ -1249,7 +1262,7 @@ mod tests {
     #[should_panic(expected = "post-insert graph")]
     fn insert_rejects_absent_edges() {
         let (g, targets) = fixture();
-        let mut idx = PartitionedCoverageIndex::build(&g, &targets, Motif::Triangle, 2);
+        let mut idx = build_seq(&g, &targets, Motif::Triangle, 2);
         let absent = non_edges(&g, &targets, 1)[0];
         let _ = idx.insert_edge(&g, absent);
     }
@@ -1258,7 +1271,7 @@ mod tests {
     #[should_panic(expected = "target edge")]
     fn insert_rejects_target_edges() {
         let (mut g, targets) = fixture();
-        let mut idx = PartitionedCoverageIndex::build(&g, &targets, Motif::Triangle, 2);
+        let mut idx = build_seq(&g, &targets, Motif::Triangle, 2);
         g.add_edge(0, 1);
         let _ = idx.insert_edge(&g, Edge::new(0, 1));
     }
@@ -1267,7 +1280,7 @@ mod tests {
     #[should_panic(expected = "double insertion")]
     fn insert_rejects_already_indexed_edges() {
         let (g, targets) = fixture();
-        let mut idx = PartitionedCoverageIndex::build(&g, &targets, Motif::Triangle, 2);
+        let mut idx = build_seq(&g, &targets, Motif::Triangle, 2);
         let present = idx.alive_candidate_edges()[0];
         let _ = idx.insert_edge(&g, present);
     }
@@ -1276,7 +1289,7 @@ mod tests {
     fn insert_records_update_stats() {
         let (g, targets) = fixture();
         let rec = tpp_obs::Recorder::enabled();
-        let mut idx = PartitionedCoverageIndex::build(&g, &targets, Motif::Triangle, 4);
+        let mut idx = build_seq(&g, &targets, Motif::Triangle, 4);
         idx.set_parallelism(Parallelism::with_recorder(1, rec.clone()));
         let e = non_edges(&g, &targets, 1)[0];
         let mut g2 = g.clone();
@@ -1294,7 +1307,7 @@ mod tests {
     #[test]
     fn shard_ranges_cover_and_candidates_partition() {
         let (g, targets) = fixture();
-        let idx = PartitionedCoverageIndex::build(&g, &targets, Motif::Rectangle, 5);
+        let idx = build_seq(&g, &targets, Motif::Rectangle, 5);
         let ranges = idx.shard_ranges();
         assert_eq!(ranges.len(), idx.parts());
         assert_eq!(ranges[0].start, 0);

@@ -3,9 +3,11 @@
 //! graphs, plus index/recount equivalence under arbitrary deletion orders.
 
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use tpp_bench::fixtures::er_released_workload;
+use tpp_exec::Parallelism;
 use tpp_graph::{Edge, Graph};
-use tpp_motif::{count_all_targets, Motif, PartitionedCoverageIndex};
+use tpp_motif::{count_all_targets, InstanceId, Motif, PartitionedCoverageIndex};
 
 /// Strategy: a random simple graph with `n in 8..=24` nodes and
 /// seed-derived edge probability, plus deterministic target pairs removed
@@ -17,6 +19,109 @@ fn instance_strategy() -> impl Strategy<Value = (Graph, Vec<Edge>)> {
 
 fn total_similarity(g: &Graph, targets: &[Edge], motif: Motif) -> usize {
     count_all_targets(g, targets, motif).iter().sum()
+}
+
+/// The index on the calling thread, as every sequential caller builds it.
+fn build_seq(g: &Graph, targets: &[Edge], motif: Motif, parts: usize) -> PartitionedCoverageIndex {
+    PartitionedCoverageIndex::build_parallel(g, targets, motif, parts, &Parallelism::sequential())
+}
+
+/// Test-local reference index for the differential build tests: the
+/// instances of `enumerate_target_subgraphs` numbered in target order,
+/// each edge's ascending id list, and alive flags.
+struct Reference {
+    target_of: Vec<usize>,
+    postings: BTreeMap<Edge, Vec<InstanceId>>,
+    alive: Vec<bool>,
+    target_count: usize,
+}
+
+impl Reference {
+    fn new(g: &Graph, targets: &[Edge], motif: Motif) -> Self {
+        let mut r = Reference {
+            target_of: Vec::new(),
+            postings: BTreeMap::new(),
+            alive: Vec::new(),
+            target_count: targets.len(),
+        };
+        for (ti, t) in targets.iter().enumerate() {
+            for inst in tpp_motif::enumerate_target_subgraphs(g, t.u(), t.v(), motif, ti) {
+                let id = r.alive.len() as InstanceId;
+                for &e in inst.edges() {
+                    r.postings.entry(e).or_default().push(id);
+                }
+                r.target_of.push(ti);
+                r.alive.push(true);
+            }
+        }
+        r
+    }
+
+    fn similarities(&self) -> Vec<usize> {
+        let mut per_target = vec![0usize; self.target_count];
+        for (id, &ti) in self.target_of.iter().enumerate() {
+            if self.alive[id] {
+                per_target[ti] += 1;
+            }
+        }
+        per_target
+    }
+
+    fn all_candidate_edges(&self) -> Vec<Edge> {
+        self.postings.keys().copied().collect()
+    }
+
+    fn alive_candidate_edges(&self) -> Vec<Edge> {
+        let edges = self.postings.keys().copied();
+        edges.filter(|&e| self.gain(e) > 0).collect()
+    }
+
+    fn alive_instance_ids(&self, p: Edge) -> Vec<InstanceId> {
+        let ids = self.postings.get(&p).into_iter().flatten().copied();
+        ids.filter(|&id| self.alive[id as usize]).collect()
+    }
+
+    fn gain(&self, p: Edge) -> usize {
+        self.alive_instance_ids(p).len()
+    }
+
+    fn delete_edge(&mut self, p: Edge) -> usize {
+        let ids = self.alive_instance_ids(p);
+        for &id in &ids {
+            self.alive[id as usize] = false;
+        }
+        ids.len()
+    }
+}
+
+/// Asserts that `idx` reads exactly like `reference`: per-target
+/// similarities, both candidate lists, and every candidate's gain and
+/// alive-id list (posting order included).
+fn assert_matches_reference(idx: &PartitionedCoverageIndex, reference: &Reference, what: &str) {
+    assert_eq!(
+        idx.similarities(),
+        reference.similarities(),
+        "{what} similarities"
+    );
+    assert_eq!(
+        idx.all_candidate_edges(),
+        reference.all_candidate_edges(),
+        "{what} all candidates"
+    );
+    assert_eq!(
+        idx.alive_candidate_edges(),
+        reference.alive_candidate_edges(),
+        "{what} alive candidates"
+    );
+    for p in reference.all_candidate_edges() {
+        assert_eq!(idx.gain(p), reference.gain(p), "{what} gain({p})");
+        assert_eq!(
+            idx.alive_instance_ids(p),
+            reference.alive_instance_ids(p),
+            "{what} posting of {p}"
+        );
+    }
+    idx.check_invariants();
 }
 
 /// The paper's three motifs plus a generalized-path representative, so the
@@ -90,7 +195,7 @@ proptest! {
     fn index_matches_recount_after_deletions((g, targets) in instance_strategy(), order in 0usize..1000) {
         for motif in MOTIFS {
             for parts in [1usize, 3] {
-                let mut index = PartitionedCoverageIndex::build(&g, &targets, motif, parts);
+                let mut index = build_seq(&g, &targets, motif, parts);
                 let mut g2 = g.clone();
                 let mut edges = g.edge_vec();
                 if edges.is_empty() { continue; }
@@ -117,7 +222,7 @@ proptest! {
         for motif in MOTIFS {
             let before = total_similarity(&g, &targets, motif);
             for parts in [1usize, 3] {
-                let index = PartitionedCoverageIndex::build(&g, &targets, motif, parts);
+                let index = build_seq(&g, &targets, motif, parts);
                 prop_assert_eq!(index.total_similarity(), before);
                 for p in index.all_candidate_edges().into_iter().take(10) {
                     let mut g2 = g.clone();
@@ -147,8 +252,8 @@ proptest! {
             let mut indexes: Vec<PartitionedCoverageIndex> = [1usize, 3, 6]
                 .iter()
                 .map(|&parts| {
-                    let mut idx = PartitionedCoverageIndex::build(&g, &targets, motif, parts);
-                    idx.set_parallelism(tpp_exec::Parallelism::new(
+                    let mut idx = build_seq(&g, &targets, motif, parts);
+                    idx.set_parallelism(Parallelism::new(
                         if parts == 6 { 3 } else { 1 },
                     ));
                     idx
@@ -165,7 +270,7 @@ proptest! {
                 prop_assert!(broken.windows(2).all(|w| w[0] == w[1]),
                     "partition counts disagree on delete({})", e);
                 g2.remove_edge(e.u(), e.v());
-                let fresh = PartitionedCoverageIndex::build(&g2, &targets, motif, 1);
+                let fresh = build_seq(&g2, &targets, motif, 1);
                 let idx = &indexes[0];
                 prop_assert_eq!(idx.total_similarity(), fresh.total_similarity(),
                     "motif {} diverged after deleting {}", motif, e);
@@ -182,57 +287,35 @@ proptest! {
         }
     }
 
-    /// Differential build harness: the shard-parallel build (targets
-    /// enumerated directly into per-shard postings) equals the sequential
-    /// build — postings (via per-edge alive-instance-id lists), alive
-    /// counts, per-target similarities, and the candidate list — across
-    /// shard counts {1, 2, 4, 8} × build threads {1, 2, 4}, and stays
-    /// equal under a shared deletion sequence.
+    /// Differential build harness: the index build (targets enumerated
+    /// directly into per-shard postings) equals a test-local reference
+    /// enumeration — per-target similarities, both candidate lists, gains,
+    /// and per-edge alive-instance-id lists, order included — across shard
+    /// counts {1, 2, 4, 8} × build threads {1, 2, 4}, and stays equal
+    /// under a shared deletion sequence.
     #[test]
     fn parallel_build_is_bit_identical_to_sequential(
         (g, targets) in instance_strategy(),
         order in 0usize..1000,
     ) {
+        let mut edges = g.edge_vec();
+        if !edges.is_empty() {
+            let rot = order % edges.len();
+            edges.rotate_left(rot);
+        }
         for motif in MOTIFS {
             for parts in [1usize, 2, 4, 8] {
-                let sequential = PartitionedCoverageIndex::build(&g, &targets, motif, parts);
                 for threads in [1usize, 2, 4] {
-                    let parallel = PartitionedCoverageIndex::build_parallel(
-                        &g, &targets, motif, parts, &tpp_exec::Parallelism::new(threads));
-                    prop_assert_eq!(parallel.parts(), sequential.parts());
-                    prop_assert_eq!(
-                        parallel.total_similarity(), sequential.total_similarity(),
-                        "{} x{} t{} total diverged", motif, parts, threads);
-                    prop_assert_eq!(parallel.similarities(), sequential.similarities());
-                    prop_assert_eq!(
-                        parallel.alive_candidate_edges(),
-                        sequential.alive_candidate_edges(),
-                        "{} x{} t{} candidates diverged", motif, parts, threads);
-                    prop_assert_eq!(
-                        parallel.all_candidate_edges(), sequential.all_candidate_edges());
-                    for p in sequential.alive_candidate_edges() {
-                        prop_assert_eq!(parallel.gain(p), sequential.gain(p));
-                        prop_assert_eq!(parallel.gain_vector(p), sequential.gain_vector(p));
-                        // Id-level posting equality, order included.
-                        prop_assert_eq!(
-                            parallel.alive_instance_ids(p),
-                            sequential.alive_instance_ids(p),
-                            "{} x{} t{} posting of {} diverged", motif, parts, threads, p);
-                    }
-                    parallel.check_invariants();
+                    let what = format!("{motif} x{parts} t{threads}");
+                    let mut idx = PartitionedCoverageIndex::build_parallel(
+                        &g, &targets, motif, parts, &Parallelism::new(threads));
+                    let mut reference = Reference::new(&g, &targets, motif);
+                    assert_matches_reference(&idx, &reference, &what);
 
-                    // A shared deletion sequence keeps both builds equal.
-                    let (mut seq_del, mut par_del) = (sequential.clone(), parallel);
-                    let mut edges = g.edge_vec();
-                    if edges.is_empty() { continue; }
-                    let rot = order % edges.len();
-                    edges.rotate_left(rot);
+                    // A shared deletion sequence keeps both equal.
                     for e in edges.iter().take(4) {
-                        prop_assert_eq!(seq_del.delete_edge(*e), par_del.delete_edge(*e));
-                        prop_assert_eq!(
-                            seq_del.alive_candidate_edges(),
-                            par_del.alive_candidate_edges(),
-                            "candidates diverged after deleting {}", e);
+                        prop_assert_eq!(idx.delete_edge(*e), reference.delete_edge(*e));
+                        assert_matches_reference(&idx, &reference, &format!("{what} -{e}"));
                     }
                 }
             }
@@ -270,8 +353,8 @@ proptest! {
             edges.rotate_left(rot);
 
             for (parts, threads) in [(1usize, 1usize), (2, 2), (4, 4)] {
-                let mut idx = PartitionedCoverageIndex::build(&g, &targets, motif, parts);
-                idx.set_parallelism(tpp_exec::Parallelism::new(threads));
+                let mut idx = build_seq(&g, &targets, motif, parts);
+                idx.set_parallelism(Parallelism::new(threads));
                 let mut live = g.clone();
                 // Interleave inserts (from the non-edge pool) with
                 // deletes (from the rotated edge permutation).
@@ -289,7 +372,7 @@ proptest! {
                         idx.delete_edge(e);
                     }
                     let fresh =
-                        PartitionedCoverageIndex::build(&live, &targets, motif, parts);
+                        build_seq(&live, &targets, motif, parts);
                     prop_assert_eq!(
                         idx.total_similarity(), fresh.total_similarity(),
                         "{} x{} t{} total diverged after {} of {}",
@@ -339,34 +422,17 @@ proptest! {
 fn parallel_build_matches_sequential_on_ba_workload() {
     let (g, targets) = tpp_bench::fixtures::ba_released_workload(800, 4, 17, 60);
     for motif in [Motif::Triangle, Motif::Rectangle] {
+        let reference = Reference::new(&g, &targets, motif);
         for parts in [1usize, 2, 4, 8] {
-            let sequential = PartitionedCoverageIndex::build(&g, &targets, motif, parts);
             for threads in [1usize, 2, 4] {
-                let parallel = PartitionedCoverageIndex::build_parallel(
+                let idx = PartitionedCoverageIndex::build_parallel(
                     &g,
                     &targets,
                     motif,
                     parts,
-                    &tpp_exec::Parallelism::new(threads),
+                    &Parallelism::new(threads),
                 );
-                assert_eq!(
-                    parallel.total_similarity(),
-                    sequential.total_similarity(),
-                    "{motif} x{parts} t{threads}"
-                );
-                assert_eq!(parallel.similarities(), sequential.similarities());
-                assert_eq!(
-                    parallel.alive_candidate_edges(),
-                    sequential.alive_candidate_edges()
-                );
-                for p in sequential.alive_candidate_edges().into_iter().step_by(7) {
-                    assert_eq!(
-                        parallel.alive_instance_ids(p),
-                        sequential.alive_instance_ids(p),
-                        "{motif} x{parts} t{threads} posting of {p}"
-                    );
-                }
-                parallel.check_invariants();
+                assert_matches_reference(&idx, &reference, &format!("{motif} x{parts} t{threads}"));
             }
         }
     }

@@ -183,15 +183,15 @@ fn rounds_targeted_batch_j8(mut idx: PartitionedCoverageIndex) -> usize {
 
 fn bench_commit_scaling(c: &mut Criterion) {
     let (g, targets) = tpp_bench::fixtures::ba_50k_rectangle();
-    let mut part = PartitionedCoverageIndex::build(&g, &targets, MOTIF, PARTS);
     // The margin under test is structural, not threads.
-    part.set_parallelism(tpp_exec::Parallelism::sequential());
+    let sequential = tpp_exec::Parallelism::sequential();
+    let part = PartitionedCoverageIndex::build_parallel(&g, &targets, MOTIF, PARTS, &sequential);
     let deletes = deletion_sequence(&part, DELETES);
     assert!(deletes.len() >= 256, "workload must yield a real sequence");
 
     // Every commit shape must agree exactly before anything is timed.
     {
-        let mut m = PartitionedCoverageIndex::build(&g, &targets, MOTIF, 1);
+        let mut m = PartitionedCoverageIndex::build_parallel(&g, &targets, MOTIF, 1, &sequential);
         let mut p = part.clone();
         let mut pb = part.clone();
         let batched: usize = pb.delete_edges(&deletes).iter().sum();

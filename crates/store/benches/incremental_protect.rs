@@ -84,7 +84,9 @@ fn bench_incremental_protect(c: &mut Criterion) {
 
     // The warm pre-delta index a resident service would hold; its alive
     // candidate pool also steers the delta away from the instances.
-    let warm = PartitionedCoverageIndex::build(&released, &targets, MOTIF, PARTS);
+    let sequential = tpp_exec::Parallelism::sequential();
+    let warm =
+        PartitionedCoverageIndex::build_parallel(&released, &targets, MOTIF, PARTS, &sequential);
     let pool: FastSet<Edge> = warm.alive_candidate_edges().into_iter().collect();
     let (removed, added) = pick_delta(&released, &targets, &pool, DELTA_HALF);
     let mut mutated_released = released.clone();

@@ -4,9 +4,10 @@
 //! comparing the two maintenance disciplines at growing delta sizes
 //! (up to ~1% of the edge supply):
 //!
-//! * `rebuild_d{D}` — throw the warm index away and
-//!   `PartitionedCoverageIndex::build` on the mutated graph (the only
-//!   option before PR 10); the cost is flat in the delta size.
+//! * `rebuild_d{D}` — throw the warm index away and rebuild it on the
+//!   mutated graph with `PartitionedCoverageIndex::build_parallel` and a
+//!   sequential handle (the only option before incremental patching); the
+//!   cost is flat in the delta size.
 //! * `patch_d{D}` — clone the warm index (the resident-service shape:
 //!   `tpp serve` clones registry entries copy-on-write) and apply the
 //!   delta in place: `delete_edge` per removal, then `insert_edge` per
@@ -61,7 +62,11 @@ fn pick_delta(g: &Graph, targets: &[Edge], half: usize) -> (Vec<Edge>, Vec<Edge>
 
 fn bench_index_update(c: &mut Criterion) {
     let (base, targets) = tpp_bench::fixtures::ba_50k_rectangle();
-    let warm = PartitionedCoverageIndex::build(&base, &targets, MOTIF, PARTS);
+    let sequential = tpp_exec::Parallelism::sequential();
+    let build = |g: &Graph| {
+        PartitionedCoverageIndex::build_parallel(g, &targets, MOTIF, PARTS, &sequential)
+    };
+    let warm = build(&base);
 
     let mut group = c.benchmark_group("index_update");
     group.sample_size(10);
@@ -90,7 +95,7 @@ fn bench_index_update(c: &mut Criterion) {
                 g.add_edge(e.u(), e.v());
                 patched.insert_edge(&g, e);
             }
-            let fresh = PartitionedCoverageIndex::build(&g, &targets, MOTIF, PARTS);
+            let fresh = build(&g);
             assert_eq!(patched.total_similarity(), fresh.total_similarity());
             assert_eq!(patched.similarities(), fresh.similarities());
             assert_eq!(
@@ -101,7 +106,7 @@ fn bench_index_update(c: &mut Criterion) {
                 assert_eq!(patched.gain(p), fresh.gain(p), "gain({p}) diverged");
             }
             group.bench_function(format!("rebuild_d{}", 2 * half), |b| {
-                b.iter(|| black_box(PartitionedCoverageIndex::build(&g, &targets, MOTIF, PARTS)));
+                b.iter(|| black_box(build(&g)));
             });
         }
 

@@ -21,10 +21,6 @@
 //!   becomes `delete_edge → recount → restore_edge` with **zero** graph
 //!   clones and `O(changed)` memory. A per-node merged-slice cache serves
 //!   every neighbor list of a dirty node as one contiguous slice.
-//! * [`CsrShard`] — a node-range-restricted, zero-copy view of a snapshot:
-//!   degree-balanced ranges from [`CsrGraph::shard_ranges`] split candidate
-//!   scans across parallel evaluators without handing every thread the
-//!   whole neighbor array.
 //! * [`NeighborAccess`] (from `tpp_graph`) — both types implement the
 //!   workspace-wide read trait, so every motif counter and link-prediction
 //!   score runs over snapshots and overlays unchanged.
@@ -66,7 +62,6 @@ mod deltafile;
 mod error;
 pub mod format;
 pub mod mmap;
-mod shard;
 mod storage;
 pub mod stream;
 
@@ -75,6 +70,5 @@ pub use delta::DeltaView;
 pub use deltafile::{AppliedDelta, DeltaOp, GraphDelta};
 pub use error::StoreError;
 pub use format::VerifyMode;
-pub use shard::CsrShard;
 pub use stream::{build_stream, StreamConfig, StreamReport};
 pub use tpp_graph::NeighborAccess;
