@@ -644,3 +644,55 @@ fn reloaded_graph_never_reuses_the_index_patched_for_its_evicted_copy() {
     );
     shut_down(&socket, handle);
 }
+
+#[test]
+fn huge_batch_request_gets_a_plan_and_leaves_the_server_up() {
+    // A `--batch` (and budget) far past the candidate supply must neither
+    // reserve memory for it nor overflow: every algorithm replies with
+    // the plan a batch of 200 gives, and the server keeps answering.
+    let (dir, socket) = scratch("hugebatch");
+    let graph = generate(&dir, "hk.txt");
+    let handle = start_server(&socket, 1);
+    let huge = "1000000000000";
+    for algorithm in ["sgb", "celf", "ct", "wt"] {
+        let protect = |batch: &str, plan: &str| {
+            serve::request(
+                &socket,
+                &strs(&[
+                    "protect",
+                    &graph,
+                    "--algorithm",
+                    algorithm,
+                    "--budget",
+                    huge,
+                    "--batch",
+                    batch,
+                    "--random",
+                    "8",
+                    "--seed",
+                    "5",
+                    "--plan",
+                    plan,
+                ]),
+            )
+            .unwrap()
+        };
+        let huge_plan = dir.join(format!("{algorithm}-huge.json"));
+        let capped_plan = dir.join(format!("{algorithm}-200.json"));
+        let (huge_path, capped_path) = (huge_plan.to_str().unwrap(), capped_plan.to_str().unwrap());
+        let reply = protect(huge, huge_path);
+        assert!(reply.contains("similarity"), "{algorithm}: {reply}");
+        assert_eq!(
+            reply.replace(huge_path, capped_path),
+            protect("200", capped_path),
+            "{algorithm}"
+        );
+        assert_eq!(
+            std::fs::read(&huge_plan).unwrap(),
+            std::fs::read(&capped_plan).unwrap(),
+            "{algorithm}"
+        );
+        assert_eq!(serve::request(&socket, &strs(&["ping"])).unwrap(), "pong\n");
+    }
+    shut_down(&socket, handle);
+}

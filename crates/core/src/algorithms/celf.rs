@@ -26,7 +26,7 @@ pub fn celf_greedy(instance: &TppInstance, k: usize, config: &GreedyConfig) -> P
 /// Runs the CELF + batch hybrid with global budget `k`: each lazy refresh
 /// phase pops up to `j` fresh heap tops whose gain sets are pairwise
 /// disjoint and commits them as one batch (see
-/// [`RoundEngine::run_global_lazy_batch`]); a conflicting top falls back
+/// [`RoundEngine::run_global_lazy`]); a conflicting top falls back
 /// to sequential re-evaluation in the next phase.
 ///
 /// `j = 1` produces plans bit-identical to [`celf_greedy`] (and therefore
@@ -48,7 +48,7 @@ pub fn celf_greedy_batch(
         config.candidates,
         exec,
     );
-    engine.run_global_lazy_batch(k, j);
+    engine.run_global_lazy(k, j);
     engine.into_global_plan(AlgorithmKind::CelfGreedy)
 }
 

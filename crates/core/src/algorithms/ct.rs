@@ -32,7 +32,7 @@ pub fn ct_greedy(
 /// Runs CT-Greedy in **batch-commit rounds**: each candidate scan commits
 /// up to `j` picks whose gain sets are pairwise disjoint and whose charged
 /// targets have budget room (see
-/// [`RoundEngine::select_for_targets_batch`]), cutting the number of scans
+/// [`RoundEngine::select_for_targets`]), cutting the number of scans
 /// by up to `j`× on instances with many non-interacting protectors.
 ///
 /// `j = 1` produces plans bit-identical to [`ct_greedy`]; larger `j` keeps
@@ -69,7 +69,7 @@ pub fn ct_greedy_batch(
                 (remaining > 0).then_some((t, remaining))
             })
             .collect();
-        if open.is_empty() || engine.select_for_targets_batch(&open, j).is_empty() {
+        if engine.select_for_targets(&open, j) == 0 {
             break;
         }
     }

@@ -23,7 +23,7 @@ pub fn sgb_greedy(instance: &TppInstance, k: usize, config: &GreedyConfig) -> Pr
 
 /// Runs SGB-Greedy with global budget `k` in **batch-commit rounds**: each
 /// candidate scan commits up to `j` picks whose gain sets are pairwise
-/// disjoint (see [`RoundEngine::select_batch`]), cutting the number of
+/// disjoint (see [`RoundEngine::run_global`]), cutting the number of
 /// scans by up to `j`× on instances with many non-interacting protectors.
 ///
 /// `j = 1` produces plans bit-identical to [`sgb_greedy`]; larger `j`
@@ -43,7 +43,7 @@ pub fn sgb_greedy_batch(
         config.candidates,
         exec,
     );
-    engine.select_batch(k, j);
+    engine.run_global(k, j);
     engine.into_global_plan(AlgorithmKind::SgbGreedy)
 }
 

@@ -32,7 +32,7 @@ pub fn wt_greedy(
 /// Runs WT-Greedy in **batch-commit rounds**: while a target's sub-budget
 /// lasts, each candidate scan commits up to `j` disjoint-gain-set picks
 /// charged to the current target (see
-/// [`RoundEngine::select_for_targets_batch`] — the open set is the single
+/// [`RoundEngine::select_for_targets`] — the open set is the single
 /// current target, so per-charged-target budget capping bounds the batch
 /// by the remaining sub-budget).
 ///
@@ -64,8 +64,7 @@ pub fn wt_greedy_batch(
     'targets: for (t, &budget) in budgets.iter().enumerate() {
         while engine.charged(t) < budget {
             let remaining = budget - engine.charged(t);
-            let picks = engine.select_for_targets_batch(&[(t, remaining)], j.min(remaining));
-            if picks.is_empty() {
+            if engine.select_for_targets(&[(t, remaining)], j.min(remaining)) == 0 {
                 break 'targets;
             }
         }

@@ -40,29 +40,33 @@
 //! stop under-cutting. The span plan is scheduling only; results are
 //! identical for every plan.
 //!
-//! ## Batch-commit rounds
+//! ## One selection round
 //!
-//! [`RoundEngine::select_batch`] amortizes the scan over up to `j` commits
-//! per round: after one scan, the top-`j` candidates whose current gain
-//! sets are pairwise disjoint (verified against the partitioned coverage
-//! index via [`GainOracle::gain_set`]) are committed together through
-//! [`GainOracle::commit_batch`] — disjointness makes their scanned gains
-//! exact without rescanning. Conflicting candidates are skipped for the
-//! round (they stay in later rounds), and oracles that cannot enumerate
-//! gain sets degrade to one commit per round — the sequential fallback.
-//! `j = 1` is bit-identical to [`RoundEngine::run_global`].
+//! SGB, CT and WT rounds, single-pick or batched, all run through one
+//! private `round(charge, room)`. It scores every candidate once, ranks
+//! them by `(own, cross)` descending with ties to the canonically smallest
+//! edge (SGB scores `(gain, 0)` and charges no target; CT/WT charge each
+//! candidate to the first open target maximizing its split), accepts picks
+//! through one disjoint-gain-set rule and commits them together through
+//! [`GainOracle::commit_batch`].
 //!
-//! Every strategy is batch-aware, not just SGB:
+//! A round with room for one pick keeps the first maximizer of a fused
+//! scan fold: no sort and no gain-set probe, so `j = 1` is the sequential
+//! greedy by construction. With more room the round sorts the scanned
+//! scores and accepts the top picks whose current gain sets
+//! ([`GainOracle::gain_set`]) are pairwise disjoint, which makes their
+//! scanned gains exact without a rescan; a CT/WT pick must also fit its
+//! charged target's remaining budget. A conflicting candidate is skipped
+//! for the round and rescored in the next one, and an oracle that cannot
+//! enumerate gain sets degrades to one commit per round (the sequential
+//! fallback).
 //!
-//! * [`RoundEngine::select_for_targets_batch`] runs CT/WT targeted rounds
-//!   with **per-charged-target disjointness** — accepted picks need
-//!   pairwise-disjoint gain sets (keeping every `(own, cross)` split
-//!   exact, per target, at commit) *and* must fit their charged target's
-//!   remaining budget this round;
-//! * [`RoundEngine::run_global_lazy_batch`] is the CELF + batch hybrid:
-//!   each lazy refresh phase pops up to `j` disjoint fresh heap tops and
-//!   commits them together, falling back to sequential re-evaluation when
-//!   a top conflicts.
+//! The drivers are [`RoundEngine::run_global`] (SGB, up to `j` picks per
+//! round), [`RoundEngine::select_for_targets`] (one CT/WT round over the
+//! open targets) and [`RoundEngine::run_global_lazy`], the CELF lazy
+//! queue, whose refresh phases pop up to `j` disjoint fresh heap tops
+//! through the same acceptance rule and fall back to sequential
+//! re-evaluation when a top conflicts.
 
 use crate::oracle::{CandidatePolicy, GainOracle, GainProbe};
 use crate::plan::{AlgorithmKind, ProtectionPlan, StepRecord};
@@ -172,45 +176,24 @@ impl ScanTuner {
 }
 
 /// First-maximizer-wins argmax over `items`, scanned by `exec`'s workers
-/// under **work stealing**: the items are pre-cut into contiguous
-/// weight-balanced spans (several per worker, the same boundary discipline
-/// as `tpp_store::CsrGraph::shard_ranges`) and workers
-/// claim spans through one atomic cursor until none remain. Skewed rounds
-/// — where one span's candidates are far more expensive than predicted —
-/// therefore no longer serialize on the unlucky worker. Dispatch runs on
-/// the persistent executor pool ([`Parallelism::steal_spans`]): the
-/// workers are spawned once per pool, not once per scan.
+/// under **work stealing**: the items are pre-cut into `span_count`
+/// contiguous weight-balanced spans (the same boundary discipline as
+/// `tpp_store::CsrGraph::shard_ranges`; a [`ScanTuner`] can size them)
+/// and workers claim spans through one atomic cursor until none remain.
+/// Skewed rounds — where one span's candidates are far more expensive
+/// than predicted — therefore no longer serialize on the unlucky worker.
+/// Dispatch runs on the persistent executor pool
+/// ([`Parallelism::steal_spans`]): the workers are spawned once per pool,
+/// not once per scan.
 ///
 /// Each worker builds one private context with `make_ctx` (reused across
 /// every span it claims), scores spans left-to-right with `eval` (`None`
 /// skips an item), and keeps the first strict maximum under
 /// `better(new, best)`; span maxima reduce in span order. The result is
 /// therefore **identical to a sequential left-to-right scan** for every
-/// thread count and every claim interleaving — the property all the
+/// thread count, span plan and claim interleaving — the property all the
 /// engine's determinism guarantees rest on.
 pub fn sharded_argmax<T, C, S, M, E, B>(
-    items: &[T],
-    exec: &Parallelism,
-    weights: Option<&[usize]>,
-    make_ctx: M,
-    eval: E,
-    better: B,
-) -> Option<(S, T)>
-where
-    T: Copy + Send + Sync,
-    S: Send,
-    M: Fn() -> C + Sync,
-    E: Fn(&mut C, T) -> Option<S> + Sync,
-    B: Fn(&S, &S) -> bool + Sync,
-{
-    let spans = exec.threads() * STEAL_SPANS_PER_WORKER;
-    sharded_argmax_spans(items, exec, spans, weights, make_ctx, eval, better)
-}
-
-/// [`sharded_argmax`] with an explicit span count (e.g. from a
-/// [`ScanTuner`]); the span plan is pure scheduling — the returned
-/// maximizer is identical for every value.
-pub fn sharded_argmax_spans<T, C, S, M, E, B>(
     items: &[T],
     exec: &Parallelism,
     span_count: usize,
@@ -253,8 +236,9 @@ fn first_max<S, T>(
 }
 
 /// Maps `eval` over `items` with the same per-worker-context,
-/// work-stealing span claiming as [`sharded_argmax`]; results come back in
-/// item order regardless of thread count or claim interleaving.
+/// work-stealing span claiming as [`sharded_argmax`], at
+/// `STEAL_SPANS_PER_WORKER` spans per worker; results come back in item
+/// order regardless of thread count or claim interleaving.
 pub fn sharded_map<T, C, R, M, E>(
     items: &[T],
     exec: &Parallelism,
@@ -268,58 +252,67 @@ where
     M: Fn() -> C + Sync,
     E: Fn(&mut C, T) -> R + Sync,
 {
-    let spans = exec.threads() * STEAL_SPANS_PER_WORKER;
-    sharded_map_spans(items, exec, spans, weights, make_ctx, eval)
-}
-
-/// [`sharded_map`] with an explicit span count (e.g. from a [`ScanTuner`]);
-/// results come back in item order for every span plan.
-pub fn sharded_map_spans<T, C, R, M, E>(
-    items: &[T],
-    exec: &Parallelism,
-    span_count: usize,
-    weights: Option<&[usize]>,
-    make_ctx: M,
-    eval: E,
-) -> Vec<R>
-where
-    T: Copy + Send + Sync,
-    R: Send,
-    M: Fn() -> C + Sync,
-    E: Fn(&mut C, T) -> R + Sync,
-{
     if items.is_empty() {
         return Vec::new();
     }
-    let per_span = exec.steal_spans(items, span_count, weights, &make_ctx, |ctx, span| {
+    let spans = exec.threads() * STEAL_SPANS_PER_WORKER;
+    let per_span = exec.steal_spans(items, spans, weights, &make_ctx, |ctx, span| {
         span.iter().map(|&item| eval(ctx, item)).collect::<Vec<R>>()
     });
     per_span.into_iter().flatten().collect()
 }
 
-/// A committed targeted pick (see [`RoundEngine::select_for_targets`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TargetedPick {
-    /// The deleted protector edge.
-    pub protector: Edge,
-    /// Target the pick was charged to.
-    pub target: usize,
-    /// Instances of the charged target broken by the deletion.
-    pub own: usize,
-    /// Instances of all other targets broken by the deletion.
-    pub cross: usize,
+/// Who a selection round charges its picks to.
+#[derive(Debug, Clone, Copy)]
+enum Charge<'a> {
+    /// SGB: rank by total gain, charge no target.
+    Global,
+    /// CT/WT: the open targets as `(target, remaining budget)` pairs in
+    /// ascending target order (every `remaining >= 1`).
+    Targets(&'a [(usize, usize)]),
+}
+
+/// A round's compact score: the ranking key `(own, cross)` and the
+/// charged target. SGB keeps its score a bare total gain.
+trait RoundScore: Copy + Send {
+    /// The ranking key, compared lexicographically.
+    fn key(&self) -> (usize, usize);
+    /// The target the pick is charged to, if any.
+    fn target(&self) -> Option<usize>;
+}
+
+impl RoundScore for usize {
+    fn key(&self) -> (usize, usize) {
+        (*self, 0)
+    }
+
+    fn target(&self) -> Option<usize> {
+        None
+    }
+}
+
+/// `(own, cross, target)`, as [`charge_to_open`] returns it.
+impl RoundScore for (usize, usize, usize) {
+    fn key(&self) -> (usize, usize) {
+        (self.0, self.1)
+    }
+
+    fn target(&self) -> Option<usize> {
+        Some(self.2)
+    }
 }
 
 /// Charges a per-target gain vector to the first `open` target maximizing
-/// lexicographic `(own, cross)` — the CT/WT round score. Returns
-/// `(own, cross, target)`; `None` when the deletion breaks nothing.
-fn charge_to_open(v: &[usize], open: &[usize]) -> Option<(usize, usize, usize)> {
+/// lexicographic `(own, cross)` — the CT/WT round score. `open` holds
+/// `(target, remaining budget)` pairs. Returns `(own, cross, target)`;
+/// `None` when the deletion breaks nothing.
+fn charge_to_open(v: &[usize], open: &[(usize, usize)]) -> Option<(usize, usize, usize)> {
     let total: usize = v.iter().sum();
     if total == 0 {
         return None;
     }
     let mut best: Option<(usize, usize, usize)> = None;
-    for &t in open {
+    for &(t, _) in open {
         let (own, cross) = (v[t], total - v[t]);
         if best.is_none_or(|(bo, bc, _)| (own, cross) > (bo, bc)) {
             best = Some((own, cross, t));
@@ -341,7 +334,7 @@ enum Admission {
 }
 
 /// Disjoint-gain-set admission for one batch round — the one acceptance
-/// rule of the eager, lazy, and targeted batch modes, which differ only in
+/// rule of the selection round and the lazy queue, which differ only in
 /// what they do with a non-accepted candidate.
 ///
 /// The first offer is always accepted: it is exactly the pick the
@@ -368,11 +361,13 @@ impl BatchAcceptor {
     fn new(room: usize) -> Self {
         BatchAcceptor {
             room,
-            picks: Vec::with_capacity(room),
-            gains: Vec::with_capacity(room),
+            // `room` comes from the caller's `--batch`: grow with the
+            // accepted picks instead of reserving it.
+            picks: Vec::new(),
+            gains: Vec::new(),
             claimed: FastSet::default(),
             opaque: false,
-            conflicts_left: room * BATCH_CONFLICTS_PER_SLOT,
+            conflicts_left: room.saturating_mul(BATCH_CONFLICTS_PER_SLOT),
         }
     }
 
@@ -432,21 +427,24 @@ impl BatchAcceptor {
     }
 }
 
-/// The shared per-round selection loop: candidate scan (sequential or
-/// sharded across threads), canonical tie-break, commit, and step
-/// recording — generic over the gain oracle.
+/// The shared selection loop: candidate scan (sequential or sharded
+/// across threads), canonical tie-break, commit, and step recording —
+/// generic over the gain oracle.
 ///
-/// Algorithms drive it through four selection modes:
+/// Algorithms drive it through four entry points:
 ///
 /// * [`run_global`](Self::run_global) — SGB-Greedy rounds (argmax total
-///   gain);
+///   gain), up to `j` disjoint picks per round;
 /// * [`run_global_lazy`](Self::run_global_lazy) — the same rounds through
-///   a CELF lazy queue (identical output, far fewer evaluations);
-/// * [`select_for_targets`](Self::select_for_targets) — one CT/WT-style
-///   round maximizing lexicographic `(own, cross)` over a set of open
-///   targets;
+///   a CELF lazy queue (identical output at `j = 1`, far fewer
+///   evaluations);
+/// * [`select_for_targets`](Self::select_for_targets) — one CT/WT round
+///   maximizing lexicographic `(own, cross)` over the open targets;
 /// * [`select_custom`](Self::select_custom) + [`commit_pick`](Self::commit_pick)
 ///   — bring-your-own score (the weighted extension).
+///
+/// The first three share one private round (see the module docs), and
+/// every commit goes through one batch commit.
 pub struct RoundEngine<O: GainOracle> {
     oracle: O,
     policy: CandidatePolicy,
@@ -678,23 +676,98 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
         broken.len()
     }
 
-    /// One SGB round: commit the candidate with the highest total gain
-    /// (ties to the canonically smallest edge). `None` when no candidate
-    /// breaks anything — the early-stop condition.
-    pub fn select_global(&mut self) -> Option<(usize, Edge)> {
-        let (gain, p) = self.select_custom(|probe, p| Some(probe.delta(p)), |a, b| a > b)?;
-        if gain == 0 {
-            return None;
+    /// **The** selection round of SGB, CT and WT, single-pick or batched:
+    /// scans every candidate once, ranks them by `(own, cross)` descending
+    /// with ties to the canonically smallest edge, and commits up to
+    /// `room` of them together. Returns the number committed (0 when no
+    /// candidate breaks anything, or no pick fits).
+    ///
+    /// With `room == 1` the round keeps the first maximizer of the fused
+    /// [`select_custom`](Self::select_custom) fold and never enumerates a
+    /// gain set. With more room it sorts the scanned scores and accepts
+    /// picks through a [`BatchAcceptor`]: each accepted gain set
+    /// ([`GainOracle::gain_set`]) is disjoint from the others, which keeps
+    /// every accepted `(own, cross)` split exact at commit, per target. A
+    /// CT/WT pick must also fit its charged target's remaining budget: a
+    /// candidate whose target is full this round is skipped and rescored
+    /// next round, when the target has left the open set.
+    fn round(&mut self, charge: Charge<'_>, room: usize) -> usize {
+        match charge {
+            Charge::Global => self.ranked_round(room, &[], |probe, p| Some(probe.delta(p))),
+            Charge::Targets(open) => self.ranked_round(room, open, |probe, p| {
+                charge_to_open(&probe.delta_vector(p), open)
+            }),
         }
-        let broken = self.commit_pick(p, None, None);
-        debug_assert_eq!(broken, gain, "oracle gain must match realized break");
-        Some((gain, p))
+    }
+
+    /// [`round`](Self::round) for one score type: `eval` scores a
+    /// candidate (`None` skips it) and `open` holds the targets' budgets
+    /// (empty for SGB).
+    fn ranked_round<S: RoundScore>(
+        &mut self,
+        room: usize,
+        open: &[(usize, usize)],
+        eval: impl Fn(&mut dyn GainProbe, Edge) -> Option<S> + Sync,
+    ) -> usize {
+        let ranked: Vec<(S, Edge)> = if room == 1 {
+            self.select_custom(eval, |a, b| a.key() > b.key())
+                .into_iter()
+                .collect()
+        } else {
+            let candidates = self.oracle.candidates(self.policy);
+            let scores = self.scan_map(&candidates, eval);
+            let mut ranked: Vec<(S, Edge)> = scores
+                .into_iter()
+                .zip(candidates)
+                .filter_map(|(s, p)| Some((s?, p)))
+                .collect();
+            ranked.sort_unstable_by_key(|&(s, p)| (Reverse(s.key()), p));
+            ranked
+        };
+        // Per-target room left this round, indexed by target id (`open`
+        // is in ascending target order).
+        let mut budget_left = vec![0usize; open.last().map_or(0, |&(t, _)| t + 1)];
+        for &(t, remaining) in open {
+            budget_left[t] = remaining;
+        }
+        let mut batch = BatchAcceptor::new(room);
+        for (score, p) in ranked {
+            let (own, cross) = score.key();
+            // Ranked gain-descending: after a zero, everything left is zero.
+            if batch.is_full() || own + cross == 0 {
+                break;
+            }
+            let target = score.target();
+            if target.is_some_and(|t| budget_left[t] == 0) {
+                continue; // target full this round: rescored next round
+            }
+            let pick = (p, target, target.map(|_| own));
+            match batch.offer(&mut self.oracle, &self.obs, pick, own + cross) {
+                Admission::Accepted => {
+                    if let Some(t) = target {
+                        budget_left[t] -= 1;
+                    }
+                }
+                Admission::Skipped => {}
+                Admission::Closed => break,
+            }
+        }
+        self.commit_accepted(&batch)
     }
 
     /// Runs SGB rounds until `k` picks are committed or gains are
-    /// exhausted.
-    pub fn run_global(&mut self, k: usize) {
-        while self.picks() < k && self.select_global().is_some() {}
+    /// exhausted, committing up to `j` picks per candidate scan.
+    ///
+    /// `j = 1` is the sequential greedy: each round commits the candidate
+    /// with the highest total gain (ties to the canonically smallest
+    /// edge). Larger `j` accepts, per round, the top candidates whose
+    /// current gain sets are pairwise disjoint, trading strict greedy
+    /// order for up to `j`× fewer scans; the accepted picks of one round
+    /// are a greedy-feasible commit order because their gain sets do not
+    /// interact. Oracles without gain sets commit one pick per round.
+    pub fn run_global(&mut self, k: usize, j: usize) {
+        let j = j.max(1);
+        while self.picks() < k && self.round(Charge::Global, j.min(k - self.picks())) > 0 {}
     }
 
     /// [`run_global`](Self::run_global) with **gain memoization against a
@@ -734,9 +807,9 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
     ///   falls back to one full scan for this round.
     ///
     /// The first round whose commit diverges from `prior_steps` (and every
-    /// round past their end) runs as a plain full-scan
-    /// [`select_global`](Self::select_global) round. Candidate lists must
-    /// be canonically sorted (both [`CandidatePolicy`] sources are).
+    /// round past their end) runs as a plain full-scan single-pick SGB
+    /// round. Candidate lists must be canonically sorted (both
+    /// [`CandidatePolicy`] sources are).
     ///
     /// Re-scored vs memoized candidate counts land in the recorder's
     /// `update` section (`candidates_rescored` / `candidates_memoized`).
@@ -757,7 +830,7 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
             };
             let Some(prior) = prior else {
                 // Past the prior plan (or diverged): plain SGB rounds.
-                if self.select_global().is_none() {
+                if self.round(Charge::Global, 1) == 0 {
                     break;
                 }
                 continue;
@@ -827,105 +900,39 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
                     debug_assert_eq!(broken, gain, "memoized gain must match realized break");
                     aligned &= p == p_r;
                 }
-                None => match self.select_global() {
-                    Some((_, p)) => aligned &= p == p_r,
-                    None => break,
-                },
+                None => {
+                    if self.round(Charge::Global, 1) == 0 {
+                        break;
+                    }
+                    aligned &= self.protectors.last() == Some(&p_r);
+                }
             }
         }
-    }
-
-    /// Batch-commit rounds: runs until `k` picks are committed or gains
-    /// are exhausted, committing up to `j` picks per candidate scan.
-    ///
-    /// Each round scans every candidate once, orders them by
-    /// `(gain desc, edge asc)` — the canonical argmax order — and accepts
-    /// picks greedily while their current gain sets (alive instances, per
-    /// [`GainOracle::gain_set`]) are pairwise disjoint. Disjointness makes
-    /// the scanned gains *exact* for every accepted pick without a rescan,
-    /// so the whole batch commits at once through
-    /// [`GainOracle::commit_batch`] (shard-parallel for the partitioned
-    /// index). A candidate that conflicts with the accepted set is skipped
-    /// for this round only; when the oracle cannot enumerate gain sets
-    /// (`gain_set` returns `None`), every pair conflicts and the round
-    /// falls back to a single sequential commit.
-    ///
-    /// `select_batch(k, 1)` is **bit-identical** to
-    /// [`run_global`](Self::run_global) for every oracle and thread count
-    /// (pinned by proptest). Larger `j` trades strict greedy optimality
-    /// for `j`× fewer scans; the accepted picks of one round are exactly a
-    /// greedy-feasible commit order because their gain sets do not
-    /// interact.
-    pub fn select_batch(&mut self, k: usize, j: usize) {
-        let j = j.max(1);
-        while self.picks() < k {
-            let room = j.min(k - self.picks());
-            if self.batch_round(room) == 0 {
-                break;
-            }
-        }
-    }
-
-    /// One batch round: scan, accept up to `room` disjoint picks, commit
-    /// them together. Returns how many picks were committed (0 = gains
-    /// exhausted).
-    fn batch_round(&mut self, room: usize) -> usize {
-        if room <= 1 {
-            // A batch of one *is* a sequential round: same scan, same
-            // commit, no ordering sort — bit-identity by construction.
-            return usize::from(self.select_global().is_some());
-        }
-        let candidates = self.oracle.candidates(self.policy);
-        let gains = self.scan_map(&candidates, |probe, p| probe.delta(p));
-        // Canonical commit order: highest gain first, ties to the
-        // canonically smallest edge — the sequential argmax, repeated.
-        let mut order: Vec<usize> = (0..candidates.len()).collect();
-        order.sort_unstable_by_key(|&i| (Reverse(gains[i]), candidates[i]));
-        let mut batch = BatchAcceptor::new(room);
-        for &i in &order {
-            // Order is gain-descending: after a 0, everything left is 0.
-            if batch.is_full() || gains[i] == 0 {
-                break;
-            }
-            let pick = (candidates[i], None, None);
-            if batch.offer(&mut self.oracle, &self.obs, pick, gains[i]) == Admission::Closed {
-                break;
-            }
-        }
-        self.commit_accepted(&batch)
     }
 
     /// Runs the same rounds as [`run_global`](Self::run_global) through a
     /// CELF lazy queue (Leskovec et al. 2007): a candidate's cached gain
     /// upper-bounds its current gain by submodularity, so most candidates
     /// are never re-evaluated. The initial bound sweep is sharded across
-    /// the engine's threads; refreshes are sequential. Output is identical
-    /// to the eager loop for every oracle and thread count.
+    /// the engine's threads; refreshes are sequential.
     ///
-    /// The lazy loop with one pick per refresh phase:
-    /// `run_global_lazy_batch(k, 1)`.
-    pub fn run_global_lazy(&mut self, k: usize) {
-        self.run_global_lazy_batch(k, 1);
-    }
-
-    /// The CELF lazy queue with up to `j` commits per refresh phase: each
-    /// phase pops **fresh** heap tops whose gain sets are pairwise disjoint
-    /// and commits them as one batch through [`GainOracle::commit_batch`].
+    /// Each refresh phase pops up to `j` **fresh** heap tops whose gain
+    /// sets are pairwise disjoint and commits them as one batch through
+    /// [`GainOracle::commit_batch`]. A popped fresh top whose gain set
+    /// conflicts with the accepted set (or cannot be enumerated) is pushed
+    /// back and the batch commits early — the conflicting candidate falls
+    /// back to sequential re-evaluation in the next refresh phase, exactly
+    /// like a stale bound. Stale entries refresh against committed state
+    /// as usual; the round counter advances by the batch size at commit,
+    /// so every cached bound predating the batch is re-verified before it
+    /// can win.
     ///
-    /// A popped fresh top whose gain set conflicts with the accepted set
-    /// (or cannot be enumerated) is pushed back and the batch commits
-    /// early — the conflicting candidate falls back to sequential
-    /// re-evaluation in the next refresh phase, exactly like a stale
-    /// bound. Stale entries refresh against committed state as usual; the
-    /// round counter advances by the batch size at commit, so every cached
-    /// bound predating the batch is re-verified before it can win.
-    ///
-    /// Disjointness makes every accepted cached gain exact at commit
-    /// (the same argument as [`select_batch`](Self::select_batch)). A phase
-    /// with room for one pick never enumerates a gain set, so `j = 1` is
-    /// the classic CELF loop — bit-identical to
-    /// [`run_global`](Self::run_global).
-    pub fn run_global_lazy_batch(&mut self, k: usize, j: usize) {
+    /// Disjointness makes every accepted cached gain exact at commit (the
+    /// same argument as the batched [`run_global`](Self::run_global)). A
+    /// phase with room for one pick never enumerates a gain set, so
+    /// `j = 1` is the classic CELF loop — bit-identical to
+    /// `run_global(k, 1)` for every oracle and thread count.
+    pub fn run_global_lazy(&mut self, k: usize, j: usize) {
         let j = j.max(1);
         if k == 0 {
             return;
@@ -973,119 +980,22 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
         }
     }
 
-    /// One CT/WT round: over candidates with any gain, commit the first
-    /// maximizer of lexicographic `(own, cross)` where `own` ranges over
-    /// the `open` targets (ascending target order breaks own-level ties).
-    /// The pick is charged to its target. `None` when nothing breaks
-    /// anywhere — global exhaustion.
-    pub fn select_for_targets(&mut self, open: &[usize]) -> Option<TargetedPick> {
-        if open.is_empty() {
-            return None;
-        }
-        let ((own, cross, target), p) = self.select_custom(
-            |probe, p| charge_to_open(&probe.delta_vector(p), open),
-            |a, b| (a.0, a.1) > (b.0, b.1),
-        )?;
-        let broken = self.commit_pick(p, Some(target), Some(own));
-        debug_assert_eq!(broken, own + cross, "gain vector must match break");
-        Some(TargetedPick {
-            protector: p,
-            target,
-            own,
-            cross,
-        })
-    }
-
-    /// One **batch-aware** CT/WT round: scans every candidate once and
-    /// commits up to `room` picks together. `open` lists the open targets
-    /// as `(target, remaining budget)` pairs in ascending target order
-    /// (every `remaining >= 1`).
+    /// One CT/WT round: charges every candidate to the first `open`
+    /// target maximizing its lexicographic `(own, cross)` split (ascending
+    /// target order breaks own-level ties) and commits up to `room` of the
+    /// best, each within its target's remaining budget. `open` lists
+    /// `(target, remaining budget)` pairs in ascending target order (every
+    /// `remaining >= 1`).
     ///
-    /// Candidates are ordered by the canonical targeted score — `(own,
-    /// cross)` descending, ties to the smallest edge, each candidate
-    /// charged to the first open target maximizing its `(own, cross)` —
-    /// and accepted greedily under **per-charged-target disjointness**:
-    ///
-    /// * a pick's gain set (alive instances, [`GainOracle::gain_set`])
-    ///   must be disjoint from every already-accepted pick's, which keeps
-    ///   both components of every accepted `(own, cross)` split exact at
-    ///   commit (global disjointness alone is what makes SGB batches
-    ///   exact; targeted rounds additionally need the *per-target*
-    ///   decomposition of each set untouched, and disjoint sets guarantee
-    ///   exactly that);
-    /// * the picks charged to each target must fit its remaining budget —
-    ///   a candidate whose charged target is already full this round is
-    ///   skipped (it stays live and is rescored next round, when the
-    ///   closed target has left the open set).
-    ///
-    /// Accepted picks commit through one [`GainOracle::commit_batch`];
-    /// oracles that cannot enumerate gain sets degrade to one commit per
-    /// round. `room == 1` delegates to
-    /// [`select_for_targets`](Self::select_for_targets) — bit-identical by
-    /// construction. Returns the committed picks in commit order (empty =
-    /// global exhaustion: no candidate breaks anything).
-    pub fn select_for_targets_batch(
-        &mut self,
-        open: &[(usize, usize)],
-        room: usize,
-    ) -> Vec<TargetedPick> {
+    /// `room == 1` commits the first maximizer; larger rooms accept only
+    /// picks with pairwise-disjoint gain sets, which keeps every recorded
+    /// split exact. Returns the number of committed picks; 0 means global
+    /// exhaustion (no candidate breaks anything) or an empty `open`/`room`.
+    pub fn select_for_targets(&mut self, open: &[(usize, usize)], room: usize) -> usize {
         if open.is_empty() || room == 0 {
-            return Vec::new();
+            return 0;
         }
-        let open_targets: Vec<usize> = open.iter().map(|&(t, _)| t).collect();
-        if room == 1 {
-            // A batch of one *is* a sequential targeted round.
-            return self.select_for_targets(&open_targets).into_iter().collect();
-        }
-        let candidates = self.oracle.candidates(self.policy);
-        // Score every candidate exactly as the sequential round does.
-        let scored = self.scan_map(&candidates, |probe, p| {
-            charge_to_open(&probe.delta_vector(p), &open_targets)
-        });
-        let mut order: Vec<usize> = (0..candidates.len())
-            .filter(|&i| scored[i].is_some())
-            .collect();
-        order.sort_unstable_by_key(|&i| {
-            let (own, cross, _) = scored[i].expect("filtered to scored candidates");
-            (Reverse(own), Reverse(cross), candidates[i])
-        });
-
-        // Per-target room left this round, indexed by target id.
-        let mut budget_left = vec![0usize; self.per_target.len()];
-        for &(t, remaining) in open {
-            budget_left[t] = remaining;
-        }
-        let mut batch = BatchAcceptor::new(room);
-        for &i in &order {
-            if batch.is_full() {
-                break;
-            }
-            let (own, cross, t) = scored[i].expect("filtered to scored candidates");
-            if budget_left[t] == 0 {
-                continue; // target full this round: rescored next round
-            }
-            let pick = (candidates[i], Some(t), Some(own));
-            match batch.offer(&mut self.oracle, &self.obs, pick, own + cross) {
-                Admission::Accepted => budget_left[t] -= 1,
-                Admission::Skipped => {}
-                Admission::Closed => break,
-            }
-        }
-        self.commit_accepted(&batch);
-        batch
-            .picks
-            .iter()
-            .zip(&batch.gains)
-            .map(|(&(protector, target, own), &gain)| {
-                let (target, own) = (target.expect("charged"), own.expect("charged"));
-                TargetedPick {
-                    protector,
-                    target,
-                    own,
-                    cross: gain - own,
-                }
-            })
-            .collect()
+        self.round(Charge::Targets(open), room)
     }
 
     /// Finishes a global-budget run (SGB/CELF shape: no per-target
@@ -1162,6 +1072,7 @@ mod tests {
             let got = sharded_argmax(
                 &items,
                 &exec,
+                threads * STEAL_SPANS_PER_WORKER,
                 None,
                 || (),
                 |(), e| Some(score(&e)),
@@ -1174,6 +1085,7 @@ mod tests {
         let got = sharded_argmax(
             &items,
             &Parallelism::new(4),
+            4 * STEAL_SPANS_PER_WORKER,
             Some(&weights),
             || (),
             |(), e| Some(score(&e)),
@@ -1206,6 +1118,32 @@ mod tests {
     }
 
     #[test]
+    fn unbounded_batch_room_equals_the_candidate_count() {
+        // `j` is caller-supplied (`tpp protect --batch`): a room far past
+        // the candidate supply must neither reserve it nor overflow the
+        // conflict budget, and must commit what a room of every candidate
+        // commits.
+        let g = tpp_graph::generators::holme_kim(120, 3, 0.4, 7);
+        let instance = crate::TppInstance::with_random_targets(g, 6, 7);
+        let motif = tpp_motif::Motif::Triangle;
+        let run = |k: usize, j: usize| {
+            let oracle = crate::IndexOracle::new(instance.released(), instance.targets(), motif);
+            let mut engine = RoundEngine::new(oracle, CandidatePolicy::SubgraphEdges, 1);
+            engine.run_global(k, j);
+            engine.into_global_plan(AlgorithmKind::SgbGreedy)
+        };
+        let candidates = crate::IndexOracle::new(instance.released(), instance.targets(), motif)
+            .candidates(CandidatePolicy::SubgraphEdges)
+            .len();
+        assert!(candidates > 1);
+        for k in [1, 5, usize::MAX] {
+            let unbounded = run(k, usize::MAX);
+            assert_eq!(unbounded, run(k, candidates), "k = {k}");
+            unbounded.check_invariants();
+        }
+    }
+
+    #[test]
     fn sharded_map_preserves_item_order() {
         let items: Vec<Edge> = (0..41u32).map(|i| Edge::new(i, i + 1)).collect();
         let expect: Vec<u32> = items.iter().map(|e| e.u() * 2).collect();
@@ -1220,9 +1158,11 @@ mod tests {
     fn sharded_argmax_skips_none_scores() {
         let items: Vec<Edge> = (0..10u32).map(|i| Edge::new(i, i + 1)).collect();
         let exec = Parallelism::new(3);
+        let spans = 3 * STEAL_SPANS_PER_WORKER;
         let none_at_all = sharded_argmax(
             &items,
             &exec,
+            spans,
             None,
             || (),
             |(), _| None::<usize>,
@@ -1233,6 +1173,7 @@ mod tests {
             sharded_argmax::<Edge, (), usize, _, _, _>(
                 &[],
                 &exec,
+                spans,
                 None,
                 || (),
                 |(), _| Some(1),

@@ -149,7 +149,7 @@ pub fn katz_defense_greedy(
         let scan_weight = candidates.len() as u64;
         let spans = tuner.spans_for(exec.threads(), scan_weight);
         let started = std::time::Instant::now();
-        let best = crate::engine::sharded_argmax_spans(
+        let best = crate::engine::sharded_argmax(
             &candidates,
             &exec,
             spans,

@@ -14,7 +14,7 @@
 //! * [`weighted_celf_greedy_batch`] — the CELF + batch hybrid over
 //!   **integer** weights: a [`WeightedIndexOracle`] makes the weighted
 //!   mass the oracle's native gain, so the engine's
-//!   [`RoundEngine::run_global_lazy_batch`] (lazy queue, up to `j`
+//!   [`RoundEngine::run_global_lazy`] (lazy queue, up to `j`
 //!   disjoint commits per refresh phase) applies unchanged. Integer
 //!   weights keep every cached bound exact — no epsilon comparisons in
 //!   the heap — which is what makes the `j = 1` path bit-identical to
@@ -93,7 +93,7 @@ pub fn weighted_sgb_greedy(
 /// Making the weighted mass the oracle's native gain is what unlocks the
 /// engine's whole strategy surface for the weighted extension — in
 /// particular the CELF lazy queue and its batch hybrid
-/// ([`RoundEngine::run_global_lazy_batch`]): a positively weighted sum of
+/// ([`RoundEngine::run_global_lazy`]): a positively weighted sum of
 /// monotone submodular functions is monotone submodular, so cached
 /// weighted gains upper-bound fresh ones exactly as CELF requires, and
 /// integer arithmetic keeps every heap comparison exact.
@@ -202,10 +202,6 @@ impl GainOracle for WeightedIndexOracle<'_> {
         weighted_mass(self.inner.index().similarities(), &self.weights)
     }
 
-    fn target_similarity(&self, target_idx: usize) -> usize {
-        self.weights[target_idx] * self.inner.index().target_similarity(target_idx)
-    }
-
     fn gain(&mut self, p: Edge) -> usize {
         weighted_mass(&self.inner.index().gain_vector(p), &self.weights)
     }
@@ -258,7 +254,7 @@ impl GainOracle for WeightedIndexOracle<'_> {
 }
 
 /// The **batch-aware weighted CELF**: runs the CELF + batch hybrid
-/// ([`RoundEngine::run_global_lazy_batch`]) over a
+/// ([`RoundEngine::run_global_lazy`]) over a
 /// [`WeightedIndexOracle`] — each lazy refresh phase pops up to `j` fresh
 /// heap tops with pairwise-disjoint gain sets and commits them together;
 /// a conflicting top falls back to sequential re-evaluation.
@@ -292,7 +288,7 @@ pub fn weighted_celf_greedy_batch(
         &exec,
     );
     let mut engine = RoundEngine::with_parallelism(oracle, CandidatePolicy::SubgraphEdges, exec);
-    engine.run_global_lazy_batch(k, j);
+    engine.run_global_lazy(k, j);
     engine.into_global_plan(AlgorithmKind::CelfGreedy)
 }
 
@@ -364,7 +360,7 @@ mod tests {
     }
 
     /// The eager reference the batch hybrid's `j = 1` path must reproduce
-    /// bit-for-bit: plain `run_global` rounds over the same weighted
+    /// bit-for-bit: single-pick `run_global` rounds over the same weighted
     /// oracle.
     fn eager_weighted(
         instance: &TppInstance,
@@ -375,7 +371,7 @@ mod tests {
         let oracle =
             WeightedIndexOracle::new(instance.released(), instance.targets(), motif, weights);
         let mut engine = RoundEngine::new(oracle, CandidatePolicy::SubgraphEdges, 1);
-        engine.run_global(k);
+        engine.run_global(k, 1);
         engine.into_global_plan(AlgorithmKind::CelfGreedy)
     }
 

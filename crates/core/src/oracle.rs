@@ -34,19 +34,8 @@ pub enum CandidatePolicy {
 pub trait GainOracle {
     /// Current total similarity `s(P, T)`.
     fn total_similarity(&self) -> usize;
-    /// Current similarity of one target.
-    fn target_similarity(&self, target_idx: usize) -> usize;
     /// `Δ_p`: total instances a deletion of `p` would break right now.
     fn gain(&mut self, p: Edge) -> usize;
-    /// `(own, cross)` split of `Δ_p` relative to `target_idx`. The
-    /// default derives it from [`GainOracle::gain_vector`]; oracles with a
-    /// cheaper direct path (the coverage index) override it.
-    fn gain_split(&mut self, p: Edge, target_idx: usize) -> (usize, usize) {
-        let v = self.gain_vector(p);
-        let own = v[target_idx];
-        let cross = v.iter().sum::<usize>() - own;
-        (own, cross)
-    }
     /// Per-target broken-instance counts for deleting `p` (one entry per
     /// target). `gain(p) = gain_vector(p).sum()`.
     fn gain_vector(&mut self, p: Edge) -> Vec<usize>;
@@ -217,16 +206,8 @@ impl GainOracle for IndexOracle<'_> {
         self.index.total_similarity()
     }
 
-    fn target_similarity(&self, target_idx: usize) -> usize {
-        self.index.target_similarity(target_idx)
-    }
-
     fn gain(&mut self, p: Edge) -> usize {
         self.index.gain(p)
-    }
-
-    fn gain_split(&mut self, p: Edge, target_idx: usize) -> (usize, usize) {
-        self.index.gain_split(p, target_idx)
     }
 
     fn gain_vector(&mut self, p: Edge) -> Vec<usize> {
@@ -362,10 +343,6 @@ impl<B: NeighborAccess> GainOracle for SnapshotOracle<'_, B> {
         self.current_total
     }
 
-    fn target_similarity(&self, target_idx: usize) -> usize {
-        self.current_per_target[target_idx]
-    }
-
     fn gain(&mut self, p: Edge) -> usize {
         if !self.view.delete_edge(p) {
             return 0;
@@ -488,16 +465,8 @@ impl GainOracle for AnyOracle<'_> {
         any_oracle_delegate!(self, o => o.total_similarity())
     }
 
-    fn target_similarity(&self, target_idx: usize) -> usize {
-        any_oracle_delegate!(self, o => o.target_similarity(target_idx))
-    }
-
     fn gain(&mut self, p: Edge) -> usize {
         any_oracle_delegate!(self, o => GainOracle::gain(o, p))
-    }
-
-    fn gain_split(&mut self, p: Edge, target_idx: usize) -> (usize, usize) {
-        any_oracle_delegate!(self, o => o.gain_split(p, target_idx))
     }
 
     fn gain_vector(&mut self, p: Edge) -> Vec<usize> {
@@ -543,6 +512,12 @@ mod tests {
     use tpp_graph::generators::erdos_renyi_gnp;
     use tpp_graph::Graph;
 
+    /// `(own, cross)` split of a per-target gain vector relative to
+    /// target `t` — the recount side of every `gain_split` comparison.
+    fn split(v: &[usize], t: usize) -> (usize, usize) {
+        (v[t], v.iter().sum::<usize>() - v[t])
+    }
+
     /// The released graph (as a `Graph` and as its CSR snapshot) and the
     /// targets it hides.
     fn fixture() -> (Graph, CsrGraph, Vec<Edge>) {
@@ -568,10 +543,11 @@ mod tests {
                 assert_eq!(idx.gain(p), naive.gain(p), "{motif} gain({p})");
                 assert_eq!(idx.gain_vector(p), naive.gain_vector(p));
                 assert_eq!(idx.gain_vector(p).iter().sum::<usize>(), idx.gain(p));
+                let v = naive.gain_vector(p);
                 for t in 0..targets.len() {
                     assert_eq!(
-                        idx.gain_split(p, t),
-                        naive.gain_split(p, t),
+                        idx.index().gain_split(p, t),
+                        split(&v, t),
                         "{motif} split({p}, {t})"
                     );
                 }
@@ -591,10 +567,10 @@ mod tests {
         for p in idx.candidates(CandidatePolicy::SubgraphEdges) {
             let total = idx.gain(p);
             let split_sum: usize = (0..idx.target_count())
-                .map(|t| idx.gain_split(p, t).0)
+                .map(|t| idx.index().gain_split(p, t).0)
                 .sum();
             assert_eq!(total, split_sum);
-            let (own, cross) = idx.gain_split(p, 0);
+            let (own, cross) = idx.index().gain_split(p, 0);
             assert_eq!(own + cross, total);
         }
     }
@@ -648,9 +624,10 @@ mod tests {
             for &p in cands.iter().take(10) {
                 assert_eq!(idx.gain(p), snap_graph.gain(p), "{motif} gain({p})");
                 assert_eq!(idx.gain(p), snap_csr.gain(p), "{motif} csr gain({p})");
-                assert_eq!(idx.gain_vector(p), snap_csr.gain_vector(p));
+                let v = snap_csr.gain_vector(p);
+                assert_eq!(idx.gain_vector(p), v);
                 for t in 0..targets.len() {
-                    assert_eq!(idx.gain_split(p, t), snap_csr.gain_split(p, t));
+                    assert_eq!(idx.index().gain_split(p, t), split(&v, t));
                 }
             }
             for &p in cands.iter().take(3) {
@@ -684,6 +661,6 @@ mod tests {
         let (g, _, targets) = fixture();
         let mut naive = SnapshotOracle::new(&g, &targets, Motif::Triangle);
         assert_eq!(naive.gain(Edge::new(0, 1)), 0, "target edge absent");
-        assert_eq!(naive.gain_split(Edge::new(0, 1), 0), (0, 0));
+        assert_eq!(naive.gain_vector(Edge::new(0, 1)), vec![0; targets.len()]);
     }
 }

@@ -41,7 +41,7 @@ fn skewed_case(seed: u64) -> (CsrGraph, Vec<Edge>) {
 fn run_plan(csr: &CsrGraph, targets: &[Edge], motif: Motif, threads: usize) -> ProtectionPlan {
     let oracle = SnapshotOracle::new(csr, targets, motif);
     let mut engine = RoundEngine::new(oracle, CandidatePolicy::SubgraphEdges, threads);
-    engine.run_global(4);
+    engine.run_global(4, 1);
     engine.into_global_plan(AlgorithmKind::SgbGreedy)
 }
 

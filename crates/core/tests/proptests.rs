@@ -7,8 +7,9 @@ use tpp_bench::fixtures::er_instance;
 use tpp_core::{
     celf_greedy, celf_greedy_batch, critical_budget, ct_greedy, ct_greedy_batch, delta_dirty_edges,
     divide_budget, random_deletion, random_deletion_from_subgraphs, sgb_greedy, sgb_greedy_batch,
-    sgb_greedy_incremental, verify_plan, wt_greedy, wt_greedy_batch, BudgetDivision, GreedyConfig,
-    ObsConfig, TppInstance,
+    sgb_greedy_incremental, verify_plan, wt_greedy, wt_greedy_batch, AlgorithmKind, BudgetDivision,
+    CandidatePolicy, GainOracle, GreedyConfig, ObsConfig, ProtectionPlan, SnapshotOracle,
+    StepRecord, TppInstance,
 };
 use tpp_graph::{Edge, FastSet, NeighborAccess};
 use tpp_motif::Motif;
@@ -205,6 +206,131 @@ fn evaluator_configs(motif: Motif) -> [GreedyConfig; 2] {
     [GreedyConfig::scalable(motif), GreedyConfig::snapshot(motif)]
 }
 
+/// A test-local naive greedy over the recount oracle, independent of the
+/// round engine: each round scores the sorted candidates with plain loops,
+/// keeps the first strict maximum and commits it. An SGB round scores
+/// `(gain, 0)`; a CT/WT round charges each candidate to the first open
+/// target maximizing its `(own, cross)` split.
+struct NaiveGreedy<'a> {
+    oracle: SnapshotOracle<'a, tpp_store::CsrGraph>,
+    plan: ProtectionPlan,
+}
+
+impl<'a> NaiveGreedy<'a> {
+    fn new(instance: &'a TppInstance, motif: Motif, algorithm: AlgorithmKind) -> Self {
+        let oracle = SnapshotOracle::new(instance.released(), instance.targets(), motif);
+        let similarity = oracle.total_similarity();
+        let per_target = match algorithm {
+            AlgorithmKind::CtGreedy | AlgorithmKind::WtGreedy => {
+                vec![Vec::new(); instance.target_count()]
+            }
+            _ => Vec::new(),
+        };
+        NaiveGreedy {
+            oracle,
+            plan: ProtectionPlan {
+                algorithm,
+                protectors: Vec::new(),
+                initial_similarity: similarity,
+                final_similarity: similarity,
+                steps: Vec::new(),
+                per_target,
+            },
+        }
+    }
+
+    fn charged(&self, t: usize) -> usize {
+        self.plan.per_target[t].len()
+    }
+
+    /// One round over the `open` targets (`None`: an SGB round). Returns
+    /// `false` when no candidate breaks anything.
+    fn round(&mut self, open: Option<&[usize]>) -> bool {
+        let mut candidates = self.oracle.candidates(CandidatePolicy::SubgraphEdges);
+        candidates.sort_unstable();
+        let mut best: Option<((usize, usize), Option<usize>, Edge)> = None;
+        for p in candidates {
+            let v = self.oracle.gain_vector(p);
+            let total: usize = v.iter().sum();
+            if total == 0 {
+                continue;
+            }
+            let mut charge: Option<((usize, usize), Option<usize>)> = None;
+            match open {
+                None => charge = Some(((total, 0), None)),
+                Some(open) => {
+                    for &t in open {
+                        let key = (v[t], total - v[t]);
+                        if charge.is_none_or(|(k, _)| key > k) {
+                            charge = Some((key, Some(t)));
+                        }
+                    }
+                }
+            }
+            let Some((key, target)) = charge else {
+                continue;
+            };
+            if best.is_none_or(|(k, ..)| key > k) {
+                best = Some((key, target, p));
+            }
+        }
+        let Some(((own, cross), target, p)) = best else {
+            return false;
+        };
+        let broken = self.oracle.commit(p);
+        assert_eq!(broken, own + cross, "naive gain must realize");
+        if let Some(t) = target {
+            self.plan.per_target[t].push(p);
+        }
+        self.plan.protectors.push(p);
+        self.plan.final_similarity = self.oracle.total_similarity();
+        self.plan.steps.push(StepRecord {
+            round: self.plan.steps.len(),
+            protector: p,
+            charged_target: target,
+            own_broken: own,
+            total_broken: broken,
+            similarity_after: self.plan.final_similarity,
+        });
+        true
+    }
+
+    fn sgb(
+        instance: &'a TppInstance,
+        k: usize,
+        motif: Motif,
+        kind: AlgorithmKind,
+    ) -> ProtectionPlan {
+        let mut naive = NaiveGreedy::new(instance, motif, kind);
+        while naive.plan.protectors.len() < k && naive.round(None) {}
+        naive.plan
+    }
+
+    fn ct(instance: &'a TppInstance, budgets: &[usize], motif: Motif) -> ProtectionPlan {
+        let mut naive = NaiveGreedy::new(instance, motif, AlgorithmKind::CtGreedy);
+        loop {
+            let open: Vec<usize> = (0..budgets.len())
+                .filter(|&t| naive.charged(t) < budgets[t])
+                .collect();
+            if open.is_empty() || !naive.round(Some(&open)) {
+                break naive.plan;
+            }
+        }
+    }
+
+    fn wt(instance: &'a TppInstance, budgets: &[usize], motif: Motif) -> ProtectionPlan {
+        let mut naive = NaiveGreedy::new(instance, motif, AlgorithmKind::WtGreedy);
+        'targets: for (t, &budget) in budgets.iter().enumerate() {
+            while naive.charged(t) < budget {
+                if !naive.round(Some(&[t])) {
+                    break 'targets;
+                }
+            }
+        }
+        naive.plan
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -238,23 +364,23 @@ proptest! {
         }
     }
 
-    /// The batch-commit acceptance contract: `select_batch(k, 1)` produces
-    /// plans **bit-identical** to the sequential `select(k)` rounds for
-    /// every oracle kind and `threads ∈ {1, 2, 4}`; and for `j > 1` the
-    /// batch plan is still feasible, exact per step, and reaches the same
-    /// final similarity when both spend the full candidate supply.
+    /// The batch-commit acceptance contract: SGB at `j = 1` produces
+    /// plans **bit-identical** to the naive sequential greedy for every
+    /// oracle kind and `threads ∈ {1, 2, 4}`; and for `j > 1` the batch
+    /// plan is still feasible, exact per step, and reaches the same final
+    /// similarity when both spend the full candidate supply.
     #[test]
     fn batch_of_one_is_bit_identical_to_sequential(
         instance in instance_strategy(),
         k in 1usize..=5,
     ) {
         let motif = Motif::Triangle;
+        let naive = NaiveGreedy::sgb(&instance, k, motif, AlgorithmKind::SgbGreedy);
         for cfg in evaluator_configs(motif) {
-            let sequential = sgb_greedy(&instance, k, &cfg.clone().with_threads(1));
             for threads in [1usize, 2, 4] {
                 let batch = sgb_greedy_batch(&instance, k, 1, &cfg.clone().with_threads(threads));
-                prop_assert_eq!(&sequential, &batch,
-                    "select_batch(k, 1) {:?} x{} diverged", cfg.evaluator, threads);
+                prop_assert_eq!(&naive, &batch,
+                    "sgb j=1 {:?} x{} diverged from the naive greedy", cfg.evaluator, threads);
             }
         }
         // j > 1: disjointness-verified batches stay exact and feasible.
@@ -298,9 +424,10 @@ proptest! {
         }
     }
 
-    /// Batch-of-one rounds are bit-identical to the sequential rounds for
-    /// the targeted (CT/WT) and lazy (CELF) strategies too — the whole
-    /// plan, for every oracle kind and `threads ∈ {1, 2, 4}`.
+    /// Batch-of-one rounds are bit-identical to the naive sequential
+    /// greedy for the targeted (CT/WT) and lazy (CELF) strategies too —
+    /// the whole plan (protectors, steps, `per_target`), for every oracle
+    /// kind and `threads ∈ {1, 2, 4}`.
     #[test]
     fn targeted_and_lazy_batch_of_one_is_bit_identical(
         instance in instance_strategy(),
@@ -308,10 +435,10 @@ proptest! {
     ) {
         let motif = Motif::Triangle;
         let budgets = divide_budget(BudgetDivision::Tbd, k, &instance, motif);
+        let ct_seq = NaiveGreedy::ct(&instance, &budgets, motif);
+        let wt_seq = NaiveGreedy::wt(&instance, &budgets, motif);
+        let celf_seq = NaiveGreedy::sgb(&instance, k, motif, AlgorithmKind::CelfGreedy);
         for cfg in evaluator_configs(motif) {
-            let ct_seq = ct_greedy(&instance, &budgets, &cfg.clone().with_threads(1)).unwrap();
-            let wt_seq = wt_greedy(&instance, &budgets, &cfg.clone().with_threads(1)).unwrap();
-            let celf_seq = celf_greedy(&instance, k, &cfg.clone().with_threads(1));
             for threads in [1usize, 2, 4] {
                 let tcfg = cfg.clone().with_threads(threads);
                 let ct_b = ct_greedy_batch(&instance, &budgets, 1, &tcfg).unwrap();

@@ -47,14 +47,14 @@ fn mapped_case(seed: u64, verify: VerifyMode) -> (CsrGraph, CsrGraph, Vec<Edge>)
 fn sgb_plan(csr: &CsrGraph, targets: &[Edge], motif: Motif, threads: usize) -> ProtectionPlan {
     let oracle = SnapshotOracle::new(csr, targets, motif);
     let mut engine = RoundEngine::new(oracle, CandidatePolicy::SubgraphEdges, threads);
-    engine.run_global(4);
+    engine.run_global(4, 1);
     engine.into_global_plan(AlgorithmKind::SgbGreedy)
 }
 
 fn celf_plan(csr: &CsrGraph, targets: &[Edge], motif: Motif, threads: usize) -> ProtectionPlan {
     let oracle = SnapshotOracle::new(csr, targets, motif);
     let mut engine = RoundEngine::new(oracle, CandidatePolicy::SubgraphEdges, threads);
-    engine.run_global_lazy(4);
+    engine.run_global_lazy(4, 1);
     engine.into_global_plan(AlgorithmKind::CelfGreedy)
 }
 

@@ -11,7 +11,7 @@
 //!   by the dirty shards' lists (single-threaded here — the win is
 //!   structural, not parallelism).
 //! * `partitioned_commit_batch8` — the same deletion sequence through
-//!   `delete_edges` in batches of 8 (the engine's `select_batch(k, 8)`
+//!   `delete_edges` in batches of 8 (the engine's `run_global(k, 8)`
 //!   commit shape): one routing + compaction pass per batch.
 //! * `clone_partitioned` — the per-iteration index clone both commit
 //!   benches pay, so the JSON keeps the commit-only margins readable.
@@ -75,7 +75,7 @@ fn rounds_sequential(mut idx: PartitionedCoverageIndex) -> usize {
 
 /// The same number of commits, one scan per `j`: each round accepts the
 /// top-`j` candidates with pairwise-disjoint gain sets and commits them as
-/// one batch (the engine's `select_batch` commit shape).
+/// one batch (the commit shape of the engine's batched `run_global`).
 fn rounds_batch(mut idx: PartitionedCoverageIndex, j: usize) -> usize {
     let mut broken = 0usize;
     let mut committed = 0usize;
