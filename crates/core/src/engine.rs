@@ -263,7 +263,6 @@ where
 }
 
 /// Who a selection round charges its picks to.
-#[derive(Debug, Clone, Copy)]
 enum Charge<'a> {
     /// SGB: rank by total gain, charge no target.
     Global,
