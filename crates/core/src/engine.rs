@@ -61,11 +61,11 @@
 //! enumerate gain sets degrades to one commit per round (the sequential
 //! fallback).
 //!
-//! The drivers are [`RoundEngine::run_global`] (SGB, up to `j` picks per
-//! round), [`RoundEngine::select_for_targets`] (one CT/WT round over the
-//! open targets) and [`RoundEngine::run_global_lazy`], the CELF lazy
-//! queue, whose refresh phases pop up to `j` disjoint fresh heap tops
-//! through the same acceptance rule and fall back to sequential
+//! The entry points are [`RoundEngine::run_global`] (SGB, up to `j`
+//! picks per round), [`RoundEngine::select_for_targets`] (one CT/WT round
+//! over the open targets) and [`RoundEngine::run_global_lazy`], the CELF
+//! lazy queue, whose refresh phases pop up to `j` disjoint fresh heap
+//! tops through the same acceptance rule and fall back to sequential
 //! re-evaluation when a top conflicts.
 
 use crate::oracle::{CandidatePolicy, GainOracle, GainProbe};
