@@ -43,7 +43,7 @@ pub fn celf_greedy_batch(
     config: &GreedyConfig,
 ) -> ProtectionPlan {
     let exec = config.parallelism();
-    let mut engine = RoundEngine::with_parallelism(
+    let mut engine = RoundEngine::new(
         AnyOracle::for_instance(instance, config, &exec),
         config.candidates,
         exec,

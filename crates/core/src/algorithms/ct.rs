@@ -57,7 +57,7 @@ pub fn ct_greedy_batch(
     let n = budgets.len();
     let j = j.max(1);
     let exec = config.parallelism();
-    let mut engine = RoundEngine::with_parallelism(
+    let mut engine = RoundEngine::new(
         AnyOracle::for_instance(instance, config, &exec),
         config.candidates,
         exec,

@@ -74,7 +74,7 @@ pub fn sgb_greedy_incremental(
     config: &GreedyConfig,
 ) -> ProtectionPlan {
     let exec = config.parallelism();
-    let mut engine = RoundEngine::with_parallelism(
+    let mut engine = RoundEngine::new(
         AnyOracle::for_instance(instance, config, &exec),
         config.candidates,
         exec,

@@ -38,7 +38,7 @@ pub fn sgb_greedy_batch(
     config: &GreedyConfig,
 ) -> ProtectionPlan {
     let exec = config.parallelism();
-    let mut engine = RoundEngine::with_parallelism(
+    let mut engine = RoundEngine::new(
         AnyOracle::for_instance(instance, config, &exec),
         config.candidates,
         exec,

@@ -56,7 +56,7 @@ pub fn wt_greedy_batch(
     }
     let j = j.max(1);
     let exec = config.parallelism();
-    let mut engine = RoundEngine::with_parallelism(
+    let mut engine = RoundEngine::new(
         AnyOracle::for_instance(instance, config, &exec),
         config.candidates,
         exec,

@@ -30,15 +30,9 @@
 //! (`tpp-exec`), created **once** per run and plumbed through the engine
 //! into the oracle's commit and build phases — a k-round greedy run pays
 //! thread creation once, not once per round. [`Parallelism::steal_spans`]
-//! owns the claim-and-reduce scaffold; the engine only decides span
-//! sizing, scoring, and the reduce.
-//!
-//! Span *sizing* is adaptive: the engine's [`ScanTuner`] keeps an EWMA of
-//! the observed per-weight scan cost and cuts the next round's spans to a
-//! fixed wall-clock target, instead of a static spans-per-worker count
-//! over degree weights — cheap rounds stop over-cutting, expensive rounds
-//! stop under-cutting. The span plan is scheduling only; results are
-//! identical for every plan.
+//! owns the span plan (the workspace's one span rule: four
+//! weight-balanced spans per worker) and the claim-and-reduce scaffold;
+//! the engine only supplies candidate weights, scoring, and the reduce.
 //!
 //! ## One selection round
 //!
@@ -73,27 +67,10 @@ use crate::plan::{AlgorithmKind, ProtectionPlan, StepRecord};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Instant;
+use tpp_exec::Parallelism;
 use tpp_graph::{Edge, FastSet};
 use tpp_motif::InstanceId;
 use tpp_obs::Recorder;
-
-// The scan's splitting math and its execution substrate live in
-// `tpp-exec` now; re-exported here because they are part of the engine's
-// public vocabulary (`balanced_ranges` is the candidate-list analogue of
-// `CsrGraph::shard_ranges`, delegating to the same
-// `tpp_exec::balanced_prefix_ranges` boundary computation).
-pub use tpp_exec::{balanced_ranges, resolve_threads, ExecPool, Parallelism};
-
-/// Spans handed to the work-stealing scan per worker thread when no cost
-/// observation exists yet: enough that a worker finishing its cheap spans
-/// early can steal real work from the shared cursor, few enough that claim
-/// overhead stays negligible.
-const STEAL_SPANS_PER_WORKER: usize = 4;
-
-/// Upper bound on adaptively-chosen spans per worker: below the point where
-/// per-span claim overhead (one atomic fetch-add + one result slot) would
-/// show up against even microsecond-scale spans.
-const MAX_ADAPTIVE_SPANS_PER_WORKER: usize = 32;
 
 /// Conflict budget per batch-round pick slot: a batch round stops probing
 /// for more disjoint picks after `room ×` this many gain-set conflicts and
@@ -105,98 +82,25 @@ const MAX_ADAPTIVE_SPANS_PER_WORKER: usize = 32;
 /// the documented greedy-feasibility are unaffected.
 const BATCH_CONFLICTS_PER_SLOT: usize = 16;
 
-/// Target wall-clock duration of one adaptively-sized span. Long enough to
-/// amortize span-claim overhead by orders of magnitude, short enough that a
-/// mispredicted span cannot serialize a round on one worker.
-const TARGET_SPAN_NANOS: f64 = 200_000.0;
-
-/// EWMA smoothing for the observed per-weight scan cost: heavy enough that
-/// one noisy round (page faults, scheduler hiccups) cannot swing the span
-/// plan, light enough to track the real cost drift as the index shrinks.
-const SCAN_COST_EWMA_ALPHA: f64 = 0.3;
-
-/// Running cost model of the work-stealing candidate scan: an EWMA of the
-/// **observed** nanoseconds per unit of candidate weight, fed back into the
-/// span plan of the next round.
-///
-/// Static degree weights predict *relative* candidate cost well but say
-/// nothing about absolute span duration, so a fixed spans-per-worker count
-/// either over-cuts cheap rounds (claim overhead) or under-cuts expensive
-/// ones (a mispredicted span serializes the round). The tuner closes the
-/// loop: after every parallel scan it folds `elapsed / total_weight` into
-/// the EWMA, and the next round cuts spans sized to `TARGET_SPAN_NANOS`
-/// each. Span sizing is **purely a scheduling decision** — span results
-/// reduce in span order, so plans stay bit-identical for every span plan
-/// (the thread-invariance proptests cover this path too).
-#[derive(Debug, Clone, Default)]
-pub struct ScanTuner {
-    /// EWMA of observed scan nanoseconds per unit weight; `None` until the
-    /// first parallel scan has been measured.
-    nanos_per_weight: Option<f64>,
-}
-
-impl ScanTuner {
-    /// Chooses the span count for a scan of `total_weight` across
-    /// `threads` workers: `STEAL_SPANS_PER_WORKER` per worker until a
-    /// cost observation exists, then enough spans that each is predicted
-    /// to take `TARGET_SPAN_NANOS`, clamped to
-    /// `threads..=threads * MAX_ADAPTIVE_SPANS_PER_WORKER`.
-    #[must_use]
-    pub fn spans_for(&self, threads: usize, total_weight: u64) -> usize {
-        let threads = threads.max(1);
-        match self.nanos_per_weight {
-            None => threads * STEAL_SPANS_PER_WORKER,
-            Some(npw) => {
-                let predicted = npw * total_weight as f64;
-                let ideal = (predicted / TARGET_SPAN_NANOS).ceil() as usize;
-                ideal.clamp(threads, threads * MAX_ADAPTIVE_SPANS_PER_WORKER)
-            }
-        }
-    }
-
-    /// Folds one observed scan (`total_weight` units in `elapsed`) into the
-    /// cost EWMA. Zero-weight scans are ignored.
-    pub fn record(&mut self, total_weight: u64, elapsed: std::time::Duration) {
-        if total_weight == 0 {
-            return;
-        }
-        let observed = elapsed.as_nanos() as f64 / total_weight as f64;
-        self.nanos_per_weight = Some(match self.nanos_per_weight {
-            None => observed,
-            Some(ewma) => SCAN_COST_EWMA_ALPHA * observed + (1.0 - SCAN_COST_EWMA_ALPHA) * ewma,
-        });
-    }
-
-    /// The current cost estimate in nanoseconds per weight unit (`None`
-    /// before the first observation) — exposed for diagnostics.
-    #[must_use]
-    pub fn nanos_per_weight(&self) -> Option<f64> {
-        self.nanos_per_weight
-    }
-}
-
 /// First-maximizer-wins argmax over `items`, scanned by `exec`'s workers
-/// under **work stealing**: the items are pre-cut into `span_count`
-/// contiguous weight-balanced spans (the same boundary discipline as
-/// `tpp_store::CsrGraph::shard_ranges`; a [`ScanTuner`] can size them)
-/// and workers claim spans through one atomic cursor until none remain.
-/// Skewed rounds — where one span's candidates are far more expensive
-/// than predicted — therefore no longer serialize on the unlucky worker.
-/// Dispatch runs on the persistent executor pool
-/// ([`Parallelism::steal_spans`]): the workers are spawned once per pool,
-/// not once per scan.
+/// under **work stealing**: [`Parallelism::steal_spans`] cuts the items
+/// into contiguous weight-balanced spans (the same boundary discipline as
+/// `tpp_store::CsrGraph::shard_ranges`) and workers claim spans through
+/// one atomic cursor until none remain. Skewed rounds — where one span's
+/// candidates are far more expensive than predicted — therefore do not
+/// serialize on the unlucky worker. The workers belong to the persistent
+/// executor pool: spawned once per pool, not once per scan.
 ///
 /// Each worker builds one private context with `make_ctx` (reused across
 /// every span it claims), scores spans left-to-right with `eval` (`None`
 /// skips an item), and keeps the first strict maximum under
 /// `better(new, best)`; span maxima reduce in span order. The result is
 /// therefore **identical to a sequential left-to-right scan** for every
-/// thread count, span plan and claim interleaving — the property all the
-/// engine's determinism guarantees rest on.
+/// thread count and claim interleaving — the property all the engine's
+/// determinism guarantees rest on.
 pub fn sharded_argmax<T, C, S, M, E, B>(
     items: &[T],
     exec: &Parallelism,
-    span_count: usize,
     weights: Option<&[usize]>,
     make_ctx: M,
     eval: E,
@@ -209,10 +113,7 @@ where
     E: Fn(&mut C, T) -> Option<S> + Sync,
     B: Fn(&S, &S) -> bool + Sync,
 {
-    if items.is_empty() {
-        return None;
-    }
-    let span_best = exec.steal_spans(items, span_count, weights, &make_ctx, |ctx, span| {
+    let span_best = exec.steal_spans(items, weights, &make_ctx, |ctx, span| {
         first_max(
             span.iter()
                 .filter_map(|&item| eval(ctx, item).map(|s| (s, item))),
@@ -236,9 +137,8 @@ fn first_max<S, T>(
 }
 
 /// Maps `eval` over `items` with the same per-worker-context,
-/// work-stealing span claiming as [`sharded_argmax`], at
-/// `STEAL_SPANS_PER_WORKER` spans per worker; results come back in item
-/// order regardless of thread count or claim interleaving.
+/// work-stealing span claiming as [`sharded_argmax`]; results come back in
+/// item order regardless of thread count or claim interleaving.
 pub fn sharded_map<T, C, R, M, E>(
     items: &[T],
     exec: &Parallelism,
@@ -252,11 +152,7 @@ where
     M: Fn() -> C + Sync,
     E: Fn(&mut C, T) -> R + Sync,
 {
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let spans = exec.threads() * STEAL_SPANS_PER_WORKER;
-    let per_span = exec.steal_spans(items, spans, weights, &make_ctx, |ctx, span| {
+    let per_span = exec.steal_spans(items, weights, &make_ctx, |ctx, span| {
         span.iter().map(|&item| eval(ctx, item)).collect::<Vec<R>>()
     });
     per_span.into_iter().flatten().collect()
@@ -454,9 +350,6 @@ pub struct RoundEngine<O: GainOracle> {
     protectors: Vec<Edge>,
     steps: Vec<StepRecord>,
     per_target: Vec<Vec<Edge>>,
-    /// Adaptive span sizing for the work-stealing scan (scheduling only;
-    /// never observable in the plan).
-    tuner: ScanTuner,
     /// Telemetry sink, taken from the executor handle at construction so
     /// one `--stats` knob observes scans, commits, and dispatches alike.
     /// Disabled recorders cost one branch per round, nothing per
@@ -465,23 +358,12 @@ pub struct RoundEngine<O: GainOracle> {
 }
 
 impl<O: GainOracle + Sync> RoundEngine<O> {
-    /// Builds an engine over `oracle` with a fresh executor pool of
-    /// `threads` workers (`0` resolves to the machine's available
-    /// parallelism); every thread count produces bit-identical plans.
-    /// Callers that already hold a [`Parallelism`] handle (so the oracle
-    /// build and the engine share one pool) use
-    /// [`with_parallelism`](Self::with_parallelism) instead.
-    #[must_use]
-    pub fn new(oracle: O, policy: CandidatePolicy, threads: usize) -> Self {
-        Self::with_parallelism(oracle, policy, Parallelism::new(threads))
-    }
-
     /// Builds an engine over `oracle` dispatching on `exec` — the one
     /// executor handle shared by the scan, the oracle's commit phase
     /// (plumbed via [`GainOracle::set_parallelism`]), and whatever built
-    /// the oracle.
+    /// the oracle. Every thread count produces bit-identical plans.
     #[must_use]
-    pub fn with_parallelism(mut oracle: O, policy: CandidatePolicy, exec: Parallelism) -> Self {
+    pub fn new(mut oracle: O, policy: CandidatePolicy, exec: Parallelism) -> Self {
         // Commit-side parallelism (the shard-parallel partitioned index)
         // shares the scan's executor.
         oracle.set_parallelism(&exec);
@@ -496,73 +378,42 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
             protectors: Vec::new(),
             steps: Vec::new(),
             per_target: vec![Vec::new(); targets],
-            tuner: ScanTuner::default(),
             obs,
         }
-    }
-
-    /// The engine's adaptive scan-cost model (diagnostics).
-    #[must_use]
-    pub fn tuner(&self) -> &ScanTuner {
-        &self.tuner
-    }
-
-    /// Candidate weights plus their total, the inputs of the span plan.
-    fn candidate_weights(&self, candidates: &[Edge]) -> (Vec<usize>, u64) {
-        let weights: Vec<usize> = candidates
-            .iter()
-            .map(|&p| self.oracle.candidate_weight(p))
-            .collect();
-        let total = weights.iter().map(|&w| w as u64).sum();
-        (weights, total)
     }
 
     /// **The** candidate scan behind every round mode: runs `span` over
     /// contiguous spans of `candidates` and returns the span results in
     /// span order. A sequential executor scores the whole list as one span
     /// with the oracle as its own probe (no per-round scratch setup);
-    /// otherwise workers claim spans sized by the [`ScanTuner`] (and
-    /// feeding its next observation), each scoring through a private
+    /// otherwise workers claim the candidate-weighted spans of
+    /// [`Parallelism::steal_spans`], each scoring through a private
     /// [`GainOracle::probe`]. Either way the round stats record one scan.
     fn scan<R: Send>(
         &mut self,
         candidates: &[Edge],
         span: impl Fn(&mut dyn GainProbe, &[Edge]) -> R + Sync,
     ) -> Vec<R> {
-        // The parallel span plan: (span count, weights, total weight).
-        let plan = (!self.exec.is_sequential()).then(|| {
-            let (weights, total) = self.candidate_weights(candidates);
-            let spans = self.tuner.spans_for(self.exec.threads(), total);
-            (spans, weights, total)
-        });
-        // Parallel scans are always timed (the tuner needs the sample);
-        // sequential ones only for an enabled recorder.
-        let started = (plan.is_some() || self.obs.is_enabled()).then(Instant::now);
-        let out = match &plan {
-            None => vec![span(&mut self.oracle, candidates)],
-            Some((spans, weights, _)) => {
-                let oracle = &self.oracle;
-                self.exec.steal_spans(
-                    candidates,
-                    *spans,
-                    Some(weights.as_slice()),
-                    || oracle.probe(),
-                    |probe, chunk| span(probe.as_mut(), chunk),
-                )
-            }
+        let t0 = self.obs.is_enabled().then(Instant::now);
+        let out = if self.exec.is_sequential() {
+            vec![span(&mut self.oracle, candidates)]
+        } else {
+            let oracle = &self.oracle;
+            let weights: Vec<usize> = candidates
+                .iter()
+                .map(|&p| oracle.candidate_weight(p))
+                .collect();
+            self.exec.steal_spans(
+                candidates,
+                Some(&weights),
+                || oracle.probe(),
+                |probe, chunk| span(probe.as_mut(), chunk),
+            )
         };
-        if let Some(elapsed) = started.map(|t0| t0.elapsed()) {
-            if let Some((_, _, total)) = &plan {
-                self.tuner.record(*total, elapsed);
-            }
-            if let Some(st) = self.obs.stats() {
-                st.round.scans.inc();
-                st.round.candidates_probed.add(candidates.len() as u64);
-                st.round.scan_ns.record_duration(elapsed);
-                if let Some((spans, ..)) = &plan {
-                    st.round.scan_spans.record(*spans as u64);
-                }
-            }
+        if let (Some(t0), Some(st)) = (t0, self.obs.stats()) {
+            st.round.scans.inc();
+            st.round.candidates_probed.add(candidates.len() as u64);
+            st.round.scan_ns.record_duration(t0.elapsed());
         }
         out
     }
@@ -1029,6 +880,7 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tpp_exec::balanced_ranges;
 
     #[test]
     fn balanced_ranges_cover_and_balance() {
@@ -1071,7 +923,6 @@ mod tests {
             let got = sharded_argmax(
                 &items,
                 &exec,
-                threads * STEAL_SPANS_PER_WORKER,
                 None,
                 || (),
                 |(), e| Some(score(&e)),
@@ -1084,7 +935,6 @@ mod tests {
         let got = sharded_argmax(
             &items,
             &Parallelism::new(4),
-            4 * STEAL_SPANS_PER_WORKER,
             Some(&weights),
             || (),
             |(), e| Some(score(&e)),
@@ -1127,7 +977,11 @@ mod tests {
         let motif = tpp_motif::Motif::Triangle;
         let run = |k: usize, j: usize| {
             let oracle = crate::IndexOracle::new(instance.released(), instance.targets(), motif);
-            let mut engine = RoundEngine::new(oracle, CandidatePolicy::SubgraphEdges, 1);
+            let mut engine = RoundEngine::new(
+                oracle,
+                CandidatePolicy::SubgraphEdges,
+                Parallelism::sequential(),
+            );
             engine.run_global(k, j);
             engine.into_global_plan(AlgorithmKind::SgbGreedy)
         };
@@ -1157,11 +1011,9 @@ mod tests {
     fn sharded_argmax_skips_none_scores() {
         let items: Vec<Edge> = (0..10u32).map(|i| Edge::new(i, i + 1)).collect();
         let exec = Parallelism::new(3);
-        let spans = 3 * STEAL_SPANS_PER_WORKER;
         let none_at_all = sharded_argmax(
             &items,
             &exec,
-            spans,
             None,
             || (),
             |(), _| None::<usize>,
@@ -1172,7 +1024,6 @@ mod tests {
             sharded_argmax::<Edge, (), usize, _, _, _>(
                 &[],
                 &exec,
-                spans,
                 None,
                 || (),
                 |(), _| Some(1),

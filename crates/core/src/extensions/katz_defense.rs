@@ -12,6 +12,7 @@
 
 use crate::plan::{AlgorithmKind, ProtectionPlan, StepRecord};
 use crate::problem::TppInstance;
+use tpp_exec::Parallelism;
 use tpp_graph::{Edge, FastSet, NeighborAccess};
 use tpp_motif::Motif;
 use tpp_store::DeltaView;
@@ -130,14 +131,10 @@ pub fn katz_defense_greedy(
     let mut steps = Vec::new();
     let mut exposure = initial_exposure;
     // One persistent executor pool for every round's scan (spawn-once
-    // workers, like the round engine), and a ScanTuner so span sizing
-    // adapts to the observed per-candidate Katz cost instead of a static
-    // spans-per-worker count — the free-function scan now tunes exactly
-    // like the engine's. Katz evaluation cost is uniform across
-    // candidates (every probe propagates walk counts over the whole
-    // graph), so the tuner weights each candidate as 1.
-    let exec = crate::engine::Parallelism::new(config.threads);
-    let mut tuner = crate::engine::ScanTuner::default();
+    // workers, like the round engine). Katz evaluation cost is uniform
+    // across candidates (every probe propagates walk counts over the
+    // whole graph), so the scan cuts unweighted spans.
+    let exec = Parallelism::new(config.threads);
     for round in 0..k {
         // Same scan machinery as the motif engine: each worker clones the
         // committed overlay (the base graph is shared, never copied) and
@@ -146,13 +143,9 @@ pub fn katz_defense_greedy(
         // finite reductions) — an epsilon band is not transitive, and a
         // non-transitive comparator would let the chunked reduce pick a
         // different edge than the sequential scan.
-        let scan_weight = candidates.len() as u64;
-        let spans = tuner.spans_for(exec.threads(), scan_weight);
-        let started = std::time::Instant::now();
         let best = crate::engine::sharded_argmax(
             &candidates,
             &exec,
-            spans,
             None,
             || g.clone(),
             |view, p| {
@@ -165,9 +158,6 @@ pub fn katz_defense_greedy(
             },
             |a, b| *a > *b,
         );
-        if !exec.is_sequential() {
-            tuner.record(scan_weight, started.elapsed());
-        }
         let Some((reduction, p)) = best else { break };
         if reduction <= 1e-15 {
             break;

@@ -13,6 +13,7 @@
 use crate::problem::TppInstance;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use tpp_exec::Parallelism;
 use tpp_graph::{Edge, NeighborAccess, NodeId};
 use tpp_motif::{count_all_targets, Motif};
 use tpp_store::{CsrGraph, DeltaView};
@@ -142,7 +143,7 @@ pub fn backfire_rate_parallel(
     // share one executor pool (spawned here, per call — repeated
     // estimates that want to amortize it can hold their own handle once
     // a &Parallelism-taking variant is needed).
-    let exec = crate::engine::Parallelism::new(threads);
+    let exec = Parallelism::new(threads);
     let threads = exec.threads() as u64;
     let chunk = trials.div_ceil(threads).max(1);
     let ranges: Vec<(u64, u64)> = (0..threads)

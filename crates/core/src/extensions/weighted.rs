@@ -20,10 +20,11 @@
 //!   the heap — which is what makes the `j = 1` path bit-identical to
 //!   the eager weighted greedy (pinned by proptest below).
 
-use crate::engine::{Parallelism, RoundEngine};
+use crate::engine::RoundEngine;
 use crate::oracle::{CandidatePolicy, GainOracle, GainProbe, IndexOracle};
 use crate::plan::{AlgorithmKind, ProtectionPlan};
 use crate::problem::TppInstance;
+use tpp_exec::Parallelism;
 use tpp_graph::Edge;
 use tpp_motif::{InstanceId, Motif, PartitionedCoverageIndex};
 use tpp_store::CsrGraph;
@@ -60,7 +61,7 @@ pub fn weighted_sgb_greedy(
     let mut engine = RoundEngine::new(
         IndexOracle::new(instance.released(), instance.targets(), motif),
         CandidatePolicy::SubgraphEdges,
-        1,
+        Parallelism::sequential(),
     );
     while engine.picks() < k {
         let pick = engine.select_custom(
@@ -287,7 +288,7 @@ pub fn weighted_celf_greedy_batch(
         weights,
         &exec,
     );
-    let mut engine = RoundEngine::with_parallelism(oracle, CandidatePolicy::SubgraphEdges, exec);
+    let mut engine = RoundEngine::new(oracle, CandidatePolicy::SubgraphEdges, exec);
     engine.run_global_lazy(k, j);
     engine.into_global_plan(AlgorithmKind::CelfGreedy)
 }
@@ -370,7 +371,11 @@ mod tests {
     ) -> ProtectionPlan {
         let oracle =
             WeightedIndexOracle::new(instance.released(), instance.targets(), motif, weights);
-        let mut engine = RoundEngine::new(oracle, CandidatePolicy::SubgraphEdges, 1);
+        let mut engine = RoundEngine::new(
+            oracle,
+            CandidatePolicy::SubgraphEdges,
+            Parallelism::sequential(),
+        );
         engine.run_global(k, 1);
         engine.into_global_plan(AlgorithmKind::CelfGreedy)
     }

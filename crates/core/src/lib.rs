@@ -49,7 +49,7 @@ pub use analysis::{analyze_protection, verify_plan, ProtectionReport};
 pub use baselines::{random_deletion, random_deletion_from_subgraphs};
 pub use budget::{divide_budget, BudgetDivision};
 pub use critical::critical_budget;
-pub use engine::{RoundEngine, ScanTuner};
+pub use engine::RoundEngine;
 pub use error::TppError;
 pub use oracle::{
     AnyOracle, CandidatePolicy, GainOracle, GainProbe, IndexOracle, SnapshotOracle,

@@ -8,6 +8,7 @@
 //! whether hub bitsets are built or not, at every thread count.
 
 use tpp_core::{AlgorithmKind, CandidatePolicy, ProtectionPlan, RoundEngine, SnapshotOracle};
+use tpp_exec::Parallelism;
 use tpp_graph::{generators, Edge};
 use tpp_motif::Motif;
 use tpp_store::CsrGraph;
@@ -40,7 +41,11 @@ fn skewed_case(seed: u64) -> (CsrGraph, Vec<Edge>) {
 
 fn run_plan(csr: &CsrGraph, targets: &[Edge], motif: Motif, threads: usize) -> ProtectionPlan {
     let oracle = SnapshotOracle::new(csr, targets, motif);
-    let mut engine = RoundEngine::new(oracle, CandidatePolicy::SubgraphEdges, threads);
+    let mut engine = RoundEngine::new(
+        oracle,
+        CandidatePolicy::SubgraphEdges,
+        Parallelism::new(threads),
+    );
     engine.run_global(4, 1);
     engine.into_global_plan(AlgorithmKind::SgbGreedy)
 }

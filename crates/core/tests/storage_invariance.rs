@@ -8,6 +8,7 @@
 //! and owned snapshots — at every thread count and verification tier.
 
 use tpp_core::{AlgorithmKind, CandidatePolicy, ProtectionPlan, RoundEngine, SnapshotOracle};
+use tpp_exec::Parallelism;
 use tpp_graph::{generators, Edge};
 use tpp_motif::Motif;
 use tpp_store::{format, CsrGraph, VerifyMode};
@@ -46,14 +47,22 @@ fn mapped_case(seed: u64, verify: VerifyMode) -> (CsrGraph, CsrGraph, Vec<Edge>)
 
 fn sgb_plan(csr: &CsrGraph, targets: &[Edge], motif: Motif, threads: usize) -> ProtectionPlan {
     let oracle = SnapshotOracle::new(csr, targets, motif);
-    let mut engine = RoundEngine::new(oracle, CandidatePolicy::SubgraphEdges, threads);
+    let mut engine = RoundEngine::new(
+        oracle,
+        CandidatePolicy::SubgraphEdges,
+        Parallelism::new(threads),
+    );
     engine.run_global(4, 1);
     engine.into_global_plan(AlgorithmKind::SgbGreedy)
 }
 
 fn celf_plan(csr: &CsrGraph, targets: &[Edge], motif: Motif, threads: usize) -> ProtectionPlan {
     let oracle = SnapshotOracle::new(csr, targets, motif);
-    let mut engine = RoundEngine::new(oracle, CandidatePolicy::SubgraphEdges, threads);
+    let mut engine = RoundEngine::new(
+        oracle,
+        CandidatePolicy::SubgraphEdges,
+        Parallelism::new(threads),
+    );
     engine.run_global_lazy(4, 1);
     engine.into_global_plan(AlgorithmKind::CelfGreedy)
 }

@@ -8,6 +8,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use tpp_obs::{Recorder, SpanTimer};
 
+/// Spans per participant in every [`Parallelism::steal_spans`] job: enough
+/// that a participant finishing its cheap spans early steals real work
+/// from the shared cursor, few enough that claim overhead stays
+/// negligible. The one span-count rule of the workspace.
+const SPANS_PER_WORKER: usize = 4;
+
 /// A dispatched task, type- and lifetime-erased for storage in the shared
 /// pool state. The raw pointer is only ever dereferenced between the epoch
 /// bump that installs it and the `active == 0` hand-back that
@@ -586,20 +592,26 @@ impl Parallelism {
         dispatch_span.stop();
     }
 
-    /// The work-stealing span scaffold behind every candidate scan: cuts
-    /// `items` into at most `span_count` contiguous weight-balanced spans
-    /// (never fewer than one per participant), lets participants claim
-    /// spans through one atomic cursor (each reusing one private
-    /// `make_ctx` context, created lazily on its first claimed span), and
-    /// returns every span's `run_span` result **in span order** — which
-    /// participant ran a span, and how many participants there were, is
-    /// scheduling noise the caller never observes. This single
-    /// implementation is what the engine's
-    /// bit-identical-across-thread-counts guarantee rests on.
+    /// The work-stealing span scaffold behind every parallel job: cuts
+    /// `items` into at most `threads × SPANS_PER_WORKER` contiguous
+    /// weight-balanced spans, lets participants claim spans through one
+    /// atomic cursor (each reusing one private `make_ctx` context, created
+    /// lazily on its first claimed span), and returns every span's
+    /// `run_span` result **in span order** — which participant ran a span,
+    /// and how many spans there were, is scheduling noise the caller never
+    /// observes once the per-span results are flattened or reduced in
+    /// order. A sequential handle runs `run_span` once, inline, over the
+    /// whole slice; no items means no spans at every width. This is the
+    /// one span rule of the workspace: callers never choose a span count.
+    ///
+    /// `weights` (one per item) balance the spans by predicted cost;
+    /// `None` cuts near-equal item counts.
+    ///
+    /// # Panics
+    /// Panics if `weights` is given and its length differs from `items`'s.
     pub fn steal_spans<T, C, R, M, F>(
         &self,
         items: &[T],
-        span_count: usize,
         weights: Option<&[usize]>,
         make_ctx: M,
         run_span: F,
@@ -610,15 +622,24 @@ impl Parallelism {
         M: Fn() -> C + Sync,
         F: Fn(&mut C, &[T]) -> R + Sync,
     {
-        let threads = self.threads();
-        let spans = ranges_for(items.len(), span_count.max(threads), weights);
-        if threads <= 1 || spans.len() <= 1 {
-            let mut ctx = make_ctx();
-            return spans
-                .iter()
-                .map(|span| run_span(&mut ctx, &items[span.clone()]))
-                .collect();
+        if let Some(w) = weights {
+            assert_eq!(
+                w.len(),
+                items.len(),
+                "steal_spans needs one weight per item: {} weights for {} items",
+                w.len(),
+                items.len()
+            );
         }
+        if items.is_empty() {
+            return Vec::new();
+        }
+        let spans = (!self.is_sequential())
+            .then(|| ranges_for(items.len(), self.threads() * SPANS_PER_WORKER, weights))
+            .filter(|spans| spans.len() > 1);
+        let Some(spans) = spans else {
+            return vec![run_span(&mut make_ctx(), items)];
+        };
         // When heavy weight skew yields fewer spans than participants,
         // the surplus participants still wake, find the cursor exhausted,
         // and re-sleep — one lock round-trip each, no context creation
@@ -689,7 +710,7 @@ mod tests {
         assert!(exec.run_indexed(0, |i| i).is_empty());
         exec.for_each_mut(&mut Vec::<u8>::new(), |_, _| unreachable!());
         let spans: Vec<usize> =
-            exec.steal_spans(&[] as &[u8], 8, None, || (), |(), chunk| chunk.len());
+            exec.steal_spans(&[] as &[u8], None, || (), |(), chunk| chunk.len());
         assert!(spans.is_empty());
         // The pool is still healthy afterwards.
         assert_eq!(exec.run_indexed(2, |i| i), vec![0, 1]);
@@ -851,36 +872,95 @@ mod tests {
 
     #[test]
     fn steal_spans_reduces_in_span_order() {
+        // Flattened per-item results, in item order, equal a plain
+        // sequential map at every width, weighted or not, on a reused
+        // pool.
         let items: Vec<u32> = (0..1000).collect();
-        let seq: Vec<u64> = Parallelism::sequential().steal_spans(
-            &items,
-            16,
-            None,
-            || 0u64,
-            |acc, chunk| {
-                *acc += 1;
-                chunk.iter().map(|&x| u64::from(x)).sum::<u64>()
-            },
-        );
-        for threads in [2usize, 4, 7] {
+        let weights: Vec<usize> = items.iter().map(|&x| (x as usize * 7919) % 13).collect();
+        let expect: Vec<u64> = items.iter().map(|&x| u64::from(x) * 3 + 1).collect();
+        for threads in [1usize, 2, 3, 4, 8] {
             let exec = Parallelism::new(threads);
-            for span_count in [1usize, 3, 16, 64] {
-                let got = exec.steal_spans(
-                    &items,
-                    span_count,
-                    None,
-                    || 0u64,
-                    |acc, chunk| {
-                        *acc += 1;
-                        chunk.iter().map(|&x| u64::from(x)).sum::<u64>()
-                    },
-                );
-                assert_eq!(
-                    got.iter().sum::<u64>(),
-                    seq.iter().sum::<u64>(),
-                    "x{threads} spans {span_count}"
-                );
+            for w in [None, Some(weights.as_slice())] {
+                for pass in 0..2 {
+                    let got = exec
+                        .steal_spans(
+                            &items,
+                            w,
+                            || (),
+                            |(), chunk| {
+                                chunk
+                                    .iter()
+                                    .map(|&x| u64::from(x) * 3 + 1)
+                                    .collect::<Vec<u64>>()
+                            },
+                        )
+                        .concat();
+                    assert_eq!(
+                        got,
+                        expect,
+                        "x{threads} weighted {} pass {pass}",
+                        w.is_some()
+                    );
+                }
             }
         }
+    }
+
+    #[test]
+    fn steal_spans_plan_is_the_one_span_rule() {
+        // Every span is reported as its item range: at most 4 per
+        // participant, non-empty, contiguous, covering every item.
+        let items: Vec<usize> = (0..97).collect();
+        let skewed: Vec<usize> = items
+            .iter()
+            .map(|&i| if i % 10 == 0 { 50 } else { 1 })
+            .collect();
+        for threads in [2usize, 3, 4, 8] {
+            let exec = Parallelism::new(threads);
+            for w in [None, Some(skewed.as_slice())] {
+                let spans = exec.steal_spans(
+                    &items,
+                    w,
+                    || (),
+                    |(), chunk| chunk[0]..chunk[0] + chunk.len(),
+                );
+                assert!(spans.len() <= 4 * threads, "x{threads}: {spans:?}");
+                let mut cursor = 0;
+                for span in &spans {
+                    assert_eq!(span.start, cursor, "x{threads}: {spans:?}");
+                    assert!(span.end > span.start, "x{threads}: {spans:?}");
+                    cursor = span.end;
+                }
+                assert_eq!(cursor, items.len(), "x{threads}");
+            }
+        }
+        // A sequential handle makes one context and runs one span over
+        // the whole slice.
+        let contexts = AtomicUsize::new(0);
+        let runs = AtomicUsize::new(0);
+        let spans = Parallelism::sequential().steal_spans(
+            &items,
+            Some(&skewed),
+            || contexts.fetch_add(1, Ordering::Relaxed),
+            |_, chunk| {
+                runs.fetch_add(1, Ordering::Relaxed);
+                chunk.len()
+            },
+        );
+        assert_eq!(spans, vec![items.len()]);
+        assert_eq!(contexts.load(Ordering::Relaxed), 1);
+        assert_eq!(runs.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "2 weights for 4 items")]
+    fn steal_spans_rejects_a_short_weight_slice() {
+        let items = [10u64, 20, 30, 40];
+        let _ = Parallelism::new(2).steal_spans(
+            &items,
+            Some(&[1, 1]),
+            || (),
+            |(), chunk| chunk.iter().sum::<u64>(),
+        );
     }
 }

@@ -2,10 +2,12 @@
 //!
 //! One boundary computation — [`balanced_prefix_ranges`] over a monotone
 //! prefix-sum table — backs `tpp_store::CsrGraph::shard_ranges`, the
-//! partitioned coverage index's shard bounds and target chunking, and (via
-//! [`balanced_ranges`] over candidate weights) the round engine's scan
-//! spans. It used to live in `tpp-store`; it moved here with
-//! the executor so the split and the dispatch share one crate.
+//! partitioned coverage index's shard bounds, and (via [`balanced_ranges`]
+//! over per-item weights) every [`Parallelism::steal_spans`] span plan.
+//! It lives beside the executor so the split and the dispatch share one
+//! crate.
+//!
+//! [`Parallelism::steal_spans`]: crate::Parallelism::steal_spans
 
 /// Cuts `0..prefix.len() - 1` items into up to `parts` contiguous ranges
 /// with near-equal weight, where `prefix` is a monotone prefix-sum table

@@ -14,11 +14,6 @@ use tpp_exec::Parallelism;
 use tpp_graph::{Edge, NeighborAccess, NodeId};
 use tpp_motif::{count_target_subgraphs, Motif};
 
-/// Spans per worker for the pair-scoring sweep — enough stealable slack
-/// to absorb degree skew (hub pairs cost more under every attacker)
-/// without shrinking spans into dispatch overhead.
-const SCORE_SPANS_PER_WORKER: usize = 4;
-
 /// A scoring strategy for a candidate missing link.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum Attacker {
@@ -114,12 +109,11 @@ pub fn sample_non_edges<G: NeighborAccess>(
     out
 }
 
-/// Scores every pair in `pairs` against `g`, in pair order: sequential
-/// handles score inline; parallel handles cut the pairs into contiguous
-/// weight-balanced spans (weight `deg(u) + deg(v) + 1`, the dominant cost
-/// factor for every attacker kind), claim them work-stealing, and flatten
-/// the per-span results **in span order** — so the score vector is
-/// bit-identical at every thread count.
+/// Scores every pair in `pairs` against `g`, in pair order, through
+/// [`Parallelism::steal_spans`]: contiguous weight-balanced spans (weight
+/// `deg(u) + deg(v) + 1`, the dominant cost factor for every attacker
+/// kind) claimed work-stealing, the per-span results flattened **in span
+/// order** — so the score vector is bit-identical at every thread count.
 fn score_pairs<G: NeighborAccess + Sync>(
     g: &G,
     pairs: &[Edge],
@@ -128,20 +122,13 @@ fn score_pairs<G: NeighborAccess + Sync>(
 ) -> Vec<f64> {
     let stats = exec.recorder().stats();
     let t0 = stats.map(|_| Instant::now());
-    let scores: Vec<f64> = if exec.is_sequential() || pairs.len() <= 1 {
-        pairs
-            .iter()
-            .map(|e| attacker.score(g, e.u(), e.v()))
-            .collect()
-    } else {
-        let weights: Vec<usize> = pairs
-            .iter()
-            .map(|e| g.degree(e.u()) + g.degree(e.v()) + 1)
-            .collect();
-        let spans = exec.threads() * SCORE_SPANS_PER_WORKER;
-        exec.steal_spans(
+    let weights: Vec<usize> = pairs
+        .iter()
+        .map(|e| g.degree(e.u()) + g.degree(e.v()) + 1)
+        .collect();
+    let scores = exec
+        .steal_spans(
             pairs,
-            spans,
             Some(&weights),
             || (),
             |(), span| {
@@ -150,10 +137,7 @@ fn score_pairs<G: NeighborAccess + Sync>(
                     .collect::<Vec<f64>>()
             },
         )
-        .into_iter()
-        .flatten()
-        .collect()
-    };
+        .concat();
     if let (Some(t0), Some(st)) = (t0, stats) {
         st.attack.pairs_scored.add(pairs.len() as u64);
         st.attack.score_ns.add_duration(t0.elapsed());

@@ -52,12 +52,6 @@ struct Posting {
 /// single-digit microseconds.
 const MIN_PARALLEL_COMMIT_OPS: usize = 4096;
 
-/// Target chunks per worker for the shard-parallel build's enumeration
-/// phase: several per worker so the atomic-cursor claim loop absorbs
-/// per-target skew (hub targets enumerate orders of magnitude more
-/// instances than leaf targets).
-const TARGET_CHUNKS_PER_WORKER: usize = 4;
-
 /// Degree-prefix-balanced shard bounds over `g`'s node space (the CSR
 /// offset shape, cut into payload-balanced contiguous node ranges).
 fn degree_balanced_bounds<G: NeighborAccess>(g: &G, parts: usize) -> Vec<NodeId> {
@@ -69,7 +63,7 @@ fn degree_balanced_bounds<G: NeighborAccess>(g: &G, parts: usize) -> Vec<NodeId>
         acc += g.degree(u as NodeId) as u64;
         prefix.push(acc);
     }
-    let ranges = tpp_store::balanced_prefix_ranges(&prefix, parts);
+    let ranges = tpp_exec::balanced_prefix_ranges(&prefix, parts);
     let mut bounds: Vec<NodeId> = vec![0];
     for r in &ranges {
         bounds.push(r.end as NodeId);
@@ -190,7 +184,7 @@ fn invert_targets(targets: &[Edge]) -> FastMap<NodeId, Vec<u32>> {
 impl PartitionedCoverageIndex {
     /// Builds the index over `parts` degree-balanced partitions (the same
     /// boundary computation as `tpp_store::CsrGraph::shard_ranges`, via
-    /// [`tpp_store::balanced_prefix_ranges`] over the degree prefix sum),
+    /// [`tpp_exec::balanced_prefix_ranges`] over the degree prefix sum),
     /// with target enumeration and per-shard posting merges spread over
     /// `exec`. This is the one index builder; pass
     /// [`Parallelism::sequential`] to build on the calling thread.
@@ -199,11 +193,11 @@ impl PartitionedCoverageIndex {
     /// both dispatched on `exec`'s shared executor pool (`tpp-exec`), work
     /// claimed through one atomic cursor:
     ///
-    /// 1. **enumerate** — the target list is cut into contiguous chunks of
-    ///    near-equal endpoint-degree mass (`TARGET_CHUNKS_PER_WORKER`
-    ///    per worker); each chunk enumerates its targets' instances and
-    ///    routes every (instance, edge) pair straight to the owning
-    ///    shard's posting fragment under chunk-local instance ids;
+    /// 1. **enumerate** — [`Parallelism::steal_spans`] cuts the target
+    ///    list into contiguous chunks of near-equal endpoint-degree mass;
+    ///    each chunk enumerates its targets' instances and routes every
+    ///    (instance, edge) pair straight to the owning shard's posting
+    ///    fragment under chunk-local instance ids;
     /// 2. **merge** — each shard (shards are independent state) folds its
     ///    fragments together **in chunk order**, shifting local ids by the
     ///    chunk's global offset.
@@ -229,14 +223,13 @@ impl PartitionedCoverageIndex {
         assert!(parts >= 1, "need at least one partition");
         let stats = exec.recorder().stats();
         let build_span = tpp_obs::SpanTimer::counter(stats.map(|s| &s.index.build_ns));
-        let threads = exec.threads();
         assert_phase_one(g, targets);
         let bounds = degree_balanced_bounds(g, parts);
         let shard_count = bounds.len() - 1;
         let shard_of = |u: NodeId| -> usize { owner_shard(&bounds, u) };
 
-        // Cut the target list into contiguous chunks of near-equal
-        // endpoint-degree mass (the enumeration-cost proxy).
+        // Chunks are weighted by endpoint degree mass (the
+        // enumeration-cost proxy).
         let n = g.node_count();
         let degree_of = |u: NodeId| -> usize {
             if (u as usize) < n {
@@ -245,15 +238,11 @@ impl PartitionedCoverageIndex {
                 0
             }
         };
-        let mut prefix = Vec::with_capacity(targets.len() + 1);
-        prefix.push(0u64);
-        let mut acc = 0u64;
-        for t in targets {
-            acc += (degree_of(t.u()) + degree_of(t.v()) + 1) as u64;
-            prefix.push(acc);
-        }
-        let chunk_goal = (threads * TARGET_CHUNKS_PER_WORKER).min(targets.len().max(1));
-        let chunks = tpp_store::balanced_prefix_ranges(&prefix, chunk_goal);
+        let indexed: Vec<(usize, Edge)> = targets.iter().copied().enumerate().collect();
+        let weights: Vec<usize> = targets
+            .iter()
+            .map(|t| degree_of(t.u()) + degree_of(t.v()) + 1)
+            .collect();
 
         // Phase 1: enumerate chunk targets directly into per-shard posting
         // fragments under chunk-local instance ids.
@@ -263,14 +252,13 @@ impl PartitionedCoverageIndex {
             /// Shard -> edge -> chunk-local ids of instances containing it.
             fragments: Vec<FastMap<Edge, Vec<InstanceId>>>,
         }
-        let enumerate_chunk = |range: &std::ops::Range<usize>| -> ChunkBuild {
+        let enumerate_chunk = |_: &mut (), chunk: &[(usize, Edge)]| -> ChunkBuild {
             let mut out = ChunkBuild {
                 instances: Vec::new(),
-                per_target: Vec::with_capacity(range.len()),
+                per_target: Vec::with_capacity(chunk.len()),
                 fragments: vec![FastMap::default(); shard_count],
             };
-            for ti in range.clone() {
-                let t = targets[ti];
+            for &(ti, t) in chunk {
                 let found =
                     crate::enumerate::enumerate_target_subgraphs(g, t.u(), t.v(), motif, ti);
                 out.per_target.push(found.len());
@@ -293,8 +281,7 @@ impl PartitionedCoverageIndex {
         // target order.
         let enumerate_span =
             tpp_obs::SpanTimer::counter(stats.map(|s| &s.index.build_enumerate_ns));
-        let chunk_outs: Vec<ChunkBuild> =
-            exec.run_indexed(chunks.len(), |i| enumerate_chunk(&chunks[i]));
+        let chunk_outs = exec.steal_spans(&indexed, Some(&weights), || (), enumerate_chunk);
         enumerate_span.stop();
 
         // Chunk-order id offsets: concatenating chunk outputs numbers the

@@ -18,8 +18,6 @@ pub struct RoundStats {
     pub scan_ns: Histogram,
     /// Wall time per oracle commit (edge deletions + index maintenance).
     pub commit_ns: Histogram,
-    /// ScanTuner span count per parallel scan.
-    pub scan_spans: Histogram,
     /// Batch rounds that committed more than one pick.
     pub batch_commits: Counter,
     /// Batch picks rejected because their gain sets overlapped a winner.
@@ -323,10 +321,6 @@ impl Stats {
                 (
                     "commit_ns",
                     hist_json(&self.round.commit_ns.snapshot(), "_ns"),
-                ),
-                (
-                    "scan_spans",
-                    hist_json(&self.round.scan_spans.snapshot(), ""),
                 ),
                 ("batch_commits", self.round.batch_commits.get().to_string()),
                 (

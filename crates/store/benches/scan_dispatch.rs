@@ -25,8 +25,9 @@ use tpp_exec::Parallelism;
 const ITEMS: usize = 4096;
 /// Scan rounds per timed iteration (a small greedy run's worth).
 const ROUNDS: usize = 64;
-/// Spans per worker, matching the engine's pre-tuner default.
-const SPANS_PER_WORKER: usize = 4;
+/// Spans the scoped baseline cuts per thread: the same count
+/// `Parallelism::steal_spans` cuts, so both sides claim equal spans.
+const SCOPED_SPANS_PER_THREAD: usize = 4;
 
 /// Per-candidate work: a short arithmetic chain, roughly an O(1) index
 /// gain lookup's worth of latency.
@@ -41,15 +42,16 @@ fn span_sum(chunk: &[u64]) -> u64 {
 }
 
 /// One scan round through the persistent pool.
-fn pool_round(exec: &Parallelism, items: &[u64], span_count: usize) -> u64 {
-    exec.steal_spans(items, span_count, None, || (), |(), chunk| span_sum(chunk))
+fn pool_round(exec: &Parallelism, items: &[u64]) -> u64 {
+    exec.steal_spans(items, None, || (), |(), chunk| span_sum(chunk))
         .into_iter()
         .sum()
 }
 
 /// One scan round the pre-refactor way: fresh scoped threads every call,
 /// same cursor-claimed spans, same in-order reduce.
-fn scoped_round(items: &[u64], threads: usize, span_count: usize) -> u64 {
+fn scoped_round(items: &[u64], threads: usize) -> u64 {
+    let span_count = threads * SCOPED_SPANS_PER_THREAD;
     let chunk = items.len().div_ceil(span_count).max(1);
     let spans: Vec<std::ops::Range<usize>> = (0..items.len().div_ceil(chunk))
         .map(|i| i * chunk..((i + 1) * chunk).min(items.len()))
@@ -88,10 +90,9 @@ fn bench_scan_dispatch(c: &mut Criterion) {
     // timed.
     let expect: u64 = items.iter().map(|&x| eval(x)).sum();
     for threads in [2usize, 4] {
-        let span_count = threads * SPANS_PER_WORKER;
         let exec = Parallelism::new(threads);
-        assert_eq!(expect, pool_round(&exec, &items, span_count));
-        assert_eq!(expect, scoped_round(&items, threads, span_count));
+        assert_eq!(expect, pool_round(&exec, &items));
+        assert_eq!(expect, scoped_round(&items, threads));
     }
 
     let mut group = c.benchmark_group("scan_dispatch");
@@ -108,7 +109,6 @@ fn bench_scan_dispatch(c: &mut Criterion) {
     });
 
     for threads in [2usize, 4] {
-        let span_count = threads * SPANS_PER_WORKER;
         // Pool construction (the one-time thread spawn) happens here,
         // outside the timed loop — that is the refactor's contract.
         let exec = Parallelism::new(threads);
@@ -116,7 +116,7 @@ fn bench_scan_dispatch(c: &mut Criterion) {
             b.iter(|| {
                 let mut acc = 0u64;
                 for _ in 0..ROUNDS {
-                    acc = acc.wrapping_add(black_box(pool_round(&exec, &items, span_count)));
+                    acc = acc.wrapping_add(black_box(pool_round(&exec, &items)));
                 }
                 acc
             });
@@ -125,7 +125,7 @@ fn bench_scan_dispatch(c: &mut Criterion) {
             b.iter(|| {
                 let mut acc = 0u64;
                 for _ in 0..ROUNDS {
-                    acc = acc.wrapping_add(black_box(scoped_round(&items, threads, span_count)));
+                    acc = acc.wrapping_add(black_box(scoped_round(&items, threads)));
                 }
                 acc
             });

@@ -9,6 +9,7 @@
 use crate::error::StoreError;
 use crate::storage::CsrStorage;
 use std::sync::OnceLock;
+use tpp_exec::balanced_prefix_ranges;
 use tpp_graph::{Edge, Graph, HubBitsets, NeighborAccess, NodeId};
 
 /// An immutable CSR snapshot of a simple undirected graph.
@@ -365,12 +366,6 @@ impl CsrGraph {
         self.hubs.get()
     }
 }
-
-/// The one boundary computation behind [`CsrGraph::shard_ranges`] and
-/// the round engine's scan chunking in `tpp-core`. It lives in `tpp-exec`
-/// (re-exported here for API continuity): the split and the dispatch
-/// share one crate.
-pub use tpp_exec::balanced_prefix_ranges;
 
 impl From<&Graph> for CsrGraph {
     fn from(g: &Graph) -> Self {

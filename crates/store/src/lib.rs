@@ -65,7 +65,7 @@ pub mod mmap;
 mod storage;
 pub mod stream;
 
-pub use csr::{balanced_prefix_ranges, CsrGraph};
+pub use csr::CsrGraph;
 pub use delta::DeltaView;
 pub use deltafile::{AppliedDelta, DeltaOp, GraphDelta};
 pub use error::StoreError;
