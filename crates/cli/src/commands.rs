@@ -61,7 +61,7 @@ USAGE:
   tpp utility  <original> <released> [--full] [--seed S]
   tpp store build   <edgelist> --out FILE.csr [--chunk-mb M]
                     [--stats stats.json|-]
-  tpp store info    <FILE.csr> [--verify full|header|none] [--shards N] [--hubs K]
+  tpp store info    <FILE.csr> [--verify full|header|none] [--shards N]
   tpp store convert <FILE.csr> --out edgelist.txt [--verify full|header|none]
   tpp serve  --socket FILE.sock [--threads T] [--max-graphs N]
              [--max-indexes N] [--ttl-secs S]
@@ -91,7 +91,7 @@ STORE BUILD: store build writes the snapshot out-of-core: two passes
 STATS:       --stats FILE (or - for stdout) writes one JSON document with
              per-round scan/commit timings, coverage-index commit stats,
              executor dispatch/steal counters, load phase times, and
-             intersection-kernel selection counts (merge/gallop/hub).
+             intersection-kernel selection counts (merge/gallop).
              Telemetry never changes the plan: runs with and without
              --stats are bit-identical
 INCREMENTAL: protect --incremental repairs a prior plan against a graph
@@ -185,8 +185,6 @@ pub(crate) fn fold_kernel_counts(recorder: &Recorder, baseline: Option<tpp_graph
         let d = tpp_graph::kernels::counts().since(base);
         st.kernels.merge.add(d.merge);
         st.kernels.gallop.add(d.gallop);
-        st.kernels.hub_probe.add(d.hub_probe);
-        st.kernels.hub_and.add(d.hub_and);
     }
 }
 
@@ -288,6 +286,19 @@ fn generate(p: &Parsed) -> Result<(), String> {
     let model = p.require("model")?;
     let seed: u64 = p.num_or("seed", 2020u64)?;
     let nodes: usize = p.num_or("nodes", 1000usize)?;
+    // The random generators assert their preconditions (ba/hk: n > m = 4,
+    // ws: n > k = 8, er: p = 8/n <= 1), so check them here first.
+    let min_nodes = match model {
+        "ba" | "hk" => 5,
+        "ws" => 9,
+        "er" => 8,
+        _ => 0,
+    };
+    if nodes < min_nodes {
+        return Err(format!(
+            "--nodes {nodes} is too small for --model {model}: it needs at least {min_nodes}"
+        ));
+    }
     let g = match model {
         "ba" => tpp_graph::generators::barabasi_albert(nodes, 4, seed),
         "er" => tpp_graph::generators::erdos_renyi_gnp(nodes, 8.0 / nodes as f64, seed),
@@ -883,23 +894,6 @@ fn store(p: &Parsed) -> Result<(), String> {
                 VerifyMode::Full => println!("checksum: verified"),
                 other => println!("checksum: skipped (--verify {})", other.name()),
             }
-            let hubs: usize = p.num_or("hubs", 0usize)?;
-            if hubs > 0 {
-                let hb = csr.ensure_hub_bitsets(hubs);
-                println!(
-                    "hub-bitsets: {} rows ({} requested), min hub degree {}, \
-                     {} words/row, {} KiB",
-                    hb.hub_count(),
-                    hubs,
-                    if hb.hub_count() == 0 {
-                        0
-                    } else {
-                        hb.min_hub_degree()
-                    },
-                    hb.words_per_row(),
-                    hb.memory_bytes().div_ceil(1024),
-                );
-            }
             let shards: usize = p.num_or("shards", 0usize)?;
             if shards > 0 {
                 print!("{}", shard_plan_report(&csr, shards));
@@ -1167,6 +1161,31 @@ mod tests {
         let text = report(&orig);
         assert!(text.starts_with("edges: 78 -> "), "{text}");
         assert_eq!(report(&snap), text);
+    }
+
+    #[test]
+    fn generate_rejects_too_few_nodes_with_a_named_error() {
+        let dir = tmpdir();
+        for (model, min) in [("ba", 5usize), ("hk", 5), ("ws", 9), ("er", 8)] {
+            let out = dir.join(format!("small-{model}.txt"));
+            let run = |nodes: usize| {
+                let n = nodes.to_string();
+                let argv = ["generate", "--model", model, "--nodes", &n, "--seed", "3"];
+                let mut argv = strs(&argv);
+                argv.extend(["--out".to_string(), out.to_str().unwrap().to_string()]);
+                dispatch(&parse(&argv).unwrap())
+            };
+            for nodes in [0, min - 1] {
+                let err = run(nodes).unwrap_err();
+                assert!(
+                    err.contains("--nodes") && err.contains(&format!("at least {min}")),
+                    "{model} --nodes {nodes}: {err}"
+                );
+            }
+            run(min).unwrap();
+            let g = parse_edge_list(&std::fs::read_to_string(&out).unwrap()).unwrap();
+            assert_eq!(g.node_count(), min, "{model}");
+        }
     }
 
     #[test]
@@ -1715,8 +1734,6 @@ mod tests {
             "\"loads\"",
             "\"merge\"",
             "\"gallop\"",
-            "\"hub_probe\"",
-            "\"hub_and\"",
         ] {
             assert!(stats.contains(field), "missing {field} in: {stats}");
         }

@@ -23,9 +23,8 @@
 //!
 //! The provided common-neighbor methods rely on the sortedness contract:
 //! they route through the size-adaptive dispatcher in [`crate::kernels`]
-//! (merge / gallop / hub-bitset), which keeps motif counting at or below
-//! the paper's `O(d_u + d_v)` per pair while staying bit-identical to the
-//! plain merge.
+//! (merge / gallop), which keeps motif counting at or below the paper's
+//! `O(d_u + d_v)` per pair while staying bit-identical to the plain merge.
 
 use crate::edge::{Edge, NodeId};
 use crate::graph::Graph;
@@ -53,33 +52,19 @@ pub trait NeighborAccess {
         0..self.node_count() as NodeId
     }
 
-    /// The packed hub-bitset row of `u`, when the representation carries a
-    /// precomputed [`kernels::HubBitsets`] side structure **and** the row
-    /// is still valid for `u`'s current adjacency.
-    ///
-    /// Defaults to `None` (always safe). `tpp_store::CsrGraph` overrides
-    /// it once hub rows are built; `tpp_store::DeltaView` forwards clean
-    /// nodes to the base and withholds rows for dirty ones, so overlay
-    /// edits can never serve a stale row.
-    fn hub_bits(&self, u: NodeId) -> Option<&[u64]> {
-        let _ = u;
-        None
-    }
-
     /// Calls `f(w)` for each common neighbor `w` of `u` and `v`, ascending,
     /// through the size-adaptive kernel dispatcher
     /// ([`kernels::intersect_with`]).
     fn for_each_common_neighbor<F: FnMut(NodeId)>(&self, u: NodeId, v: NodeId, f: F) {
         let (a, b) = (self.neighbors(u), self.neighbors(v));
-        kernels::intersect_with(a, b, self.hub_bits(u), self.hub_bits(v), f);
+        kernels::intersect_with(a, b, f);
     }
 
     /// Number of common neighbors of `u` and `v`, through the count-only
-    /// kernel dispatcher ([`kernels::count_with`]) — no materialization,
-    /// and the hub-AND case degenerates to a popcount sweep.
+    /// kernel dispatcher ([`kernels::count_with`]) — no materialization.
     fn common_neighbor_count(&self, u: NodeId, v: NodeId) -> usize {
         let (a, b) = (self.neighbors(u), self.neighbors(v));
-        kernels::count_with(a, b, self.hub_bits(u), self.hub_bits(v))
+        kernels::count_with(a, b)
     }
 
     /// Common neighbors of `u` and `v`, ascending.
@@ -149,10 +134,6 @@ impl<G: NeighborAccess> NeighborAccess for &G {
 
     fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         (**self).has_edge(u, v)
-    }
-
-    fn hub_bits(&self, u: NodeId) -> Option<&[u64]> {
-        (**self).hub_bits(u)
     }
 }
 

@@ -237,17 +237,17 @@ impl Graph {
 
     /// Calls `f(w)` for each common neighbor `w` of `u` and `v`
     /// (ascending order), without allocating. Routes through the
-    /// size-adaptive kernel dispatcher (no hub rows on the mutable graph).
+    /// size-adaptive kernel dispatcher.
     #[inline]
     pub fn for_each_common_neighbor<F: FnMut(NodeId)>(&self, u: NodeId, v: NodeId, f: F) {
-        crate::kernels::intersect_with(&self.adj[u as usize], &self.adj[v as usize], None, None, f);
+        crate::kernels::intersect_with(&self.adj[u as usize], &self.adj[v as usize], f);
     }
 
     /// Number of common neighbors of `u` and `v` (count-only kernel,
     /// nothing materialized).
     #[must_use]
     pub fn common_neighbor_count(&self, u: NodeId, v: NodeId) -> usize {
-        crate::kernels::count_with(&self.adj[u as usize], &self.adj[v as usize], None, None)
+        crate::kernels::count_with(&self.adj[u as usize], &self.adj[v as usize])
     }
 
     /// Sum of all degrees (`= 2 * edge_count`).

@@ -42,4 +42,4 @@ pub use edgelist::{
 pub use error::GraphError;
 pub use graph::Graph;
 pub use hash::{fast_map_with_capacity, fast_set_with_capacity, FastMap, FastSet};
-pub use kernels::{HubBitsets, KernelCounts};
+pub use kernels::KernelCounts;

@@ -111,11 +111,6 @@ pub struct KernelStats {
     pub merge: Counter,
     /// Galloping (exponential + binary search) selections.
     pub gallop: Counter,
-    /// Hub-bitset probe selections (smaller list tested against the
-    /// larger endpoint's packed row).
-    pub hub_probe: Counter,
-    /// Hub-bitset AND-sweep selections (both endpoints own rows).
-    pub hub_and: Counter,
 }
 
 /// Resident-service telemetry: how a `tpp serve` request hit the server's
@@ -419,8 +414,6 @@ impl Stats {
             &[
                 ("merge", self.kernels.merge.get().to_string()),
                 ("gallop", self.kernels.gallop.get().to_string()),
-                ("hub_probe", self.kernels.hub_probe.get().to_string()),
-                ("hub_and", self.kernels.hub_and.get().to_string()),
             ],
             false,
         );
@@ -538,7 +531,7 @@ mod tests {
             "\"scan_ns\":",
             "\"p99_ns\":",
             "\"items_stolen\":",
-            "\"hub_probe\":",
+            "\"gallop\":",
             "\"index_hits\":",
             "\"update\":",
             "\"graph_evictions\":",

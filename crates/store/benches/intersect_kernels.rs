@@ -1,9 +1,8 @@
 //! Benchmark: the size-adaptive neighbor-intersection kernels across a
-//! degree-skew grid. Pins merge vs gallop vs hub-bitset on the tiers the
-//! dispatcher distinguishes — hub×leaf (the gallop/bitset-probe tier),
-//! hub×hub (the bitset-AND tier), and mid×mid (the merge tier) — plus
-//! the end-to-end consumers: link-prediction scoring and motif counting
-//! over a plain vs hub-augmented `CsrGraph`.
+//! degree-skew grid. Pins merge vs gallop vs the dispatcher on
+//! hub×leaf (the gallop tier), hub×hub and mid×mid (merge tiers) — plus
+//! the end-to-end consumers over a `CsrGraph`: link-prediction scoring
+//! and motif counting at the max-degree-product pair.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -14,7 +13,6 @@ use tpp_store::CsrGraph;
 
 const NODES: usize = 50_000;
 const ATTACH: usize = 8;
-const HUB_COUNT: usize = 64;
 
 /// Node ids sorted by degree, highest first (ties by id).
 fn by_degree_desc(csr: &CsrGraph) -> Vec<NodeId> {
@@ -26,7 +24,6 @@ fn by_degree_desc(csr: &CsrGraph) -> Vec<NodeId> {
 fn bench_kernel_grid(c: &mut Criterion) {
     let g = generators::barabasi_albert(NODES, ATTACH, 42);
     let csr = CsrGraph::from_graph(&g);
-    csr.ensure_hub_bitsets(HUB_COUNT);
 
     let order = by_degree_desc(&csr);
     let hub_a = order[0];
@@ -45,7 +42,6 @@ fn bench_kernel_grid(c: &mut Criterion) {
         let a = csr.neighbors(u);
         let b = csr.neighbors(v);
         let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-        let (row_u, row_v) = (csr.hub_bits(u), csr.hub_bits(v));
 
         group.bench_with_input(BenchmarkId::new("merge", tier), &(), |bch, ()| {
             bch.iter(|| {
@@ -58,15 +54,6 @@ fn bench_kernel_grid(c: &mut Criterion) {
             bch.iter(|| {
                 let mut n = 0usize;
                 kernels::intersect_gallop(black_box(small), black_box(large), |w| {
-                    n += w as usize & 1;
-                });
-                black_box(n)
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("bitset", tier), &(), |bch, ()| {
-            bch.iter(|| {
-                let mut n = 0usize;
-                kernels::intersect_with(black_box(a), black_box(b), row_u, row_v, |w| {
                     n += w as usize & 1;
                 });
                 black_box(n)
@@ -89,15 +76,13 @@ fn bench_kernel_grid(c: &mut Criterion) {
 }
 
 /// End-to-end consumer 1: link-prediction scoring over a mixed pair set
-/// (hub-incident and uniform pairs), plain snapshot vs hub-augmented.
+/// (hub-incident and uniform pairs).
 fn bench_linkpred_score(c: &mut Criterion) {
     let g = generators::barabasi_albert(NODES, ATTACH, 42);
-    let plain = CsrGraph::from_graph(&g);
-    let hubbed = CsrGraph::from_graph(&g);
-    hubbed.ensure_hub_bitsets(HUB_COUNT);
+    let csr = CsrGraph::from_graph(&g);
 
-    let order = by_degree_desc(&plain);
-    let n = plain.node_count() as NodeId;
+    let order = by_degree_desc(&csr);
+    let n = csr.node_count() as NodeId;
     let mut pairs: Vec<(NodeId, NodeId)> = Vec::new();
     // Hub-incident pairs (the skewed tier an attacker actually probes)...
     for (i, &h) in order.iter().take(8).enumerate() {
@@ -114,37 +99,20 @@ fn bench_linkpred_score(c: &mut Criterion) {
 
     let index = SimilarityIndex::ResourceAllocation;
     let mut group = c.benchmark_group("linkpred_score");
-    group.bench_with_input(
-        BenchmarkId::new("resource_allocation", "plain"),
-        &(),
-        |bch, ()| {
-            bch.iter(|| {
-                let mut acc = 0.0f64;
-                for &(u, v) in &pairs {
-                    acc += index.score(black_box(&plain), u, v);
-                }
-                black_box(acc)
-            });
-        },
-    );
-    group.bench_with_input(
-        BenchmarkId::new("resource_allocation", "hubbed"),
-        &(),
-        |bch, ()| {
-            bch.iter(|| {
-                let mut acc = 0.0f64;
-                for &(u, v) in &pairs {
-                    acc += index.score(black_box(&hubbed), u, v);
-                }
-                black_box(acc)
-            });
-        },
-    );
+    group.bench_function("resource_allocation", |bch| {
+        bch.iter(|| {
+            let mut acc = 0.0f64;
+            for &(u, v) in &pairs {
+                acc += index.score(black_box(&csr), u, v);
+            }
+            black_box(acc)
+        });
+    });
     group.finish();
 }
 
 /// End-to-end consumer 2: triangle counting at the highest-stress hidden
-/// pair (max degree-product edge), plain vs hub-augmented snapshot.
+/// pair (max degree-product edge).
 fn bench_motif_count(c: &mut Criterion) {
     let g = generators::barabasi_albert(NODES, ATTACH, 42);
     let target = g
@@ -152,25 +120,13 @@ fn bench_motif_count(c: &mut Criterion) {
         .into_iter()
         .max_by_key(|e| g.degree(e.u()) * g.degree(e.v()))
         .unwrap();
-    let plain = CsrGraph::from_graph(&g);
-    let hubbed = CsrGraph::from_graph(&g);
-    hubbed.ensure_hub_bitsets(HUB_COUNT);
+    let csr = CsrGraph::from_graph(&g);
 
-    let mut group = c.benchmark_group("motif_with_hubs");
-    group.bench_with_input(BenchmarkId::new("triangle", "plain"), &(), |bch, ()| {
+    let mut group = c.benchmark_group("motif_max_pair");
+    group.bench_function("triangle", |bch| {
         bch.iter(|| {
             black_box(count_target_subgraphs(
-                black_box(&plain),
-                target.u(),
-                target.v(),
-                Motif::Triangle,
-            ))
-        });
-    });
-    group.bench_with_input(BenchmarkId::new("triangle", "hubbed"), &(), |bch, ()| {
-        bch.iter(|| {
-            black_box(count_target_subgraphs(
-                black_box(&hubbed),
+                black_box(&csr),
                 target.u(),
                 target.v(),
                 Motif::Triangle,

@@ -8,9 +8,8 @@
 
 use crate::error::StoreError;
 use crate::storage::CsrStorage;
-use std::sync::OnceLock;
 use tpp_exec::balanced_prefix_ranges;
-use tpp_graph::{Edge, Graph, HubBitsets, NeighborAccess, NodeId};
+use tpp_graph::{Edge, Graph, NeighborAccess, NodeId};
 
 /// An immutable CSR snapshot of a simple undirected graph.
 ///
@@ -32,18 +31,10 @@ use tpp_graph::{Edge, Graph, HubBitsets, NeighborAccess, NodeId};
 pub struct CsrGraph {
     /// The two CSR arrays, owned or mapped (see [`crate::storage`]).
     storage: CsrStorage,
-    /// Lazily built top-K hub bitset rows feeding the intersection-kernel
-    /// dispatcher (see [`tpp_graph::kernels`]). Derived data: never
-    /// serialized, ignored by equality, valid for the snapshot's lifetime
-    /// because the snapshot itself is immutable.
-    hubs: OnceLock<HubBitsets>,
 }
 
-/// Equality is structural over the CSR arrays only — the hub-bitset cache
-/// is derived data and must not affect snapshot identity (the build and
-/// format round-trip tests compare snapshots whose caches may differ in
-/// build state), and a mapped snapshot equals the
-/// owned snapshot with the same arrays.
+/// Equality is structural over the CSR arrays, so a mapped snapshot equals
+/// the owned snapshot with the same arrays.
 impl PartialEq for CsrGraph {
     fn eq(&self, other: &Self) -> bool {
         self.offsets() == other.offsets() && self.neighbor_array() == other.neighbor_array()
@@ -53,8 +44,7 @@ impl PartialEq for CsrGraph {
 impl Eq for CsrGraph {}
 
 impl CsrGraph {
-    /// The owned-arrays constructor: wraps the two CSR arrays with an
-    /// empty (not-yet-built) hub-bitset cache.
+    /// The owned-arrays constructor: wraps the two CSR arrays.
     fn from_arrays(offsets: Vec<u64>, neighbors: Vec<NodeId>) -> Self {
         CsrGraph::from_storage(CsrStorage::Owned { offsets, neighbors })
     }
@@ -64,10 +54,7 @@ impl CsrGraph {
     /// only callers, and they decide per [`crate::format::VerifyMode`]
     /// how much of the payload to vouch for.
     pub(crate) fn from_storage(storage: CsrStorage) -> Self {
-        CsrGraph {
-            storage,
-            hubs: OnceLock::new(),
-        }
+        CsrGraph { storage }
     }
 
     /// `true` when the arrays are zero-copy windows into a memory-mapped
@@ -347,24 +334,6 @@ impl CsrGraph {
             panic!("CSR invariant violation: {e}");
         }
     }
-
-    /// Builds (once) and returns the packed hub-bitset rows for the
-    /// `top_k` highest-degree nodes, enabling the hub-probe / hub-AND
-    /// intersection kernels on this snapshot (see [`tpp_graph::kernels`]).
-    ///
-    /// Idempotent and thread-safe: the first caller's `top_k` wins; later
-    /// calls return the already-built structure unchanged. Memory cost is
-    /// `top_k · node_count / 8` bytes ([`HubBitsets::memory_bytes`]).
-    pub fn ensure_hub_bitsets(&self, top_k: usize) -> &HubBitsets {
-        self.hubs.get_or_init(|| HubBitsets::build(self, top_k))
-    }
-
-    /// The hub-bitset side structure, if [`Self::ensure_hub_bitsets`] has
-    /// run. `None` means every intersection falls back to merge/gallop.
-    #[must_use]
-    pub fn hub_bitsets(&self) -> Option<&HubBitsets> {
-        self.hubs.get()
-    }
 }
 
 impl From<&Graph> for CsrGraph {
@@ -398,19 +367,6 @@ impl NeighborAccess for CsrGraph {
     fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         CsrGraph::has_edge(self, u, v)
     }
-
-    #[inline]
-    fn hub_bits(&self, u: NodeId) -> Option<&[u64]> {
-        let hb = self.hubs.get()?;
-        // Degree prefilter: most nodes sit far below the hub floor, so
-        // skip the binary search over the hub-id list entirely.
-        if CsrGraph::degree(self, u) < hb.min_hub_degree() {
-            return None;
-        }
-        hb.row(u)
-    }
-    // No for_each_common_neighbor override: the trait default runs the
-    // kernel dispatcher, fed this snapshot's hub rows via hub_bits.
 }
 
 #[cfg(test)]
@@ -534,36 +490,6 @@ mod tests {
         let mut off = csr.offsets().to_vec();
         *off.last_mut().unwrap() -= 1;
         assert!(CsrGraph::from_raw_parts(off, csr.neighbor_array().to_vec()).is_err());
-    }
-
-    #[test]
-    fn hub_bitsets_build_once_and_agree_with_the_merge() {
-        let g = tpp_graph::generators::barabasi_albert(300, 5, 9);
-        let plain = CsrGraph::from_graph(&g);
-        let hubbed = CsrGraph::from_graph(&g);
-        let hb = hubbed.ensure_hub_bitsets(8);
-        assert!(hb.hub_count() > 0);
-        // First top_k wins; a second ensure is a no-op returning the same rows.
-        let again = hubbed.ensure_hub_bitsets(2) as *const _;
-        assert_eq!(again, hubbed.hub_bitsets().unwrap() as *const _);
-        // The cache never affects snapshot identity...
-        assert_eq!(plain, hubbed);
-        // ...or any read: every pair agrees between plain and hubbed paths.
-        for u in 0..300u32 {
-            for v in (u + 1)..300 {
-                assert_eq!(
-                    hubbed.common_neighbors_vec(u, v),
-                    plain.common_neighbors_vec(u, v),
-                    "({u},{v})"
-                );
-                assert_eq!(
-                    hubbed.common_neighbor_count(u, v),
-                    plain.common_neighbor_count(u, v)
-                );
-            }
-        }
-        // Clones carry the built cache along (OnceLock clones its value).
-        assert!(hubbed.clone().hub_bitsets().is_some());
     }
 
     #[test]

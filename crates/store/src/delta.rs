@@ -340,17 +340,6 @@ impl<B: NeighborAccess> NeighborAccess for DeltaView<'_, B> {
         }
         self.base.has_edge(u, v) || self.overlay_added(u, v)
     }
-
-    /// Hub rows are precomputed against the *base* adjacency, so they are
-    /// only forwarded for clean nodes: any overlay edit touching `u` makes
-    /// the base row stale, and the kernels must fall back to merge/gallop
-    /// over the merged-slice cache.
-    fn hub_bits(&self, u: NodeId) -> Option<&[u64]> {
-        match self.node_delta(u) {
-            Some(_) => None,
-            None => self.base.hub_bits(u),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -523,47 +512,6 @@ mod tests {
         // Nodes 0 and 2 are dirty: served from the merged cache.
         assert_eq!(view.neighbors(0), &[1, 3]);
         assert_eq!(view.neighbors(2), &[1, 3]);
-    }
-
-    #[test]
-    fn hub_rows_are_withheld_for_dirty_nodes() {
-        // A star: node 0 is the hub; deleting one spoke dirties 0 and 5.
-        let mut g = Graph::new(40);
-        for v in 1..40u32 {
-            g.add_edge(0, v);
-        }
-        let csr = CsrGraph::from_graph(&g);
-        csr.ensure_hub_bitsets(4);
-        assert!(NeighborAccess::hub_bits(&csr, 0).is_some());
-
-        let mut view = DeltaView::new(&csr);
-        // Clean view: the hub row forwards from the base.
-        assert!(view.hub_bits(0).is_some());
-        view.delete_edge(Edge::new(0, 5));
-        // Dirty endpoints lose their rows; untouched nodes keep forwarding.
-        assert!(view.hub_bits(0).is_none(), "stale row must be withheld");
-        assert!(
-            view.hub_bits(5).is_none(),
-            "5 is dirty (and was never a hub)"
-        );
-        // Reads over the dirty hub still agree with a physically mutated
-        // oracle — the kernels just run without the bitset path.
-        let mut oracle = g.clone();
-        oracle.remove_edge(0, 5);
-        for v in 1..40u32 {
-            assert_eq!(
-                view.common_neighbors_vec(0, v),
-                oracle.common_neighbors(0, v),
-                "common(0, {v})"
-            );
-            assert_eq!(
-                view.common_neighbor_count(0, v),
-                oracle.common_neighbor_count(0, v)
-            );
-        }
-        // Restoring the edge makes the node clean again: row comes back.
-        view.restore_edge(Edge::new(0, 5));
-        assert!(view.hub_bits(0).is_some());
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //!
 //! Every consumer of a snapshot reads through `offsets()` / `neighbors()`
 //! slices, so the backing is invisible above this module: `DeltaView`,
-//! shards, hub bitsets, the motif index, and the round engine all run
-//! unchanged over either variant. The mapped variant pins its
+//! the motif index, and the round engine all run unchanged over either
+//! variant. The mapped variant pins its
 //! [`MmapRegion`] alive through an `Arc`, so clones of a mapped snapshot
 //! share one mapping and the pages are served by the page cache.
 
