@@ -6,7 +6,7 @@
 
 use super::GreedyConfig;
 use crate::engine::RoundEngine;
-use crate::oracle::AnyOracle;
+use crate::oracle::oracle_for;
 use crate::plan::{AlgorithmKind, ProtectionPlan};
 use crate::problem::TppInstance;
 
@@ -43,11 +43,7 @@ pub fn celf_greedy_batch(
     config: &GreedyConfig,
 ) -> ProtectionPlan {
     let exec = config.parallelism();
-    let mut engine = RoundEngine::new(
-        AnyOracle::for_instance(instance, config, &exec),
-        config.candidates,
-        exec,
-    );
+    let mut engine = RoundEngine::new(oracle_for(instance, config, &exec), config.candidates, exec);
     engine.run_global_lazy(k, j);
     engine.into_global_plan(AlgorithmKind::CelfGreedy)
 }

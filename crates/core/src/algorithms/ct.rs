@@ -5,7 +5,7 @@
 use super::GreedyConfig;
 use crate::engine::RoundEngine;
 use crate::error::TppError;
-use crate::oracle::AnyOracle;
+use crate::oracle::oracle_for;
 use crate::plan::{AlgorithmKind, ProtectionPlan};
 use crate::problem::TppInstance;
 
@@ -57,11 +57,7 @@ pub fn ct_greedy_batch(
     let n = budgets.len();
     let j = j.max(1);
     let exec = config.parallelism();
-    let mut engine = RoundEngine::new(
-        AnyOracle::for_instance(instance, config, &exec),
-        config.candidates,
-        exec,
-    );
+    let mut engine = RoundEngine::new(oracle_for(instance, config, &exec), config.candidates, exec);
     loop {
         let open: Vec<(usize, usize)> = (0..n)
             .filter_map(|t| {

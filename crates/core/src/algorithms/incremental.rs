@@ -16,7 +16,7 @@
 
 use super::GreedyConfig;
 use crate::engine::RoundEngine;
-use crate::oracle::AnyOracle;
+use crate::oracle::oracle_for;
 use crate::plan::{AlgorithmKind, ProtectionPlan, StepRecord};
 use crate::problem::TppInstance;
 use tpp_graph::{Edge, FastSet, NeighborAccess};
@@ -74,11 +74,7 @@ pub fn sgb_greedy_incremental(
     config: &GreedyConfig,
 ) -> ProtectionPlan {
     let exec = config.parallelism();
-    let mut engine = RoundEngine::new(
-        AnyOracle::for_instance(instance, config, &exec),
-        config.candidates,
-        exec,
-    );
+    let mut engine = RoundEngine::new(oracle_for(instance, config, &exec), config.candidates, exec);
     engine.run_global_memoized(k, prior_steps, dirty);
     engine.into_global_plan(AlgorithmKind::SgbGreedy)
 }

@@ -5,7 +5,7 @@
 use super::GreedyConfig;
 use crate::engine::RoundEngine;
 use crate::error::TppError;
-use crate::oracle::AnyOracle;
+use crate::oracle::oracle_for;
 use crate::plan::{AlgorithmKind, ProtectionPlan};
 use crate::problem::TppInstance;
 
@@ -56,11 +56,7 @@ pub fn wt_greedy_batch(
     }
     let j = j.max(1);
     let exec = config.parallelism();
-    let mut engine = RoundEngine::new(
-        AnyOracle::for_instance(instance, config, &exec),
-        config.candidates,
-        exec,
-    );
+    let mut engine = RoundEngine::new(oracle_for(instance, config, &exec), config.candidates, exec);
     'targets: for (t, &budget) in budgets.iter().enumerate() {
         while engine.charged(t) < budget {
             let remaining = budget - engine.charged(t);

@@ -5,17 +5,16 @@
 //! parallel and weighted extensions) all share the same skeleton — scan
 //! every candidate protector, score it through a gain oracle, commit the
 //! argmax with a canonical tie-break, record the step — and previously
-//! each reimplemented it. [`RoundEngine`] owns that skeleton once, generic
-//! over [`GainOracle`], and the algorithms shrink to strategy configs:
+//! each reimplemented it. [`RoundEngine`] owns that skeleton once over one
+//! boxed [`GainOracle`], and the algorithms shrink to strategy configs:
 //! which rounds run, which targets are open, how a candidate is scored.
 //!
 //! ## Parallelism for every oracle
 //!
 //! Each round's candidate scan fans out across worker threads for **any**
-//! oracle, not just the read-only coverage index: workers score candidates
-//! through per-worker [`GainProbe`]s (a borrowed index view or a
-//! shared-snapshot [`tpp_store::DeltaView`] overlay —
-//! see [`GainOracle::probe`]). The scan is **work-stealing**: candidates
+//! oracle: gain queries are `&self` reads of the committed state, so every
+//! worker scores candidates through the one shared oracle, with no
+//! per-worker scratch. The scan is **work-stealing**: candidates
 //! are pre-cut into contiguous weight-balanced spans (the same
 //! partition-range discipline as `tpp_store::CsrGraph::shard_ranges`, but
 //! several spans per worker), and workers claim spans through one atomic
@@ -62,7 +61,7 @@
 //! tops through the same acceptance rule and fall back to sequential
 //! re-evaluation when a top conflicts.
 
-use crate::oracle::{CandidatePolicy, GainOracle, GainProbe};
+use crate::oracle::{CandidatePolicy, GainOracle};
 use crate::plan::{AlgorithmKind, ProtectionPlan, StepRecord};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -273,7 +272,7 @@ impl BatchAcceptor {
     /// Offers the next candidate in the round's canonical order.
     fn offer(
         &mut self,
-        oracle: &mut impl GainOracle,
+        oracle: &dyn GainOracle,
         obs: &Recorder,
         pick: (Edge, Option<usize>, Option<usize>),
         gain: usize,
@@ -323,8 +322,8 @@ impl BatchAcceptor {
 }
 
 /// The shared selection loop: candidate scan (sequential or sharded
-/// across threads), canonical tie-break, commit, and step recording —
-/// generic over the gain oracle.
+/// across threads), canonical tie-break, commit, and step recording over
+/// one boxed gain oracle.
 ///
 /// Algorithms drive it through four entry points:
 ///
@@ -340,8 +339,8 @@ impl BatchAcceptor {
 ///
 /// The first three share one private round (see the module docs), and
 /// every commit goes through one batch commit.
-pub struct RoundEngine<O: GainOracle> {
-    oracle: O,
+pub struct RoundEngine<'a> {
+    oracle: Box<dyn GainOracle + Sync + 'a>,
     policy: CandidatePolicy,
     /// The persistent executor every scan dispatches on (and, via
     /// [`GainOracle::set_parallelism`], every commit too).
@@ -357,13 +356,17 @@ pub struct RoundEngine<O: GainOracle> {
     obs: Recorder,
 }
 
-impl<O: GainOracle + Sync> RoundEngine<O> {
+impl<'a> RoundEngine<'a> {
     /// Builds an engine over `oracle` dispatching on `exec` — the one
     /// executor handle shared by the scan, the oracle's commit phase
     /// (plumbed via [`GainOracle::set_parallelism`]), and whatever built
     /// the oracle. Every thread count produces bit-identical plans.
     #[must_use]
-    pub fn new(mut oracle: O, policy: CandidatePolicy, exec: Parallelism) -> Self {
+    pub fn new(
+        mut oracle: Box<dyn GainOracle + Sync + 'a>,
+        policy: CandidatePolicy,
+        exec: Parallelism,
+    ) -> Self {
         // Commit-side parallelism (the shard-parallel partitioned index)
         // shares the scan's executor.
         oracle.set_parallelism(&exec);
@@ -384,32 +387,29 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
 
     /// **The** candidate scan behind every round mode: runs `span` over
     /// contiguous spans of `candidates` and returns the span results in
-    /// span order. A sequential executor scores the whole list as one span
-    /// with the oracle as its own probe (no per-round scratch setup);
-    /// otherwise workers claim the candidate-weighted spans of
-    /// [`Parallelism::steal_spans`], each scoring through a private
-    /// [`GainOracle::probe`]. Either way the round stats record one scan.
+    /// span order. Workers claim the spans of [`Parallelism::steal_spans`]
+    /// and all score through the one shared oracle; a sequential executor
+    /// runs the whole list as one inline span, so only a parallel one pays
+    /// for candidate weights. Either way the round stats record one scan.
     fn scan<R: Send>(
-        &mut self,
+        &self,
         candidates: &[Edge],
-        span: impl Fn(&mut dyn GainProbe, &[Edge]) -> R + Sync,
+        span: impl Fn(&dyn GainOracle, &[Edge]) -> R + Sync,
     ) -> Vec<R> {
         let t0 = self.obs.is_enabled().then(Instant::now);
-        let out = if self.exec.is_sequential() {
-            vec![span(&mut self.oracle, candidates)]
-        } else {
-            let oracle = &self.oracle;
-            let weights: Vec<usize> = candidates
+        let oracle = self.oracle.as_ref();
+        let weights: Option<Vec<usize>> = (!self.exec.is_sequential()).then(|| {
+            candidates
                 .iter()
                 .map(|&p| oracle.candidate_weight(p))
-                .collect();
-            self.exec.steal_spans(
-                candidates,
-                Some(&weights),
-                || oracle.probe(),
-                |probe, chunk| span(probe.as_mut(), chunk),
-            )
-        };
+                .collect()
+        });
+        let out = self.exec.steal_spans(
+            candidates,
+            weights.as_deref(),
+            || (),
+            |(), chunk| span(oracle, chunk),
+        );
         if let (Some(t0), Some(st)) = (t0, self.obs.stats()) {
             st.round.scans.inc();
             st.round.candidates_probed.add(candidates.len() as u64);
@@ -421,20 +421,14 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
     /// `eval` for every candidate, in candidate order, through
     /// [`scan`](Self::scan).
     fn scan_map<R: Send>(
-        &mut self,
+        &self,
         candidates: &[Edge],
-        eval: impl Fn(&mut dyn GainProbe, Edge) -> R + Sync,
+        eval: impl Fn(&dyn GainOracle, Edge) -> R + Sync,
     ) -> Vec<R> {
-        let per_span = self.scan(candidates, |probe, span| {
-            span.iter().map(|&p| eval(probe, p)).collect::<Vec<R>>()
+        let per_span = self.scan(candidates, |oracle, span| {
+            span.iter().map(|&p| eval(oracle, p)).collect::<Vec<R>>()
         });
         per_span.into_iter().flatten().collect()
-    }
-
-    /// Read access to the oracle's committed state.
-    #[must_use]
-    pub fn oracle(&self) -> &O {
-        &self.oracle
     }
 
     /// Number of committed picks so far.
@@ -453,16 +447,16 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
     /// `eval` under `better` **without committing it**. `None` from `eval`
     /// skips a candidate; `None` overall means no candidate scored.
     pub fn select_custom<S: Send>(
-        &mut self,
-        eval: impl Fn(&mut dyn GainProbe, Edge) -> Option<S> + Sync,
+        &self,
+        eval: impl Fn(&dyn GainOracle, Edge) -> Option<S> + Sync,
         better: impl Fn(&S, &S) -> bool + Sync,
     ) -> Option<(S, Edge)> {
         let candidates = self.oracle.candidates(self.policy);
         // One fused first-maximizer fold per span (no per-round score
         // vector), then the canonical reduce over the span maxima.
-        let span_best = self.scan(&candidates, |probe, span| {
+        let span_best = self.scan(&candidates, |oracle, span| {
             first_max(
-                span.iter().filter_map(|&p| eval(probe, p).map(|s| (s, p))),
+                span.iter().filter_map(|&p| eval(oracle, p).map(|s| (s, p))),
                 &better,
             )
         });
@@ -543,9 +537,9 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
     /// next round, when the target has left the open set.
     fn round(&mut self, charge: Charge<'_>, room: usize) -> usize {
         match charge {
-            Charge::Global => self.ranked_round(room, &[], |probe, p| Some(probe.delta(p))),
-            Charge::Targets(open) => self.ranked_round(room, open, |probe, p| {
-                charge_to_open(&probe.delta_vector(p), open)
+            Charge::Global => self.ranked_round(room, &[], |oracle, p| Some(oracle.gain(p))),
+            Charge::Targets(open) => self.ranked_round(room, open, |oracle, p| {
+                charge_to_open(&oracle.gain_vector(p), open)
             }),
         }
     }
@@ -557,7 +551,7 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
         &mut self,
         room: usize,
         open: &[(usize, usize)],
-        eval: impl Fn(&mut dyn GainProbe, Edge) -> Option<S> + Sync,
+        eval: impl Fn(&dyn GainOracle, Edge) -> Option<S> + Sync,
     ) -> usize {
         let ranked: Vec<(S, Edge)> = if room == 1 {
             self.select_custom(eval, |a, b| a.key() > b.key())
@@ -592,7 +586,7 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
                 continue; // target full this round: rescored next round
             }
             let pick = (p, target, target.map(|_| own));
-            match batch.offer(&mut self.oracle, &self.obs, pick, own + cross) {
+            match batch.offer(self.oracle.as_ref(), &self.obs, pick, own + cross) {
                 Admission::Accepted => {
                     if let Some(t) = target {
                         budget_left[t] -= 1;
@@ -698,14 +692,11 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
             let t0 = self.obs.is_enabled().then(Instant::now);
             let mut rescored = 0usize;
             let mut best_dirty: Option<(usize, Edge)> = None;
-            {
-                let probe: &mut dyn GainProbe = &mut self.oracle;
-                for &p in candidates.iter().filter(|p| dirty.contains(p)) {
-                    rescored += 1;
-                    let gain = probe.delta(p);
-                    if best_dirty.is_none_or(|(bg, _)| gain > bg) {
-                        best_dirty = Some((gain, p));
-                    }
+            for &p in candidates.iter().filter(|p| dirty.contains(p)) {
+                rescored += 1;
+                let gain = self.oracle.gain(p);
+                if best_dirty.is_none_or(|(bg, _)| gain > bg) {
+                    best_dirty = Some((gain, p));
                 }
             }
             if let (Some(t0), Some(st)) = (t0, self.obs.stats()) {
@@ -788,7 +779,7 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
             return;
         }
         let candidates = self.oracle.candidates(self.policy);
-        let gains = self.scan_map(&candidates, |probe, p| probe.delta(p));
+        let gains = self.scan_map(&candidates, |oracle, p| oracle.gain(p));
         // Max-heap of (cached_gain, Reverse(edge), round_evaluated):
         // ordering by Reverse(edge) second pops the canonically smallest
         // edge on gain ties — the linear scan's tie-break exactly.
@@ -816,7 +807,8 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
                     continue;
                 }
                 let pick = (p, None, None);
-                if batch.offer(&mut self.oracle, &self.obs, pick, cached) != Admission::Accepted {
+                if batch.offer(self.oracle.as_ref(), &self.obs, pick, cached) != Admission::Accepted
+                {
                     // Push the top back: it is re-evaluated sequentially
                     // in the next refresh phase.
                     heap.push((cached, Reverse(p), evaluated_at));
@@ -978,7 +970,7 @@ mod tests {
         let run = |k: usize, j: usize| {
             let oracle = crate::IndexOracle::new(instance.released(), instance.targets(), motif);
             let mut engine = RoundEngine::new(
-                oracle,
+                Box::new(oracle),
                 CandidatePolicy::SubgraphEdges,
                 Parallelism::sequential(),
             );

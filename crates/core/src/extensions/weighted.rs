@@ -21,7 +21,7 @@
 //!   the eager weighted greedy (pinned by proptest below).
 
 use crate::engine::RoundEngine;
-use crate::oracle::{CandidatePolicy, GainOracle, GainProbe, IndexOracle};
+use crate::oracle::{CandidatePolicy, GainOracle, IndexOracle};
 use crate::plan::{AlgorithmKind, ProtectionPlan};
 use crate::problem::TppInstance;
 use tpp_exec::Parallelism;
@@ -59,14 +59,18 @@ pub fn weighted_sgb_greedy(
         "weights must be finite and non-negative"
     );
     let mut engine = RoundEngine::new(
-        IndexOracle::new(instance.released(), instance.targets(), motif),
+        Box::new(IndexOracle::new(
+            instance.released(),
+            instance.targets(),
+            motif,
+        )),
         CandidatePolicy::SubgraphEdges,
         Parallelism::sequential(),
     );
     while engine.picks() < k {
         let pick = engine.select_custom(
-            |probe, p| {
-                let v = probe.delta_vector(p);
+            |oracle, p| {
+                let v = oracle.gain_vector(p);
                 let raw: usize = v.iter().sum();
                 if raw == 0 {
                     return None;
@@ -149,13 +153,7 @@ impl<'a> WeightedIndexOracle<'a> {
             "one weight per target required"
         );
         WeightedIndexOracle {
-            inner: IndexOracle::with_partitions_on(
-                released,
-                targets,
-                motif,
-                crate::oracle::DEFAULT_INDEX_PARTITIONS,
-                exec,
-            ),
+            inner: IndexOracle::build_on(released, targets, motif, exec),
             weights: weights.to_vec(),
         }
     }
@@ -168,9 +166,8 @@ impl<'a> WeightedIndexOracle<'a> {
 }
 
 /// `Σ_t w_t · v_t` — **the** weighting fold; every weighted gain, total,
-/// and vector in this module goes through it (or
-/// [`weighted_components`]), so the oracle path and the probe path cannot
-/// diverge.
+/// and commit in this module goes through it (or
+/// [`weighted_components`]), so gains and realized breaks cannot diverge.
 fn weighted_mass(v: &[usize], weights: &[usize]) -> usize {
     v.iter().zip(weights).map(|(&g, &w)| g * w).sum()
 }
@@ -181,33 +178,16 @@ fn weighted_components(v: &[usize], weights: &[usize]) -> Vec<usize> {
     v.iter().zip(weights).map(|(&g, &w)| g * w).collect()
 }
 
-/// Borrowing probe: index gains are pure reads, so workers share the
-/// index and the weight vector with no scratch state.
-struct WeightedProbe<'a> {
-    index: &'a PartitionedCoverageIndex,
-    weights: &'a [usize],
-}
-
-impl GainProbe for WeightedProbe<'_> {
-    fn delta(&mut self, p: Edge) -> usize {
-        weighted_mass(&self.index.gain_vector(p), self.weights)
-    }
-
-    fn delta_vector(&mut self, p: Edge) -> Vec<usize> {
-        weighted_components(&self.index.gain_vector(p), self.weights)
-    }
-}
-
 impl GainOracle for WeightedIndexOracle<'_> {
     fn total_similarity(&self) -> usize {
         weighted_mass(self.inner.index().similarities(), &self.weights)
     }
 
-    fn gain(&mut self, p: Edge) -> usize {
+    fn gain(&self, p: Edge) -> usize {
         weighted_mass(&self.inner.index().gain_vector(p), &self.weights)
     }
 
-    fn gain_vector(&mut self, p: Edge) -> Vec<usize> {
+    fn gain_vector(&self, p: Edge) -> Vec<usize> {
         weighted_components(&self.inner.index().gain_vector(p), &self.weights)
     }
 
@@ -230,7 +210,7 @@ impl GainOracle for WeightedIndexOracle<'_> {
     // keep every per-edge weighted vector unchanged under the preceding
     // commits of the same batch.
 
-    fn gain_set(&mut self, p: Edge) -> Option<Vec<InstanceId>> {
+    fn gain_set(&self, p: Edge) -> Option<Vec<InstanceId>> {
         self.inner.gain_set(p)
     }
 
@@ -240,13 +220,6 @@ impl GainOracle for WeightedIndexOracle<'_> {
 
     fn target_count(&self) -> usize {
         self.inner.target_count()
-    }
-
-    fn probe(&self) -> Box<dyn GainProbe + '_> {
-        Box::new(WeightedProbe {
-            index: self.inner.index(),
-            weights: &self.weights,
-        })
     }
 
     fn candidate_weight(&self, p: Edge) -> usize {
@@ -288,7 +261,7 @@ pub fn weighted_celf_greedy_batch(
         weights,
         &exec,
     );
-    let mut engine = RoundEngine::new(oracle, CandidatePolicy::SubgraphEdges, exec);
+    let mut engine = RoundEngine::new(Box::new(oracle), CandidatePolicy::SubgraphEdges, exec);
     engine.run_global_lazy(k, j);
     engine.into_global_plan(AlgorithmKind::CelfGreedy)
 }
@@ -372,7 +345,7 @@ mod tests {
         let oracle =
             WeightedIndexOracle::new(instance.released(), instance.targets(), motif, weights);
         let mut engine = RoundEngine::new(
-            oracle,
+            Box::new(oracle),
             CandidatePolicy::SubgraphEdges,
             Parallelism::sequential(),
         );

@@ -52,8 +52,7 @@ pub use critical::critical_budget;
 pub use engine::RoundEngine;
 pub use error::TppError;
 pub use oracle::{
-    AnyOracle, CandidatePolicy, GainOracle, GainProbe, IndexOracle, SnapshotOracle,
-    DEFAULT_INDEX_PARTITIONS,
+    CandidatePolicy, GainOracle, IndexOracle, SnapshotOracle, DEFAULT_INDEX_PARTITIONS,
 };
 pub use plan::{AlgorithmKind, ProtectionPlan, StepRecord};
 pub use problem::{IntoSharedCsr, TppInstance};

@@ -7,12 +7,18 @@
 //!   can be restricted to target-subgraph edges (Lemma 5), giving the
 //!   paper's `-R` algorithms.
 //! * [`SnapshotOracle`] — the paper-faithful plain path: every gain is a
-//!   fresh motif recount (delete, recount all targets, restore). This is
+//!   fresh motif recount of all targets with the candidate deleted. This is
 //!   what makes the plain algorithms ~20× slower in Fig. 5 and week-long on
 //!   DBLP — kept both for fidelity and as an ablation baseline. Candidate
-//!   evaluation layers a tentative deletion over a [`tpp_store::DeltaView`]
-//!   of the released graph (or any snapshot), so setup is `O(1)` and the
-//!   base is never cloned or mutated.
+//!   evaluation stacks a fresh [`tpp_store::DeltaView`] holding the one
+//!   tentative deletion over the committed view, so setup is `O(1)` and
+//!   neither the base nor the committed view is cloned or mutated.
+//!
+//! Every gain query is a `&self` read of the committed state, so the round
+//! engine's scan workers share one oracle and score candidates
+//! concurrently between two commits. The greedy drivers hand the engine
+//! the one oracle their [`GreedyConfig`](crate::GreedyConfig) selects, as
+//! a `Box<dyn GainOracle + Sync>`.
 
 use tpp_exec::Parallelism;
 use tpp_graph::{Edge, FastSet, NeighborAccess};
@@ -31,14 +37,18 @@ pub enum CandidatePolicy {
 }
 
 /// Uniform interface over gain evaluation strategies.
+///
+/// Gain queries (`gain`, `gain_vector`, `gain_set`) only read the committed
+/// state: any number of threads may ask them through one shared reference
+/// between two commits.
 pub trait GainOracle {
     /// Current total similarity `s(P, T)`.
     fn total_similarity(&self) -> usize;
     /// `Δ_p`: total instances a deletion of `p` would break right now.
-    fn gain(&mut self, p: Edge) -> usize;
+    fn gain(&self, p: Edge) -> usize;
     /// Per-target broken-instance counts for deleting `p` (one entry per
     /// target). `gain(p) = gain_vector(p).sum()`.
-    fn gain_vector(&mut self, p: Edge) -> Vec<usize>;
+    fn gain_vector(&self, p: Edge) -> Vec<usize>;
     /// Candidate protector edges under `policy`, sorted canonically.
     fn candidates(&self, policy: CandidatePolicy) -> Vec<Edge>;
     /// Permanently deletes `p`; returns the realized gain.
@@ -56,7 +66,7 @@ pub trait GainOracle {
     /// oracle cannot, in which case the engine's batch-commit mode treats
     /// every pair of candidates as conflicting and falls back to
     /// sequential (single-pick) commits.
-    fn gain_set(&mut self, p: Edge) -> Option<Vec<InstanceId>> {
+    fn gain_set(&self, p: Edge) -> Option<Vec<InstanceId>> {
         let _ = p;
         None
     }
@@ -69,13 +79,6 @@ pub trait GainOracle {
     }
     /// Number of targets.
     fn target_count(&self) -> usize;
-    /// Spawns an independent evaluation probe for one scan worker.
-    ///
-    /// Probes answer the same gain queries as the oracle but own whatever
-    /// scratch state tentative evaluation needs, so any number of probes
-    /// can score candidates concurrently between two commits. The oracle's
-    /// committed state is only read, never written, through a probe.
-    fn probe(&self) -> Box<dyn GainProbe + '_>;
     /// Rough relative cost of evaluating candidate `p` (used by the round
     /// engine to cut degree-balanced scan chunks; any positive value is
     /// correct, only balance is affected).
@@ -85,50 +88,12 @@ pub trait GainOracle {
     }
 }
 
-/// A per-worker gain evaluator spawned by [`GainOracle::probe`].
-///
-/// Every [`GainOracle`] is trivially its own probe (the blanket impl), so
-/// sequential scans run on the oracle directly with zero setup; parallel
-/// scans give each worker thread a private probe instead. Method names use
-/// the paper's `Δ` notation to stay distinct from the oracle's own
-/// `gain`/`gain_vector`.
-pub trait GainProbe {
-    /// `Δ_p` under the probe's scratch state.
-    fn delta(&mut self, p: Edge) -> usize;
-    /// Per-target broken-instance counts for deleting `p`.
-    fn delta_vector(&mut self, p: Edge) -> Vec<usize>;
-}
-
-impl<O: GainOracle> GainProbe for O {
-    fn delta(&mut self, p: Edge) -> usize {
-        GainOracle::gain(self, p)
-    }
-
-    fn delta_vector(&mut self, p: Edge) -> Vec<usize> {
-        GainOracle::gain_vector(self, p)
-    }
-}
-
-/// Borrowing probe over a shared [`PartitionedCoverageIndex`]: index gains
-/// are pure reads, so workers need no scratch state at all.
-struct IndexProbe<'a> {
-    index: &'a PartitionedCoverageIndex,
-}
-
-impl GainProbe for IndexProbe<'_> {
-    fn delta(&mut self, p: Edge) -> usize {
-        self.index.gain(p)
-    }
-
-    fn delta_vector(&mut self, p: Edge) -> Vec<usize> {
-        self.index.gain_vector(p)
-    }
-}
-
-/// Default partition count for [`IndexOracle`]'s coverage index: enough
+/// Partition count of every [`IndexOracle`]'s coverage index: enough
 /// shards that a commit's candidate-list compaction touches a fraction of
 /// the candidate set even on one core, and enough headroom for the
 /// shard-parallel commit phase to scale when threads are available.
+/// Callers that build a [`PartitionedCoverageIndex`] for
+/// [`IndexOracle::from_prebuilt`] pass it too.
 pub const DEFAULT_INDEX_PARTITIONS: usize = 8;
 
 /// Incremental oracle over a [`PartitionedCoverageIndex`] and the borrowed
@@ -144,38 +109,34 @@ pub struct IndexOracle<'a> {
 }
 
 impl<'a> IndexOracle<'a> {
-    /// Builds the oracle from the released graph and targets, with
-    /// [`DEFAULT_INDEX_PARTITIONS`] index partitions.
+    /// Builds the oracle from the released graph and targets (sequential
+    /// index build).
     #[must_use]
     pub fn new(released: &'a CsrGraph, targets: &[Edge], motif: Motif) -> Self {
-        Self::with_partitions_on(
-            released,
-            targets,
-            motif,
-            DEFAULT_INDEX_PARTITIONS,
-            &Parallelism::sequential(),
-        )
+        Self::build_on(released, targets, motif, &Parallelism::sequential())
     }
 
-    /// Builds the oracle with an explicit partition count on a shared
-    /// executor: the index is built **shard-parallel**
+    /// Builds the oracle on a shared executor: the index, with
+    /// [`DEFAULT_INDEX_PARTITIONS`] partitions, is built **shard-parallel**
     /// ([`PartitionedCoverageIndex::build_parallel`] — targets enumerate
     /// directly into per-shard postings), bit-identical to the sequential
-    /// build for every `parts` value and executor width. The handle
-    /// carries over to the commit phase (until the engine overrides it).
-    ///
-    /// # Panics
-    /// Panics if `parts == 0`.
+    /// build at every executor width. The handle carries over to the
+    /// commit phase (until the engine overrides it).
     #[must_use]
-    pub fn with_partitions_on(
+    pub fn build_on(
         released: &'a CsrGraph,
         targets: &[Edge],
         motif: Motif,
-        parts: usize,
         exec: &Parallelism,
     ) -> Self {
         Self::from_prebuilt(
-            PartitionedCoverageIndex::build_parallel(released, targets, motif, parts, exec),
+            PartitionedCoverageIndex::build_parallel(
+                released,
+                targets,
+                motif,
+                DEFAULT_INDEX_PARTITIONS,
+                exec,
+            ),
             released,
         )
     }
@@ -206,11 +167,11 @@ impl GainOracle for IndexOracle<'_> {
         self.index.total_similarity()
     }
 
-    fn gain(&mut self, p: Edge) -> usize {
+    fn gain(&self, p: Edge) -> usize {
         self.index.gain(p)
     }
 
-    fn gain_vector(&mut self, p: Edge) -> Vec<usize> {
+    fn gain_vector(&self, p: Edge) -> Vec<usize> {
         self.index.gain_vector(p)
     }
 
@@ -235,7 +196,7 @@ impl GainOracle for IndexOracle<'_> {
         self.index.delete_edges(edges)
     }
 
-    fn gain_set(&mut self, p: Edge) -> Option<Vec<InstanceId>> {
+    fn gain_set(&self, p: Edge) -> Option<Vec<InstanceId>> {
         Some(self.index.alive_instance_ids(p))
     }
 
@@ -245,10 +206,6 @@ impl GainOracle for IndexOracle<'_> {
 
     fn target_count(&self) -> usize {
         self.index.targets().len()
-    }
-
-    fn probe(&self) -> Box<dyn GainProbe + '_> {
-        Box::new(IndexProbe { index: &self.index })
     }
 
     fn candidate_weight(&self, p: Edge) -> usize {
@@ -262,8 +219,9 @@ impl GainOracle for IndexOracle<'_> {
 
 /// Recount oracle over a [`DeltaView`]: the paper's plain cost model (every
 /// gain is a fresh motif recount), with **zero** graph clones — the base
-/// stays immutable and shared; committed deletions live in the overlay, and each
-/// candidate evaluation is a tentative overlay delete + recount + restore.
+/// stays immutable and shared; committed deletions live in the overlay, and
+/// each candidate evaluation recounts through a fresh view stacked on it
+/// that holds the one tentative deletion.
 ///
 /// The base can be the released [`CsrGraph`] itself or any other
 /// representation implementing [`NeighborAccess`].
@@ -277,20 +235,6 @@ pub struct SnapshotOracle<'a, B: NeighborAccess> {
     current_per_target: Vec<usize>,
     /// Sum of `current_per_target` (the total similarity).
     current_total: usize,
-}
-
-// Cloning shares the immutable base and copies only the (small) committed
-// overlay — this is what a per-worker probe costs.
-impl<B: NeighborAccess> Clone for SnapshotOracle<'_, B> {
-    fn clone(&self) -> Self {
-        SnapshotOracle {
-            view: self.view.clone(),
-            targets: self.targets.clone(),
-            motif: self.motif,
-            current_per_target: self.current_per_target.clone(),
-            current_total: self.current_total,
-        }
-    }
 }
 
 impl<'a, B: NeighborAccess> SnapshotOracle<'a, B> {
@@ -313,6 +257,14 @@ impl<'a, B: NeighborAccess> SnapshotOracle<'a, B> {
     #[must_use]
     pub fn view(&self) -> &DeltaView<'a, B> {
         &self.view
+    }
+
+    /// The committed view with `p` tentatively deleted, stacked as a fresh
+    /// overlay so the committed view is only read; `None` when `p` is not a
+    /// live edge (deleting it would break nothing).
+    fn without(&self, p: Edge) -> Option<DeltaView<'_, DeltaView<'a, B>>> {
+        let mut trial = DeltaView::new(&self.view);
+        trial.delete_edge(p).then_some(trial)
     }
 }
 
@@ -343,27 +295,25 @@ impl<B: NeighborAccess> GainOracle for SnapshotOracle<'_, B> {
         self.current_total
     }
 
-    fn gain(&mut self, p: Edge) -> usize {
-        if !self.view.delete_edge(p) {
+    fn gain(&self, p: Edge) -> usize {
+        let Some(trial) = self.without(p) else {
             return 0;
-        }
+        };
         let after: usize = self
             .targets
             .iter()
-            .map(|t| count_target_subgraphs(&self.view, t.u(), t.v(), self.motif))
+            .map(|t| count_target_subgraphs(&trial, t.u(), t.v(), self.motif))
             .sum();
-        self.view.restore_edge(p);
         self.current_total - after
     }
 
-    fn gain_vector(&mut self, p: Edge) -> Vec<usize> {
-        if !self.view.delete_edge(p) {
+    fn gain_vector(&self, p: Edge) -> Vec<usize> {
+        let Some(trial) = self.without(p) else {
             return vec![0; self.targets.len()];
-        }
+        };
         // One tentative pass per target; "before" is the cached committed
         // state, invariant between commits.
-        let after = count_each(&self.view, &self.targets, self.motif);
-        self.view.restore_edge(p);
+        let after = count_each(&trial, &self.targets, self.motif);
         self.current_per_target
             .iter()
             .zip(&after)
@@ -394,115 +344,33 @@ impl<B: NeighborAccess> GainOracle for SnapshotOracle<'_, B> {
     fn target_count(&self) -> usize {
         self.targets.len()
     }
-
-    fn probe(&self) -> Box<dyn GainProbe + '_> {
-        // Zero-clone of the base: the probe shares the snapshot and copies
-        // only the committed overlay (O(committed deletions)).
-        Box::new(self.clone())
-    }
 }
 
-/// The oracle selected by a [`GreedyConfig`](crate::GreedyConfig), type-
-/// erased so every greedy algorithm can hand a single concrete type to the
-/// round engine instead of triplicating its evaluator dispatch.
-pub enum AnyOracle<'a> {
-    /// Incremental coverage index ([`EvaluatorKind::Index`](crate::EvaluatorKind::Index)).
-    Index(IndexOracle<'a>),
-    /// Overlay recount over the borrowed released graph
-    /// ([`EvaluatorKind::DeltaRecount`](crate::EvaluatorKind::DeltaRecount)).
-    Snapshot(SnapshotOracle<'a, CsrGraph>),
-}
-
-impl<'a> AnyOracle<'a> {
-    /// Builds the oracle `config.evaluator` selects over the instance's
-    /// released graph and targets, on the run's shared executor — the
-    /// index build dispatches on the same pool the engine's scans and the
-    /// commit phase will (the shard-parallel build is bit-identical at
-    /// every pool width).
-    #[must_use]
-    pub fn for_instance(
-        instance: &'a crate::problem::TppInstance,
-        config: &crate::algorithms::GreedyConfig,
-        exec: &Parallelism,
-    ) -> Self {
-        use crate::algorithms::EvaluatorKind;
-        let (released, targets) = (instance.released(), instance.targets());
-        match config.evaluator {
-            EvaluatorKind::Index => {
-                // A matching registry seed skips the index build entirely
-                // (the warm path of `tpp serve`); anything else builds
-                // fresh on the shared executor.
-                let oracle = match config.index_seed.clone_matching(config.motif, targets) {
-                    Some(index) => IndexOracle::from_prebuilt(index, released),
-                    None => IndexOracle::with_partitions_on(
-                        released,
-                        targets,
-                        config.motif,
-                        DEFAULT_INDEX_PARTITIONS,
-                        exec,
-                    ),
-                };
-                AnyOracle::Index(oracle)
-            }
-            EvaluatorKind::DeltaRecount => {
-                AnyOracle::Snapshot(SnapshotOracle::new(released, targets, config.motif))
-            }
+/// Builds the oracle `config.evaluator` selects over the instance's
+/// released graph and targets, on the run's shared executor — the index
+/// build dispatches on the same pool the engine's scans and the commit
+/// phase will (the shard-parallel build is bit-identical at every pool
+/// width).
+pub(crate) fn oracle_for<'a>(
+    instance: &'a crate::problem::TppInstance,
+    config: &crate::algorithms::GreedyConfig,
+    exec: &Parallelism,
+) -> Box<dyn GainOracle + Sync + 'a> {
+    use crate::algorithms::EvaluatorKind;
+    let (released, targets) = (instance.released(), instance.targets());
+    match config.evaluator {
+        // A matching registry seed skips the index build entirely (the
+        // warm path of `tpp serve`); anything else builds fresh on the
+        // shared executor.
+        EvaluatorKind::Index => Box::new(
+            match config.index_seed.clone_matching(config.motif, targets) {
+                Some(index) => IndexOracle::from_prebuilt(index, released),
+                None => IndexOracle::build_on(released, targets, config.motif, exec),
+            },
+        ),
+        EvaluatorKind::DeltaRecount => {
+            Box::new(SnapshotOracle::new(released, targets, config.motif))
         }
-    }
-}
-
-macro_rules! any_oracle_delegate {
-    ($self:ident, $o:ident => $body:expr) => {
-        match $self {
-            AnyOracle::Index($o) => $body,
-            AnyOracle::Snapshot($o) => $body,
-        }
-    };
-}
-
-impl GainOracle for AnyOracle<'_> {
-    fn total_similarity(&self) -> usize {
-        any_oracle_delegate!(self, o => o.total_similarity())
-    }
-
-    fn gain(&mut self, p: Edge) -> usize {
-        any_oracle_delegate!(self, o => GainOracle::gain(o, p))
-    }
-
-    fn gain_vector(&mut self, p: Edge) -> Vec<usize> {
-        any_oracle_delegate!(self, o => GainOracle::gain_vector(o, p))
-    }
-
-    fn candidates(&self, policy: CandidatePolicy) -> Vec<Edge> {
-        any_oracle_delegate!(self, o => o.candidates(policy))
-    }
-
-    fn commit(&mut self, p: Edge) -> usize {
-        any_oracle_delegate!(self, o => o.commit(p))
-    }
-
-    fn commit_batch(&mut self, edges: &[Edge]) -> Vec<usize> {
-        any_oracle_delegate!(self, o => o.commit_batch(edges))
-    }
-
-    fn gain_set(&mut self, p: Edge) -> Option<Vec<InstanceId>> {
-        any_oracle_delegate!(self, o => o.gain_set(p))
-    }
-
-    fn set_parallelism(&mut self, exec: &Parallelism) {
-        any_oracle_delegate!(self, o => o.set_parallelism(exec))
-    }
-
-    fn target_count(&self) -> usize {
-        any_oracle_delegate!(self, o => o.target_count())
-    }
-
-    fn probe(&self) -> Box<dyn GainProbe + '_> {
-        any_oracle_delegate!(self, o => o.probe())
-    }
-
-    fn candidate_weight(&self, p: Edge) -> usize {
-        any_oracle_delegate!(self, o => o.candidate_weight(p))
     }
 }
 
@@ -563,7 +431,7 @@ mod tests {
     #[test]
     fn gain_split_sums_to_gain() {
         let (_, csr, targets) = fixture();
-        let mut idx = IndexOracle::new(&csr, &targets, Motif::Triangle);
+        let idx = IndexOracle::new(&csr, &targets, Motif::Triangle);
         for p in idx.candidates(CandidatePolicy::SubgraphEdges) {
             let total = idx.gain(p);
             let split_sum: usize = (0..idx.target_count())
@@ -643,24 +511,66 @@ mod tests {
 
     #[test]
     fn snapshot_oracle_gain_on_missing_edge_is_zero() {
-        let (_, csr, targets) = fixture();
-        let mut snap = SnapshotOracle::new(&csr, &targets, Motif::Triangle);
-        // Find a guaranteed-absent pair so the assertions always execute.
+        let (g, csr, targets) = fixture();
+        // A guaranteed-absent pair so the assertions always execute.
         let absent = (0..24u32)
             .flat_map(|u| ((u + 1)..24).map(move |v| Edge::new(u, v)))
             .find(|e| !csr.has_edge(e.u(), e.v()))
             .expect("a 24-node graph with p = 0.25 always has non-edges");
-        assert_eq!(snap.gain(absent), 0);
-        assert_eq!(snap.gain_vector(absent), vec![0; targets.len()]);
-        assert_eq!(snap.commit(absent), 0);
+        fn check<B: NeighborAccess>(base: &B, targets: &[Edge], absent: Edge) {
+            let zeros = vec![0; targets.len()];
+            let mut snap = SnapshotOracle::new(base, targets, Motif::Triangle);
+            // Never-live edges: a non-edge and a hidden target link.
+            for missing in [absent, targets[0]] {
+                assert_eq!(snap.gain(missing), 0, "{missing}");
+                assert_eq!(snap.gain_vector(missing), zeros, "{missing}");
+            }
+            assert_eq!(snap.commit(absent), 0);
+            // An already-committed edge: the stacked trial view finds it
+            // gone and leaves the committed state as it was.
+            let p = snap.candidates(CandidatePolicy::SubgraphEdges)[0];
+            assert!(snap.commit(p) > 0);
+            let (total, deleted) = (snap.total_similarity(), snap.view().deleted_count());
+            assert_eq!(snap.gain(p), 0);
+            assert_eq!(snap.gain_vector(p), zeros);
+            assert_eq!(snap.total_similarity(), total);
+            assert_eq!(snap.view().deleted_count(), deleted);
+        }
+        check(&g, &targets, absent);
+        check(&csr, &targets, absent);
     }
 
     #[test]
-    fn naive_gain_on_missing_edge_is_zero() {
-        // The plain-config recount oracle over the released graph itself.
-        let (g, _, targets) = fixture();
-        let mut naive = SnapshotOracle::new(&g, &targets, Motif::Triangle);
-        assert_eq!(naive.gain(Edge::new(0, 1)), 0, "target edge absent");
-        assert_eq!(naive.gain_vector(Edge::new(0, 1)), vec![0; targets.len()]);
+    fn gains_are_shared_reads() {
+        // Two threads score every candidate through one `&` oracle at once
+        // and must see exactly the sequential pass's gain vectors.
+        fn check(name: &str, oracle: &mut (dyn GainOracle + Sync)) {
+            let cands = oracle.candidates(CandidatePolicy::SubgraphEdges);
+            oracle.commit_batch(&cands[..2]);
+            let cands = oracle.candidates(CandidatePolicy::SubgraphEdges);
+            let oracle: &(dyn GainOracle + Sync) = oracle;
+            let score = |order: &[Edge]| -> Vec<Vec<usize>> {
+                order.iter().map(|&p| oracle.gain_vector(p)).collect()
+            };
+            let sequential = score(&cands);
+            let reversed: Vec<Edge> = cands.iter().rev().copied().collect();
+            let (front, mut back) = std::thread::scope(|s| {
+                let front = s.spawn(|| score(&cands));
+                let back = s.spawn(|| score(&reversed));
+                (front.join().unwrap(), back.join().unwrap())
+            });
+            back.reverse();
+            assert_eq!(front, sequential, "{name}");
+            assert_eq!(back, sequential, "{name}");
+            assert!(sequential.iter().flatten().any(|&g| g > 0), "{name}");
+        }
+        let (_, csr, targets) = fixture();
+        let motif = Motif::Triangle;
+        check("index", &mut IndexOracle::new(&csr, &targets, motif));
+        check("snapshot", &mut SnapshotOracle::new(&csr, &targets, motif));
+        check(
+            "weighted",
+            &mut crate::extensions::WeightedIndexOracle::new(&csr, &targets, motif, &[1, 2, 3]),
+        );
     }
 }

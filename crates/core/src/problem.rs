@@ -127,9 +127,11 @@ impl TppInstance {
     /// Convenience: sample targets and build the instance in one step.
     ///
     /// # Panics
-    /// Panics if `count` exceeds the edge count (see [`Self::sample_targets`]).
+    /// Panics if `count` is zero (an instance needs at least one target),
+    /// or if `count` exceeds the edge count (see [`Self::sample_targets`]).
     #[must_use]
     pub fn with_random_targets(g: impl IntoSharedCsr, count: usize, seed: u64) -> Self {
+        assert!(count > 0, "cannot build an instance from 0 random targets");
         let g = g.into_shared_csr();
         let targets = Self::sample_targets(&*g, count, seed);
         Self::new(g, targets).expect("sampled targets are valid by construction")
@@ -349,5 +351,11 @@ mod tests {
     fn sampling_too_many_panics() {
         let g = complete_graph(3);
         let _ = TppInstance::sample_targets(&g, 10, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot build an instance from 0 random targets")]
+    fn zero_random_targets_panics() {
+        let _ = TppInstance::with_random_targets(complete_graph(3), 0, 0);
     }
 }

@@ -43,7 +43,7 @@ fn skewed_case(seed: u64) -> (CsrGraph, Vec<Edge>) {
 fn run_plan(csr: &CsrGraph, targets: &[Edge], motif: Motif, threads: usize) -> ProtectionPlan {
     let oracle = SnapshotOracle::new(csr, targets, motif);
     let mut engine = RoundEngine::new(
-        oracle,
+        Box::new(oracle),
         CandidatePolicy::SubgraphEdges,
         Parallelism::new(threads),
     );

@@ -48,7 +48,7 @@ fn mapped_case(seed: u64, verify: VerifyMode) -> (CsrGraph, CsrGraph, Vec<Edge>)
 fn sgb_plan(csr: &CsrGraph, targets: &[Edge], motif: Motif, threads: usize) -> ProtectionPlan {
     let oracle = SnapshotOracle::new(csr, targets, motif);
     let mut engine = RoundEngine::new(
-        oracle,
+        Box::new(oracle),
         CandidatePolicy::SubgraphEdges,
         Parallelism::new(threads),
     );
@@ -59,7 +59,7 @@ fn sgb_plan(csr: &CsrGraph, targets: &[Edge], motif: Motif, threads: usize) -> P
 fn celf_plan(csr: &CsrGraph, targets: &[Edge], motif: Motif, threads: usize) -> ProtectionPlan {
     let oracle = SnapshotOracle::new(csr, targets, motif);
     let mut engine = RoundEngine::new(
-        oracle,
+        Box::new(oracle),
         CandidatePolicy::SubgraphEdges,
         Parallelism::new(threads),
     );

@@ -6,9 +6,11 @@
 //!   materialize a full `Graph` copy per candidate, delete, recount.
 //! * `mutate_restore` — one upfront clone, then delete/recount/restore on
 //!   it (the old scratch-clone recount cost model).
-//! * `delta_overlay_merged_slice` — the overlay: dirty nodes serve one
-//!   cached contiguous slice, clean nodes forward the CSR slice. This is
-//!   what the round engine's workers run on.
+//! * `delta_overlay_merged_slice` — the overlay as the recount oracle
+//!   (`tpp_core::SnapshotOracle`) runs it: one fresh `DeltaView` per
+//!   candidate, stacked over the committed view, holds the tentative
+//!   deletion. Dirty nodes serve one cached contiguous slice, clean nodes
+//!   forward the layer below's slice (here the CSR's).
 //!
 //! All disciplines compute identical gain vectors (asserted before
 //! timing); the JSON output pins the margins between them.
@@ -57,15 +59,16 @@ fn sweep_delta_overlay<B: NeighborAccess>(
     targets: &[Edge],
     candidates: &[Edge],
 ) -> Vec<usize> {
-    let mut view = DeltaView::new(base); // O(1) setup, zero clones
-    let before = total_similarity(&view, targets);
+    let committed = DeltaView::new(base); // O(1) setup, zero clones
+    let before = total_similarity(&committed, targets);
     candidates
         .iter()
         .map(|p| {
-            view.delete_edge(*p);
-            let after = total_similarity(&view, targets);
-            view.restore_edge(*p);
-            before - after
+            // The committed view is only read: each candidate stacks its
+            // own one-deletion view on it.
+            let mut trial = DeltaView::new(&committed);
+            trial.delete_edge(*p);
+            before - total_similarity(&trial, targets)
         })
         .collect()
 }

@@ -59,8 +59,7 @@ pub struct DeltaView<'a, B: NeighborAccess> {
 }
 
 // Hand-written so cloning never demands `B: Clone` — the base is only ever
-// borrowed, and per-worker view clones in the parallel round engine must
-// work over arbitrary snapshot types.
+// borrowed, so a view over any snapshot type clones.
 impl<B: NeighborAccess> Clone for DeltaView<'_, B> {
     fn clone(&self) -> Self {
         DeltaView {
@@ -222,8 +221,8 @@ impl<'a, B: NeighborAccess> DeltaView<'a, B> {
     // the same order as one scan of the node — paid once per mutation so
     // that every subsequent read is a contiguous slice. Entries whose net
     // delta returns to empty are dropped eagerly, keeping the map (and thus
-    // per-worker view clones in the parallel engine) proportional to the
-    // *live* delta, not to the history of tentative evaluations.
+    // a view clone) proportional to the *live* delta, not to the history of
+    // tentative evaluations.
 
     fn overlay_removed(&self, u: NodeId, v: NodeId) -> bool {
         self.delta
