@@ -541,6 +541,15 @@ mod tests {
     }
 
     #[test]
+    fn naive_gain_on_missing_edge_is_zero() {
+        // The plain-config recount oracle over the released graph itself.
+        let (g, _, targets) = fixture();
+        let naive = SnapshotOracle::new(&g, &targets, Motif::Triangle);
+        assert_eq!(naive.gain(Edge::new(0, 1)), 0, "target edge absent");
+        assert_eq!(naive.gain_vector(Edge::new(0, 1)), vec![0; targets.len()]);
+    }
+
+    #[test]
     fn gains_are_shared_reads() {
         // Two threads score every candidate through one `&` oracle at once
         // and must see exactly the sequential pass's gain vectors.
