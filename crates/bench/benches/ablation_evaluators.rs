@@ -1,7 +1,10 @@
 //! Ablation bench (DESIGN.md §5): the three evaluation strategies for the
 //! same SGB selection — naive recount over all edges (paper's plain cost
 //! model), index over all edges (isolates the candidate restriction), index
-//! over subgraph edges (`-R`), and CELF lazy greedy on top.
+//! over subgraph edges (`-R`), and CELF lazy greedy on top. SGB pops its
+//! picks from the same lazy gain queue as CELF, so every `sgb/*` entry
+//! times lazy selection (one sweep, then stale-top refreshes) and
+//! `sgb/celf_lazy` does the same work as `sgb/scalable_r`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

@@ -1,6 +1,10 @@
 //! Fig. 5: running time as a function of budget `k` on the Arenas-email
 //! graph — the plain greedy algorithms vs. their scalable `-R`
 //! implementations (the paper reports roughly a 20× gap), plus RD/RDT.
+//! The SGB series time lazy selection: SGB pops its picks from the
+//! round engine's lazy gain queue (one sweep, then stale-top refreshes)
+//! instead of rescanning every candidate per round as the paper's cost
+//! model does.
 
 use tpp_bench::{run_timing, speedup, timing_csv, ExpArgs, TimingConfig};
 use tpp_datasets::arenas_email_like;

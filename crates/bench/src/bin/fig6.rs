@@ -1,7 +1,8 @@
 //! Fig. 6: running time as a function of budget `k` at DBLP scale,
 //! `|T| = 50`, `k ≤ 25` — scalable `-R` algorithms and the RD/RDT
 //! baselines only (plain algorithms are infeasible at this scale, as the
-//! paper reports).
+//! paper reports). The SGB series time lazy selection (one sweep, then
+//! stale-top refreshes from the round engine's lazy gain queue).
 
 use tpp_bench::{run_timing, timing_csv, ExpArgs, TimingConfig};
 use tpp_datasets::dblp_like;

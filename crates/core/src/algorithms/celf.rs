@@ -1,8 +1,9 @@
 //! CELF lazy greedy (Leskovec et al. 2007) — an ablation of SGB-Greedy
 //! that exploits submodularity: a candidate's cached gain is an upper bound
 //! on its current gain, so most candidates never need re-evaluation.
-//! Produces *identical output* to SGB-Greedy at a fraction of the
-//! evaluations; the `ablation_evaluators` bench quantifies the speedup.
+//! SGB-Greedy now pops its picks from the same lazy gain queue, so CELF
+//! does the same work and produces *identical output* at `j = 1`; the two
+//! differ only in how a batch round (`j > 1`) handles a conflicting pick.
 
 use super::GreedyConfig;
 use crate::engine::RoundEngine;
@@ -12,29 +13,27 @@ use crate::problem::TppInstance;
 
 /// Runs the CELF lazy variant of SGB-Greedy with global budget `k`.
 ///
-/// A strategy config on the [`RoundEngine`]'s lazy-queue mode: the initial
+/// A strategy config on the [`RoundEngine`]'s lazy gain queue: the initial
 /// bound sweep honors `config.threads`, refreshes are incremental, and the
 /// plan is bit-identical to [`sgb_greedy`](crate::sgb_greedy) under the
-/// same config. All evaluators are supported (lazy evaluation pays off
-/// most with the cheap incremental index, but the recount oracles benefit
-/// from skipped candidates just the same).
+/// same config. All evaluators are supported.
 #[must_use]
 pub fn celf_greedy(instance: &TppInstance, k: usize, config: &GreedyConfig) -> ProtectionPlan {
     celf_greedy_batch(instance, k, 1, config)
 }
 
-/// Runs the CELF + batch hybrid with global budget `k`: each lazy refresh
-/// phase pops up to `j` fresh heap tops whose gain sets are pairwise
-/// disjoint and commits them as one batch (see
-/// [`RoundEngine::run_global_lazy`]); a conflicting top falls back
-/// to sequential re-evaluation in the next phase.
+/// Runs the CELF + batch hybrid with global budget `k`: each lazy round
+/// pops up to `j` fresh heap tops whose gain sets are pairwise disjoint
+/// and commits them as one batch (see [`RoundEngine::run_global_lazy`]);
+/// a conflicting top closes the round and is re-evaluated in the next
+/// one, where [`sgb_greedy_batch`](crate::sgb_greedy_batch) sets it aside
+/// and keeps filling the round.
 ///
 /// `j = 1` produces plans bit-identical to [`celf_greedy`] (and therefore
 /// to [`sgb_greedy`](crate::sgb_greedy)); larger `j` keeps every recorded
 /// gain exact but may order picks differently than the strictly
 /// sequential greedy would — the same trade as
-/// [`sgb_greedy_batch`](crate::sgb_greedy_batch), at CELF's fraction of
-/// the evaluations.
+/// [`sgb_greedy_batch`](crate::sgb_greedy_batch).
 #[must_use]
 pub fn celf_greedy_batch(
     instance: &TppInstance,
@@ -51,8 +50,24 @@ pub fn celf_greedy_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::sgb_greedy;
+    use crate::oracle::GainOracle;
     use tpp_motif::Motif;
+
+    /// Eager SGB, independent of the lazy gain queue: every round scans
+    /// all candidates and commits the first maximizer.
+    fn eager_sgb(instance: &TppInstance, k: usize, config: &GreedyConfig) -> ProtectionPlan {
+        let exec = config.parallelism();
+        let oracle = oracle_for(instance, config, &exec);
+        let mut engine = RoundEngine::new(oracle, config.candidates, exec);
+        let gain = |o: &dyn GainOracle, p| Some(o.gain(p)).filter(|&g| g > 0);
+        while engine.picks() < k {
+            let Some((_, p)) = engine.select_custom(gain, |a, b| a > b) else {
+                break;
+            };
+            engine.commit_pick(p, None, None);
+        }
+        engine.into_global_plan(AlgorithmKind::SgbGreedy)
+    }
 
     #[test]
     fn celf_matches_sgb_exactly() {
@@ -61,7 +76,7 @@ mod tests {
             let inst = TppInstance::with_random_targets(g, 4, seed);
             for motif in Motif::ALL {
                 let cfg = GreedyConfig::scalable(motif);
-                let sgb = sgb_greedy(&inst, 8, &cfg);
+                let sgb = eager_sgb(&inst, 8, &cfg);
                 let celf = celf_greedy(&inst, 8, &cfg);
                 assert_eq!(
                     sgb.protectors, celf.protectors,

@@ -14,17 +14,19 @@ use crate::problem::TppInstance;
 /// A pure strategy config on the [`RoundEngine`]: each round commits the
 /// candidate with the highest dissimilarity gain `Δ_p` (ties broken toward
 /// the canonically smallest edge) and stops early when no candidate breaks
-/// any target subgraph. `config.threads` shards the per-round scan without
-/// changing a single pick.
+/// any target subgraph. The rounds pop their picks from the engine's lazy
+/// gain queue, so only stale heap tops are re-evaluated after one bound
+/// sweep; `config.threads` shards that sweep without changing a single
+/// pick.
 #[must_use]
 pub fn sgb_greedy(instance: &TppInstance, k: usize, config: &GreedyConfig) -> ProtectionPlan {
     sgb_greedy_batch(instance, k, 1, config)
 }
 
 /// Runs SGB-Greedy with global budget `k` in **batch-commit rounds**: each
-/// candidate scan commits up to `j` picks whose gain sets are pairwise
-/// disjoint (see [`RoundEngine::run_global`]), cutting the number of
-/// scans by up to `j`× on instances with many non-interacting protectors.
+/// round commits up to `j` picks whose gain sets are pairwise disjoint
+/// (see [`RoundEngine::run_global`]), cutting the number of commits by up
+/// to `j`× on instances with many non-interacting protectors.
 ///
 /// `j = 1` produces plans bit-identical to [`sgb_greedy`]; larger `j`
 /// keeps every accepted pick's recorded gain exact (disjointness makes the

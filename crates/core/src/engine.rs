@@ -11,15 +11,17 @@
 //!
 //! ## Parallelism for every oracle
 //!
-//! Each round's candidate scan fans out across worker threads for **any**
+//! Every full candidate scan fans out across worker threads for **any**
 //! oracle: gain queries are `&self` reads of the committed state, so every
 //! worker scores candidates through the one shared oracle, with no
-//! per-worker scratch. The scan is **work-stealing**: candidates
+//! per-worker scratch. SGB and CELF scan once per run (the lazy queue's
+//! bound sweep, their only parallel scan); CT/WT scan once per round. The
+//! scan is **work-stealing**: candidates
 //! are pre-cut into contiguous weight-balanced spans (the same
 //! partition-range discipline as `tpp_store::CsrGraph::shard_ranges`, but
 //! several spans per worker), and workers claim spans through one atomic
 //! cursor — a worker that drew cheap spans steals the remaining ones
-//! instead of idling, so skewed rounds no longer serialize on the worker
+//! instead of idling, so skewed scans no longer serialize on the worker
 //! that inherited the hubs. Span results still reduce in span order, so
 //! the selected protector is **bit-identical to the sequential
 //! left-to-right scan for every thread count**. The determinism proptests
@@ -33,33 +35,42 @@
 //! weight-balanced spans per worker) and the claim-and-reduce scaffold;
 //! the engine only supplies candidate weights, scoring, and the reduce.
 //!
-//! ## One selection round
+//! ## One lazy gain queue for the global budget
 //!
-//! SGB, CT and WT rounds, single-pick or batched, all run through one
-//! private `round(charge, room)`. It scores every candidate once, ranks
-//! them by `(own, cross)` descending with ties to the canonically smallest
-//! edge (SGB scores `(gain, 0)` and charges no target; CT/WT charge each
-//! candidate to the first open target maximizing its split), accepts picks
-//! through one disjoint-gain-set rule and commits them together through
-//! [`GainOracle::commit_batch`].
-//!
-//! A round with room for one pick keeps the first maximizer of a fused
-//! scan fold: no sort and no gain-set probe, so `j = 1` is the sequential
-//! greedy by construction. With more room the round sorts the scanned
-//! scores and accepts the top picks whose current gain sets
-//! ([`GainOracle::gain_set`]) are pairwise disjoint, which makes their
-//! scanned gains exact without a rescan; a CT/WT pick must also fit its
-//! charged target's remaining budget. A conflicting candidate is skipped
-//! for the round and rescored in the next one, and an oracle that cannot
+//! Deleting an edge only kills motif instances, so a candidate's gain
+//! never rises (Lemmas 1–2). SGB and CELF therefore pop their picks from
+//! one lazy gain queue (the accelerated greedy of Minoux 1978; CELF,
+//! Leskovec et al. 2007): one sharded bound sweep fills a max-heap of
+//! cached gains, a stale heap top is refreshed and pushed back, and a
+//! fresh top is the round's next pick in `(gain desc, edge asc)` order —
+//! the order a full scan-and-sort of the current gains would give. Fresh
+//! tops are offered to one disjoint-gain-set acceptance rule
+//! ([`GainOracle::gain_set`]); a pick set with pairwise-disjoint gain sets
+//! keeps every cached gain exact at commit, and an oracle that cannot
 //! enumerate gain sets degrades to one commit per round (the sequential
-//! fallback).
+//! fallback). The two entry points differ only in a skipped (conflicting)
+//! top: SGB sets it aside for the round and keeps offering the
+//! next-ranked candidates; CELF pushes it back and closes the round. With
+//! room for one pick neither enumerates a gain set, so at `j = 1` both
+//! are the sequential greedy.
+//!
+//! ## One CT/WT selection round
+//!
+//! CT and WT rounds, single-pick or batched, run through one private
+//! `round(open, room)`. It scores every candidate once, charges it to the
+//! first open target maximizing its `(own, cross)` split, ranks the
+//! candidates by that split descending with ties to the canonically
+//! smallest edge, accepts picks through the same disjoint-gain-set rule
+//! (a pick must also fit its charged target's remaining budget) and
+//! commits them together through [`GainOracle::commit_batch`]. A round
+//! with room for one pick keeps the first maximizer of a fused scan fold:
+//! no sort and no gain-set probe. A conflicting candidate is skipped for
+//! the round and rescored in the next one.
 //!
 //! The entry points are [`RoundEngine::run_global`] (SGB, up to `j`
-//! picks per round), [`RoundEngine::select_for_targets`] (one CT/WT round
-//! over the open targets) and [`RoundEngine::run_global_lazy`], the CELF
-//! lazy queue, whose refresh phases pop up to `j` disjoint fresh heap
-//! tops through the same acceptance rule and fall back to sequential
-//! re-evaluation when a top conflicts.
+//! picks per round), [`RoundEngine::run_global_lazy`] (CELF, up to `j`
+//! picks per round) and [`RoundEngine::select_for_targets`] (one CT/WT
+//! round over the open targets).
 
 use crate::oracle::{CandidatePolicy, GainOracle};
 use crate::plan::{AlgorithmKind, ProtectionPlan, StepRecord};
@@ -157,45 +168,6 @@ where
     per_span.into_iter().flatten().collect()
 }
 
-/// Who a selection round charges its picks to.
-enum Charge<'a> {
-    /// SGB: rank by total gain, charge no target.
-    Global,
-    /// CT/WT: the open targets as `(target, remaining budget)` pairs in
-    /// ascending target order (every `remaining >= 1`).
-    Targets(&'a [(usize, usize)]),
-}
-
-/// A round's compact score: the ranking key `(own, cross)` and the
-/// charged target. SGB keeps its score a bare total gain.
-trait RoundScore: Copy + Send {
-    /// The ranking key, compared lexicographically.
-    fn key(&self) -> (usize, usize);
-    /// The target the pick is charged to, if any.
-    fn target(&self) -> Option<usize>;
-}
-
-impl RoundScore for usize {
-    fn key(&self) -> (usize, usize) {
-        (*self, 0)
-    }
-
-    fn target(&self) -> Option<usize> {
-        None
-    }
-}
-
-/// `(own, cross, target)`, as [`charge_to_open`] returns it.
-impl RoundScore for (usize, usize, usize) {
-    fn key(&self) -> (usize, usize) {
-        (self.0, self.1)
-    }
-
-    fn target(&self) -> Option<usize> {
-        Some(self.2)
-    }
-}
-
 /// Charges a per-target gain vector to the first `open` target maximizing
 /// lexicographic `(own, cross)` — the CT/WT round score. `open` holds
 /// `(target, remaining budget)` pairs. Returns `(own, cross, target)`;
@@ -227,8 +199,20 @@ enum Admission {
     Closed,
 }
 
+/// What the lazy gain queue does with a fresh top its batch skipped — the
+/// one difference between the SGB and CELF entry points.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Requeue {
+    /// SGB: set the top aside until the round commits and keep offering
+    /// the next-ranked candidates, as a scan-and-sort round would.
+    SetAside,
+    /// CELF: push the top back and close the round; the top is
+    /// re-evaluated in the next one.
+    Close,
+}
+
 /// Disjoint-gain-set admission for one batch round — the one acceptance
-/// rule of the selection round and the lazy queue, which differ only in
+/// rule of the CT/WT round and the lazy gain queue, which differ only in
 /// what they do with a non-accepted candidate.
 ///
 /// The first offer is always accepted: it is exactly the pick the
@@ -329,16 +313,16 @@ impl BatchAcceptor {
 ///
 /// * [`run_global`](Self::run_global) — SGB-Greedy rounds (argmax total
 ///   gain), up to `j` disjoint picks per round;
-/// * [`run_global_lazy`](Self::run_global_lazy) — the same rounds through
-///   a CELF lazy queue (identical output at `j = 1`, far fewer
-///   evaluations);
+/// * [`run_global_lazy`](Self::run_global_lazy) — CELF rounds (identical
+///   output at `j = 1`; a batch conflict closes the round);
 /// * [`select_for_targets`](Self::select_for_targets) — one CT/WT round
 ///   maximizing lexicographic `(own, cross)` over the open targets;
 /// * [`select_custom`](Self::select_custom) + [`commit_pick`](Self::commit_pick)
 ///   — bring-your-own score (the weighted extension).
 ///
-/// The first three share one private round (see the module docs), and
-/// every commit goes through one batch commit.
+/// The first two share one private lazy gain queue, CT/WT rounds one
+/// private round (see the module docs), and every commit goes through one
+/// batch commit.
 pub struct RoundEngine<'a> {
     oracle: Box<dyn GainOracle + Sync + 'a>,
     policy: CandidatePolicy,
@@ -385,7 +369,8 @@ impl<'a> RoundEngine<'a> {
         }
     }
 
-    /// **The** candidate scan behind every round mode: runs `span` over
+    /// **The** full candidate scan (the lazy queue's bound sweep, every
+    /// CT/WT round, [`select_custom`](Self::select_custom)): runs `span` over
     /// contiguous spans of `candidates` and returns the span results in
     /// span order. Workers claim the spans of [`Parallelism::steal_spans`]
     /// and all score through the one shared oracle; a sequential executor
@@ -520,8 +505,9 @@ impl<'a> RoundEngine<'a> {
         broken.len()
     }
 
-    /// **The** selection round of SGB, CT and WT, single-pick or batched:
-    /// scans every candidate once, ranks them by `(own, cross)` descending
+    /// **The** CT/WT selection round, single-pick or batched: charges
+    /// every candidate to the first `open` target maximizing its
+    /// `(own, cross)` split, ranks the candidates by that split descending
     /// with ties to the canonically smallest edge, and commits up to
     /// `room` of them together. Returns the number committed (0 when no
     /// candidate breaks anything, or no pick fits).
@@ -532,40 +518,25 @@ impl<'a> RoundEngine<'a> {
     /// picks through a [`BatchAcceptor`]: each accepted gain set
     /// ([`GainOracle::gain_set`]) is disjoint from the others, which keeps
     /// every accepted `(own, cross)` split exact at commit, per target. A
-    /// CT/WT pick must also fit its charged target's remaining budget: a
+    /// pick must also fit its charged target's remaining budget: a
     /// candidate whose target is full this round is skipped and rescored
     /// next round, when the target has left the open set.
-    fn round(&mut self, charge: Charge<'_>, room: usize) -> usize {
-        match charge {
-            Charge::Global => self.ranked_round(room, &[], |oracle, p| Some(oracle.gain(p))),
-            Charge::Targets(open) => self.ranked_round(room, open, |oracle, p| {
-                charge_to_open(&oracle.gain_vector(p), open)
-            }),
-        }
-    }
-
-    /// [`round`](Self::round) for one score type: `eval` scores a
-    /// candidate (`None` skips it) and `open` holds the targets' budgets
-    /// (empty for SGB).
-    fn ranked_round<S: RoundScore>(
-        &mut self,
-        room: usize,
-        open: &[(usize, usize)],
-        eval: impl Fn(&dyn GainOracle, Edge) -> Option<S> + Sync,
-    ) -> usize {
-        let ranked: Vec<(S, Edge)> = if room == 1 {
-            self.select_custom(eval, |a, b| a.key() > b.key())
+    fn round(&mut self, open: &[(usize, usize)], room: usize) -> usize {
+        let eval = |oracle: &dyn GainOracle, p| charge_to_open(&oracle.gain_vector(p), open);
+        let split = |&(own, cross, _): &(usize, usize, usize)| (own, cross);
+        let ranked: Vec<((usize, usize, usize), Edge)> = if room == 1 {
+            self.select_custom(eval, |a, b| split(a) > split(b))
                 .into_iter()
                 .collect()
         } else {
             let candidates = self.oracle.candidates(self.policy);
             let scores = self.scan_map(&candidates, eval);
-            let mut ranked: Vec<(S, Edge)> = scores
+            let mut ranked: Vec<_> = scores
                 .into_iter()
                 .zip(candidates)
                 .filter_map(|(s, p)| Some((s?, p)))
                 .collect();
-            ranked.sort_unstable_by_key(|&(s, p)| (Reverse(s.key()), p));
+            ranked.sort_unstable_by_key(|&(s, p)| (Reverse(split(&s)), p));
             ranked
         };
         // Per-target room left this round, indexed by target id (`open`
@@ -575,23 +546,17 @@ impl<'a> RoundEngine<'a> {
             budget_left[t] = remaining;
         }
         let mut batch = BatchAcceptor::new(room);
-        for (score, p) in ranked {
-            let (own, cross) = score.key();
-            // Ranked gain-descending: after a zero, everything left is zero.
-            if batch.is_full() || own + cross == 0 {
+        // `charge_to_open` scores only breakers, so every `own + cross > 0`.
+        for ((own, cross, t), p) in ranked {
+            if batch.is_full() {
                 break;
             }
-            let target = score.target();
-            if target.is_some_and(|t| budget_left[t] == 0) {
+            if budget_left[t] == 0 {
                 continue; // target full this round: rescored next round
             }
-            let pick = (p, target, target.map(|_| own));
+            let pick = (p, Some(t), Some(own));
             match batch.offer(self.oracle.as_ref(), &self.obs, pick, own + cross) {
-                Admission::Accepted => {
-                    if let Some(t) = target {
-                        budget_left[t] -= 1;
-                    }
-                }
+                Admission::Accepted => budget_left[t] -= 1,
                 Admission::Skipped => {}
                 Admission::Closed => break,
             }
@@ -599,19 +564,99 @@ impl<'a> RoundEngine<'a> {
         self.commit_accepted(&batch)
     }
 
+    /// The lazy gain queue behind both global-budget entry points (Minoux's
+    /// accelerated greedy; CELF, Leskovec et al. 2007): one sharded bound
+    /// sweep, then rounds that pop their picks from a max-heap of
+    /// `(cached gain, Reverse(edge), round evaluated)` until `k` picks are
+    /// committed or gains are exhausted, each round committing up to `j`.
+    ///
+    /// A stale top is refreshed through [`GainOracle::gain`] and pushed
+    /// back; deletions never raise a gain, so every cached gain bounds the
+    /// current one and a fresh top is the round's next pick in
+    /// `(gain desc, edge asc)` order — the order a full scan-and-sort of
+    /// the current gains would give. Fresh tops are offered to one
+    /// [`BatchAcceptor`]; `requeue` says what happens to a skipped one.
+    /// A closed batch or a cached gain of 0 ends the round.
+    fn run_queue(&mut self, k: usize, j: usize, requeue: Requeue) {
+        let j = j.max(1);
+        if self.picks() >= k {
+            return;
+        }
+        let candidates = self.oracle.candidates(self.policy);
+        let gains = self.scan_map(&candidates, |oracle, p| oracle.gain(p));
+        // Ordering by Reverse(edge) second pops the canonically smallest
+        // edge on gain ties — the scan's tie-break exactly. A zero gain
+        // never rises, so it never enters the heap.
+        let mut heap: BinaryHeap<(usize, Reverse<Edge>, usize)> = candidates
+            .into_iter()
+            .zip(gains)
+            .filter(|&(_, g)| g > 0)
+            .map(|(p, g)| (g, Reverse(p), 0usize))
+            .collect();
+        let mut set_aside = Vec::new();
+        let mut round = 0usize;
+        while self.picks() < k {
+            let t0 = self.obs.is_enabled().then(Instant::now);
+            let mut refreshed = 0u64;
+            let mut batch = BatchAcceptor::new(j.min(k - self.picks()));
+            while !batch.is_full() {
+                let Some(top) = heap.pop() else {
+                    break;
+                };
+                let (cached, Reverse(p), evaluated_at) = top;
+                if cached == 0 {
+                    break; // all remaining upper bounds are 0
+                }
+                if evaluated_at < round {
+                    // Stale bound: refresh and reinsert.
+                    let fresh = self.oracle.gain(p);
+                    refreshed += 1;
+                    debug_assert!(fresh <= cached, "a deletion raised a gain");
+                    heap.push((fresh, Reverse(p), round));
+                    continue;
+                }
+                match batch.offer(self.oracle.as_ref(), &self.obs, (p, None, None), cached) {
+                    Admission::Accepted => {}
+                    Admission::Skipped if requeue == Requeue::SetAside => set_aside.push(top),
+                    Admission::Skipped | Admission::Closed => {
+                        heap.push(top);
+                        break;
+                    }
+                }
+            }
+            if let (Some(t0), Some(st)) = (t0, self.obs.stats()) {
+                st.round.candidates_probed.add(refreshed);
+                st.round.scan_ns.record_duration(t0.elapsed());
+            }
+            // Set-aside tops go stale at the commit below and are
+            // refreshed before they can win again.
+            heap.extend(set_aside.drain(..));
+            match self.commit_accepted(&batch) {
+                0 => break,
+                committed => round += committed,
+            }
+        }
+    }
+
     /// Runs SGB rounds until `k` picks are committed or gains are
-    /// exhausted, committing up to `j` picks per candidate scan.
+    /// exhausted, committing up to `j` picks per round.
     ///
     /// `j = 1` is the sequential greedy: each round commits the candidate
     /// with the highest total gain (ties to the canonically smallest
     /// edge). Larger `j` accepts, per round, the top candidates whose
     /// current gain sets are pairwise disjoint, trading strict greedy
-    /// order for up to `j`× fewer scans; the accepted picks of one round
+    /// order for up to `j`× fewer commits; the accepted picks of one round
     /// are a greedy-feasible commit order because their gain sets do not
-    /// interact. Oracles without gain sets commit one pick per round.
+    /// interact. A conflicting candidate is set aside for the round and
+    /// the next-ranked ones are offered instead. Oracles without gain sets
+    /// commit one pick per round.
+    ///
+    /// The rounds pop their picks from the lazy gain queue rather than
+    /// rescanning every candidate: one sharded sweep, then only stale
+    /// heap tops are re-evaluated. The plan equals a per-round
+    /// scan-and-sort of the current gains.
     pub fn run_global(&mut self, k: usize, j: usize) {
-        let j = j.max(1);
-        while self.picks() < k && self.round(Charge::Global, j.min(k - self.picks())) > 0 {}
+        self.run_queue(k, j, Requeue::SetAside);
     }
 
     /// [`run_global`](Self::run_global) with **gain memoization against a
@@ -650,9 +695,11 @@ impl<'a> RoundEngine<'a> {
     ///   edge <= p_r)`, therefore wins outright, and anything weaker
     ///   falls back to one full scan for this round.
     ///
-    /// The first round whose commit diverges from `prior_steps` (and every
-    /// round past their end) runs as a plain full-scan single-pick SGB
-    /// round. Candidate lists must be canonically sorted (both
+    /// An undecided round runs one full scan and commits its first
+    /// maximizer. From the first round whose commit diverges from
+    /// `prior_steps` (or once past their end), the remaining budget runs
+    /// as plain single-pick SGB rounds through the lazy gain queue.
+    /// Candidate lists must be canonically sorted (both
     /// [`CandidatePolicy`] sources are).
     ///
     /// Re-scored vs memoized candidate counts land in the recorder's
@@ -674,10 +721,7 @@ impl<'a> RoundEngine<'a> {
             };
             let Some(prior) = prior else {
                 // Past the prior plan (or diverged): plain SGB rounds.
-                if self.round(Charge::Global, 1) == 0 {
-                    break;
-                }
-                continue;
+                return self.run_queue(k, 1, Requeue::SetAside);
             };
             let (p_r, g_r) = (prior.protector, prior.total_broken);
             let candidates = self.oracle.candidates(self.policy);
@@ -742,84 +786,38 @@ impl<'a> RoundEngine<'a> {
                     aligned &= p == p_r;
                 }
                 None => {
-                    if self.round(Charge::Global, 1) == 0 {
+                    // Undecided: one full scan, first maximizer wins.
+                    let gain = |o: &dyn GainOracle, p| Some(o.gain(p)).filter(|&g| g > 0);
+                    let Some((_, p)) = self.select_custom(gain, |a, b| a > b) else {
                         break;
-                    }
-                    aligned &= self.protectors.last() == Some(&p_r);
+                    };
+                    self.commit_pick(p, None, None);
+                    aligned &= p == p_r;
                 }
             }
         }
     }
 
-    /// Runs the same rounds as [`run_global`](Self::run_global) through a
-    /// CELF lazy queue (Leskovec et al. 2007): a candidate's cached gain
-    /// upper-bounds its current gain by submodularity, so most candidates
-    /// are never re-evaluated. The initial bound sweep is sharded across
-    /// the engine's threads; refreshes are sequential.
+    /// Runs CELF rounds (Leskovec et al. 2007) until `k` picks are
+    /// committed or gains are exhausted, committing up to `j` picks per
+    /// round from the same lazy gain queue as [`run_global`](Self::run_global).
     ///
-    /// Each refresh phase pops up to `j` **fresh** heap tops whose gain
-    /// sets are pairwise disjoint and commits them as one batch through
-    /// [`GainOracle::commit_batch`]. A popped fresh top whose gain set
-    /// conflicts with the accepted set (or cannot be enumerated) is pushed
-    /// back and the batch commits early — the conflicting candidate falls
-    /// back to sequential re-evaluation in the next refresh phase, exactly
-    /// like a stale bound. Stale entries refresh against committed state
-    /// as usual; the round counter advances by the batch size at commit,
-    /// so every cached bound predating the batch is re-verified before it
-    /// can win.
+    /// Each round pops up to `j` **fresh** heap tops whose gain sets are
+    /// pairwise disjoint and commits them as one batch through
+    /// [`GainOracle::commit_batch`]. Unlike SGB, a popped fresh top whose
+    /// gain set conflicts with the accepted set (or cannot be enumerated)
+    /// is pushed back and the batch commits early — the conflicting
+    /// candidate is re-evaluated in the next round, exactly like a stale
+    /// bound. The round counter advances by the batch size at commit, so
+    /// every cached bound predating the batch is re-verified before it can
+    /// win.
     ///
-    /// Disjointness makes every accepted cached gain exact at commit (the
-    /// same argument as the batched [`run_global`](Self::run_global)). A
-    /// phase with room for one pick never enumerates a gain set, so
+    /// Disjointness makes every accepted cached gain exact at commit. A
+    /// round with room for one pick never enumerates a gain set, so
     /// `j = 1` is the classic CELF loop — bit-identical to
     /// `run_global(k, 1)` for every oracle and thread count.
     pub fn run_global_lazy(&mut self, k: usize, j: usize) {
-        let j = j.max(1);
-        if k == 0 {
-            return;
-        }
-        let candidates = self.oracle.candidates(self.policy);
-        let gains = self.scan_map(&candidates, |oracle, p| oracle.gain(p));
-        // Max-heap of (cached_gain, Reverse(edge), round_evaluated):
-        // ordering by Reverse(edge) second pops the canonically smallest
-        // edge on gain ties — the linear scan's tie-break exactly.
-        let mut heap: BinaryHeap<(usize, Reverse<Edge>, usize)> = candidates
-            .into_iter()
-            .zip(gains)
-            .map(|(p, g)| (g, Reverse(p), 0usize))
-            .collect();
-        let mut round = 0usize;
-        while self.picks() < k {
-            let mut batch = BatchAcceptor::new(j.min(k - self.picks()));
-            while !batch.is_full() {
-                let Some((cached, Reverse(p), evaluated_at)) = heap.pop() else {
-                    break;
-                };
-                if cached == 0 {
-                    break; // all remaining upper bounds are 0
-                }
-                if evaluated_at < round {
-                    // Stale bound: refresh and reinsert. Submodularity
-                    // guarantees fresh <= cached, so the heap stays sound.
-                    let fresh = self.oracle.gain(p);
-                    debug_assert!(fresh <= cached, "submodularity violated");
-                    heap.push((fresh, Reverse(p), round));
-                    continue;
-                }
-                let pick = (p, None, None);
-                if batch.offer(self.oracle.as_ref(), &self.obs, pick, cached) != Admission::Accepted
-                {
-                    // Push the top back: it is re-evaluated sequentially
-                    // in the next refresh phase.
-                    heap.push((cached, Reverse(p), evaluated_at));
-                    break;
-                }
-            }
-            match self.commit_accepted(&batch) {
-                0 => break,
-                committed => round += committed,
-            }
-        }
+        self.run_queue(k, j, Requeue::Close);
     }
 
     /// One CT/WT round: charges every candidate to the first `open`
@@ -837,7 +835,7 @@ impl<'a> RoundEngine<'a> {
         if open.is_empty() || room == 0 {
             return 0;
         }
-        self.round(Charge::Targets(open), room)
+        self.round(open, room)
     }
 
     /// Finishes a global-budget run (SGB/CELF shape: no per-target
@@ -872,6 +870,7 @@ impl<'a> RoundEngine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use tpp_exec::balanced_ranges;
 
     #[test]
@@ -985,6 +984,93 @@ mod tests {
             let unbounded = run(k, usize::MAX);
             assert_eq!(unbounded, run(k, candidates), "k = {k}");
             unbounded.check_invariants();
+        }
+    }
+
+    /// An [`IndexOracle`](crate::IndexOracle) that counts its `gain` calls.
+    struct CountingOracle<'a> {
+        inner: crate::IndexOracle<'a>,
+        gains: &'a AtomicUsize,
+    }
+
+    impl GainOracle for CountingOracle<'_> {
+        fn total_similarity(&self) -> usize {
+            self.inner.total_similarity()
+        }
+
+        fn gain(&self, p: Edge) -> usize {
+            self.gains.fetch_add(1, Ordering::Relaxed);
+            self.inner.gain(p)
+        }
+
+        fn gain_vector(&self, p: Edge) -> Vec<usize> {
+            self.inner.gain_vector(p)
+        }
+
+        fn candidates(&self, policy: CandidatePolicy) -> Vec<Edge> {
+            self.inner.candidates(policy)
+        }
+
+        fn commit(&mut self, p: Edge) -> usize {
+            self.inner.commit(p)
+        }
+
+        fn commit_batch(&mut self, edges: &[Edge]) -> Vec<usize> {
+            self.inner.commit_batch(edges)
+        }
+
+        fn gain_set(&self, p: Edge) -> Option<Vec<InstanceId>> {
+            self.inner.gain_set(p)
+        }
+
+        fn set_parallelism(&mut self, exec: &Parallelism) {
+            self.inner.set_parallelism(exec);
+        }
+
+        fn target_count(&self) -> usize {
+            self.inner.target_count()
+        }
+
+        fn candidate_weight(&self, p: Edge) -> usize {
+            self.inner.candidate_weight(p)
+        }
+    }
+
+    #[test]
+    fn candidates_probed_counts_every_gain_evaluation() {
+        // The sweep and every lazy refresh are gain evaluations; the stats
+        // must count each one, for SGB and CELF rounds alike.
+        let g = tpp_graph::generators::holme_kim(300, 4, 0.5, 5);
+        let instance = crate::TppInstance::with_random_targets(g, 30, 5);
+        let motif = tpp_motif::Motif::Triangle;
+        for (name, lazy) in [("sgb", false), ("celf", true)] {
+            for (j, threads) in [(1, 1), (1, 2), (4, 1), (4, 2)] {
+                let gains = AtomicUsize::new(0);
+                let oracle = CountingOracle {
+                    inner: crate::IndexOracle::new(instance.released(), instance.targets(), motif),
+                    gains: &gains,
+                };
+                let recorder = Recorder::enabled();
+                let mut engine = RoundEngine::new(
+                    Box::new(oracle),
+                    CandidatePolicy::SubgraphEdges,
+                    Parallelism::with_recorder(threads, recorder.clone()),
+                );
+                if lazy {
+                    engine.run_global_lazy(20, j);
+                } else {
+                    engine.run_global(20, j);
+                }
+                assert_eq!(engine.picks(), 20, "{name}");
+                let st = recorder.stats().unwrap();
+                let probed = st.round.candidates_probed.get();
+                let label = format!("{name} j={j} x{threads}");
+                assert_eq!(probed, gains.load(Ordering::Relaxed) as u64, "{label}");
+                assert_eq!(st.round.scans.get(), 1, "{label}: one sweep");
+                // One sample for the sweep, one per round's selection.
+                let samples = 1 + st.round.rounds.get();
+                assert_eq!(st.round.scan_ns.snapshot().count, samples, "{label}");
+            }
         }
     }
 

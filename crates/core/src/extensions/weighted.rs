@@ -334,8 +334,8 @@ mod tests {
     }
 
     /// The eager reference the batch hybrid's `j = 1` path must reproduce
-    /// bit-for-bit: single-pick `run_global` rounds over the same weighted
-    /// oracle.
+    /// bit-for-bit: full-scan single-pick rounds over the same weighted
+    /// oracle, independent of the lazy gain queue.
     fn eager_weighted(
         instance: &TppInstance,
         weights: &[usize],
@@ -349,7 +349,13 @@ mod tests {
             CandidatePolicy::SubgraphEdges,
             Parallelism::sequential(),
         );
-        engine.run_global(k, 1);
+        let gain = |o: &dyn GainOracle, p| Some(o.gain(p)).filter(|&g| g > 0);
+        while engine.picks() < k {
+            let Some((_, p)) = engine.select_custom(gain, |a, b| a > b) else {
+                break;
+            };
+            engine.commit_pick(p, None, None);
+        }
         engine.into_global_plan(AlgorithmKind::CelfGreedy)
     }
 

@@ -8,8 +8,8 @@ use tpp_core::{
     celf_greedy, celf_greedy_batch, critical_budget, ct_greedy, ct_greedy_batch, delta_dirty_edges,
     divide_budget, random_deletion, random_deletion_from_subgraphs, sgb_greedy, sgb_greedy_batch,
     sgb_greedy_incremental, verify_plan, wt_greedy, wt_greedy_batch, AlgorithmKind, BudgetDivision,
-    CandidatePolicy, GainOracle, GreedyConfig, ObsConfig, ProtectionPlan, SnapshotOracle,
-    StepRecord, TppInstance,
+    CandidatePolicy, GainOracle, GreedyConfig, IndexOracle, ObsConfig, ProtectionPlan,
+    SnapshotOracle, StepRecord, TppInstance,
 };
 use tpp_graph::{Edge, FastSet, NeighborAccess};
 use tpp_motif::Motif;
@@ -102,14 +102,17 @@ proptest! {
         );
     }
 
-    /// CELF and SGB produce identical plans (lazy evaluation is exact).
+    /// CELF and SGB produce identical plans, equal to the eager
+    /// full-scan greedy for every motif (lazy evaluation is exact).
     #[test]
     fn celf_equals_sgb(instance in instance_strategy(), k in 1usize..=6) {
         for motif in Motif::ALL {
             let cfg = GreedyConfig::scalable(motif);
             let a = sgb_greedy(&instance, k, &cfg);
             let b = celf_greedy(&instance, k, &cfg);
+            let eager = NaiveGreedy::sgb(&instance, k, motif, AlgorithmKind::SgbGreedy);
             prop_assert_eq!(&a.protectors, &b.protectors, "motif {}", motif);
+            prop_assert_eq!(&eager.protectors, &a.protectors, "motif {}", motif);
             prop_assert_eq!(a.final_similarity, b.final_similarity);
         }
     }
@@ -206,19 +209,28 @@ fn evaluator_configs(motif: Motif) -> [GreedyConfig; 2] {
     [GreedyConfig::scalable(motif), GreedyConfig::snapshot(motif)]
 }
 
-/// A test-local naive greedy over the recount oracle, independent of the
-/// round engine: each round scores the sorted candidates with plain loops,
-/// keeps the first strict maximum and commits it. An SGB round scores
-/// `(gain, 0)`; a CT/WT round charges each candidate to the first open
-/// target maximizing its `(own, cross)` split.
+/// A test-local naive greedy, independent of the round engine: each round
+/// scores the sorted candidates with plain loops, keeps the first strict
+/// maximum and commits it. An SGB round scores `(gain, 0)`; a CT/WT round
+/// charges each candidate to the first open target maximizing its
+/// `(own, cross)` split. The single-pick rounds run over the recount
+/// oracle; the SGB batch rounds need gain sets and run over the index.
 struct NaiveGreedy<'a> {
-    oracle: SnapshotOracle<'a, tpp_store::CsrGraph>,
+    oracle: Box<dyn GainOracle + 'a>,
     plan: ProtectionPlan,
 }
 
 impl<'a> NaiveGreedy<'a> {
     fn new(instance: &'a TppInstance, motif: Motif, algorithm: AlgorithmKind) -> Self {
         let oracle = SnapshotOracle::new(instance.released(), instance.targets(), motif);
+        NaiveGreedy::over(instance, Box::new(oracle), algorithm)
+    }
+
+    fn over(
+        instance: &'a TppInstance,
+        oracle: Box<dyn GainOracle + 'a>,
+        algorithm: AlgorithmKind,
+    ) -> Self {
         let similarity = oracle.total_similarity();
         let per_target = match algorithm {
             AlgorithmKind::CtGreedy | AlgorithmKind::WtGreedy => {
@@ -277,8 +289,15 @@ impl<'a> NaiveGreedy<'a> {
         let Some(((own, cross), target, p)) = best else {
             return false;
         };
+        self.commit(p, target, own, own + cross);
+        true
+    }
+
+    /// Commits `p`, checks that it breaks `gain` instances and records the
+    /// step.
+    fn commit(&mut self, p: Edge, target: Option<usize>, own: usize, gain: usize) {
         let broken = self.oracle.commit(p);
-        assert_eq!(broken, own + cross, "naive gain must realize");
+        assert_eq!(broken, gain, "naive gain must realize");
         if let Some(t) = target {
             self.plan.per_target[t].push(p);
         }
@@ -292,7 +311,6 @@ impl<'a> NaiveGreedy<'a> {
             total_broken: broken,
             similarity_after: self.plan.final_similarity,
         });
-        true
     }
 
     fn sgb(
@@ -303,6 +321,54 @@ impl<'a> NaiveGreedy<'a> {
     ) -> ProtectionPlan {
         let mut naive = NaiveGreedy::new(instance, motif, kind);
         while naive.plan.protectors.len() < k && naive.round(None) {}
+        naive.plan
+    }
+
+    /// SGB with up to `j` picks per round as a scan-and-sort: score every
+    /// candidate, sort by `(gain desc, edge asc)`, accept the picks whose
+    /// gain sets are pairwise disjoint (a conflict skips the candidate;
+    /// `16 × room` conflicts close the round), then commit them in order.
+    fn sgb_batch(instance: &'a TppInstance, k: usize, j: usize, motif: Motif) -> ProtectionPlan {
+        let oracle = IndexOracle::new(instance.released(), instance.targets(), motif);
+        let mut naive = NaiveGreedy::over(instance, Box::new(oracle), AlgorithmKind::SgbGreedy);
+        while naive.plan.protectors.len() < k {
+            let room = j.min(k - naive.plan.protectors.len());
+            let mut ranked: Vec<(usize, Edge)> = Vec::new();
+            for p in naive.oracle.candidates(CandidatePolicy::SubgraphEdges) {
+                let gain = naive.oracle.gain(p);
+                if gain > 0 {
+                    ranked.push((gain, p));
+                }
+            }
+            ranked.sort_unstable_by_key(|&(gain, p)| (std::cmp::Reverse(gain), p));
+            let mut picks: Vec<(usize, Edge)> = Vec::new();
+            let mut claimed = FastSet::default();
+            let mut conflicts_left = 16 * room;
+            for (gain, p) in ranked {
+                if picks.len() == room {
+                    break;
+                }
+                let ids = naive
+                    .oracle
+                    .gain_set(p)
+                    .expect("the index enumerates gain sets");
+                if !picks.is_empty() && ids.iter().any(|id| claimed.contains(id)) {
+                    conflicts_left -= 1;
+                    if conflicts_left == 0 {
+                        break;
+                    }
+                    continue;
+                }
+                claimed.extend(ids);
+                picks.push((gain, p));
+            }
+            if picks.is_empty() {
+                break;
+            }
+            for (gain, p) in picks {
+                naive.commit(p, None, gain, gain);
+            }
+        }
         naive.plan
     }
 
@@ -398,6 +464,32 @@ proptest! {
         }
     }
 
+    /// SGB batch rounds (`j > 1`) commit exactly the picks of a
+    /// scan-and-sort round: the whole plan equals the naive batch greedy,
+    /// for every thread count. Rectangles on the larger instances give
+    /// the batches gain-set conflicts to skip.
+    #[test]
+    fn sgb_batches_equal_the_scan_and_sort_round(
+        n in 20usize..=40,
+        seed in 0u64..=5_000,
+        tcount in 4usize..=10,
+        k in 1usize..=8,
+    ) {
+        let instance = er_instance(n, seed, tcount);
+        for motif in [Motif::Triangle, Motif::Rectangle] {
+            let cfg = GreedyConfig::scalable(motif);
+            for j in [2usize, 3, 8] {
+                let naive = NaiveGreedy::sgb_batch(&instance, k, j, motif);
+                for threads in [1usize, 2] {
+                    let plan =
+                        sgb_greedy_batch(&instance, k, j, &cfg.clone().with_threads(threads));
+                    prop_assert_eq!(&naive, &plan,
+                        "sgb {} j={} x{} diverged", motif, j, threads);
+                }
+            }
+        }
+    }
+
     /// Thread-invariance holds for the targeted (CT) rounds and the CELF
     /// lazy queue too, for every oracle kind.
     #[test]
@@ -407,6 +499,7 @@ proptest! {
     ) {
         let motif = Motif::Triangle;
         let budgets = divide_budget(BudgetDivision::Tbd, k, &instance, motif);
+        let eager = NaiveGreedy::sgb(&instance, k, motif, AlgorithmKind::SgbGreedy);
         for cfg in evaluator_configs(motif) {
             let ct_base = ct_greedy(&instance, &budgets, &cfg.clone().with_threads(1)).unwrap();
             let celf_base = celf_greedy(&instance, k, &cfg.clone().with_threads(1));
@@ -419,8 +512,7 @@ proptest! {
                     "celf {:?} x{} diverged", cfg.evaluator, threads);
             }
             // CELF must still equal eager SGB under the same config.
-            let sgb = sgb_greedy(&instance, k, &cfg);
-            prop_assert_eq!(&sgb.protectors, &celf_base.protectors);
+            prop_assert_eq!(&eager.protectors, &celf_base.protectors);
         }
     }
 

@@ -10,11 +10,14 @@ use std::sync::Arc;
 pub struct RoundStats {
     /// Committed rounds (single picks and accepted batches).
     pub rounds: Counter,
-    /// Candidate scans performed (lazy modes scan less than they commit).
+    /// Full candidate scans: the lazy gain queue's one bound sweep per
+    /// SGB/CELF run, one per CT/WT round, one per memoized re-score.
     pub scans: Counter,
-    /// Candidates whose gain was probed across all scans.
+    /// Candidate evaluations: every candidate a full scan scores plus
+    /// every stale lazy-queue entry refreshed.
     pub candidates_probed: Counter,
-    /// Wall time per candidate scan.
+    /// Wall time per full scan, and per lazy-queue round's selection (its
+    /// pops, refreshes and batch admission).
     pub scan_ns: Histogram,
     /// Wall time per oracle commit (edge deletions + index maintenance).
     pub commit_ns: Histogram,

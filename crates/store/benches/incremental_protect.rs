@@ -5,8 +5,8 @@
 //! targets) with a ≤1% edge delta.
 //!
 //! * `from_scratch` — `sgb_greedy` on the mutated instance with the
-//!   scalable config: a full coverage-index build plus a full candidate
-//!   scan every round.
+//!   scalable config: a full coverage-index build plus the lazy-queue
+//!   rounds (one candidate sweep, then stale-top refreshes).
 //! * `incremental_repair` — the resident-service shape end to end:
 //!   clone the warm pre-delta index, patch it in place (`delete_edge`
 //!   per removal, `insert_edge` per addition — localized
