@@ -7,10 +7,170 @@
 //!
 //! Complexity matches the paper's analysis (§IV): for a target `t = (u, v)`
 //! counting is `O(d_u · d_v)`-flavoured neighborhood work.
+//!
+//! **k-paths meet in the middle.** A simple `u ⤳ v` path of `k` edges is
+//! split at its node `m` after `⌊k/2⌋` edges (hop-constrained s–t path
+//! enumeration: Peng et al., PVLDB 2019; Sun et al., PathEnum, SIGMOD
+//! 2021). Every left leg `u ⤳ m` of `⌊k/2⌋` edges is recorded in a bucket
+//! keyed by `m`; then every right leg `v ⤳ m` of `⌈k/2⌉` edges is joined
+//! with the left legs in `m`'s bucket, and a pair is kept when the two
+//! legs' interior nodes are disjoint. Both legs avoid `u` and `v`, so every
+//! kept pair is one simple path, and each path is found exactly once (at
+//! its one split node). The cost is the legs' degree work — for kpath4,
+//! `Σ_{a ∈ N(u)} d_a + Σ_{c ∈ N(v)} d_c` — plus the output: no per-pair
+//! intersection and no final-hop `has_edge`. The buckets live in a
+//! reusable [`PathJoin`] (a per-node head array plus a touched list, reset
+//! after each target), so a multi-target caller allocates nothing per
+//! target.
 
 use crate::instance::MotifInstance;
 use crate::pattern::Motif;
 use tpp_graph::{Edge, NeighborAccess, NodeId};
+
+/// Longest half-path of a supported k-path (`⌈5/2⌉` edges).
+const MAX_LEG: usize = 3;
+
+/// Longest supported k-path (`Motif::KPath(k)`, `k ∈ 2..=5`).
+const MAX_K: usize = 5;
+
+/// Reusable bucket scratch of the k-path half-path join (see the module
+/// docs): left legs chained per meeting node, reset after each target.
+#[derive(Debug, Default)]
+pub(crate) struct PathJoin {
+    /// Per node: 1 + the newest left leg ending there, 0 for none.
+    head: Vec<u32>,
+    /// Per left leg: 1 + the previous leg in the same bucket, 0 for none.
+    next: Vec<u32>,
+    /// Interior nodes of every left leg (`⌊k/2⌋ - 1` per leg), in leg order.
+    interior: Vec<NodeId>,
+    /// Meeting nodes whose `head` entry is set.
+    touched: Vec<NodeId>,
+}
+
+impl PathJoin {
+    /// Calls `emit` once per simple `u ⤳ v` path of exactly `k` edges
+    /// whose interior nodes avoid `u`, `v` and each other, with the path's
+    /// edges (in path order from each end, not sorted).
+    ///
+    /// # Panics
+    /// Panics if `k` is outside `2..=5`.
+    fn for_each_k_path<G: NeighborAccess, F: FnMut(&[Edge])>(
+        &mut self,
+        g: &G,
+        u: NodeId,
+        v: NodeId,
+        k: usize,
+        emit: &mut F,
+    ) {
+        assert!((2..=MAX_K).contains(&k), "unsupported k-path length {k}");
+        let (left, right) = (k / 2, k - k / 2);
+        let stride = left - 1;
+        if self.head.len() < g.node_count() {
+            self.head.resize(g.node_count(), 0);
+        }
+        let PathJoin {
+            head,
+            next,
+            interior,
+            touched,
+        } = self;
+
+        // Left legs u ⤳ m, bucketed by their meeting node m.
+        let mut nodes = [0 as NodeId; MAX_LEG];
+        walk_legs(g, u, left, [u, v], &mut nodes, 0, &mut |leg| {
+            let m = leg[stride] as usize;
+            interior.extend_from_slice(&leg[..stride]);
+            if head[m] == 0 {
+                touched.push(m as NodeId);
+            }
+            next.push(head[m]);
+            head[m] = next.len() as u32;
+        });
+
+        // Right legs v ⤳ m, joined with m's bucket.
+        if !touched.is_empty() {
+            let mut edges = [Edge::new(0, 1); MAX_K];
+            walk_legs(g, v, right, [u, v], &mut nodes, 0, &mut |leg| {
+                let m = leg[right - 1];
+                let mut id = head[m as usize];
+                if id == 0 {
+                    return;
+                }
+                let mut prev = v;
+                for (slot, &n) in edges[left..].iter_mut().zip(leg) {
+                    *slot = Edge::new(prev, n);
+                    prev = n;
+                }
+                let inner = &leg[..right - 1];
+                while id != 0 {
+                    let l = id as usize - 1;
+                    let mids = &interior[l * stride..(l + 1) * stride];
+                    if mids.iter().all(|a| !inner.contains(a)) {
+                        let mut prev = u;
+                        for (slot, &n) in edges.iter_mut().zip(mids.iter().chain([&m])) {
+                            *slot = Edge::new(prev, n);
+                            prev = n;
+                        }
+                        emit(&edges[..k]);
+                    }
+                    id = next[l];
+                }
+            });
+        }
+
+        for &m in touched.iter() {
+            head[m as usize] = 0;
+        }
+        touched.clear();
+        next.clear();
+        interior.clear();
+    }
+}
+
+/// Walks every simple leg of exactly `len` edges out of `from` whose nodes
+/// after `from` avoid `fence` and each other, handing `f` those nodes in
+/// leg order (the last one is the leg's far end). `nodes[..depth]` holds
+/// the leg walked so far.
+fn walk_legs<G: NeighborAccess, F: FnMut(&[NodeId])>(
+    g: &G,
+    from: NodeId,
+    len: usize,
+    fence: [NodeId; 2],
+    nodes: &mut [NodeId; MAX_LEG],
+    depth: usize,
+    f: &mut F,
+) {
+    for &n in g.neighbors(from) {
+        if fence.contains(&n) || nodes[..depth].contains(&n) {
+            continue;
+        }
+        nodes[depth] = n;
+        if depth + 1 == len {
+            f(&nodes[..len]);
+        } else {
+            walk_legs(g, n, len, fence, nodes, depth + 1, f);
+        }
+    }
+}
+
+/// Calls `emit` once per target subgraph of `motif` for target `(u, v)`
+/// with the instance's edges (distinct, in no particular order). `join`
+/// is the k-path bucket scratch, reused across targets.
+pub(crate) fn for_each_target_subgraph<G: NeighborAccess, F: FnMut(&[Edge])>(
+    g: &G,
+    u: NodeId,
+    v: NodeId,
+    motif: Motif,
+    join: &mut PathJoin,
+    mut emit: F,
+) {
+    match motif {
+        Motif::Triangle => enumerate_triangles(g, u, v, emit),
+        Motif::Rectangle => enumerate_rectangles(g, u, v, emit),
+        Motif::RecTri => enumerate_rectris(g, u, v, emit),
+        Motif::KPath(k) => join.for_each_k_path(g, u, v, k as usize, &mut emit),
+    }
+}
 
 /// Enumerates all target subgraphs of `motif` for target `(u, v)`.
 ///
@@ -25,20 +185,9 @@ pub fn enumerate_target_subgraphs<G: NeighborAccess>(
     target_idx: usize,
 ) -> Vec<MotifInstance> {
     let mut out = Vec::new();
-    match motif {
-        Motif::Triangle => enumerate_triangles(g, u, v, |edges| {
-            out.push(MotifInstance::new(target_idx, edges));
-        }),
-        Motif::Rectangle => enumerate_rectangles(g, u, v, |edges| {
-            out.push(MotifInstance::new(target_idx, edges));
-        }),
-        Motif::RecTri => enumerate_rectris(g, u, v, |edges| {
-            out.push(MotifInstance::new(target_idx, edges));
-        }),
-        Motif::KPath(k) => enumerate_k_paths(g, u, v, k as usize, &mut |edges| {
-            out.push(MotifInstance::new(target_idx, edges));
-        }),
-    }
+    for_each_target_subgraph(g, u, v, motif, &mut PathJoin::default(), |edges| {
+        out.push(MotifInstance::new(target_idx, edges.to_vec()));
+    });
     out
 }
 
@@ -52,50 +201,34 @@ pub fn count_target_subgraphs<G: NeighborAccess>(
     v: NodeId,
     motif: Motif,
 ) -> usize {
+    count_with(g, u, v, motif, &mut PathJoin::default())
+}
+
+/// [`count_target_subgraphs`] over a caller-held join scratch.
+fn count_with<G: NeighborAccess>(
+    g: &G,
+    u: NodeId,
+    v: NodeId,
+    motif: Motif,
+    join: &mut PathJoin,
+) -> usize {
     let mut n = 0usize;
     match motif {
-        Motif::Triangle => {
-            g.for_each_common_neighbor(u, v, |_| n += 1);
-        }
-        Motif::Rectangle => enumerate_rectangles(g, u, v, |_| n += 1),
-        Motif::RecTri => enumerate_rectris(g, u, v, |_| n += 1),
-        Motif::KPath(k) => enumerate_k_paths(g, u, v, k as usize, &mut |_| n += 1),
+        Motif::Triangle => g.for_each_common_neighbor(u, v, |_| n += 1),
+        _ => for_each_target_subgraph(g, u, v, motif, join, |_| n += 1),
     }
     n
 }
 
-/// Generalized `k`-length simple-path enumeration between `u` and `v`
-/// (depth-first with a visited set): each emitted edge vector is one path
-/// of exactly `k` edges whose interior nodes avoid `u`, `v`, and each
-/// other. `k = 2` reproduces Triangle evidence, `k = 3` Rectangle evidence.
-fn enumerate_k_paths<G: NeighborAccess, F: FnMut(Vec<Edge>)>(
-    g: &G,
-    u: NodeId,
-    v: NodeId,
-    k: usize,
-    emit: &mut F,
-) {
-    debug_assert!(k >= 2, "k-path motifs start at k = 2");
-    let mut visited = vec![false; g.node_count()];
-    if (u as usize) < visited.len() {
-        visited[u as usize] = true;
-    }
-    if (v as usize) < visited.len() {
-        visited[v as usize] = true;
-    }
-    let mut edges: Vec<Edge> = Vec::with_capacity(k);
-    dfs_leg(g, u, v, k, None, &mut visited, &mut edges, emit);
-}
-
 /// Triangle instances: one per common neighbor `w`, edges `{(u,w), (w,v)}`.
-fn enumerate_triangles<G: NeighborAccess, F: FnMut(Vec<Edge>)>(
+fn enumerate_triangles<G: NeighborAccess, F: FnMut(&[Edge])>(
     g: &G,
     u: NodeId,
     v: NodeId,
     mut emit: F,
 ) {
     g.for_each_common_neighbor(u, v, |w| {
-        emit(vec![Edge::new(u, w), Edge::new(w, v)]);
+        emit(&[Edge::new(u, w), Edge::new(w, v)]);
     });
 }
 
@@ -104,7 +237,7 @@ fn enumerate_triangles<G: NeighborAccess, F: FnMut(Vec<Edge>)>(
 ///
 /// Ordered pairs `(a, b)` and `(b, a)` describe different paths with
 /// different edge sets, so no deduplication is needed.
-fn enumerate_rectangles<G: NeighborAccess, F: FnMut(Vec<Edge>)>(
+fn enumerate_rectangles<G: NeighborAccess, F: FnMut(&[Edge])>(
     g: &G,
     u: NodeId,
     v: NodeId,
@@ -119,7 +252,7 @@ fn enumerate_rectangles<G: NeighborAccess, F: FnMut(Vec<Edge>)>(
                 continue;
             }
             if g.has_edge(b, v) {
-                emit(vec![Edge::new(u, a), Edge::new(a, b), Edge::new(b, v)]);
+                emit(&[Edge::new(u, a), Edge::new(a, b), Edge::new(b, v)]);
             }
         }
     }
@@ -130,7 +263,7 @@ fn enumerate_rectangles<G: NeighborAccess, F: FnMut(Vec<Edge>)>(
 /// either `u – x – w – v` (x adjacent to u and w) or `u – w – x – v`
 /// (x adjacent to w and v); the instance is the union of the two paths'
 /// edges: 4 edges total.
-fn enumerate_rectris<G: NeighborAccess, F: FnMut(Vec<Edge>)>(
+fn enumerate_rectris<G: NeighborAccess, F: FnMut(&[Edge])>(
     g: &G,
     u: NodeId,
     v: NodeId,
@@ -143,13 +276,13 @@ fn enumerate_rectris<G: NeighborAccess, F: FnMut(Vec<Edge>)>(
         // 3-path u – x – w – v shares w: x ∈ N(u) ∩ N(w), x ∉ {u, v, w}.
         g.for_each_common_neighbor(u, w, |x| {
             if x != v && x != u && x != w {
-                emit(vec![e_uw, e_wv, Edge::new(u, x), Edge::new(x, w)]);
+                emit(&[e_uw, e_wv, Edge::new(u, x), Edge::new(x, w)]);
             }
         });
         // 3-path u – w – x – v shares w: x ∈ N(w) ∩ N(v), x ∉ {u, v, w}.
         g.for_each_common_neighbor(w, v, |x| {
             if x != u && x != v && x != w {
-                emit(vec![e_uw, e_wv, Edge::new(w, x), Edge::new(x, v)]);
+                emit(&[e_uw, e_wv, Edge::new(w, x), Edge::new(x, v)]);
             }
         });
     }
@@ -177,27 +310,44 @@ pub fn enumerate_target_subgraphs_through<G: NeighborAccess>(
     e: Edge,
 ) -> Vec<MotifInstance> {
     let mut out = Vec::new();
-    if e == Edge::new(u, v) {
-        return out;
-    }
-    let mut push = |edges: Vec<Edge>| out.push(MotifInstance::new(target_idx, edges));
-    match motif {
-        Motif::Triangle => enumerate_k_paths_through(g, u, v, 2, e, &mut push),
-        Motif::Rectangle => enumerate_k_paths_through(g, u, v, 3, e, &mut push),
-        Motif::RecTri => enumerate_rectris_through(g, u, v, e, &mut push),
-        Motif::KPath(k) => enumerate_k_paths_through(g, u, v, k as usize, e, &mut push),
-    }
+    for_each_target_subgraph_through(g, u, v, motif, e, |edges| {
+        out.push(MotifInstance::new(target_idx, edges.to_vec()));
+    });
     out
+}
+
+/// Calls `emit` once per target subgraph of `motif` for target `(u, v)`
+/// that contains `e` (see [`enumerate_target_subgraphs_through`]), with
+/// the instance's edges in no particular order.
+pub(crate) fn for_each_target_subgraph_through<G: NeighborAccess, F: FnMut(&[Edge])>(
+    g: &G,
+    u: NodeId,
+    v: NodeId,
+    motif: Motif,
+    e: Edge,
+    mut emit: F,
+) {
+    if e == Edge::new(u, v) {
+        return;
+    }
+    match motif {
+        Motif::Triangle => enumerate_k_paths_through(g, u, v, 2, e, &mut emit),
+        Motif::Rectangle => enumerate_k_paths_through(g, u, v, 3, e, &mut emit),
+        Motif::RecTri => enumerate_rectris_through(g, u, v, e, &mut emit),
+        Motif::KPath(k) => enumerate_k_paths_through(g, u, v, k as usize, e, &mut emit),
+    }
 }
 
 /// Simple `k`-paths from `u` to `v` that traverse the edge `e`: for each
 /// orientation of `e = (a, b)` and each position `i` the edge can occupy,
 /// a prefix leg `u ⤳ a` of `i` edges and a suffix leg `b ⤳ v` of
-/// `k - 1 - i` edges are enumerated depth-first over one shared visited
-/// set, so the assembled walk is simple. Each qualifying path contains `e`
-/// exactly once at one (orientation, position), so no path is emitted
-/// twice.
-fn enumerate_k_paths_through<G: NeighborAccess, F: FnMut(Vec<Edge>)>(
+/// `k - 1 - i` edges are enumerated depth-first over one shared node
+/// stack (seeded with `u`, `v`, `a`, `b`), so the assembled walk is
+/// simple. Each qualifying path contains `e` exactly once at one
+/// (orientation, position), so no path is emitted twice. A path has at
+/// most six nodes, so membership is a linear scan of the stack and no
+/// scratch is sized by the graph.
+fn enumerate_k_paths_through<G: NeighborAccess, F: FnMut(&[Edge])>(
     g: &G,
     u: NodeId,
     v: NodeId,
@@ -207,12 +357,8 @@ fn enumerate_k_paths_through<G: NeighborAccess, F: FnMut(Vec<Edge>)>(
 ) {
     debug_assert!(k >= 2, "k-path motifs start at k = 2");
     let (a, b) = (e.u(), e.v());
-    let mut visited = vec![false; g.node_count()];
-    for n in [u, v, a, b] {
-        if (n as usize) < visited.len() {
-            visited[n as usize] = true;
-        }
-    }
+    let mut nodes: Vec<NodeId> = Vec::with_capacity(k + 4);
+    nodes.extend([u, v, a, b]);
     let mut edges: Vec<Edge> = Vec::with_capacity(k);
     edges.push(e);
     for (s, t) in [(a, b), (b, a)] {
@@ -232,7 +378,7 @@ fn enumerate_k_paths_through<G: NeighborAccess, F: FnMut(Vec<Edge>)>(
                 s,
                 i,
                 Some((t, v, k - 1 - i)),
-                &mut visited,
+                &mut nodes,
                 &mut edges,
                 emit,
             );
@@ -241,19 +387,19 @@ fn enumerate_k_paths_through<G: NeighborAccess, F: FnMut(Vec<Edge>)>(
 }
 
 /// Depth-first enumeration of one simple-path leg from `current` to `goal`
-/// in exactly `remaining` edges over unvisited interior nodes. On
+/// in exactly `remaining` edges over interior nodes not yet on `nodes`
+/// (the path's node stack, which holds both legs' terminals). On
 /// completion, either recurses into `next_leg` (the suffix leg of a
-/// through-path, sharing the same visited set and edge buffer) or emits
-/// the assembled edge set. A whole `u ⤳ v` k-path is one leg with no
-/// `next_leg`.
-#[allow(clippy::too_many_arguments)] // recursive DFS plumbing: shared visited/edge buffers
-fn dfs_leg<G: NeighborAccess, F: FnMut(Vec<Edge>)>(
+/// through-path, sharing the same node stack and edge buffer) or emits
+/// the assembled edge set.
+#[allow(clippy::too_many_arguments)] // recursive DFS plumbing: shared node/edge stacks
+fn dfs_leg<G: NeighborAccess, F: FnMut(&[Edge])>(
     g: &G,
     current: NodeId,
     goal: NodeId,
     remaining: usize,
     next_leg: Option<(NodeId, NodeId, usize)>,
-    visited: &mut [bool],
+    nodes: &mut Vec<NodeId>,
     edges: &mut Vec<Edge>,
     emit: &mut F,
 ) {
@@ -261,36 +407,37 @@ fn dfs_leg<G: NeighborAccess, F: FnMut(Vec<Edge>)>(
         debug_assert_eq!(current, goal, "zero-length leg must start at its goal");
         match next_leg {
             Some((start, goal2, len2)) => {
-                dfs_leg(g, start, goal2, len2, None, visited, edges, emit);
+                dfs_leg(g, start, goal2, len2, None, nodes, edges, emit);
             }
-            None => emit(edges.clone()),
+            None => emit(edges),
         }
         return;
     }
     if remaining == 1 {
-        // The goal is pre-marked visited, so the neighbor loop below could
-        // never arrive: the final hop is an explicit adjacency test.
+        // The goal is already on the node stack, so the neighbor loop
+        // below could never arrive: the final hop is an explicit
+        // adjacency test.
         if g.has_edge(current, goal) {
             edges.push(Edge::new(current, goal));
             match next_leg {
                 Some((start, goal2, len2)) => {
-                    dfs_leg(g, start, goal2, len2, None, visited, edges, emit);
+                    dfs_leg(g, start, goal2, len2, None, nodes, edges, emit);
                 }
-                None => emit(edges.clone()),
+                None => emit(edges),
             }
             edges.pop();
         }
         return;
     }
     for &next in g.neighbors(current) {
-        if visited[next as usize] {
+        if nodes.contains(&next) {
             continue;
         }
-        visited[next as usize] = true;
+        nodes.push(next);
         edges.push(Edge::new(current, next));
-        dfs_leg(g, next, goal, remaining - 1, next_leg, visited, edges, emit);
+        dfs_leg(g, next, goal, remaining - 1, next_leg, nodes, edges, emit);
         edges.pop();
-        visited[next as usize] = false;
+        nodes.pop();
     }
 }
 
@@ -299,7 +446,7 @@ fn dfs_leg<G: NeighborAccess, F: FnMut(Vec<Edge>)>(
 /// distinct, so `e` matches exactly one of the four edge slots — each slot
 /// case below reconstructs the triples with `e` in that slot, and no
 /// instance is emitted twice.
-fn enumerate_rectris_through<G: NeighborAccess, F: FnMut(Vec<Edge>)>(
+fn enumerate_rectris_through<G: NeighborAccess, F: FnMut(&[Edge])>(
     g: &G,
     u: NodeId,
     v: NodeId,
@@ -308,7 +455,7 @@ fn enumerate_rectris_through<G: NeighborAccess, F: FnMut(Vec<Edge>)>(
 ) {
     let (p, q) = (e.u(), e.v());
     let emit_a = |emit: &mut F, w: NodeId, x: NodeId| {
-        emit(vec![
+        emit(&[
             Edge::new(u, w),
             Edge::new(w, v),
             Edge::new(u, x),
@@ -316,7 +463,7 @@ fn enumerate_rectris_through<G: NeighborAccess, F: FnMut(Vec<Edge>)>(
         ]);
     };
     let emit_b = |emit: &mut F, w: NodeId, x: NodeId| {
-        emit(vec![
+        emit(&[
             Edge::new(u, w),
             Edge::new(w, v),
             Edge::new(w, x),
@@ -453,13 +600,13 @@ pub fn collect_instance_edges_through<G: NeighborAccess>(
     out: &mut tpp_graph::FastSet<Edge>,
 ) {
     let ball = through_target_ball(g, motif, e);
-    for (idx, t) in targets.iter().enumerate() {
+    for t in targets {
         if !ball_admits(&ball, *t) {
             continue;
         }
-        for inst in enumerate_target_subgraphs_through(g, t.u(), t.v(), motif, idx, e) {
-            out.extend(inst.edges().iter().copied());
-        }
+        for_each_target_subgraph_through(g, t.u(), t.v(), motif, e, |edges| {
+            out.extend(edges.iter().copied());
+        });
     }
 }
 
@@ -467,9 +614,10 @@ pub fn collect_instance_edges_through<G: NeighborAccess>(
 /// This is the vector of similarities `s(P, t)` evaluated on `g` as-is.
 #[must_use]
 pub fn count_all_targets<G: NeighborAccess>(g: &G, targets: &[Edge], motif: Motif) -> Vec<usize> {
+    let mut join = PathJoin::default();
     targets
         .iter()
-        .map(|t| count_target_subgraphs(g, t.u(), t.v(), motif))
+        .map(|t| count_with(g, t.u(), t.v(), motif, &mut join))
         .collect()
 }
 

@@ -27,8 +27,17 @@
 //! count**: the kill phase walks instances in posting order, per-shard
 //! update sets are disjoint by construction, and aggregate counts reduce in
 //! shard order.
+//!
+//! The instances themselves live in **one flat arena**: every instance's
+//! edges, sorted canonically, `motif.edges_per_instance()` per instance, in
+//! one `Vec<Edge>`, plus one owning-target `u32` per instance (36 bytes
+//! per kpath4 instance). The enumerators hand each instance's edges to the
+//! build as a borrowed slice, so nothing is allocated per instance, and
+//! [`insert_edge`](PartitionedCoverageIndex::insert_edge) appends to the
+//! same arena. Cloning an index (the served protect's per-request copy) is
+//! therefore two memcpys for the instances plus the postings.
 
-use crate::instance::MotifInstance;
+use crate::enumerate::PathJoin;
 use crate::pattern::Motif;
 use tpp_exec::Parallelism;
 use tpp_graph::{Edge, FastMap, NeighborAccess, NodeId};
@@ -133,7 +142,12 @@ impl IndexShard {
 pub struct PartitionedCoverageIndex {
     motif: Motif,
     targets: Vec<Edge>,
-    instances: Vec<MotifInstance>,
+    /// The instance arena: instance `id` owns the sorted edges
+    /// `instance_edges[id * stride..(id + 1) * stride]`, `stride =
+    /// motif.edges_per_instance()`.
+    instance_edges: Vec<Edge>,
+    /// Owning target of every instance.
+    instance_target: Vec<u32>,
     alive: Vec<bool>,
     per_target_alive: Vec<usize>,
     alive_total: usize,
@@ -168,6 +182,21 @@ fn assert_phase_one<G: NeighborAccess>(g: &G, targets: &[Edge]) {
             "target {t} still present: run phase 1 (delete targets) before indexing"
         );
     }
+}
+
+/// Appends one instance's edges to a flat arena, sorted canonically (the
+/// order [`MotifInstance::new`](crate::MotifInstance::new) keeps), and
+/// returns the stored slice.
+fn push_instance<'a>(arena: &'a mut Vec<Edge>, edges: &[Edge]) -> &'a [Edge] {
+    let start = arena.len();
+    arena.extend_from_slice(edges);
+    let stored = &mut arena[start..];
+    stored.sort_unstable();
+    debug_assert!(
+        stored.windows(2).all(|w| w[0] != w[1]),
+        "motif instance has duplicate edges: {stored:?}"
+    );
+    stored
 }
 
 /// Builds the node → target-indexes inverted map (two entries per target,
@@ -247,31 +276,35 @@ impl PartitionedCoverageIndex {
         // Phase 1: enumerate chunk targets directly into per-shard posting
         // fragments under chunk-local instance ids.
         struct ChunkBuild {
-            instances: Vec<MotifInstance>,
+            /// The chunk's instance arena (chunk-local ids).
+            instance_edges: Vec<Edge>,
+            instance_target: Vec<u32>,
             per_target: Vec<usize>,
             /// Shard -> edge -> chunk-local ids of instances containing it.
             fragments: Vec<FastMap<Edge, Vec<InstanceId>>>,
         }
-        let enumerate_chunk = |_: &mut (), chunk: &[(usize, Edge)]| -> ChunkBuild {
+        // The per-worker state is the k-path join's bucket scratch, so a
+        // worker allocates it once, not once per target.
+        let enumerate_chunk = |join: &mut PathJoin, chunk: &[(usize, Edge)]| -> ChunkBuild {
             let mut out = ChunkBuild {
-                instances: Vec::new(),
+                instance_edges: Vec::new(),
+                instance_target: Vec::new(),
                 per_target: Vec::with_capacity(chunk.len()),
                 fragments: vec![FastMap::default(); shard_count],
             };
             for &(ti, t) in chunk {
-                let found =
-                    crate::enumerate::enumerate_target_subgraphs(g, t.u(), t.v(), motif, ti);
-                out.per_target.push(found.len());
-                for inst in found {
-                    let local = out.instances.len() as InstanceId;
-                    for &e in inst.edges() {
+                let before = out.instance_target.len();
+                crate::enumerate::for_each_target_subgraph(g, t.u(), t.v(), motif, join, |edges| {
+                    let local = out.instance_target.len() as InstanceId;
+                    for &e in push_instance(&mut out.instance_edges, edges) {
                         out.fragments[shard_of(e.u())]
                             .entry(e)
                             .or_default()
                             .push(local);
                     }
-                    out.instances.push(inst);
-                }
+                    out.instance_target.push(ti as u32);
+                });
+                out.per_target.push(out.instance_target.len() - before);
             }
             out
         };
@@ -281,7 +314,8 @@ impl PartitionedCoverageIndex {
         // target order.
         let enumerate_span =
             tpp_obs::SpanTimer::counter(stats.map(|s| &s.index.build_enumerate_ns));
-        let chunk_outs = exec.steal_spans(&indexed, Some(&weights), || (), enumerate_chunk);
+        let chunk_outs =
+            exec.steal_spans(&indexed, Some(&weights), PathJoin::default, enumerate_chunk);
         enumerate_span.stop();
 
         // Chunk-order id offsets: concatenating chunk outputs numbers the
@@ -290,7 +324,7 @@ impl PartitionedCoverageIndex {
         let mut total_instances = 0usize;
         for out in &chunk_outs {
             offsets.push(total_instances as InstanceId);
-            total_instances += out.instances.len();
+            total_instances += out.instance_target.len();
         }
 
         // Phase 2: fold fragments into each shard in chunk order (per-edge
@@ -312,10 +346,12 @@ impl PartitionedCoverageIndex {
         exec.for_each_mut(&mut shards, |s, shard| merge_shard(s, shard));
         merge_span.stop();
 
-        let mut instances = Vec::with_capacity(total_instances);
+        let mut instance_edges = Vec::with_capacity(total_instances * motif.edges_per_instance());
+        let mut instance_target = Vec::with_capacity(total_instances);
         let mut per_target_alive = Vec::with_capacity(targets.len());
         for out in chunk_outs {
-            instances.extend(out.instances);
+            instance_edges.extend_from_slice(&out.instance_edges);
+            instance_target.extend_from_slice(&out.instance_target);
             per_target_alive.extend(out.per_target);
         }
         debug_assert_eq!(per_target_alive.len(), targets.len());
@@ -326,7 +362,8 @@ impl PartitionedCoverageIndex {
             targets_by_node: invert_targets(targets),
             targets: targets.to_vec(),
             alive: vec![true; total_instances],
-            instances,
+            instance_edges,
+            instance_target,
             per_target_alive,
             alive_total: total_instances,
             bounds,
@@ -378,6 +415,13 @@ impl PartitionedCoverageIndex {
         owner_shard(&self.bounds, u)
     }
 
+    /// The sorted edges of instance `id`: its stride of the arena.
+    #[inline]
+    fn instance(&self, id: usize) -> &[Edge] {
+        let stride = self.motif.edges_per_instance();
+        &self.instance_edges[id * stride..(id + 1) * stride]
+    }
+
     /// The motif this index was built for.
     #[must_use]
     pub fn motif(&self) -> Motif {
@@ -411,7 +455,7 @@ impl PartitionedCoverageIndex {
     /// Initial total similarity `s(∅, T)` (instances ever indexed).
     #[must_use]
     pub fn initial_similarity(&self) -> usize {
-        self.instances.len()
+        self.instance_target.len()
     }
 
     /// Dissimilarity gain `Δ_p`: `O(1)` lookup of the maintained alive
@@ -432,7 +476,7 @@ impl PartitionedCoverageIndex {
     pub fn gain_split(&self, p: Edge, target_idx: usize) -> (usize, usize) {
         let (mut own, mut cross) = (0usize, 0usize);
         for id in self.alive_ids_of(p) {
-            if self.instances[id as usize].target_idx == target_idx {
+            if self.instance_target[id as usize] as usize == target_idx {
                 own += 1;
             } else {
                 cross += 1;
@@ -447,7 +491,7 @@ impl PartitionedCoverageIndex {
     pub fn gain_vector(&self, p: Edge) -> Vec<usize> {
         let mut v = vec![0usize; self.targets.len()];
         for id in self.alive_ids_of(p) {
-            v[self.instances[id as usize].target_idx] += 1;
+            v[self.instance_target[id as usize] as usize] += 1;
         }
         v
     }
@@ -509,7 +553,7 @@ impl PartitionedCoverageIndex {
                     let idx = id as usize;
                     if self.alive[idx] {
                         self.alive[idx] = false;
-                        self.per_target_alive[self.instances[idx].target_idx] -= 1;
+                        self.per_target_alive[self.instance_target[idx] as usize] -= 1;
                         self.alive_total -= 1;
                         killed.push(id);
                     }
@@ -524,7 +568,7 @@ impl PartitionedCoverageIndex {
             v.clear();
         }
         for &id in &killed {
-            for &e in self.instances[id as usize].edges() {
+            for &e in self.instance(id as usize) {
                 ops[self.shard_of(e.u())].push(e);
             }
         }
@@ -654,43 +698,53 @@ impl PartitionedCoverageIndex {
         } else {
             (0..self.targets.len() as u32).collect()
         };
+        let Self {
+            motif,
+            targets,
+            instance_edges,
+            instance_target,
+            alive,
+            per_target_alive,
+            alive_total,
+            bounds,
+            shards,
+            ..
+        } = self;
         for ti in tids {
-            let ti = ti as usize;
-            let t = self.targets[ti];
-            let found = crate::enumerate::enumerate_target_subgraphs_through(
+            let t = targets[ti as usize];
+            crate::enumerate::for_each_target_subgraph_through(
                 g,
                 t.u(),
                 t.v(),
-                self.motif,
-                ti,
+                *motif,
                 e,
-            );
-            discovered += found.len();
-            for inst in found {
-                let id = self.instances.len() as InstanceId;
-                for &edge in inst.edges() {
-                    let shard = &mut self.shards[owner_shard(&self.bounds, edge.u())];
-                    let po = shard.postings.entry(edge).or_default();
-                    if po.alive == 0 {
-                        // Compaction keeps candidate lists exactly the
-                        // alive>0 edges, so a zero-count posting is never
-                        // listed: insert at the sorted position.
-                        match shard.alive_candidates.binary_search(&edge) {
-                            Ok(_) => unreachable!("dead edge {edge} still listed as candidate"),
-                            Err(pos) => shard.alive_candidates.insert(pos, edge),
+                |edges| {
+                    let id = instance_target.len() as InstanceId;
+                    for &edge in push_instance(instance_edges, edges) {
+                        let shard = &mut shards[owner_shard(bounds, edge.u())];
+                        let po = shard.postings.entry(edge).or_default();
+                        if po.alive == 0 {
+                            // Compaction keeps candidate lists exactly the
+                            // alive>0 edges, so a zero-count posting is never
+                            // listed: insert at the sorted position.
+                            match shard.alive_candidates.binary_search(&edge) {
+                                Ok(_) => unreachable!("dead edge {edge} still listed as candidate"),
+                                Err(pos) => shard.alive_candidates.insert(pos, edge),
+                            }
                         }
+                        // `id` exceeds every existing id, so the posting's id
+                        // list stays ascending without a sort.
+                        po.ids.push(id);
+                        po.alive += 1;
+                        appended += 1;
                     }
-                    // `id` exceeds every existing id, so the posting's id
-                    // list stays ascending without a sort.
-                    po.ids.push(id);
-                    po.alive += 1;
-                    appended += 1;
-                }
-                self.alive.push(true);
-                self.per_target_alive[ti] += 1;
-                self.alive_total += 1;
-                self.instances.push(inst);
-            }
+                    instance_target.push(ti);
+                    alive.push(true);
+                    per_target_alive[ti as usize] += 1;
+                    *alive_total += 1;
+                    discovered += 1;
+                },
+            );
         }
         if let Some(st) = stats {
             st.update.inserts.inc();
@@ -734,13 +788,14 @@ impl PartitionedCoverageIndex {
         out
     }
 
-    /// Iterates alive instances (for reporting / verification).
-    pub fn alive_instances(&self) -> impl Iterator<Item = &MotifInstance> + '_ {
-        self.instances
+    /// Iterates alive instances as `(target index, sorted edges)`, in
+    /// instance-id order (for reporting / verification).
+    pub fn alive_instances(&self) -> impl Iterator<Item = (usize, &[Edge])> + '_ {
+        self.instance_target
             .iter()
             .enumerate()
             .filter(|&(id, _)| self.alive[id])
-            .map(|(_, inst)| inst)
+            .map(|(id, &ti)| (ti as usize, self.instance(id)))
     }
 
     /// Verifies internal consistency: counters vs alive flags, per-shard
@@ -751,12 +806,18 @@ impl PartitionedCoverageIndex {
         let alive_count = self.alive.iter().filter(|&&a| a).count();
         assert_eq!(alive_count, self.alive_total, "alive_total out of sync");
         let mut per_target = vec![0usize; self.targets.len()];
-        for (id, inst) in self.instances.iter().enumerate() {
+        for (id, &ti) in self.instance_target.iter().enumerate() {
             if self.alive[id] {
-                per_target[inst.target_idx] += 1;
+                per_target[ti as usize] += 1;
             }
         }
         assert_eq!(per_target, self.per_target_alive, "per-target out of sync");
+        assert_eq!(self.alive.len(), self.instance_target.len(), "alive arity");
+        assert_eq!(
+            self.instance_edges.len(),
+            self.instance_target.len() * self.motif.edges_per_instance(),
+            "instance arena stride"
+        );
         assert_eq!(self.bounds.len(), self.shards.len() + 1, "bounds arity");
         for (s, shard) in self.shards.iter().enumerate() {
             for &e in shard.postings.keys() {
@@ -941,7 +1002,7 @@ mod tests {
             assert_eq!(idx.alive_instances().count(), 2);
             idx.delete_edge(Edge::new(2, 3));
             assert_eq!(idx.alive_instances().count(), 1);
-            assert_eq!(idx.alive_instances().next().unwrap().target_idx, 0);
+            assert_eq!(idx.alive_instances().next().unwrap().0, 0);
         }
     }
 
@@ -1289,6 +1350,41 @@ mod tests {
             st.update.postings_appended.get(),
             (discovered * Motif::Triangle.edges_per_instance()) as u64
         );
+    }
+
+    /// The alive instances as sorted `(target, edges)` pairs: instance
+    /// ids differ between a patched index and a rebuild, the set does not.
+    fn alive_set(idx: &PartitionedCoverageIndex) -> Vec<(usize, Vec<Edge>)> {
+        let mut set: Vec<(usize, Vec<Edge>)> = idx
+            .alive_instances()
+            .map(|(ti, edges)| (ti, edges.to_vec()))
+            .collect();
+        set.sort();
+        set
+    }
+
+    #[test]
+    fn alive_instances_after_deletes_and_insert_equal_a_fresh_build() {
+        let (g, targets) = fixture();
+        let add = non_edges(&g, &targets, 1)[0];
+        for motif in Motif::ALL {
+            let mut idx = build_seq(&g, &targets, motif, 3);
+            assert!(idx
+                .alive_instances()
+                .all(|(_, edges)| edges.len() == motif.edges_per_instance()
+                    && edges.windows(2).all(|w| w[0] < w[1])));
+            let mut live = g.clone();
+            let candidates = idx.alive_candidate_edges();
+            for &p in candidates.iter().step_by(7).take(3) {
+                idx.delete_edge(p);
+                live.remove_edge(p.u(), p.v());
+            }
+            live.add_edge(add.u(), add.v());
+            idx.insert_edge(&live, add);
+            let rebuilt = build_seq(&live, &targets, motif, 3);
+            assert_eq!(alive_set(&idx), alive_set(&rebuilt), "{motif}");
+            assert_eq!(idx.alive_instances().count(), idx.total_similarity());
+        }
     }
 
     #[test]

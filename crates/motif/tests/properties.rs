@@ -124,6 +124,59 @@ fn assert_matches_reference(idx: &PartitionedCoverageIndex, reference: &Referenc
     idx.check_invariants();
 }
 
+/// Reference k-path enumerator: a whole-path depth-first search from `u`
+/// that visits each interior node at most once and closes on `v`, the
+/// independent oracle the library's half-path join is checked against.
+/// Each path comes back as its sorted edge set.
+fn k_paths_by_dfs(g: &Graph, u: u32, v: u32, k: usize) -> Vec<Vec<Edge>> {
+    fn walk(g: &Graph, path: &mut Vec<u32>, v: u32, k: usize, out: &mut Vec<Vec<Edge>>) {
+        let at = *path.last().expect("path starts at u");
+        if path.len() == k {
+            if g.contains(Edge::new(at, v)) {
+                let mut edges: Vec<Edge> = path.windows(2).map(|w| Edge::new(w[0], w[1])).collect();
+                edges.push(Edge::new(at, v));
+                edges.sort_unstable();
+                out.push(edges);
+            }
+            return;
+        }
+        for n in g.neighbors(at).to_vec() {
+            if n == v || path.contains(&n) {
+                continue;
+            }
+            path.push(n);
+            walk(g, path, v, k, out);
+            path.pop();
+        }
+    }
+    let mut out = Vec::new();
+    walk(g, &mut vec![u], v, k, &mut out);
+    out.sort();
+    out
+}
+
+/// The sorted edge sets of `enumerate_target_subgraphs` for one target.
+fn instance_sets(g: &Graph, t: Edge, motif: Motif) -> Vec<Vec<Edge>> {
+    let mut sets: Vec<Vec<Edge>> = tpp_motif::enumerate_target_subgraphs(g, t.u(), t.v(), motif, 0)
+        .into_iter()
+        .map(|inst| inst.edges().to_vec())
+        .collect();
+    sets.sort();
+    sets
+}
+
+/// Strategy: a random Erdős–Rényi or Holme–Kim graph with its targets
+/// removed (phase 1).
+fn er_or_hk_strategy() -> impl Strategy<Value = (Graph, Vec<Edge>)> {
+    (0u8..2, 8usize..=40, 0u64..=5_000, 1usize..=3).prop_map(|(model, n, seed, tcount)| {
+        if model == 0 {
+            er_released_workload(n.min(24), seed, tcount)
+        } else {
+            tpp_bench::fixtures::hk_released_workload(n.max(12), seed)
+        }
+    })
+}
+
 /// The paper's three motifs plus a generalized-path representative, so the
 /// Lemma 1-4 properties are exercised on the extension too.
 const MOTIFS: [Motif; 4] = [
@@ -392,6 +445,38 @@ proptest! {
                     idx.check_invariants();
                 }
             }
+        }
+    }
+
+    /// The half-path join finds exactly the simple k-paths a whole-path
+    /// DFS finds, for every `k ∈ 2..=5`; counting agrees with it; and
+    /// `KPath(2)` / `KPath(3)` are `Triangle` / `Rectangle` instance for
+    /// instance.
+    #[test]
+    fn kpath_join_equals_whole_path_dfs((g, targets) in er_or_hk_strategy()) {
+        for &t in &targets {
+            for k in 2u8..=5 {
+                let motif = Motif::KPath(k);
+                let joined = instance_sets(&g, t, motif);
+                prop_assert_eq!(
+                    &joined,
+                    &k_paths_by_dfs(&g, t.u(), t.v(), k as usize),
+                    "{} at target {}", motif, t
+                );
+                prop_assert_eq!(
+                    tpp_motif::count_target_subgraphs(&g, t.u(), t.v(), motif),
+                    joined.len(),
+                    "{} count at target {}", motif, t
+                );
+            }
+            prop_assert_eq!(
+                instance_sets(&g, t, Motif::KPath(2)),
+                instance_sets(&g, t, Motif::Triangle)
+            );
+            prop_assert_eq!(
+                instance_sets(&g, t, Motif::KPath(3)),
+                instance_sets(&g, t, Motif::Rectangle)
+            );
         }
     }
 

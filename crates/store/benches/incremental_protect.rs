@@ -14,10 +14,14 @@
 //!   `sgb_greedy_incremental` as an `IndexSeed`, and let the memoized
 //!   rounds re-score **only** the `delta_dirty_edges` candidates.
 //!
-//! Before anything is timed the bench asserts the repaired plan
-//! **bit-identical** to the from-scratch plan and enforces the PR-10
-//! contract ratios on a head-to-head measurement: ≥10× fewer candidate
-//! probes and ≥5× wall-clock.
+//! The delta touches the protected neighborhood on purpose: one removal
+//! is an alive candidate the prior plan did not pick, and one addition
+//! closes a rectangle for a target, so the repair has dirty candidates to
+//! re-score. Before anything is timed the bench asserts that the delta
+//! dirtied at least one candidate and that the repair probed at least
+//! one, the repaired plan **bit-identical** to the from-scratch plan, and
+//! the contract ratios on a head-to-head measurement: ≥10× fewer
+//! candidate probes and ≥5× wall-clock.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -35,29 +39,59 @@ const BUDGET: usize = 16;
 /// 200 removals + 200 additions ≈ 0.2% of the ~197k released edges.
 const DELTA_HALF: usize = 200;
 
-/// A ≤1% delta in the regime incremental repair targets: bulk churn that
-/// stays clear of the protected neighborhood. Removals are stride-sampled
-/// edges outside the Lemma-5 candidate pool (in no alive instance, so
-/// they dirty nothing); additions land between later low-degree nodes
-/// (BA hubs are the early ids), far from the targets' motif instances.
+/// A ≤1% delta in the regime incremental repair targets: bulk churn
+/// around a small change inside the protected neighborhood.
+///
+/// * The first removal is the first alive candidate (sorted order) that
+///   the prior plan did not pick: its instances die, so the gains of
+///   their other edges change.
+/// * The first addition closes a rectangle `u – a – b – v` for the first
+///   target that admits one (`a ∈ N(u)`, `b ∈ N(v)`, `(a, b)` absent).
+/// * The rest is churn clear of the instances: stride-sampled removals
+///   outside the Lemma-5 candidate pool (in no alive instance), and
+///   additions between later low-degree nodes (BA hubs are the early
+///   ids).
 fn pick_delta(
     g: &Graph,
     targets: &[Edge],
-    candidates: &FastSet<Edge>,
+    candidates: &[Edge],
+    picked: &FastSet<Edge>,
     half: usize,
 ) -> (Vec<Edge>, Vec<Edge>) {
+    let pool: FastSet<Edge> = candidates.iter().copied().collect();
+    let inside = *candidates
+        .iter()
+        .find(|e| !picked.contains(e) && !targets.contains(e))
+        .expect("an alive candidate the prior plan did not pick");
+    let mut added = Vec::with_capacity(half);
+    'close: for t in targets {
+        for &a in g.neighbors(t.u()) {
+            for &b in g.neighbors(t.v()) {
+                if a == b || [t.u(), t.v()].contains(&a) || [t.u(), t.v()].contains(&b) {
+                    continue;
+                }
+                let e = Edge::new(a, b);
+                if !g.contains(e) && !targets.contains(&e) {
+                    added.push(e);
+                    break 'close;
+                }
+            }
+        }
+    }
+    assert_eq!(added.len(), 1, "some target must admit a closing rectangle");
+
     let edges = g.edge_vec();
     let mut removed = Vec::with_capacity(half);
+    removed.push(inside);
     let mut i = 0usize;
     while removed.len() < half {
         let e = edges[(i * 997 + 13) % edges.len()];
-        if !targets.contains(&e) && !candidates.contains(&e) && !removed.contains(&e) {
+        if !targets.contains(&e) && !pool.contains(&e) && !removed.contains(&e) {
             removed.push(e);
         }
         i += 1;
     }
     let n = g.node_count() as u32;
-    let mut added = Vec::with_capacity(half);
     let mut j = 0u32;
     while added.len() < half {
         let u = n / 4 + (j * 9973 + 7) % (3 * n / 4);
@@ -83,12 +117,20 @@ fn bench_incremental_protect(c: &mut Criterion) {
     let base = TppInstance::new(original, targets.clone()).expect("base instance");
 
     // The warm pre-delta index a resident service would hold; its alive
-    // candidate pool also steers the delta away from the instances.
+    // candidate pool and the prior plan steer the delta.
     let sequential = tpp_exec::Parallelism::sequential();
     let warm =
         PartitionedCoverageIndex::build_parallel(&released, &targets, MOTIF, PARTS, &sequential);
-    let pool: FastSet<Edge> = warm.alive_candidate_edges().into_iter().collect();
-    let (removed, added) = pick_delta(&released, &targets, &pool, DELTA_HALF);
+    let cfg = GreedyConfig::scalable(MOTIF);
+    let prior = sgb_greedy(&base, BUDGET, &cfg);
+    let picked: FastSet<Edge> = prior.steps.iter().map(|s| s.protector).collect();
+    let (removed, added) = pick_delta(
+        &released,
+        &targets,
+        &warm.alive_candidate_edges(),
+        &picked,
+        DELTA_HALF,
+    );
     let mut mutated_released = released.clone();
     for e in &removed {
         mutated_released.remove_edge(e.u(), e.v());
@@ -102,8 +144,6 @@ fn bench_incremental_protect(c: &mut Criterion) {
     }
     let mutated = TppInstance::new(mutated_original, targets.clone()).expect("mutated instance");
 
-    let cfg = GreedyConfig::scalable(MOTIF);
-    let prior = sgb_greedy(&base, BUDGET, &cfg);
     let dirty = delta_dirty_edges(
         base.released(),
         mutated.released(),
@@ -174,6 +214,14 @@ fn bench_incremental_protect(c: &mut Criterion) {
         dirty.len(),
         scratch_ns as f64 / 1e6,
         inc_ns as f64 / 1e6,
+    );
+    assert!(
+        !dirty.is_empty(),
+        "the delta must dirty at least one candidate"
+    );
+    assert!(
+        inc_probes > 0,
+        "the repair must re-score at least one candidate"
     );
     assert!(
         scratch_probes >= 10 * inc_probes.max(1),

@@ -225,7 +225,7 @@ impl CsrGraph {
     #[must_use]
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         // One offset-table fetch for the range checks, both degrees and
-        // the search window (the motif DFS calls this per visited node).
+        // the search window (rectangle enumeration calls this per 2-path).
         let offsets = self.offsets();
         let (ui, vi) = (u as usize, v as usize);
         if ui + 1 >= offsets.len() || vi + 1 >= offsets.len() {
