@@ -1,10 +1,12 @@
 //! Microbenchmark: each Table II utility metric on the Arenas-email
 //! substitute (identifies which metrics dominate the Tables III-V cost and
 //! justifies the paper's reduced Table V metric set), plus the Table V
-//! utility-loss report on a 50k-node Barabási–Albert graph: clustering
-//! and the oriented triangle pass from scratch, the h-index core patch
-//! for a 200-edge release, and the report for that release, whose
-//! clustering and core numbers are patched from the original's.
+//! utility-loss report on a 50k-node Barabási–Albert graph: clustering,
+//! the two base-statistics kernels (the oriented triangle pass and the
+//! level-by-level core peel) and `BaseStats::compute` from scratch, the
+//! h-index core patch for a 200-edge release, and the report for that
+//! release, whose clustering and core numbers are patched from the
+//! original's.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -15,7 +17,8 @@ use tpp_metrics::clustering::triangle_counts;
 use tpp_metrics::core_number::patch_core_numbers;
 use tpp_metrics::{
     assortativity, average_clustering, average_core_number, core_numbers, louvain_modularity,
-    sampled_path_length, second_largest_laplacian_eigenvalue, utility_loss, UtilityConfig,
+    sampled_path_length, second_largest_laplacian_eigenvalue, utility_loss, BaseStats,
+    UtilityConfig,
 };
 
 fn bench_metrics(c: &mut Criterion) {
@@ -62,6 +65,12 @@ fn bench_metrics(c: &mut Criterion) {
     });
     group.bench_function("triangle_counts_ba50k", |b| {
         b.iter(|| black_box(triangle_counts(&big)));
+    });
+    group.bench_function("core_numbers_ba50k", |b| {
+        b.iter(|| black_box(core_numbers(&big)));
+    });
+    group.bench_function("base_stats_ba50k", |b| {
+        b.iter(|| black_box(BaseStats::compute(&big)));
     });
     let core = core_numbers(&big);
     group.bench_function("core_patch_ba50k_deleted200", |b| {

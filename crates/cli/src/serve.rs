@@ -45,12 +45,15 @@
 //! command's argv joined with NUL bytes — exactly the tokens the one-shot
 //! CLI would take. A reply payload is one status byte (`+` success, `-`
 //! error) followed by UTF-8 text; a reply too big for one frame is sent
-//! as an error naming its size. One request per connection.
+//! as an error naming its size. One request per connection. Every read
+//! and write on a connection times out after 30 s, so a client that
+//! connects and sends nothing, stops mid-frame, or never reads its reply
+//! costs one error on its own connection, never a pinned handler thread.
 
 use crate::args::{self, Parsed};
 use crate::commands::{self, RunSeeds};
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -67,6 +70,10 @@ use tpp_store::{CsrGraph, DeltaView};
 /// Frame payload cap: far above any real request or reply, low enough
 /// that a corrupt length prefix cannot trigger a giant allocation.
 const MAX_FRAME_BYTES: usize = 1 << 20;
+
+/// How long one read or write on a served connection may stall before
+/// the connection is given up.
+const CONNECTION_TIMEOUT: Duration = Duration::from_secs(30);
 
 fn write_frame(stream: &mut UnixStream, payload: &[u8]) -> std::io::Result<()> {
     if payload.len() > MAX_FRAME_BYTES {
@@ -309,7 +316,9 @@ pub fn serve_with_options(socket: &str, options: &ServeOptions) -> Result<(), St
         match conn {
             Ok(stream) => {
                 let s = Arc::clone(&server);
-                handlers.push(std::thread::spawn(move || s.handle_connection(stream)));
+                handlers.push(std::thread::spawn(move || {
+                    s.handle_connection(stream, CONNECTION_TIMEOUT);
+                }));
             }
             Err(e) => eprintln!("warning: accept failed: {e}"),
         }
@@ -334,8 +343,23 @@ impl Server {
     /// One request per connection: read a frame, answer it, reply. The
     /// catch-unwind here is the request boundary — a panicking request
     /// becomes an error reply on this connection, never a dead server.
-    fn handle_connection(&self, mut stream: UnixStream) {
+    /// Each read and write on `stream` gives up after `timeout`, so a
+    /// silent or stalled peer ends this connection with an error and
+    /// frees the thread.
+    fn handle_connection(&self, mut stream: UnixStream, timeout: Duration) {
+        if let Err(e) = stream
+            .set_read_timeout(Some(timeout))
+            .and_then(|()| stream.set_write_timeout(Some(timeout)))
+        {
+            eprintln!("warning: setting connection timeouts failed: {e}");
+            return;
+        }
         let (status, text) = match read_frame(&mut stream) {
+            // A socket timeout reads as `WouldBlock` on unix.
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => (
+                b'-',
+                format!("reading request: no complete frame within {timeout:?}"),
+            ),
             Err(e) => (b'-', format!("reading request: {e}")),
             Ok(payload) => match String::from_utf8(payload) {
                 Err(e) => (b'-', format!("request is not UTF-8: {e}")),
@@ -908,6 +932,52 @@ mod tests {
         assert_eq!(counted.stats().unwrap().serve.index_hits.get(), 1);
         assert_eq!(patched.gain(hit), 0);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The reply frame `handle_connection` wrote to `peer`.
+    fn reply_on(peer: &mut UnixStream) -> (u8, String) {
+        let reply = read_frame(peer).unwrap();
+        let (status, text) = reply.split_first().unwrap();
+        (*status, String::from_utf8_lossy(text).into_owned())
+    }
+
+    /// Runs `handle_connection` on `stream` in a thread and asserts it
+    /// returns well within a few timeouts, failing instead of hanging.
+    fn handled_in_time(server: &Arc<Server>, stream: UnixStream, timeout: Duration) {
+        let (done, finished) = std::sync::mpsc::channel();
+        let s = Arc::clone(server);
+        std::thread::spawn(move || {
+            s.handle_connection(stream, timeout);
+            done.send(()).unwrap();
+        });
+        assert!(
+            finished.recv_timeout(timeout * 10).is_ok(),
+            "handle_connection still blocked after {:?}",
+            timeout * 10
+        );
+    }
+
+    #[test]
+    fn silent_and_stalled_peers_time_out_on_their_own_connection() {
+        let server = Arc::new(registry_only_server());
+        let timeout = Duration::from_millis(200);
+        // A peer that connects and sends nothing.
+        let (stream, mut idle) = UnixStream::pair().unwrap();
+        handled_in_time(&server, stream, timeout);
+        let (status, text) = reply_on(&mut idle);
+        assert_eq!(status, b'-');
+        assert!(text.contains("no complete frame within"), "got: {text}");
+        // A peer that sends a length prefix and half its payload.
+        let (stream, mut stalled) = UnixStream::pair().unwrap();
+        stalled.write_all(&8u32.to_le_bytes()).unwrap();
+        stalled.write_all(b"pi").unwrap();
+        handled_in_time(&server, stream, timeout);
+        assert_eq!(reply_on(&mut stalled).0, b'-');
+        // The same server still answers a whole request.
+        let (stream, mut client) = UnixStream::pair().unwrap();
+        write_frame(&mut client, b"ping").unwrap();
+        handled_in_time(&server, stream, timeout);
+        assert_eq!(reply_on(&mut client), (b'+', "pong\n".to_string()));
     }
 
     #[test]

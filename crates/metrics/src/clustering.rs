@@ -1,6 +1,11 @@
 //! Clustering coefficients (Table II metric `clust`).
+//!
+//! Per-node triangle counts come from one lower-id-oriented pass
+//! (Schank & Wagner 2005, forward listing) that tests each candidate
+//! third corner against bitset marks instead of merging sorted lists;
+//! [`triangle_counts`] describes it. The removal and insertion walks
+//! patch those counts across an edge delta.
 
-use tpp_graph::kernels::intersect_merge;
 use tpp_graph::{fast_set_with_capacity, Edge, FastSet, NeighborAccess, NodeId};
 
 /// Local clustering coefficient of node `v`:
@@ -37,15 +42,18 @@ pub fn triangles_through<G: NeighborAccess>(g: &G, v: NodeId) -> usize {
 
 /// Per-node triangle counts: `counts[v] == triangles_through(g, v)`.
 ///
-/// Each edge is oriented toward its lower id (Schank & Wagner 2005): one
-/// sequential pass copies every node's neighbours below it into a
-/// lower-oriented adjacency of `m` entries with `u32` offsets. Every
-/// triangle `w < v < u` is then found exactly once, from its highest
-/// corner `u` along the edge to its middle corner `v`, by merging the part
-/// of `u`'s lower list before `v` with `v`'s whole lower list. That is half
-/// the edge visits of the per-node `triangles_through` loop, each on
-/// shorter lists, and the prefixes are never searched for: a lower list is
-/// exactly the prefix the intersection needs.
+/// Each edge is oriented toward its lower id (Schank & Wagner 2005), and
+/// the lower-oriented adjacency (`m` entries, `u32` offsets) is built in
+/// the same pass that counts: node `u`'s neighbours below it are copied
+/// just before `u` is processed, and every `v < u` already has its lower
+/// list. Every triangle `w < v < u` is found exactly once, from its
+/// highest corner `u` through its middle corner `v`: the members of
+/// `u`'s lower list are marked in an `n`-bit set, each `w` in the lower
+/// list of each marked `v` is tested against the marks, and the marks are
+/// cleared before the next node. A test is one bit read instead of a step
+/// of a branchy merge, and the set is `n / 8` bytes. A node with fewer
+/// than two lower neighbours closes no triangle as its highest corner
+/// and is skipped.
 ///
 /// A count never exceeds the edge count, so `u32` holds it for any graph
 /// with fewer than 2³² edges.
@@ -57,24 +65,38 @@ pub fn triangle_counts<G: NeighborAccess>(g: &G) -> Vec<u32> {
     );
     let n = g.node_count();
     let mut offsets = Vec::with_capacity(n + 1);
-    let mut below = Vec::with_capacity(g.edge_count());
+    let mut below: Vec<NodeId> = Vec::with_capacity(g.edge_count());
     offsets.push(0u32);
-    for u in g.node_ids() {
-        below.extend(g.neighbors(u).iter().take_while(|&&v| v < u));
-        offsets.push(below.len() as u32);
-    }
-    let lower = |u: NodeId| &below[offsets[u as usize] as usize..offsets[u as usize + 1] as usize];
+    let mut marks = vec![0u64; n.div_ceil(64)];
     let mut counts = vec![0u32; n];
     for u in g.node_ids() {
-        let nu = lower(u);
-        for (i, &v) in nu.iter().enumerate() {
+        let start = below.len();
+        below.extend(g.neighbors(u).iter().take_while(|&&v| v < u));
+        offsets.push(below.len() as u32);
+        let nu = &below[start..];
+        if nu.len() < 2 {
+            continue;
+        }
+        for &v in nu {
+            marks[v as usize / 64] |= 1 << (v % 64);
+        }
+        // The least member's lower list lies below every mark: skip it.
+        let mut at_u = 0u32;
+        for &v in &nu[1..] {
+            let lv = &below[offsets[v as usize] as usize..offsets[v as usize + 1] as usize];
             let mut found = 0u32;
-            intersect_merge(&nu[..i], lower(v), |w| {
-                counts[w as usize] += 1;
-                found += 1;
-            });
-            counts[u as usize] += found;
+            for &w in lv {
+                if marks[w as usize / 64] & (1 << (w % 64)) != 0 {
+                    counts[w as usize] += 1;
+                    found += 1;
+                }
+            }
+            at_u += found;
             counts[v as usize] += found;
+        }
+        counts[u as usize] += at_u;
+        for &v in nu {
+            marks[v as usize / 64] = 0;
         }
     }
     counts

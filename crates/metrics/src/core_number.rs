@@ -1,67 +1,81 @@
 //! k-shell decomposition / core numbers (Table II metric `cn`).
+//!
+//! [`core_numbers`] peels level by level over a compacted node list, the
+//! sequential form of Kabir & Madduri's PKC (IPDPSW 2017), in place of
+//! the Batagelj–Zaveršnik bucket peel; [`patch_core_numbers`] lowers
+//! the cores across edge deletions by h-index iteration.
 
 use std::collections::VecDeque;
 use tpp_graph::{fast_set_with_capacity, Edge, FastSet, NeighborAccess, NodeId};
 
-/// Core number of every node via the linear-time bucket peeling algorithm
-/// (Batagelj–Zaveršnik). `core[v]` is the largest `k` such that `v` belongs
-/// to a subgraph where every node has degree ≥ `k`.
+/// Core number of every node: `core[v]` is the largest `k` such that `v`
+/// belongs to a subgraph where every node has degree ≥ `k`.
 ///
-/// Every array is `u32` (a degree or a position is below the node count,
-/// and node ids are `u32`), and the peel's degree array ends as the core
-/// array: a node's degree is final once it is peeled, because only
-/// neighbours of strictly higher degree are decremented.
+/// Peels level by level over a compacted node list, as in the sequential
+/// form of Kabir & Madduri's PKC (IPDPSW 2017). Level `k` starts at the
+/// least degree among the nodes left; its frontier is the nodes left of
+/// degree `k`, and peeling a frontier node lowers each neighbour still
+/// above `k`, appending it to the frontier when it reaches `k`. After the
+/// level, the list keeps only the nodes above `k`, and `k` jumps to the
+/// least degree left. A node's degree is final once it reaches the
+/// current level, so the degree array ends as the core array.
+///
+/// `O(n + m)`: a node stays on the list for at most `core(v) + 1` levels,
+/// and each neighbour visit is one read and at most one write of its
+/// degree. Every array is `u32` (node ids are `u32`, and a degree is below
+/// the node count).
 #[must_use]
 pub fn core_numbers<G: NeighborAccess>(g: &G) -> Vec<u32> {
-    let n = g.node_count();
-    if n == 0 {
-        return Vec::new();
-    }
     let mut degree: Vec<u32> = g.node_ids().map(|u| g.degree(u) as u32).collect();
-    let max_deg = degree.iter().copied().max().unwrap_or(0) as usize;
-
-    // bucket sort nodes by degree
-    let mut bin_start = vec![0u32; max_deg + 2];
-    for &d in &degree {
-        bin_start[d as usize + 1] += 1;
-    }
-    for i in 1..bin_start.len() {
-        bin_start[i] += bin_start[i - 1];
-    }
-    let mut pos = vec![0u32; n]; // node -> index in `order`
-    let mut order = vec![0 as NodeId; n]; // sorted by current degree
-    {
-        let mut next = bin_start.clone();
-        for v in g.node_ids() {
-            let d = degree[v as usize] as usize;
-            pos[v as usize] = next[d];
-            order[next[d] as usize] = v;
-            next[d] += 1;
-        }
-    }
-    // `bin_start[d]` = first index in `order` of a node with degree d.
-    for i in 0..n {
-        let v = order[i];
-        let dv = degree[v as usize];
-        for &u in g.neighbors(v) {
-            let u_us = u as usize;
-            let du = degree[u_us];
-            if du > dv {
-                // Move u one bucket down: swap with the first node of its bucket.
-                let pu = pos[u_us];
-                let pw = bin_start[du as usize];
-                let w = order[pw as usize];
-                if u != w {
-                    order.swap(pu as usize, pw as usize);
-                    pos[u_us] = pw;
-                    pos[w as usize] = pu;
+    let mut remaining: Vec<NodeId> = g.node_ids().collect();
+    let mut frontier = Vec::new();
+    // Isolated nodes are at their core, 0, already.
+    let mut k = 0;
+    while let Some(level) = next_level(&mut remaining, &degree, k, &mut frontier) {
+        k = level;
+        let mut i = 0;
+        while let Some(&v) = frontier.get(i) {
+            i += 1;
+            for &u in g.neighbors(v) {
+                let du = &mut degree[u as usize];
+                if *du > k {
+                    *du -= 1;
+                    if *du == k {
+                        frontier.push(u);
+                    }
                 }
-                bin_start[du as usize] += 1;
-                degree[u_us] = du - 1;
             }
         }
     }
     degree
+}
+
+/// Drops from `remaining` every node of degree at most `floor`, fills
+/// `frontier` with the nodes left of least degree, and returns that
+/// degree, or `None` when no node is left.
+fn next_level(
+    remaining: &mut Vec<NodeId>,
+    degree: &[u32],
+    floor: u32,
+    frontier: &mut Vec<NodeId>,
+) -> Option<u32> {
+    frontier.clear();
+    let mut least = u32::MAX;
+    remaining.retain(|&v| {
+        let d = degree[v as usize];
+        if d <= floor {
+            return false;
+        }
+        if d < least {
+            least = d;
+            frontier.clear();
+        }
+        if d == least {
+            frontier.push(v);
+        }
+        true
+    });
+    (!remaining.is_empty()).then_some(least)
 }
 
 /// Lowers `core` (the [`core_numbers`] of `released + deleted`) to the core

@@ -1,8 +1,10 @@
-//! Property tests pinning the utility-loss report's incremental paths:
-//! the oriented triangle kernel counts what the per-node loop counts, the
-//! h-index core patch lands exactly on a peel of the release, and
-//! `utility_loss(g, g − D)` is bit-identical to measuring both graphs from
-//! scratch — for deletion sets of every shape, and for released graphs
+//! Property tests pinning the base-statistics kernels and the utility-loss
+//! report's incremental paths: the oriented triangle kernel counts what
+//! the per-node loop counts and the level peel gives the cores of a
+//! Batagelj–Zaveršnik bucket peel, on every backing and on id-reversed
+//! graphs; the h-index core patch lands exactly on a peel of the release;
+//! and `utility_loss(g, g − D)` is bit-identical to measuring both graphs
+//! from scratch — for deletion sets of every shape, and for released graphs
 //! that add or rewire edges (which take the recount path), and whichever
 //! graph representation the two inputs use. Base statistics patched
 //! across a sequence of edge deltas equal a recount of the result, and a
@@ -10,14 +12,14 @@
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use tpp_graph::{generators, Edge, Graph};
+use tpp_graph::{generators, Edge, Graph, NeighborAccess, NodeId};
 use tpp_metrics::clustering::{triangle_counts, triangles_through};
 use tpp_metrics::core_number::patch_core_numbers;
 use tpp_metrics::{
     compute_utility, core_numbers, loss_ratio, triangle_count, utility_loss, utility_loss_with,
     BaseStats, UtilityConfig,
 };
-use tpp_store::CsrGraph;
+use tpp_store::{CsrGraph, DeltaView};
 
 /// One of three generator families, sized by `n` (graphs too small for
 /// the attachment models fall back to G(n, p)).
@@ -28,6 +30,98 @@ fn random_graph(family: u8, n: usize, seed: u64) -> Graph {
         1 => generators::erdos_renyi_gnp(n, 0.15, seed),
         _ => generators::barabasi_albert(n, 2, seed),
     }
+}
+
+/// `g` relabelled by `v ↦ n − 1 − v`: the attachment models' hubs, born
+/// first, land at the highest ids, the worst case for an id orientation.
+fn reversed(g: &Graph) -> Graph {
+    let last = g.node_count().saturating_sub(1) as NodeId;
+    let mut out = Graph::new(g.node_count());
+    for e in g.edges() {
+        out.add_edge(last - e.u(), last - e.v());
+    }
+    out
+}
+
+/// A `random_graph` of `n` nodes, id-reversed when `reverse` is set, with
+/// `isolated` edgeless nodes appended after the last id.
+fn test_graph(family: u8, n: usize, seed: u64, reverse: bool, isolated: usize) -> Graph {
+    let g = random_graph(family, n, seed);
+    let mut g = if reverse { reversed(&g) } else { g };
+    for _ in 0..isolated {
+        g.add_node();
+    }
+    g
+}
+
+/// The first few edges of `g` from a seeded offset, about one in `every`.
+fn few_edges(g: &Graph, seed: u64, every: usize) -> Vec<Edge> {
+    let edges = g.edge_vec();
+    let start = lcg(seed)() as usize % edges.len().max(1);
+    (0..edges.len())
+        .step_by(every)
+        .map(|i| edges[(start + i) % edges.len()])
+        .take(4)
+        .collect()
+}
+
+/// Core numbers by the linear-time bucket peel (Batagelj–Zaveršnik): nodes
+/// sorted into degree buckets, each peeled node moving every neighbour of
+/// higher degree one bucket down by a swap with that bucket's first node.
+/// An independent reference for `core_numbers`' level-by-level peel.
+fn core_numbers_by_bucket_peel<G: NeighborAccess>(g: &G) -> Vec<u32> {
+    let n = g.node_count();
+    let mut degree: Vec<u32> = g.node_ids().map(|u| g.degree(u) as u32).collect();
+    let max_deg = degree.iter().copied().max().unwrap_or(0) as usize;
+    // `bin_start[d]` = first index in `order` of a node with degree d.
+    let mut bin_start = vec![0u32; max_deg + 2];
+    for &d in &degree {
+        bin_start[d as usize + 1] += 1;
+    }
+    for i in 1..bin_start.len() {
+        bin_start[i] += bin_start[i - 1];
+    }
+    let mut pos = vec![0u32; n];
+    let mut order = vec![0 as NodeId; n];
+    let mut next = bin_start.clone();
+    for v in g.node_ids() {
+        let d = degree[v as usize] as usize;
+        pos[v as usize] = next[d];
+        order[next[d] as usize] = v;
+        next[d] += 1;
+    }
+    for i in 0..n {
+        let v = order[i];
+        let dv = degree[v as usize];
+        for &u in g.neighbors(v) {
+            let du = degree[u as usize];
+            if du > dv {
+                let (pu, pw) = (pos[u as usize], bin_start[du as usize]);
+                let w = order[pw as usize];
+                order.swap(pu as usize, pw as usize);
+                pos[u as usize] = pw;
+                pos[w as usize] = pu;
+                bin_start[du as usize] += 1;
+                degree[u as usize] = du - 1;
+            }
+        }
+    }
+    degree
+}
+
+/// Asserts the oriented kernel's counts on `g` equal the per-node
+/// `triangles_through` loop, and `triangle_count` their third.
+fn assert_kernel_matches<G: NeighborAccess>(g: &G) -> Result<(), TestCaseError> {
+    let counts = triangle_counts(g);
+    prop_assert_eq!(counts.len(), g.node_count());
+    let mut total = 0usize;
+    for v in g.node_ids() {
+        let through = triangles_through(g, v);
+        prop_assert_eq!(counts[v as usize] as usize, through, "node {}", v);
+        total += through;
+    }
+    prop_assert_eq!(triangle_count(g), total / 3);
+    Ok(())
 }
 
 /// Deterministic pseudo-random stream from a seed (the shim has no
@@ -182,23 +276,52 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The oriented kernel's per-node counts equal `triangles_through`,
-    /// and `triangle_count` is their sum over three corners.
+    /// and `triangle_count` is their sum over three corners, on the
+    /// generated ids and their reversal, over an adjacency list and a
+    /// `DeltaView` with a few deletions.
     #[test]
     fn kernel_matches_per_node_triangles(
         family in 0u8..3,
         n in 0usize..80,
         seed in 0u64..5_000,
+        reverse in 0u8..2,
     ) {
-        let g = random_graph(family, n, seed);
-        let counts = triangle_counts(&g);
-        prop_assert_eq!(counts.len(), g.node_count());
-        let mut total = 0usize;
-        for v in g.nodes() {
-            let through = triangles_through(&g, v);
-            prop_assert_eq!(counts[v as usize] as usize, through, "node {}", v);
-            total += through;
+        let g = test_graph(family, n, seed, reverse == 1, 0);
+        assert_kernel_matches(&g)?;
+        let csr = CsrGraph::from_graph(&g);
+        let mut view = DeltaView::new(&csr);
+        for e in few_edges(&g, seed, 5) {
+            prop_assert!(view.delete_edge(e));
         }
-        prop_assert_eq!(triangle_count(&g), total / 3);
+        assert_kernel_matches(&view)?;
+    }
+
+    /// The level peel's core numbers equal the bucket peel's on all three
+    /// families, id-reversed or not, with isolated trailing nodes, through
+    /// an adjacency list, a CSR snapshot, and a `DeltaView` over it with a
+    /// few deletions.
+    #[test]
+    fn core_numbers_equal_bucket_peel(
+        family in 0u8..3,
+        n in 0usize..300,
+        seed in 0u64..5_000,
+        reverse in 0u8..2,
+        isolated in 0usize..3,
+    ) {
+        let g = test_graph(family, n, seed, reverse == 1, isolated);
+        let want = core_numbers_by_bucket_peel(&g);
+        prop_assert_eq!(&core_numbers(&g), &want);
+        let csr = CsrGraph::from_graph(&g);
+        prop_assert_eq!(&core_numbers(&csr), &want);
+        let deleted = few_edges(&g, seed, 7);
+        let mut view = DeltaView::new(&csr);
+        for &e in &deleted {
+            prop_assert!(view.delete_edge(e));
+        }
+        prop_assert_eq!(
+            core_numbers(&view),
+            core_numbers_by_bucket_peel(&without(&g, &deleted))
+        );
     }
 
     /// `utility_loss(g, g − D)` equals the from-scratch pair bit for bit,
