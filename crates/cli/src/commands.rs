@@ -14,7 +14,9 @@ use tpp_core::{
 };
 use tpp_graph::{parse_edge_list, write_edge_list, Edge, FastSet, NeighborAccess};
 use tpp_linkpred::{evaluate_attack_on, sample_non_edges, Attacker, SimilarityIndex};
-use tpp_metrics::{compute_utility, utility_loss, utility_loss_with, BaseStats, UtilityConfig};
+use tpp_metrics::{
+    compute_utility, utility_loss, utility_loss_with, BaseStats, UtilityConfig, UtilityMetric,
+};
 use tpp_motif::Motif;
 use tpp_obs::Recorder;
 use tpp_store::{CsrGraph, DeltaView, GraphDelta, VerifyMode};
@@ -208,12 +210,17 @@ pub(crate) fn is_snapshot(path: &str) -> bool {
         && magic == tpp_store::format::MAGIC
 }
 
+/// Base statistics of one graph, shared between the runs on it: filled
+/// by a snapshot's base-statistics section at load, or by the first
+/// protect that needs them (see [`run_protect`]).
+pub(crate) type BaseSlot = Arc<OnceLock<BaseStats>>;
+
 /// Loads the input graph (the first positional) as the shared CSR
 /// snapshot every request path runs on; see [`load_graph_at`].
 pub(crate) fn load_graph_observed(
     p: &Parsed,
     recorder: &Recorder,
-) -> Result<Arc<CsrGraph>, String> {
+) -> Result<(Arc<CsrGraph>, Option<BaseSlot>), String> {
     let path = p
         .positional
         .first()
@@ -225,13 +232,31 @@ pub(crate) fn load_graph_observed(
 /// zero-copy mapped at the `--verify` tier, default full, and used as is)
 /// or a text edge list (parsed once, copied into a snapshot once) — with
 /// load wall time reported into the recorder's store section (a disabled
-/// recorder never reads the clock).
-fn load_graph_at(p: &Parsed, path: &str, recorder: &Recorder) -> Result<Arc<CsrGraph>, String> {
+/// recorder never reads the clock). A snapshot with a base-statistics
+/// section also yields a filled [`BaseSlot`], so no run on it recounts.
+fn load_graph_at(
+    p: &Parsed,
+    path: &str,
+    recorder: &Recorder,
+) -> Result<(Arc<CsrGraph>, Option<BaseSlot>), String> {
     if is_snapshot(path) {
         let verify = parse_verify(p, "full")?;
-        let (csr, _header) = tpp_store::format::load_mapped_observed(path, verify, recorder)
-            .map_err(|e| format!("loading snapshot {path}: {e}"))?;
-        return Ok(Arc::new(csr));
+        let (csr, _header, section) =
+            tpp_store::format::load_mapped_observed(path, verify, recorder)
+                .map_err(|e| format!("loading snapshot {path}: {e}"))?;
+        let base = section
+            .map(|s| {
+                let t0 = recorder.is_enabled().then(std::time::Instant::now);
+                let base = BaseStats::from_arrays(&csr, s.triangles, s.cores).map_err(|e| {
+                    format!("loading snapshot {path}: base-stats section does not fit: {e}")
+                })?;
+                if let (Some(t0), Some(st)) = (t0, recorder.stats()) {
+                    st.store.section_ns.add_duration(t0.elapsed());
+                }
+                Ok::<_, String>(Arc::new(OnceLock::from(base)))
+            })
+            .transpose()?;
+        return Ok((Arc::new(csr), base));
     }
     let t0 = recorder.is_enabled().then(std::time::Instant::now);
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
@@ -240,11 +265,11 @@ fn load_graph_at(p: &Parsed, path: &str, recorder: &Recorder) -> Result<Arc<CsrG
         st.store.loads.inc();
         st.store.parse_ns.add_duration(t0.elapsed());
     }
-    Ok(Arc::new(csr))
+    Ok((Arc::new(csr), None))
 }
 
 fn load_graph(p: &Parsed) -> Result<Arc<CsrGraph>, String> {
-    load_graph_observed(p, &Recorder::disabled())
+    load_graph_observed(p, &Recorder::disabled()).map(|(g, _)| g)
 }
 
 pub(crate) fn parse_motif(p: &Parsed) -> Result<Motif, String> {
@@ -331,16 +356,53 @@ fn stats(p: &Parsed) -> Result<(), String> {
         (2 * g.edge_count()) as f64 / g.node_count().max(1) as f64
     );
     let seed: u64 = p.num_or("seed", 1u64)?;
-    let config = if p.has("full") {
-        UtilityConfig::full(seed)
-    } else {
-        UtilityConfig::large_graph(seed)
-    };
-    let values = compute_utility(&*g, &config);
-    for (metric, value) in &values.values {
-        println!("{metric}: {value:.4}");
-    }
+    print!(
+        "{}",
+        utility_lines(&*g, p.has("full"), seed, EXACT_PATHS_MAX_NODES)
+    );
     Ok(())
+}
+
+/// Largest graph whose average path length `tpp stats --full` computes
+/// exactly, by a BFS from every node; above it the BFS runs from a seeded
+/// sample of [`SAMPLED_PATH_SOURCES`] nodes.
+const EXACT_PATHS_MAX_NODES: usize = 10_000;
+
+/// BFS sources `tpp stats --full` samples on graphs above
+/// [`EXACT_PATHS_MAX_NODES`].
+const SAMPLED_PATH_SOURCES: usize = 1_000;
+
+/// The metric lines of `tpp stats`: clustering and core number, or with
+/// `full` all six metrics, the path length sampled (and labelled so) when
+/// `g` has more than `exact_max_nodes` nodes.
+fn utility_lines<G: NeighborAccess>(
+    g: &G,
+    full: bool,
+    seed: u64,
+    exact_max_nodes: usize,
+) -> String {
+    use std::fmt::Write as _;
+    let sampled = full && g.node_count() > exact_max_nodes;
+    let config = match (full, sampled) {
+        (false, _) => UtilityConfig::large_graph(seed),
+        (true, false) => UtilityConfig::full(seed),
+        (true, true) => UtilityConfig {
+            path_sources: Some(SAMPLED_PATH_SOURCES),
+            ..UtilityConfig::full(seed)
+        },
+    };
+    let mut out = String::new();
+    for (metric, value) in compute_utility(g, &config).values {
+        if sampled && metric == UtilityMetric::AvgPathLength {
+            let _ = writeln!(
+                out,
+                "{metric} ({SAMPLED_PATH_SOURCES} sampled sources): {value:.4}"
+            );
+        } else {
+            let _ = writeln!(out, "{metric}: {value:.4}");
+        }
+    }
+    out
 }
 
 /// JSON envelope written by `tpp protect --plan` / `--plan-out`.
@@ -486,12 +548,23 @@ pub(crate) struct RunSeeds {
     pub index: Option<std::sync::Arc<tpp_motif::PartitionedCoverageIndex>>,
     /// The server's shared executor pool.
     pub pool: Option<tpp_exec::Parallelism>,
-    /// The registry's base-statistics slot for the run's graph: read when
-    /// filled, filled by this run otherwise (see [`run_protect`]).
-    pub base: Option<Arc<OnceLock<BaseStats>>>,
+    /// The base-statistics slot of the run's graph (the registry's, or
+    /// the one the load filled): read when filled, filled by this run
+    /// otherwise (see [`run_protect`]).
+    pub base: Option<BaseSlot>,
+    /// Whether `base` was filled by this request's own snapshot load
+    /// rather than by an earlier request.
+    pub base_loaded: bool,
 }
 
 fn protect(p: &Parsed) -> Result<(), String> {
+    print!("{}", protect_report(p)?);
+    Ok(())
+}
+
+/// The one-shot `tpp protect` report: load (a snapshot's base statistics
+/// with it), then [`run_protect`].
+fn protect_report(p: &Parsed) -> Result<String, String> {
     let stats_out = parse_stats_flag(p)?;
     let recorder = if stats_out.is_some() {
         Recorder::enabled()
@@ -499,17 +572,13 @@ fn protect(p: &Parsed) -> Result<(), String> {
         Recorder::disabled()
     };
     let kernel_base = start_kernel_counting(&recorder);
-    let g = load_graph_observed(p, &recorder)?;
-    let report = run_protect(
-        p,
-        g,
-        &recorder,
-        kernel_base,
-        stats_out.as_ref(),
-        RunSeeds::default(),
-    )?;
-    print!("{report}");
-    Ok(())
+    let (g, base) = load_graph_observed(p, &recorder)?;
+    let seeds = RunSeeds {
+        base_loaded: base.is_some(),
+        base,
+        ..RunSeeds::default()
+    };
+    run_protect(p, g, &recorder, kernel_base, stats_out.as_ref(), seeds)
 }
 
 /// The full protect pipeline after the graph is in hand, returning the
@@ -633,8 +702,8 @@ pub(crate) fn run_protect(
         base
     };
     let config = UtilityConfig::large_graph(seed);
-    // A registry slot describes the run's input graph; an incremental
-    // run's original is the delta-mutated graph, so it computes its own.
+    // A slot describes the run's input graph; an incremental run's
+    // original is the delta-mutated graph, so it computes its own.
     let loss = match seeds.base.as_ref().filter(|_| incremental.is_none()) {
         Some(slot) => {
             utility_loss_with(slot.get_or_init(compute_base), original, &released, &config)
@@ -645,6 +714,7 @@ pub(crate) fn run_protect(
         st.utility.utility_ns.add_duration(t0.elapsed());
         match base_ns {
             Some(ns) => st.utility.base_ns.add_duration(ns),
+            None if seeds.base_loaded => st.utility.base_loaded.inc(),
             None => st.utility.base_reused.inc(),
         }
         st.utility
@@ -688,7 +758,7 @@ fn attack(p: &Parsed) -> Result<(), String> {
         Recorder::disabled()
     };
     let kernel_base = start_kernel_counting(&recorder);
-    let g = load_graph_observed(p, &recorder)?;
+    let (g, _) = load_graph_observed(p, &recorder)?;
     let report = run_attack(
         p,
         g,
@@ -785,15 +855,18 @@ fn utility_report(p: &Parsed) -> Result<String, String> {
         return Err("expected <original> <released>".into());
     };
     let recorder = Recorder::disabled();
-    let original = load_graph_at(p, original_path, &recorder)?;
-    let released = load_graph_at(p, released_path, &recorder)?;
+    let (original, base) = load_graph_at(p, original_path, &recorder)?;
+    let (released, _) = load_graph_at(p, released_path, &recorder)?;
     let seed: u64 = p.num_or("seed", 1u64)?;
     let config = if p.has("full") {
         UtilityConfig::full(seed)
     } else {
         UtilityConfig::large_graph(seed)
     };
-    let report = utility_loss(&*original, &*released, &config);
+    let report = match base.as_deref().and_then(OnceLock::get) {
+        Some(base) => utility_loss_with(base, &*original, &*released, &config),
+        None => utility_loss(&*original, &*released, &config),
+    };
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -835,9 +908,10 @@ fn store(p: &Parsed) -> Result<(), String> {
                 Recorder::disabled()
             };
             // Two passes over the edge list, a bounded chunk buffer,
-            // payload spilled through disk.
+            // payload spilled through disk; then the original's base
+            // statistics, counted once here instead of by every protect.
             let cfg = tpp_store::StreamConfig { chunk_bytes };
-            let report = tpp_store::build_stream(path, out, &cfg, &recorder)
+            let report = tpp_store::build_stream(path, out, &cfg, &snapshot_base, &recorder)
                 .map_err(|e| format!("{path}: {e}"))?;
             let bytes = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
             println!(
@@ -866,7 +940,7 @@ fn store(p: &Parsed) -> Result<(), String> {
             // zero-copy at the chosen tier (default header: the
             // offset-table sweep, never the neighbor pages).
             let verify = parse_verify(p, "header")?;
-            let (csr, header) =
+            let (csr, header, _) =
                 tpp_store::format::load_mapped_observed(path, verify, &Recorder::disabled())
                     .map_err(|e| e.to_string())?;
             println!("file:    {path}");
@@ -876,6 +950,19 @@ fn store(p: &Parsed) -> Result<(), String> {
                 header.payload_offset(),
                 header.payload_alignment(),
             );
+            let sections: Vec<String> = header
+                .sections
+                .iter()
+                .map(|s| {
+                    let checked = if verify.checks(s.kind) {
+                        "verified"
+                    } else {
+                        "skipped"
+                    };
+                    format!("{} {} bytes (checksum {checked})", s.kind.name(), s.length)
+                })
+                .collect();
+            println!("sections: {}", sections.join(", "));
             println!("storage: {}", csr.storage_kind());
             println!("nodes:   {}", csr.node_count());
             println!("edges:   {}", csr.edge_count());
@@ -916,6 +1003,15 @@ fn store(p: &Parsed) -> Result<(), String> {
         other => Err(format!(
             "unknown store subcommand {other:?} (expected build, info, or convert)"
         )),
+    }
+}
+
+/// The base-statistics section `tpp store build` writes: the original's
+/// triangle counts and core numbers, the arrays behind `clust` and `cn`.
+fn snapshot_base(g: &CsrGraph) -> tpp_store::BaseSection {
+    tpp_store::BaseSection {
+        triangles: tpp_metrics::clustering::triangle_counts(g),
+        cores: tpp_metrics::core_numbers(g),
     }
 }
 
@@ -1977,11 +2073,8 @@ mod tests {
         .unwrap();
         let reference = dir.join("reference.csr");
         let text = std::fs::read_to_string(&edges).unwrap();
-        tpp_store::format::save(
-            &tpp_store::CsrGraph::from_graph(&parse_edge_list(&text).unwrap()),
-            &reference,
-        )
-        .unwrap();
+        let csr = tpp_store::CsrGraph::from_graph(&parse_edge_list(&text).unwrap());
+        tpp_store::format::save(&csr, Some(&snapshot_base(&csr)), &reference).unwrap();
         // --chunk-mb floors at 1 MiB via the CLI; the library tests cover
         // the multi-chunk path with smaller buffers.
         let built = dir.join("built.csr");
@@ -2234,6 +2327,108 @@ mod tests {
         }
         assert_eq!(plans[0], plans[1], "snapshot input changed the plan");
         assert_eq!(plans[0], plans[2], "--verify header changed the plan");
+    }
+
+    #[test]
+    fn v2_v3_and_text_inputs_give_the_same_protect_report() {
+        let dir = tmpdir().join("v2v3");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let (text, v3, v2) = (path("g.txt"), path("g.csr"), path("g-v2.csr"));
+        for argv in [
+            vec![
+                "generate", "--model", "hk", "--nodes", "300", "--out", &text,
+            ],
+            vec!["store", "build", &text, "--out", &v3],
+        ] {
+            dispatch(&parse(&strs(&argv)).unwrap()).unwrap();
+        }
+        let csr = tpp_store::format::load_mapped(&v3, VerifyMode::Full).unwrap();
+        let mut w = std::io::BufWriter::new(std::fs::File::create(&v2).unwrap());
+        tpp_store::format::write_snapshot_v2(&csr, &mut w).unwrap();
+        drop(w);
+        let sections = |file: &str| {
+            let (_, header, base) = tpp_store::format::load_mapped_observed(
+                file,
+                VerifyMode::Full,
+                &Recorder::disabled(),
+            )
+            .unwrap();
+            (header.version, header.sections.len(), base.is_some())
+        };
+        assert_eq!(sections(&v3), (3, 2, true));
+        assert_eq!(sections(&v2), (2, 1, false));
+
+        let plan = path("plan.json");
+        let stats = path("stats.json");
+        for motif in ["triangle", "rectangle"] {
+            let run = |input: &str, verify: &str, with_stats: bool| {
+                let mut argv = vec![
+                    "protect", input, "--motif", motif, "--budget", "6", "--random", "8", "--seed",
+                    "3", "--verify", verify, "--plan", &plan,
+                ];
+                if with_stats {
+                    argv.extend(["--stats", &stats]);
+                }
+                let report = protect_report(&parse(&strs(&argv)).unwrap()).unwrap();
+                (report, std::fs::read(&plan).unwrap())
+            };
+            let want = run(&text, "full", false);
+            for verify in ["full", "header", "none"] {
+                for input in [&v3, &v2] {
+                    assert_eq!(run(input, verify, false), want, "{motif} {input} {verify}");
+                }
+            }
+            // Where the original's statistics came from: the v3 section,
+            // or a recount.
+            let counter = |json: &str, key: &str| -> u64 {
+                json.split(&format!("\"{key}\": "))
+                    .nth(1)
+                    .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
+                    .and_then(|digits| digits.parse().ok())
+                    .unwrap_or_else(|| panic!("no {key} in {json}"))
+            };
+            for (input, loaded) in [(&v3, true), (&v2, false), (&text, false)] {
+                run(input, "header", true);
+                let json = std::fs::read_to_string(&stats).unwrap();
+                assert_eq!(counter(&json, "base_loaded"), u64::from(loaded), "{input}");
+                assert_eq!(counter(&json, "base_ns") == 0, loaded, "{input}: {json}");
+                assert_eq!(counter(&json, "section_ns") > 0, loaded, "{input}: {json}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn stats_full_samples_path_sources_above_the_node_limit() {
+        let g = tpp_graph::generators::holme_kim(60, 3, 0.4, 2);
+        let exact = utility_lines(&g, true, 1, EXACT_PATHS_MAX_NODES);
+        assert!(exact.starts_with("l: "), "{exact}");
+        assert_eq!(exact.lines().count(), 6);
+        let sampled = utility_lines(&g, true, 1, 59);
+        assert!(
+            sampled.starts_with(&format!("l ({SAMPLED_PATH_SOURCES} sampled sources): ")),
+            "{sampled}"
+        );
+        // With at least as many samples as nodes every node is a source,
+        // so the value is the exact one; the other metrics never change.
+        let value = |text: &str| {
+            text.lines()
+                .next()
+                .unwrap()
+                .rsplit(": ")
+                .next()
+                .unwrap()
+                .to_string()
+        };
+        assert_eq!(value(&exact), value(&sampled));
+        let rest = |text: &str| text.lines().skip(1).collect::<Vec<_>>().join("\n");
+        assert_eq!(rest(&exact), rest(&sampled));
+        // Without --full there is no path length to sample.
+        assert_eq!(
+            utility_lines(&g, false, 1, 0),
+            utility_lines(&g, false, 1, EXACT_PATHS_MAX_NODES)
+        );
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! `protect` / `attack` / `info` requests against warm registries:
 //!
 //! * **graph registry** — keyed by canonicalized input path, holding the
-//!   shared CSR snapshot (a mapped file stays mapped) and, once a protect
-//!   has computed them, its [`BaseStats`] (the original's triangle counts
-//!   and core numbers for the utility report); a hit is an `Arc` clone
-//!   instead of a re-read and a recount;
+//!   shared CSR snapshot (a mapped file stays mapped) and, once loaded
+//!   from the snapshot's base-statistics section or computed by a
+//!   protect, its [`BaseStats`] (the original's triangle counts and core
+//!   numbers for the utility report); a hit is an `Arc` clone instead of a
+//!   re-read and a recount;
 //! * **index registry** — keyed by `(path, motif, target list)`; each
 //!   entry also records the resident graph it covers, and a hit needs both
 //!   the key and that graph to match the request's. A hit clones the
@@ -51,7 +52,7 @@
 //! costs one error on its own connection, never a pinned handler thread.
 
 use crate::args::{self, Parsed};
-use crate::commands::{self, RunSeeds};
+use crate::commands::{self, BaseSlot, RunSeeds};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -189,13 +190,12 @@ fn graph_key(path: &str) -> String {
         .map_or_else(|_| path.to_string(), |p| p.to_string_lossy().into_owned())
 }
 
-/// The registry's base statistics of one resident graph: empty until the
-/// first protect on it computes them, replaced with the graph by every
-/// `update`, so a filled slot always describes the graph it sits beside.
-type BaseSlot = Arc<OnceLock<BaseStats>>;
-
 struct GraphEntry {
     graph: Arc<CsrGraph>,
+    /// The graph's base statistics: filled at load from a snapshot's
+    /// base-statistics section, or else empty until the first protect on
+    /// it computes them; replaced with the graph by every `update`, so a
+    /// filled slot always describes the graph it sits beside.
     base: BaseSlot,
     snapshot: bool,
     /// Last request that touched this entry (the LRU/TTL clock).
@@ -447,12 +447,13 @@ impl Server {
         }
         self.sweep_registries(Some(&recorder));
         let kernel_base = commands::start_kernel_counting(&recorder);
-        let (g, base) = self.graph_for(p, &recorder)?;
+        let (g, base, base_loaded) = self.graph_for(p, &recorder)?;
         let mut seeds = RunSeeds {
             instance: None,
             index: None,
             pool: Some(self.pool.clone()),
             base: Some(base),
+            base_loaded,
         };
         if p.command == "protect" {
             // An incremental request solves the delta-mutated problem, so
@@ -651,12 +652,13 @@ impl Server {
     }
 
     /// The graph registry: the resident graph and its base-statistics
-    /// slot, read together under the lock so that they always match.
+    /// slot, read together under the lock so that they always match, and
+    /// whether this request's own load filled the slot.
     fn graph_for(
         &self,
         p: &Parsed,
         recorder: &Recorder,
-    ) -> Result<(Arc<CsrGraph>, BaseSlot), String> {
+    ) -> Result<(Arc<CsrGraph>, BaseSlot, bool), String> {
         let path = p
             .positional
             .first()
@@ -664,16 +666,17 @@ impl Server {
         let key = graph_key(path);
         if let Some(entry) = lock(&self.graphs).get_mut(&key) {
             entry.last_used = Instant::now();
-            let pair = (Arc::clone(&entry.graph), Arc::clone(&entry.base));
+            let hit = (Arc::clone(&entry.graph), Arc::clone(&entry.base), false);
             self.bump(Some(recorder), |s| s.graph_hits.inc());
-            return Ok(pair);
+            return Ok(hit);
         }
         // Miss: load outside the lock (two racing first requests both
         // load; the registry keeps whichever inserts last — same bytes).
         let snapshot = commands::is_snapshot(path);
-        let g = commands::load_graph_observed(p, recorder)?;
+        let (g, loaded) = commands::load_graph_observed(p, recorder)?;
         self.bump(Some(recorder), |s| s.graph_misses.inc());
-        let base = BaseSlot::default();
+        let base_loaded = loaded.is_some();
+        let base = loaded.unwrap_or_default();
         lock(&self.graphs).insert(
             key,
             GraphEntry {
@@ -683,7 +686,7 @@ impl Server {
                 last_used: Instant::now(),
             },
         );
-        Ok((g, base))
+        Ok((g, base, base_loaded))
     }
 
     /// The index registry: builds the run's phase-1 instance, whose
@@ -870,7 +873,7 @@ mod tests {
         // Sampled targets follow the graph's edges, so later requests name
         // the first sample's targets explicitly to keep one index key.
         let sampled = parse(&["protect", &graph, "--random", "5", "--seed", "3"]);
-        let (g0, _) = server.graph_for(&sampled, &recorder).unwrap();
+        let (g0, ..) = server.graph_for(&sampled, &recorder).unwrap();
         let targets: Vec<String> = commands::parse_targets(&sampled, &g0)
             .unwrap()
             .iter()
@@ -900,7 +903,7 @@ mod tests {
 
         // The request read the graph before the update landed: the index
         // it gets must cover that graph, not the patched one.
-        let (g0, _) = server.graph_for(&protect, &recorder).unwrap();
+        let (g0, ..) = server.graph_for(&protect, &recorder).unwrap();
         let reply = server
             .update(&parse(&[
                 "update",
@@ -925,7 +928,7 @@ mod tests {
 
         // The late request did not displace the patched index: a request
         // that reads the graph now still hits it.
-        let (g1, _) = server.graph_for(&protect, &recorder).unwrap();
+        let (g1, ..) = server.graph_for(&protect, &recorder).unwrap();
         assert!(!Arc::ptr_eq(&g0, &g1));
         let counted = Recorder::enabled();
         let (_, patched) = server.index_for(&protect, &g1, &counted).unwrap().unwrap();

@@ -20,7 +20,7 @@ fn mapped_case(seed: u64, verify: VerifyMode) -> (CsrGraph, CsrGraph, Vec<Edge>)
     let owned = CsrGraph::from_graph(&g);
     let path =
         std::env::temp_dir().join(format!("tpp-storage-inv-{}-{seed}.csr", std::process::id()));
-    format::save(&owned, &path).unwrap();
+    format::save(&owned, None, &path).unwrap();
     let mapped = format::load_mapped(&path, verify).unwrap();
     std::fs::remove_file(&path).ok();
     assert!(mapped.is_mapped(), "case must exercise the mapped backing");
@@ -117,7 +117,7 @@ fn motif_counts_are_invariant_under_storage_backing() {
     let g = generators::barabasi_albert(200, 5, 99);
     let owned = CsrGraph::from_graph(&g);
     let path = std::env::temp_dir().join(format!("tpp-storage-motif-{}.csr", std::process::id()));
-    format::save(&owned, &path).unwrap();
+    format::save(&owned, None, &path).unwrap();
     let mapped = format::load_mapped(&path, VerifyMode::Header).unwrap();
     std::fs::remove_file(&path).ok();
     assert!(mapped.is_mapped());

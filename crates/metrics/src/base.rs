@@ -35,6 +35,39 @@ impl BaseStats {
         Self::from_parts(g, triangles, cores)
     }
 
+    /// The statistics of `g` from per-node arrays computed elsewhere (a
+    /// snapshot's base-statistics section), checked to fit `g`: one entry
+    /// per node, no node closing more triangles than it has neighbour
+    /// pairs, no core number above its degree. The averages are computed
+    /// here as [`BaseStats::compute`] computes them, so arrays equal to
+    /// its own give a bit-identical result.
+    ///
+    /// # Errors
+    /// A message naming the first array or node that does not fit `g`.
+    pub fn from_arrays<G: NeighborAccess>(
+        g: &G,
+        triangles: Vec<u32>,
+        cores: Vec<u32>,
+    ) -> Result<Self, String> {
+        let n = g.node_count();
+        if triangles.len() != n || cores.len() != n {
+            return Err(format!(
+                "{} triangle counts and {} core numbers for a {n}-node graph",
+                triangles.len(),
+                cores.len()
+            ));
+        }
+        for (v, (&tri, &core)) in g.node_ids().zip(triangles.iter().zip(&cores)) {
+            let d = g.degree(v) as u64;
+            if u64::from(tri) > d * d.saturating_sub(1) / 2 || u64::from(core) > d {
+                return Err(format!(
+                    "node {v}: {tri} triangles and core number {core} do not fit degree {d}"
+                ));
+            }
+        }
+        Ok(Self::from_parts(g, triangles, cores))
+    }
+
     /// Wraps the per-node arrays of `g` with their averages.
     fn from_parts<G: NeighborAccess>(g: &G, triangles: Vec<u32>, cores: Vec<u32>) -> Self {
         BaseStats {
@@ -170,6 +203,27 @@ mod tests {
         let (back, repeeled) = patched.patched(&after, &before, &added, &[]);
         assert_eq!(back, BaseStats::compute(&before));
         assert!(!repeeled);
+    }
+
+    #[test]
+    fn from_arrays_equals_compute_and_rejects_what_cannot_fit() {
+        let g = tpp_graph::generators::holme_kim(90, 3, 0.5, 4);
+        let base = BaseStats::compute(&g);
+        let rebuilt =
+            BaseStats::from_arrays(&g, base.triangles().to_vec(), base.core_numbers().to_vec());
+        assert_eq!(rebuilt, Ok(base.clone()));
+        let (tri, cores) = (base.triangles().to_vec(), base.core_numbers().to_vec());
+        let err = BaseStats::from_arrays(&g, tri[1..].to_vec(), cores.clone()).unwrap_err();
+        assert!(err.contains("89 triangle counts"), "{err}");
+        let d = g.degree(5) as u32;
+        let mut too_many = tri.clone();
+        too_many[5] = d * (d - 1) / 2 + 1;
+        let err = BaseStats::from_arrays(&g, too_many, cores.clone()).unwrap_err();
+        assert!(err.starts_with("node 5:"), "{err}");
+        let mut too_deep = cores;
+        too_deep[5] = d + 1;
+        let err = BaseStats::from_arrays(&g, tri, too_deep).unwrap_err();
+        assert!(err.starts_with("node 5:"), "{err}");
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! that add or rewire edges (which take the recount path), and whichever
 //! graph representation the two inputs use. Base statistics patched
 //! across a sequence of edge deltas equal a recount of the result, and a
-//! report read from them equals one that recounts.
+//! report read from them equals one that recounts. The base-statistics
+//! section a streamed snapshot build stores equals a recount of the
+//! graph it loads with.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -19,7 +21,7 @@ use tpp_metrics::{
     compute_utility, core_numbers, loss_ratio, triangle_count, utility_loss, utility_loss_with,
     BaseStats, UtilityConfig,
 };
-use tpp_store::{CsrGraph, DeltaView};
+use tpp_store::{format, BaseSection, CsrGraph, DeltaView, StreamConfig, VerifyMode};
 
 /// One of three generator families, sized by `n` (graphs too small for
 /// the attachment models fall back to G(n, p)).
@@ -507,5 +509,43 @@ proptest! {
             g = after;
             base = patched;
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The base-statistics section a streamed build writes (with the
+    /// arrays `tpp store build` computes), loaded back at every tier and
+    /// wrapped by `BaseStats::from_arrays`, equals `BaseStats::compute` of
+    /// the loaded graph bit for bit, on all three families, id-reversed or
+    /// not, with isolated trailing nodes.
+    #[test]
+    fn stored_base_section_equals_a_recount(
+        family in 0u8..3,
+        n in 0usize..80,
+        seed in 0u64..5_000,
+        reverse in 0u8..2,
+        isolated in 0usize..3,
+    ) {
+        let g = test_graph(family, n, seed, reverse == 1, isolated);
+        let dir = std::env::temp_dir().join(format!("tpp-metrics-section-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (edges, out) = (dir.join("g.txt"), dir.join("g.csr"));
+        std::fs::write(&edges, tpp_graph::write_edge_list(&g)).unwrap();
+        let base_stats = |g: &CsrGraph| BaseSection {
+            triangles: triangle_counts(g),
+            cores: core_numbers(g),
+        };
+        let obs = tpp_obs::Recorder::disabled();
+        tpp_store::build_stream(&edges, &out, &StreamConfig::default(), &base_stats, &obs)
+            .unwrap();
+        for verify in [VerifyMode::Full, VerifyMode::Header, VerifyMode::None] {
+            let (loaded, _, section) = format::load_mapped_observed(&out, verify, &obs).unwrap();
+            let section = section.expect("a streamed build writes the section");
+            let stored = BaseStats::from_arrays(&loaded, section.triangles, section.cores);
+            assert_same_base(&stored.unwrap(), &BaseStats::compute(&loaded))?;
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -93,6 +93,9 @@ pub struct StoreStats {
     pub pass1_ns: Counter,
     /// Streaming build pass 2: chunk routing + CSR fill + assembly.
     pub pass2_ns: Counter,
+    /// Base-statistics section: computing and writing it (builds), or
+    /// reading and checking it (loads).
+    pub section_ns: Counter,
 }
 
 /// Attack-evaluation telemetry for the link-prediction adversary.
@@ -162,18 +165,21 @@ pub struct UpdateStats {
 }
 
 /// Utility-report telemetry: what the `utility_loss` phase of a protect
-/// run cost, whether the original's base statistics were computed or
-/// reused, how many deleted edges its clustering and core patches
+/// run cost, whether the original's base statistics were computed,
+/// loaded or reused, how many deleted edges its clustering and core patches
 /// walked, and how many nodes the core patch re-evaluated.
 #[derive(Debug, Default)]
 pub struct UtilityStats {
     /// Wall time of the utility-loss report, `base_ns` included.
     pub utility_ns: Counter,
     /// 1 when a resident server supplied the original's base statistics,
-    /// 0 when the request computed them.
+    /// 0 when the request computed or loaded them.
     pub base_reused: Counter,
+    /// 1 when the original's base statistics came from the request's own
+    /// snapshot load (its base-statistics section), 0 otherwise.
+    pub base_loaded: Counter,
     /// Wall time spent computing the original's base statistics (0 when
-    /// reused).
+    /// reused or loaded).
     pub base_ns: Counter,
     /// Edges of the original graph missing from the released one (`|D|`).
     pub deleted_edges: Counter,
@@ -398,6 +404,7 @@ impl Stats {
                 ("validate_ns", self.store.validate_ns.get().to_string()),
                 ("pass1_ns", self.store.pass1_ns.get().to_string()),
                 ("pass2_ns", self.store.pass2_ns.get().to_string()),
+                ("section_ns", self.store.section_ns.get().to_string()),
             ],
             false,
         );
@@ -472,6 +479,7 @@ impl Stats {
             &[
                 ("utility_ns", self.utility.utility_ns.get().to_string()),
                 ("base_reused", self.utility.base_reused.get().to_string()),
+                ("base_loaded", self.utility.base_loaded.get().to_string()),
                 ("base_ns", self.utility.base_ns.get().to_string()),
                 (
                     "deleted_edges",
@@ -543,6 +551,8 @@ mod tests {
             "\"deleted_edges\":",
             "\"core_evaluations\":",
             "\"base_reused\":",
+            "\"base_loaded\":",
+            "\"section_ns\":",
             "\"base_ns\":",
             "\"base_patch_ns\":",
             "\"core_repeels\":",

@@ -36,11 +36,11 @@ fn bench_csr_build(c: &mut Criterion) {
     for (name, g) in [("arenas_1133", &arenas), ("ba_50k", &big)] {
         let csr = CsrGraph::from_graph(g);
         let mut bytes = Vec::new();
-        format::write_snapshot(&csr, &mut bytes).unwrap();
+        format::write_snapshot(&csr, None, &mut bytes).unwrap();
         group.bench_with_input(BenchmarkId::new("encode", name), &csr, |b, csr| {
             b.iter(|| {
                 let mut out = Vec::with_capacity(bytes.len());
-                format::write_snapshot(black_box(csr), &mut out).unwrap();
+                format::write_snapshot(black_box(csr), None, &mut out).unwrap();
                 black_box(out)
             });
         });

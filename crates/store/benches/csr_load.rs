@@ -1,6 +1,6 @@
 //! Benchmark: the snapshot loader at each verification tier, plus the
 //! streaming out-of-core build. Pins the claim of the mmap work: loading a
-//! v2 snapshot with `--verify header` is orders of magnitude cheaper than
+//! snapshot with `--verify header` is orders of magnitude cheaper than
 //! a full verify, because nothing is copied and only the offset table is
 //! touched.
 
@@ -9,7 +9,15 @@ use std::hint::black_box;
 use tpp_graph::generators::barabasi_albert;
 use tpp_graph::write_edge_list;
 use tpp_obs::Recorder;
-use tpp_store::{build_stream, format, CsrGraph, StreamConfig, VerifyMode};
+use tpp_store::{build_stream, format, BaseSection, CsrGraph, StreamConfig, VerifyMode};
+
+/// The base statistics `tpp store build` writes into a snapshot.
+fn base_of(g: &CsrGraph) -> BaseSection {
+    BaseSection {
+        triangles: tpp_metrics::clustering::triangle_counts(g),
+        cores: tpp_metrics::core_numbers(g),
+    }
+}
 
 fn bench_csr_load(c: &mut Criterion) {
     let dir = std::env::temp_dir().join(format!("tpp-bench-load-{}", std::process::id()));
@@ -23,7 +31,7 @@ fn bench_csr_load(c: &mut Criterion) {
     for (name, g) in [("arenas_1133", &arenas), ("ba_50k", &big)] {
         let csr = CsrGraph::from_graph(g);
         let path = dir.join(format!("{name}.csr"));
-        format::save(&csr, &path).unwrap();
+        format::save(&csr, Some(&base_of(&csr)), &path).unwrap();
 
         // The zero-copy path at each verification tier. Work touched per
         // tier: full = whole payload (checksum + validation), header =
@@ -69,7 +77,14 @@ fn bench_csr_load(c: &mut Criterion) {
     let cfg = StreamConfig {
         chunk_bytes: 1024 * 1024,
     };
-    let report = build_stream(&edges_path, &out_path, &cfg, &Recorder::disabled()).unwrap();
+    let report = build_stream(
+        &edges_path,
+        &out_path,
+        &cfg,
+        &base_of,
+        &Recorder::disabled(),
+    )
+    .unwrap();
     assert!(report.chunks > 1, "tier must be multi-chunk: {report:?}");
     group.bench_function(BenchmarkId::new("stream_1mib_chunks", "ba_50k"), |b| {
         b.iter(|| {
@@ -78,6 +93,7 @@ fn bench_csr_load(c: &mut Criterion) {
                     black_box(&edges_path),
                     &out_path,
                     &cfg,
+                    &base_of,
                     &Recorder::disabled(),
                 )
                 .unwrap(),
@@ -88,7 +104,8 @@ fn bench_csr_load(c: &mut Criterion) {
         b.iter(|| {
             let text = std::fs::read_to_string(black_box(&edges_path)).unwrap();
             let g = tpp_graph::parse_edge_list(&text).unwrap();
-            format::save(&CsrGraph::from_graph(&g), black_box(&out_path)).unwrap();
+            let csr = CsrGraph::from_graph(&g);
+            format::save(&csr, Some(&base_of(&csr)), black_box(&out_path)).unwrap();
         });
     });
     group.finish();

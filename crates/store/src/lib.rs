@@ -49,9 +49,12 @@
 //! ## On-disk format
 //!
 //! See [`format`](mod@format) for the byte-level layout: an 8-byte magic, version and
-//! flag words, node/edge counts, an FNV-1a payload checksum, then the two
-//! CSR arrays little-endian. Loading validates magic, version, checksum,
-//! and the full structural invariants before returning a graph.
+//! flag words, node/edge counts, an FNV-1a payload checksum, a table of
+//! checksummed sections, then the two CSR arrays little-endian and the
+//! optional base statistics (per-node triangle counts and core numbers).
+//! Loading validates magic, version, the table, and — at the tier the
+//! caller picks — the checksums and structural invariants before
+//! returning a graph.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -69,6 +72,6 @@ pub use csr::CsrGraph;
 pub use delta::DeltaView;
 pub use deltafile::{AppliedDelta, DeltaOp, GraphDelta};
 pub use error::StoreError;
-pub use format::VerifyMode;
+pub use format::{BaseSection, VerifyMode};
 pub use stream::{build_stream, StreamConfig, StreamReport};
 pub use tpp_graph::NeighborAccess;

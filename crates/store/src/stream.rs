@@ -1,12 +1,15 @@
 //! Streaming, out-of-core CSR snapshot construction.
 //!
 //! [`build_stream`] is the one writer that turns a text edge list into an
-//! on-disk v2 snapshot (`tpp store build`). It never materializes the
-//! graph: peak memory is `O(node_count)` bookkeeping plus **one bounded
-//! chunk buffer** ([`StreamConfig::chunk_bytes`], default 64 MiB), so the
-//! neighbor payload — the part that dwarfs everything else on dense
-//! graphs — lives on disk from start to finish. Graphs larger than RAM
-//! build fine.
+//! on-disk v3 snapshot (`tpp store build`). Its two passes never
+//! materialize the graph: their peak memory is `O(node_count)`
+//! bookkeeping plus **one bounded chunk buffer**
+//! ([`StreamConfig::chunk_bytes`], default 64 MiB), so the neighbor
+//! payload — the part that dwarfs everything else on dense graphs — lives
+//! on disk from start to finish. The section pass that follows them is
+//! not out of core: counting triangles holds `O(edge_count)` `u32`
+//! scratch (each node's lower neighbours, half the neighbor array) beside
+//! the mapped file, so a build needs that much RAM.
 //!
 //! The shape is a textbook two-pass external CSR build:
 //!
@@ -22,28 +25,42 @@
 //!    `u`. Then, chunk by chunk: counting-sort the spill records into the
 //!    chunk buffer via per-node cursors, sort + dedup each node's slice,
 //!    and append the compacted slices to a temporary payload file.
-//! 4. **Assemble** — stream the final file: v2 header (checksum zeroed),
-//!    offsets from the post-dedup degrees, payload copied from the temp
-//!    file; FNV-1a accumulates over exactly the bytes written, then one
-//!    seek patches the checksum back into the header at byte 32.
+//! 4. **Assemble** — stream the final file: a zeroed v3 header, offsets
+//!    from the post-dedup degrees, payload copied from the temp file;
+//!    FNV-1a accumulates over exactly the bytes written, then one seek
+//!    writes the header and its one-entry section table.
+//! 5. **Section pass** — map the assembled file (a complete snapshot
+//!    without base statistics), hand the graph to the caller's
+//!    `base_stats` function for its triangle counts and core numbers,
+//!    append them as the base-statistics section, and rewrite the header
+//!    with the two-entry table. Only then is the file renamed into place.
 //!
 //! Duplicate edges are resolved symmetrically: an edge listed twice puts
 //! two copies in *both* endpoints' slices, and per-slice dedup drops both,
-//! so the result is bit-identical to
-//! `format::save(&CsrGraph::from_graph(&parse_edge_list(..)))`, the
-//! in-memory reference the tests compare against. Lines are read
-//! by [`tpp_graph::parse_edge_line`], the grammar `parse_edge_list` uses:
-//! blank lines and `#`/`%` comments skipped, a `# nodes: N ...` header
-//! sizing the node range to at least `N`, two whitespace-separated ids,
-//! trailing columns tolerated, self-loops rejected.
+//! so the result is bit-identical to `format::save(&g, Some(&base), ..)`
+//! with `g = CsrGraph::from_graph(&parse_edge_list(..))`, the in-memory
+//! reference the tests compare against. Lines follow the
+//! grammar of [`tpp_graph::parse_edge_line`], which `parse_edge_list`
+//! uses: blank lines and `#`/`%` comments skipped, a `# nodes: N ...`
+//! header sizing the node range to at least `N`, two whitespace-separated
+//! ids, trailing columns tolerated, self-loops rejected. The input is read
+//! in blocks and split on `\n`; a line of the form `digits [ \t] digits
+//! [\r]` is parsed straight from its bytes, and every other line (and
+//! every such line that would be an error) goes through `parse_edge_line`,
+//! so errors and their line numbers are the parser's.
 
+use crate::csr::CsrGraph;
 use crate::error::StoreError;
-use crate::format::{self, Fnv1a};
+use crate::format::{self, BaseSection, Fnv1a, VerifyMode};
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use tpp_graph::{EdgeLine, GraphError, NodeId};
 use tpp_obs::{Recorder, SpanTimer};
+
+/// Bytes the edge-list reader asks for at a time (a longer line grows the
+/// buffer).
+const READ_BLOCK: usize = 256 * 1024;
 
 /// Tuning for [`build_stream`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,30 +97,87 @@ pub struct StreamReport {
     pub peak_chunk_bytes: usize,
 }
 
-/// Reads `reader` to its end and hands every line, parsed by
-/// [`tpp_graph::parse_edge_line`], to `f` with its 1-based number. Parse
-/// errors come back in this builder's `line N: ...` wording.
-fn for_each_line<R: BufRead>(
+/// Reads `reader` to its end in blocks and hands every line, parsed by
+/// [`parse_line`], to `f` with its 1-based number.
+fn for_each_line<R: Read>(
     mut reader: R,
     mut f: impl FnMut(usize, EdgeLine) -> Result<(), StoreError>,
 ) -> Result<(), StoreError> {
-    let mut line = String::new();
-    let mut lineno = 0usize;
+    let mut buf = vec![0u8; READ_BLOCK];
+    let (mut filled, mut lineno) = (0usize, 0usize);
     loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
+        if filled == buf.len() {
+            buf.resize(2 * buf.len(), 0);
+        }
+        let got = match reader.read(&mut buf[filled..]) {
+            Ok(got) => got,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e.into()),
+        };
+        filled += got;
+        let mut start = 0;
+        while let Some(len) = buf[start..filled].iter().position(|&b| b == b'\n') {
+            lineno += 1;
+            f(lineno, parse_line(&buf[start..start + len], lineno)?)?;
+            start += len + 1;
+        }
+        if got == 0 {
+            if start < filled {
+                lineno += 1;
+                f(lineno, parse_line(&buf[start..filled], lineno)?)?;
+            }
             return Ok(());
         }
-        lineno += 1;
-        let parsed = tpp_graph::parse_edge_line(&line, lineno).map_err(|e| {
-            StoreError::Ingest(match e {
-                GraphError::SelfLoop { node } => format!("line {lineno}: self-loop at node {node}"),
-                GraphError::Parse { reason, .. } => format!("line {lineno}: {reason}"),
-                other => format!("line {lineno}: {other}"),
-            })
-        })?;
-        f(lineno, parsed)?;
+        buf.copy_within(start..filled, 0);
+        filled -= start;
     }
+}
+
+/// One line (without its `\n`) by the grammar of
+/// [`tpp_graph::parse_edge_line`], errors in this builder's `line N: ...`
+/// wording. A valid `digits [ \t] digits [\r]` edge is read from its bytes;
+/// every other line is decoded and handed to the parser.
+fn parse_line(line: &[u8], lineno: usize) -> Result<EdgeLine, StoreError> {
+    if let Some((u, v)) = plain_edge(line) {
+        return Ok(EdgeLine::Edge(u, v));
+    }
+    let text = std::str::from_utf8(line).map_err(|_| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            "stream did not contain valid UTF-8",
+        )
+    })?;
+    tpp_graph::parse_edge_line(text, lineno).map_err(|e| {
+        StoreError::Ingest(match e {
+            GraphError::SelfLoop { node } => format!("line {lineno}: self-loop at node {node}"),
+            GraphError::Parse { reason, .. } => format!("line {lineno}: {reason}"),
+            other => format!("line {lineno}: {other}"),
+        })
+    })
+}
+
+/// The edge of a line that is exactly `digits [ \t] digits`, optionally
+/// `\r`-terminated, with both ids in range and distinct; `None` for any
+/// other line.
+fn plain_edge(line: &[u8]) -> Option<(NodeId, NodeId)> {
+    let line = line.strip_suffix(b"\r").unwrap_or(line);
+    let sep = line.iter().position(|&b| b == b' ' || b == b'\t')?;
+    let (u, v) = (plain_id(&line[..sep])?, plain_id(&line[sep + 1..])?);
+    (u != v).then_some((u, v))
+}
+
+/// A nonempty run of ASCII digits that fits a [`NodeId`].
+fn plain_id(digits: &[u8]) -> Option<NodeId> {
+    if digits.is_empty() {
+        return None;
+    }
+    digits.iter().try_fold(0 as NodeId, |id, &b| {
+        let d = b.wrapping_sub(b'0');
+        if d > 9 {
+            return None;
+        }
+        id.checked_mul(10)?.checked_add(NodeId::from(d))
+    })
 }
 
 /// The error for an input whose pass-2 contents disagree with pass 1.
@@ -148,23 +222,30 @@ impl Drop for TempDir {
     }
 }
 
-/// Builds a v2 snapshot at `out` directly from the text edge list at
+/// Builds a v3 snapshot at `out` directly from the text edge list at
 /// `edges`, holding at most one [`StreamConfig::chunk_bytes`] payload
-/// buffer in memory. Pass wall times land in `obs`'s store section
-/// (`pass1_ns`, `pass2_ns`, with `fill_ns` / `checksum_ns` nested inside
-/// pass 2).
+/// buffer in memory during the two passes, then adds the base-statistics
+/// section `base_stats` computes over the mapped result (see the module
+/// docs). Phase wall times land in `obs`'s store section (`pass1_ns`,
+/// `pass2_ns` with `fill_ns` / `checksum_ns` nested inside, and
+/// `section_ns`).
 ///
-/// The produced file is bit-identical to
-/// `format::save(&CsrGraph::from_graph(&parse_edge_list(...)?), out)`.
+/// The produced file is bit-identical to `format::save(&g, Some(&base),
+/// out)` for `g = CsrGraph::from_graph(&parse_edge_list(...)?)` and `base =
+/// base_stats(&g)`.
 ///
 /// # Errors
 /// [`StoreError::Ingest`] for malformed edge-list lines (with the 1-based
 /// line number) and for an input that changed between the two passes,
 /// [`StoreError::Io`] for filesystem failures.
+///
+/// # Panics
+/// If `base_stats` returns arrays whose length is not the node count.
 pub fn build_stream<P: AsRef<Path>, Q: AsRef<Path>>(
     edges: P,
     out: Q,
     cfg: &StreamConfig,
+    base_stats: &dyn Fn(&CsrGraph) -> BaseSection,
     obs: &Recorder,
 ) -> Result<StreamReport, StoreError> {
     let edges = edges.as_ref();
@@ -181,22 +262,17 @@ pub fn build_stream<P: AsRef<Path>, Q: AsRef<Path>>(
         std::io::copy(&mut File::open(edges)?, &mut File::create(&copied)?)?;
         copied.as_path()
     };
-    build_two_pass(
-        || Ok(BufReader::new(File::open(edges)?)),
-        out,
-        &tmp,
-        cfg,
-        obs,
-    )
+    build_two_pass(|| File::open(edges), out, &tmp, cfg, base_stats, obs)
 }
 
-/// The two passes of [`build_stream`]; `open` yields the edge list from
-/// its start, once per pass.
-fn build_two_pass<R: BufRead>(
+/// The passes of [`build_stream`]; `open` yields the edge list from its
+/// start, once per pass.
+fn build_two_pass<R: Read>(
     mut open: impl FnMut() -> std::io::Result<R>,
     out: &Path,
     tmp: &TempDir,
     cfg: &StreamConfig,
+    base_stats: &dyn Fn(&CsrGraph) -> BaseSection,
     obs: &Recorder,
 ) -> Result<StreamReport, StoreError> {
     let stats = obs.stats();
@@ -366,10 +442,10 @@ fn build_two_pass<R: BufRead>(
     }
     let edge_count = directed_final / 2;
 
-    // Assemble the final file: header (checksum zeroed), offsets from the
-    // post-dedup degrees, payload copied through; FNV-1a runs over exactly
-    // the payload bytes as they are written, then a single seek patches
-    // the checksum into the header. Assembly happens inside the scratch
+    // Assemble the file: header (zeroed), offsets from the post-dedup
+    // degrees, payload copied through; FNV-1a runs over exactly the
+    // payload bytes as they are written, then a single seek writes the
+    // header and its section table. Assembly happens inside the scratch
     // dir and the finished file is renamed into place, so `out` is only
     // ever a complete snapshot — concurrent builds of the same target
     // each publish atomically instead of interleaving writes.
@@ -377,7 +453,7 @@ fn build_two_pass<R: BufRead>(
     let staged_path = tmp.path().join("snapshot.bin");
     let mut hasher = Fnv1a::default();
     let mut w = BufWriter::new(File::create(&staged_path)?);
-    format::write_header(&mut w, n as u64, edge_count, 0)?;
+    w.write_all(&[0u8; format::PAYLOAD_OFFSET_V3 as usize])?;
     let mut off: u64 = 0;
     let mut write_buf: Vec<u8> = Vec::with_capacity(64 * 1024);
     for &deg in final_degrees.iter().take(n) {
@@ -405,14 +481,39 @@ fn build_two_pass<R: BufRead>(
         w.write_all(&copy_buf[..got])?;
     }
     let mut file = w.into_inner().map_err(|e| StoreError::Io(e.into_error()))?;
-    file.seek(SeekFrom::Start(32))?;
-    file.write_all(&hasher.finish().to_le_bytes())?;
+    let csr_end = file.stream_position()?;
+    let payload_checksum = hasher.finish();
+    file.seek(SeekFrom::Start(0))?;
+    file.write_all(&format::v3_prefix(
+        n as u64,
+        edge_count,
+        payload_checksum,
+        None,
+    )?)?;
     file.flush()?;
-    drop(file);
-    // Scratch dir and output share a parent, so the rename is atomic.
-    std::fs::rename(&staged_path, out)?;
     checksum_span.stop();
     pass2.stop();
+
+    // ---- Section pass: base statistics of the assembled graph ----------
+    // The staged file is a complete snapshot without the section; the
+    // section and the two-entry table go on before the rename.
+    let section_span = SpanTimer::counter(stats.map(|s| &s.store.section_ns));
+    let base = base_stats(&format::load_mapped(&staged_path, VerifyMode::None)?);
+    let encoded = base.encode(n);
+    file.seek(SeekFrom::Start(csr_end))?;
+    format::write_base_section(&mut file, csr_end, &encoded)?;
+    file.seek(SeekFrom::Start(0))?;
+    file.write_all(&format::v3_prefix(
+        n as u64,
+        edge_count,
+        payload_checksum,
+        Some(format::section_checksum(&encoded)),
+    )?)?;
+    file.flush()?;
+    drop(file);
+    section_span.stop();
+    // Scratch dir and output share a parent, so the rename is atomic.
+    std::fs::rename(&staged_path, out)?;
 
     Ok(StreamReport {
         nodes: n as u64,
@@ -427,9 +528,17 @@ fn build_two_pass<R: BufRead>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csr::CsrGraph;
-    use crate::format::VerifyMode;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
     use tpp_graph::{parse_edge_list, write_edge_list};
+
+    /// The base statistics `tpp store build` computes.
+    fn base_of(g: &CsrGraph) -> BaseSection {
+        BaseSection {
+            triangles: tpp_metrics::clustering::triangle_counts(g),
+            cores: tpp_metrics::core_numbers(g),
+        }
+    }
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("tpp-stream-{}-{tag}", std::process::id()));
@@ -444,10 +553,10 @@ mod tests {
         let edges = dir.join("edges.txt");
         std::fs::write(&edges, text).unwrap();
         let streamed = dir.join("streamed.csr");
-        let report = build_stream(&edges, &streamed, cfg, &Recorder::disabled()).unwrap();
+        let report = build_stream(&edges, &streamed, cfg, &base_of, &Recorder::disabled()).unwrap();
         let reference = CsrGraph::from_graph(&parse_edge_list(text).unwrap());
         let eager = dir.join("eager.csr");
-        format::save(&reference, &eager).unwrap();
+        format::save(&reference, Some(&base_of(&reference)), &eager).unwrap();
         assert_eq!(
             std::fs::read(&streamed).unwrap(),
             std::fs::read(&eager).unwrap(),
@@ -531,6 +640,7 @@ mod tests {
             &edges,
             &out,
             &StreamConfig::default(),
+            &base_of,
             &Recorder::disabled(),
         )
         .unwrap();
@@ -559,6 +669,7 @@ mod tests {
                 &edges,
                 &out,
                 &StreamConfig::default(),
+                &base_of,
                 &Recorder::disabled(),
             )
             .unwrap_err();
@@ -590,6 +701,7 @@ mod tests {
                     &out,
                     &TempDir::create(&out).unwrap(),
                     &StreamConfig { chunk_bytes },
+                    &base_of,
                     &Recorder::disabled(),
                 )
                 .unwrap_err();
@@ -620,7 +732,9 @@ mod tests {
             let workers: Vec<_> = (0..2)
                 .map(|_| {
                     let (edges, out, cfg) = (&edges, &out, &cfg);
-                    scope.spawn(move || build_stream(edges, out, cfg, &Recorder::disabled()))
+                    scope.spawn(move || {
+                        build_stream(edges, out, cfg, &base_of, &Recorder::disabled())
+                    })
                 })
                 .collect();
             for w in workers {
@@ -653,11 +767,170 @@ mod tests {
         let edges = dir.join("edges.txt");
         std::fs::write(&edges, write_edge_list(&g)).unwrap();
         let obs = Recorder::enabled();
-        build_stream(&edges, dir.join("out.csr"), &StreamConfig::default(), &obs).unwrap();
+        let out = dir.join("out.csr");
+        build_stream(&edges, &out, &StreamConfig::default(), &base_of, &obs).unwrap();
         let st = obs.stats().unwrap();
         assert!(st.store.pass1_ns.get() > 0);
         assert!(st.store.pass2_ns.get() > 0);
         assert!(st.store.pass2_ns.get() >= st.store.checksum_ns.get());
+        assert!(st.store.section_ns.get() > 0);
+        let (_, _, base) =
+            format::load_mapped_observed(&out, VerifyMode::Full, &Recorder::disabled()).unwrap();
+        assert_eq!(base, Some(base_of(&CsrGraph::from_graph(&g))));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The line reader this module had before it parsed bytes: one
+    /// `read_line` per line, every line through `parse_edge_line`.
+    fn lines_by_read_line(input: &[u8]) -> Result<Vec<(usize, EdgeLine)>, String> {
+        use std::io::BufRead;
+        let mut reader = std::io::BufReader::new(input);
+        let (mut line, mut out) = (String::new(), Vec::new());
+        loop {
+            line.clear();
+            if reader
+                .read_line(&mut line)
+                .map_err(|e| StoreError::Io(e).to_string())?
+                == 0
+            {
+                return Ok(out);
+            }
+            let lineno = out.len() + 1;
+            let parsed =
+                tpp_graph::parse_edge_line(&line, lineno).map_err(|e| ingest_error(e, lineno))?;
+            out.push((lineno, parsed));
+        }
+    }
+
+    /// `parse_edge_line`'s error in this builder's wording.
+    fn ingest_error(e: GraphError, lineno: usize) -> String {
+        StoreError::Ingest(match e {
+            GraphError::SelfLoop { node } => format!("line {lineno}: self-loop at node {node}"),
+            GraphError::Parse { reason, .. } => format!("line {lineno}: {reason}"),
+            other => format!("line {lineno}: {other}"),
+        })
+        .to_string()
+    }
+
+    /// A reader that hands out its bytes a few at a time, so lines straddle
+    /// every kind of read boundary.
+    struct Trickle<'a>(&'a [u8], usize);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.1 = self.1 % 7 + 1;
+            let n = self.1.min(buf.len()).min(self.0.len());
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    fn lines_by_bytes<R: Read>(reader: R) -> Result<Vec<(usize, EdgeLine)>, String> {
+        let mut out = Vec::new();
+        for_each_line(reader, |lineno, parsed| {
+            out.push((lineno, parsed));
+            Ok(())
+        })
+        .map_err(|e| e.to_string())?;
+        Ok(out)
+    }
+
+    /// One random line that hits both sides of the byte path: half the
+    /// time two ids around a separator, with something before or after
+    /// them now and then (plain edges, self-loops, overflowing ids,
+    /// extra columns), otherwise a soup of pieces (comments, headers,
+    /// signs, non-ASCII whitespace, invalid UTF-8).
+    fn random_line(rng: &mut rand::rngs::StdRng) -> Vec<u8> {
+        const IDS: [&[u8]; 7] = [
+            b"0",
+            b"7",
+            b"42",
+            b"007",
+            b"4294967295",
+            b"4294967296",
+            b"99999999999",
+        ];
+        const SEPARATORS: &[&[u8]] = &[b" ", b"\t", b"  ", b" \t"];
+        const BEFORE: &[&[u8]] = &[b"", b"", b" ", b"+", b"#"];
+        const AFTER: &[&[u8]] = &[b"", b"", b"\r", b"\r\r", b" 0.5", b"x"];
+        const PIECES: [&[u8]; 11] = [
+            b"\r",
+            b"#",
+            b"%",
+            b"# nodes: ",
+            b"+",
+            b"-",
+            b"x",
+            b"0.5",
+            "\u{a0}".as_bytes(),
+            "\u{e9}".as_bytes(),
+            b"\xff",
+        ];
+        fn pick(rng: &mut rand::rngs::StdRng, set: &[&'static [u8]]) -> &'static [u8] {
+            set[rng.gen_range(0..set.len())]
+        }
+        let mut line = Vec::new();
+        if rng.gen_range(0..2u8) == 0 {
+            for part in [BEFORE, IDS.as_slice(), SEPARATORS, IDS.as_slice(), AFTER] {
+                line.extend_from_slice(pick(rng, part));
+            }
+        } else {
+            for _ in 0..rng.gen_range(0..5usize) {
+                let set = if rng.gen_range(0..2u8) == 0 {
+                    PIECES.as_slice()
+                } else {
+                    IDS.as_slice()
+                };
+                line.extend_from_slice(pick(rng, set));
+                line.extend_from_slice(pick(rng, &[b"", b" "]));
+            }
+        }
+        line
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// The byte path and `parse_edge_line` agree on random lines,
+        /// errors included; and over whole inputs, read at once or a few
+        /// bytes at a time, the block reader yields what the old
+        /// `read_line` loop did, down to the error text.
+        #[test]
+        fn byte_path_agrees_with_parse_edge_line(seed in 0u64..u64::MAX, lines in 1usize..12) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut input = Vec::new();
+            for i in 0..lines {
+                let line = random_line(&mut rng);
+                if let Ok(text) = std::str::from_utf8(&line) {
+                    let by_parser = tpp_graph::parse_edge_line(text, i + 1)
+                        .map_err(|e| ingest_error(e, i + 1));
+                    let by_bytes = parse_line(&line, i + 1).map_err(|e| e.to_string());
+                    prop_assert_eq!(by_bytes, by_parser, "line {:?}", text);
+                }
+                input.extend_from_slice(&line);
+                if i + 1 < lines || rng.gen_range(0..2u8) == 0 {
+                    input.push(b'\n');
+                }
+            }
+            let reference = lines_by_read_line(&input);
+            prop_assert_eq!(lines_by_bytes(&input[..]), reference.clone());
+            prop_assert_eq!(lines_by_bytes(Trickle(&input, 0)), reference);
+        }
+    }
+
+    #[test]
+    fn lines_longer_than_a_read_block_parse_whole() {
+        let pad = " ".repeat(READ_BLOCK + 10);
+        let text = format!("0 1\n2{pad}3\n4 5");
+        let got = lines_by_bytes(text.as_bytes()).unwrap();
+        assert_eq!(
+            got,
+            [
+                (1, EdgeLine::Edge(0, 1)),
+                (2, EdgeLine::Edge(2, 3)),
+                (3, EdgeLine::Edge(4, 5))
+            ]
+        );
     }
 }

@@ -11,10 +11,18 @@ use tpp_store::{format, CsrGraph, DeltaView, GraphDelta, StoreError, VerifyMode}
 
 /// The fully verified load of a snapshot file, with its header version.
 fn load_verified(path: &std::path::Path) -> (CsrGraph, u32) {
-    let (g, header) =
+    let (g, header, _) =
         format::load_mapped_observed(path, VerifyMode::Full, &tpp_obs::Recorder::disabled())
             .unwrap();
     (g, header.version)
+}
+
+/// The base-statistics section `tpp store build` writes for `g`.
+fn base_of(g: &CsrGraph) -> format::BaseSection {
+    format::BaseSection {
+        triangles: tpp_metrics::clustering::triangle_counts(g),
+        cores: tpp_metrics::core_numbers(g),
+    }
 }
 
 /// Strategy: a random simple graph (alternating ER and BA families).
@@ -70,7 +78,7 @@ proptest! {
     fn format_round_trips(g in graph_strategy()) {
         let csr = CsrGraph::from_graph(&g);
         let mut bytes = Vec::new();
-        format::write_snapshot(&csr, &mut bytes).unwrap();
+        format::write_snapshot(&csr, Some(&base_of(&csr)), &mut bytes).unwrap();
         let path = std::env::temp_dir()
             .join(format!("tpp-prop-round-trip-{}.csr", std::process::id()));
         std::fs::write(&path, &bytes).unwrap();
@@ -79,24 +87,24 @@ proptest! {
         prop_assert_eq!(csr, back);
     }
 
-    /// Every load yields the same snapshot: v2 and legacy v1 files, mapped
-    /// at all three verify tiers — and all of them agree with the
-    /// in-memory build on every read.
+    /// Every load yields the same snapshot: current-format and legacy v1
+    /// files, mapped at all three verify tiers — and all of them agree with
+    /// the in-memory build on every read.
     #[test]
     fn mapped_owned_and_v1_loads_agree(g in graph_strategy()) {
         let csr = CsrGraph::from_graph(&g);
         let dir = std::env::temp_dir();
         let pid = std::process::id();
-        let v2_path = dir.join(format!("tpp-prop-v2-{pid}.csr"));
+        let v3_path = dir.join(format!("tpp-prop-v3-{pid}.csr"));
         let v1_path = dir.join(format!("tpp-prop-v1-{pid}.csr"));
-        format::save(&csr, &v2_path).unwrap();
+        format::save(&csr, Some(&base_of(&csr)), &v3_path).unwrap();
         {
             let mut w = std::io::BufWriter::new(std::fs::File::create(&v1_path).unwrap());
             format::write_snapshot_v1(&csr, &mut w).unwrap();
         }
 
         for verify in [VerifyMode::Full, VerifyMode::Header, VerifyMode::None] {
-            let mapped = format::load_mapped(&v2_path, verify).unwrap();
+            let mapped = format::load_mapped(&v3_path, verify).unwrap();
             prop_assert!(mapped.is_mapped());
             prop_assert_eq!(&mapped, &csr);
             assert_reads_agree(&mapped, &g);
@@ -110,7 +118,7 @@ proptest! {
         let (v1_full, version) = load_verified(&v1_path);
         prop_assert_eq!(version, 1);
         prop_assert_eq!(&v1_full, &csr);
-        std::fs::remove_file(&v2_path).ok();
+        std::fs::remove_file(&v3_path).ok();
         std::fs::remove_file(&v1_path).ok();
     }
 
@@ -358,7 +366,7 @@ fn corrupted_snapshots_fail_by_tier_contract() {
     let csr = CsrGraph::from_graph(&g);
     let dir = std::env::temp_dir();
     let path = dir.join(format!("tpp-prop-corrupt-{}.csr", std::process::id()));
-    format::save(&csr, &path).unwrap();
+    format::save(&csr, Some(&base_of(&csr)), &path).unwrap();
     let good = std::fs::read(&path).unwrap();
     let every_tier = [VerifyMode::Full, VerifyMode::Header, VerifyMode::None];
 
@@ -370,7 +378,7 @@ fn corrupted_snapshots_fail_by_tier_contract() {
 
     // Nonzero header padding: caught eagerly everywhere.
     let mut bad = good.clone();
-    bad[50] = 1; // inside the 40..64 reserved pad
+    bad[120] = 1; // inside the zero pad between section table and payload
     std::fs::write(&path, &bad).unwrap();
     for verify in every_tier {
         assert!(format::load_mapped(&path, verify).is_err(), "{verify:?}");
@@ -401,7 +409,7 @@ fn arenas_scale_round_trip() {
     assert_eq!(csr.to_graph(), g);
 
     let path = std::env::temp_dir().join(format!("tpp-store-prop-{}.csr", std::process::id()));
-    format::save(&csr, &path).unwrap();
+    format::save(&csr, None, &path).unwrap();
     let (back, _) = load_verified(&path);
     std::fs::remove_file(&path).ok();
     assert_eq!(csr, back);

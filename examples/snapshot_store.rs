@@ -19,7 +19,7 @@ fn main() {
     // it through the binary format.
     let snapshot = instance.released();
     let path = std::env::temp_dir().join("karate.csr");
-    format::save(snapshot, &path).expect("save snapshot");
+    format::save(snapshot, None, &path).expect("save snapshot");
     let loaded = format::load_mapped(&path, VerifyMode::Full).expect("load snapshot");
     std::fs::remove_file(&path).ok();
     assert_eq!(*snapshot, loaded);
