@@ -134,7 +134,8 @@ mod tests {
     fn er_instance_matches_seed_contract() {
         let a = er_instance(15, 42, 3);
         let b = er_instance(15, 42, 3);
-        assert_eq!(a.released(), b.released());
+        assert_eq!(a.original(), b.original());
+        assert_eq!(a.released().deleted_edges(), b.released().deleted_edges());
         assert_eq!(a.targets(), b.targets());
         assert!(a.target_count() >= 1 && a.target_count() <= 3);
     }

@@ -15,10 +15,11 @@ use tpp_core::{
 use tpp_graph::{parse_edge_list, write_edge_list, Edge, FastSet, NeighborAccess};
 use tpp_linkpred::{evaluate_attack_on, sample_non_edges, Attacker, SimilarityIndex};
 use tpp_metrics::{
-    compute_utility, utility_loss, utility_loss_with, BaseStats, UtilityConfig, UtilityMetric,
+    compute_utility, compute_utility_with, utility_loss, utility_loss_deleting, utility_loss_with,
+    BaseStats, UtilityConfig, UtilityMetric,
 };
 use tpp_motif::Motif;
-use tpp_obs::Recorder;
+use tpp_obs::{Recorder, SpanTimer};
 use tpp_store::{CsrGraph, DeltaView, GraphDelta, VerifyMode};
 
 /// Runs a subcommand; returns an error message for the shell on failure.
@@ -346,21 +347,36 @@ fn generate(p: &Parsed) -> Result<(), String> {
 }
 
 fn stats(p: &Parsed) -> Result<(), String> {
-    let g = load_graph(p)?;
-    println!("nodes:  {}", g.node_count());
-    println!("edges:  {}", g.edge_count());
+    print!("{}", stats_report(p)?);
+    Ok(())
+}
+
+/// The `tpp stats` report. A snapshot's base-statistics section supplies
+/// `clust` and `cn` (bit-identical to counting them), so only a text or
+/// v1/v2 input pays the triangle count and core peel.
+fn stats_report(p: &Parsed) -> Result<String, String> {
+    use std::fmt::Write as _;
+    let (g, base) = load_graph_observed(p, &Recorder::disabled())?;
+    let mut out = String::new();
+    let _ = writeln!(out, "nodes:  {}", g.node_count());
+    let _ = writeln!(out, "edges:  {}", g.edge_count());
     let max_degree = g.node_ids().map(|u| g.degree(u)).max().unwrap_or(0);
-    println!("max-degree: {max_degree}");
-    println!(
+    let _ = writeln!(out, "max-degree: {max_degree}");
+    let _ = writeln!(
+        out,
         "mean-degree: {:.2}",
         (2 * g.edge_count()) as f64 / g.node_count().max(1) as f64
     );
     let seed: u64 = p.num_or("seed", 1u64)?;
-    print!(
-        "{}",
-        utility_lines(&*g, p.has("full"), seed, EXACT_PATHS_MAX_NODES)
-    );
-    Ok(())
+    let base = base.as_ref().and_then(|slot| slot.get());
+    out.push_str(&utility_lines(
+        &*g,
+        base,
+        p.has("full"),
+        seed,
+        EXACT_PATHS_MAX_NODES,
+    ));
+    Ok(out)
 }
 
 /// Largest graph whose average path length `tpp stats --full` computes
@@ -374,9 +390,11 @@ const SAMPLED_PATH_SOURCES: usize = 1_000;
 
 /// The metric lines of `tpp stats`: clustering and core number, or with
 /// `full` all six metrics, the path length sampled (and labelled so) when
-/// `g` has more than `exact_max_nodes` nodes.
+/// `g` has more than `exact_max_nodes` nodes. `clust` and `cn` come from
+/// `base` when it is given.
 fn utility_lines<G: NeighborAccess>(
     g: &G,
+    base: Option<&BaseStats>,
     full: bool,
     seed: u64,
     exact_max_nodes: usize,
@@ -392,7 +410,11 @@ fn utility_lines<G: NeighborAccess>(
         },
     };
     let mut out = String::new();
-    for (metric, value) in compute_utility(g, &config).values {
+    let values = match base {
+        Some(base) => compute_utility_with(base, g, &config),
+        None => compute_utility(g, &config),
+    };
+    for (metric, value) in values.values {
         if sampled && metric == UtilityMetric::AvgPathLength {
             let _ = writeln!(
                 out,
@@ -536,6 +558,23 @@ fn prepare_incremental(
     })
 }
 
+/// Resolves the run's targets and builds its phase-1 instance over `g`,
+/// timing the two steps into the recorder's `instance` section — the one
+/// path for one-shot runs and for the instance `tpp serve` builds to look
+/// up its index.
+pub(crate) fn build_instance(
+    p: &Parsed,
+    g: Arc<CsrGraph>,
+    recorder: &Recorder,
+) -> Result<TppInstance, String> {
+    let st = recorder.stats();
+    let timer = SpanTimer::counter(st.map(|st| &st.instance.sample_ns));
+    let targets = parse_targets(p, &g)?;
+    timer.stop();
+    let _timer = SpanTimer::counter(st.map(|st| &st.instance.phase1_ns));
+    TppInstance::new(g, targets).map_err(|e| e.to_string())
+}
+
 /// Warm-start inputs a resident server passes into a run; the one-shot
 /// commands use the default (everything cold, private pool).
 #[derive(Default)]
@@ -631,10 +670,7 @@ pub(crate) fn run_protect(
         let motif = parse_motif(p)?;
         let instance = match seeds.instance {
             Some(instance) => instance,
-            None => {
-                let targets = parse_targets(p, &g)?;
-                TppInstance::new(g, targets).map_err(|e| e.to_string())?
-            }
+            None => build_instance(p, g, recorder)?,
         };
         (motif, instance, None)
     };
@@ -692,7 +728,9 @@ pub(crate) fn run_protect(
     }
 
     let original = instance.original();
+    let timer = SpanTimer::counter(recorder.stats().map(|st| &st.instance.release_ns));
     let released = instance.apply_protectors(&plan.protectors);
+    timer.stop();
     let t0 = recorder.is_enabled().then(std::time::Instant::now);
     let mut base_ns = None;
     let mut compute_base = || {
@@ -702,13 +740,16 @@ pub(crate) fn run_protect(
         base
     };
     let config = UtilityConfig::large_graph(seed);
+    // The release is an overlay over the original, so the deleted set
+    // `T ∪ P` is its own delta, not a walk over both graphs.
+    let deleted = released.deleted_edges();
+    let report =
+        |base: &BaseStats| utility_loss_deleting(base, original, &released, &deleted, &config);
     // A slot describes the run's input graph; an incremental run's
     // original is the delta-mutated graph, so it computes its own.
     let loss = match seeds.base.as_ref().filter(|_| incremental.is_none()) {
-        Some(slot) => {
-            utility_loss_with(slot.get_or_init(compute_base), original, &released, &config)
-        }
-        None => utility_loss_with(&compute_base(), original, &released, &config),
+        Some(slot) => report(slot.get_or_init(compute_base)),
+        None => report(&compute_base()),
     };
     if let (Some(t0), Some(st)) = (t0, recorder.stats()) {
         st.utility.utility_ns.add_duration(t0.elapsed());
@@ -2400,12 +2441,76 @@ mod tests {
     }
 
     #[test]
+    fn text_v2_and_v3_inputs_print_the_same_stats() {
+        let dir = tmpdir().join("stats-v2v3");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let (text, v3, v2) = (path("g.txt"), path("g.csr"), path("g-v2.csr"));
+        for argv in [
+            vec![
+                "generate", "--model", "hk", "--nodes", "300", "--out", &text,
+            ],
+            vec!["store", "build", &text, "--out", &v3],
+        ] {
+            dispatch(&parse(&strs(&argv)).unwrap()).unwrap();
+        }
+        let csr = tpp_store::format::load_mapped(&v3, VerifyMode::Full).unwrap();
+        let mut w = std::io::BufWriter::new(std::fs::File::create(&v2).unwrap());
+        tpp_store::format::write_snapshot_v2(&csr, &mut w).unwrap();
+        drop(w);
+        let run = |input: &str, verify: &str, full: bool| {
+            let mut argv = vec!["stats", input, "--verify", verify];
+            if full {
+                argv.push("--full");
+            }
+            stats_report(&parse(&strs(&argv)).unwrap()).unwrap()
+        };
+        for full in [false, true] {
+            let want = run(&text, "full", full);
+            assert!(
+                want.contains("\nclust: ") && want.contains("\ncn: "),
+                "{want}"
+            );
+            for verify in ["full", "header", "none"] {
+                for input in [&v3, &v2] {
+                    assert_eq!(run(input, verify, full), want, "{input} {verify} {full}");
+                }
+            }
+        }
+        // The v3 report reads `cn` from the section: lower one stored core
+        // number (still within its degree) and `--verify none`, which
+        // trusts the section, prints the altered average.
+        let (_, header, _) =
+            tpp_store::format::load_mapped_observed(&v3, VerifyMode::Full, &Recorder::disabled())
+                .unwrap();
+        let section = &header.sections[1];
+        let n = csr.node_count();
+        let cores = section.offset as usize + 4 * n;
+        let mut bytes = std::fs::read(&v3).unwrap();
+        let core0 = u32::from_le_bytes(bytes[cores..cores + 4].try_into().unwrap());
+        assert!(core0 > 0);
+        bytes[cores..cores + 4].copy_from_slice(&0u32.to_le_bytes());
+        let altered = path("altered.csr");
+        std::fs::write(&altered, bytes).unwrap();
+        let line = |text: &str, key: &str| {
+            text.lines()
+                .find(|l| l.starts_with(key))
+                .unwrap()
+                .to_string()
+        };
+        let (want, got) = (run(&text, "full", false), run(&altered, "none", false));
+        assert_eq!(line(&got, "clust: "), line(&want, "clust: "));
+        assert_ne!(line(&got, "cn: "), line(&want, "cn: "), "{got}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn stats_full_samples_path_sources_above_the_node_limit() {
         let g = tpp_graph::generators::holme_kim(60, 3, 0.4, 2);
-        let exact = utility_lines(&g, true, 1, EXACT_PATHS_MAX_NODES);
+        let exact = utility_lines(&g, None, true, 1, EXACT_PATHS_MAX_NODES);
         assert!(exact.starts_with("l: "), "{exact}");
         assert_eq!(exact.lines().count(), 6);
-        let sampled = utility_lines(&g, true, 1, 59);
+        let sampled = utility_lines(&g, None, true, 1, 59);
         assert!(
             sampled.starts_with(&format!("l ({SAMPLED_PATH_SOURCES} sampled sources): ")),
             "{sampled}"
@@ -2426,8 +2531,8 @@ mod tests {
         assert_eq!(rest(&exact), rest(&sampled));
         // Without --full there is no path length to sample.
         assert_eq!(
-            utility_lines(&g, false, 1, 0),
-            utility_lines(&g, false, 1, EXACT_PATHS_MAX_NODES)
+            utility_lines(&g, None, false, 1, 0),
+            utility_lines(&g, None, false, 1, EXACT_PATHS_MAX_NODES)
         );
     }
 

@@ -712,11 +712,11 @@ impl Server {
             .first()
             .ok_or("expected an edge-list or snapshot file argument")?;
         let motif = commands::parse_motif(p)?;
-        let targets = commands::parse_targets(p, g)?;
+        let instance = commands::build_instance(p, Arc::clone(g), recorder)?;
         let key: IndexKey = (
             graph_key(path),
             motif.to_string(),
-            targets.iter().map(|e| (e.u(), e.v())).collect(),
+            instance.targets().iter().map(|e| (e.u(), e.v())).collect(),
         );
         let cached = lock(&self.indexes)
             .get_mut(&key)
@@ -725,7 +725,6 @@ impl Server {
                 entry.last_used = Instant::now();
                 Arc::clone(&entry.index)
             });
-        let instance = TppInstance::new(Arc::clone(g), targets).map_err(|e| e.to_string())?;
         if let Some(index) = cached {
             self.bump(Some(recorder), |s| s.index_hits.inc());
             return Ok(Some((instance, index)));

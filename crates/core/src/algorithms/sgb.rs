@@ -48,8 +48,8 @@ pub fn sgb_greedy_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpp_graph::Edge;
     use tpp_graph::Graph;
+    use tpp_graph::{Edge, NeighborAccess};
     use tpp_motif::Motif;
 
     /// Shared-protector fixture: hub node 6 adjacent to everything, so

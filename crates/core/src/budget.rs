@@ -4,6 +4,7 @@
 use crate::problem::TppInstance;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use tpp_graph::NeighborAccess;
 use tpp_motif::Motif;
 
 /// How a global budget `k` is divided into per-target sub-budgets `k_t`.

@@ -24,7 +24,6 @@ use crate::plan::ProtectionPlan;
 use crate::problem::TppInstance;
 use tpp_graph::{Edge, Graph, NodeId};
 use tpp_motif::Motif;
-use tpp_store::CsrGraph;
 
 /// A node-protection result.
 #[derive(Debug, Clone)]
@@ -40,7 +39,7 @@ pub struct NodeProtection {
 impl NodeProtection {
     /// The graph to publish: node's links removed plus protectors deleted.
     #[must_use]
-    pub fn released_graph(&self) -> CsrGraph {
+    pub fn released_graph(&self) -> crate::Release {
         self.instance.apply_protectors(&self.plan.protectors)
     }
 }
@@ -142,6 +141,7 @@ pub fn node_exposure(protection: &NodeProtection, motif: Motif) -> usize {
 mod tests {
     use super::*;
     use tpp_graph::generators::holme_kim;
+    use tpp_graph::NeighborAccess;
 
     #[test]
     fn node_instance_targets_every_incident_edge() {

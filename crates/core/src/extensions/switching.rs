@@ -46,7 +46,7 @@ impl SwitchOutcome {
 /// random live links, then add `k` random links between unconnected pairs
 /// (never a target). Returns the `(deleted, added)` script.
 fn switch_on_view<B: NeighborAccess>(
-    view: &mut DeltaView<'_, B>,
+    view: &mut DeltaView<B>,
     targets: &[Edge],
     k: usize,
     rng: &mut StdRng,
@@ -111,8 +111,7 @@ pub fn random_switch(instance: &TppInstance, k: usize, motif: Motif, seed: u64) 
 /// Runs `trials` independent random switches and returns how many backfired
 /// (similarity increased) — an empirical estimate of the §VI-D failure rate.
 ///
-/// All trials share the instance's released [`tpp_store::CsrGraph`]
-/// snapshot; each trial is an overlay that is dropped without ever
+/// All trials share the instance's [`crate::Release`]; each trial is an overlay that is dropped without ever
 /// materializing a perturbed graph. Equivalent to
 /// [`backfire_rate_parallel`] with one thread.
 #[must_use]

@@ -23,11 +23,11 @@
 use crate::engine::RoundEngine;
 use crate::oracle::{CandidatePolicy, GainOracle, IndexOracle};
 use crate::plan::{AlgorithmKind, ProtectionPlan};
+use crate::problem::Release;
 use crate::problem::TppInstance;
 use tpp_exec::Parallelism;
 use tpp_graph::Edge;
 use tpp_motif::{InstanceId, Motif, PartitionedCoverageIndex};
-use tpp_store::CsrGraph;
 
 /// Runs weighted SGB-Greedy: each round deletes the candidate maximizing
 /// the weighted broken-instance mass `Σ_t w_t · Δ_t(p)`.
@@ -124,7 +124,7 @@ impl<'a> WeightedIndexOracle<'a> {
     /// # Panics
     /// Panics if `weights.len() != targets.len()`.
     #[must_use]
-    pub fn new(released: &'a CsrGraph, targets: &[Edge], motif: Motif, weights: &[usize]) -> Self {
+    pub fn new(released: &'a Release, targets: &[Edge], motif: Motif, weights: &[usize]) -> Self {
         Self::with_parallelism(
             released,
             targets,
@@ -141,7 +141,7 @@ impl<'a> WeightedIndexOracle<'a> {
     /// Panics if `weights.len() != targets.len()`.
     #[must_use]
     pub fn with_parallelism(
-        released: &'a CsrGraph,
+        released: &'a Release,
         targets: &[Edge],
         motif: Motif,
         weights: &[usize],

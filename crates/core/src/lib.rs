@@ -55,4 +55,4 @@ pub use oracle::{
     CandidatePolicy, GainOracle, IndexOracle, SnapshotOracle, DEFAULT_INDEX_PARTITIONS,
 };
 pub use plan::{AlgorithmKind, ProtectionPlan, StepRecord};
-pub use problem::{IntoSharedCsr, TppInstance};
+pub use problem::{IntoSharedCsr, Release, TppInstance};

@@ -20,10 +20,11 @@
 //! the one oracle their [`GreedyConfig`](crate::GreedyConfig) selects, as
 //! a `Box<dyn GainOracle + Sync>`.
 
+use crate::problem::Release;
 use tpp_exec::Parallelism;
 use tpp_graph::{Edge, FastSet, NeighborAccess};
 use tpp_motif::{count_target_subgraphs, InstanceId, Motif, PartitionedCoverageIndex};
-use tpp_store::{CsrGraph, DeltaView};
+use tpp_store::DeltaView;
 
 /// Candidate-set policy (Lemma 5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,13 +98,13 @@ pub trait GainOracle {
 pub const DEFAULT_INDEX_PARTITIONS: usize = 8;
 
 /// Incremental oracle over a [`PartitionedCoverageIndex`] and the borrowed
-/// released graph it was built over. Commits are shard-parallel: a deletion
+/// [`Release`] it was built over. Commits are shard-parallel: a deletion
 /// updates only the index partitions containing edges of the broken
 /// instances. The graph is never copied: `AllEdges` candidates are the
 /// released edges minus the committed deletions.
 pub struct IndexOracle<'a> {
     index: PartitionedCoverageIndex,
-    released: &'a CsrGraph,
+    released: &'a Release,
     /// Edges committed so far.
     deleted: FastSet<Edge>,
 }
@@ -112,7 +113,7 @@ impl<'a> IndexOracle<'a> {
     /// Builds the oracle from the released graph and targets (sequential
     /// index build).
     #[must_use]
-    pub fn new(released: &'a CsrGraph, targets: &[Edge], motif: Motif) -> Self {
+    pub fn new(released: &'a Release, targets: &[Edge], motif: Motif) -> Self {
         Self::build_on(released, targets, motif, &Parallelism::sequential())
     }
 
@@ -124,7 +125,7 @@ impl<'a> IndexOracle<'a> {
     /// commit phase (until the engine overrides it).
     #[must_use]
     pub fn build_on(
-        released: &'a CsrGraph,
+        released: &'a Release,
         targets: &[Edge],
         motif: Motif,
         exec: &Parallelism,
@@ -146,7 +147,7 @@ impl<'a> IndexOracle<'a> {
     /// over `released` with the run's motif and targets; a deterministic
     /// build means the clone behaves bit-identically to a fresh build.
     #[must_use]
-    pub fn from_prebuilt(index: PartitionedCoverageIndex, released: &'a CsrGraph) -> Self {
+    pub fn from_prebuilt(index: PartitionedCoverageIndex, released: &'a Release) -> Self {
         IndexOracle {
             index,
             released,
@@ -223,10 +224,13 @@ impl GainOracle for IndexOracle<'_> {
 /// each candidate evaluation recounts through a fresh view stacked on it
 /// that holds the one tentative deletion.
 ///
-/// The base can be the released [`CsrGraph`] itself or any other
-/// representation implementing [`NeighborAccess`].
-pub struct SnapshotOracle<'a, B: NeighborAccess> {
-    view: DeltaView<'a, B>,
+/// The base can be any representation implementing [`NeighborAccess`],
+/// borrowed (`SnapshotOracle::new(&graph, ..)`) or shared. Over a phase-1
+/// [`Release`] the oracle commits into a clone of the release itself
+/// ([`SnapshotOracle::from_view`]), so a trial reads two overlay layers,
+/// not three.
+pub struct SnapshotOracle<B: NeighborAccess> {
+    view: DeltaView<B>,
     targets: Vec<Edge>,
     motif: Motif,
     /// Per-target similarities under the current committed overlay —
@@ -237,11 +241,18 @@ pub struct SnapshotOracle<'a, B: NeighborAccess> {
     current_total: usize,
 }
 
-impl<'a, B: NeighborAccess> SnapshotOracle<'a, B> {
+impl<B: NeighborAccess> SnapshotOracle<B> {
     /// Builds the oracle over an immutable base (no copy is taken).
     #[must_use]
-    pub fn new(base: &'a B, targets: &[Edge], motif: Motif) -> Self {
-        let view = DeltaView::new(base);
+    pub fn new(base: B, targets: &[Edge], motif: Motif) -> Self {
+        Self::from_view(DeltaView::new(base), targets, motif)
+    }
+
+    /// Builds the oracle committing into `view`: the graph it reads is the
+    /// view as given, so its existing deletions (a release's targets) are
+    /// never candidates.
+    #[must_use]
+    pub fn from_view(view: DeltaView<B>, targets: &[Edge], motif: Motif) -> Self {
         let current_per_target = count_each(&view, targets, motif);
         let current_total = current_per_target.iter().sum();
         SnapshotOracle {
@@ -255,14 +266,14 @@ impl<'a, B: NeighborAccess> SnapshotOracle<'a, B> {
 
     /// The overlay view with all committed deletions applied.
     #[must_use]
-    pub fn view(&self) -> &DeltaView<'a, B> {
+    pub fn view(&self) -> &DeltaView<B> {
         &self.view
     }
 
     /// The committed view with `p` tentatively deleted, stacked as a fresh
     /// overlay so the committed view is only read; `None` when `p` is not a
     /// live edge (deleting it would break nothing).
-    fn without(&self, p: Edge) -> Option<DeltaView<'_, DeltaView<'a, B>>> {
+    fn without(&self, p: Edge) -> Option<DeltaView<&DeltaView<B>>> {
         let mut trial = DeltaView::new(&self.view);
         trial.delete_edge(p).then_some(trial)
     }
@@ -290,7 +301,7 @@ fn subgraph_edge_candidates<G: NeighborAccess>(g: &G, targets: &[Edge], motif: M
     v
 }
 
-impl<B: NeighborAccess> GainOracle for SnapshotOracle<'_, B> {
+impl<B: NeighborAccess> GainOracle for SnapshotOracle<B> {
     fn total_similarity(&self) -> usize {
         self.current_total
     }
@@ -368,17 +379,21 @@ pub(crate) fn oracle_for<'a>(
                 None => IndexOracle::build_on(released, targets, config.motif, exec),
             },
         ),
-        EvaluatorKind::DeltaRecount => {
-            Box::new(SnapshotOracle::new(released, targets, config.motif))
-        }
+        EvaluatorKind::DeltaRecount => Box::new(SnapshotOracle::from_view(
+            released.clone(),
+            targets,
+            config.motif,
+        )),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use tpp_graph::generators::erdos_renyi_gnp;
     use tpp_graph::Graph;
+    use tpp_store::CsrGraph;
 
     /// `(own, cross)` split of a per-target gain vector relative to
     /// target `t` — the recount side of every `gain_split` comparison.
@@ -386,23 +401,25 @@ mod tests {
         (v[t], v.iter().sum::<usize>() - v[t])
     }
 
-    /// The released graph (as a `Graph` and as its CSR snapshot) and the
+    /// The released graph (as a `Graph` with the targets removed, and as
+    /// the phase-1 overlay over the original's CSR snapshot) and the
     /// targets it hides.
-    fn fixture() -> (Graph, CsrGraph, Vec<Edge>) {
+    fn fixture() -> (Graph, Release, Vec<Edge>) {
         let mut g = erdos_renyi_gnp(24, 0.25, 5);
         let targets = vec![Edge::new(0, 1), Edge::new(2, 3), Edge::new(4, 5)];
+        let mut rel = DeltaView::new(Arc::new(CsrGraph::from_graph(&g)));
         for t in &targets {
             g.remove_edge(t.u(), t.v());
+            rel.delete_edge(*t);
         }
-        let csr = CsrGraph::from_graph(&g);
-        (g, csr, targets)
+        (g, rel, targets)
     }
 
     #[test]
     fn oracles_agree_on_everything() {
         for motif in Motif::ALL {
-            let (g, csr, targets) = fixture();
-            let mut idx = IndexOracle::new(&csr, &targets, motif);
+            let (g, rel, targets) = fixture();
+            let mut idx = IndexOracle::new(&rel, &targets, motif);
             let mut naive = SnapshotOracle::new(&g, &targets, motif);
             assert_eq!(idx.total_similarity(), naive.total_similarity());
             let cands = idx.candidates(CandidatePolicy::SubgraphEdges);
@@ -430,8 +447,8 @@ mod tests {
 
     #[test]
     fn gain_split_sums_to_gain() {
-        let (_, csr, targets) = fixture();
-        let idx = IndexOracle::new(&csr, &targets, Motif::Triangle);
+        let (_, rel, targets) = fixture();
+        let idx = IndexOracle::new(&rel, &targets, Motif::Triangle);
         for p in idx.candidates(CandidatePolicy::SubgraphEdges) {
             let total = idx.gain(p);
             let split_sum: usize = (0..idx.target_count())
@@ -445,8 +462,8 @@ mod tests {
 
     #[test]
     fn all_edges_policy_includes_zero_gain_edges() {
-        let (g, csr, targets) = fixture();
-        let idx = IndexOracle::new(&csr, &targets, Motif::Triangle);
+        let (g, rel, targets) = fixture();
+        let idx = IndexOracle::new(&rel, &targets, Motif::Triangle);
         let all = idx.candidates(CandidatePolicy::AllEdges);
         let restricted = idx.candidates(CandidatePolicy::SubgraphEdges);
         assert_eq!(all.len(), g.edge_count());
@@ -458,8 +475,8 @@ mod tests {
 
     #[test]
     fn committed_edges_leave_candidates() {
-        let (_, csr, targets) = fixture();
-        let mut idx = IndexOracle::new(&csr, &targets, Motif::Triangle);
+        let (_, rel, targets) = fixture();
+        let mut idx = IndexOracle::new(&rel, &targets, Motif::Triangle);
         let all_before = idx.candidates(CandidatePolicy::AllEdges).len();
         let p = idx.candidates(CandidatePolicy::SubgraphEdges)[0];
         idx.commit(p);
@@ -472,10 +489,10 @@ mod tests {
     #[test]
     fn snapshot_oracle_agrees_with_both_paths() {
         for motif in Motif::ALL {
-            let (g, csr, targets) = fixture();
-            let mut idx = IndexOracle::new(&csr, &targets, motif);
+            let (g, rel, targets) = fixture();
+            let mut idx = IndexOracle::new(&rel, &targets, motif);
             let mut snap_graph = SnapshotOracle::new(&g, &targets, motif);
-            let mut snap_csr = SnapshotOracle::new(&csr, &targets, motif);
+            let mut snap_csr = SnapshotOracle::new(&rel, &targets, motif);
             assert_eq!(snap_graph.total_similarity(), idx.total_similarity());
             assert_eq!(snap_csr.total_similarity(), idx.total_similarity());
             let cands = idx.candidates(CandidatePolicy::SubgraphEdges);
@@ -491,7 +508,7 @@ mod tests {
             );
             for &p in cands.iter().take(10) {
                 assert_eq!(idx.gain(p), snap_graph.gain(p), "{motif} gain({p})");
-                assert_eq!(idx.gain(p), snap_csr.gain(p), "{motif} csr gain({p})");
+                assert_eq!(idx.gain(p), snap_csr.gain(p), "{motif} rel gain({p})");
                 let v = snap_csr.gain_vector(p);
                 assert_eq!(idx.gain_vector(p), v);
                 for t in 0..targets.len() {
@@ -511,11 +528,11 @@ mod tests {
 
     #[test]
     fn snapshot_oracle_gain_on_missing_edge_is_zero() {
-        let (g, csr, targets) = fixture();
+        let (g, rel, targets) = fixture();
         // A guaranteed-absent pair so the assertions always execute.
         let absent = (0..24u32)
             .flat_map(|u| ((u + 1)..24).map(move |v| Edge::new(u, v)))
-            .find(|e| !csr.has_edge(e.u(), e.v()))
+            .find(|e| !rel.has_edge(e.u(), e.v()))
             .expect("a 24-node graph with p = 0.25 always has non-edges");
         fn check<B: NeighborAccess>(base: &B, targets: &[Edge], absent: Edge) {
             let zeros = vec![0; targets.len()];
@@ -537,7 +554,7 @@ mod tests {
             assert_eq!(snap.view().deleted_count(), deleted);
         }
         check(&g, &targets, absent);
-        check(&csr, &targets, absent);
+        check(&rel, &targets, absent);
     }
 
     #[test]
@@ -573,13 +590,13 @@ mod tests {
             assert_eq!(back, sequential, "{name}");
             assert!(sequential.iter().flatten().any(|&g| g > 0), "{name}");
         }
-        let (_, csr, targets) = fixture();
+        let (_, rel, targets) = fixture();
         let motif = Motif::Triangle;
-        check("index", &mut IndexOracle::new(&csr, &targets, motif));
-        check("snapshot", &mut SnapshotOracle::new(&csr, &targets, motif));
+        check("index", &mut IndexOracle::new(&rel, &targets, motif));
+        check("snapshot", &mut SnapshotOracle::new(&rel, &targets, motif));
         check(
             "weighted",
-            &mut crate::extensions::WeightedIndexOracle::new(&csr, &targets, motif, &[1, 2, 3]),
+            &mut crate::extensions::WeightedIndexOracle::new(&rel, &targets, motif, &[1, 2, 3]),
         );
     }
 }

@@ -1,4 +1,13 @@
 //! The TPP problem instance: a social graph plus its sensitive target links.
+//!
+//! Phase 1 of the paper's model deletes the targets `T` from the original
+//! graph, and the greedy's protectors `P` are deleted from that release in
+//! turn. Both graphs are one copy-on-write overlay, [`Release`], over the
+//! shared original snapshot: building an instance costs `O(Σ degree)` over
+//! the target endpoints and [`TppInstance::apply_protectors`] the same
+//! over the protector endpoints, however large the graph. Neither ever
+//! copies it, and the overlay's [`DeltaView::deleted_edges`] hands the
+//! utility report the deleted set `T ∪ P` without a walk over both graphs.
 
 use crate::error::TppError;
 use rand::rngs::StdRng;
@@ -36,18 +45,23 @@ impl IntoSharedCsr for Graph {
     }
 }
 
+/// A release of the original graph: the original snapshot, shared, under
+/// an overlay of deleted edges — `G − T` after phase 1, `G − T − P` once
+/// protectors are applied. Its base is the original and its
+/// [`DeltaView::deleted_edges`] are exactly the edges the release lacks.
+pub type Release = DeltaView<Arc<CsrGraph>>;
+
 /// A Target Privacy Preserving instance.
 ///
 /// Construction performs **phase 1** of the paper's model: all target links
 /// are removed from the edge list (`E ← E \ T`), producing the *released*
-/// graph on which protectors are selected in phase 2. Both graphs are CSR
-/// snapshots: the original is shared (a mapped snapshot stays mapped), and
-/// the released graph is one sequential copy of it with the targets
-/// filtered out.
+/// graph on which protectors are selected in phase 2. The original is a
+/// shared CSR snapshot (a mapped snapshot stays mapped), and the released
+/// graph is a [`Release`] overlay over it holding the target deletions.
 #[derive(Debug, Clone)]
 pub struct TppInstance {
-    original: Arc<CsrGraph>,
-    released: CsrGraph,
+    /// The phase-1 release; its base is the original.
+    released: Release,
     targets: Vec<Edge>,
 }
 
@@ -62,24 +76,18 @@ impl TppInstance {
         if targets.is_empty() {
             return Err(TppError::NoTargets);
         }
-        let original = original.into_shared_csr();
-        let mut phase1 = DeltaView::new(&*original);
+        let mut released = DeltaView::new(original.into_shared_csr());
         for &t in &targets {
-            if !original.has_edge(t.u(), t.v()) {
+            if !released.base().has_edge(t.u(), t.v()) {
                 return Err(TppError::TargetNotInGraph(t));
             }
             // An original edge the overlay no longer holds was deleted by
             // an earlier entry of the list.
-            if !phase1.delete_edge(t) {
+            if !released.delete_edge(t) {
                 return Err(TppError::DuplicateTarget(t));
             }
         }
-        let released = CsrGraph::from_access(&phase1);
-        Ok(TppInstance {
-            original,
-            released,
-            targets,
-        })
+        Ok(TppInstance { released, targets })
     }
 
     /// Samples `count` distinct target links uniformly from the graph's
@@ -140,13 +148,14 @@ impl TppInstance {
     /// The original (pre-release) graph, including target links.
     #[must_use]
     pub fn original(&self) -> &CsrGraph {
-        &self.original
+        self.released.base()
     }
 
-    /// The phase-1 graph: original minus all targets. Protector selection
-    /// and adversarial analysis both operate on this graph.
+    /// The phase-1 graph: original minus all targets, as an overlay over
+    /// the original. Protector selection and adversarial analysis both
+    /// operate on this graph.
     #[must_use]
-    pub fn released(&self) -> &CsrGraph {
+    pub fn released(&self) -> &Release {
         &self.released
     }
 
@@ -184,16 +193,17 @@ impl TppInstance {
     }
 
     /// Applies a protector set: the final graph the releaser publishes
-    /// (released graph minus the given protectors), as one filtered CSR
-    /// copy of the released graph. Protectors that are not released edges
-    /// are ignored.
+    /// (released graph minus the given protectors), as the phase-1
+    /// overlay with the protectors also deleted — the original is not
+    /// copied, and the result's [`DeltaView::deleted_edges`] are `T ∪ P`.
+    /// Protectors that are not released edges are ignored.
     #[must_use]
-    pub fn apply_protectors(&self, protectors: &[Edge]) -> CsrGraph {
-        let mut release = DeltaView::new(&self.released);
+    pub fn apply_protectors(&self, protectors: &[Edge]) -> Release {
+        let mut release = self.released.clone();
         for &p in protectors {
             release.delete_edge(p);
         }
-        CsrGraph::from_access(&release)
+        release
     }
 }
 
@@ -202,6 +212,28 @@ mod tests {
     use super::*;
     use tpp_graph::generators::complete_graph;
     use tpp_graph::FastSet;
+
+    /// The [`NeighborAccess`] contract `CsrGraph::check_invariants`
+    /// checks on a snapshot, read through a release overlay: strictly
+    /// ascending in-range lists without self-loops, symmetric, degrees
+    /// equal to the list lengths, and the edge count their half-sum.
+    fn assert_adjacency_contract<G: NeighborAccess>(g: &G) {
+        let mut ends = 0;
+        for u in g.node_ids() {
+            let nu = g.neighbors(u);
+            assert!(nu.windows(2).all(|w| w[0] < w[1]), "node {u} unsorted");
+            assert_eq!(g.degree(u), nu.len(), "degree of {u}");
+            for &v in nu {
+                assert!(v != u && (v as usize) < g.node_count(), "{u} -> {v}");
+                assert!(
+                    g.neighbors(v).binary_search(&u).is_ok(),
+                    "{u} -> {v} one-way"
+                );
+            }
+            ends += nu.len();
+        }
+        assert_eq!(ends, 2 * g.edge_count());
+    }
 
     #[test]
     fn phase1_removes_targets() {
@@ -212,7 +244,9 @@ mod tests {
         assert_eq!(inst.released().edge_count(), 8);
         assert!(!inst.released().has_edge(0, 1));
         assert!(!inst.released().has_edge(2, 3));
-        inst.released().check_invariants();
+        assert_adjacency_contract(inst.released());
+        assert_eq!(inst.released().deleted_edges(), targets);
+        assert_eq!(inst.released().added_count(), 0);
         assert_eq!(inst.targets(), targets.as_slice());
         assert_eq!(inst.target_count(), 2);
     }
@@ -269,7 +303,13 @@ mod tests {
         let inst = TppInstance::new(g, vec![Edge::new(0, 1)]).unwrap();
         let out = inst.apply_protectors(&[Edge::new(2, 3), Edge::new(0, 2)]);
         assert_eq!(out.edge_count(), inst.released().edge_count() - 2);
-        out.check_invariants();
+        assert_adjacency_contract(&out);
+        // The release is the original minus T ∪ P, sharing its base.
+        assert_eq!(
+            out.deleted_edges(),
+            vec![Edge::new(0, 1), Edge::new(0, 2), Edge::new(2, 3)]
+        );
+        assert!(std::ptr::eq(out.base().as_ref(), inst.original()));
         // instance untouched
         assert!(inst.released().has_edge(2, 3));
     }

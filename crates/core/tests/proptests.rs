@@ -13,6 +13,7 @@ use tpp_core::{
 };
 use tpp_graph::{Edge, FastSet, NeighborAccess};
 use tpp_motif::Motif;
+use tpp_store::CsrGraph;
 
 fn instance_strategy() -> impl Strategy<Value = TppInstance> {
     // The shared seeded-ER workload from tpp-bench::fixtures — quoting the
@@ -37,9 +38,9 @@ fn check_feasible(instance: &TppInstance, plan: &tpp_core::ProtectionPlan, motif
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Phase 1 (`G − T`) and the release (`G − T − P`), built as filtered
-    /// CSR copies, equal the adjacency-list path they replaced: clone the
-    /// graph, then remove the edges. The protector list mixes a greedy
+    /// Phase 1 (`G − T`) and the release (`G − T − P`), built as overlays
+    /// over the original, equal the adjacency-list path: clone the graph,
+    /// then remove the edges. The protector list mixes a greedy
     /// plan, a spread of released edges, repeats and the (already absent)
     /// targets.
     #[test]
@@ -52,7 +53,7 @@ proptest! {
         for t in instance.targets() {
             prop_assert!(phase1.remove_edge(t.u(), t.v()));
         }
-        instance.released().check_invariants();
+        CsrGraph::from_access(instance.released()).check_invariants();
         prop_assert_eq!(instance.released().to_graph(), phase1.clone());
 
         let plan = sgb_greedy(&instance, k, &GreedyConfig::scalable(Motif::Triangle));
@@ -61,7 +62,7 @@ proptest! {
         protectors.extend_from_slice(&plan.protectors);
         protectors.extend_from_slice(instance.targets());
         let release = instance.apply_protectors(&protectors);
-        release.check_invariants();
+        CsrGraph::from_access(&release).check_invariants();
         let mut expected = phase1;
         expected.remove_edges(&protectors);
         prop_assert_eq!(release.to_graph(), expected);

@@ -10,6 +10,9 @@
 //! * `tpp_store::DeltaView` — a copy-on-write overlay of tentative edge
 //!   deletions/additions layered over any of these (views stack).
 //!
+//! A reference `&G` and a shared `Arc<G>` read as `G` itself, so an
+//! overlay can borrow its base or own a share of it.
+//!
 //! # Contract
 //!
 //! Implementations must guarantee, for every node `u < node_count()`:
@@ -29,6 +32,7 @@
 use crate::edge::{Edge, NodeId};
 use crate::graph::Graph;
 use crate::kernels;
+use std::sync::Arc;
 
 /// Read-only access to a simple undirected graph with sorted adjacency.
 pub trait NeighborAccess {
@@ -137,6 +141,31 @@ impl<G: NeighborAccess> NeighborAccess for &G {
     }
 }
 
+/// A shared graph reads as the graph itself: an overlay that owns its
+/// base as an `Arc` (`tpp_store::DeltaView<Arc<CsrGraph>>`) forwards to
+/// the one snapshot every holder shares.
+impl<G: NeighborAccess + ?Sized> NeighborAccess for Arc<G> {
+    fn node_count(&self) -> usize {
+        (**self).node_count()
+    }
+
+    fn edge_count(&self) -> usize {
+        (**self).edge_count()
+    }
+
+    fn degree(&self, u: NodeId) -> usize {
+        (**self).degree(u)
+    }
+
+    fn neighbors(&self, u: NodeId) -> &[NodeId] {
+        (**self).neighbors(u)
+    }
+
+    fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
+        (**self).has_edge(u, v)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,6 +223,12 @@ mod tests {
         let g = fixture();
         let (n, m, _, _) = generic_probe(&&g);
         assert_eq!((n, m), (4, 5));
+        let shared = Arc::new(g.clone());
+        assert_eq!(generic_probe(&shared), generic_probe(&g));
+        assert_eq!(
+            NeighborAccess::neighbors(&shared, 2).as_ptr(),
+            shared.neighbors(2).as_ptr()
+        );
     }
 
     #[test]

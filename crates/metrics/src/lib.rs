@@ -42,6 +42,6 @@ pub use distance::{distance_distribution, sampled_distance_distribution, Distanc
 pub use paths::{average_path_length, sampled_path_length, PathLengthStats};
 pub use spectral::{largest_laplacian_eigenvalue, second_largest_laplacian_eigenvalue};
 pub use utility::{
-    compute_utility, loss_ratio, utility_loss, utility_loss_with, UtilityConfig, UtilityLossReport,
-    UtilityMetric, UtilityValues,
+    compute_utility, compute_utility_with, loss_ratio, utility_loss, utility_loss_deleting,
+    utility_loss_with, UtilityConfig, UtilityLossReport, UtilityMetric, UtilityValues,
 };

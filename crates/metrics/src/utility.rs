@@ -129,6 +129,37 @@ pub fn compute_utility<G: NeighborAccess>(g: &G, config: &UtilityConfig) -> Util
     UtilityValues { values }
 }
 
+/// [`compute_utility`] with `g`'s base statistics supplied: `clust` and
+/// `cn` are read from `base`, every other metric is measured. When `base`
+/// equals [`BaseStats::compute`] of `g` the values are bit-identical to
+/// [`compute_utility`]'s ([`BaseStats::from_arrays`]); `base` is trusted
+/// as given, like the snapshot section it is read from.
+#[must_use]
+pub fn compute_utility_with<G: NeighborAccess>(
+    base: &BaseStats,
+    g: &G,
+    config: &UtilityConfig,
+) -> UtilityValues {
+    assert_eq!(
+        base.node_count(),
+        g.node_count(),
+        "compute_utility_with: base statistics of another graph"
+    );
+    let values = config
+        .metrics
+        .iter()
+        .map(|&m| {
+            let value = match m {
+                UtilityMetric::Clustering => base.average_clustering(),
+                UtilityMetric::CoreNumber => base.average_core_number(),
+                _ => metric_value(g, m, config),
+            };
+            (m, value)
+        })
+        .collect();
+    UtilityValues { values }
+}
+
 /// One metric of `g` under `config`, from scratch.
 fn metric_value<G: NeighborAccess>(g: &G, metric: UtilityMetric, config: &UtilityConfig) -> f64 {
     match metric {
@@ -298,6 +329,40 @@ pub fn utility_loss_with<G: NeighborAccess, H: NeighborAccess>(
     released: &H,
     config: &UtilityConfig,
 ) -> UtilityLossReport {
+    let deleted = deleted_edges(original, released);
+    report(base, original, released, deleted.as_deref(), config)
+}
+
+/// [`utility_loss_with`] for a release known to be `original` minus
+/// exactly the edges `deleted` (ascending, canonical): the deleted set an
+/// overlay release already holds (`tpp_store::DeltaView::deleted_edges`
+/// over the original, the paper's `T ∪ P`), so no walk over both graphs
+/// derives it. Bit-identical to [`utility_loss_with`] on the same graphs;
+/// the claim about `deleted` is checked against that walk in debug builds.
+#[must_use]
+pub fn utility_loss_deleting<G: NeighborAccess, H: NeighborAccess>(
+    base: &BaseStats,
+    original: &G,
+    released: &H,
+    deleted: &[Edge],
+    config: &UtilityConfig,
+) -> UtilityLossReport {
+    debug_assert!(
+        deleted_edges(original, released).as_deref() == Some(deleted),
+        "utility_loss_deleting: the release is not the original minus `deleted`"
+    );
+    report(base, original, released, Some(deleted), config)
+}
+
+/// The loss report of [`utility_loss_with`], given `D` (`None` when the
+/// release is not an edge subset of the original).
+fn report<G: NeighborAccess, H: NeighborAccess>(
+    base: &BaseStats,
+    original: &G,
+    released: &H,
+    deleted: Option<&[Edge]>,
+    config: &UtilityConfig,
+) -> UtilityLossReport {
     assert_eq!(
         base.node_count(),
         original.node_count(),
@@ -307,18 +372,15 @@ pub fn utility_loss_with<G: NeighborAccess, H: NeighborAccess>(
         *base == BaseStats::compute(original),
         "utility_loss_with: stale base statistics"
     );
-    let deleted = deleted_edges(original, released);
     let mut core_evaluations = 0;
     let per_metric: Vec<(UtilityMetric, f64)> = config
         .metrics
         .iter()
         .map(|&m| {
             let (a, b) = match m {
-                UtilityMetric::Clustering => {
-                    clustering_pair(base, original, released, deleted.as_deref())
-                }
+                UtilityMetric::Clustering => clustering_pair(base, original, released, deleted),
                 UtilityMetric::CoreNumber => {
-                    let (a, b, evaluations) = core_pair(base, released, deleted.as_deref());
+                    let (a, b, evaluations) = core_pair(base, released, deleted);
                     core_evaluations += evaluations;
                     (a, b)
                 }
@@ -338,7 +400,7 @@ pub fn utility_loss_with<G: NeighborAccess, H: NeighborAccess>(
     UtilityLossReport {
         per_metric,
         average,
-        deleted_edges: deleted.map(|d| d.len()),
+        deleted_edges: deleted.map(<[Edge]>::len),
         core_evaluations,
     }
 }

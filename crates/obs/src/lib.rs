@@ -23,6 +23,6 @@ mod recorder;
 
 pub use metrics::{timed, Counter, Histogram, HistogramSnapshot, SpanTimer};
 pub use recorder::{
-    AttackStats, ExecStats, IndexStats, KernelStats, Recorder, RoundStats, ServeStats, Stats,
-    StoreStats, UpdateStats, UtilityStats,
+    AttackStats, ExecStats, IndexStats, InstanceStats, KernelStats, Recorder, RoundStats,
+    ServeStats, Stats, StoreStats, UpdateStats, UtilityStats,
 };

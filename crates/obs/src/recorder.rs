@@ -164,6 +164,22 @@ pub struct UpdateStats {
     pub core_repeels: Counter,
 }
 
+/// Instance telemetry: the protect steps between the load and the greedy
+/// that derive the problem, and the release after it. Served protects
+/// record the first two where the daemon builds the instance for its
+/// index lookup; an `--incremental` run, whose instance is the
+/// delta-mutated graph's, records only `release_ns`.
+#[derive(Debug, Default)]
+pub struct InstanceStats {
+    /// Wall time resolving the targets: `--targets` parsed or `--random`
+    /// sampled.
+    pub sample_ns: Counter,
+    /// Wall time of phase 1: the target deletions over the original.
+    pub phase1_ns: Counter,
+    /// Wall time applying the protectors to the phase-1 release.
+    pub release_ns: Counter,
+}
+
 /// Utility-report telemetry: what the `utility_loss` phase of a protect
 /// run cost, whether the original's base statistics were computed,
 /// loaded or reused, how many deleted edges its clustering and core patches
@@ -210,6 +226,8 @@ pub struct Stats {
     pub serve: ServeStats,
     /// Incremental-update section.
     pub update: UpdateStats,
+    /// Problem-instance section.
+    pub instance: InstanceStats,
     /// Utility-report section.
     pub utility: UtilityStats,
 }
@@ -306,7 +324,8 @@ fn section(out: &mut String, name: &str, fields: &[(&str, String)], last: bool) 
 impl Stats {
     /// Serializes the whole tree as one pretty-printed JSON document with
     /// top-level `round` / `index` / `exec` / `store` / `attack` /
-    /// `kernels` / `serve` / `update` / `utility` sections, flat snake_case `_ns`
+    /// `kernels` / `serve` / `update` / `instance` / `utility` sections,
+    /// flat snake_case `_ns`
     /// keys — the same shape the committed bench results use.
     #[must_use]
     pub fn to_json_pretty(&self) -> String {
@@ -475,6 +494,16 @@ impl Stats {
         );
         section(
             &mut out,
+            "instance",
+            &[
+                ("sample_ns", self.instance.sample_ns.get().to_string()),
+                ("phase1_ns", self.instance.phase1_ns.get().to_string()),
+                ("release_ns", self.instance.release_ns.get().to_string()),
+            ],
+            false,
+        );
+        section(
+            &mut out,
             "utility",
             &[
                 ("utility_ns", self.utility.utility_ns.get().to_string()),
@@ -556,6 +585,10 @@ mod tests {
             "\"base_ns\":",
             "\"base_patch_ns\":",
             "\"core_repeels\":",
+            "\"instance\":",
+            "\"sample_ns\":",
+            "\"phase1_ns\":",
+            "\"release_ns\":",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }

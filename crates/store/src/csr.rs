@@ -76,10 +76,12 @@ impl CsrGraph {
     /// sequential pass that appends each node's sorted neighbor list to
     /// the packed array (one slice copy per node).
     ///
-    /// This is the one routine behind every derived snapshot on the
-    /// request path: a parsed text edge list, the phase-1 graph `G − T`
-    /// and the release `G − T − P` (a [`crate::DeltaView`] of deletions
-    /// over the base), and the next resident graph after a served update.
+    /// This is the one routine behind every derived snapshot: a parsed
+    /// text edge list, and the new graph of a delta (the next resident
+    /// graph after a served update, the mutated original of an
+    /// incremental protect). The paper's phase-1 graph and release are
+    /// not copied: they stay [`crate::DeltaView`] overlays over the
+    /// original.
     /// The [`NeighborAccess`] contract (sorted, duplicate-free, symmetric)
     /// is exactly the CSR invariant, so no re-validation is needed.
     #[must_use]

@@ -11,6 +11,20 @@
 //! The view implements [`NeighborAccess`], so every motif counter and
 //! link-prediction score in the workspace runs over it unchanged.
 //!
+//! ## Borrowed and owned bases
+//!
+//! The view holds its base **by value**, and the base is any
+//! [`NeighborAccess`] type. A borrowed base (`DeltaView<&CsrGraph>`,
+//! built by `DeltaView::new(&snapshot)`) is the short-lived form: a
+//! per-candidate trial, an attack's as-released graph. A shared base
+//! (`DeltaView<Arc<CsrGraph>>`) is the owning form: the paper's phase-1
+//! release `G − T` and the published `G − T − P` are this overlay over
+//! the original snapshot (`tpp_core::Release`), so neither is ever copied
+//! — a release costs `O(Σ degree)` over the endpoints of the deleted
+//! edges, whatever the graph's size. Both are one type; views stack
+//! (`DeltaView<&DeltaView<B>>`), each layer reading the one below as its
+//! base.
+//!
 //! ## The merged-slice cache
 //!
 //! [`NeighborAccess`] serves every neighbor list as one sorted slice, so
@@ -20,10 +34,36 @@
 //! base's slice. Repeated scans (a motif recount touches each endpoint
 //! neighborhood once per target) therefore hit contiguous slices on both
 //! paths, and the common-neighbor merge runs at full
-//! [`CsrGraph`](crate::CsrGraph) speed. Views stack: a view over a view
-//! reads the inner layer's slices as its base.
+//! [`CsrGraph`](crate::CsrGraph) speed.
+//!
+//! ## The dirty-node table
+//!
+//! The dirty nodes' entries sit in one dense `Vec`, found through an
+//! open-addressing table of slot numbers (Fibonacci hashing, linear
+//! probing) kept at least [`CELLS_PER_DIRTY`] cells per dirty node. A read
+//! hashes the node and loads one cell: an empty cell is the clean read —
+//! one branch, then the base's own slice — and a dirty read follows the
+//! slot to its merged slice with no hashing of keys or bucket search. The
+//! table doubles with the delta and stops at twice the base's node count
+//! rounded up to a power of two, so it is never more than `O(changed)`
+//! cells below that bound and never more than `O(n)` at it: a trial view
+//! with one deletion (two dirty nodes) holds 32 cells, a phase-1 release
+//! with hundreds of dirty nodes a few thousand. Entries whose net delta
+//! empties are dropped at once (backward-shift deletion), so the table
+//! and a clone of the view stay proportional to the live delta.
 
-use tpp_graph::{Edge, FastMap, Graph, NeighborAccess, NodeId};
+use tpp_graph::{Edge, Graph, NeighborAccess, NodeId};
+
+/// Table cells kept per dirty node: a clean read finds its first cell
+/// taken (and pays one entry compare) at most once in this many reads.
+const CELLS_PER_DIRTY: usize = 16;
+
+/// Table size of an empty view: enough for one tentative deletion's two
+/// endpoints at [`CELLS_PER_DIRTY`].
+const MIN_CELLS: usize = 32;
+
+/// An unused table cell.
+const EMPTY: u32 = u32::MAX;
 
 /// Per-node overlay state: sorted removed/added lists plus the merged-slice
 /// cache for this node.
@@ -50,64 +90,70 @@ impl NodeDelta {
 /// added. Deleting an overlay-added edge simply retracts the addition, and
 /// re-adding an overlay-deleted edge retracts the deletion, so the delta
 /// always stores the *net* difference from the base.
-#[derive(Debug)]
-pub struct DeltaView<'a, B: NeighborAccess> {
-    base: &'a B,
-    delta: FastMap<NodeId, NodeDelta>,
+///
+/// `B` is held by value: `&G` borrows a snapshot, `Arc<G>` shares one (see
+/// the module docs). The view clones whenever its base does, which both
+/// forms do in `O(1)`; the clone copies only the delta and its table.
+#[derive(Debug, Clone)]
+pub struct DeltaView<B: NeighborAccess> {
+    base: B,
+    /// The dirty nodes and their deltas, in no particular order.
+    delta: Vec<(NodeId, NodeDelta)>,
+    /// Open-addressing table over `delta`: a power-of-two number of cells,
+    /// each [`EMPTY`] or the slot of the dirty node whose probe sequence
+    /// passes through it.
+    cells: Vec<u32>,
+    /// `32 − log2(cells.len())`: the Fibonacci hash's shift.
+    shift: u32,
     /// Net edge-count change relative to the base.
     edge_delta: isize,
 }
 
-// Hand-written so cloning never demands `B: Clone` — the base is only ever
-// borrowed, so a view over any snapshot type clones.
-impl<B: NeighborAccess> Clone for DeltaView<'_, B> {
-    fn clone(&self) -> Self {
-        DeltaView {
-            base: self.base,
-            delta: self.delta.clone(),
-            edge_delta: self.edge_delta,
-        }
-    }
-}
-
-impl<'a, B: NeighborAccess> DeltaView<'a, B> {
+impl<B: NeighborAccess> DeltaView<B> {
     /// An empty overlay: the view is indistinguishable from `base`.
     #[must_use]
-    pub fn new(base: &'a B) -> Self {
+    pub fn new(base: B) -> Self {
         DeltaView {
             base,
-            delta: FastMap::default(),
+            delta: Vec::new(),
+            cells: vec![EMPTY; MIN_CELLS],
+            shift: 32 - MIN_CELLS.trailing_zeros(),
             edge_delta: 0,
         }
     }
 
     /// The underlying snapshot.
     #[must_use]
-    pub fn base(&self) -> &'a B {
-        self.base
+    pub fn base(&self) -> &B {
+        &self.base
     }
 
     /// `true` when the view differs from the base.
     #[must_use]
     pub fn is_dirty(&self) -> bool {
-        self.delta.values().any(|d| !d.is_empty())
+        self.delta.iter().any(|(_, d)| !d.is_empty())
     }
 
     /// Number of edges deleted relative to the base.
     #[must_use]
     pub fn deleted_count(&self) -> usize {
-        self.delta.values().map(|d| d.removed.len()).sum::<usize>() / 2
+        self.delta
+            .iter()
+            .map(|(_, d)| d.removed.len())
+            .sum::<usize>()
+            / 2
     }
 
     /// Number of edges added relative to the base.
     #[must_use]
     pub fn added_count(&self) -> usize {
-        self.delta.values().map(|d| d.added.len()).sum::<usize>() / 2
+        self.delta.iter().map(|(_, d)| d.added.len()).sum::<usize>() / 2
     }
 
     /// Drops every overlay change, restoring the base view.
     pub fn clear(&mut self) {
         self.delta.clear();
+        self.cells.fill(EMPTY);
         self.edge_delta = 0;
     }
 
@@ -169,29 +215,20 @@ impl<'a, B: NeighborAccess> DeltaView<'a, B> {
     /// Edges currently deleted relative to the base, canonical order.
     #[must_use]
     pub fn deleted_edges(&self) -> Vec<Edge> {
-        let mut out: Vec<Edge> = self
-            .delta
-            .iter()
-            .flat_map(|(&u, d)| {
-                d.removed
-                    .iter()
-                    .filter(move |&&v| u < v)
-                    .map(move |&v| Edge::new(u, v))
-            })
-            .collect();
-        out.sort_unstable();
-        out
+        Self::upper_edges(self.delta.iter().map(|(u, d)| (*u, &d.removed)))
     }
 
     /// Edges currently added relative to the base, canonical order.
     #[must_use]
     pub fn added_edges(&self) -> Vec<Edge> {
-        let mut out: Vec<Edge> = self
-            .delta
-            .iter()
-            .flat_map(|(&u, d)| {
-                d.added
-                    .iter()
+        Self::upper_edges(self.delta.iter().map(|(u, d)| (*u, &d.added)))
+    }
+
+    /// The edges `(u, v)`, `u < v`, of per-node neighbour lists, sorted.
+    fn upper_edges<'l>(lists: impl Iterator<Item = (NodeId, &'l Vec<NodeId>)>) -> Vec<Edge> {
+        let mut out: Vec<Edge> = lists
+            .flat_map(|(u, vs)| {
+                vs.iter()
                     .filter(move |&&v| u < v)
                     .map(move |&v| Edge::new(u, v))
             })
@@ -220,36 +257,136 @@ impl<'a, B: NeighborAccess> DeltaView<'a, B> {
     // Every mutation keeps `merged` exact: O(log deg) search + O(deg) shift,
     // the same order as one scan of the node — paid once per mutation so
     // that every subsequent read is a contiguous slice. Entries whose net
-    // delta returns to empty are dropped eagerly, keeping the map (and thus
-    // a view clone) proportional to the *live* delta, not to the history of
-    // tentative evaluations.
+    // delta returns to empty are dropped eagerly, keeping the table (and
+    // thus a view clone) proportional to the *live* delta, not to the
+    // history of tentative evaluations.
 
     fn overlay_removed(&self, u: NodeId, v: NodeId) -> bool {
-        self.delta
-            .get(&u)
+        self.node_delta(u)
             .is_some_and(|d| d.removed.binary_search(&v).is_ok())
     }
 
     fn overlay_added(&self, u: NodeId, v: NodeId) -> bool {
-        self.delta
-            .get(&u)
+        self.node_delta(u)
             .is_some_and(|d| d.added.binary_search(&v).is_ok())
     }
 
-    /// The entry for `u`, with the merged-slice cache seeded from the base
-    /// on first touch.
-    fn entry(&mut self, u: NodeId) -> &mut NodeDelta {
-        let base = self.base;
-        self.delta.entry(u).or_insert_with(|| NodeDelta {
-            removed: Vec::new(),
-            added: Vec::new(),
-            merged: base.neighbors(u).to_vec(),
-        })
+    /// The first table cell of `u`'s probe sequence.
+    #[inline]
+    fn home(&self, u: NodeId) -> usize {
+        (u.wrapping_mul(0x9E37_79B9) >> self.shift) as usize
     }
 
+    /// The slot of `u` in `delta`, or `None` when `u` is clean.
+    #[inline]
+    fn slot(&self, u: NodeId) -> Option<usize> {
+        let mask = self.cells.len() - 1;
+        let mut at = self.home(u);
+        loop {
+            let cell = self.cells[at];
+            if cell == EMPTY {
+                return None;
+            }
+            if self.delta[cell as usize].0 == u {
+                return Some(cell as usize);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Writes `slot` into the first free cell of `u`'s probe sequence.
+    fn place(&mut self, u: NodeId, slot: usize) {
+        let mask = self.cells.len() - 1;
+        let mut at = self.home(u);
+        while self.cells[at] != EMPTY {
+            at = (at + 1) & mask;
+        }
+        self.cells[at] = slot as u32;
+    }
+
+    /// The entry for `u`, with the merged-slice cache seeded from the base
+    /// and the table grown (or just written) on first touch.
+    fn entry(&mut self, u: NodeId) -> &mut NodeDelta {
+        let slot = match self.slot(u) {
+            Some(slot) => slot,
+            None => {
+                let merged = self.base.neighbors(u).to_vec();
+                self.delta.push((
+                    u,
+                    NodeDelta {
+                        merged,
+                        ..NodeDelta::default()
+                    },
+                ));
+                let slot = self.delta.len() - 1;
+                let cap =
+                    (2 * self.base.node_count().next_power_of_two()).clamp(MIN_CELLS, 1 << 31);
+                let want = (self.delta.len() * CELLS_PER_DIRTY).next_power_of_two();
+                if want > self.cells.len() && self.cells.len() < cap {
+                    self.rebuild(want.min(cap));
+                } else {
+                    self.place(u, slot);
+                }
+                slot
+            }
+        };
+        &mut self.delta[slot].1
+    }
+
+    /// Re-places every entry into a table of `cells` cells.
+    fn rebuild(&mut self, cells: usize) {
+        self.cells = vec![EMPTY; cells];
+        self.shift = 32 - cells.trailing_zeros();
+        for slot in 0..self.delta.len() {
+            self.place(self.delta[slot].0, slot);
+        }
+    }
+
+    /// Drops `u`'s entry once its net delta is empty: its cell is emptied
+    /// by backward shifting the probe run behind it, and the last entry
+    /// moves into its slot.
     fn drop_if_clean(&mut self, u: NodeId) {
-        if self.delta.get(&u).is_some_and(NodeDelta::is_empty) {
-            self.delta.remove(&u);
+        let Some(slot) = self.slot(u) else {
+            return;
+        };
+        if !self.delta[slot].1.is_empty() {
+            return;
+        }
+        let mask = self.cells.len() - 1;
+        let mut hole = self.home(u);
+        while self.cells[hole] as usize != slot {
+            hole = (hole + 1) & mask;
+        }
+        let mut at = hole;
+        loop {
+            at = (at + 1) & mask;
+            let cell = self.cells[at];
+            if cell == EMPTY {
+                break;
+            }
+            // The cell may fill the hole unless its home lies cyclically
+            // in (hole, at]: then the hole is not on its probe sequence.
+            let home = self.home(self.delta[cell as usize].0);
+            let stays = if hole <= at {
+                hole < home && home <= at
+            } else {
+                hole < home || home <= at
+            };
+            if !stays {
+                self.cells[hole] = cell;
+                hole = at;
+            }
+        }
+        self.cells[hole] = EMPTY;
+        let last = self.delta.len() - 1;
+        self.delta.swap_remove(slot);
+        if slot != last {
+            let moved = self.delta[slot].0;
+            let mut at = self.home(moved);
+            while self.cells[at] as usize != last {
+                at = (at + 1) & mask;
+            }
+            self.cells[at] = slot as u32;
         }
     }
 
@@ -274,7 +411,8 @@ impl<'a, B: NeighborAccess> DeltaView<'a, B> {
     }
 
     fn retract_removed(&mut self, u: NodeId, v: NodeId) {
-        if let Some(d) = self.delta.get_mut(&u) {
+        if let Some(slot) = self.slot(u) {
+            let d = &mut self.delta[slot].1;
             if let Ok(pos) = d.removed.binary_search(&v) {
                 d.removed.remove(pos);
                 if let Err(m) = d.merged.binary_search(&v) {
@@ -286,7 +424,8 @@ impl<'a, B: NeighborAccess> DeltaView<'a, B> {
     }
 
     fn retract_added(&mut self, u: NodeId, v: NodeId) {
-        if let Some(d) = self.delta.get_mut(&u) {
+        if let Some(slot) = self.slot(u) {
+            let d = &mut self.delta[slot].1;
             if let Ok(pos) = d.added.binary_search(&v) {
                 d.added.remove(pos);
                 if let Ok(m) = d.merged.binary_search(&v) {
@@ -297,12 +436,13 @@ impl<'a, B: NeighborAccess> DeltaView<'a, B> {
         self.drop_if_clean(u);
     }
 
+    #[inline]
     fn node_delta(&self, u: NodeId) -> Option<&NodeDelta> {
-        self.delta.get(&u).filter(|d| !d.is_empty())
+        self.slot(u).map(|slot| &self.delta[slot].1)
     }
 }
 
-impl<B: NeighborAccess> NeighborAccess for DeltaView<'_, B> {
+impl<B: NeighborAccess> NeighborAccess for DeltaView<B> {
     fn node_count(&self) -> usize {
         self.base.node_count()
     }
@@ -314,6 +454,7 @@ impl<B: NeighborAccess> NeighborAccess for DeltaView<'_, B> {
             .expect("edge count underflow")
     }
 
+    #[inline]
     fn degree(&self, u: NodeId) -> usize {
         match self.node_delta(u) {
             None => self.base.degree(u),
@@ -323,6 +464,7 @@ impl<B: NeighborAccess> NeighborAccess for DeltaView<'_, B> {
 
     /// The merged cache for dirty nodes, the base's own slice for clean
     /// ones.
+    #[inline]
     fn neighbors(&self, u: NodeId) -> &[NodeId] {
         match self.node_delta(u) {
             Some(d) => &d.merged,
@@ -330,14 +472,15 @@ impl<B: NeighborAccess> NeighborAccess for DeltaView<'_, B> {
         }
     }
 
+    #[inline]
     fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         if u == v {
             return false;
         }
-        if self.overlay_removed(u, v) {
-            return false;
+        match self.node_delta(u) {
+            None => self.base.has_edge(u, v),
+            Some(d) => d.merged.binary_search(&v).is_ok(),
         }
-        self.base.has_edge(u, v) || self.overlay_added(u, v)
     }
 }
 
@@ -351,7 +494,7 @@ mod tests {
     }
 
     /// The view must agree with a physically mutated Graph on every query.
-    fn assert_view_matches<B: NeighborAccess>(view: &DeltaView<'_, B>, oracle: &Graph) {
+    fn assert_view_matches<B: NeighborAccess>(view: &DeltaView<B>, oracle: &Graph) {
         assert_eq!(view.node_count(), oracle.node_count());
         assert_eq!(view.edge_count(), oracle.edge_count());
         for u in 0..oracle.node_count() as NodeId {
@@ -458,7 +601,7 @@ mod tests {
         let csr = CsrGraph::from_graph(&g);
         let mut view = DeltaView::new(&csr);
         let mut oracle = g.clone();
-        let check = |view: &DeltaView<'_, CsrGraph>, oracle: &Graph, what: &str| {
+        let check = |view: &DeltaView<&CsrGraph>, oracle: &Graph, what: &str| {
             for u in 0..oracle.node_count() as NodeId {
                 assert_eq!(view.neighbors(u), oracle.neighbors(u), "{what}: node {u}");
             }
@@ -497,6 +640,159 @@ mod tests {
         }
         assert!(!view.is_dirty());
         assert_eq!(view.delta.len(), 0, "no stale NodeDelta entries");
+    }
+
+    /// Every entry is found from its node, and no node has two.
+    fn assert_table_consistent<B: NeighborAccess>(view: &DeltaView<B>) {
+        for (slot, (u, d)) in view.delta.iter().enumerate() {
+            assert_eq!(view.slot(*u), Some(slot), "entry of node {u} lost");
+            assert!(!d.is_empty(), "clean entry of node {u} kept");
+        }
+        let live = view.cells.iter().filter(|&&c| c != EMPTY).count();
+        assert_eq!(live, view.delta.len(), "one cell per entry");
+    }
+
+    #[test]
+    fn dirty_table_survives_churn() {
+        // Thousands of interleaved deletions, additions and retractions:
+        // the table grows through several sizes, and a sliding window of
+        // live deletions keeps nodes turning clean, so cells empty by
+        // backward shifting all the time. Every read must still match a
+        // mutated Graph, with one entry per node whose list differs from
+        // the base.
+        let g = tpp_graph::generators::holme_kim(300, 4, 0.4, 8);
+        let csr = CsrGraph::from_graph(&g);
+        let mut view = DeltaView::new(&csr);
+        let mut oracle = g.clone();
+        let edges = g.edge_vec();
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let mut window = std::collections::VecDeque::new();
+        for step in 0..8000 {
+            let window_len = if step < 4000 { 400 } else { 12 };
+            let touched = if step % 5 == 0 {
+                let (u, v) = (next(300) as NodeId, next(300) as NodeId);
+                if u == v {
+                    continue;
+                }
+                let e = Edge::new(u, v);
+                if oracle.has_edge(u, v) {
+                    assert_eq!(view.delete_edge(e), oracle.remove_edge(u, v));
+                } else {
+                    assert_eq!(view.add_edge(e), oracle.add_edge(u, v));
+                }
+                e
+            } else {
+                let e = edges[next(edges.len())];
+                if oracle.remove_edge(e.u(), e.v()) {
+                    assert!(view.delete_edge(e));
+                    window.push_back(e);
+                }
+                while window.len() > window_len {
+                    let old = window.pop_front().expect("non-empty window");
+                    if oracle.add_edge(old.u(), old.v()) {
+                        assert!(view.restore_edge(old));
+                    }
+                }
+                e
+            };
+            for x in [touched.u(), touched.v()] {
+                assert_eq!(view.neighbors(x), oracle.neighbors(x), "step {step}");
+            }
+            assert_table_consistent(&view);
+            if step % 1000 == 999 {
+                assert_view_matches(&view, &oracle);
+            }
+        }
+        assert_view_matches(&view, &oracle);
+        let changed = (0..300u32)
+            .filter(|&u| oracle.neighbors(u) != g.neighbors(u))
+            .count();
+        assert_eq!(view.delta.len(), changed);
+        assert!(view.cells.len() <= 2 * 300usize.next_power_of_two());
+        // Undo everything: the view is the base again, and empty.
+        for e in view.added_edges() {
+            assert!(view.delete_edge(e));
+        }
+        for e in view.deleted_edges() {
+            assert!(view.restore_edge(e));
+            assert_table_consistent(&view);
+        }
+        assert!(!view.is_dirty());
+        assert_eq!(view.delta.len(), 0);
+        assert!(view.cells.iter().all(|&c| c == EMPTY));
+        assert_view_matches(&view, &g);
+    }
+
+    #[test]
+    fn colliding_nodes_share_one_probe_run() {
+        // Four dirty nodes whose probe sequences start in chosen cells of a
+        // 64-cell table form one run — inside the table, or from its last
+        // cells across the wrap to cell 0 — and a clean node homed in the
+        // run must probe past it. Every order of retracting the three
+        // added edges empties cells by backward shifting, so each entry
+        // behind a hole either moves into it or, homed after the hole,
+        // stays.
+        let base = Graph::new(4096);
+        let home64 = |u: NodeId| u.wrapping_mul(0x9E37_79B9) >> 26;
+        for homes in [
+            [6, 6, 6, 6],
+            [63, 63, 63, 63],
+            [62, 63, 0, 63],
+            [63, 0, 0, 62],
+        ] {
+            let mut taken = Vec::new();
+            for want in homes.into_iter().chain([homes[0]]) {
+                let u = (0..4096)
+                    .find(|&u| home64(u) == want && !taken.contains(&u))
+                    .expect("64 nodes per home among 4096");
+                taken.push(u);
+            }
+            let (c, clean) = (&taken[..4], taken[4]);
+            let path = [
+                Edge::new(c[0], c[1]),
+                Edge::new(c[1], c[2]),
+                Edge::new(c[2], c[3]),
+            ];
+            for order in [
+                [0, 1, 2],
+                [0, 2, 1],
+                [1, 0, 2],
+                [1, 2, 0],
+                [2, 0, 1],
+                [2, 1, 0],
+            ] {
+                let mut view = DeltaView::new(&base);
+                let mut oracle = base.clone();
+                for e in path {
+                    assert!(view.add_edge(e));
+                    oracle.add_edge(e.u(), e.v());
+                    assert_table_consistent(&view);
+                }
+                assert_eq!(view.cells.len(), 64);
+                assert_eq!(view.slot(clean), None);
+                for i in order {
+                    let e = path[i];
+                    assert!(view.delete_edge(e));
+                    oracle.remove_edge(e.u(), e.v());
+                    assert_table_consistent(&view);
+                    for &u in &taken {
+                        assert_eq!(
+                            view.neighbors(u),
+                            oracle.neighbors(u),
+                            "{homes:?} {order:?}"
+                        );
+                    }
+                }
+                assert!(!view.is_dirty());
+                assert!(view.cells.iter().all(|&cell| cell == EMPTY));
+            }
+        }
     }
 
     #[test]

@@ -134,10 +134,7 @@ impl GraphDelta {
     /// error — a delta that disagrees with the graph it claims to mutate
     /// is stale, and silently skipping would desynchronize the net lists
     /// from what the incremental plan repair assumes.
-    pub fn overlay<'a, B: NeighborAccess>(
-        &self,
-        base: &'a B,
-    ) -> Result<DeltaView<'a, B>, StoreError> {
+    pub fn overlay<B: NeighborAccess>(&self, base: B) -> Result<DeltaView<B>, StoreError> {
         let nodes = base.node_count();
         let mut view = DeltaView::new(base);
         for op in &self.ops {

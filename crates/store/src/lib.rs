@@ -17,10 +17,12 @@
 //!   and persist it ([`build_stream`] writes one straight from an edge
 //!   list, [`format::load_mapped`] maps it back) instead of re-parsing.
 //! * [`DeltaView`] — an `O(1)`-setup overlay recording net edge
-//!   deletions/additions against any base. Tentative candidate evaluation
-//!   becomes `delete_edge → recount → restore_edge` with **zero** graph
-//!   clones and `O(changed)` memory. A per-node merged-slice cache serves
-//!   every neighbor list of a dirty node as one contiguous slice.
+//!   deletions/additions against any base, borrowed (`&CsrGraph`) or
+//!   shared (`Arc<CsrGraph>`, the form the paper's releases take).
+//!   Tentative candidate evaluation becomes
+//!   `delete_edge → recount → restore_edge` with **zero** graph clones and
+//!   `O(changed)` memory. A per-node merged-slice cache serves every
+//!   neighbor list of a dirty node as one contiguous slice.
 //! * [`NeighborAccess`] (from `tpp_graph`) — both types implement the
 //!   workspace-wide read trait, so every motif counter and link-prediction
 //!   score runs over snapshots and overlays unchanged.

@@ -7,7 +7,7 @@
 //! ```
 
 use tpp::prelude::*;
-use tpp_store::{format, DeltaView, NeighborAccess, VerifyMode};
+use tpp_store::{format, CsrGraph, DeltaView, NeighborAccess, VerifyMode};
 
 fn main() {
     // A social graph with two sensitive links to hide.
@@ -15,14 +15,15 @@ fn main() {
     let targets = vec![Edge::new(0, 1), Edge::new(32, 33)];
     let instance = TppInstance::new(g, targets).unwrap();
 
-    // The released (phase-1) graph is already a CSR snapshot; round-trip
-    // it through the binary format.
-    let snapshot = instance.released();
+    // The released (phase-1) graph is an overlay over the original
+    // snapshot; write it out as a snapshot of its own and round-trip it
+    // through the binary format.
+    let snapshot = CsrGraph::from_access(instance.released());
     let path = std::env::temp_dir().join("karate.csr");
-    format::save(snapshot, None, &path).expect("save snapshot");
+    format::save(&snapshot, None, &path).expect("save snapshot");
     let loaded = format::load_mapped(&path, VerifyMode::Full).expect("load snapshot");
     std::fs::remove_file(&path).ok();
-    assert_eq!(*snapshot, loaded);
+    assert_eq!(snapshot, loaded);
     println!(
         "snapshot: {} nodes / {} edges, round-tripped through {:?}",
         loaded.node_count(),

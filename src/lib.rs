@@ -49,9 +49,9 @@ pub mod prelude {
     pub use tpp_core::{
         celf_greedy, critical_budget, ct_greedy, divide_budget, random_deletion,
         random_deletion_from_subgraphs, sgb_greedy, wt_greedy, AlgorithmKind, BudgetDivision,
-        GreedyConfig, ProtectionPlan, TppInstance,
+        GreedyConfig, ProtectionPlan, Release, TppInstance,
     };
-    pub use tpp_graph::{Edge, Graph, NodeId};
+    pub use tpp_graph::{Edge, Graph, NeighborAccess, NodeId};
     pub use tpp_linkpred::{evaluate_attack, sample_non_edges, Attacker, SimilarityIndex};
     pub use tpp_metrics::{utility_loss, UtilityConfig, UtilityMetric};
     pub use tpp_motif::{Motif, PartitionedCoverageIndex};

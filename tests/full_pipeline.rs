@@ -30,7 +30,7 @@ fn every_algorithm_round_trips_through_the_release() {
             assert_eq!(recount, plan.final_similarity, "{motif} {}", plan.algorithm);
             // released graph structure is coherent
             let released = inst.apply_protectors(&plan.protectors);
-            released.check_invariants();
+            tpp_store::CsrGraph::from_access(&released).check_invariants();
             assert_eq!(
                 released.edge_count(),
                 inst.released().edge_count() - plan.deletions()
