@@ -20,6 +20,7 @@ use tpp_metrics::{
 };
 use tpp_motif::Motif;
 use tpp_obs::{Recorder, SpanTimer};
+use tpp_store::format::SectionKind;
 use tpp_store::{CsrGraph, DeltaView, GraphDelta, VerifyMode};
 
 /// Runs a subcommand; returns an error message for the shell on failure.
@@ -242,9 +243,13 @@ fn load_graph_at(
 ) -> Result<(Arc<CsrGraph>, Option<BaseSlot>), String> {
     if is_snapshot(path) {
         let verify = parse_verify(p, "full")?;
-        let (csr, _header, section) =
+        let (csr, header, section) =
             tpp_store::format::load_mapped_observed(path, verify, recorder)
                 .map_err(|e| format!("loading snapshot {path}: {e}"))?;
+        if let Some(st) = recorder.stats() {
+            let loaded = header.section(SectionKind::UpperPrefix).is_some();
+            st.store.prefix_loaded.add(u64::from(loaded));
+        }
         let base = section
             .map(|s| {
                 let t0 = recorder.is_enabled().then(std::time::Instant::now);
@@ -304,7 +309,7 @@ pub(crate) fn parse_targets(p: &Parsed, g: &CsrGraph) -> Result<Vec<Edge>, Strin
     } else {
         let n: usize = p.num_or("random", 10usize)?;
         let seed: u64 = p.num_or("seed", 2020u64)?;
-        Ok(TppInstance::sample_targets(g, n.min(g.edge_count()), seed))
+        TppInstance::try_sample_targets(g, n.min(g.edge_count()), seed).map_err(|e| e.to_string())
     }
 }
 
@@ -1051,8 +1056,8 @@ fn store(p: &Parsed) -> Result<(), String> {
 /// triangle counts and core numbers, the arrays behind `clust` and `cn`.
 fn snapshot_base(g: &CsrGraph) -> tpp_store::BaseSection {
     tpp_store::BaseSection {
-        triangles: tpp_metrics::clustering::triangle_counts(g),
-        cores: tpp_metrics::core_numbers(g),
+        triangles: tpp_metrics::clustering::triangle_counts(g).into(),
+        cores: tpp_metrics::core_numbers(g).into(),
     }
 }
 
@@ -2376,6 +2381,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
         let (text, v3, v2) = (path("g.txt"), path("g.csr"), path("g-v2.csr"));
+        // A v3 file as written before the upper-prefix section existed.
+        let v3_old = path("g-v3-old.csr");
         for argv in [
             vec![
                 "generate", "--model", "hk", "--nodes", "300", "--out", &text,
@@ -2384,9 +2391,14 @@ mod tests {
         ] {
             dispatch(&parse(&strs(&argv)).unwrap()).unwrap();
         }
-        let csr = tpp_store::format::load_mapped(&v3, VerifyMode::Full).unwrap();
+        let (csr, _, base) =
+            tpp_store::format::load_mapped_observed(&v3, VerifyMode::Full, &Recorder::disabled())
+                .unwrap();
         let mut w = std::io::BufWriter::new(std::fs::File::create(&v2).unwrap());
         tpp_store::format::write_snapshot_v2(&csr, &mut w).unwrap();
+        drop(w);
+        let mut w = std::io::BufWriter::new(std::fs::File::create(&v3_old).unwrap());
+        tpp_store::format::write_snapshot_without_prefix(&csr, base.as_ref(), &mut w).unwrap();
         drop(w);
         let sections = |file: &str| {
             let (_, header, base) = tpp_store::format::load_mapped_observed(
@@ -2395,10 +2407,17 @@ mod tests {
                 &Recorder::disabled(),
             )
             .unwrap();
-            (header.version, header.sections.len(), base.is_some())
+            let prefix = header.section(SectionKind::UpperPrefix).is_some();
+            (
+                header.version,
+                header.sections.len(),
+                base.is_some(),
+                prefix,
+            )
         };
-        assert_eq!(sections(&v3), (3, 2, true));
-        assert_eq!(sections(&v2), (2, 1, false));
+        assert_eq!(sections(&v3), (3, 3, true, true));
+        assert_eq!(sections(&v3_old), (3, 2, true, false));
+        assert_eq!(sections(&v2), (2, 1, false, false));
 
         let plan = path("plan.json");
         let stats = path("stats.json");
@@ -2416,7 +2435,7 @@ mod tests {
             };
             let want = run(&text, "full", false);
             for verify in ["full", "header", "none"] {
-                for input in [&v3, &v2] {
+                for input in [&v3, &v3_old, &v2, &text] {
                     assert_eq!(run(input, verify, false), want, "{motif} {input} {verify}");
                 }
             }
@@ -2429,14 +2448,83 @@ mod tests {
                     .and_then(|digits| digits.parse().ok())
                     .unwrap_or_else(|| panic!("no {key} in {json}"))
             };
-            for (input, loaded) in [(&v3, true), (&v2, false), (&text, false)] {
+            // And the upper-edge prefix: only the new v3 file has it.
+            for (input, loaded, prefix) in [
+                (&v3, true, true),
+                (&v3_old, true, false),
+                (&v2, false, false),
+                (&text, false, false),
+            ] {
                 run(input, "header", true);
                 let json = std::fs::read_to_string(&stats).unwrap();
                 assert_eq!(counter(&json, "base_loaded"), u64::from(loaded), "{input}");
                 assert_eq!(counter(&json, "base_ns") == 0, loaded, "{input}: {json}");
                 assert_eq!(counter(&json, "section_ns") > 0, loaded, "{input}: {json}");
+                assert_eq!(
+                    counter(&json, "prefix_loaded"),
+                    u64::from(prefix),
+                    "{input}"
+                );
             }
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_lying_upper_prefix_is_a_named_error_not_a_panic() {
+        let dir = tmpdir().join("lying-prefix");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let (text, v3, lying) = (path("g.txt"), path("g.csr"), path("lying.csr"));
+        for argv in [
+            vec![
+                "generate", "--model", "hk", "--nodes", "300", "--out", &text,
+            ],
+            vec!["store", "build", &text, "--out", &v3],
+        ] {
+            dispatch(&parse(&strs(&argv)).unwrap()).unwrap();
+        }
+        // Zero every count of the stored prefix: no node owns any rank.
+        let (_, header, _) =
+            tpp_store::format::load_mapped_observed(&v3, VerifyMode::None, &Recorder::disabled())
+                .unwrap();
+        let section = header.section(SectionKind::UpperPrefix).unwrap();
+        let mut bytes = std::fs::read(&v3).unwrap();
+        bytes[section.offset as usize..(section.offset + section.length) as usize].fill(0);
+        std::fs::write(&lying, bytes).unwrap();
+        for verify in ["full", "header", "none"] {
+            for command in ["protect", "attack"] {
+                let mut argv = vec![command, &lying, "--random", "8", "--verify", verify];
+                argv.extend(if command == "protect" {
+                    ["--budget", "3"]
+                } else {
+                    ["--negatives", "100"]
+                });
+                let err = dispatch(&parse(&strs(&argv)).unwrap()).unwrap_err();
+                let want = if verify == "none" {
+                    "the graph's upper-edge prefix does not fit its edges"
+                } else {
+                    "upper-prefix section"
+                };
+                assert!(err.contains(want), "{command} at {verify}: {err}");
+            }
+        }
+        // Listed targets never read the prefix.
+        let edge = load_graph(&parse(&strs(&["stats", &text])).unwrap())
+            .unwrap()
+            .collect_edges()[0];
+        let target = format!("{}-{}", edge.u(), edge.v());
+        let argv = [
+            "protect",
+            &lying,
+            "--targets",
+            &target,
+            "--budget",
+            "1",
+            "--verify",
+            "none",
+        ];
+        dispatch(&parse(&strs(&argv)).unwrap()).unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -19,6 +19,10 @@ pub enum TppError {
         /// Number of targets in the instance.
         targets: usize,
     },
+    /// The graph's upper-edge prefix does not fit its lists, so a sampled
+    /// edge rank cannot be mapped to an edge (a trusted snapshot section
+    /// that lies).
+    BadUpperEdgePrefix(String),
 }
 
 impl fmt::Display for TppError {
@@ -33,6 +37,12 @@ impl fmt::Display for TppError {
                 f,
                 "budget vector has {budgets} entries but there are {targets} targets"
             ),
+            TppError::BadUpperEdgePrefix(why) => {
+                write!(
+                    f,
+                    "the graph's upper-edge prefix does not fit its edges: {why}"
+                )
+            }
         }
     }
 }
@@ -55,5 +65,8 @@ mod tests {
         }
         .to_string()
         .contains("3"));
+        assert!(TppError::BadUpperEdgePrefix("node 4".into())
+            .to_string()
+            .contains("upper-edge prefix"));
     }
 }

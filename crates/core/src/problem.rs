@@ -15,7 +15,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::sync::Arc;
 use tpp_exec::Parallelism;
-use tpp_graph::{Edge, Graph, NeighborAccess};
+use tpp_graph::{Edge, Graph, NeighborAccess, NodeId};
 use tpp_motif::{Motif, PartitionedCoverageIndex};
 use tpp_store::{CsrGraph, DeltaView};
 
@@ -97,14 +97,40 @@ impl TppInstance {
     /// The draw is a Fisher–Yates shuffle of the `m` edge ranks (rank `r`
     /// is the `r`-th edge in canonical order), truncated to `count` and
     /// sorted — the same edges as shuffling the edge list itself, without
-    /// materializing it. The kept ranks map back to edges in one walk over
-    /// the nodes, each owning as many ranks as it has neighbours above it.
+    /// materializing it. Each kept rank maps back to its edge by one binary
+    /// search over the graph's upper-edge prefix
+    /// ([`NeighborAccess::upper_edge_prefix`]) and one read of the owning
+    /// node's list, so beyond the draw the work follows `count`, not the
+    /// graph, when the prefix is kept (a snapshot's).
+    ///
+    /// # Panics
+    /// Panics if `count` exceeds the number of edges, if the graph has
+    /// more than `u32::MAX` edges, or if its upper-edge prefix does not
+    /// fit its lists ([`Self::try_sample_targets`] reports that instead).
+    #[must_use]
+    pub fn sample_targets<G: NeighborAccess>(g: &G, count: usize, seed: u64) -> Vec<Edge> {
+        Self::try_sample_targets(g, count, seed).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Self::sample_targets`], with a prefix that does not fit the
+    /// graph's lists reported as [`TppError::BadUpperEdgePrefix`]. Every
+    /// node the walk maps a rank to is checked against its own list: its
+    /// prefix span must be exactly its neighbours above it. A prefix that
+    /// passes for every node it is asked about therefore yields real
+    /// edges of the graph.
+    ///
+    /// # Errors
+    /// [`TppError::BadUpperEdgePrefix`] naming the first rank or node the
+    /// prefix places wrongly.
     ///
     /// # Panics
     /// Panics if `count` exceeds the number of edges, or if the graph has
     /// more than `u32::MAX` edges.
-    #[must_use]
-    pub fn sample_targets<G: NeighborAccess>(g: &G, count: usize, seed: u64) -> Vec<Edge> {
+    pub fn try_sample_targets<G: NeighborAccess>(
+        g: &G,
+        count: usize,
+        seed: u64,
+    ) -> Result<Vec<Edge>, TppError> {
         let m = g.edge_count();
         assert!(count <= m, "cannot sample {count} targets from {m} edges");
         let Ok(m) = u32::try_from(m) else {
@@ -114,22 +140,42 @@ impl TppInstance {
         ranks.shuffle(&mut StdRng::seed_from_u64(seed));
         ranks.truncate(count);
         ranks.sort_unstable(); // canonical order for reproducible reports
-        let mut ranks = ranks.into_iter().peekable();
-        let mut targets = Vec::with_capacity(count);
-        let mut first = 0u32; // rank of the current node's first upper edge
-        for u in g.node_ids() {
-            if ranks.peek().is_none() {
-                break;
-            }
-            let nu = g.neighbors(u);
-            let upper = &nu[nu.partition_point(|&v| v < u)..];
-            let end = first + upper.len() as u32;
-            while let Some(r) = ranks.next_if(|&r| r < end) {
-                targets.push(Edge::new(u, upper[(r - first) as usize]));
-            }
-            first = end;
+        if ranks.is_empty() {
+            return Ok(Vec::new());
         }
-        targets
+        let prefix = g.upper_edge_prefix();
+        let n = g.node_count();
+        let bad = |why: String| Err(TppError::BadUpperEdgePrefix(why));
+        if prefix.len() != n + 1 {
+            return bad(format!("{} entries for {n} nodes", prefix.len()));
+        }
+        let mut targets = Vec::with_capacity(count);
+        for r in ranks {
+            // The owner of rank r: the last node whose span starts at or
+            // below it.
+            let Some(u) = prefix.partition_point(|&p| p <= r).checked_sub(1) else {
+                return bad(format!("rank {r} lies before node 0"));
+            };
+            let (first, end) = match prefix.get(u + 1) {
+                Some(&end) if prefix[u] <= r && r < end => (prefix[u], end),
+                _ => return bad(format!("no node spans rank {r}")),
+            };
+            let nu = g.neighbors(u as NodeId);
+            let lower = nu.partition_point(|&v| v as usize <= u);
+            if nu.len() - lower != (end - first) as usize {
+                return bad(format!(
+                    "node {u} spans {} ranks but has {} neighbours above it",
+                    end - first,
+                    nu.len() - lower
+                ));
+            }
+            let v = nu[lower + (r - first) as usize];
+            if v as usize <= u {
+                return bad(format!("node {u}'s list is not sorted"));
+            }
+            targets.push(Edge::new(u as NodeId, v));
+        }
+        Ok(targets)
     }
 
     /// Convenience: sample targets and build the instance in one step.

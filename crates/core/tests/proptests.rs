@@ -689,3 +689,88 @@ proptest! {
         }
     }
 }
+
+/// The rank walk `sample_targets` ran before the upper-edge prefix: the
+/// same draw, then one pass over every node in id order, each owning as
+/// many consecutive ranks as it has neighbours above it.
+fn dense_walk_sample<G: NeighborAccess>(g: &G, count: usize, seed: u64) -> Vec<Edge> {
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
+    let mut ranks: Vec<u32> = (0..g.edge_count() as u32).collect();
+    ranks.shuffle(&mut rand::rngs::StdRng::seed_from_u64(seed));
+    ranks.truncate(count);
+    ranks.sort_unstable();
+    let mut ranks = ranks.into_iter().peekable();
+    let mut targets = Vec::with_capacity(count);
+    let mut first = 0u32;
+    for u in g.node_ids() {
+        let nu = g.neighbors(u);
+        let upper = &nu[nu.partition_point(|&v| v < u)..];
+        let end = first + upper.len() as u32;
+        while let Some(r) = ranks.next_if(|&r| r < end) {
+            targets.push(Edge::new(u, upper[(r - first) as usize]));
+        }
+        first = end;
+    }
+    targets
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Sampling through the upper-edge prefix equals the dense walk on
+    /// random HK and ER graphs with isolated trailing nodes (and, in both
+    /// families, nodes without an upper edge), for one, half and all
+    /// edges: on the adjacency-list graph and a CSR snapshot (prefix
+    /// computed), a snapshot file loaded at every tier (prefix read from
+    /// its section) and a release overlay (prefix of its own edges).
+    #[test]
+    fn prefix_walk_equals_the_dense_walk(
+        family in 0u8..2,
+        n in 5usize..70,
+        graph_seed in 0u64..10_000,
+        trailing in 0usize..4,
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut g = if family == 0 {
+            tpp_graph::generators::holme_kim(n, 2, 0.4, graph_seed)
+        } else {
+            tpp_graph::generators::erdos_renyi_gnp(n, 0.15, graph_seed)
+        };
+        for _ in 0..trailing {
+            g.add_node();
+        }
+        let m = g.edge_count();
+        prop_assume!(m > 0);
+        let csr = CsrGraph::from_graph(&g);
+        let path = std::env::temp_dir().join(format!(
+            "tpp-core-prefix-walk-{}-{graph_seed}-{seed}.csr",
+            std::process::id()
+        ));
+        tpp_store::format::save(&csr, None, &path).unwrap();
+        let loaded: Vec<CsrGraph> = [
+            tpp_store::VerifyMode::Full,
+            tpp_store::VerifyMode::Header,
+            tpp_store::VerifyMode::None,
+        ]
+        .into_iter()
+        .map(|verify| tpp_store::format::load_mapped(&path, verify).unwrap())
+        .collect();
+        std::fs::remove_file(&path).ok();
+        let release = TppInstance::with_random_targets(csr.clone(), m.div_ceil(4), seed);
+        for count in [1, m / 2, m] {
+            let want = dense_walk_sample(&g, count, seed);
+            prop_assert_eq!(&TppInstance::sample_targets(&g, count, seed), &want);
+            prop_assert_eq!(&TppInstance::sample_targets(&csr, count, seed), &want);
+            for snapshot in &loaded {
+                prop_assert_eq!(&TppInstance::sample_targets(snapshot, count, seed), &want);
+            }
+            let released = release.released();
+            let count = count.min(released.edge_count());
+            prop_assert_eq!(
+                TppInstance::sample_targets(released, count, seed),
+                dense_walk_sample(released, count, seed)
+            );
+        }
+    }
+}

@@ -32,6 +32,7 @@
 use crate::edge::{Edge, NodeId};
 use crate::graph::Graph;
 use crate::kernels;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Read-only access to a simple undirected graph with sorted adjacency.
@@ -90,6 +91,51 @@ pub trait NeighborAccess {
         }
         out
     }
+
+    /// The upper-edge prefix: `node_count() + 1` counts, entry `u` the
+    /// number of edges `(a, b)` with `a < b` and `a < u`. Node `u` owns the
+    /// canonical edge ranks `prefix[u]..prefix[u + 1]`: its upper edges,
+    /// the last `prefix[u + 1] − prefix[u]` entries of its sorted list.
+    /// The default computes it in one pass over every list
+    /// ([`upper_edge_prefix`]); a CSR snapshot keeps the one it was loaded
+    /// with or first computed.
+    ///
+    /// # Panics
+    /// If the graph has more than `u32::MAX` edges.
+    fn upper_edge_prefix(&self) -> Cow<'_, [u32]> {
+        Cow::Owned(upper_edge_prefix(self))
+    }
+
+    /// A degree prefix (`node_count() + 1` entries, entry `u` the summed
+    /// degree of nodes `0..u`) when the representation keeps one: a CSR
+    /// snapshot's offset table. It is a balance hint for cutting the node
+    /// space, so an overlay may forward its base's. `None` by default.
+    fn degree_prefix(&self) -> Option<&[u64]> {
+        None
+    }
+}
+
+/// [`NeighborAccess::upper_edge_prefix`] computed from the lists: each
+/// node's upper neighbours counted by one binary search of its list.
+///
+/// # Panics
+/// If the graph has more than `u32::MAX` edges.
+#[must_use]
+pub fn upper_edge_prefix<G: NeighborAccess + ?Sized>(g: &G) -> Vec<u32> {
+    let m = g.edge_count();
+    assert!(
+        u32::try_from(m).is_ok(),
+        "cannot rank {m} edges: more than u32::MAX edges"
+    );
+    let mut prefix = Vec::with_capacity(g.node_count() + 1);
+    let mut acc = 0u32;
+    prefix.push(acc);
+    for u in g.node_ids() {
+        let nu = g.neighbors(u);
+        acc += (nu.len() - nu.partition_point(|&v| v < u)) as u32;
+        prefix.push(acc);
+    }
+    prefix
 }
 
 impl NeighborAccess for Graph {
@@ -139,6 +185,14 @@ impl<G: NeighborAccess> NeighborAccess for &G {
     fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         (**self).has_edge(u, v)
     }
+
+    fn upper_edge_prefix(&self) -> Cow<'_, [u32]> {
+        (**self).upper_edge_prefix()
+    }
+
+    fn degree_prefix(&self) -> Option<&[u64]> {
+        (**self).degree_prefix()
+    }
 }
 
 /// A shared graph reads as the graph itself: an overlay that owns its
@@ -163,6 +217,14 @@ impl<G: NeighborAccess + ?Sized> NeighborAccess for Arc<G> {
 
     fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         (**self).has_edge(u, v)
+    }
+
+    fn upper_edge_prefix(&self) -> Cow<'_, [u32]> {
+        (**self).upper_edge_prefix()
+    }
+
+    fn degree_prefix(&self) -> Option<&[u64]> {
+        (**self).degree_prefix()
     }
 }
 

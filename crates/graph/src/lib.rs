@@ -32,6 +32,7 @@ mod graph;
 pub mod hash;
 pub mod kernels;
 pub mod traversal;
+mod words;
 
 pub use access::NeighborAccess;
 pub use edge::{Edge, NodeId};
@@ -43,3 +44,4 @@ pub use error::GraphError;
 pub use graph::Graph;
 pub use hash::{fast_map_with_capacity, fast_set_with_capacity, FastMap, FastSet};
 pub use kernels::KernelCounts;
+pub use words::Words;

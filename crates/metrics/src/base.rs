@@ -4,10 +4,11 @@
 //! per request.
 
 use crate::clustering::{
-    add_inserted_triangles, average_from_counts, remove_deleted_triangles, triangle_counts,
+    add_inserted_triangles, average_from_counts, coefficient, remove_deleted_triangles,
+    triangle_counts,
 };
 use crate::core_number::{average_of, core_numbers, patch_core_numbers};
-use tpp_graph::{Edge, NeighborAccess};
+use tpp_graph::{Edge, NeighborAccess, Words};
 
 /// Per-node triangle counts and core numbers of one graph, with their
 /// two averages (`clust` and `cn`, bit-identical to
@@ -17,11 +18,12 @@ use tpp_graph::{Edge, NeighborAccess};
 /// [`utility_loss_with`](crate::utility_loss_with) reads the original's
 /// side of the report from here; [`BaseStats::patched`] carries the
 /// statistics across an edge delta. Equality compares the averages bit
-/// for bit.
+/// for bit. The arrays are [`Words`]: owned, or shared in place from the
+/// snapshot file they were loaded from; clones share them.
 #[derive(Debug, Clone)]
 pub struct BaseStats {
-    triangles: Vec<u32>,
-    cores: Vec<u32>,
+    triangles: Words,
+    cores: Words,
     clustering: f64,
     core_average: f64,
 }
@@ -36,19 +38,22 @@ impl BaseStats {
     }
 
     /// The statistics of `g` from per-node arrays computed elsewhere (a
-    /// snapshot's base-statistics section), checked to fit `g`: one entry
-    /// per node, no node closing more triangles than it has neighbour
-    /// pairs, no core number above its degree. The averages are computed
-    /// here as [`BaseStats::compute`] computes them, so arrays equal to
-    /// its own give a bit-identical result.
+    /// snapshot's base-statistics section, read in place), checked to fit
+    /// `g`: one entry per node, no node closing more triangles than it has
+    /// neighbour pairs, no core number above its degree. This is the one
+    /// structural check of those arrays, at every verification tier, and
+    /// it runs in the pass that computes the averages — exactly as
+    /// [`BaseStats::compute`] computes them, so arrays equal to its own
+    /// give a bit-identical result.
     ///
     /// # Errors
     /// A message naming the first array or node that does not fit `g`.
     pub fn from_arrays<G: NeighborAccess>(
         g: &G,
-        triangles: Vec<u32>,
-        cores: Vec<u32>,
+        triangles: impl Into<Words>,
+        cores: impl Into<Words>,
     ) -> Result<Self, String> {
+        let (triangles, cores) = (triangles.into(), cores.into());
         let n = g.node_count();
         if triangles.len() != n || cores.len() != n {
             return Err(format!(
@@ -57,15 +62,26 @@ impl BaseStats {
                 cores.len()
             ));
         }
-        for (v, (&tri, &core)) in g.node_ids().zip(triangles.iter().zip(&cores)) {
+        // The sums of `average_from_counts` and `average_of`, in node
+        // order, beside the bound checks.
+        let (mut clustering, mut core_total) = (0.0f64, 0u64);
+        for (v, (&tri, &core)) in g.node_ids().zip(triangles.iter().zip(cores.iter())) {
             let d = g.degree(v) as u64;
             if u64::from(tri) > d * d.saturating_sub(1) / 2 || u64::from(core) > d {
                 return Err(format!(
                     "node {v}: {tri} triangles and core number {core} do not fit degree {d}"
                 ));
             }
+            clustering += coefficient(f64::from(tri), d as usize);
+            core_total += u64::from(core);
         }
-        Ok(Self::from_parts(g, triangles, cores))
+        let per_node = |total: f64| if n == 0 { 0.0 } else { total / n as f64 };
+        Ok(BaseStats {
+            triangles,
+            cores,
+            clustering: per_node(clustering),
+            core_average: per_node(core_total as f64),
+        })
     }
 
     /// Wraps the per-node arrays of `g` with their averages.
@@ -73,8 +89,8 @@ impl BaseStats {
         BaseStats {
             clustering: average_from_counts(g, &triangles),
             core_average: average_of(&cores),
-            triangles,
-            cores,
+            triangles: triangles.into(),
+            cores: cores.into(),
         }
     }
 
@@ -103,14 +119,14 @@ impl BaseStats {
             before.node_count(),
             after.node_count()
         );
-        let mut triangles = self.triangles.clone();
+        let mut triangles = self.triangles.to_vec();
         remove_deleted_triangles(before, &mut triangles, removed);
         add_inserted_triangles(after, &mut triangles, added);
         let repeel = !added.is_empty();
         let cores = if repeel {
             core_numbers(after)
         } else {
-            let mut cores = self.cores.clone();
+            let mut cores = self.cores.to_vec();
             patch_core_numbers(after, &mut cores, removed);
             cores
         };

@@ -17,7 +17,7 @@ pub fn local_clustering<G: NeighborAccess>(g: &G, v: NodeId) -> f64 {
 }
 
 /// `links / (d (d − 1) / 2)`, or 0 when `d < 2`.
-fn coefficient(links: f64, d: usize) -> f64 {
+pub(crate) fn coefficient(links: f64, d: usize) -> f64 {
     if d < 2 {
         return 0.0;
     }

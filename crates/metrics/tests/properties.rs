@@ -534,8 +534,8 @@ proptest! {
         let (edges, out) = (dir.join("g.txt"), dir.join("g.csr"));
         std::fs::write(&edges, tpp_graph::write_edge_list(&g)).unwrap();
         let base_stats = |g: &CsrGraph| BaseSection {
-            triangles: triangle_counts(g),
-            cores: core_numbers(g),
+            triangles: triangle_counts(g).into(),
+            cores: core_numbers(g).into(),
         };
         let obs = tpp_obs::Recorder::disabled();
         tpp_store::build_stream(&edges, &out, &StreamConfig::default(), &base_stats, &obs)

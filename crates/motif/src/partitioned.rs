@@ -62,17 +62,27 @@ struct Posting {
 const MIN_PARALLEL_COMMIT_OPS: usize = 4096;
 
 /// Degree-prefix-balanced shard bounds over `g`'s node space (the CSR
-/// offset shape, cut into payload-balanced contiguous node ranges).
+/// offset shape, cut into payload-balanced contiguous node ranges). The
+/// graph's own degree prefix ([`NeighborAccess::degree_prefix`]: a
+/// snapshot's offset table, an overlay's base's) is cut as it is; only a
+/// graph without one pays a pass over every degree. The cut balances
+/// work and decides nothing else: every result is the same for every
+/// shard layout.
 fn degree_balanced_bounds<G: NeighborAccess>(g: &G, parts: usize) -> Vec<NodeId> {
-    let n = g.node_count();
-    let mut prefix = Vec::with_capacity(n + 1);
-    prefix.push(0u64);
-    let mut acc = 0u64;
-    for u in 0..n {
-        acc += g.degree(u as NodeId) as u64;
-        prefix.push(acc);
-    }
-    let ranges = tpp_exec::balanced_prefix_ranges(&prefix, parts);
+    let computed;
+    let prefix = match g.degree_prefix() {
+        Some(prefix) => prefix,
+        None => {
+            computed = std::iter::once(0)
+                .chain(g.node_ids().scan(0u64, |acc, u| {
+                    *acc += g.degree(u) as u64;
+                    Some(*acc)
+                }))
+                .collect::<Vec<u64>>();
+            &computed
+        }
+    };
+    let ranges = tpp_exec::balanced_prefix_ranges(prefix, parts);
     let mut bounds: Vec<NodeId> = vec![0];
     for r in &ranges {
         bounds.push(r.end as NodeId);
@@ -877,6 +887,44 @@ mod tests {
     fn shared_protector_graph() -> (Graph, Vec<Edge>) {
         let g = Graph::from_edges([(0u32, 3u32), (3, 1), (3, 2)]);
         (g, vec![Edge::new(0, 1), Edge::new(0, 2)])
+    }
+
+    /// Shard cuts over a graph that keeps a degree prefix (a snapshot's
+    /// offset table, an overlay's base's) cover `0..n` in order, like the
+    /// cuts of a graph whose degrees are summed here, and for a snapshot
+    /// they are those cuts.
+    #[test]
+    fn cuts_from_the_offset_table_cover_the_node_space() {
+        let mut g = tpp_graph::generators::holme_kim(300, 3, 0.4, 11);
+        for _ in 0..3 {
+            g.add_node();
+        }
+        let csr = tpp_store::CsrGraph::from_graph(&g);
+        let mut view = tpp_store::DeltaView::new(&csr);
+        for e in g.edge_vec().into_iter().step_by(7) {
+            view.delete_edge(e);
+        }
+        assert_eq!(view.degree_prefix(), Some(csr.offsets()));
+        assert_eq!(g.degree_prefix(), None);
+        let n = g.node_count() as NodeId;
+        for parts in [1usize, 2, 3, 8, 64, 1000] {
+            let computed = degree_balanced_bounds(&g, parts);
+            for bounds in [
+                computed.clone(),
+                degree_balanced_bounds(&csr, parts),
+                degree_balanced_bounds(&view, parts),
+            ] {
+                assert_eq!((bounds[0], *bounds.last().unwrap()), (0, n), "{parts}");
+                assert!(
+                    bounds.windows(2).all(|w| w[0] <= w[1]),
+                    "{parts}: {bounds:?}"
+                );
+                assert!(bounds.len() <= parts + 1, "{parts}");
+            }
+            assert_eq!(degree_balanced_bounds(&csr, parts), computed, "{parts}");
+        }
+        let empty = tpp_store::CsrGraph::from_graph(&Graph::new(0));
+        assert_eq!(degree_balanced_bounds(&empty, 8), vec![0, 0]);
     }
 
     #[test]

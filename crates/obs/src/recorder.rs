@@ -93,9 +93,13 @@ pub struct StoreStats {
     pub pass1_ns: Counter,
     /// Streaming build pass 2: chunk routing + CSR fill + assembly.
     pub pass2_ns: Counter,
-    /// Base-statistics section: computing and writing it (builds), or
-    /// reading and checking it (loads).
+    /// Optional sections (base statistics, upper-edge prefix): computing
+    /// and writing them (builds), or reading and checking them (loads).
     pub section_ns: Counter,
+    /// 1 when the graph's upper-edge prefix came from the request's own
+    /// snapshot load (its upper-prefix section), 0 when sampling computes
+    /// it.
+    pub prefix_loaded: Counter,
 }
 
 /// Attack-evaluation telemetry for the link-prediction adversary.
@@ -424,6 +428,7 @@ impl Stats {
                 ("pass1_ns", self.store.pass1_ns.get().to_string()),
                 ("pass2_ns", self.store.pass2_ns.get().to_string()),
                 ("section_ns", self.store.section_ns.get().to_string()),
+                ("prefix_loaded", self.store.prefix_loaded.get().to_string()),
             ],
             false,
         );
@@ -582,6 +587,7 @@ mod tests {
             "\"base_reused\":",
             "\"base_loaded\":",
             "\"section_ns\":",
+            "\"prefix_loaded\":",
             "\"base_ns\":",
             "\"base_patch_ns\":",
             "\"core_repeels\":",

@@ -14,8 +14,8 @@ use tpp_store::{build_stream, format, BaseSection, CsrGraph, StreamConfig, Verif
 /// The base statistics `tpp store build` writes into a snapshot.
 fn base_of(g: &CsrGraph) -> BaseSection {
     BaseSection {
-        triangles: tpp_metrics::clustering::triangle_counts(g),
-        cores: tpp_metrics::core_numbers(g),
+        triangles: tpp_metrics::clustering::triangle_counts(g).into(),
+        cores: tpp_metrics::core_numbers(g).into(),
     }
 }
 

@@ -8,8 +8,10 @@
 
 use crate::error::StoreError;
 use crate::storage::CsrStorage;
+use std::borrow::Cow;
+use std::sync::OnceLock;
 use tpp_exec::balanced_prefix_ranges;
-use tpp_graph::{Edge, Graph, NeighborAccess, NodeId};
+use tpp_graph::{Edge, Graph, NeighborAccess, NodeId, Words};
 
 /// An immutable CSR snapshot of a simple undirected graph.
 ///
@@ -27,10 +29,18 @@ use tpp_graph::{Edge, Graph, NeighborAccess, NodeId};
 /// ([`crate::format::load_mapped`]) — the backing is invisible to every
 /// reader because all access goes through [`CsrGraph::offsets`] /
 /// [`CsrGraph::neighbor_array`] slices.
+///
+/// The snapshot also keeps its upper-edge prefix
+/// ([`NeighborAccess::upper_edge_prefix`]) once known: a snapshot load
+/// fills it from the file's upper-prefix section, [`CsrGraph::from_access`]
+/// counts it while copying, and any other snapshot computes it on first
+/// use.
 #[derive(Debug, Clone)]
 pub struct CsrGraph {
     /// The two CSR arrays, owned or mapped (see [`crate::storage`]).
     storage: CsrStorage,
+    /// The upper-edge prefix, once loaded or computed.
+    upper_prefix: OnceLock<Words>,
 }
 
 /// Equality is structural over the CSR arrays, so a mapped snapshot equals
@@ -54,7 +64,20 @@ impl CsrGraph {
     /// only callers, and they decide per [`crate::format::VerifyMode`]
     /// how much of the payload to vouch for.
     pub(crate) fn from_storage(storage: CsrStorage) -> Self {
-        CsrGraph { storage }
+        CsrGraph {
+            storage,
+            upper_prefix: OnceLock::new(),
+        }
+    }
+
+    /// Fills the upper-edge prefix slot: with a snapshot's own section,
+    /// trusted as the loader's tier vouched for it, or with the prefix a
+    /// copy counted.
+    pub(crate) fn with_upper_prefix(self, prefix: Words) -> Self {
+        CsrGraph {
+            upper_prefix: OnceLock::from(prefix),
+            ..self
+        }
     }
 
     /// `true` when the arrays are zero-copy windows into a memory-mapped
@@ -84,17 +107,37 @@ impl CsrGraph {
     /// original.
     /// The [`NeighborAccess`] contract (sorted, duplicate-free, symmetric)
     /// is exactly the CSR invariant, so no re-validation is needed.
+    ///
+    /// The same pass counts each node's upper neighbours, so the copy
+    /// carries its upper-edge prefix from the start: sampling on it reads
+    /// that, and the prefix is allocated with, and lives as long as, the
+    /// arrays it describes.
     #[must_use]
     pub fn from_access<G: NeighborAccess>(g: &G) -> Self {
         let n = g.node_count();
         let mut offsets = Vec::with_capacity(n + 1);
         let mut neighbors = Vec::with_capacity(2 * g.edge_count());
+        // The prefix ranks edges in `u32`, so a larger graph has none.
+        let mut upper = u32::try_from(g.edge_count()).is_ok().then(|| {
+            let mut upper = Vec::with_capacity(n + 1);
+            upper.push(0u32);
+            upper
+        });
         offsets.push(0u64);
         for u in g.node_ids() {
-            neighbors.extend_from_slice(g.neighbors(u));
+            let nu = g.neighbors(u);
+            neighbors.extend_from_slice(nu);
             offsets.push(neighbors.len() as u64);
+            if let Some(upper) = &mut upper {
+                let last = upper[upper.len() - 1];
+                upper.push(last + (nu.len() - nu.partition_point(|&v| v < u)) as u32);
+            }
         }
-        CsrGraph::from_arrays(offsets, neighbors)
+        let g = CsrGraph::from_arrays(offsets, neighbors);
+        match upper {
+            Some(upper) => g.with_upper_prefix(upper.into()),
+            None => g,
+        }
     }
 
     /// Snapshot of an adjacency-list [`Graph`] (single-threaded copy,
@@ -368,6 +411,20 @@ impl NeighborAccess for CsrGraph {
     #[inline]
     fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         CsrGraph::has_edge(self, u, v)
+    }
+
+    /// The prefix a snapshot load filled in, else the one computed on the
+    /// first call and kept.
+    fn upper_edge_prefix(&self) -> Cow<'_, [u32]> {
+        Cow::Borrowed(
+            self.upper_prefix
+                .get_or_init(|| tpp_graph::access::upper_edge_prefix(self).into()),
+        )
+    }
+
+    /// The offset table.
+    fn degree_prefix(&self) -> Option<&[u64]> {
+        Some(self.offsets())
     }
 }
 

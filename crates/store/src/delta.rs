@@ -482,6 +482,13 @@ impl<B: NeighborAccess> NeighborAccess for DeltaView<B> {
             Some(d) => d.merged.binary_search(&v).is_ok(),
         }
     }
+
+    /// The base's degree prefix: the overlay changes at most a few entries
+    /// of it, which does not matter to a balance hint. The upper-edge
+    /// prefix is not forwarded — the view's own edges decide it.
+    fn degree_prefix(&self) -> Option<&[u64]> {
+        self.base.degree_prefix()
+    }
 }
 
 #[cfg(test)]

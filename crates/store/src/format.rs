@@ -11,32 +11,53 @@
 //!     16     8  node_count       u64
 //!     24     8  edge_count       u64  (undirected edges)
 //!     32     8  payload checksum u64  (FNV-1a over both CSR arrays' bytes)
-//!     40     4  section_count    u32  (1 or 2)
+//!     40     4  section_count    u32  (1 to 3)
 //!     44     4  padding          zero
 //!     48  32·k  section table    per entry: kind u32, zero u32,
 //!                                offset u64, length u64, checksum u64
-//!      …     …  padding          zero bytes up to byte 128
-//!    128     …  CSR section      offsets u64 × (n+1), neighbors u32 × 2m
+//!      …     …  padding          zero bytes up to the payload at byte p
+//!      p     …  CSR section      offsets u64 × (n+1), neighbors u32 × 2m
 //!      …     …  padding          zero bytes up to the next 64-byte boundary
 //!      …    8n  base-stats       triangles u32 × n, core numbers u32 × n
+//!      …     …  padding          zero bytes up to the next 64-byte boundary
+//!      …  4n+4  upper-prefix     upper-edge prefix u32 × (n+1)
 //! ```
 //!
-//! | kind | name         | contents                                   | checksum                  |
-//! |------|--------------|--------------------------------------------|---------------------------|
-//! | 1    | `csr`        | the two CSR arrays (always first)          | the payload checksum      |
-//! | 2    | `base-stats` | per-node triangle counts and core numbers  | FNV-1a over its u64 words |
+//! | kind | name           | contents                                   | checksum                  |
+//! |------|----------------|--------------------------------------------|---------------------------|
+//! | 1    | `csr`          | the two CSR arrays (always first)          | the payload checksum      |
+//! | 2    | `base-stats`   | per-node triangle counts and core numbers  | FNV-1a over its u64 words |
+//! | 3    | `upper-prefix` | the upper-edge prefix                      | FNV-1a over its u64 words |
 //!
-//! Sections follow the table in table order, each starting at the first
-//! 64-byte boundary after the one before (the CSR payload at byte 128),
-//! and the file ends where the last one does. Every offset and length is
-//! implied by the counts, and the reader demands the recorded ones match,
-//! so a table is either exactly right or rejected. The CSR section's
-//! checksum is the one at byte 32, which keeps the fixed header the same
-//! in every version. The optional base-statistics section is what
-//! `tpp store build` computes once so that loads read `clust` and `cn` of
-//! the original instead of recounting them ([`BaseSection`]); it holds no
-//! floats, since the averages follow from the arrays. A later section kind
-//! is one more table entry, not a new version.
+//! A table lists the CSR section and any of the others, in the order of
+//! the kind table. The CSR payload starts at the first 64-byte boundary
+//! that clears the table, byte `p` = 128 for one or two entries and 192
+//! for three ([`payload_offset_v3`]). The other sections follow in table
+//! order, each at the first 64-byte boundary after the one before, and
+//! the file ends where the last one does. Every offset and length is
+//! implied by the counts and the listed kinds, and the reader demands the
+//! recorded ones match, so a table is either exactly right or rejected. The CSR section's checksum is the one at
+//! byte 32, which keeps the fixed header the same in every version. A
+//! section's checksum folds its bytes as little-endian 64-bit words, the
+//! last one zero-extended when the section ends on a half word (an
+//! upper-prefix section of an even node count).
+//!
+//! The optional sections are what `tpp store build` computes once so that
+//! loads read them instead of recomputing them:
+//!
+//! * `base-stats` ([`BaseSection`]): `clust` and `cn` of the original,
+//!   as per-node arrays — no floats, since the averages follow from them.
+//!   A load serves both arrays in place from the file's bytes.
+//! * `upper-prefix`: entry `u` of the `n + 1` counts is the number of
+//!   edges `(a, b)` with `a < b` and `a < u`
+//!   ([`tpp_graph::NeighborAccess::upper_edge_prefix`]). Sampling maps a
+//!   canonical edge rank to its edge by one binary search over it; the
+//!   load fills the graph's prefix slot with a window over the file's
+//!   bytes. `tpp store build` leaves it out of a graph with more than
+//!   `u32::MAX` edges.
+//!
+//! A later section kind is one more table entry, not a new version, and
+//! v3 files written before a kind existed still load without it.
 //!
 //! v2 put the payload at byte 64 with no table; v1 at byte 40, with no
 //! padding. Both still load (as one CSR section, without base statistics)
@@ -67,13 +88,22 @@
 //!   without faulting in a byte of the (much larger) neighbor array.
 //! * [`VerifyMode::None`] — trust the payload entirely; only the header
 //!   cross-checks run. For mapped loads this touches no payload page but
-//!   the neighbor array's last, which holds the padding before the
-//!   base-statistics section.
+//!   the neighbor array's last, which holds the padding before the next
+//!   section.
 //!
-//! The base-statistics section is checked at `Full` and `Header` alike:
-//! its checksum, then its structure against the degrees (`tri[v] ≤
-//! d(d−1)/2`, `core[v] ≤ d(v)`), `O(node_count)` work either way. `None`
-//! trusts it as it trusts the payload.
+//! The other sections, at each tier:
+//!
+//! * base-stats — `Full` and `Header` verify its checksum, `None` trusts
+//!   it. Its structure against the degrees (`tri[v] ≤ d(d−1)/2`,
+//!   `core[v] ≤ d(v)`) is not checked here but by its one consumer, at
+//!   every tier, in the same pass that computes the averages
+//!   (`tpp_metrics::BaseStats::from_arrays`).
+//! * upper-prefix — `Full` verifies its checksum and compares it with the
+//!   prefix of the loaded graph; `Header` verifies its checksum and that it
+//!   starts at 0, never decreases and ends at the edge count; `None`
+//!   trusts it. Whatever the tier, the sampling walk checks every node it
+//!   maps a rank to against that node's own list, so a lying prefix gives
+//!   a named error or real edges, never an out-of-range read.
 //!
 //! A snapshot is validated in full when written ([`write_snapshot`] only
 //! accepts a live `CsrGraph`, whose invariants hold by construction), so
@@ -84,10 +114,11 @@
 use crate::csr::CsrGraph;
 use crate::error::StoreError;
 use crate::mmap::MmapRegion;
-use crate::storage::{CsrStorage, MappedCsr};
+use crate::storage::{CsrStorage, MappedCsr, MappedWords};
 use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
+use tpp_graph::Words;
 use tpp_obs::{Recorder, SpanTimer};
 
 /// File magic: "TPPCSR" + 0xF0 sentinel + format generation.
@@ -96,7 +127,8 @@ pub const MAGIC: [u8; 8] = *b"TPPCSR\xF0\x01";
 /// Newest format version this build writes and reads.
 pub const VERSION: u32 = 3;
 
-/// Byte offset of the CSR payload in a v3 file (64-byte aligned).
+/// Byte offset of the CSR payload in a v3 file whose section table has
+/// one or two entries (64-byte aligned); see [`payload_offset_v3`].
 pub const PAYLOAD_OFFSET_V3: u64 = 128;
 
 /// Byte offset of the payload in a legacy v2 file (64-byte aligned).
@@ -117,9 +149,24 @@ const SECTION_ENTRY_LEN: usize = 32;
 /// Every v3 section starts on a multiple of this.
 const SECTION_ALIGN: u64 = 64;
 
+/// Where a v3 file whose section table has `sections` entries puts its
+/// CSR payload: the first 64-byte boundary that clears the table, and
+/// never before [`PAYLOAD_OFFSET_V3`] — byte 128 for one or two entries,
+/// byte 192 for three.
+#[must_use]
+pub fn payload_offset_v3(sections: usize) -> u64 {
+    ((SECTION_TABLE_AT + sections * SECTION_ENTRY_LEN) as u64)
+        .next_multiple_of(SECTION_ALIGN)
+        .max(PAYLOAD_OFFSET_V3)
+}
+
 /// The section kinds in the order a v3 table lists them: the CSR payload
-/// always, the base statistics optionally.
-const SECTION_ORDER: [SectionKind; 2] = [SectionKind::Csr, SectionKind::BaseStats];
+/// always, the others optionally.
+const SECTION_ORDER: [SectionKind; 3] = [
+    SectionKind::Csr,
+    SectionKind::BaseStats,
+    SectionKind::UpperPrefix,
+];
 
 /// How much of a snapshot's payload a load re-verifies. See the module
 /// docs for the exact guarantees of each tier.
@@ -160,13 +207,13 @@ impl VerifyMode {
     }
 
     /// Whether a load at this tier verifies a section's checksum: the CSR
-    /// payload's at `Full` only, the base statistics' at `Full` and
+    /// payload's at `Full` only, every other section's at `Full` and
     /// `Header`.
     #[must_use]
     pub fn checks(self, kind: SectionKind) -> bool {
         match kind {
             SectionKind::Csr => self == VerifyMode::Full,
-            SectionKind::BaseStats => self != VerifyMode::None,
+            SectionKind::BaseStats | SectionKind::UpperPrefix => self != VerifyMode::None,
         }
     }
 }
@@ -226,18 +273,37 @@ fn payload_checksum(g: &CsrGraph) -> u64 {
 }
 
 /// The checksum of a section other than the CSR payload: FNV-1a with
-/// little-endian 64-bit words in place of bytes (a section is a whole
-/// number of words), one multiply per 8 bytes. The step `h ↦ (h ^ w) · p`
-/// is a bijection for an odd `p`, so any change confined to one word
-/// changes the result.
+/// little-endian 64-bit words in place of bytes, one multiply per 8
+/// bytes; a section ending on a half word folds its last 4 bytes
+/// zero-extended. The step `h ↦ (h ^ w) · p` is a bijection for an odd
+/// `p`, so any change confined to one word changes the result.
 pub(crate) fn section_checksum(bytes: &[u8]) -> u64 {
-    debug_assert!(bytes.len().is_multiple_of(8), "sections are whole words");
-    bytes
-        .chunks_exact(8)
-        .fold(Fnv1a::default().finish(), |h, w| {
-            (h ^ u64::from_le_bytes(w.try_into().expect("8 bytes")))
-                .wrapping_mul(0x0000_0100_0000_01b3)
-        })
+    debug_assert!(
+        bytes.len().is_multiple_of(4),
+        "sections are whole u32 words"
+    );
+    let step = |h: u64, w: u64| (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+    let words = bytes.chunks_exact(8);
+    let tail = words.remainder();
+    let h = words.fold(Fnv1a::default().finish(), |h, w| {
+        step(h, u64::from_le_bytes(w.try_into().expect("8 bytes")))
+    });
+    if tail.is_empty() {
+        return h;
+    }
+    let mut last = [0u8; 8];
+    last[..tail.len()].copy_from_slice(tail);
+    step(h, u64::from_le_bytes(last))
+}
+
+/// Little-endian bytes of a run of `u32` words: a section's encoding.
+pub(crate) fn encode_words<'a>(words: impl IntoIterator<Item = &'a u32>) -> Vec<u8> {
+    let words = words.into_iter();
+    let mut out = Vec::with_capacity(4 * words.size_hint().0);
+    for w in words {
+        out.extend_from_slice(&w.to_le_bytes());
+    }
+    out
 }
 
 /// What a v3 section holds.
@@ -247,6 +313,8 @@ pub enum SectionKind {
     Csr,
     /// Per-node triangle counts, then per-node core numbers.
     BaseStats,
+    /// The upper-edge prefix, `n + 1` counts.
+    UpperPrefix,
 }
 
 impl SectionKind {
@@ -254,6 +322,7 @@ impl SectionKind {
         match self {
             SectionKind::Csr => 1,
             SectionKind::BaseStats => 2,
+            SectionKind::UpperPrefix => 3,
         }
     }
 
@@ -263,6 +332,7 @@ impl SectionKind {
         match self {
             SectionKind::Csr => "csr",
             SectionKind::BaseStats => "base-stats",
+            SectionKind::UpperPrefix => "upper-prefix",
         }
     }
 }
@@ -291,13 +361,15 @@ impl Section {
 /// The raw base-statistics section of a snapshot: per-node triangle
 /// counts and core numbers of its graph, as the builder computed them.
 /// The averages built from them (`clust`, `cn`) are recomputed at load,
-/// so the file stores no floats.
+/// so the file stores no floats. A load serves both arrays in place from
+/// the file's bytes; whether they fit the graph is for the consumer to
+/// check (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BaseSection {
     /// Triangles through each node.
-    pub triangles: Vec<u32>,
+    pub triangles: Words,
     /// Core number of each node.
-    pub cores: Vec<u32>,
+    pub cores: Words,
 }
 
 impl BaseSection {
@@ -314,45 +386,7 @@ impl BaseSection {
             self.triangles.len(),
             self.cores.len()
         );
-        let mut out = Vec::with_capacity(8 * n);
-        for &x in self.triangles.iter().chain(&self.cores) {
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        out
-    }
-
-    /// Reads the section back from exactly `8 · n` bytes.
-    fn decode(bytes: &[u8]) -> BaseSection {
-        let words: Vec<u32> = bytes
-            .chunks_exact(4)
-            .map(|w| u32::from_le_bytes(w.try_into().expect("4 bytes")))
-            .collect();
-        let n = words.len() / 2;
-        let mut triangles = words;
-        let cores = triangles.split_off(n);
-        BaseSection { triangles, cores }
-    }
-
-    /// The structural check of [`VerifyMode::Full`] and
-    /// [`VerifyMode::Header`]: no node closes more triangles than its
-    /// neighbour pairs, and no core number exceeds its degree.
-    fn check(&self, g: &CsrGraph) -> Result<(), StoreError> {
-        let bad = |v: usize, what: &str| {
-            Err(StoreError::Corrupt(format!(
-                "base-stats section: node {v} has {what} beyond its degree {}",
-                g.degree(v as u32)
-            )))
-        };
-        for (v, (&tri, &core)) in self.triangles.iter().zip(&self.cores).enumerate() {
-            let d = g.degree(v as u32) as u64;
-            if u64::from(tri) > d * d.saturating_sub(1) / 2 {
-                return bad(v, &format!("{tri} triangles"));
-            }
-            if u64::from(core) > d {
-                return bad(v, &format!("core number {core}"));
-            }
-        }
-        Ok(())
+        encode_words(self.triangles.iter().chain(self.cores.iter()))
     }
 }
 
@@ -387,12 +421,16 @@ impl SnapshotHeader {
         off & off.wrapping_neg()
     }
 
+    /// The section of `kind`, if the file has one.
+    #[must_use]
+    pub fn section(&self, kind: SectionKind) -> Option<&Section> {
+        self.sections.iter().find(|s| s.kind == kind)
+    }
+
     /// The base-statistics section, if the file has one.
     #[must_use]
     pub fn base_section(&self) -> Option<&Section> {
-        self.sections
-            .iter()
-            .find(|s| s.kind == SectionKind::BaseStats)
+        self.section(SectionKind::BaseStats)
     }
 
     /// Offset-table length in elements (`node_count + 1`).
@@ -443,19 +481,22 @@ fn section_len(kind: SectionKind, node_count: u64, edge_count: u64) -> Result<u6
             .and_then(|(a, b)| a.checked_add(b))
             .ok_or_else(overflow),
         SectionKind::BaseStats => node_count.checked_mul(8).ok_or_else(overflow),
+        SectionKind::UpperPrefix => (offsets_len(node_count)? as u64)
+            .checked_mul(4)
+            .ok_or_else(overflow),
     }
 }
 
-/// Where each of the first `k` v3 sections lies, as `(kind, offset,
+/// Where each of the listed v3 sections lies, as `(kind, offset,
 /// length)`: the one layout the writer produces and the reader accepts.
 fn v3_layout(
-    k: usize,
+    kinds: &[SectionKind],
     node_count: u64,
     edge_count: u64,
 ) -> Result<Vec<(SectionKind, u64, u64)>, StoreError> {
-    let mut at = PAYLOAD_OFFSET_V3;
-    let mut layout = Vec::with_capacity(k);
-    for &kind in &SECTION_ORDER[..k] {
+    let mut at = payload_offset_v3(kinds.len());
+    let mut layout = Vec::with_capacity(kinds.len());
+    for &kind in kinds {
         let len = section_len(kind, node_count, edge_count)?;
         layout.push((kind, at, len));
         at = at
@@ -477,7 +518,7 @@ fn u64_at(bytes: &[u8], at: usize) -> u64 {
 /// Parses and sanity-checks the fixed header from a byte prefix, and the
 /// v3 section table against the counts. For v2 and v3, also demands the
 /// padding up to the payload be present and zero.
-fn parse_header(bytes: &[u8]) -> Result<SnapshotHeader, StoreError> {
+pub(crate) fn parse_header(bytes: &[u8]) -> Result<SnapshotHeader, StoreError> {
     // Magic first: a short non-snapshot file is "not a TPP store file",
     // not "truncated".
     let Some(magic) = bytes.get(0..8).map(|m| {
@@ -532,7 +573,8 @@ fn parse_header(bytes: &[u8]) -> Result<SnapshotHeader, StoreError> {
         _ => {
             let sections = parse_section_table(bytes, node_count, edge_count)?;
             let table_end = SECTION_TABLE_AT + sections.len() * SECTION_ENTRY_LEN;
-            let padding = [44..SECTION_TABLE_AT, table_end..PAYLOAD_OFFSET_V3 as usize];
+            let payload_at = payload_offset_v3(sections.len()) as usize;
+            let padding = [44..SECTION_TABLE_AT, table_end..payload_at];
             (sections, padding)
         }
     };
@@ -572,19 +614,48 @@ fn parse_section_table(
             SECTION_ORDER.len()
         )));
     }
-    let layout = v3_layout(count, node_count, edge_count)?;
+    if bytes.len() < payload_offset_v3(count) as usize {
+        return Err(StoreError::Corrupt("file truncated".into()));
+    }
+    // The kinds: the CSR section first, then any of the others in the
+    // order of SECTION_ORDER.
+    let mut kinds = Vec::with_capacity(count);
+    let mut next = 0;
+    for i in 0..count {
+        let at = SECTION_TABLE_AT + i * SECTION_ENTRY_LEN;
+        let (code, zero) = (u32_at(bytes, at), u32_at(bytes, at + 4));
+        let allowed = if i == 0 {
+            &SECTION_ORDER[..1]
+        } else {
+            &SECTION_ORDER[next..]
+        };
+        let Some(k) = allowed.iter().position(|kind| kind.code() == code) else {
+            let want: Vec<String> = allowed
+                .iter()
+                .map(|kind| format!("{} ({})", kind.code(), kind.name()))
+                .collect();
+            return Err(StoreError::Corrupt(format!(
+                "section table entry {i}: kind word {code:#x}/{zero:#x}, want {}",
+                if want.is_empty() {
+                    "no further entry".into()
+                } else {
+                    want.join(" or ")
+                }
+            )));
+        };
+        if zero != 0 {
+            return Err(StoreError::Corrupt(format!(
+                "section table entry {i}: kind word {code:#x}/{zero:#x}, want a zero second word"
+            )));
+        }
+        next += k + 1;
+        kinds.push(allowed[k]);
+    }
+    let layout = v3_layout(&kinds, node_count, edge_count)?;
     let mut sections = Vec::with_capacity(count);
     for (i, (kind, offset, length)) in layout.into_iter().enumerate() {
         let at = SECTION_TABLE_AT + i * SECTION_ENTRY_LEN;
-        let (code, zero) = (u32_at(bytes, at), u32_at(bytes, at + 4));
         let (got_offset, got_length) = (u64_at(bytes, at + 8), u64_at(bytes, at + 16));
-        if code != kind.code() || zero != 0 {
-            return Err(StoreError::Corrupt(format!(
-                "section table entry {i}: kind word {code:#x}/{zero:#x}, want {} ({})",
-                kind.code(),
-                kind.name()
-            )));
-        }
         if (got_offset, got_length) != (offset, length) {
             return Err(StoreError::Corrupt(format!(
                 "{} section at byte {got_offset} ({got_length} bytes), the counts imply \
@@ -603,17 +674,22 @@ fn parse_section_table(
 }
 
 /// The v3 header and section table for a graph of the given counts, zero
-/// padded up to the payload at byte 128. `base_checksum` adds the
-/// base-statistics entry.
+/// padded up to the payload ([`payload_offset_v3`]). `extra` lists the
+/// sections after the CSR payload with their checksums, in
+/// [`SECTION_ORDER`].
 pub(crate) fn v3_prefix(
     node_count: u64,
     edge_count: u64,
     payload_checksum: u64,
-    base_checksum: Option<u64>,
+    extra: &[(SectionKind, u64)],
 ) -> Result<Vec<u8>, StoreError> {
-    let checksums = [Some(payload_checksum), base_checksum];
-    let k = checksums.iter().flatten().count();
-    let mut out = Vec::with_capacity(PAYLOAD_OFFSET_V3 as usize);
+    let kinds: Vec<SectionKind> = std::iter::once(SectionKind::Csr)
+        .chain(extra.iter().map(|&(kind, _)| kind))
+        .collect();
+    let checksums = std::iter::once(payload_checksum).chain(extra.iter().map(|&(_, c)| c));
+    let k = kinds.len();
+    let payload_at = payload_offset_v3(k) as usize;
+    let mut out = Vec::with_capacity(payload_at);
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&0u32.to_le_bytes()); // flags
@@ -622,9 +698,9 @@ pub(crate) fn v3_prefix(
     out.extend_from_slice(&payload_checksum.to_le_bytes());
     out.extend_from_slice(&(k as u32).to_le_bytes());
     out.extend_from_slice(&0u32.to_le_bytes());
-    for ((kind, offset, length), checksum) in v3_layout(k, node_count, edge_count)?
+    for ((kind, offset, length), checksum) in v3_layout(&kinds, node_count, edge_count)?
         .into_iter()
-        .zip(checksums.into_iter().flatten())
+        .zip(checksums)
     {
         out.extend_from_slice(&kind.code().to_le_bytes());
         out.extend_from_slice(&0u32.to_le_bytes());
@@ -632,22 +708,28 @@ pub(crate) fn v3_prefix(
         out.extend_from_slice(&length.to_le_bytes());
         out.extend_from_slice(&checksum.to_le_bytes());
     }
-    out.resize(PAYLOAD_OFFSET_V3 as usize, 0);
+    out.resize(payload_at, 0);
     Ok(out)
 }
 
-/// Appends an encoded base-statistics section ([`BaseSection::encode`])
-/// to a v3 file whose CSR section ends at byte `csr_end`: zero padding to
-/// its 64-byte boundary, then its bytes.
-pub(crate) fn write_base_section<W: Write>(
+/// Appends an encoded section to a v3 file whose last section ends at
+/// byte `end`: zero padding to the next 64-byte boundary, then its bytes.
+/// Returns where the appended section ends.
+pub(crate) fn write_section<W: Write>(
     w: &mut W,
-    csr_end: u64,
+    end: u64,
     encoded: &[u8],
-) -> Result<(), StoreError> {
-    let pad = csr_end.next_multiple_of(SECTION_ALIGN) - csr_end;
+) -> Result<u64, StoreError> {
+    let pad = end.next_multiple_of(SECTION_ALIGN) - end;
     w.write_all(&vec![0u8; pad as usize])?;
     w.write_all(encoded)?;
-    Ok(())
+    Ok(end + pad + encoded.len() as u64)
+}
+
+/// Whether a graph of `edge_count` edges gets an upper-prefix section: its
+/// `u32` counts rank at most `u32::MAX` edges.
+pub(crate) fn has_upper_prefix(edge_count: u64) -> bool {
+    u32::try_from(edge_count).is_ok()
 }
 
 /// The offset-table sweep behind [`VerifyMode::Header`]: starts at zero,
@@ -700,33 +782,80 @@ fn verify_payload(
     Ok(())
 }
 
-/// Reads the base-statistics section of a loaded snapshot, checked at
-/// the selected tier (see the module docs), timing the work into the
-/// recorder's `section_ns` phase.
+/// The `len` words at byte `at` of `region`, served in place.
+fn words_at(region: &Arc<MmapRegion>, at: u64, len: usize) -> Result<Words, StoreError> {
+    let words =
+        MappedWords::new(Arc::clone(region), at as usize, len).map_err(StoreError::Corrupt)?;
+    Ok(Words::Shared(Arc::new(words)))
+}
+
+/// Verifies a section's stored checksum when the tier asks for it.
+fn check_section_checksum(
+    region: &MmapRegion,
+    section: &Section,
+    verify: VerifyMode,
+) -> Result<(), StoreError> {
+    if !verify.checks(section.kind) {
+        return Ok(());
+    }
+    let computed =
+        section_checksum(&region.bytes()[section.offset as usize..section.end() as usize]);
+    if computed != section.checksum {
+        return Err(StoreError::Corrupt(format!(
+            "{} section checksum mismatch: stored {:#018x}, computed {computed:#018x}",
+            section.kind.name(),
+            section.checksum
+        )));
+    }
+    Ok(())
+}
+
+/// The base-statistics section of a loaded snapshot, its checksum
+/// verified at the selected tier (see the module docs), both arrays served
+/// in place from `region`.
 fn read_base_section(
-    bytes: &[u8],
+    region: &Arc<MmapRegion>,
+    section: &Section,
+    verify: VerifyMode,
+) -> Result<BaseSection, StoreError> {
+    check_section_checksum(region, section, verify)?;
+    let n = (section.length / 8) as usize;
+    Ok(BaseSection {
+        triangles: words_at(region, section.offset, n)?,
+        cores: words_at(region, section.offset + 4 * n as u64, n)?,
+    })
+}
+
+/// The upper-prefix section of a loaded snapshot, checked at the selected
+/// tier (see the module docs) and served in place from `region`.
+fn read_upper_prefix(
+    region: &Arc<MmapRegion>,
     section: &Section,
     g: &CsrGraph,
     verify: VerifyMode,
-    obs: &Recorder,
-) -> Result<BaseSection, StoreError> {
-    let span = SpanTimer::counter(obs.stats().map(|s| &s.store.section_ns));
-    let raw = &bytes[section.offset as usize..section.end() as usize];
-    if verify.checks(SectionKind::BaseStats) {
-        let computed = section_checksum(raw);
-        if computed != section.checksum {
-            return Err(StoreError::Corrupt(format!(
-                "base-stats section checksum mismatch: stored {:#018x}, computed {computed:#018x}",
-                section.checksum
-            )));
+) -> Result<Words, StoreError> {
+    check_section_checksum(region, section, verify)?;
+    let prefix = words_at(region, section.offset, (section.length / 4) as usize)?;
+    let bad = |why: String| Err(StoreError::Corrupt(format!("upper-prefix section: {why}")));
+    match verify {
+        VerifyMode::Full => {
+            if *prefix != *tpp_graph::access::upper_edge_prefix(g) {
+                return bad("does not match the graph's edges".into());
+            }
         }
+        VerifyMode::Header => {
+            let m = g.edge_count() as u64;
+            let (first, last) = (prefix[0], prefix[prefix.len() - 1]);
+            if first != 0 || u64::from(last) != m {
+                return bad(format!("runs from {first} to {last}, want 0 to {m}"));
+            }
+            if let Some(u) = prefix.windows(2).position(|w| w[0] > w[1]) {
+                return bad(format!("decreases after node {u}"));
+            }
+        }
+        VerifyMode::None => {}
     }
-    let base = BaseSection::decode(raw);
-    if verify.checks(SectionKind::BaseStats) {
-        base.check(g)?;
-    }
-    span.stop();
-    Ok(base)
+    Ok(prefix)
 }
 
 /// Serializes a snapshot into `w` in the current (v3) layout, with a
@@ -742,14 +871,54 @@ pub fn write_snapshot<W: Write>(
     base: Option<&BaseSection>,
     w: &mut W,
 ) -> Result<(), StoreError> {
+    write_v3(g, base, true, w)
+}
+
+/// Serializes a snapshot in the v3 layout as it was before the
+/// upper-prefix section existed: [`write_snapshot`] without that section.
+/// Kept so compatibility tests can pin that such files still load (and
+/// compute their prefix); new files should use [`write_snapshot`].
+///
+/// # Errors
+/// Returns [`StoreError::Io`] on write failure.
+///
+/// # Panics
+/// If `base` does not describe exactly `g`'s nodes.
+pub fn write_snapshot_without_prefix<W: Write>(
+    g: &CsrGraph,
+    base: Option<&BaseSection>,
+    w: &mut W,
+) -> Result<(), StoreError> {
+    write_v3(g, base, false, w)
+}
+
+/// The v3 writer: the CSR payload, then the base statistics when given,
+/// then the upper-edge prefix (computed from `g`'s lists) when `prefix`
+/// is set and the graph's edges fit its counts.
+fn write_v3<W: Write>(
+    g: &CsrGraph,
+    base: Option<&BaseSection>,
+    prefix: bool,
+    w: &mut W,
+) -> Result<(), StoreError> {
     let (n, m) = (g.node_count() as u64, g.edge_count() as u64);
-    let encoded = base.map(|b| b.encode(g.node_count()));
-    let base_checksum = encoded.as_deref().map(section_checksum);
-    w.write_all(&v3_prefix(n, m, payload_checksum(g), base_checksum)?)?;
+    let mut sections: Vec<(SectionKind, Vec<u8>)> = Vec::new();
+    if let Some(base) = base {
+        sections.push((SectionKind::BaseStats, base.encode(g.node_count())));
+    }
+    if prefix && has_upper_prefix(m) {
+        let upper = tpp_graph::access::upper_edge_prefix(g);
+        sections.push((SectionKind::UpperPrefix, encode_words(&upper)));
+    }
+    let extra: Vec<(SectionKind, u64)> = sections
+        .iter()
+        .map(|(kind, bytes)| (*kind, section_checksum(bytes)))
+        .collect();
+    w.write_all(&v3_prefix(n, m, payload_checksum(g), &extra)?)?;
     write_payload(g, w)?;
-    if let Some(encoded) = &encoded {
-        let csr_end = PAYLOAD_OFFSET_V3 + section_len(SectionKind::Csr, n, m)?;
-        write_base_section(w, csr_end, encoded)?;
+    let mut end = payload_offset_v3(1 + sections.len()) + section_len(SectionKind::Csr, n, m)?;
+    for (_, bytes) in &sections {
+        end = write_section(w, end, bytes)?;
     }
     Ok(())
 }
@@ -880,16 +1049,15 @@ fn decode_region(
             "file is {file_len} bytes, header implies {expected}"
         )));
     }
-    let base = header.base_section().copied();
-    if let Some(base) = &base {
-        let csr_end = header.sections[0].end() as usize;
-        if region.bytes()[csr_end..base.offset as usize]
+    for w in header.sections.windows(2) {
+        if region.bytes()[w[0].end() as usize..w[1].offset as usize]
             .iter()
             .any(|&b| b != 0)
         {
-            return Err(StoreError::Corrupt(
-                "nonzero padding before the base-stats section".into(),
-            ));
+            return Err(StoreError::Corrupt(format!(
+                "nonzero padding before the {} section",
+                w[1].kind.name()
+            )));
         }
     }
     let offsets_at = header.payload_offset() as usize;
@@ -903,11 +1071,23 @@ fn decode_region(
         header.neighbors_len()?,
     )
     .map_err(StoreError::Corrupt)?;
-    let g = CsrGraph::from_storage(CsrStorage::Mapped(mapped));
+    let mut g = CsrGraph::from_storage(CsrStorage::Mapped(mapped));
     verify_payload(&g, &header, verify, obs)?;
-    let base = base
-        .map(|s| read_base_section(region.bytes(), &s, &g, verify, obs))
+    let optional = header.sections.len() > 1;
+    let span = SpanTimer::counter(
+        obs.stats()
+            .filter(|_| optional)
+            .map(|s| &s.store.section_ns),
+    );
+    let base = header
+        .base_section()
+        .map(|s| read_base_section(&region, s, verify))
         .transpose()?;
+    if let Some(s) = header.section(SectionKind::UpperPrefix) {
+        let prefix = read_upper_prefix(&region, s, &g, verify)?;
+        g = g.with_upper_prefix(prefix);
+    }
+    span.stop();
     if let Some(st) = obs.stats() {
         st.store.loads.inc();
     }
@@ -917,7 +1097,7 @@ fn decode_region(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpp_graph::Graph;
+    use tpp_graph::{Graph, NeighborAccess};
 
     const EVERY_TIER: [VerifyMode; 3] = [VerifyMode::Full, VerifyMode::Header, VerifyMode::None];
 
@@ -929,16 +1109,49 @@ mod tests {
     /// The base statistics `tpp store build` computes for `g`.
     fn base_of(g: &CsrGraph) -> BaseSection {
         BaseSection {
-            triangles: tpp_metrics::clustering::triangle_counts(g),
-            cores: tpp_metrics::core_numbers(g),
+            triangles: tpp_metrics::clustering::triangle_counts(g).into(),
+            cores: tpp_metrics::core_numbers(g).into(),
         }
     }
 
-    /// A current-format image of `g` with its base-statistics section.
+    /// A current-format image of `g` with its base-statistics section
+    /// (and its upper-prefix section).
     fn encode(g: &CsrGraph) -> Vec<u8> {
         let mut buf = Vec::new();
         write_snapshot(g, Some(&base_of(g)), &mut buf).unwrap();
         buf
+    }
+
+    /// The same, as v3 files were written before the upper-prefix section.
+    fn encode_without_prefix(g: &CsrGraph) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_snapshot_without_prefix(g, Some(&base_of(g)), &mut buf).unwrap();
+        buf
+    }
+
+    /// `bytes` with its upper-prefix section rewritten by `edit` and the
+    /// section's checksum recomputed to match, so only the prefix's own
+    /// checks can tell.
+    fn forge_prefix(bytes: &[u8], edit: impl FnOnce(&mut Vec<u32>)) -> Vec<u8> {
+        let header = parse_header(bytes).unwrap();
+        let (i, section) = header
+            .sections
+            .iter()
+            .enumerate()
+            .find(|(_, s)| s.kind == SectionKind::UpperPrefix)
+            .unwrap();
+        let range = section.offset as usize..section.end() as usize;
+        let mut prefix: Vec<u32> = bytes[range.clone()]
+            .chunks_exact(4)
+            .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
+            .collect();
+        edit(&mut prefix);
+        let encoded = encode_words(&prefix);
+        let mut out = bytes.to_vec();
+        out[range].copy_from_slice(&encoded);
+        let at = SECTION_TABLE_AT + i * SECTION_ENTRY_LEN + 24;
+        out[at..at + 8].copy_from_slice(&section_checksum(&encoded).to_le_bytes());
+        out
     }
 
     fn encode_v2(g: &CsrGraph) -> Vec<u8> {
@@ -1014,42 +1227,82 @@ mod tests {
         let g = sample();
         let (n, m) = (g.node_count() as u64, g.edge_count() as u64);
         let csr_len = (n + 1) * 8 + m * 8;
-        let base_at = (PAYLOAD_OFFSET_V3 + csr_len).next_multiple_of(64);
+        // Three table entries end at byte 144: the payload moves to 192.
+        let payload_at = payload_offset_v3(3);
+        assert_eq!(payload_at, 192);
+        let base_at = (payload_at + csr_len).next_multiple_of(64);
+        let prefix_at = (base_at + 8 * n).next_multiple_of(64);
         let bytes = encode(&g);
-        assert_eq!(bytes.len() as u64, base_at + 8 * n);
+        assert_eq!(bytes.len() as u64, prefix_at + 4 * (n + 1));
         let path = tmpfile("v3-table", &bytes);
         for verify in EVERY_TIER {
             let (loaded, header, base) =
                 load_mapped_observed(&path, verify, &Recorder::disabled()).unwrap();
             assert_eq!(loaded, g, "{verify:?}");
             assert_eq!(header.version, VERSION);
-            assert_eq!(header.payload_offset(), PAYLOAD_OFFSET_V3);
+            assert_eq!(header.payload_offset(), payload_at);
             let kinds: Vec<_> = header.sections.iter().map(|s| s.kind).collect();
-            assert_eq!(kinds, [SectionKind::Csr, SectionKind::BaseStats]);
+            assert_eq!(
+                kinds,
+                [
+                    SectionKind::Csr,
+                    SectionKind::BaseStats,
+                    SectionKind::UpperPrefix
+                ]
+            );
             assert_eq!(header.sections[0].length, csr_len);
             assert_eq!(header.sections[0].checksum, header.checksum);
             let section = header.base_section().unwrap();
             assert_eq!((section.offset, section.length), (base_at, 8 * n));
-            assert_eq!(section.offset % 64, 0);
             assert_eq!(base, Some(base_of(&g)), "{verify:?}");
+            let section = header.section(SectionKind::UpperPrefix).unwrap();
+            assert_eq!((section.offset, section.length), (prefix_at, 4 * (n + 1)));
+            assert!(header.sections.iter().all(|s| s.offset % 64 == 0));
+            assert_eq!(
+                *loaded.upper_edge_prefix(),
+                *tpp_graph::access::upper_edge_prefix(&g),
+                "{verify:?}"
+            );
         }
-        // Without statistics the table has one entry and the payload
-        // still starts at byte 128.
+        // The layouts with fewer entries keep the payload at byte 128:
+        // without statistics (csr, upper-prefix), and as written before
+        // the upper-prefix section existed (csr, base-stats).
         let mut bare = Vec::new();
         write_snapshot(&g, None, &mut bare).unwrap();
-        assert_eq!(bare.len() as u64, PAYLOAD_OFFSET_V3 + csr_len);
-        assert_eq!(
-            bare[PAYLOAD_OFFSET_V3 as usize..],
-            bytes[..bare.len()][128..]
-        );
-        let path2 = tmpfile("v3-bare", &bare);
-        let (loaded, header, base) =
-            load_mapped_observed(&path2, VerifyMode::Full, &Recorder::disabled()).unwrap();
-        assert_eq!(loaded, g);
-        assert_eq!(header.sections.len(), 1);
-        assert!(base.is_none());
+        let old = encode_without_prefix(&g);
+        assert_eq!(old.len() as u64, base_at - 64 + 8 * n);
+        for (tag, image, kinds) in [
+            (
+                "v3-bare",
+                bare,
+                [SectionKind::Csr, SectionKind::UpperPrefix],
+            ),
+            ("v3-old", old, [SectionKind::Csr, SectionKind::BaseStats]),
+        ] {
+            let at = PAYLOAD_OFFSET_V3 as usize;
+            assert_eq!(
+                image[at..at + csr_len as usize],
+                bytes[payload_at as usize..(payload_at + csr_len) as usize],
+                "{tag}"
+            );
+            let path2 = tmpfile(tag, &image);
+            for verify in EVERY_TIER {
+                let (loaded, header, base) =
+                    load_mapped_observed(&path2, verify, &Recorder::disabled()).unwrap();
+                assert_eq!(loaded, g, "{tag} {verify:?}");
+                assert_eq!(header.payload_offset(), PAYLOAD_OFFSET_V3, "{tag}");
+                let got: Vec<_> = header.sections.iter().map(|s| s.kind).collect();
+                assert_eq!(got, kinds, "{tag}");
+                assert_eq!(base.is_some(), tag == "v3-old", "{tag}");
+                assert_eq!(
+                    *loaded.upper_edge_prefix(),
+                    *tpp_graph::access::upper_edge_prefix(&g),
+                    "{tag} {verify:?}"
+                );
+            }
+            std::fs::remove_file(&path2).ok();
+        }
         std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&path2).ok();
     }
 
     #[test]
@@ -1083,26 +1336,118 @@ mod tests {
         std::fs::remove_file(&path).ok();
 
         // Statistics that cannot belong to the graph, under a matching
-        // checksum: the structural check names the node.
+        // checksum: the load hands them back as stored at every tier, and
+        // their one structural check, where the averages are computed,
+        // names the node at every tier.
         for (field, value) in [("triangles", u32::MAX), ("core number", 10_000)] {
-            let mut wrong = base_of(&g);
-            let slot = if field == "triangles" {
-                &mut wrong.triangles[7]
+            let (mut tri, mut cores) = (base_of(&g).triangles.to_vec(), base_of(&g).cores.to_vec());
+            if field == "triangles" {
+                tri[7] = value;
             } else {
-                &mut wrong.cores[7]
+                cores[7] = value;
+            }
+            let wrong = BaseSection {
+                triangles: tri.into(),
+                cores: cores.into(),
             };
-            *slot = value;
             let mut image = Vec::new();
             write_snapshot(&g, Some(&wrong), &mut image).unwrap();
             let path = tmpfile("base-structure", &image);
-            for verify in [VerifyMode::Full, VerifyMode::Header] {
-                let err = load_mapped(&path, verify).unwrap_err();
+            for verify in EVERY_TIER {
+                let (loaded, _, stored) =
+                    load_mapped_observed(&path, verify, &Recorder::disabled()).unwrap();
+                let stored = stored.unwrap();
+                assert_eq!(stored, wrong, "{field} at {verify:?}");
+                let err =
+                    tpp_metrics::BaseStats::from_arrays(&loaded, stored.triangles, stored.cores)
+                        .unwrap_err();
                 assert!(
-                    matches!(&err, StoreError::Corrupt(m) if m.contains("node 7") && m.contains(field)),
+                    err.starts_with("node 7:") && err.contains(&value.to_string()),
                     "{field} at {verify:?}: {err}"
                 );
             }
             std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn upper_prefix_section_is_checked_by_tier() {
+        let g = sample();
+        let bytes = encode(&g);
+        let m = g.edge_count() as u32;
+        let load = |tag: &str, image: &[u8], verify: VerifyMode| {
+            let path = tmpfile(tag, image);
+            let loaded = load_mapped(&path, verify);
+            std::fs::remove_file(&path).ok();
+            loaded
+        };
+        let corrupt = |r: Result<CsrGraph, StoreError>, want: &str, case: &str| match r {
+            Err(StoreError::Corrupt(msg)) => assert!(msg.contains(want), "{case}: {msg}"),
+            other => panic!("{case}: {other:?}"),
+        };
+
+        // A flipped byte: the checksum trips at Full and Header, None
+        // hands the changed prefix to the graph.
+        let at = parse_header(&bytes)
+            .unwrap()
+            .section(SectionKind::UpperPrefix)
+            .unwrap()
+            .offset as usize
+            + 4 * 10;
+        let mut flipped = bytes.clone();
+        flipped[at] ^= 0x01;
+        for verify in [VerifyMode::Full, VerifyMode::Header] {
+            let r = load("prefix-flip", &flipped, verify);
+            corrupt(
+                r,
+                "upper-prefix section checksum mismatch",
+                &format!("{verify:?}"),
+            );
+        }
+        let trusted = load("prefix-flip", &flipped, VerifyMode::None).unwrap();
+        assert_ne!(trusted.upper_edge_prefix()[10], g.upper_edge_prefix()[10]);
+
+        // Forged under a matching checksum. Moving one rank between two
+        // nodes keeps it monotone from 0 to m: only Full, which compares
+        // it with the graph, can tell.
+        let shifted = forge_prefix(&bytes, |p| {
+            let u = (1..p.len() - 1)
+                .find(|&u| p[u - 1] < p[u] && p[u] < p[u + 1])
+                .unwrap();
+            p[u] -= 1;
+        });
+        corrupt(
+            load("prefix-shift", &shifted, VerifyMode::Full),
+            "does not match",
+            "shift",
+        );
+        for verify in [VerifyMode::Header, VerifyMode::None] {
+            assert!(load("prefix-shift", &shifted, verify).is_ok(), "{verify:?}");
+        }
+        // Decreasing, or not spanning 0..m: Header names the fault too.
+        for (tag, edit, want) in [
+            ("prefix-dip", 3usize, "decreases after node"),
+            ("prefix-short", 0, "runs from"),
+            ("prefix-start", 1, "runs from"),
+        ] {
+            let forged = forge_prefix(&bytes, |p| match edit {
+                3 => p[3] = p[4] + 1,
+                0 => *p.last_mut().unwrap() = m - 1,
+                _ => p[0] = 1,
+            });
+            for verify in [VerifyMode::Full, VerifyMode::Header] {
+                let want = if verify == VerifyMode::Full {
+                    "does not match"
+                } else {
+                    want
+                };
+                corrupt(
+                    load(tag, &forged, verify),
+                    want,
+                    &format!("{tag} {verify:?}"),
+                );
+            }
+            assert!(load(tag, &forged, VerifyMode::None).is_ok(), "{tag}");
         }
     }
 
@@ -1209,7 +1554,7 @@ mod tests {
         let g = sample();
         let mut bytes = encode(&g);
         // Make the offset table non-monotone inside the payload.
-        let at = PAYLOAD_OFFSET_V3 as usize + 8;
+        let at = payload_offset_v3(3) as usize + 8;
         bytes[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         let path = tmpfile("bad-offsets", &bytes);
         // Full trips the checksum first; Header reaches the offset sweep.
@@ -1333,7 +1678,7 @@ mod tests {
         v2.extend_from_slice(&0u64.to_le_bytes()); // edge_count
         v2.extend_from_slice(&0u64.to_le_bytes()); // checksum
         v2.extend_from_slice(&[0u8; 64]); // padding + a few stray bytes
-        let mut v3 = v3_prefix(1 << 40, 0, 0, Some(0)).unwrap();
+        let mut v3 = v3_prefix(1 << 40, 0, 0, &[(SectionKind::BaseStats, 0)]).unwrap();
         v3.extend_from_slice(&[0u8; 64]);
         for bytes in [v2, v3] {
             assert!(matches!(
@@ -1356,60 +1701,83 @@ mod tests {
 
     /// Deterministic byte-mutation fuzz over the one reader: every header
     /// and section-table byte, a stride of payload bytes, and every byte
-    /// from the end of the payload through the base-statistics section of
-    /// a small v3 snapshot (and the same minus the sections for v2 and
-    /// v1), each xor-ed with 0x01 and overwritten with 0x00 and 0xFF,
-    /// loaded at every tier. A load answers `Ok` or a `StoreError`, never a
-    /// panic; `Full` never accepts a graph other than the original,
-    /// `Header` never accepts one whose neighbor slices are out of bounds,
-    /// and at both the base statistics come back unchanged or not at all.
+    /// from the end of the payload through the base-statistics and
+    /// upper-prefix sections of a small v3 snapshot (and of one written
+    /// without the upper-prefix section, and the same minus the sections
+    /// for v2 and v1), each xor-ed with 0x01 and overwritten with 0x00 and
+    /// 0xFF, loaded at every tier. A load answers `Ok` or a `StoreError`,
+    /// never a panic; `Full` never accepts a graph other than the
+    /// original, `Header` never accepts one whose neighbor slices are out
+    /// of bounds, and at both the base statistics and a stored upper-edge
+    /// prefix come back unchanged or not at all. Where the CSR payload is
+    /// intact, sampling every edge through the loaded graph's prefix never
+    /// panics at any tier: it answers a named error or real edges, and at
+    /// `Full` and `Header` the original's sample.
     #[test]
     fn byte_mutations_fail_cleanly_at_every_tier() {
+        use tpp_core::TppInstance;
         let g = CsrGraph::from_graph(&tpp_graph::generators::holme_kim(40, 2, 0.3, 5));
-        let base = base_of(&g);
+        let (base, prefix) = (base_of(&g), tpp_graph::access::upper_edge_prefix(&g));
+        let m = g.edge_count();
+        let sample = TppInstance::sample_targets(&g, m, 3);
         let mut rejected = 0usize;
-        let csr_end =
-            |payload_at: u64| payload_at as usize + (g.node_count() + 1) * 8 + g.edge_count() * 8;
-        for (version, bytes) in [(3, encode(&g)), (2, encode_v2(&g)), (1, encode_v1(&g))] {
-            let payload_at = match version {
-                3 => PAYLOAD_OFFSET_V3,
-                2 => PAYLOAD_OFFSET_V2,
-                _ => PAYLOAD_OFFSET_V1,
-            };
-            let tail = csr_end(payload_at).saturating_sub(8).min(bytes.len());
-            let positions = (0..payload_at as usize)
-                .chain((payload_at as usize..tail).step_by(13))
+        for (tag, bytes) in [
+            ("v3", encode(&g)),
+            ("v3 without prefix", encode_without_prefix(&g)),
+            ("v2", encode_v2(&g)),
+            ("v1", encode_v1(&g)),
+        ] {
+            let payload_at = parse_header(&bytes).unwrap().payload_offset() as usize;
+            let csr_end = payload_at + (g.node_count() + 1) * 8 + m * 8;
+            let tail = csr_end.saturating_sub(8).min(bytes.len());
+            let positions = (0..payload_at)
+                .chain((payload_at..tail).step_by(13))
                 .chain(tail..bytes.len());
             for pos in positions {
+                let payload_intact = !(payload_at..csr_end).contains(&pos);
                 for replacement in [bytes[pos] ^ 0x01, 0x00, 0xFF] {
                     let mut bad = bytes.clone();
                     bad[pos] = replacement;
-                    let path = tmpfile(&format!("fuzz-v{version}"), &bad);
+                    let path = tmpfile(&format!("fuzz-{}", tag.replace(' ', "-")), &bad);
                     for verify in EVERY_TIER {
-                        let case =
-                            format!("v{version} byte {pos} = {replacement:#04x} at {verify:?}");
+                        let case = format!("{tag} byte {pos} = {replacement:#04x} at {verify:?}");
                         let loaded = std::panic::catch_unwind(|| {
-                            let (loaded, _, stats) =
+                            let (loaded, header, stats) =
                                 load_mapped_observed(&path, verify, &Recorder::disabled())?;
                             if verify == VerifyMode::Header {
                                 for u in 0..loaded.node_count() as u32 {
                                     std::hint::black_box(loaded.neighbors(u));
                                 }
                             }
-                            Ok::<_, StoreError>((loaded, stats))
+                            let sampled = payload_intact
+                                .then(|| TppInstance::try_sample_targets(&loaded, m, 3));
+                            Ok::<_, StoreError>((loaded, header, stats, sampled))
                         })
-                        .unwrap_or_else(|_| panic!("{case}: load or read panicked"));
-                        match loaded {
-                            Err(_) => rejected += 1,
-                            Ok((loaded, stats)) if verify != VerifyMode::None => {
-                                if verify == VerifyMode::Full {
-                                    assert_eq!(loaded, g, "{case}");
-                                }
-                                if let Some(stats) = stats {
-                                    assert_eq!(stats, base, "{case}: changed statistics");
-                                }
+                        .unwrap_or_else(|_| panic!("{case}: load, read or sampling panicked"));
+                        let (loaded, header, stats, sampled) = match loaded {
+                            Err(_) => {
+                                rejected += 1;
+                                continue;
                             }
-                            Ok(_) => {}
+                            Ok(loaded) => loaded,
+                        };
+                        if let Some(Ok(edges)) = &sampled {
+                            assert!(edges.iter().all(|&e| g.has_edge(e.u(), e.v())), "{case}");
+                        }
+                        if verify == VerifyMode::None {
+                            continue;
+                        }
+                        if verify == VerifyMode::Full {
+                            assert_eq!(loaded, g, "{case}");
+                        }
+                        if let Some(stats) = stats {
+                            assert_eq!(stats, base, "{case}: changed statistics");
+                        }
+                        if header.section(SectionKind::UpperPrefix).is_some() {
+                            assert_eq!(*loaded.upper_edge_prefix(), *prefix, "{case}: prefix");
+                        }
+                        if let Some(sampled) = sampled {
+                            assert_eq!(sampled.as_ref(), Ok(&sample), "{case}: sample");
                         }
                     }
                     std::fs::remove_file(&path).ok();
@@ -1417,6 +1785,49 @@ mod tests {
             }
         }
         assert!(rejected > 0, "no mutant was rejected");
+    }
+
+    #[test]
+    fn sampling_through_a_lying_prefix_at_none_names_the_fault() {
+        use tpp_core::{TppError, TppInstance};
+        let g = sample();
+        let m = g.edge_count();
+        let bytes = encode(&g);
+        let path = tmpfile("lying-prefix", &bytes);
+        let honest = load_mapped(&path, VerifyMode::None).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(
+            TppInstance::try_sample_targets(&honest, m / 2, 9),
+            Ok(TppInstance::sample_targets(&g, m / 2, 9))
+        );
+        // Each lie passes the section's checksum; none is caught before
+        // sampling at None, and sampling every edge meets it.
+        type Lie = fn(&mut Vec<u32>);
+        let lies: [(&str, Lie); 4] = [
+            ("all zero", |p| p.iter_mut().for_each(|x| *x = 0)),
+            ("all max", |p| p.iter_mut().for_each(|x| *x = u32::MAX)),
+            ("reversed", |p| p.reverse()),
+            ("one rank moved", |p| p[5] += 1),
+        ];
+        for (name, lie) in lies {
+            let path = tmpfile("lying-prefix", &forge_prefix(&bytes, lie));
+            let lying = load_mapped(&path, VerifyMode::None).unwrap();
+            std::fs::remove_file(&path).ok();
+            for count in [1, m / 2, m] {
+                match TppInstance::try_sample_targets(&lying, count, 9) {
+                    Ok(edges) => assert!(
+                        edges.iter().all(|&e| g.has_edge(e.u(), e.v())),
+                        "{name}, {count}: not real edges"
+                    ),
+                    Err(TppError::BadUpperEdgePrefix(_)) => {}
+                    Err(e) => panic!("{name}, {count}: {e}"),
+                }
+            }
+            assert!(
+                TppInstance::try_sample_targets(&lying, m, 9).is_err(),
+                "{name}: sampling every edge must meet the lie"
+            );
+        }
     }
 
     #[test]

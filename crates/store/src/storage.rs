@@ -123,6 +123,50 @@ impl MappedCsr {
     }
 }
 
+/// A validated window of little-endian `u32` words into a snapshot
+/// file's region — a per-node section read in place, served as
+/// [`tpp_graph::Words`]. Construction checks bounds and alignment once.
+#[derive(Debug)]
+pub(crate) struct MappedWords {
+    region: Arc<MmapRegion>,
+    /// Byte offset of the first word inside the region.
+    at: usize,
+    /// Length in words.
+    len: usize,
+}
+
+impl MappedWords {
+    /// The `len` words at byte `at` of `region`, or a description of why
+    /// they cannot be served in place.
+    pub(crate) fn new(region: Arc<MmapRegion>, at: usize, len: usize) -> Result<Self, String> {
+        let end = len
+            .checked_mul(4)
+            .and_then(|bytes| at.checked_add(bytes))
+            .ok_or("word window overflows")?;
+        if end > region.len() {
+            return Err(format!(
+                "word window exceeds the {}-byte mapping",
+                region.len()
+            ));
+        }
+        if !(region.bytes().as_ptr() as usize + at).is_multiple_of(std::mem::align_of::<u32>()) {
+            return Err(format!("word window at byte {at} is unaligned"));
+        }
+        Ok(MappedWords { region, at, len })
+    }
+}
+
+impl AsRef<[u32]> for MappedWords {
+    #[inline]
+    fn as_ref(&self) -> &[u32] {
+        // SAFETY: as in `MappedCsr::offsets`: bounds and alignment were
+        // checked in `new`, and the region outlives `self`.
+        unsafe {
+            std::slice::from_raw_parts(self.region.bytes().as_ptr().add(self.at).cast(), self.len)
+        }
+    }
+}
+
 impl CsrStorage {
     /// The offset table, regardless of backing.
     #[inline]

@@ -27,13 +27,16 @@
 //!    and append the compacted slices to a temporary payload file.
 //! 4. **Assemble** — stream the final file: a zeroed v3 header, offsets
 //!    from the post-dedup degrees, payload copied from the temp file;
-//!    FNV-1a accumulates over exactly the bytes written, then one seek
-//!    writes the header and its one-entry section table.
+//!    FNV-1a accumulates over exactly the bytes written. The sections after
+//!    the payload (base statistics, and the upper-edge prefix for at most
+//!    `u32::MAX` edges) are left a hole of zeros, and one seek writes the
+//!    header and the full section table.
 //! 5. **Section pass** — map the assembled file (a complete snapshot
-//!    without base statistics), hand the graph to the caller's
-//!    `base_stats` function for its triangle counts and core numbers,
-//!    append them as the base-statistics section, and rewrite the header
-//!    with the two-entry table. Only then is the file renamed into place.
+//!    whose sections are still zero, which a trusting load does not
+//!    check), hand the graph to the caller's `base_stats` function for its
+//!    triangle counts and core numbers, compute its upper-edge prefix from
+//!    the lists, write both sections and rewrite the header with their
+//!    checksums. Only then is the file renamed into place.
 //!
 //! Duplicate edges are resolved symmetrically: an edge listed twice puts
 //! two copies in *both* endpoints' slices, and per-slice dedup drops both,
@@ -51,7 +54,7 @@
 
 use crate::csr::CsrGraph;
 use crate::error::StoreError;
-use crate::format::{self, BaseSection, Fnv1a, VerifyMode};
+use crate::format::{self, BaseSection, Fnv1a, SectionKind, VerifyMode};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -225,8 +228,8 @@ impl Drop for TempDir {
 /// Builds a v3 snapshot at `out` directly from the text edge list at
 /// `edges`, holding at most one [`StreamConfig::chunk_bytes`] payload
 /// buffer in memory during the two passes, then adds the base-statistics
-/// section `base_stats` computes over the mapped result (see the module
-/// docs). Phase wall times land in `obs`'s store section (`pass1_ns`,
+/// section `base_stats` computes over the mapped result and its
+/// upper-prefix section (see the module docs). Phase wall times land in `obs`'s store section (`pass1_ns`,
 /// `pass2_ns` with `fill_ns` / `checksum_ns` nested inside, and
 /// `section_ns`).
 ///
@@ -450,10 +453,20 @@ fn build_two_pass<R: Read>(
     // ever a complete snapshot — concurrent builds of the same target
     // each publish atomically instead of interleaving writes.
     let checksum_span = SpanTimer::counter(stats.map(|s| &s.store.checksum_ns));
+    // The sections after the payload: the base statistics, and the
+    // upper-edge prefix when the edge count fits its counts. Their number
+    // places the payload.
+    let mut extra = vec![(SectionKind::BaseStats, 0)];
+    if format::has_upper_prefix(edge_count) {
+        extra.push((SectionKind::UpperPrefix, 0));
+    }
+    let header = |extra: &[(SectionKind, u64)], payload_checksum| {
+        format::v3_prefix(n as u64, edge_count, payload_checksum, extra)
+    };
     let staged_path = tmp.path().join("snapshot.bin");
     let mut hasher = Fnv1a::default();
     let mut w = BufWriter::new(File::create(&staged_path)?);
-    w.write_all(&[0u8; format::PAYLOAD_OFFSET_V3 as usize])?;
+    w.write_all(&vec![0u8; header(&extra, 0)?.len()])?;
     let mut off: u64 = 0;
     let mut write_buf: Vec<u8> = Vec::with_capacity(64 * 1024);
     for &deg in final_degrees.iter().take(n) {
@@ -483,32 +496,36 @@ fn build_two_pass<R: Read>(
     let mut file = w.into_inner().map_err(|e| StoreError::Io(e.into_error()))?;
     let csr_end = file.stream_position()?;
     let payload_checksum = hasher.finish();
+    // Until the section pass fills them, the sections are a hole of zeros
+    // that a trusting load never checks.
+    let staged = header(&extra, payload_checksum)?;
+    file.set_len(format::parse_header(&staged)?.expected_file_len())?;
     file.seek(SeekFrom::Start(0))?;
-    file.write_all(&format::v3_prefix(
-        n as u64,
-        edge_count,
-        payload_checksum,
-        None,
-    )?)?;
+    file.write_all(&staged)?;
     file.flush()?;
     checksum_span.stop();
     pass2.stop();
 
-    // ---- Section pass: base statistics of the assembled graph ----------
-    // The staged file is a complete snapshot without the section; the
-    // section and the two-entry table go on before the rename.
+    // ---- Section pass: the sections of the assembled graph --------------
+    // Computed from the mapped staged file; they and their checksums go
+    // in before the rename.
     let section_span = SpanTimer::counter(stats.map(|s| &s.store.section_ns));
-    let base = base_stats(&format::load_mapped(&staged_path, VerifyMode::None)?);
-    let encoded = base.encode(n);
+    let g = format::load_mapped(&staged_path, VerifyMode::None)?;
+    let mut sections = vec![base_stats(&g).encode(n)];
+    if extra.len() > 1 {
+        // From the lists: the loaded graph's own prefix is the zero hole.
+        let prefix = tpp_graph::access::upper_edge_prefix(&g);
+        sections.push(format::encode_words(&prefix));
+    }
+    drop(g);
     file.seek(SeekFrom::Start(csr_end))?;
-    format::write_base_section(&mut file, csr_end, &encoded)?;
+    let mut end = csr_end;
+    for (bytes, (_, checksum)) in sections.iter().zip(&mut extra) {
+        end = format::write_section(&mut file, end, bytes)?;
+        *checksum = format::section_checksum(bytes);
+    }
     file.seek(SeekFrom::Start(0))?;
-    file.write_all(&format::v3_prefix(
-        n as u64,
-        edge_count,
-        payload_checksum,
-        Some(format::section_checksum(&encoded)),
-    )?)?;
+    file.write_all(&header(&extra, payload_checksum)?)?;
     file.flush()?;
     drop(file);
     section_span.stop();
@@ -535,8 +552,8 @@ mod tests {
     /// The base statistics `tpp store build` computes.
     fn base_of(g: &CsrGraph) -> BaseSection {
         BaseSection {
-            triangles: tpp_metrics::clustering::triangle_counts(g),
-            cores: tpp_metrics::core_numbers(g),
+            triangles: tpp_metrics::clustering::triangle_counts(g).into(),
+            cores: tpp_metrics::core_numbers(g).into(),
         }
     }
 

@@ -20,8 +20,8 @@ fn load_verified(path: &std::path::Path) -> (CsrGraph, u32) {
 /// The base-statistics section `tpp store build` writes for `g`.
 fn base_of(g: &CsrGraph) -> format::BaseSection {
     format::BaseSection {
-        triangles: tpp_metrics::clustering::triangle_counts(g),
-        cores: tpp_metrics::core_numbers(g),
+        triangles: tpp_metrics::clustering::triangle_counts(g).into(),
+        cores: tpp_metrics::core_numbers(g).into(),
     }
 }
 
@@ -378,7 +378,7 @@ fn corrupted_snapshots_fail_by_tier_contract() {
 
     // Nonzero header padding: caught eagerly everywhere.
     let mut bad = good.clone();
-    bad[120] = 1; // inside the zero pad between section table and payload
+    bad[160] = 1; // inside the zero pad between section table and payload
     std::fs::write(&path, &bad).unwrap();
     for verify in every_tier {
         assert!(format::load_mapped(&path, verify).is_err(), "{verify:?}");
@@ -394,6 +394,36 @@ fn corrupted_snapshots_fail_by_tier_contract() {
     ));
     for verify in [VerifyMode::Header, VerifyMode::None] {
         assert_eq!(format::load_mapped(&path, verify).unwrap(), csr);
+    }
+
+    // Every byte of the upper-prefix section: Full and Header catch the
+    // flip by its checksum; None loads the intact graph under the changed
+    // prefix, and sampling every edge through it answers a named error
+    // or real edges, never a panic.
+    let (_, header, _) =
+        format::load_mapped_observed(&path, VerifyMode::None, &tpp_obs::Recorder::disabled())
+            .unwrap();
+    let section = *header.section(format::SectionKind::UpperPrefix).unwrap();
+    let m = csr.edge_count();
+    for pos in section.offset as usize..(section.offset + section.length) as usize {
+        let mut bad = good.clone();
+        bad[pos] ^= 0x01;
+        std::fs::write(&path, &bad).unwrap();
+        for verify in [VerifyMode::Full, VerifyMode::Header] {
+            let err = format::load_mapped(&path, verify).unwrap_err();
+            assert!(
+                err.to_string().contains("upper-prefix section checksum"),
+                "byte {pos} at {verify:?}: {err}"
+            );
+        }
+        let trusted = format::load_mapped(&path, VerifyMode::None).unwrap();
+        assert_eq!(trusted, csr, "byte {pos}");
+        let sampled =
+            std::panic::catch_unwind(|| tpp_core::TppInstance::try_sample_targets(&trusted, m, 1))
+                .unwrap_or_else(|_| panic!("byte {pos}: sampling panicked"));
+        if let Ok(edges) = sampled {
+            assert!(edges.iter().all(|&e| g.contains(e)), "byte {pos}");
+        }
     }
 
     std::fs::remove_file(&path).ok();
