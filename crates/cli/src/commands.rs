@@ -8,9 +8,9 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
 use tpp_core::{
-    celf_greedy_batch, critical_budget, ct_greedy_batch, delta_dirty_edges, divide_budget,
-    random_deletion, random_deletion_from_subgraphs, sgb_greedy_batch, sgb_greedy_incremental,
-    wt_greedy_batch, BudgetDivision, GreedyConfig, ProtectionPlan, StepRecord, TppInstance,
+    celf_greedy_batch, critical_budget, ct_greedy_batch, divide_budget, random_deletion,
+    random_deletion_from_subgraphs, sgb_greedy_batch, wt_greedy_batch, BudgetDivision,
+    GreedyConfig, ProtectionPlan, TppInstance,
 };
 use tpp_graph::{parse_edge_list, write_edge_list, Edge, FastSet, NeighborAccess};
 use tpp_linkpred::{evaluate_attack_on, sample_non_edges, Attacker, SimilarityIndex};
@@ -99,15 +99,13 @@ STATS:       --stats FILE (or - for stdout) writes one JSON document with
              Telemetry never changes the plan: runs with and without
              --stats are bit-identical
 INCREMENTAL: protect --incremental repairs a prior plan against a graph
-             delta instead of re-scoring everything: --plan-in is the
-             plan file of a finished sgb run on the base graph, --delta
-             is an edge-delta file (one op per line: `+ u v` adds the
-             edge, `- u v` removes it; # comments allowed). The delta is
-             applied to the input graph, and the greedy re-runs scoring
-             only the candidates whose gain sets the delta touched —
-             every other gain is memoized from the prior plan. The
-             repaired plan is bit-identical to a from-scratch run on the
-             mutated graph (targets and motif come from --plan-in)
+             delta: --plan-in is the plan file of a finished protect run
+             on the base graph, --delta is an edge-delta file (one op per
+             line: `+ u v` adds the edge, `- u v` removes it; # comments
+             allowed). The delta is applied to the input graph and the
+             chosen --algorithm runs on the mutated graph, with the
+             targets and motif of --plan-in. The repaired plan is
+             byte-identical to a from-scratch run on the mutated graph
 SERVE:       tpp serve answers protect/attack/update/info requests over a
              unix socket without restarting: loaded graphs and built
              coverage indexes are cached across requests, one worker pool
@@ -443,61 +441,32 @@ struct PlanFile<'a> {
     utility_loss_percent: f64,
 }
 
-/// Owned counterpart of [`PlanFile`]: what `--plan-in` reads back. The
-/// prior run's motif and target list ride in with the plan, so an
-/// incremental repair cannot silently diverge from the problem the prior
-/// plan solved.
+/// What `--plan-in` reads back from a [`PlanFile`]: the prior run's motif
+/// and target list, so an incremental repair cannot silently diverge from
+/// the problem the prior plan solved.
 #[derive(Deserialize)]
 struct PlanFileIn {
-    algorithm: String,
     motif: String,
-    #[allow(dead_code)]
-    budget: usize,
     targets: Vec<Edge>,
-    plan: ProtectionPlan,
-    #[allow(dead_code)]
-    utility_loss_percent: f64,
 }
 
-/// Everything `protect --incremental` resolves before the greedy runs:
-/// the mutated problem, the prior run's step trail, and the delta-dirty
-/// candidate set the memoized engine re-scores.
+/// Everything `protect --incremental` resolves before the greedy runs.
 struct IncrementalRun {
     motif: Motif,
     /// The TPP instance over the mutated graph (the base graph with the
     /// delta applied is its original).
     instance: TppInstance,
-    /// Step records of the prior run, aligned round for round.
-    prior_steps: Vec<StepRecord>,
-    /// Candidate edges whose gain sets the delta could have touched.
-    dirty: FastSet<Edge>,
     /// Net delta sizes, for the report line.
     removed: usize,
     added: usize,
 }
 
 /// Resolves `--incremental`: loads the prior plan (`--plan-in`) and the
-/// edge delta (`--delta`), applies the delta to the base graph (an
-/// overlay, copied once into the mutated snapshot), and computes the dirty
-/// candidate set by localized through-enumeration.
-/// Targets and motif come from the plan file — the repair must solve the
-/// same problem the prior run did, just on the mutated graph.
-fn prepare_incremental(
-    p: &Parsed,
-    g: Arc<CsrGraph>,
-    algorithm: &str,
-    batch: usize,
-) -> Result<IncrementalRun, String> {
-    if algorithm != "sgb" {
-        return Err(format!(
-            "--incremental repairs SGB-Greedy plans (got --algorithm {algorithm})"
-        ));
-    }
-    if batch > 1 {
-        return Err(format!(
-            "--incremental requires --batch 1, the exact sequential greedy (got --batch {batch})"
-        ));
-    }
+/// edge delta (`--delta`), and applies the delta to the base graph (an
+/// overlay, copied once into the mutated snapshot). Targets and motif
+/// come from the plan file — the repair must solve the same problem the
+/// prior run did, just on the mutated graph.
+fn prepare_incremental(p: &Parsed, g: Arc<CsrGraph>) -> Result<IncrementalRun, String> {
     if p.flags.contains_key("targets") || p.flags.contains_key("random") {
         return Err(
             "--incremental takes its targets from --plan-in; drop --targets/--random".into(),
@@ -513,12 +482,6 @@ fn prepare_incremental(
         .map_err(|e| format!("reading --plan-in {plan_path}: {e}"))?;
     let prior: PlanFileIn =
         serde_json::from_str(&text).map_err(|e| format!("parsing --plan-in {plan_path}: {e}"))?;
-    if prior.algorithm != "SGB-Greedy" {
-        return Err(format!(
-            "--plan-in {plan_path} holds a {} plan; --incremental repairs SGB-Greedy plans",
-            prior.algorithm
-        ));
-    }
     let motif = Motif::from_name(&prior.motif)
         .ok_or_else(|| format!("--plan-in {plan_path}: unknown motif {:?}", prior.motif))?;
     if let Some(requested) = p.flags.get("motif") {
@@ -535,7 +498,6 @@ fn prepare_incremental(
         .overlay(&*g)
         .map_err(|e| format!("applying --delta {delta_path}: {e}"))?;
     let (removed, added) = (view.deleted_edges(), view.added_edges());
-    let mutated = CsrGraph::from_access(&view);
     let targets = prior.targets;
     if let Some(t) = removed.iter().chain(&added).find(|e| targets.contains(e)) {
         return Err(format!(
@@ -543,21 +505,11 @@ fn prepare_incremental(
              requires a stable target list"
         ));
     }
-    let base = TppInstance::new(g, targets.clone()).map_err(|e| e.to_string())?;
-    let instance = TppInstance::new(mutated, targets.clone()).map_err(|e| e.to_string())?;
-    let dirty = delta_dirty_edges(
-        base.released(),
-        instance.released(),
-        &targets,
-        motif,
-        &removed,
-        &added,
-    );
+    let mutated = CsrGraph::from_access(&view);
+    let instance = TppInstance::new(mutated, targets).map_err(|e| e.to_string())?;
     Ok(IncrementalRun {
         motif,
         instance,
-        prior_steps: prior.plan.steps,
-        dirty,
         removed: removed.len(),
         added: added.len(),
     })
@@ -658,32 +610,32 @@ pub(crate) fn run_protect(
              {algorithm:?} has no candidate scan to batch"
         ));
     }
-    // --incremental swaps the problem for the delta-mutated one and the
-    // scan for the memoized repair; everything downstream (report,
-    // --out, --plan) is shared, which is what keeps the repaired plan
-    // file byte-identical to a from-scratch run on the mutated graph.
-    let (motif, instance, incremental) = if p.has("incremental") {
-        let ir = prepare_incremental(p, g, algorithm, batch)?;
-        let dirty_len = ir.dirty.len();
+    // --incremental swaps the problem for the delta-mutated one; the
+    // greedy and everything downstream (report, --out, --plan) are
+    // shared, so the repaired plan file is byte-identical to a
+    // from-scratch run on the mutated graph.
+    let incremental = p.has("incremental");
+    let (motif, instance) = if incremental {
+        let ir = prepare_incremental(p, g)?;
         let _ = writeln!(
             out,
-            "incremental: delta -{}/+{} edges, {} dirty candidate(s)",
-            ir.removed, ir.added, dirty_len
+            "incremental: delta -{}/+{} edges",
+            ir.removed, ir.added
         );
-        (ir.motif, ir.instance, Some((ir.prior_steps, ir.dirty)))
+        (ir.motif, ir.instance)
     } else {
         let motif = parse_motif(p)?;
         let instance = match seeds.instance {
             Some(instance) => instance,
             None => build_instance(p, g, recorder)?,
         };
-        (motif, instance, None)
+        (motif, instance)
     };
 
     let mut cfg = GreedyConfig::scalable(motif)
         .with_threads(threads)
         .with_obs(recorder.clone());
-    if let (Some(index), None) = (&seeds.index, &incremental) {
+    if let Some(index) = seeds.index.as_ref().filter(|_| !incremental) {
         // An incremental run never takes the warm seed: the registry's
         // index covers the pre-delta graph, not the mutated instance.
         cfg = cfg.with_index_seed(std::sync::Arc::clone(index));
@@ -692,10 +644,6 @@ pub(crate) fn run_protect(
         cfg = cfg.with_shared_pool(pool.clone());
     }
     let plan = match algorithm {
-        "sgb" if incremental.is_some() => {
-            let (prior_steps, dirty) = incremental.as_ref().expect("checked above");
-            sgb_greedy_incremental(&instance, budget, prior_steps, dirty, &cfg)
-        }
         "sgb" => sgb_greedy_batch(&instance, budget, batch, &cfg),
         "celf" => celf_greedy_batch(&instance, budget, batch, &cfg),
         "ct" | "wt" => {
@@ -752,7 +700,7 @@ pub(crate) fn run_protect(
         |base: &BaseStats| utility_loss_deleting(base, original, &released, &deleted, &config);
     // A slot describes the run's input graph; an incremental run's
     // original is the delta-mutated graph, so it computes its own.
-    let loss = match seeds.base.as_ref().filter(|_| incremental.is_none()) {
+    let loss = match seeds.base.as_ref().filter(|_| !incremental) {
         Some(slot) => report(slot.get_or_init(compute_base)),
         None => report(&compute_base()),
     };
@@ -1517,23 +1465,6 @@ mod tests {
             targets[1].v()
         );
 
-        // Prior plan on the base graph.
-        let prior_path = dir.join("prior.json");
-        dispatch(
-            &parse(&strs(&[
-                "protect",
-                graph_path.to_str().unwrap(),
-                "--budget",
-                "5",
-                "--targets",
-                &targets_spec,
-                "--plan",
-                prior_path.to_str().unwrap(),
-            ]))
-            .unwrap(),
-        )
-        .unwrap();
-
         // A small delta: drop two non-target edges, add two non-edges.
         let mut view = tpp_store::DeltaView::new(&g);
         let mut removed = 0;
@@ -1569,60 +1500,61 @@ mod tests {
         let mutated_path = dir.join("g-inc-mutated.txt");
         std::fs::write(&mutated_path, write_edge_list(&view)).unwrap();
 
-        // From-scratch greedy on the mutated graph...
-        let scratch_path = dir.join("scratch.json");
-        dispatch(
-            &parse(&strs(&[
-                "protect",
-                mutated_path.to_str().unwrap(),
-                "--budget",
-                "5",
-                "--targets",
-                &targets_spec,
-                "--plan",
-                scratch_path.to_str().unwrap(),
-            ]))
-            .unwrap(),
-        )
-        .unwrap();
-        // ...must be byte-identical to the incremental repair of the
-        // prior plan (which re-scores only delta-dirty candidates).
-        let inc_path = dir.join("incremental.json");
-        let stats_path = dir.join("incremental-stats.json");
-        dispatch(
-            &parse(&strs(&[
-                "protect",
-                graph_path.to_str().unwrap(),
-                "--budget",
-                "5",
-                "--incremental",
-                "--plan-in",
-                prior_path.to_str().unwrap(),
-                "--delta",
-                delta_path.to_str().unwrap(),
-                "--plan-out",
-                inc_path.to_str().unwrap(),
-                "--stats",
-                stats_path.to_str().unwrap(),
-            ]))
-            .unwrap(),
-        )
-        .unwrap();
-        assert_eq!(
-            std::fs::read_to_string(&scratch_path).unwrap(),
-            std::fs::read_to_string(&inc_path).unwrap(),
-            "incremental plan diverged from the from-scratch run"
-        );
-        // The repair memoized most of the candidate scans.
-        let stats = std::fs::read_to_string(&stats_path).unwrap();
-        let memo_line = stats
-            .lines()
-            .find(|l| l.contains("\"candidates_memoized\""))
-            .expect("update section present");
-        assert!(
-            !memo_line.contains(": 0,") && !memo_line.ends_with(": 0"),
-            "incremental run memoized nothing: {memo_line}"
-        );
+        // For every greedy (and a batched SGB), the repair of a prior plan
+        // made by that greedy must be byte-identical to a from-scratch run
+        // on the mutated graph.
+        let graph = graph_path.to_str().unwrap();
+        let mutated = mutated_path.to_str().unwrap();
+        for (algorithm, batch) in [
+            ("sgb", "1"),
+            ("celf", "1"),
+            ("ct", "1"),
+            ("wt", "1"),
+            ("sgb", "4"),
+        ] {
+            let run = |input: &str, extra: &[&str]| {
+                let mut args = vec![
+                    "protect",
+                    input,
+                    "--budget",
+                    "5",
+                    "--algorithm",
+                    algorithm,
+                    "--batch",
+                    batch,
+                ];
+                args.extend_from_slice(extra);
+                protect_report(&parse(&strs(&args)).unwrap()).unwrap()
+            };
+            let file = |name: &str| {
+                let path = dir.join(format!("{algorithm}-b{batch}-{name}.json"));
+                path.to_str().unwrap().to_owned()
+            };
+            let (prior, scratch, repaired) = (file("prior"), file("scratch"), file("repaired"));
+            run(graph, &["--targets", &targets_spec, "--plan", &prior]);
+            run(mutated, &["--targets", &targets_spec, "--plan", &scratch]);
+            let report = run(
+                graph,
+                &[
+                    "--incremental",
+                    "--plan-in",
+                    &prior,
+                    "--delta",
+                    delta_path.to_str().unwrap(),
+                    "--plan-out",
+                    &repaired,
+                ],
+            );
+            assert!(
+                report.starts_with("incremental: delta -2/+2 edges\n"),
+                "{algorithm} --batch {batch}: {report}"
+            );
+            assert_eq!(
+                std::fs::read_to_string(&scratch).unwrap(),
+                std::fs::read_to_string(&repaired).unwrap(),
+                "{algorithm} --batch {batch}: repaired plan diverged from the from-scratch run"
+            );
+        }
     }
 
     #[test]
@@ -1664,21 +1596,6 @@ mod tests {
         for (extra, needle) in [
             (vec!["--delta", delta_s], "--plan-in"),
             (vec!["--plan-in", prior_s], "--delta"),
-            (
-                vec![
-                    "--plan-in",
-                    prior_s,
-                    "--delta",
-                    delta_s,
-                    "--algorithm",
-                    "celf",
-                ],
-                "SGB",
-            ),
-            (
-                vec!["--plan-in", prior_s, "--delta", delta_s, "--batch", "2"],
-                "--batch 1",
-            ),
             (
                 vec!["--plan-in", prior_s, "--delta", delta_s, "--targets", "0-1"],
                 "--plan-in",
@@ -1862,7 +1779,12 @@ mod tests {
             let value = line.rsplit(':').next().unwrap();
             value.trim().trim_end_matches(',').parse().unwrap()
         };
-        let plan: PlanFileIn = serde_json::from_str(&plans[1]).unwrap();
+        #[derive(Deserialize)]
+        struct Written {
+            targets: Vec<Edge>,
+            plan: ProtectionPlan,
+        }
+        let plan: Written = serde_json::from_str(&plans[1]).unwrap();
         let deleted = plan.targets.len() + plan.plan.protectors.len();
         assert_eq!(stat("\"deleted_edges\""), deleted as u64);
         let evaluations = stat("\"core_evaluations\"");

@@ -28,13 +28,11 @@
 
 mod celf;
 mod ct;
-mod incremental;
 mod sgb;
 mod wt;
 
 pub use celf::{celf_greedy, celf_greedy_batch};
 pub use ct::{ct_greedy, ct_greedy_batch};
-pub use incremental::{delta_dirty_edges, sgb_greedy_incremental};
 pub use sgb::{sgb_greedy, sgb_greedy_batch};
 pub use wt::{wt_greedy, wt_greedy_batch};
 

@@ -659,145 +659,6 @@ impl<'a> RoundEngine<'a> {
         self.run_queue(k, j, Requeue::SetAside);
     }
 
-    /// [`run_global`](Self::run_global) with **gain memoization against a
-    /// prior plan**: re-scores only the candidates in `dirty` each round
-    /// and reuses the prior run's recorded gains for everything else. The
-    /// committed plan is **bit-identical** to a from-scratch
-    /// [`run_global`](Self::run_global) on the current oracle state — the
-    /// incremental re-protection fast path (`tpp protect --incremental`).
-    ///
-    /// `prior_steps` are the [`StepRecord`]s of a completed global-budget
-    /// run on the pre-delta graph, and `dirty` must contain every
-    /// candidate edge whose gain set the graph delta could have touched:
-    /// every edge of every instance through a removed delta edge
-    /// (enumerated on the pre-delta graph) or through an added delta edge
-    /// (on the post-delta graph) — see
-    /// [`tpp_motif::collect_instance_edges_through`]. A superset is safe
-    /// (extra re-scores); a miss is not.
-    ///
-    /// Why this reproduces the full scan exactly: while the committed
-    /// picks match the prior plan's, the oracle state equals the prior
-    /// run's round-`r` state plus the delta, so every *clean* (non-dirty)
-    /// candidate's gain set — alive instances of the pre-delta graph
-    /// minus the same kills — is untouched and its prior gain `g_r` still
-    /// holds. The prior argmax bounds all clean candidates by
-    /// `(g_r, p_r)` under the canonical order (gain descending, edge
-    /// ascending), so comparing the re-scored best dirty candidate
-    /// against that bound reproduces the first-maximizer-wins scan:
-    ///
-    /// * prior pick `p_r` clean: the round's winner is the best dirty
-    ///   candidate iff it strictly beats `(g_r, p_r)`, else `p_r` at
-    ///   `g_r` — no clean candidate can beat `p_r` without having beaten
-    ///   it in the prior run;
-    /// * `p_r` dirty (or no longer a candidate): clean candidates are
-    ///   bounded by gain `< g_r`, or `== g_r` with a canonically larger
-    ///   edge than `p_r`; a dirty best at `(> g_r)`, or `(== g_r,
-    ///   edge <= p_r)`, therefore wins outright, and anything weaker
-    ///   falls back to one full scan for this round.
-    ///
-    /// An undecided round runs one full scan and commits its first
-    /// maximizer. From the first round whose commit diverges from
-    /// `prior_steps` (or once past their end), the remaining budget runs
-    /// as plain single-pick SGB rounds through the lazy gain queue.
-    /// Candidate lists must be canonically sorted (both
-    /// [`CandidatePolicy`] sources are).
-    ///
-    /// Re-scored vs memoized candidate counts land in the recorder's
-    /// `update` section (`candidates_rescored` / `candidates_memoized`).
-    pub fn run_global_memoized(
-        &mut self,
-        k: usize,
-        prior_steps: &[StepRecord],
-        dirty: &FastSet<Edge>,
-    ) {
-        // While `aligned`, `picks()` committed == the first `picks()`
-        // prior steps, so prior gains memoize clean candidates.
-        let mut aligned = true;
-        while self.picks() < k {
-            let prior = if aligned {
-                prior_steps.get(self.picks())
-            } else {
-                None
-            };
-            let Some(prior) = prior else {
-                // Past the prior plan (or diverged): plain SGB rounds.
-                return self.run_queue(k, 1, Requeue::SetAside);
-            };
-            let (p_r, g_r) = (prior.protector, prior.total_broken);
-            let candidates = self.oracle.candidates(self.policy);
-            debug_assert!(
-                candidates.is_sorted(),
-                "memoized rounds need canonically sorted candidates"
-            );
-            let prior_clean = !dirty.contains(&p_r) && candidates.binary_search(&p_r).is_ok();
-            // Re-score the dirty candidates sequentially in candidate
-            // (ascending-edge) order; first maximizer wins, exactly as the
-            // full scan's tie-break.
-            let t0 = self.obs.is_enabled().then(Instant::now);
-            let mut rescored = 0usize;
-            let mut best_dirty: Option<(usize, Edge)> = None;
-            for &p in candidates.iter().filter(|p| dirty.contains(p)) {
-                rescored += 1;
-                let gain = self.oracle.gain(p);
-                if best_dirty.is_none_or(|(bg, _)| gain > bg) {
-                    best_dirty = Some((gain, p));
-                }
-            }
-            if let (Some(t0), Some(st)) = (t0, self.obs.stats()) {
-                st.round.scans.inc();
-                st.round.candidates_probed.add(rescored as u64);
-                st.round.scan_ns.record_duration(t0.elapsed());
-            }
-            let pick = match (best_dirty, prior_clean) {
-                (Some((bg, bp)), true) => {
-                    if bg > g_r || (bg == g_r && bp < p_r) {
-                        Some((bg, bp))
-                    } else {
-                        Some((g_r, p_r))
-                    }
-                }
-                (Some((bg, bp)), false) => {
-                    if bg > g_r || (bg == g_r && bp <= p_r) {
-                        Some((bg, bp))
-                    } else {
-                        None // clean candidates in (bg, g_r]: full scan
-                    }
-                }
-                (None, true) => Some((g_r, p_r)),
-                (None, false) => None,
-            };
-            if let Some(st) = self.obs.stats() {
-                let full = candidates.len();
-                if pick.is_some() {
-                    st.update.candidates_rescored.add(rescored as u64);
-                    st.update.candidates_memoized.add((full - rescored) as u64);
-                } else {
-                    // Fallback pays the dirty scan plus the full scan.
-                    st.update.candidates_rescored.add((rescored + full) as u64);
-                }
-            }
-            match pick {
-                Some((gain, p)) => {
-                    if gain == 0 {
-                        break; // the full scan would find no breaker
-                    }
-                    let broken = self.commit_pick(p, None, None);
-                    debug_assert_eq!(broken, gain, "memoized gain must match realized break");
-                    aligned &= p == p_r;
-                }
-                None => {
-                    // Undecided: one full scan, first maximizer wins.
-                    let gain = |o: &dyn GainOracle, p| Some(o.gain(p)).filter(|&g| g > 0);
-                    let Some((_, p)) = self.select_custom(gain, |a, b| a > b) else {
-                        break;
-                    };
-                    self.commit_pick(p, None, None);
-                    aligned &= p == p_r;
-                }
-            }
-        }
-    }
-
     /// Runs CELF rounds (Leskovec et al. 2007) until `k` picks are
     /// committed or gains are exhausted, committing up to `j` picks per
     /// round from the same lazy gain queue as [`run_global`](Self::run_global).

@@ -41,9 +41,8 @@ mod plan;
 mod problem;
 
 pub use algorithms::{
-    celf_greedy, celf_greedy_batch, ct_greedy, ct_greedy_batch, delta_dirty_edges, sgb_greedy,
-    sgb_greedy_batch, sgb_greedy_incremental, wt_greedy, wt_greedy_batch, EvaluatorKind, ExecSeed,
-    GreedyConfig, IndexSeed, ObsConfig,
+    celf_greedy, celf_greedy_batch, ct_greedy, ct_greedy_batch, sgb_greedy, sgb_greedy_batch,
+    wt_greedy, wt_greedy_batch, EvaluatorKind, ExecSeed, GreedyConfig, IndexSeed, ObsConfig,
 };
 pub use analysis::{analyze_protection, verify_plan, ProtectionReport};
 pub use baselines::{random_deletion, random_deletion_from_subgraphs};

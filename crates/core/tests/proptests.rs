@@ -5,14 +5,15 @@
 use proptest::prelude::*;
 use tpp_bench::fixtures::er_instance;
 use tpp_core::{
-    celf_greedy, celf_greedy_batch, critical_budget, ct_greedy, ct_greedy_batch, delta_dirty_edges,
-    divide_budget, random_deletion, random_deletion_from_subgraphs, sgb_greedy, sgb_greedy_batch,
-    sgb_greedy_incremental, verify_plan, wt_greedy, wt_greedy_batch, AlgorithmKind, BudgetDivision,
-    CandidatePolicy, GainOracle, GreedyConfig, IndexOracle, ObsConfig, ProtectionPlan,
-    SnapshotOracle, StepRecord, TppInstance,
+    celf_greedy, celf_greedy_batch, critical_budget, ct_greedy, ct_greedy_batch, divide_budget,
+    random_deletion, random_deletion_from_subgraphs, sgb_greedy, sgb_greedy_batch, verify_plan,
+    wt_greedy, wt_greedy_batch, AlgorithmKind, BudgetDivision, CandidatePolicy, GainOracle,
+    GreedyConfig, IndexOracle, ObsConfig, ProtectionPlan, SnapshotOracle, StepRecord, TppInstance,
+    DEFAULT_INDEX_PARTITIONS,
 };
+use tpp_exec::Parallelism;
 use tpp_graph::{Edge, FastSet, NeighborAccess};
-use tpp_motif::Motif;
+use tpp_motif::{Motif, PartitionedCoverageIndex};
 use tpp_store::CsrGraph;
 
 fn instance_strategy() -> impl Strategy<Value = TppInstance> {
@@ -633,59 +634,80 @@ proptest! {
         }
     }
 
-    /// The incremental-repair contract on random instances and deltas:
-    /// `sgb_greedy_incremental` over a prior plan plus the dirty set from
-    /// `delta_dirty_edges` is **bit-identical** to the from-scratch greedy
-    /// on the mutated instance, for `threads ∈ {1, 2, 4}`.
+    /// The incremental-repair contract on random instances and deltas: a
+    /// pre-delta coverage index, patched by `delete_edge` per removal and
+    /// `insert_edge` per addition (each over the graph as it stands after
+    /// that insertion) and handed to the greedy as its index seed, gives
+    /// SGB and CELF plans **bit-identical** to from-scratch runs on the
+    /// mutated instance, for `threads ∈ {1, 2, 4}`. With `drop_pick == 1`
+    /// the delta also deletes the prior plan's first protector.
     #[test]
     fn incremental_repair_is_bit_identical_to_from_scratch(
         instance in instance_strategy(),
         k in 1usize..=4,
         removals in 0usize..=2,
         additions in 0usize..=2,
+        drop_pick in 0u8..2,
     ) {
-        let motif = Motif::Triangle;
         let targets = instance.targets().to_vec();
-        // Small non-target delta against the released graph.
-        let base_released = instance.released();
-        let mut view = tpp_store::DeltaView::new(base_released);
-        let mut done = 0usize;
-        for e in base_released.collect_edges() {
-            if done == removals { break; }
-            if view.delete_edge(e) { done += 1; }
-        }
-        done = 0;
-        'outer: for u in 0..base_released.node_count() as u32 {
-            for v in (u + 1)..base_released.node_count() as u32 {
-                if done == additions { break 'outer; }
-                let e = Edge::new(u, v);
-                if !base_released.has_edge(u, v)
-                    && !targets.contains(&e)
-                    && view.add_edge(e)
-                {
-                    done += 1;
+        let base = instance.released().to_graph();
+        for motif in [Motif::Triangle, Motif::Rectangle] {
+            let cfg = GreedyConfig::scalable(motif);
+            let prior = sgb_greedy(&instance, k, &cfg);
+            // Small non-target delta against the released graph.
+            let mut removed: Vec<Edge> = prior
+                .protectors
+                .first()
+                .filter(|_| drop_pick == 1)
+                .copied()
+                .into_iter()
+                .collect();
+            let want = removed.len() + removals;
+            for e in base.edge_vec() {
+                if removed.len() == want { break; }
+                if !removed.contains(&e) { removed.push(e); }
+            }
+            let mut added = Vec::new();
+            'outer: for u in 0..base.node_count() as u32 {
+                for v in (u + 1)..base.node_count() as u32 {
+                    if added.len() == additions { break 'outer; }
+                    let e = Edge::new(u, v);
+                    if !base.contains(e) && !targets.contains(&e) { added.push(e); }
                 }
             }
-        }
-        let (removed, added) = (view.deleted_edges(), view.added_edges());
-        // Rebuild the mutated instance from original = released + targets,
-        // so phase 1 re-removes the same target edges.
-        let mut mutated_original = view.to_graph();
-        for t in &targets {
-            mutated_original.add_edge(t.u(), t.v());
-        }
-        let mutated = TppInstance::new(mutated_original, targets.clone()).unwrap();
-
-        let cfg = GreedyConfig::scalable(motif);
-        let prior = sgb_greedy(&instance, k, &cfg);
-        let dirty = delta_dirty_edges(
-            base_released, mutated.released(), &targets, motif, &removed, &added);
-        let scratch = sgb_greedy(&mutated, k, &cfg);
-        for threads in [1usize, 2, 4] {
-            let inc = sgb_greedy_incremental(
-                &mutated, k, &prior.steps, &dirty, &cfg.clone().with_threads(threads));
-            prop_assert_eq!(&scratch, &inc,
-                "-{}/+{} x{} diverged", removed.len(), added.len(), threads);
+            let mut index = PartitionedCoverageIndex::build_parallel(
+                &base, &targets, motif, DEFAULT_INDEX_PARTITIONS, &Parallelism::sequential());
+            let mut work = base.clone();
+            for &e in &removed {
+                work.remove_edge(e.u(), e.v());
+                index.delete_edge(e);
+            }
+            for &e in &added {
+                work.add_edge(e.u(), e.v());
+                index.insert_edge(&work, e);
+            }
+            // Rebuild the mutated instance from original = released +
+            // targets, so phase 1 re-removes the same target edges.
+            let mut mutated_original = work.clone();
+            for t in &targets {
+                mutated_original.add_edge(t.u(), t.v());
+            }
+            let mutated = TppInstance::new(mutated_original, targets.clone()).unwrap();
+            let seed = std::sync::Arc::new(index);
+            let sgb = sgb_greedy(&mutated, k, &cfg);
+            let celf = celf_greedy(&mutated, k, &cfg);
+            for threads in [1usize, 2, 4] {
+                let seeded = GreedyConfig {
+                    obs: ObsConfig::enabled(),
+                    ..cfg.clone().with_threads(threads).with_index_seed(seed.clone())
+                };
+                prop_assert_eq!(&sgb, &sgb_greedy(&mutated, k, &seeded),
+                    "{} sgb -{}/+{} x{} diverged", motif, removed.len(), added.len(), threads);
+                prop_assert_eq!(&celf, &celf_greedy(&mutated, k, &seeded),
+                    "{} celf -{}/+{} x{} diverged", motif, removed.len(), added.len(), threads);
+                let builds = seeded.obs.recorder.stats().unwrap().index.builds.get();
+                prop_assert_eq!(builds, 0, "the patched seed was not taken");
+            }
         }
     }
 }

@@ -561,55 +561,6 @@ pub(crate) fn locality_filter_applies(motif: Motif) -> bool {
     !matches!(motif, Motif::KPath(k) if k >= 5)
 }
 
-/// Materializes `ball1(e)` as a node set for the locality pre-filter, or
-/// `None` when the filter is unsound for `motif` (see
-/// [`locality_filter_applies`]).
-pub(crate) fn through_target_ball<G: NeighborAccess>(
-    g: &G,
-    motif: Motif,
-    e: Edge,
-) -> Option<tpp_graph::FastSet<NodeId>> {
-    if !locality_filter_applies(motif) {
-        return None;
-    }
-    let mut ball = tpp_graph::fast_set_with_capacity(2 + g.degree(e.u()) + g.degree(e.v()));
-    for n in [e.u(), e.v()] {
-        ball.insert(n);
-        ball.extend(g.neighbors(n));
-    }
-    Some(ball)
-}
-
-/// `true` when the target `t` can participate in instances through the
-/// edge whose [`through_target_ball`] is `ball` (`None` = unfiltered).
-pub(crate) fn ball_admits(ball: &Option<tpp_graph::FastSet<NodeId>>, t: Edge) -> bool {
-    ball.as_ref()
-        .is_none_or(|b| b.contains(&t.u()) || b.contains(&t.v()))
-}
-
-/// Accumulates into `out` every edge of every instance of `motif` (over
-/// all `targets`) that contains `e` — the dirty-candidate set one edge of
-/// a graph delta contributes to a memoized re-protection run. Evaluate on
-/// the graph **containing** `e`: the post-insert graph for additions, the
-/// pre-delete graph for removals.
-pub fn collect_instance_edges_through<G: NeighborAccess>(
-    g: &G,
-    targets: &[Edge],
-    motif: Motif,
-    e: Edge,
-    out: &mut tpp_graph::FastSet<Edge>,
-) {
-    let ball = through_target_ball(g, motif, e);
-    for t in targets {
-        if !ball_admits(&ball, *t) {
-            continue;
-        }
-        for_each_target_subgraph_through(g, t.u(), t.v(), motif, e, |edges| {
-            out.extend(edges.iter().copied());
-        });
-    }
-}
-
 /// Counts instances of `motif` for every target, returning per-target counts.
 /// This is the vector of similarities `s(P, t)` evaluated on `g` as-is.
 #[must_use]
@@ -848,73 +799,6 @@ mod tests {
                 enumerate_target_subgraphs_through(&g, 0, 1, motif, 0, Edge::new(0, 1)).is_empty(),
                 "{motif}: the target link is never part of an instance"
             );
-        }
-    }
-
-    #[test]
-    fn collect_through_edges_unions_instance_edges() {
-        let mut g = tpp_graph::generators::erdos_renyi_gnp(30, 0.2, 44);
-        let targets = vec![Edge::new(0, 1), Edge::new(4, 9)];
-        for t in &targets {
-            g.remove_edge(t.u(), t.v());
-        }
-        let e = Edge::new(2, 7);
-        if !g.contains(e) {
-            g.add_edge(e.u(), e.v());
-        }
-        let mut dirty: tpp_graph::FastSet<Edge> = tpp_graph::FastSet::default();
-        collect_instance_edges_through(&g, &targets, Motif::Triangle, e, &mut dirty);
-        let mut expect: tpp_graph::FastSet<Edge> = tpp_graph::FastSet::default();
-        for (idx, t) in targets.iter().enumerate() {
-            for inst in
-                enumerate_target_subgraphs_through(&g, t.u(), t.v(), Motif::Triangle, idx, e)
-            {
-                expect.extend(inst.edges().iter().copied());
-            }
-        }
-        let mut a: Vec<Edge> = dirty.into_iter().collect();
-        let mut b: Vec<Edge> = expect.into_iter().collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-    }
-
-    /// The radius-1 target pre-filter must change nothing: for every
-    /// motif (including `KPath(5)`, which disables the filter — a 5-path's
-    /// middle edge sits two hops from both terminals) and every edge of a
-    /// dense-ish random graph, the filtered collection equals the
-    /// brute-force all-targets union.
-    #[test]
-    fn ball_filter_matches_unfiltered_collection() {
-        let mut g = tpp_graph::generators::erdos_renyi_gnp(24, 0.18, 77);
-        let targets = vec![Edge::new(0, 12), Edge::new(3, 19), Edge::new(7, 8)];
-        for t in &targets {
-            g.remove_edge(t.u(), t.v());
-        }
-        let motifs = [
-            Motif::Triangle,
-            Motif::Rectangle,
-            Motif::RecTri,
-            Motif::KPath(4),
-            Motif::KPath(5),
-        ];
-        for motif in motifs {
-            for e in g.edge_vec() {
-                let mut filtered: tpp_graph::FastSet<Edge> = tpp_graph::FastSet::default();
-                collect_instance_edges_through(&g, &targets, motif, e, &mut filtered);
-                let mut reference: tpp_graph::FastSet<Edge> = tpp_graph::FastSet::default();
-                for (idx, t) in targets.iter().enumerate() {
-                    for inst in enumerate_target_subgraphs_through(&g, t.u(), t.v(), motif, idx, e)
-                    {
-                        reference.extend(inst.edges().iter().copied());
-                    }
-                }
-                let mut a: Vec<Edge> = filtered.into_iter().collect();
-                let mut b: Vec<Edge> = reference.into_iter().collect();
-                a.sort_unstable();
-                b.sort_unstable();
-                assert_eq!(a, b, "filtered collection diverged for {motif} through {e}");
-            }
         }
     }
 

@@ -33,8 +33,8 @@ mod partitioned;
 mod pattern;
 
 pub use enumerate::{
-    collect_instance_edges_through, count_all_targets, count_target_subgraphs,
-    enumerate_target_subgraphs, enumerate_target_subgraphs_through,
+    count_all_targets, count_target_subgraphs, enumerate_target_subgraphs,
+    enumerate_target_subgraphs_through,
 };
 pub use instance::MotifInstance;
 pub use partitioned::{InstanceId, PartitionedCoverageIndex};

@@ -381,13 +381,15 @@ proptest! {
     /// and every gain, across shard counts {1, 2, 4} paired with commit
     /// thread counts {1, 2, 4}. (Instance ids legitimately differ — a
     /// re-discovered instance gets a fresh id — so equivalence is on
-    /// counts, candidates, and gains.)
+    /// counts, candidates, and gains.) `KPath(5)` joins the motifs because
+    /// it is the one motif whose insertions skip the radius-1 target
+    /// filter: a 5-path's middle edge sits two hops from both terminals.
     #[test]
     fn insert_then_query_matches_fresh_build(
         (g, targets) in instance_strategy(),
         order in 0usize..1000,
     ) {
-        for motif in MOTIFS {
+        for motif in MOTIFS.into_iter().chain([Motif::KPath(5)]) {
             // Candidate insertions: non-edges that are not target links.
             let n = g.node_count() as u32;
             let mut non_edges = Vec::new();

@@ -11,7 +11,7 @@ pub struct RoundStats {
     /// Committed rounds (single picks and accepted batches).
     pub rounds: Counter,
     /// Full candidate scans: the lazy gain queue's one bound sweep per
-    /// SGB/CELF run, one per CT/WT round, one per memoized re-score.
+    /// SGB/CELF run, one per CT/WT round.
     pub scans: Counter,
     /// Candidate evaluations: every candidate a full scan scores plus
     /// every stale lazy-queue entry refreshed.
@@ -145,8 +145,8 @@ pub struct ServeStats {
 }
 
 /// Incremental-update telemetry: edge insertions applied to a live
-/// coverage index and the memoized re-protection scan economy (how many
-/// candidate gains a `protect --incremental` run re-scored vs reused).
+/// coverage index, and a served `update`'s patch of the resident base
+/// statistics.
 #[derive(Debug, Default)]
 pub struct UpdateStats {
     /// Edge insertions applied to a coverage index.
@@ -156,10 +156,6 @@ pub struct UpdateStats {
     pub instances_discovered: Counter,
     /// Posting-list appends ((instance, edge) pairs routed to shards).
     pub postings_appended: Counter,
-    /// Candidate gains re-scored because the delta touched their gain set.
-    pub candidates_rescored: Counter,
-    /// Candidate gains reused from the prior plan without re-scoring.
-    pub candidates_memoized: Counter,
     /// Wall time a served `update` spent patching the resident graph's
     /// base statistics (0 when none were resident).
     pub base_patch_ns: Counter,
@@ -484,14 +480,6 @@ impl Stats {
                     "postings_appended",
                     self.update.postings_appended.get().to_string(),
                 ),
-                (
-                    "candidates_rescored",
-                    self.update.candidates_rescored.get().to_string(),
-                ),
-                (
-                    "candidates_memoized",
-                    self.update.candidates_memoized.get().to_string(),
-                ),
                 ("base_patch_ns", self.update.base_patch_ns.get().to_string()),
                 ("core_repeels", self.update.core_repeels.get().to_string()),
             ],
@@ -580,7 +568,6 @@ mod tests {
             "\"index_hits\":",
             "\"update\":",
             "\"graph_evictions\":",
-            "\"candidates_memoized\":",
             "\"utility\":",
             "\"deleted_edges\":",
             "\"core_evaluations\":",

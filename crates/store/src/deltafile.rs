@@ -6,8 +6,8 @@
 //! removes it; blank lines and `#` comments are skipped. Operations apply
 //! **in file order** through a [`DeltaView`], so a later line can undo an
 //! earlier one and only the *net* delta survives ([`AppliedDelta`] reports
-//! the canonical net lists, which is what the incremental re-protection
-//! machinery keys its dirty-set computation on).
+//! the canonical net lists, which the index patches of a served `update`
+//! and the target check of `protect --incremental` read).
 
 use crate::delta::DeltaView;
 use crate::error::StoreError;
