@@ -16,9 +16,10 @@ pub struct Parsed {
 }
 
 /// Flags that never take a value.
-const BOOLEAN_FLAGS: [&str; 5] = ["quick", "verbose", "help", "full", "incremental"];
+const BOOLEAN_FLAGS: [&str; 3] = ["help", "full", "incremental"];
 
-/// Parses raw arguments (without the program name).
+/// Parses raw arguments (without the program name). Any `--name value`
+/// parses; which names a command accepts is checked at dispatch.
 ///
 /// # Errors
 /// Returns a message for unknown syntax (flag without name).
@@ -108,15 +109,15 @@ mod tests {
             "10",
             "--motif",
             "triangle",
-            "--quick",
+            "--full",
         ]))
         .unwrap();
         assert_eq!(p.command, "protect");
         assert_eq!(p.positional, vec!["graph.txt"]);
         assert_eq!(p.require("budget").unwrap(), "10");
         assert_eq!(p.num_or("budget", 0usize).unwrap(), 10);
-        assert!(p.has("quick"));
-        assert!(!p.has("verbose"));
+        assert!(p.has("full"));
+        assert!(!p.has("incremental"));
     }
 
     #[test]

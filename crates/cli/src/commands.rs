@@ -12,11 +12,12 @@ use tpp_core::{
     random_deletion_from_subgraphs, sgb_greedy_batch, wt_greedy_batch, BudgetDivision,
     GreedyConfig, ProtectionPlan, TppInstance,
 };
+use tpp_exec::Parallelism;
 use tpp_graph::{parse_edge_list, write_edge_list, Edge, FastSet, NeighborAccess};
 use tpp_linkpred::{evaluate_attack_on, sample_non_edges, Attacker, SimilarityIndex};
 use tpp_metrics::{
-    compute_utility, compute_utility_with, utility_loss, utility_loss_deleting, utility_loss_with,
-    BaseStats, UtilityConfig, UtilityMetric,
+    compute_utility_with, utility_loss_deleting, utility_loss_with, BaseStats, UtilityConfig,
+    UtilityMetric,
 };
 use tpp_motif::Motif;
 use tpp_obs::{Recorder, SpanTimer};
@@ -25,6 +26,11 @@ use tpp_store::{CsrGraph, DeltaView, GraphDelta, VerifyMode};
 
 /// Runs a subcommand; returns an error message for the shell on failure.
 pub fn dispatch(p: &Parsed) -> Result<(), String> {
+    let name = match (p.command.as_str(), p.positional.first()) {
+        ("store", Some(sub)) => format!("store {sub}"),
+        (command, _) => command.to_string(),
+    };
+    check_flags(p, &name)?;
     match p.command.as_str() {
         "generate" => generate(p),
         "stats" => stats(p),
@@ -52,14 +58,15 @@ pub fn usage() -> &'static str {
 
 USAGE:
   tpp generate --model <ba|er|ws|hk|arenas|dblp|karate> [--nodes N] [--seed S] --out FILE
-  tpp stats    <edgelist> [--full]
+  tpp stats    <edgelist> [--full] [--seed S]
   tpp protect  <edgelist> --budget K [--motif M] [--algorithm A] [--division D]
                [--targets u-v,u-v | --random N] [--seed S] [--threads T]
                [--batch J] [--out released.txt] [--plan plan.json]
                [--stats stats.json|-]
                [--incremental --plan-in prior.json --delta delta.txt
                 [--plan-out repaired.json]]
-  tpp attack   <edgelist> --targets u-v,... [--attacker cn|jaccard|...|katz]
+  tpp attack   <edgelist> [--targets u-v,... | --random N]
+               [--attacker cn|jaccard|...|katz]
                [--negatives N] [--seed S] [--threads T] [--stats stats.json|-]
   tpp kstar    <edgelist> [--motif M] [--targets ... | --random N] [--seed S]
   tpp utility  <original> <released> [--full] [--seed S]
@@ -71,6 +78,10 @@ USAGE:
              [--max-indexes N] [--ttl-secs S]
   tpp client <FILE.sock> <protect|attack|update|info|ping|shutdown> [args...]
 
+FLAGS:       every command takes only the flags listed above, and
+             --verify where it reads a snapshot (store build also takes
+             and ignores --threads); any other flag is an error, e.g.
+             `unknown flag --verfy for protect`
 MOTIFS:      triangle (default), rectangle, rectri, kpath2..kpath5
 ALGORITHMS:  sgb (default), celf, ct, wt, rd, rdt
 DIVISIONS:   tbd (default), dbd
@@ -123,70 +134,98 @@ SERVE:       tpp serve answers protect/attack/update/info requests over a
              idle entries"
 }
 
-/// Where `--stats` telemetry goes: `-` for stdout, anything else a file.
-pub(crate) enum StatsOut {
-    Stdout,
-    File(String),
-}
-
-/// Parses `--stats <path|->`. A file destination is opened immediately so
-/// an unwritable path fails before the (potentially long) run, not after.
-pub(crate) fn parse_stats_flag(p: &Parsed) -> Result<Option<StatsOut>, String> {
-    match p.flags.get("stats") {
-        None => Ok(None),
-        Some(s) if s == "-" => Ok(Some(StatsOut::Stdout)),
-        Some(path) => {
-            std::fs::File::create(path)
-                .map_err(|e| format!("cannot write --stats file {path}: {e}"))?;
-            Ok(Some(StatsOut::File(path.clone())))
+/// The flags `name` accepts (a command, or `store <sub>`), one
+/// space-separated list per command, one-shot and served alike; `None`
+/// for a name that is no command, which its own dispatch rejects.
+fn accepted_flags(name: &str) -> Option<&'static str> {
+    Some(match name {
+        "generate" => "model nodes seed out",
+        "stats" | "utility" => "full seed verify",
+        "protect" => {
+            "budget motif algorithm division targets random seed threads batch out plan \
+             stats verify incremental plan-in delta plan-out"
         }
-    }
-}
-
-/// Serializes the recorder to its destination and returns the lines the
-/// run's report should carry: the JSON itself for stdout, a one-line
-/// pointer after the file write otherwise. (Text-returning so a served
-/// request ships the same bytes over the socket that the one-shot CLI
-/// prints.)
-pub(crate) fn stats_text(out: &StatsOut, recorder: &Recorder) -> Result<String, String> {
-    let json = recorder
-        .to_json_pretty()
-        .ok_or("--stats requires an enabled recorder (internal error)")?;
-    match out {
-        StatsOut::Stdout => Ok(format!("{json}\n")),
-        StatsOut::File(path) => {
-            std::fs::write(path, json).map_err(|e| format!("writing --stats file {path}: {e}"))?;
-            Ok(format!("stats -> {path}\n"))
-        }
-    }
-}
-
-/// Serializes the recorder to its destination, reporting on stdout.
-fn emit_stats(out: &StatsOut, recorder: &Recorder) -> Result<(), String> {
-    print!("{}", stats_text(out, recorder)?);
-    Ok(())
-}
-
-/// Turns process-wide kernel-selection counting on for a `--stats` run and
-/// returns the baseline tallies (so a long-lived process attributes only
-/// this run's selections). No-op `None` when the recorder is disabled —
-/// uninstrumented runs never pay the counting branch.
-pub(crate) fn start_kernel_counting(recorder: &Recorder) -> Option<tpp_graph::KernelCounts> {
-    recorder.is_enabled().then(|| {
-        tpp_graph::kernels::set_counting(true);
-        tpp_graph::kernels::counts()
+        "attack" => "targets random attacker negatives seed threads stats verify",
+        "kstar" => "motif targets random seed verify",
+        // `--threads` is taken and ignored: the streaming build is
+        // single-threaded.
+        "store build" => "out chunk-mb stats threads",
+        "store info" => "verify shards",
+        "store convert" => "out verify",
+        "serve" => "socket threads max-graphs max-indexes ttl-secs",
+        "update" => "delta stats verify",
+        "info" | "ping" | "shutdown" => "",
+        _ => return None,
     })
 }
 
-/// Folds the kernel-selection deltas since `baseline` into the recorder's
-/// `kernels` section. Counting deliberately stays on afterwards: the CLI
-/// is a one-shot process, and flipping the process-wide switch off here
-/// would race concurrent `--stats` runs in one process (the test binary).
-pub(crate) fn fold_kernel_counts(recorder: &Recorder, baseline: Option<tpp_graph::KernelCounts>) {
-    if let (Some(base), Some(st)) = (baseline, recorder.stats()) {
-        let d = tpp_graph::kernels::counts().since(base);
+/// Rejects the first flag `name` does not accept, naming both.
+pub(crate) fn check_flags(p: &Parsed, name: &str) -> Result<(), String> {
+    let Some(accepted) = accepted_flags(name) else {
+        return Ok(());
+    };
+    let unknown = p
+        .flags
+        .keys()
+        .find(|f| !accepted.split(' ').any(|a| a == *f));
+    unknown.map_or(Ok(()), |flag| {
+        Err(format!("unknown flag --{flag} for {name}"))
+    })
+}
+
+/// A request's `--stats` telemetry, built once from its flags: the
+/// recorder the run reports into, the kernel-selection tallies at the
+/// request's start, and where the JSON goes (`-` for the report, anything
+/// else a file). Without `--stats` the recorder is disabled and nothing
+/// is counted or written.
+pub(crate) struct RunStats {
+    pub recorder: Recorder,
+    sink: Option<(String, tpp_graph::KernelCounts)>,
+}
+
+impl RunStats {
+    /// Parses `--stats <path|->`. A file destination is created at once, so
+    /// an unwritable path fails before the (potentially long) run, not
+    /// after. Kernel-selection counting is process-wide and stays on once
+    /// a request turns it on: switching it off would race concurrent
+    /// `--stats` requests in one process, so each request counts from its
+    /// own baseline instead.
+    pub(crate) fn from_flags(p: &Parsed) -> Result<Self, String> {
+        let Some(dest) = p.flags.get("stats") else {
+            return Ok(RunStats {
+                recorder: Recorder::disabled(),
+                sink: None,
+            });
+        };
+        if dest != "-" {
+            std::fs::File::create(dest)
+                .map_err(|e| format!("cannot write --stats file {dest}: {e}"))?;
+        }
+        tpp_graph::kernels::set_counting(true);
+        Ok(RunStats {
+            recorder: Recorder::enabled(),
+            sink: Some((dest.clone(), tpp_graph::kernels::counts())),
+        })
+    }
+
+    /// Folds the request's kernel selections into the recorder, writes the
+    /// JSON to its destination and returns the lines the report ends
+    /// with: the JSON itself for `-`, a one-line pointer after the file
+    /// write otherwise, nothing without `--stats`. (Text, so a served
+    /// request ships the same bytes the one-shot CLI prints.)
+    pub(crate) fn finish(self) -> Result<String, String> {
+        let (Some((dest, baseline)), Some(st)) = (self.sink, self.recorder.stats()) else {
+            return Ok(String::new());
+        };
+        let d = tpp_graph::kernels::counts().since(baseline);
         st.kernels.merge.add(d.merge);
         st.kernels.gallop.add(d.gallop);
+        let json = st.to_json_pretty();
+        if dest == "-" {
+            return Ok(format!("{json}\n"));
+        }
+        std::fs::write(&dest, json).map_err(|e| format!("writing --stats file {dest}: {e}"))?;
+        Ok(format!("stats -> {dest}\n"))
     }
 }
 
@@ -220,7 +259,7 @@ pub(crate) type BaseSlot = Arc<OnceLock<BaseStats>>;
 pub(crate) fn load_graph_observed(
     p: &Parsed,
     recorder: &Recorder,
-) -> Result<(Arc<CsrGraph>, Option<BaseSlot>), String> {
+) -> Result<(Arc<CsrGraph>, BaseSlot), String> {
     let path = p
         .positional
         .first()
@@ -232,13 +271,14 @@ pub(crate) fn load_graph_observed(
 /// zero-copy mapped at the `--verify` tier, default full, and used as is)
 /// or a text edge list (parsed once, copied into a snapshot once) — with
 /// load wall time reported into the recorder's store section (a disabled
-/// recorder never reads the clock). A snapshot with a base-statistics
-/// section also yields a filled [`BaseSlot`], so no run on it recounts.
+/// recorder never reads the clock), and the graph's [`BaseSlot`]: filled
+/// from a snapshot's base-statistics section, so no run on it recounts,
+/// and empty otherwise.
 fn load_graph_at(
     p: &Parsed,
     path: &str,
     recorder: &Recorder,
-) -> Result<(Arc<CsrGraph>, Option<BaseSlot>), String> {
+) -> Result<(Arc<CsrGraph>, BaseSlot), String> {
     if is_snapshot(path) {
         let verify = parse_verify(p, "full")?;
         let (csr, header, section) =
@@ -260,7 +300,7 @@ fn load_graph_at(
                 Ok::<_, String>(Arc::new(OnceLock::from(base)))
             })
             .transpose()?;
-        return Ok((Arc::new(csr), base));
+        return Ok((Arc::new(csr), base.unwrap_or_default()));
     }
     let t0 = recorder.is_enabled().then(std::time::Instant::now);
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
@@ -269,7 +309,7 @@ fn load_graph_at(
         st.store.loads.inc();
         st.store.parse_ns.add_duration(t0.elapsed());
     }
-    Ok((Arc::new(csr), None))
+    Ok((Arc::new(csr), BaseSlot::default()))
 }
 
 fn load_graph(p: &Parsed) -> Result<Arc<CsrGraph>, String> {
@@ -371,10 +411,9 @@ fn stats_report(p: &Parsed) -> Result<String, String> {
         (2 * g.edge_count()) as f64 / g.node_count().max(1) as f64
     );
     let seed: u64 = p.num_or("seed", 1u64)?;
-    let base = base.as_ref().and_then(|slot| slot.get());
     out.push_str(&utility_lines(
         &*g,
-        base,
+        base.get_or_init(|| BaseStats::compute(&*g)),
         p.has("full"),
         seed,
         EXACT_PATHS_MAX_NODES,
@@ -394,10 +433,10 @@ const SAMPLED_PATH_SOURCES: usize = 1_000;
 /// The metric lines of `tpp stats`: clustering and core number, or with
 /// `full` all six metrics, the path length sampled (and labelled so) when
 /// `g` has more than `exact_max_nodes` nodes. `clust` and `cn` come from
-/// `base` when it is given.
+/// `base`, `g`'s base statistics.
 fn utility_lines<G: NeighborAccess>(
     g: &G,
-    base: Option<&BaseStats>,
+    base: &BaseStats,
     full: bool,
     seed: u64,
     exact_max_nodes: usize,
@@ -413,11 +452,7 @@ fn utility_lines<G: NeighborAccess>(
         },
     };
     let mut out = String::new();
-    let values = match base {
-        Some(base) => compute_utility_with(base, g, &config),
-        None => compute_utility(g, &config),
-    };
-    for (metric, value) in values.values {
+    for (metric, value) in compute_utility_with(base, g, &config).values {
         if sampled && metric == UtilityMetric::AvgPathLength {
             let _ = writeln!(
                 out,
@@ -532,25 +567,42 @@ pub(crate) fn build_instance(
     TppInstance::new(g, targets).map_err(|e| e.to_string())
 }
 
-/// Warm-start inputs a resident server passes into a run; the one-shot
-/// commands use the default (everything cold, private pool).
-#[derive(Default)]
+/// What a run starts from besides its flags and graph, built once per
+/// request: from `--threads` and the load for a one-shot run, from the
+/// registries and the shared pool for a served one.
 pub(crate) struct RunSeeds {
     /// The run's phase-1 instance, when the server already built it to
     /// look up the index (never for an incremental run).
     pub instance: Option<TppInstance>,
     /// Pre-built coverage index from the server's registry (only consulted
     /// when its motif and targets match the run).
-    pub index: Option<std::sync::Arc<tpp_motif::PartitionedCoverageIndex>>,
-    /// The server's shared executor pool.
-    pub pool: Option<tpp_exec::Parallelism>,
+    pub index: Option<Arc<tpp_motif::PartitionedCoverageIndex>>,
+    /// The executor the run dispatches on: a pool sized by `--threads` for
+    /// a one-shot run, the server's shared pool for a served one.
+    pub exec: Parallelism,
     /// The base-statistics slot of the run's graph (the registry's, or
-    /// the one the load filled): read when filled, filled by this run
+    /// the one the load returned): read when filled, filled by this run
     /// otherwise (see [`run_protect`]).
-    pub base: Option<BaseSlot>,
+    pub base: BaseSlot,
     /// Whether `base` was filled by this request's own snapshot load
     /// rather than by an earlier request.
     pub base_loaded: bool,
+}
+
+/// A one-shot request: its `--stats` telemetry, its graph (loaded under
+/// that recorder) and its seeds — a fresh `--threads` pool (`0`, the
+/// default, is every available core) and the slot the load returned.
+fn one_shot(p: &Parsed) -> Result<(Arc<CsrGraph>, RunStats, RunSeeds), String> {
+    let stats = RunStats::from_flags(p)?;
+    let (g, base) = load_graph_observed(p, &stats.recorder)?;
+    let seeds = RunSeeds {
+        instance: None,
+        index: None,
+        exec: Parallelism::new(p.num_or("threads", 0usize)?),
+        base_loaded: base.get().is_some(),
+        base,
+    };
+    Ok((g, stats, seeds))
 }
 
 fn protect(p: &Parsed) -> Result<(), String> {
@@ -561,20 +613,8 @@ fn protect(p: &Parsed) -> Result<(), String> {
 /// The one-shot `tpp protect` report: load (a snapshot's base statistics
 /// with it), then [`run_protect`].
 fn protect_report(p: &Parsed) -> Result<String, String> {
-    let stats_out = parse_stats_flag(p)?;
-    let recorder = if stats_out.is_some() {
-        Recorder::enabled()
-    } else {
-        Recorder::disabled()
-    };
-    let kernel_base = start_kernel_counting(&recorder);
-    let (g, base) = load_graph_observed(p, &recorder)?;
-    let seeds = RunSeeds {
-        base_loaded: base.is_some(),
-        base,
-        ..RunSeeds::default()
-    };
-    run_protect(p, g, &recorder, kernel_base, stats_out.as_ref(), seeds)
+    let (g, stats, seeds) = one_shot(p)?;
+    run_protect(p, g, stats, seeds)
 }
 
 /// The full protect pipeline after the graph is in hand, returning the
@@ -586,19 +626,15 @@ fn protect_report(p: &Parsed) -> Result<String, String> {
 pub(crate) fn run_protect(
     p: &Parsed,
     g: Arc<CsrGraph>,
-    recorder: &Recorder,
-    kernel_base: Option<tpp_graph::KernelCounts>,
-    stats_out: Option<&StatsOut>,
+    stats: RunStats,
     seeds: RunSeeds,
 ) -> Result<String, String> {
     use std::fmt::Write as _;
+    let recorder = &stats.recorder;
     let mut out = String::new();
     let budget: usize = p.require("budget")?.parse().map_err(|_| "bad --budget")?;
     let seed: u64 = p.num_or("seed", 2020u64)?;
     let algorithm = p.get_or("algorithm", "sgb");
-    // 0 = all available cores (the engine resolves it), which on the
-    // single-core CI container degenerates to the sequential scan.
-    let threads: usize = p.num_or("threads", 0usize)?;
     // Batch-commit round width: 1 = the exact sequential greedy; J > 1
     // commits up to J disjoint-gain-set picks per scan — valid for every
     // greedy strategy (sgb, celf, ct, wt); the random baselines have no
@@ -632,17 +668,14 @@ pub(crate) fn run_protect(
         (motif, instance)
     };
 
-    let mut cfg = GreedyConfig::scalable(motif)
-        .with_threads(threads)
-        .with_obs(recorder.clone());
-    if let Some(index) = seeds.index.as_ref().filter(|_| !incremental) {
+    let cfg = GreedyConfig {
+        exec: seeds.exec,
+        recorder: recorder.clone(),
         // An incremental run never takes the warm seed: the registry's
         // index covers the pre-delta graph, not the mutated instance.
-        cfg = cfg.with_index_seed(std::sync::Arc::clone(index));
-    }
-    if let Some(pool) = &seeds.pool {
-        cfg = cfg.with_shared_pool(pool.clone());
-    }
+        index_seed: seeds.index.filter(|_| !incremental),
+        ..GreedyConfig::scalable(motif)
+    };
     let plan = match algorithm {
         "sgb" => sgb_greedy_batch(&instance, budget, batch, &cfg),
         "celf" => celf_greedy_batch(&instance, budget, batch, &cfg),
@@ -700,9 +733,10 @@ pub(crate) fn run_protect(
         |base: &BaseStats| utility_loss_deleting(base, original, &released, &deleted, &config);
     // A slot describes the run's input graph; an incremental run's
     // original is the delta-mutated graph, so it computes its own.
-    let loss = match seeds.base.as_ref().filter(|_| !incremental) {
-        Some(slot) => report(slot.get_or_init(compute_base)),
-        None => report(&compute_base()),
+    let loss = if incremental {
+        report(&compute_base())
+    } else {
+        report(seeds.base.get_or_init(compute_base))
     };
     if let (Some(t0), Some(st)) = (t0, recorder.stats()) {
         st.utility.utility_ns.add_duration(t0.elapsed());
@@ -737,31 +771,13 @@ pub(crate) fn run_protect(
         std::fs::write(plan_path, json).map_err(|e| e.to_string())?;
         let _ = writeln!(out, "plan -> {plan_path}");
     }
-    if let Some(dest) = stats_out {
-        fold_kernel_counts(recorder, kernel_base);
-        out.push_str(&stats_text(dest, recorder)?);
-    }
+    out.push_str(&stats.finish()?);
     Ok(out)
 }
 
 fn attack(p: &Parsed) -> Result<(), String> {
-    let stats_out = parse_stats_flag(p)?;
-    let recorder = if stats_out.is_some() {
-        Recorder::enabled()
-    } else {
-        Recorder::disabled()
-    };
-    let kernel_base = start_kernel_counting(&recorder);
-    let (g, _) = load_graph_observed(p, &recorder)?;
-    let report = run_attack(
-        p,
-        g,
-        &recorder,
-        kernel_base,
-        stats_out.as_ref(),
-        &RunSeeds::default(),
-    )?;
-    print!("{report}");
+    let (g, stats, seeds) = one_shot(p)?;
+    print!("{}", run_attack(p, g, stats, &seeds)?);
     Ok(())
 }
 
@@ -771,9 +787,7 @@ fn attack(p: &Parsed) -> Result<(), String> {
 pub(crate) fn run_attack(
     p: &Parsed,
     g: Arc<CsrGraph>,
-    recorder: &Recorder,
-    kernel_base: Option<tpp_graph::KernelCounts>,
-    stats_out: Option<&StatsOut>,
+    stats: RunStats,
     seeds: &RunSeeds,
 ) -> Result<String, String> {
     use std::fmt::Write as _;
@@ -812,12 +826,8 @@ pub(crate) fn run_attack(
         return Err(format!("unknown attacker {name:?}"));
     };
 
-    // 0 = all available cores; rankings are bit-identical regardless.
-    let threads: usize = p.num_or("threads", 0usize)?;
-    let exec = match &seeds.pool {
-        Some(pool) => pool.attach_recorder(recorder.clone()),
-        None => tpp_exec::Parallelism::with_recorder(threads, recorder.clone()),
-    };
+    // Rankings are bit-identical at every pool width.
+    let exec = seeds.exec.attach_recorder(stats.recorder.clone());
     let outcome = evaluate_attack_on(&released, &targets, &negatives, attacker, &exec);
     let _ = writeln!(out, "attacker:       {}", outcome.attacker);
     let _ = writeln!(out, "auc:            {:.4}", outcome.auc);
@@ -828,10 +838,7 @@ pub(crate) fn run_attack(
     } else {
         let _ = writeln!(out, "verdict: residual evidence remains");
     }
-    if let Some(dest) = stats_out {
-        fold_kernel_counts(recorder, kernel_base);
-        out.push_str(&stats_text(dest, recorder)?);
-    }
+    out.push_str(&stats.finish()?);
     Ok(out)
 }
 
@@ -857,10 +864,8 @@ fn utility_report(p: &Parsed) -> Result<String, String> {
     } else {
         UtilityConfig::large_graph(seed)
     };
-    let report = match base.as_deref().and_then(OnceLock::get) {
-        Some(base) => utility_loss_with(base, &*original, &*released, &config),
-        None => utility_loss(&*original, &*released, &config),
-    };
+    let base = base.get_or_init(|| BaseStats::compute(&*original));
+    let report = utility_loss_with(base, &*original, &*released, &config);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -895,17 +900,12 @@ fn store(p: &Parsed) -> Result<(), String> {
             let chunk_bytes = chunk_mb
                 .checked_mul(1024 * 1024)
                 .ok_or_else(|| format!("flag --chunk-mb {chunk_mb} overflows the chunk size"))?;
-            let stats_out = parse_stats_flag(p)?;
-            let recorder = if stats_out.is_some() {
-                Recorder::enabled()
-            } else {
-                Recorder::disabled()
-            };
+            let stats = RunStats::from_flags(p)?;
             // Two passes over the edge list, a bounded chunk buffer,
             // payload spilled through disk; then the original's base
             // statistics, counted once here instead of by every protect.
             let cfg = tpp_store::StreamConfig { chunk_bytes };
-            let report = tpp_store::build_stream(path, out, &cfg, &snapshot_base, &recorder)
+            let report = tpp_store::build_stream(path, out, &cfg, &snapshot_base, &stats.recorder)
                 .map_err(|e| format!("{path}: {e}"))?;
             let bytes = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
             println!(
@@ -924,9 +924,7 @@ fn store(p: &Parsed) -> Result<(), String> {
                 report.spill_bytes.div_ceil(1024),
                 report.duplicates_dropped,
             );
-            if let Some(out) = &stats_out {
-                emit_stats(out, &recorder)?;
-            }
+            print!("{}", stats.finish()?);
             Ok(())
         }
         "info" => {
@@ -1327,13 +1325,13 @@ mod tests {
         let run = |args: &[&str]| dispatch(&parse(&strs(args)).unwrap());
         let err = |args: &[&str]| run(args).expect_err("expected a named error");
 
-        for cmd in ["protect", "attack"] {
-            let e = err(&[cmd, graph, "--budget", "2", "--targets", "3-3"]);
-            assert_eq!(e, "target 3-3 is a self-loop", "{cmd}");
-            let e = err(&[cmd, graph, "--budget", "2", "--targets", "0-99"]);
+        for cmd in [&["protect", graph, "--budget", "2"][..], &["attack", graph]] {
+            let e = err(&[cmd, &["--targets", "3-3"]].concat());
+            assert_eq!(e, "target 3-3 is a self-loop", "{cmd:?}");
+            let e = err(&[cmd, &["--targets", "0-99"]].concat());
             assert_eq!(
                 e, "target 0-99: node 99 is out of range (the graph has 34 nodes)",
-                "{cmd}"
+                "{cmd:?}"
             );
         }
         // Karate has 561 pairs and 78 edges; with 5 targets hidden, 483
@@ -2517,10 +2515,11 @@ mod tests {
     #[test]
     fn stats_full_samples_path_sources_above_the_node_limit() {
         let g = tpp_graph::generators::holme_kim(60, 3, 0.4, 2);
-        let exact = utility_lines(&g, None, true, 1, EXACT_PATHS_MAX_NODES);
+        let base = &BaseStats::compute(&g);
+        let exact = utility_lines(&g, base, true, 1, EXACT_PATHS_MAX_NODES);
         assert!(exact.starts_with("l: "), "{exact}");
         assert_eq!(exact.lines().count(), 6);
-        let sampled = utility_lines(&g, None, true, 1, 59);
+        let sampled = utility_lines(&g, base, true, 1, 59);
         assert!(
             sampled.starts_with(&format!("l ({SAMPLED_PATH_SOURCES} sampled sources): ")),
             "{sampled}"
@@ -2541,8 +2540,8 @@ mod tests {
         assert_eq!(rest(&exact), rest(&sampled));
         // Without --full there is no path length to sample.
         assert_eq!(
-            utility_lines(&g, None, false, 1, 0),
-            utility_lines(&g, None, false, 1, EXACT_PATHS_MAX_NODES)
+            utility_lines(&g, base, false, 1, 0),
+            utility_lines(&g, base, false, 1, EXACT_PATHS_MAX_NODES)
         );
     }
 

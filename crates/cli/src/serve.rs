@@ -52,7 +52,7 @@
 //! costs one error on its own connection, never a pinned handler thread.
 
 use crate::args::{self, Parsed};
-use crate::commands::{self, BaseSlot, RunSeeds};
+use crate::commands::{self, BaseSlot, RunSeeds, RunStats};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -390,6 +390,7 @@ impl Server {
 
     fn handle_request(&self, argv: &[String]) -> Result<String, String> {
         let p = args::parse(argv)?;
+        commands::check_flags(&p, &p.command)?;
         // Untrusted input: an absurd thread request is rejected outright
         // rather than clamped (the one-shot CLI clamps with a warning).
         if let Some(raw) = p.flags.get("threads") {
@@ -430,44 +431,44 @@ impl Server {
         }
     }
 
+    /// Opens a registry-touching request: its `--stats` telemetry, which
+    /// counts the request itself, after a sweep of the registries.
+    fn open(&self, p: &Parsed) -> Result<RunStats, String> {
+        let stats = RunStats::from_flags(p)?;
+        if let Some(st) = stats.recorder.stats() {
+            st.serve.requests.inc();
+        }
+        self.sweep_registries(Some(&stats.recorder));
+        Ok(stats)
+    }
+
     /// A protect/attack request: per-request recorder over the shared
     /// pool, graph and index answered from the registries, then the same
     /// pipeline the one-shot CLI runs. Registry counters land in the
     /// request recorder *before* the run so a `--stats` reply carries
     /// them.
     fn run(&self, p: &Parsed) -> Result<String, String> {
-        let stats_out = commands::parse_stats_flag(p)?;
-        let recorder = if stats_out.is_some() {
-            Recorder::enabled()
-        } else {
-            Recorder::disabled()
-        };
-        if let Some(st) = recorder.stats() {
-            st.serve.requests.inc();
-        }
-        self.sweep_registries(Some(&recorder));
-        let kernel_base = commands::start_kernel_counting(&recorder);
-        let (g, base, base_loaded) = self.graph_for(p, &recorder)?;
+        let stats = self.open(p)?;
+        let (g, base, base_loaded) = self.graph_for(p, &stats.recorder)?;
         let mut seeds = RunSeeds {
             instance: None,
             index: None,
-            pool: Some(self.pool.clone()),
-            base: Some(base),
+            exec: self.pool.clone(),
+            base,
             base_loaded,
         };
-        if p.command == "protect" {
-            // An incremental request solves the delta-mutated problem, so
-            // the registry's pre-delta index would be the wrong seed.
-            if !p.has("incremental") {
-                if let Some((instance, index)) = self.index_for(p, &g, &recorder)? {
-                    seeds.instance = Some(instance);
-                    seeds.index = Some(index);
-                }
-            }
-            commands::run_protect(p, g, &recorder, kernel_base, stats_out.as_ref(), seeds)
-        } else {
-            commands::run_attack(p, g, &recorder, kernel_base, stats_out.as_ref(), &seeds)
+        if p.command == "attack" {
+            return commands::run_attack(p, g, stats, &seeds);
         }
+        // An incremental request solves the delta-mutated problem, so the
+        // registry's pre-delta index would be the wrong seed.
+        if !p.has("incremental") {
+            if let Some((instance, index)) = self.index_for(p, &g, &stats.recorder)? {
+                seeds.instance = Some(instance);
+                seeds.index = Some(index);
+            }
+        }
+        commands::run_protect(p, g, stats, seeds)
     }
 
     /// TTL-expires idle registry entries and enforces the LRU caps,
@@ -514,16 +515,8 @@ impl Server {
     /// state; both are dropped and rebuilt on next use.
     fn update(&self, p: &Parsed) -> Result<String, String> {
         use std::fmt::Write as _;
-        let stats_out = commands::parse_stats_flag(p)?;
-        let recorder = if stats_out.is_some() {
-            Recorder::enabled()
-        } else {
-            Recorder::disabled()
-        };
-        if let Some(st) = recorder.stats() {
-            st.serve.requests.inc();
-        }
-        self.sweep_registries(Some(&recorder));
+        let stats = self.open(p)?;
+        let recorder = &stats.recorder;
         let path = p
             .positional
             .first()
@@ -536,7 +529,7 @@ impl Server {
         // First touch of a path loads it into the registry like any other
         // request; the delta then applies to the resident copy under the
         // registry lock, so concurrent updates serialize.
-        self.graph_for(p, &recorder)?;
+        self.graph_for(p, recorder)?;
         let key = graph_key(path);
         let mut graphs = lock(&self.graphs);
         let entry = graphs
@@ -645,9 +638,7 @@ impl Server {
                 "indexes: {stale} dropped (built for another copy of the graph)"
             );
         }
-        if let Some(dest) = &stats_out {
-            out.push_str(&commands::stats_text(dest, &recorder)?);
-        }
+        out.push_str(&stats.finish()?);
         Ok(out)
     }
 
@@ -673,10 +664,9 @@ impl Server {
         // Miss: load outside the lock (two racing first requests both
         // load; the registry keeps whichever inserts last — same bytes).
         let snapshot = commands::is_snapshot(path);
-        let (g, loaded) = commands::load_graph_observed(p, recorder)?;
+        let (g, base) = commands::load_graph_observed(p, recorder)?;
         self.bump(Some(recorder), |s| s.graph_misses.inc());
-        let base_loaded = loaded.is_some();
-        let base = loaded.unwrap_or_default();
+        let base_loaded = base.get().is_some();
         lock(&self.graphs).insert(
             key,
             GraphEntry {

@@ -14,7 +14,7 @@ use crate::problem::TppInstance;
 /// Runs the CELF lazy variant of SGB-Greedy with global budget `k`.
 ///
 /// A strategy config on the [`RoundEngine`]'s lazy gain queue: the initial
-/// bound sweep honors `config.threads`, refreshes are incremental, and the
+/// bound sweep dispatches on `config.exec`, refreshes are incremental, and the
 /// plan is bit-identical to [`sgb_greedy`](crate::sgb_greedy) under the
 /// same config. All evaluators are supported.
 #[must_use]

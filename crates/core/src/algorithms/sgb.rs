@@ -16,7 +16,7 @@ use crate::problem::TppInstance;
 /// the canonically smallest edge) and stops early when no candidate breaks
 /// any target subgraph. The rounds pop their picks from the engine's lazy
 /// gain queue, so only stale heap tops are re-evaluated after one bound
-/// sweep; `config.threads` shards that sweep without changing a single
+/// sweep; `config.exec` shards that sweep without changing a single
 /// pick.
 #[must_use]
 pub fn sgb_greedy(instance: &TppInstance, k: usize, config: &GreedyConfig) -> ProtectionPlan {

@@ -915,7 +915,7 @@ mod tests {
                 let mut engine = RoundEngine::new(
                     Box::new(oracle),
                     CandidatePolicy::SubgraphEdges,
-                    Parallelism::with_recorder(threads, recorder.clone()),
+                    Parallelism::new(threads).attach_recorder(recorder.clone()),
                 );
                 if lazy {
                     engine.run_global_lazy(20, j);

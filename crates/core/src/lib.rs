@@ -42,7 +42,7 @@ mod problem;
 
 pub use algorithms::{
     celf_greedy, celf_greedy_batch, ct_greedy, ct_greedy_batch, sgb_greedy, sgb_greedy_batch,
-    wt_greedy, wt_greedy_batch, EvaluatorKind, ExecSeed, GreedyConfig, IndexSeed, ObsConfig,
+    wt_greedy, wt_greedy_batch, EvaluatorKind, GreedyConfig,
 };
 pub use analysis::{analyze_protection, verify_plan, ProtectionReport};
 pub use baselines::{random_deletion, random_deletion_from_subgraphs};

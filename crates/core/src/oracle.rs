@@ -374,8 +374,12 @@ pub(crate) fn oracle_for<'a>(
         // warm path of `tpp serve`); anything else builds fresh on the
         // shared executor.
         EvaluatorKind::Index => Box::new(
-            match config.index_seed.clone_matching(config.motif, targets) {
-                Some(index) => IndexOracle::from_prebuilt(index, released),
+            match config
+                .index_seed
+                .as_deref()
+                .filter(|idx| idx.motif() == config.motif && idx.targets() == targets)
+            {
+                Some(index) => IndexOracle::from_prebuilt(index.clone(), released),
                 None => IndexOracle::build_on(released, targets, config.motif, exec),
             },
         ),

@@ -8,12 +8,13 @@ use tpp_core::{
     celf_greedy, celf_greedy_batch, critical_budget, ct_greedy, ct_greedy_batch, divide_budget,
     random_deletion, random_deletion_from_subgraphs, sgb_greedy, sgb_greedy_batch, verify_plan,
     wt_greedy, wt_greedy_batch, AlgorithmKind, BudgetDivision, CandidatePolicy, GainOracle,
-    GreedyConfig, IndexOracle, ObsConfig, ProtectionPlan, SnapshotOracle, StepRecord, TppInstance,
+    GreedyConfig, IndexOracle, ProtectionPlan, SnapshotOracle, StepRecord, TppInstance,
     DEFAULT_INDEX_PARTITIONS,
 };
 use tpp_exec::Parallelism;
 use tpp_graph::{Edge, FastSet, NeighborAccess};
 use tpp_motif::{Motif, PartitionedCoverageIndex};
+use tpp_obs::Recorder;
 use tpp_store::CsrGraph;
 
 fn instance_strategy() -> impl Strategy<Value = TppInstance> {
@@ -563,7 +564,7 @@ proptest! {
         for cfg in evaluator_configs(motif) {
             for threads in [1usize, 2, 4] {
                 let plain = cfg.clone().with_threads(threads);
-                let obs = GreedyConfig { obs: ObsConfig::enabled(), ..plain.clone() };
+                let obs = plain.clone().with_obs(Recorder::enabled());
                 prop_assert_eq!(
                     sgb_greedy(&instance, k, &plain),
                     sgb_greedy(&instance, k, &obs),
@@ -582,7 +583,7 @@ proptest! {
                     "celf batch {:?} x{} diverged under stats", cfg.evaluator, threads);
                 // The observed run actually recorded: the engine counted
                 // its committed rounds (unless nothing was committable).
-                let recorder = &obs.obs.recorder;
+                let recorder = &obs.recorder;
                 let st = recorder.stats().expect("enabled recorder has stats");
                 let plan = sgb_greedy(&instance, k, &obs);
                 prop_assert!(
@@ -697,15 +698,16 @@ proptest! {
             let sgb = sgb_greedy(&mutated, k, &cfg);
             let celf = celf_greedy(&mutated, k, &cfg);
             for threads in [1usize, 2, 4] {
-                let seeded = GreedyConfig {
-                    obs: ObsConfig::enabled(),
-                    ..cfg.clone().with_threads(threads).with_index_seed(seed.clone())
-                };
+                let seeded = cfg
+                    .clone()
+                    .with_threads(threads)
+                    .with_index_seed(seed.clone())
+                    .with_obs(Recorder::enabled());
                 prop_assert_eq!(&sgb, &sgb_greedy(&mutated, k, &seeded),
                     "{} sgb -{}/+{} x{} diverged", motif, removed.len(), added.len(), threads);
                 prop_assert_eq!(&celf, &celf_greedy(&mutated, k, &seeded),
                     "{} celf -{}/+{} x{} diverged", motif, removed.len(), added.len(), threads);
-                let builds = seeded.obs.recorder.stats().unwrap().index.builds.get();
+                let builds = seeded.recorder.stats().unwrap().index.builds.get();
                 prop_assert_eq!(builds, 0, "the patched seed was not taken");
             }
         }

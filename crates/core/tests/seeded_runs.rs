@@ -1,8 +1,9 @@
 //! Plan invariance under warm-start seeding.
 //!
-//! `tpp serve` feeds runs a pre-built coverage index (`IndexSeed`) and a
-//! shared executor pool (`ExecSeed`) instead of letting each run build its
-//! own. Both are pure lifecycle knobs: a seeded run must produce a plan
+//! `tpp serve` feeds runs a pre-built coverage index
+//! (`GreedyConfig::with_index_seed`) and a shared executor pool
+//! (`GreedyConfig::with_shared_pool`) instead of letting each run build
+//! its own. Both are pure lifecycle knobs: a seeded run must produce a plan
 //! bit-identical to an unseeded one, a matching index seed must skip the
 //! index build entirely (the registry-hit acceptance criterion), and a
 //! mismatched seed must be ignored rather than trusted.
@@ -105,4 +106,41 @@ fn seeded_and_shared_run_combines_both_knobs() {
     let (warm, builds) = run(&inst, &config);
     assert_eq!(builds, 0);
     assert_eq!(warm, cold);
+}
+
+#[test]
+fn shared_pool_config_dispatches_on_that_pool_into_its_own_recorder() {
+    let inst = instance(15);
+    let pool = Parallelism::new(2);
+    let recorder = Recorder::enabled();
+    let config = GreedyConfig::scalable(Motif::Triangle)
+        .with_shared_pool(pool.clone())
+        .with_obs(recorder.clone());
+    let exec = config.parallelism();
+    assert!(
+        exec.same_pool(&pool),
+        "the run dispatches on the shared pool"
+    );
+    assert_eq!(
+        exec.recorder(),
+        &recorder,
+        "and reports into the config's recorder"
+    );
+    assert!(
+        !pool.recorder().is_enabled(),
+        "the pool's own handle stays unrecorded"
+    );
+
+    let plan = sgb_greedy(&inst, 5, &config);
+    let st = recorder.stats().unwrap();
+    assert_eq!(
+        st.exec.threads.get(),
+        2,
+        "the shared pool's width is the run's"
+    );
+    assert!(
+        st.exec.dispatches.get() > 0,
+        "the run's dispatches land in its recorder"
+    );
+    assert_eq!(st.round.rounds.get() as usize, plan.deletions());
 }

@@ -12,7 +12,7 @@
 //! (`tpp-motif`), and the CSR snapshot build (`tpp-store`). A k-round
 //! greedy run paid thread creation k+ times over. Now one [`Parallelism`]
 //! handle is plumbed from the thread-count knob (`tpp protect --threads`,
-//! `GreedyConfig::threads`) down through all of them, and every dispatch
+//! `GreedyConfig::exec`) down through all of them, and every dispatch
 //! reuses the same spawn-once workers.
 //!
 //! ## Determinism

@@ -347,7 +347,7 @@ unsafe impl<T: Send> Send for SlicePtr<T> {}
 unsafe impl<T: Send> Sync for SlicePtr<T> {}
 
 /// A cheap cloneable handle to one [`ExecPool`], plumbed once from the
-/// thread-count knob (`tpp protect --threads`, `GreedyConfig::threads`)
+/// thread-count knob (`tpp protect --threads`, `GreedyConfig::exec`)
 /// down through every parallel layer. Clones share the same pool — the
 /// engine's scans, the index's build and commits, and the snapshot build
 /// all dispatch onto the same spawn-once workers.
@@ -389,22 +389,6 @@ impl Parallelism {
             pool: Arc::new(ExecPool::new(threads)),
             recorder: Recorder::disabled(),
         }
-    }
-
-    /// A handle over a fresh pool that reports dispatch telemetry (latency
-    /// histogram, per-participant claim counts, steal/idle balance) into
-    /// `recorder`. With `Recorder::disabled()` this is exactly
-    /// [`Parallelism::new`].
-    #[must_use]
-    pub fn with_recorder(threads: usize, recorder: Recorder) -> Self {
-        let handle = Parallelism {
-            pool: Arc::new(ExecPool::new(threads)),
-            recorder,
-        };
-        if let Some(stats) = handle.recorder.stats() {
-            stats.exec.threads.set_max(handle.threads() as u64);
-        }
-        handle
     }
 
     /// A handle over **this same pool** (and its spawn-once workers) that
@@ -852,7 +836,7 @@ mod tests {
     #[test]
     fn recorder_sees_dispatches_and_claims() {
         let rec = Recorder::enabled();
-        let exec = Parallelism::with_recorder(3, rec.clone());
+        let exec = Parallelism::new(3).attach_recorder(rec.clone());
         let out = exec.run_indexed(40, |i| i);
         assert_eq!(out, (0..40).collect::<Vec<_>>());
         let st = rec.stats().unwrap();
@@ -865,7 +849,7 @@ mod tests {
         assert_eq!(st.exec.dispatches.get(), 2);
         assert_eq!(st.exec.items_claimed.get(), 49);
         // A sequential recorded handle runs inline: no dispatches counted.
-        let seq = Parallelism::with_recorder(1, rec.clone());
+        let seq = Parallelism::new(1).attach_recorder(rec.clone());
         let _ = seq.run_indexed(8, |i| i);
         assert_eq!(st.exec.dispatches.get(), 2);
     }

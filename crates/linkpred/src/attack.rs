@@ -378,7 +378,7 @@ mod tests {
         let (released, _, targets) = scenario();
         let negatives = sample_non_edges(&released, 50, &targets, 9);
         let obs = tpp_obs::Recorder::enabled();
-        let exec = Parallelism::with_recorder(2, obs.clone());
+        let exec = Parallelism::new(2).attach_recorder(obs.clone());
         let outcome = evaluate_attack_on(
             &released,
             &targets,

@@ -1233,7 +1233,7 @@ mod tests {
     fn recorder_counts_builds_and_commits_without_changing_results() {
         let (g, targets) = fixture();
         let rec = tpp_obs::Recorder::enabled();
-        let exec = tpp_exec::Parallelism::with_recorder(2, rec.clone());
+        let exec = tpp_exec::Parallelism::new(2).attach_recorder(rec.clone());
         let mut observed =
             PartitionedCoverageIndex::build_parallel(&g, &targets, Motif::Triangle, 4, &exec);
         let mut reference = Reference::new(&g, &targets, Motif::Triangle);
@@ -1386,7 +1386,7 @@ mod tests {
         let (g, targets) = fixture();
         let rec = tpp_obs::Recorder::enabled();
         let mut idx = build_seq(&g, &targets, Motif::Triangle, 4);
-        idx.set_parallelism(Parallelism::with_recorder(1, rec.clone()));
+        idx.set_parallelism(Parallelism::new(1).attach_recorder(rec.clone()));
         let e = non_edges(&g, &targets, 1)[0];
         let mut g2 = g.clone();
         g2.add_edge(e.u(), e.v());

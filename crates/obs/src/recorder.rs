@@ -287,8 +287,7 @@ impl std::fmt::Debug for Recorder {
 }
 
 /// Two recorders are equal when they are the same sink: both disabled, or
-/// both sharing one stats tree. (Lets configs carrying a recorder keep
-/// their derived `PartialEq`.)
+/// both sharing one stats tree.
 impl PartialEq for Recorder {
     fn eq(&self, other: &Self) -> bool {
         match (&self.stats, &other.stats) {

@@ -26,9 +26,10 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
-use tpp_core::{sgb_greedy, GreedyConfig, ObsConfig, TppInstance};
+use tpp_core::{sgb_greedy, GreedyConfig, TppInstance};
 use tpp_graph::{Edge, FastSet, Graph};
 use tpp_motif::{Motif, PartitionedCoverageIndex};
+use tpp_obs::Recorder;
 
 const MOTIF: Motif = Motif::Rectangle;
 const PARTS: usize = 16;
@@ -165,14 +166,8 @@ fn bench_incremental_protect(c: &mut Criterion) {
     };
 
     // Contract gate: bit-identity and ≥5× wall-clock.
-    let scratch_obs = GreedyConfig {
-        obs: ObsConfig::enabled(),
-        ..cfg.clone()
-    };
-    let inc_obs = GreedyConfig {
-        obs: ObsConfig::enabled(),
-        ..cfg.clone()
-    };
+    let scratch_obs = cfg.clone().with_obs(Recorder::enabled());
+    let inc_obs = cfg.clone().with_obs(Recorder::enabled());
     let t0 = Instant::now();
     let scratch = sgb_greedy(&mutated, BUDGET, &scratch_obs);
     let scratch_ns = t0.elapsed().as_nanos();
@@ -181,7 +176,7 @@ fn bench_incremental_protect(c: &mut Criterion) {
     let inc_ns = t1.elapsed().as_nanos();
     assert_eq!(scratch, inc, "repaired plan must be bit-identical");
     let probes = |cfg: &GreedyConfig| {
-        let st = cfg.obs.recorder.stats().expect("enabled recorder");
+        let st = cfg.recorder.stats().expect("enabled recorder");
         st.round.candidates_probed.get()
     };
     let (scratch_probes, inc_probes) = (probes(&scratch_obs), probes(&inc_obs));
