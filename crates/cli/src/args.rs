@@ -22,7 +22,8 @@ const BOOLEAN_FLAGS: [&str; 3] = ["help", "full", "incremental"];
 /// parses; which names a command accepts is checked at dispatch.
 ///
 /// # Errors
-/// Returns a message for unknown syntax (flag without name).
+/// Returns a message for unknown syntax (flag without name), a missing
+/// value, or a flag given more than once.
 pub fn parse(args: &[String]) -> Result<Parsed, String> {
     let mut out = Parsed::default();
     let mut it = args.iter().peekable();
@@ -31,13 +32,15 @@ pub fn parse(args: &[String]) -> Result<Parsed, String> {
             if name.is_empty() {
                 return Err("empty flag name '--'".into());
             }
-            if BOOLEAN_FLAGS.contains(&name) {
-                out.flags.insert(name.to_string(), String::new());
+            let value = if BOOLEAN_FLAGS.contains(&name) {
+                String::new()
             } else {
-                let value = it
-                    .next()
-                    .ok_or_else(|| format!("flag --{name} requires a value"))?;
-                out.flags.insert(name.to_string(), value.clone());
+                it.next()
+                    .ok_or_else(|| format!("flag --{name} requires a value"))?
+                    .clone()
+            };
+            if out.flags.insert(name.to_string(), value).is_some() {
+                return Err(format!("flag --{name} given more than once"));
             }
         } else if out.command.is_empty() {
             out.command = arg.clone();
@@ -129,6 +132,25 @@ mod tests {
 
         assert!(parse(&strs(&["x", "--budget"])).is_err(), "value missing");
         assert!(parse(&strs(&["x", "--"])).is_err(), "empty flag");
+    }
+
+    #[test]
+    fn a_repeated_flag_is_a_named_error() {
+        for argv in [
+            &["protect", "g.txt", "--budget", "20", "--budget", "1"][..],
+            &[
+                "protect", "g.txt", "--budget", "1", "--seed", "2", "--budget", "1",
+            ],
+            &["stats", "g.txt", "--full", "--full"],
+        ] {
+            let err = parse(&strs(argv)).unwrap_err();
+            let flag = if argv.contains(&"--full") {
+                "--full"
+            } else {
+                "--budget"
+            };
+            assert_eq!(err, format!("flag {flag} given more than once"), "{argv:?}");
+        }
     }
 
     #[test]

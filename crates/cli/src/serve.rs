@@ -504,8 +504,9 @@ impl Server {
     /// to the resident graph — an overlay of the old snapshot, copied once
     /// into the next one — and patches every warm coverage index over it
     /// in place — removals through the kill-flag delete path, insertions
-    /// by localized through-enumeration — instead of rebuilding, along
-    /// with the graph's resident base statistics. The registries then
+    /// by localized through-enumeration, then a compaction that drops the
+    /// instances the delta killed — instead of rebuilding, along with the
+    /// graph's resident base statistics. The registries then
     /// serve the mutated graph: they deliberately diverge from the file on
     /// disk until a restart (or an eviction) reloads it. Only indexes that
     /// cover the pre-update graph are patched, and they then cover the new
@@ -611,6 +612,10 @@ impl Server {
                 released.add_edge(e);
                 discovered += idx.insert_edge(&released, e);
             }
+            // Lay the patched index out again from its alive instances, so
+            // that a resident index stays the size of a fresh build however
+            // many updates it has seen, and every later copy of it is too.
+            idx.compact();
             entry.index = Arc::new(idx);
             entry.graph = Arc::downgrade(&next);
             entry.last_used = Instant::now();
@@ -923,6 +928,116 @@ mod tests {
         let (_, patched) = server.index_for(&protect, &g1, &counted).unwrap().unwrap();
         assert_eq!(counted.stats().unwrap().serve.index_hits.get(), 1);
         assert_eq!(patched.gain(hit), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Repeated `+D`/`-D` cycles near the targets leave the resident index
+    /// with exactly the instances a fresh build on the graph has (the
+    /// instances each `-D` kills are not kept), and served replies do not
+    /// change.
+    #[test]
+    fn update_cycles_keep_the_resident_index_the_size_of_a_fresh_build() {
+        let dir = std::env::temp_dir().join(format!("tpp-serve-cycles-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let graph = dir.join("g.txt").to_str().unwrap().to_string();
+        let g = tpp_graph::generators::holme_kim(300, 4, 0.4, 5);
+        std::fs::write(&graph, tpp_graph::write_edge_list(&g)).unwrap();
+        let parse = |argv: &[&str]| {
+            args::parse(&argv.iter().map(|a| (*a).to_string()).collect::<Vec<_>>()).unwrap()
+        };
+        let server = registry_only_server();
+        let recorder = Recorder::disabled();
+        // Sampled targets follow the graph's edges, so the protect names
+        // the first sample's targets explicitly to keep one index key.
+        let sampled = parse(&["protect", &graph, "--random", "8", "--seed", "4"]);
+        let (g0, ..) = server.graph_for(&sampled, &recorder).unwrap();
+        let targets = commands::parse_targets(&sampled, &g0).unwrap();
+        let listed: Vec<String> = targets
+            .iter()
+            .map(|t| format!("{}-{}", t.u(), t.v()))
+            .collect();
+        let listed = listed.join(",");
+        let protect = parse(&[
+            "protect",
+            &graph,
+            "--motif",
+            "rectangle",
+            "--targets",
+            &listed,
+            "--budget",
+            "6",
+        ]);
+        let before = server.run(&protect).unwrap();
+        // The delta: non-edges between neighbours of target endpoints,
+        // which close new rectangles around the targets.
+        let mut delta = Vec::new();
+        for t in &targets {
+            let near: Vec<u32> = g
+                .neighbors(t.u())
+                .iter()
+                .chain(g.neighbors(t.v()))
+                .copied()
+                .collect();
+            for (i, &a) in near.iter().enumerate() {
+                for &b in near[i + 1..].iter().filter(|&&b| b != a) {
+                    let e = Edge::new(a, b);
+                    if !g.contains(e) && !targets.contains(&e) && !delta.contains(&e) {
+                        delta.push(e);
+                    }
+                }
+            }
+        }
+        delta.truncate(12);
+        assert!(!delta.is_empty());
+        let write = |name: &str, sign: char| {
+            let path = dir.join(name);
+            let body: String = delta
+                .iter()
+                .map(|e| format!("{sign} {} {}\n", e.u(), e.v()))
+                .collect();
+            std::fs::write(&path, body).unwrap();
+            path.to_str().unwrap().to_string()
+        };
+        let (grow, shrink) = (write("grow.txt", '+'), write("shrink.txt", '-'));
+        let update = |file: &str| {
+            server
+                .update(&parse(&["update", &graph, "--delta", file]))
+                .unwrap()
+        };
+        let resident = |p: &Parsed| {
+            let (g, ..) = server.graph_for(p, &recorder).unwrap();
+            let (instance, index) = server.index_for(p, &g, &recorder).unwrap().unwrap();
+            let fresh = PartitionedCoverageIndex::build_parallel(
+                instance.released(),
+                instance.targets(),
+                tpp_motif::Motif::Rectangle,
+                DEFAULT_INDEX_PARTITIONS,
+                &Parallelism::sequential(),
+            );
+            (index, fresh)
+        };
+        let base_instances = resident(&protect).1.initial_similarity();
+        for _ in 0..5 {
+            let reply = update(&grow);
+            assert!(reply.contains("1 patched in place"), "got: {reply}");
+            let (index, fresh) = resident(&protect);
+            assert!(
+                fresh.initial_similarity() > base_instances,
+                "the delta adds instances"
+            );
+            assert_eq!(index.initial_similarity(), fresh.initial_similarity());
+            assert_eq!(index.alive_candidate_edges(), fresh.alive_candidate_edges());
+            update(&shrink);
+            let (index, fresh) = resident(&protect);
+            assert_eq!(fresh.initial_similarity(), base_instances);
+            assert_eq!(
+                index.initial_similarity(),
+                base_instances,
+                "dead instances kept"
+            );
+            assert_eq!(index.all_candidate_edges(), fresh.all_candidate_edges());
+            assert_eq!(server.run(&protect).unwrap(), before);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

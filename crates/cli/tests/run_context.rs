@@ -208,6 +208,86 @@ fn every_benchmark_argv_still_runs() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The served engine under the benchmark's concurrency: a daemon with
+/// `--threads 2 --max-indexes 4`, two clients sending kpath4 protects on
+/// an arenas snapshot at once, two hot target lists (seeds 1 and 2, hits
+/// after their first request) and three cold ones (seeds 3 to 5, which the
+/// four-entry registry keeps evicting). Every reply equals the one-shot
+/// output.
+#[test]
+fn concurrent_hot_and_cold_kpath4_protects_equal_one_shot() {
+    let dir = scratch("engine");
+    let (text, csr) = (path(&dir, "arenas.txt"), path(&dir, "arenas.csr"));
+    ok(&[
+        "generate", "--model", "arenas", "--seed", "1", "--out", &text,
+    ]);
+    ok(&["store", "build", &text, "--out", &csr]);
+    let argv = |seed: &'static str| -> Vec<String> {
+        let argv = [
+            "protect", &csr, "--motif", "kpath4", "--random", "100", "--seed", seed, "--budget",
+            "40",
+        ];
+        argv.iter().map(|a| (*a).to_string()).collect()
+    };
+    let seeds = ["1", "2", "3", "4", "5"];
+    let expected: Vec<String> = seeds
+        .iter()
+        .map(|&s| ok(&argv(s).iter().map(String::as_str).collect::<Vec<_>>()))
+        .collect();
+
+    let daemon = Daemon::start(&dir, &["--threads", "2", "--max-indexes", "4"]);
+    let orders: [[usize; 8]; 2] = [[0, 2, 1, 3, 0, 4, 1, 0], [1, 4, 0, 3, 1, 2, 0, 1]];
+    std::thread::scope(|scope| {
+        for order in &orders {
+            let (socket, expected, argv) = (&daemon.socket, &expected, &argv);
+            scope.spawn(move || {
+                for &i in order {
+                    let reply = ask(
+                        socket,
+                        &argv(seeds[i])
+                            .iter()
+                            .map(String::as_str)
+                            .collect::<Vec<_>>(),
+                    );
+                    assert_eq!(
+                        reply.as_ref(),
+                        Ok(&expected[i]),
+                        "served --seed {}",
+                        seeds[i]
+                    );
+                }
+            });
+        }
+    });
+    let info = daemon.ask(&["info"]).unwrap();
+    assert!(info.contains("indexes: 4 cached"), "{info}");
+    daemon.shut_down();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A flag given twice is a named error, one-shot and served, instead of
+/// the last value silently winning.
+#[test]
+fn repeated_flags_are_named_errors_one_shot_and_served() {
+    let dir = scratch("repeat");
+    let graph = path(&dir, "g.txt");
+    ok(&[
+        "generate", "--model", "hk", "--nodes", "150", "--out", &graph,
+    ]);
+    let argv = [
+        "protect", &graph, "--budget", "20", "--random", "5", "--budget", "1",
+    ];
+    let out = tpp(&argv);
+    assert!(!out.status.success(), "tpp {argv:?} must fail");
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("flag --budget given more than once"), "{err}");
+    let daemon = Daemon::start(&dir, &[]);
+    let err = daemon.ask(&argv).unwrap_err();
+    assert!(err.contains("flag --budget given more than once"), "{err}");
+    daemon.shut_down();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A `--stats` JSON document with every number replaced by `N`: its
 /// sections and keys, in order.
 fn shape(json: &str) -> String {

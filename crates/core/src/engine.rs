@@ -351,8 +351,7 @@ impl<'a> RoundEngine<'a> {
         policy: CandidatePolicy,
         exec: Parallelism,
     ) -> Self {
-        // Commit-side parallelism (the shard-parallel partitioned index)
-        // shares the scan's executor.
+        // The oracle's commits report to the scan's executor's recorder.
         oracle.set_parallelism(&exec);
         let initial_similarity = oracle.total_similarity();
         let targets = oracle.target_count();
@@ -457,8 +456,8 @@ impl<'a> RoundEngine<'a> {
 
     /// **The** commit path of every round mode: deletes `picks` —
     /// `(protector, charged target, own breaks)` — through one
-    /// [`GainOracle::commit_batch`] (shard-parallel on the partitioned
-    /// index) and records one audit step per pick, `own` defaulting to the
+    /// [`GainOracle::commit_batch`] and records one audit step per pick,
+    /// `own` defaulting to the
     /// realized total. Returns the realized break counts in pick order.
     fn commit_picks(&mut self, picks: &[(Edge, Option<usize>, Option<usize>)]) -> Vec<usize> {
         let edges: Vec<Edge> = picks.iter().map(|&(e, ..)| e).collect();

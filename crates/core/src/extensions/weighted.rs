@@ -134,8 +134,8 @@ impl<'a> WeightedIndexOracle<'a> {
         )
     }
 
-    /// Builds the oracle with the index built shard-parallel on `exec`
-    /// (the same pool the engine will scan and commit on).
+    /// Builds the oracle with the index's enumeration spread over `exec`
+    /// (the same pool the engine will scan on).
     ///
     /// # Panics
     /// Panics if `weights.len() != targets.len()`.

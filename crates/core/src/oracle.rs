@@ -3,7 +3,7 @@
 //! Two implementations back the same greedy loops:
 //!
 //! * [`IndexOracle`] — the scalable path: a [`PartitionedCoverageIndex`]
-//!   built once, with incremental shard-parallel deletion. Candidate edges
+//!   built once, with incremental deletion. Candidate edges
 //!   can be restricted to target-subgraph edges (Lemma 5), giving the
 //!   paper's `-R` algorithms.
 //! * [`SnapshotOracle`] — the paper-faithful plain path: every gain is a
@@ -55,10 +55,9 @@ pub trait GainOracle {
     /// Permanently deletes `p`; returns the realized gain.
     fn commit(&mut self, p: Edge) -> usize;
     /// Permanently deletes a batch of edges; returns the per-edge realized
-    /// gains in input order. The default commits sequentially; oracles with
-    /// a partition-parallel index override it with one shard-parallel
-    /// commit (same result, one candidate-list compaction instead of
-    /// `edges.len()`).
+    /// gains in input order. The default commits one edge at a time; the
+    /// index oracle passes the batch to the index in one call (same
+    /// result).
     fn commit_batch(&mut self, edges: &[Edge]) -> Vec<usize> {
         edges.iter().map(|&e| self.commit(e)).collect()
     }
@@ -71,9 +70,8 @@ pub trait GainOracle {
         let _ = p;
         None
     }
-    /// Hands the oracle the executor for commit-side parallelism (the
-    /// engine forwards its own [`Parallelism`] handle here, so scans and
-    /// commits share one pool). Purely a performance knob; the default
+    /// Hands the oracle the engine's executor handle, so that commits
+    /// report to the run's recorder. Never changes a result; the default
     /// ignores it.
     fn set_parallelism(&mut self, exec: &Parallelism) {
         let _ = exec;
@@ -89,19 +87,17 @@ pub trait GainOracle {
     }
 }
 
-/// Partition count of every [`IndexOracle`]'s coverage index: enough
-/// shards that a commit's candidate-list compaction touches a fraction of
-/// the candidate set even on one core, and enough headroom for the
-/// shard-parallel commit phase to scale when threads are available.
-/// Callers that build a [`PartitionedCoverageIndex`] for
-/// [`IndexOracle::from_prebuilt`] pass it too.
+/// The `parts` argument every [`IndexOracle`] passes to
+/// [`PartitionedCoverageIndex::build_parallel`], where it has no effect
+/// (the index is flat). Callers that build a [`PartitionedCoverageIndex`]
+/// for [`IndexOracle::from_prebuilt`] pass it too.
 pub const DEFAULT_INDEX_PARTITIONS: usize = 8;
 
 /// Incremental oracle over a [`PartitionedCoverageIndex`] and the borrowed
-/// [`Release`] it was built over. Commits are shard-parallel: a deletion
-/// updates only the index partitions containing edges of the broken
-/// instances. The graph is never copied: `AllEdges` candidates are the
-/// released edges minus the committed deletions.
+/// [`Release`] it was built over. A commit walks the deleted edge's
+/// posting and decrements the counts of the instances it kills. The
+/// graph is never copied: `AllEdges` candidates are the released edges
+/// minus the committed deletions.
 pub struct IndexOracle<'a> {
     index: PartitionedCoverageIndex,
     released: &'a Release,
@@ -117,12 +113,11 @@ impl<'a> IndexOracle<'a> {
         Self::build_on(released, targets, motif, &Parallelism::sequential())
     }
 
-    /// Builds the oracle on a shared executor: the index, with
-    /// [`DEFAULT_INDEX_PARTITIONS`] partitions, is built **shard-parallel**
-    /// ([`PartitionedCoverageIndex::build_parallel`] — targets enumerate
-    /// directly into per-shard postings), bit-identical to the sequential
-    /// build at every executor width. The handle carries over to the
-    /// commit phase (until the engine overrides it).
+    /// Builds the oracle on a shared executor: the index's target
+    /// enumeration is spread over it
+    /// ([`PartitionedCoverageIndex::build_parallel`]), bit-identical to the
+    /// sequential build at every executor width. The handle's recorder
+    /// counts the commits (until the engine hands over its own).
     #[must_use]
     pub fn build_on(
         released: &'a Release,
@@ -359,9 +354,10 @@ impl<B: NeighborAccess> GainOracle for SnapshotOracle<B> {
 
 /// Builds the oracle `config.evaluator` selects over the instance's
 /// released graph and targets, on the run's shared executor — the index
-/// build dispatches on the same pool the engine's scans and the commit
-/// phase will (the shard-parallel build is bit-identical at every pool
-/// width).
+/// build dispatches on the same pool the engine's scans will (the build
+/// is bit-identical at every pool width). A matching seed is copied, and
+/// the copy timed (`index.seed_copy_ns`): only its flags and counts are
+/// copied, the layout is shared.
 pub(crate) fn oracle_for<'a>(
     instance: &'a crate::problem::TppInstance,
     config: &crate::algorithms::GreedyConfig,
@@ -379,7 +375,13 @@ pub(crate) fn oracle_for<'a>(
                 .as_deref()
                 .filter(|idx| idx.motif() == config.motif && idx.targets() == targets)
             {
-                Some(index) => IndexOracle::from_prebuilt(index.clone(), released),
+                Some(index) => {
+                    let stats = exec.recorder().stats();
+                    let copy = tpp_obs::SpanTimer::counter(stats.map(|s| &s.index.seed_copy_ns));
+                    let index = index.clone();
+                    copy.stop();
+                    IndexOracle::from_prebuilt(index, released)
+                }
                 None => IndexOracle::build_on(released, targets, config.motif, exec),
             },
         ),

@@ -217,8 +217,8 @@ impl TppInstance {
         self.targets.len()
     }
 
-    /// Builds the motif coverage index on the released graph, as one shard
-    /// on the calling thread.
+    /// Builds the motif coverage index on the released graph, on the
+    /// calling thread.
     #[must_use]
     pub fn build_index(&self, motif: Motif) -> PartitionedCoverageIndex {
         PartitionedCoverageIndex::build_parallel(

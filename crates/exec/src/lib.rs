@@ -18,7 +18,7 @@
 //! ## Determinism
 //!
 //! The combinators ([`Parallelism::run_indexed`],
-//! [`Parallelism::for_each_mut`], [`Parallelism::steal_spans`]) claim work
+//! [`Parallelism::steal_spans`]) claim work
 //! through an atomic cursor — scheduling is deliberately unfair — but
 //! assemble results **in item/span order**, so every caller is
 //! bit-identical to its sequential path at every thread count. See the

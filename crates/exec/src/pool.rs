@@ -325,27 +325,6 @@ fn worker_loop(shared: &PoolShared, id: usize) {
     }
 }
 
-/// Covariance-free `*mut T` wrapper so the [`Parallelism::for_each_mut`]
-/// closure (which must be `Sync`) can carry the slice base pointer to the
-/// workers.
-struct SlicePtr<T>(*mut T);
-
-impl<T> SlicePtr<T> {
-    /// Pointer to element `i`. Going through a method (rather than the raw
-    /// field) keeps closure capture on the `Sync` wrapper, not the bare
-    /// `*mut T`.
-    fn at(&self, i: usize) -> *mut T {
-        self.0.wrapping_add(i)
-    }
-}
-
-// SAFETY: the pointer is only a capability to the slice the caller holds
-// `&mut` over for the whole dispatch; disjoint-index access is enforced by
-// the claiming cursor (each index is claimed exactly once).
-unsafe impl<T: Send> Send for SlicePtr<T> {}
-// SAFETY: same argument — every dereference targets a distinct index.
-unsafe impl<T: Send> Sync for SlicePtr<T> {}
-
 /// A cheap cloneable handle to one [`ExecPool`], plumbed once from the
 /// thread-count knob (`tpp protect --threads`, `GreedyConfig::exec`)
 /// down through every parallel layer. Clones share the same pool — the
@@ -523,59 +502,6 @@ impl Parallelism {
         self.claim_in_order(count, || (), |(), i| work(i))
     }
 
-    /// Runs `work(i, &mut items[i])` for every item, each index claimed by
-    /// exactly one participant — the executor form of "independent updates
-    /// to disjoint state" (per-shard index commits, disjoint output
-    /// windows of the CSR build). Order of execution is unspecified;
-    /// callers must not encode ordering in the per-item effects.
-    pub fn for_each_mut<T, W>(&self, items: &mut [T], work: W)
-    where
-        T: Send,
-        W: Fn(usize, &mut T) + Sync,
-    {
-        if self.threads() <= 1 || items.len() <= 1 {
-            for (i, item) in items.iter_mut().enumerate() {
-                work(i, item);
-            }
-            return;
-        }
-        let len = items.len();
-        let base = SlicePtr(items.as_mut_ptr());
-        let cursor = AtomicUsize::new(0);
-        let stats = self.recorder.stats();
-        let dispatch_span = SpanTimer::hist(stats.map(|s| &s.exec.dispatch_ns));
-        self.pool.run(&|pid| {
-            let mut claimed = 0u64;
-            loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= len {
-                    break;
-                }
-                // SAFETY: `i < len` indexes the slice the caller holds
-                // `&mut` over for the whole dispatch, and the fetch-add
-                // hands each index to exactly one participant — no
-                // aliasing.
-                let item = unsafe { &mut *base.at(i) };
-                work(i, item);
-                claimed += 1;
-            }
-            if let Some(st) = stats {
-                st.exec.claims_per_participant.record(claimed);
-                st.exec.items_claimed.add(claimed);
-                if pid != 0 {
-                    st.exec.items_stolen.add(claimed);
-                }
-                if claimed == 0 {
-                    st.exec.idle_participants.inc();
-                }
-            }
-        });
-        if let Some(st) = stats {
-            st.exec.dispatches.inc();
-        }
-        dispatch_span.stop();
-    }
-
     /// The work-stealing span scaffold behind every parallel job: cuts
     /// `items` into at most `threads × SPANS_PER_WORKER` contiguous
     /// weight-balanced spans, lets participants claim spans through one
@@ -678,21 +604,9 @@ mod tests {
     }
 
     #[test]
-    fn for_each_mut_touches_every_item_exactly_once() {
-        for threads in [1usize, 2, 4] {
-            let exec = Parallelism::new(threads);
-            let mut items: Vec<usize> = vec![0; 53];
-            exec.for_each_mut(&mut items, |i, slot| *slot += i + 1);
-            let expect: Vec<usize> = (1..=53).collect();
-            assert_eq!(items, expect, "x{threads}");
-        }
-    }
-
-    #[test]
     fn zero_span_dispatch_is_a_no_op() {
         let exec = Parallelism::new(3);
         assert!(exec.run_indexed(0, |i| i).is_empty());
-        exec.for_each_mut(&mut Vec::<u8>::new(), |_, _| unreachable!());
         let spans: Vec<usize> =
             exec.steal_spans(&[] as &[u8], None, || (), |(), chunk| chunk.len());
         assert!(spans.is_empty());
@@ -844,8 +758,7 @@ mod tests {
         assert_eq!(st.exec.dispatches.get(), 1);
         assert_eq!(st.exec.items_claimed.get(), 40);
         assert_eq!(st.exec.dispatch_ns.count(), 1);
-        let mut items = vec![0u8; 9];
-        exec.for_each_mut(&mut items, |_, slot| *slot = 1);
+        let _ = exec.run_indexed(9, |i| i);
         assert_eq!(st.exec.dispatches.get(), 2);
         assert_eq!(st.exec.items_claimed.get(), 49);
         // A sequential recorded handle runs inline: no dispatches counted.

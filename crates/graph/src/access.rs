@@ -105,14 +105,6 @@ pub trait NeighborAccess {
     fn upper_edge_prefix(&self) -> Cow<'_, [u32]> {
         Cow::Owned(upper_edge_prefix(self))
     }
-
-    /// A degree prefix (`node_count() + 1` entries, entry `u` the summed
-    /// degree of nodes `0..u`) when the representation keeps one: a CSR
-    /// snapshot's offset table. It is a balance hint for cutting the node
-    /// space, so an overlay may forward its base's. `None` by default.
-    fn degree_prefix(&self) -> Option<&[u64]> {
-        None
-    }
 }
 
 /// [`NeighborAccess::upper_edge_prefix`] computed from the lists: each
@@ -189,10 +181,6 @@ impl<G: NeighborAccess> NeighborAccess for &G {
     fn upper_edge_prefix(&self) -> Cow<'_, [u32]> {
         (**self).upper_edge_prefix()
     }
-
-    fn degree_prefix(&self) -> Option<&[u64]> {
-        (**self).degree_prefix()
-    }
 }
 
 /// A shared graph reads as the graph itself: an overlay that owns its
@@ -221,10 +209,6 @@ impl<G: NeighborAccess + ?Sized> NeighborAccess for Arc<G> {
 
     fn upper_edge_prefix(&self) -> Cow<'_, [u32]> {
         (**self).upper_edge_prefix()
-    }
-
-    fn degree_prefix(&self) -> Option<&[u64]> {
-        (**self).degree_prefix()
     }
 }
 

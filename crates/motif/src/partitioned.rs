@@ -7,177 +7,179 @@
 //! instances. Because phase 1 fixes the instance universe (edge deletions
 //! never *create* instances), a deletion only ever shrinks the index —
 //! which is also the combinatorial heart of the monotonicity and
-//! submodularity proofs (Lemmas 1–4). Beyond the posting lists, the index
-//! maintains a **per-edge alive count** (`Δ_p` itself, so `gain` is an
-//! `O(1)` lookup) and a **sorted alive-candidate list** (Lemma 5's
-//! restricted candidate set), compacted in place when deletions retire
-//! edges.
+//! submodularity proofs (Lemmas 1–4).
 //!
-//! The postings and the candidate list are split across degree-balanced
-//! node-range partitions, so **commits scale like scans do**: each edge is
-//! owned by the shard whose node range contains its lower endpoint, over the
-//! same degree-balanced boundaries as `tpp_store::CsrGraph::shard_ranges`.
-//! A deletion therefore touches only the shards that actually contain edges
-//! of the broken instances, and the per-shard updates are independent: with
-//! a parallel [`Parallelism`] handle they run concurrently on the shared
-//! executor pool (`tpp-exec`) — spawn-once workers, not per-commit threads.
-//! One shard is the plain single-map layout.
+//! The index is **flat**. (The type keeps the name of its earlier
+//! node-range-sharded layout.) A build gives every edge that sits in an
+//! instance a dense `u32` id, in canonical [`Edge`] order, and lays out
+//! four arrays:
 //!
-//! Every result is **bit-identical for every shard count and every thread
-//! count**: the kill phase walks instances in posting order, per-shard
-//! update sets are disjoint by construction, and aggregate counts reduce in
-//! shard order.
+//! * the **instance arena**: instance `id` owns the edge ids
+//!   `motif.edges_per_instance()` wide at `id * stride`, plus one
+//!   owning-target `u32` per instance;
+//! * the **postings**: every edge's instance ids, ascending, in one array
+//!   cut by an offset table — built by one count pass, a prefix sum and a
+//!   fill over the enumerated instances, with no `Vec` per edge;
+//! * the **alive counts**: one `u32` per edge id, `Δ_p` itself, so `gain`
+//!   is one map lookup and one array read;
+//! * the alive flags and per-target similarities.
 //!
-//! The instances themselves live in **one flat arena**: every instance's
-//! edges, sorted canonically, `motif.edges_per_instance()` per instance, in
-//! one `Vec<Edge>`, plus one owning-target `u32` per instance (36 bytes
-//! per kpath4 instance). The enumerators hand each instance's edges to the
-//! build as a borrowed slice, so nothing is allocated per instance, and
-//! [`insert_edge`](PartitionedCoverageIndex::insert_edge) appends to the
-//! same arena. Cloning an index (the served protect's per-request copy) is
-//! therefore two memcpys for the instances plus the postings.
+//! A commit walks the deleted edge's posting, flips the alive flags of the
+//! instances it kills and decrements the counts of their edges — array
+//! writes, microseconds per pick, so it runs on the calling thread.
+//! Lemma 5's candidate list (the edges with a non-zero count) is derived
+//! from the counts when it is read; nothing is compacted on commit.
+//!
+//! What a build lays out never changes after it, except by an insertion,
+//! so it sits behind one [`Arc`]: the edge table, the postings, the arena,
+//! the targets. Cloning an index — the served protect's per-request copy
+//! of a registry index — copies only the mutable state: alive flags,
+//! per-target counts and per-edge counts.
+//! [`insert_edge`](PartitionedCoverageIndex::insert_edge) appends through
+//! [`Arc::make_mut`]: new edges take ids after the built ones and new
+//! postings go to a small per-edge overflow.
+//! [`compact`](PartitionedCoverageIndex::compact) lays the index out again
+//! from its alive instances, with the same fill, so an index that a served
+//! `update` patches keeps neither dead instances nor overflow.
+//!
+//! Every result is **bit-identical for every thread count**: instances
+//! are numbered in target order, edge ids follow canonical order, and
+//! every posting ascends.
 
 use crate::enumerate::PathJoin;
 use crate::pattern::Motif;
+use std::sync::Arc;
 use tpp_exec::Parallelism;
 use tpp_graph::{Edge, FastMap, NeighborAccess, NodeId};
 
 /// Index id of a motif instance inside a [`PartitionedCoverageIndex`].
 pub type InstanceId = u32;
 
-/// Posting list of one candidate edge: the instances containing it, plus
-/// the maintained count of how many of them are still alive (= `Δ_p`).
-#[derive(Debug, Clone, Default)]
-struct Posting {
-    /// Ids of every instance containing the edge, alive or dead.
-    ids: Vec<InstanceId>,
-    /// How many of `ids` are currently alive.
-    alive: u32,
+/// What a build lays out: shared by every clone of an index, and changed
+/// only by [`PartitionedCoverageIndex::insert_edge`].
+#[derive(Debug, Clone)]
+struct Layout {
+    motif: Motif,
+    targets: Vec<Edge>,
+    /// Inverted target map: node → indexes of targets with that endpoint.
+    /// Lets [`insert_edge`](PartitionedCoverageIndex::insert_edge) find the
+    /// targets whose instances a new edge can touch by probing the edge's
+    /// radius-1 ball (degree-sized) instead of scanning the target list.
+    targets_by_node: FastMap<NodeId, Vec<u32>>,
+    /// Edge id → edge. The first `posting_offsets.len() - 1` ids are the
+    /// built edges, in canonical order; insertions append after them.
+    edges: Vec<Edge>,
+    /// Edge → edge id.
+    ids: FastMap<Edge, u32>,
+    /// The instance arena: instance `id` owns the edge ids
+    /// `instance_edges[id * stride..(id + 1) * stride]`, `stride =
+    /// motif.edges_per_instance()`, in the order the enumerator gave them.
+    instance_edges: Vec<u32>,
+    /// Owning target of every instance.
+    instance_target: Vec<u32>,
+    /// Built edge `e`'s instance ids are
+    /// `postings[posting_offsets[e]..posting_offsets[e + 1]]`, ascending.
+    posting_offsets: Vec<usize>,
+    postings: Vec<InstanceId>,
+    /// Postings of the instances insertions appended, per edge id. Their
+    /// ids exceed every built id, so a built posting followed by its
+    /// overflow still ascends.
+    appended: FastMap<u32, Vec<InstanceId>>,
 }
 
-/// Below this many count decrements a commit applies its shard updates
-/// inline: a handful of hash-map decrements costs tens of nanoseconds,
-/// and even a pooled dispatch (wake workers, claim shards, join) costs
-/// single-digit microseconds.
-const MIN_PARALLEL_COMMIT_OPS: usize = 4096;
-
-/// Degree-prefix-balanced shard bounds over `g`'s node space (the CSR
-/// offset shape, cut into payload-balanced contiguous node ranges). The
-/// graph's own degree prefix ([`NeighborAccess::degree_prefix`]: a
-/// snapshot's offset table, an overlay's base's) is cut as it is; only a
-/// graph without one pays a pass over every degree. The cut balances
-/// work and decides nothing else: every result is the same for every
-/// shard layout.
-fn degree_balanced_bounds<G: NeighborAccess>(g: &G, parts: usize) -> Vec<NodeId> {
-    let computed;
-    let prefix = match g.degree_prefix() {
-        Some(prefix) => prefix,
-        None => {
-            computed = std::iter::once(0)
-                .chain(g.node_ids().scan(0u64, |acc, u| {
-                    *acc += g.degree(u) as u64;
-                    Some(*acc)
-                }))
-                .collect::<Vec<u64>>();
-            &computed
-        }
-    };
-    let ranges = tpp_exec::balanced_prefix_ranges(prefix, parts);
-    let mut bounds: Vec<NodeId> = vec![0];
-    for r in &ranges {
-        bounds.push(r.end as NodeId);
+impl Layout {
+    fn stride(&self) -> usize {
+        self.motif.edges_per_instance()
     }
-    if bounds.len() == 1 {
-        bounds.push(0); // empty node space still gets one (empty) shard
+
+    /// The edge ids of instance `id`: its stride of the arena.
+    #[inline]
+    fn instance(&self, id: usize) -> &[u32] {
+        let stride = self.stride();
+        &self.instance_edges[id * stride..(id + 1) * stride]
     }
-    bounds
+
+    /// Edges with a built posting (the canonical prefix of `edges`).
+    fn built_edges(&self) -> usize {
+        self.posting_offsets.len() - 1
+    }
+
+    /// Every instance id containing edge id `e`, ascending.
+    fn posting(&self, e: u32) -> impl Iterator<Item = InstanceId> + '_ {
+        let i = e as usize;
+        let built = if i < self.built_edges() {
+            &self.postings[self.posting_offsets[i]..self.posting_offsets[i + 1]]
+        } else {
+            &[]
+        };
+        let appended = self.appended.get(&e).map_or(&[][..], Vec::as_slice);
+        built.iter().chain(appended).copied()
+    }
 }
 
-/// The shard owning node `u` under `bounds` (shard `i` spans
-/// `bounds[i]..bounds[i + 1]`; out-of-range nodes clamp to the last
-/// shard). **The** ownership lookup — the build, insert and commit paths
-/// must route edges identically, so they all call this.
-#[inline]
-fn owner_shard(bounds: &[NodeId], u: NodeId) -> usize {
-    bounds
-        .partition_point(|&b| b <= u)
-        .saturating_sub(1)
-        .min(bounds.len().saturating_sub(2))
+/// One span of targets' instances under span-local edge ids: what the
+/// build's enumeration writes, and what the fill lays out.
+#[derive(Default)]
+struct Fragment {
+    /// Local edge ids of every instance, a stride each.
+    instance_edges: Vec<u32>,
+    instance_target: Vec<u32>,
+    /// Instances per target of the span, in target order.
+    per_target: Vec<usize>,
+    /// Local edge id → edge.
+    edges: Vec<Edge>,
+    /// Local edge id → how many of the fragment's instances hold it. An
+    /// edge counted 0 is left out of the layout.
+    counts: Vec<u32>,
 }
 
-/// One partition of the index: the postings and alive-candidate list of the
-/// edges this shard owns.
-#[derive(Debug, Clone, Default)]
-struct IndexShard {
-    /// Posting lists of the owned edges (instance ids + alive counts).
-    postings: FastMap<Edge, Posting>,
-    /// Sorted owned edges with at least one alive instance.
-    alive_candidates: Vec<Edge>,
+/// Per-worker enumeration scratch, allocated once per worker, not once
+/// per span or target: the k-path join's buckets and the span's edge →
+/// local-id table.
+#[derive(Default)]
+struct Scratch {
+    join: PathJoin,
+    local: FastMap<Edge, u32>,
 }
 
-impl IndexShard {
-    /// Applies one batch of alive-count decrements (one entry per killed
-    /// instance × owned edge) and compacts the candidate list if any edge
-    /// retired. Pure shard-local state: safe to run concurrently with other
-    /// shards' updates, and deterministic regardless of who runs it.
-    /// Returns whether a candidate-list compaction ran.
-    fn apply_decrements(&mut self, ops: &[Edge]) -> bool {
-        let mut retired = false;
-        for e in ops {
-            let po = self
-                .postings
-                .get_mut(e)
-                .expect("killed instance edge must be posted in its owner shard");
-            po.alive -= 1;
-            retired |= po.alive == 0;
+impl Fragment {
+    /// Appends one instance of target `target`, its edges in the order
+    /// the enumerator gives them, numbering edges the span has not seen
+    /// yet.
+    fn push_instance(&mut self, local: &mut FastMap<Edge, u32>, edges: &[Edge], target: u32) {
+        for &e in edges {
+            let next = self.edges.len() as u32;
+            let id = *local.entry(e).or_insert(next);
+            if id == next {
+                self.edges.push(e);
+                self.counts.push(0);
+            }
+            self.counts[id as usize] += 1;
+            self.instance_edges.push(id);
         }
-        if retired {
-            let postings = &self.postings;
-            self.alive_candidates
-                .retain(|e| postings.get(e).is_some_and(|po| po.alive > 0));
-        }
-        retired
+        self.instance_target.push(target);
     }
 }
 
 /// Incidence index between edges and alive motif instances for a fixed
-/// (graph, target set, motif) triple, with its postings partitioned across
-/// degree-balanced node-range shards and shard-parallel commits.
+/// (graph, target set, motif) triple, in the flat layout the module docs
+/// describe.
 ///
 /// Scans are pure reads (`gain` is an `O(1)` count lookup,
-/// `gain_vector`/`gain_split` walk one posting list);
+/// `gain_vector`/`gain_split` walk one posting);
 /// [`delete_edge`](Self::delete_edge) and the batch
-/// [`delete_edges`](Self::delete_edges) update only the dirty shards.
+/// [`delete_edges`](Self::delete_edges) write the alive flags and counts.
 #[derive(Debug, Clone)]
 pub struct PartitionedCoverageIndex {
-    motif: Motif,
-    targets: Vec<Edge>,
-    /// The instance arena: instance `id` owns the sorted edges
-    /// `instance_edges[id * stride..(id + 1) * stride]`, `stride =
-    /// motif.edges_per_instance()`.
-    instance_edges: Vec<Edge>,
-    /// Owning target of every instance.
-    instance_target: Vec<u32>,
+    layout: Arc<Layout>,
     alive: Vec<bool>,
     per_target_alive: Vec<usize>,
     alive_total: usize,
-    /// Shard boundaries over the node space: shard `i` owns nodes
-    /// `bounds[i]..bounds[i + 1]` (and every edge whose lower endpoint
-    /// falls in that range). `bounds.len() == shards.len() + 1`.
-    bounds: Vec<NodeId>,
-    shards: Vec<IndexShard>,
-    /// Inverted target map: node → indexes of targets with that endpoint.
-    /// Lets [`insert_edge`](Self::insert_edge) find the targets whose
-    /// instances a new edge can touch by probing the edge's radius-1 ball
-    /// (degree-sized) instead of scanning the full target list.
-    targets_by_node: FastMap<NodeId, Vec<u32>>,
-    /// Executor handle for the per-shard commit phase (sequential handles
-    /// run commits inline). Clones of the index share the same pool.
+    /// Alive instances per edge id: `Δ_p`.
+    edge_alive: Vec<u32>,
+    /// The handle whose recorder counts commits and insertions. Clones of
+    /// the index share it.
     exec: Parallelism,
-    /// Reusable kill buffer (killed instance ids of the current commit).
-    kill_scratch: Vec<InstanceId>,
-    /// Reusable per-shard decrement-op buffers.
-    op_scratch: Vec<Vec<Edge>>,
 }
 
 /// Rejects a graph that still contains a target edge: instances must not
@@ -194,21 +196,6 @@ fn assert_phase_one<G: NeighborAccess>(g: &G, targets: &[Edge]) {
     }
 }
 
-/// Appends one instance's edges to a flat arena, sorted canonically (the
-/// order [`MotifInstance::new`](crate::MotifInstance::new) keeps), and
-/// returns the stored slice.
-fn push_instance<'a>(arena: &'a mut Vec<Edge>, edges: &[Edge]) -> &'a [Edge] {
-    let start = arena.len();
-    arena.extend_from_slice(edges);
-    let stored = &mut arena[start..];
-    stored.sort_unstable();
-    debug_assert!(
-        stored.windows(2).all(|w| w[0] != w[1]),
-        "motif instance has duplicate edges: {stored:?}"
-    );
-    stored
-}
-
 /// Builds the node → target-indexes inverted map (two entries per target,
 /// one when the endpoints coincide — which [`Edge`] forbids anyway).
 fn invert_targets(targets: &[Edge]) -> FastMap<NodeId, Vec<u32>> {
@@ -221,36 +208,34 @@ fn invert_targets(targets: &[Edge]) -> FastMap<NodeId, Vec<u32>> {
 }
 
 impl PartitionedCoverageIndex {
-    /// Builds the index over `parts` degree-balanced partitions (the same
-    /// boundary computation as `tpp_store::CsrGraph::shard_ranges`, via
-    /// [`tpp_exec::balanced_prefix_ranges`] over the degree prefix sum),
-    /// with target enumeration and per-shard posting merges spread over
+    /// Builds the index over `g`, with target enumeration spread over
     /// `exec`. This is the one index builder; pass
-    /// [`Parallelism::sequential`] to build on the calling thread.
+    /// [`Parallelism::sequential`] to build on the calling thread. `parts`
+    /// has no effect: it names the shard count of the earlier sharded
+    /// layout, and the signature keeps it for existing callers.
     ///
-    /// `g` must already have all targets removed (phase 1). Two phases,
-    /// both dispatched on `exec`'s shared executor pool (`tpp-exec`), work
-    /// claimed through one atomic cursor:
+    /// `g` must already have all targets removed (phase 1). Two phases:
     ///
     /// 1. **enumerate** — [`Parallelism::steal_spans`] cuts the target
-    ///    list into contiguous chunks of near-equal endpoint-degree mass;
-    ///    each chunk enumerates its targets' instances and routes every
-    ///    (instance, edge) pair straight to the owning shard's posting
-    ///    fragment under chunk-local instance ids;
-    /// 2. **merge** — each shard (shards are independent state) folds its
-    ///    fragments together **in chunk order**, shifting local ids by the
-    ///    chunk's global offset.
+    ///    list into contiguous spans of near-equal endpoint-degree mass;
+    ///    each span writes its instances into a span-local arena under
+    ///    span-local edge ids, and counts how many instances hold each
+    ///    edge;
+    /// 2. **fill** — on the calling thread: the union of the spans' edges,
+    ///    sorted canonically, gives the edge ids; a prefix sum over the
+    ///    counts cuts the postings array; one pass over the instances, in
+    ///    span order, fills it and the global arena.
     ///
-    /// Chunks are ascending target ranges and ids shift by chunk-order
-    /// offsets, so instances are numbered in target order and every posting
-    /// id list ascends: instance ids, posting id lists, alive counts, and
-    /// candidate lists are **bit-identical for every chunk, shard, and
-    /// thread count** — pinned by the differential build tests. The handle
-    /// also becomes the index's commit-phase executor (as
-    /// [`set_parallelism`](Self::set_parallelism)).
+    /// Spans are ascending target ranges, so instances are numbered in
+    /// target order and every posting ascends: instance ids, edge ids,
+    /// postings, counts and candidate lists are **bit-identical for every
+    /// thread count** — pinned by the differential build tests. The build
+    /// allocates in proportion to the targets and their instances, never
+    /// to the graph. The handle's recorder also counts the index's
+    /// commits (as [`set_parallelism`](Self::set_parallelism)).
     ///
     /// # Panics
-    /// Panics if `parts == 0` or any target edge is still present in `g`.
+    /// Panics if any target edge is still present in `g`.
     #[must_use]
     pub fn build_parallel<G: NeighborAccess + Sync>(
         g: &G,
@@ -259,16 +244,13 @@ impl PartitionedCoverageIndex {
         parts: usize,
         exec: &Parallelism,
     ) -> Self {
-        assert!(parts >= 1, "need at least one partition");
+        let _ = parts;
         let stats = exec.recorder().stats();
         let build_span = tpp_obs::SpanTimer::counter(stats.map(|s| &s.index.build_ns));
         assert_phase_one(g, targets);
-        let bounds = degree_balanced_bounds(g, parts);
-        let shard_count = bounds.len() - 1;
-        let shard_of = |u: NodeId| -> usize { owner_shard(&bounds, u) };
 
-        // Chunks are weighted by endpoint degree mass (the
-        // enumeration-cost proxy).
+        // Spans are weighted by endpoint degree mass (the enumeration-cost
+        // proxy).
         let n = g.node_count();
         let degree_of = |u: NodeId| -> usize {
             if (u as usize) < n {
@@ -277,111 +259,60 @@ impl PartitionedCoverageIndex {
                 0
             }
         };
-        let indexed: Vec<(usize, Edge)> = targets.iter().copied().enumerate().collect();
+        let indexed: Vec<(u32, Edge)> = (0u32..).zip(targets.iter().copied()).collect();
         let weights: Vec<usize> = targets
             .iter()
             .map(|t| degree_of(t.u()) + degree_of(t.v()) + 1)
             .collect();
 
-        // Phase 1: enumerate chunk targets directly into per-shard posting
-        // fragments under chunk-local instance ids.
-        struct ChunkBuild {
-            /// The chunk's instance arena (chunk-local ids).
-            instance_edges: Vec<Edge>,
-            instance_target: Vec<u32>,
-            per_target: Vec<usize>,
-            /// Shard -> edge -> chunk-local ids of instances containing it.
-            fragments: Vec<FastMap<Edge, Vec<InstanceId>>>,
-        }
-        // The per-worker state is the k-path join's bucket scratch, so a
-        // worker allocates it once, not once per target.
-        let enumerate_chunk = |join: &mut PathJoin, chunk: &[(usize, Edge)]| -> ChunkBuild {
-            let mut out = ChunkBuild {
-                instance_edges: Vec::new(),
-                instance_target: Vec::new(),
-                per_target: Vec::with_capacity(chunk.len()),
-                fragments: vec![FastMap::default(); shard_count],
-            };
-            for &(ti, t) in chunk {
-                let before = out.instance_target.len();
-                crate::enumerate::for_each_target_subgraph(g, t.u(), t.v(), motif, join, |edges| {
-                    let local = out.instance_target.len() as InstanceId;
-                    for &e in push_instance(&mut out.instance_edges, edges) {
-                        out.fragments[shard_of(e.u())]
-                            .entry(e)
-                            .or_default()
-                            .push(local);
-                    }
-                    out.instance_target.push(ti as u32);
-                });
-                out.per_target.push(out.instance_target.len() - before);
-            }
-            out
-        };
-        // Executor dispatch: chunks are claimed work-stealing and the
-        // results come back in chunk order — which worker enumerated a
-        // chunk is scheduling noise; chunk order is the deterministic
-        // target order.
         let enumerate_span =
             tpp_obs::SpanTimer::counter(stats.map(|s| &s.index.build_enumerate_ns));
-        let chunk_outs =
-            exec.steal_spans(&indexed, Some(&weights), PathJoin::default, enumerate_chunk);
+        // Spans are claimed work-stealing and come back in span order —
+        // which worker enumerated a span is scheduling noise; span order
+        // is the deterministic target order.
+        let fragments = exec.steal_spans(
+            &indexed,
+            Some(&weights),
+            Scratch::default,
+            |scratch: &mut Scratch, span: &[(u32, Edge)]| {
+                let Scratch { join, local } = scratch;
+                local.clear();
+                let mut out = Fragment {
+                    per_target: Vec::with_capacity(span.len()),
+                    ..Fragment::default()
+                };
+                for &(ti, t) in span {
+                    let before = out.instance_target.len();
+                    crate::enumerate::for_each_target_subgraph(
+                        g,
+                        t.u(),
+                        t.v(),
+                        motif,
+                        join,
+                        |edges| out.push_instance(local, edges, ti),
+                    );
+                    out.per_target.push(out.instance_target.len() - before);
+                }
+                out
+            },
+        );
         enumerate_span.stop();
 
-        // Chunk-order id offsets: concatenating chunk outputs numbers the
-        // instances in target order.
-        let mut offsets = Vec::with_capacity(chunk_outs.len());
-        let mut total_instances = 0usize;
-        for out in &chunk_outs {
-            offsets.push(total_instances as InstanceId);
-            total_instances += out.instance_target.len();
-        }
-
-        // Phase 2: fold fragments into each shard in chunk order (per-edge
-        // id lists ascend); shards are disjoint state, chunked across the
-        // worker budget.
-        let mut shards: Vec<IndexShard> = vec![IndexShard::default(); shard_count];
-        let merge_shard = |s: usize, shard: &mut IndexShard| {
-            for (out, &off) in chunk_outs.iter().zip(&offsets) {
-                for (&e, local_ids) in &out.fragments[s] {
-                    let po = shard.postings.entry(e).or_default();
-                    po.ids.extend(local_ids.iter().map(|&id| id + off));
-                    po.alive += local_ids.len() as u32;
-                }
-            }
-            shard.alive_candidates = shard.postings.keys().copied().collect();
-            shard.alive_candidates.sort_unstable();
-        };
-        let merge_span = tpp_obs::SpanTimer::counter(stats.map(|s| &s.index.build_merge_ns));
-        exec.for_each_mut(&mut shards, |s, shard| merge_shard(s, shard));
-        merge_span.stop();
-
-        let mut instance_edges = Vec::with_capacity(total_instances * motif.edges_per_instance());
-        let mut instance_target = Vec::with_capacity(total_instances);
-        let mut per_target_alive = Vec::with_capacity(targets.len());
-        for out in chunk_outs {
-            instance_edges.extend_from_slice(&out.instance_edges);
-            instance_target.extend_from_slice(&out.instance_target);
-            per_target_alive.extend(out.per_target);
-        }
+        let fill_span = tpp_obs::SpanTimer::counter(stats.map(|s| &s.index.build_merge_ns));
+        let per_target_alive: Vec<usize> = fragments
+            .iter()
+            .flat_map(|f| f.per_target.iter().copied())
+            .collect();
         debug_assert_eq!(per_target_alive.len(), targets.len());
-
-        let op_scratch = vec![Vec::new(); shard_count];
-        let built = PartitionedCoverageIndex {
+        let built = Self::fill(
             motif,
-            targets_by_node: invert_targets(targets),
-            targets: targets.to_vec(),
-            alive: vec![true; total_instances],
-            instance_edges,
-            instance_target,
+            targets.to_vec(),
+            invert_targets(targets),
+            fragments,
             per_target_alive,
-            alive_total: total_instances,
-            bounds,
-            shards,
-            exec: exec.clone(),
-            kill_scratch: Vec::new(),
-            op_scratch,
-        };
+            exec.clone(),
+        );
+        fill_span.stop();
         if let Some(st) = stats {
             st.index.builds.inc();
         }
@@ -391,57 +322,163 @@ impl PartitionedCoverageIndex {
         built
     }
 
-    /// Sets the executor handle for the per-shard commit phase (a
-    /// sequential handle runs commits inline). Purely a performance knob —
-    /// deletions produce bit-identical state for every handle.
+    /// Lays `fragments` out, in order, as one index whose instances are
+    /// all alive: edge ids from the canonically sorted union of the edges
+    /// the fragments count, then count, prefix sum and fill.
+    fn fill(
+        motif: Motif,
+        targets: Vec<Edge>,
+        targets_by_node: FastMap<NodeId, Vec<u32>>,
+        fragments: Vec<Fragment>,
+        per_target_alive: Vec<usize>,
+        exec: Parallelism,
+    ) -> Self {
+        let stride = motif.edges_per_instance();
+        // Edge ids: the distinct edges the fragments count, numbered in
+        // canonical order.
+        let largest = fragments.iter().map(|f| f.edges.len()).max();
+        let mut ids: FastMap<Edge, u32> = tpp_graph::fast_map_with_capacity(largest.unwrap_or(0));
+        let mut edges: Vec<Edge> = Vec::new();
+        for f in &fragments {
+            for (&e, &c) in f.edges.iter().zip(&f.counts) {
+                if c > 0 && ids.insert(e, 0).is_none() {
+                    edges.push(e);
+                }
+            }
+        }
+        edges.sort_unstable();
+        for (e, id) in edges.iter().zip(0u32..) {
+            *ids.get_mut(e).expect("numbered above") = id;
+        }
+
+        // Count, then prefix sum: `posting_offsets[e + 1]` first holds
+        // edge `e`'s posting length.
+        let mut posting_offsets = vec![0usize; edges.len() + 1];
+        let remaps: Vec<Vec<u32>> = fragments
+            .iter()
+            .map(|f| {
+                let local = f.edges.iter().zip(&f.counts);
+                local
+                    .map(|(e, &c)| {
+                        if c == 0 {
+                            return u32::MAX;
+                        }
+                        let id = ids[e];
+                        posting_offsets[id as usize + 1] += c as usize;
+                        id
+                    })
+                    .collect()
+            })
+            .collect();
+        for i in 1..posting_offsets.len() {
+            posting_offsets[i] += posting_offsets[i - 1];
+        }
+        let edge_alive: Vec<u32> = posting_offsets
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as u32)
+            .collect();
+
+        // Fill, in fragment order: instance ids ascend, so every posting
+        // does too. The first fragment's arena becomes the index's (the
+        // others append to it) and is renumbered in place, so the fill
+        // touches no fresh memory but the postings.
+        let mut cursor = posting_offsets[..edges.len()].to_vec();
+        let mut postings = vec![0 as InstanceId; posting_offsets[edges.len()]];
+        let mut fragments = fragments.into_iter();
+        let first = fragments.next().unwrap_or_default();
+        let (mut instance_edges, mut instance_target) =
+            (first.instance_edges, first.instance_target);
+        let mut ends = vec![instance_target.len()];
+        for f in fragments {
+            instance_edges.extend_from_slice(&f.instance_edges);
+            instance_target.extend_from_slice(&f.instance_target);
+            ends.push(instance_target.len());
+        }
+        let mut start = 0;
+        for (remap, &end) in remaps.iter().zip(&ends) {
+            let span = instance_edges[start * stride..end * stride].chunks_exact_mut(stride);
+            for (inst, id) in span.zip(start as InstanceId..) {
+                for l in inst {
+                    let e = remap[*l as usize];
+                    *l = e;
+                    let slot = &mut cursor[e as usize];
+                    postings[*slot] = id;
+                    *slot += 1;
+                }
+            }
+            start = end;
+        }
+        let instances = instance_target.len();
+        PartitionedCoverageIndex {
+            layout: Arc::new(Layout {
+                motif,
+                targets,
+                targets_by_node,
+                edges,
+                ids,
+                instance_edges,
+                instance_target,
+                posting_offsets,
+                postings,
+                appended: FastMap::default(),
+            }),
+            alive: vec![true; instances],
+            per_target_alive,
+            alive_total: instances,
+            edge_alive,
+            exec,
+        }
+    }
+
+    /// Lays the index out again from its alive instances, in id order,
+    /// with the build's fill: dead instances, edges without an alive
+    /// instance and the insertion overflow are dropped. Queries read the
+    /// same before and after (instance ids are renumbered, their order
+    /// kept). An index with no dead instance and no overflow is left as
+    /// it is. The served `update` compacts every index it patches.
+    pub fn compact(&mut self) {
+        let layout = &*self.layout;
+        if self.alive_total == layout.instance_target.len() && layout.appended.is_empty() {
+            return;
+        }
+        let mut alive = Fragment {
+            instance_edges: Vec::with_capacity(self.alive_total * layout.stride()),
+            instance_target: Vec::with_capacity(self.alive_total),
+            edges: layout.edges.clone(),
+            counts: self.edge_alive.clone(),
+            ..Fragment::default()
+        };
+        let live = (0..layout.instance_target.len()).filter(|&id| self.alive[id]);
+        for id in live {
+            alive.instance_edges.extend_from_slice(layout.instance(id));
+            alive.instance_target.push(layout.instance_target[id]);
+        }
+        *self = Self::fill(
+            layout.motif,
+            layout.targets.clone(),
+            layout.targets_by_node.clone(),
+            vec![alive],
+            std::mem::take(&mut self.per_target_alive),
+            self.exec.clone(),
+        );
+    }
+
+    /// Sets the handle whose recorder counts this index's commits and
+    /// insertions. Deletions produce bit-identical state for every handle.
     pub fn set_parallelism(&mut self, exec: Parallelism) {
         self.exec = exec;
-    }
-
-    /// Number of partitions.
-    #[must_use]
-    pub fn parts(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The partition boundaries as node ranges (ascending, covering the
-    /// node space the index was built over).
-    #[must_use]
-    pub fn shard_ranges(&self) -> Vec<std::ops::Range<NodeId>> {
-        self.bounds.windows(2).map(|w| w[0]..w[1]).collect()
-    }
-
-    /// Alive-candidate count per shard (reporting / balance diagnostics).
-    #[must_use]
-    pub fn shard_candidate_counts(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .map(|s| s.alive_candidates.len())
-            .collect()
-    }
-
-    #[inline]
-    fn shard_of(&self, u: NodeId) -> usize {
-        owner_shard(&self.bounds, u)
-    }
-
-    /// The sorted edges of instance `id`: its stride of the arena.
-    #[inline]
-    fn instance(&self, id: usize) -> &[Edge] {
-        let stride = self.motif.edges_per_instance();
-        &self.instance_edges[id * stride..(id + 1) * stride]
     }
 
     /// The motif this index was built for.
     #[must_use]
     pub fn motif(&self) -> Motif {
-        self.motif
+        self.layout.motif
     }
 
     /// The target set, in index order.
     #[must_use]
     pub fn targets(&self) -> &[Edge] {
-        &self.targets
+        &self.layout.targets
     }
 
     /// Total similarity `s(P, T)`: alive instances across all targets.
@@ -462,20 +499,21 @@ impl PartitionedCoverageIndex {
         &self.per_target_alive
     }
 
-    /// Initial total similarity `s(∅, T)` (instances ever indexed).
+    /// Initial total similarity `s(∅, T)`: the instances in the arena,
+    /// alive or dead (since the last [`compact`](Self::compact), if any).
     #[must_use]
     pub fn initial_similarity(&self) -> usize {
-        self.instance_target.len()
+        self.layout.instance_target.len()
     }
 
     /// Dissimilarity gain `Δ_p`: `O(1)` lookup of the maintained alive
-    /// count in `p`'s owner shard.
+    /// count.
     #[must_use]
     pub fn gain(&self, p: Edge) -> usize {
-        self.shards[self.shard_of(p.u())]
-            .postings
+        self.layout
+            .ids
             .get(&p)
-            .map_or(0, |po| po.alive as usize)
+            .map_or(0, |&e| self.edge_alive[e as usize] as usize)
     }
 
     /// Split gain for CT/WT-Greedy: `(own, cross)` where `own` counts alive
@@ -486,7 +524,7 @@ impl PartitionedCoverageIndex {
     pub fn gain_split(&self, p: Edge, target_idx: usize) -> (usize, usize) {
         let (mut own, mut cross) = (0usize, 0usize);
         for id in self.alive_ids_of(p) {
-            if self.instance_target[id as usize] as usize == target_idx {
+            if self.layout.instance_target[id as usize] as usize == target_idx {
                 own += 1;
             } else {
                 cross += 1;
@@ -496,23 +534,23 @@ impl PartitionedCoverageIndex {
     }
 
     /// Per-target gain vector: entry `t` counts the alive instances of
-    /// target `t` containing `p`. One pass over `p`'s posting list.
+    /// target `t` containing `p`. One pass over `p`'s posting.
     #[must_use]
     pub fn gain_vector(&self, p: Edge) -> Vec<usize> {
-        let mut v = vec![0usize; self.targets.len()];
+        let mut v = vec![0usize; self.layout.targets.len()];
         for id in self.alive_ids_of(p) {
-            v[self.instance_target[id as usize] as usize] += 1;
+            v[self.layout.instance_target[id as usize] as usize] += 1;
         }
         v
     }
 
-    /// The alive entries of `p`'s posting list, in posting order.
+    /// The alive entries of `p`'s posting, in posting order.
     fn alive_ids_of(&self, p: Edge) -> impl Iterator<Item = InstanceId> + '_ {
-        self.shards[self.shard_of(p.u())]
-            .postings
-            .get(&p)
+        let layout = &*self.layout;
+        let posting = layout.ids.get(&p).map(|&e| layout.posting(e));
+        posting
             .into_iter()
-            .flat_map(|po| po.ids.iter().copied())
+            .flatten()
             .filter(|&id| self.alive[id as usize])
     }
 
@@ -535,100 +573,47 @@ impl PartitionedCoverageIndex {
     /// (an instance containing several batch edges is charged to the first
     /// one in input order).
     ///
-    /// Three phases:
-    ///
-    /// 1. **kill** (sequential, tiny): walk each edge's posting list in its
-    ///    owner shard, flip alive flags, update per-target counters;
-    /// 2. **route**: group one alive-count decrement per killed instance ×
-    ///    instance edge by the edge's owner shard;
-    /// 3. **apply**: each dirty shard decrements its counts and compacts
-    ///    its candidate list — chunked across at most `threads` worker
-    ///    threads when the batch is large enough to amortize the spawns.
-    ///
-    /// Only the dirty shards are touched, and the result is bit-identical
-    /// for every shard and thread count.
+    /// For each edge, in input order: walk its posting, and for every
+    /// alive instance on it flip the flag, drop its target's count and
+    /// decrement the count of each of its edges. The result does not
+    /// depend on the executor handle.
     pub fn delete_edges(&mut self, ps: &[Edge]) -> Vec<usize> {
-        let stats = self.exec.recorder().stats();
-        let mut killed = std::mem::take(&mut self.kill_scratch);
-        killed.clear();
-        let mut broken_out = Vec::with_capacity(ps.len());
-
-        // Phase 1: kill, in input order (disjoint-field borrows: postings
-        // live in `shards`, flags in `alive` — no posting-list clone).
-        for &p in ps {
-            let s = self.shard_of(p.u());
-            let before = killed.len();
-            if let Some(po) = self.shards[s].postings.get(&p) {
-                for &id in &po.ids {
+        let Self {
+            layout,
+            alive,
+            per_target_alive,
+            alive_total,
+            edge_alive,
+            exec,
+        } = self;
+        let layout = &**layout;
+        let broken_out: Vec<usize> = ps
+            .iter()
+            .map(|p| {
+                let Some(&e) = layout.ids.get(p) else {
+                    return 0;
+                };
+                let mut broken = 0usize;
+                for id in layout.posting(e) {
                     let idx = id as usize;
-                    if self.alive[idx] {
-                        self.alive[idx] = false;
-                        self.per_target_alive[self.instance_target[idx] as usize] -= 1;
-                        self.alive_total -= 1;
-                        killed.push(id);
+                    if alive[idx] {
+                        alive[idx] = false;
+                        per_target_alive[layout.instance_target[idx] as usize] -= 1;
+                        for &f in layout.instance(idx) {
+                            edge_alive[f as usize] -= 1;
+                        }
+                        broken += 1;
                     }
                 }
-            }
-            broken_out.push(killed.len() - before);
-        }
-
-        // Phase 2: route decrements to owner shards.
-        let mut ops = std::mem::take(&mut self.op_scratch);
-        for v in &mut ops {
-            v.clear();
-        }
-        for &id in &killed {
-            for &e in self.instance(id as usize) {
-                ops[self.shard_of(e.u())].push(e);
-            }
-        }
-
-        // Phase 3: apply per dirty shard. Shard states are disjoint, so
-        // the outcome cannot depend on scheduling; the pooled dispatch is
-        // gated on the commit being big enough to amortize waking the
-        // executor's workers (single greedy picks decrement a handful of
-        // counters — below even a pooled dispatch's cost). Each dirty
-        // shard is claimed by exactly one worker of the shared pool.
-        let mut dirty: Vec<(&mut IndexShard, &Vec<Edge>)> = self
-            .shards
-            .iter_mut()
-            .zip(&ops)
-            .filter(|(_, shard_ops)| !shard_ops.is_empty())
+                broken
+            })
             .collect();
-        let total_ops: usize = dirty.iter().map(|(_, o)| o.len()).sum();
-        let dirty_count = dirty.len();
-        let parallel =
-            !self.exec.is_sequential() && dirty.len() > 1 && total_ops >= MIN_PARALLEL_COMMIT_OPS;
-        if parallel {
-            self.exec.for_each_mut(&mut dirty, |_, (shard, shard_ops)| {
-                // Counters are atomic, so compactions report safely from
-                // whichever worker claimed the shard.
-                if shard.apply_decrements(shard_ops) {
-                    if let Some(st) = stats {
-                        st.index.compactions.inc();
-                    }
-                }
-            });
-        } else {
-            for (shard, shard_ops) in dirty {
-                if shard.apply_decrements(shard_ops) {
-                    if let Some(st) = stats {
-                        st.index.compactions.inc();
-                    }
-                }
-            }
-        }
-        if let Some(st) = stats {
+        let killed: usize = broken_out.iter().sum();
+        *alive_total -= killed;
+        if let Some(st) = exec.recorder().stats() {
             st.index.commits.inc();
-            st.index.instances_killed.record(killed.len() as u64);
-            st.index.dirty_shards.record(dirty_count as u64);
-            if parallel {
-                st.index.parallel_commits.inc();
-            }
+            st.index.instances_killed.record(killed as u64);
         }
-
-        self.kill_scratch = killed;
-        self.op_scratch = ops;
         #[cfg(debug_assertions)]
         self.check_invariants();
         broken_out
@@ -638,12 +623,12 @@ impl PartitionedCoverageIndex {
     /// around `e` (see
     /// [`enumerate_target_subgraphs_through`](crate::enumerate_target_subgraphs_through))
     /// discovers exactly the instances the insertion created, and each one
-    /// is appended as a fresh alive instance — postings append in the
-    /// owning shard of each instance edge, alive counts increment, and
-    /// retired-then-revived candidate edges re-enter their shard's sorted
-    /// candidate list in place. The mirror image of the kill-flag delete
-    /// path: deletes only flip instances dead, inserts only append live
-    /// ones, and neither renumbers existing instances.
+    /// is appended as a fresh alive instance: a new edge takes the next
+    /// edge id, postings append to the overflow, counts increment. The
+    /// mirror image of the kill-flag delete path: deletes only flip
+    /// instances dead, inserts only append live ones, and neither
+    /// renumbers existing instances. The shared layout is copied (through
+    /// [`Arc::make_mut`]) only when an instance is found.
     ///
     /// `g` must be the **post-insert** graph (`e` already present); apply
     /// multi-edge deltas one edge at a time, each against the graph state
@@ -666,36 +651,32 @@ impl PartitionedCoverageIndex {
             "insert_edge({e}) requires the post-insert graph: edge absent"
         );
         assert!(
-            !self.targets.contains(&e),
+            !self.layout.targets.contains(&e),
             "cannot insert target edge {e}: targets stay deleted (phase 1)"
         );
         // A genuinely new edge cannot already sit in an alive instance:
-        // an alive posting here means `e` was present (and indexed) before
+        // an alive count here means `e` was present (and indexed) before
         // the claimed insertion, and enumerating would double-count.
         assert!(
-            self.shards[owner_shard(&self.bounds, e.u())]
-                .postings
-                .get(&e)
-                .is_none_or(|po| po.alive == 0),
+            self.gain(e) == 0,
             "insert_edge({e}): edge already participates in alive instances (double insertion)"
         );
-        let stats = self.exec.recorder().stats();
-        let mut discovered = 0usize;
-        let mut appended = 0u64;
+        let layout = &*self.layout;
+        let stride = layout.stride();
         // Radius-1 locality: only targets with an endpoint within one hop
         // of `e` can gain instances through it (sound for every motif but
         // KPath(5) — see `enumerate::locality_filter_applies`). Probing
         // the ball's nodes against the inverted target map keeps the cost
         // degree-local: O(deg(u) + deg(v)) map lookups instead of a scan
         // over every target.
-        let tids: Vec<u32> = if crate::enumerate::locality_filter_applies(self.motif) {
+        let tids: Vec<u32> = if crate::enumerate::locality_filter_applies(layout.motif) {
             let mut tids = Vec::new();
             for n in [e.u(), e.v()]
                 .into_iter()
                 .chain(g.neighbors(e.u()).iter().copied())
                 .chain(g.neighbors(e.v()).iter().copied())
             {
-                if let Some(hits) = self.targets_by_node.get(&n) {
+                if let Some(hits) = layout.targets_by_node.get(&n) {
                     tids.extend_from_slice(hits);
                 }
             }
@@ -706,60 +687,64 @@ impl PartitionedCoverageIndex {
             tids.dedup();
             tids
         } else {
-            (0..self.targets.len() as u32).collect()
+            (0..layout.targets.len() as u32).collect()
         };
-        let Self {
-            motif,
-            targets,
-            instance_edges,
-            instance_target,
-            alive,
-            per_target_alive,
-            alive_total,
-            bounds,
-            shards,
-            ..
-        } = self;
+        // Enumerate first, so that the shared layout is copied only when
+        // the insertion created an instance.
+        let mut found: Vec<Edge> = Vec::new();
+        let mut found_targets: Vec<u32> = Vec::new();
         for ti in tids {
-            let t = targets[ti as usize];
+            let t = layout.targets[ti as usize];
             crate::enumerate::for_each_target_subgraph_through(
                 g,
                 t.u(),
                 t.v(),
-                *motif,
+                layout.motif,
                 e,
                 |edges| {
-                    let id = instance_target.len() as InstanceId;
-                    for &edge in push_instance(instance_edges, edges) {
-                        let shard = &mut shards[owner_shard(bounds, edge.u())];
-                        let po = shard.postings.entry(edge).or_default();
-                        if po.alive == 0 {
-                            // Compaction keeps candidate lists exactly the
-                            // alive>0 edges, so a zero-count posting is never
-                            // listed: insert at the sorted position.
-                            match shard.alive_candidates.binary_search(&edge) {
-                                Ok(_) => unreachable!("dead edge {edge} still listed as candidate"),
-                                Err(pos) => shard.alive_candidates.insert(pos, edge),
-                            }
-                        }
-                        // `id` exceeds every existing id, so the posting's id
-                        // list stays ascending without a sort.
-                        po.ids.push(id);
-                        po.alive += 1;
-                        appended += 1;
-                    }
-                    instance_target.push(ti);
-                    alive.push(true);
-                    per_target_alive[ti as usize] += 1;
-                    *alive_total += 1;
-                    discovered += 1;
+                    found.extend_from_slice(edges);
+                    found_targets.push(ti);
                 },
             );
         }
-        if let Some(st) = stats {
+        let discovered = found_targets.len();
+        if discovered > 0 {
+            let Self {
+                layout,
+                alive,
+                per_target_alive,
+                alive_total,
+                edge_alive,
+                ..
+            } = self;
+            let layout = Arc::make_mut(layout);
+            for (edges, &ti) in found.chunks_exact(stride).zip(&found_targets) {
+                let id = layout.instance_target.len() as InstanceId;
+                for &edge in edges {
+                    let next = layout.edges.len() as u32;
+                    let f = *layout.ids.entry(edge).or_insert(next);
+                    if f == next {
+                        layout.edges.push(edge);
+                        edge_alive.push(0);
+                    }
+                    layout.instance_edges.push(f);
+                    // `id` exceeds every existing id, so the posting stays
+                    // ascending without a sort.
+                    layout.appended.entry(f).or_default().push(id);
+                    edge_alive[f as usize] += 1;
+                }
+                layout.instance_target.push(ti);
+                alive.push(true);
+                per_target_alive[ti as usize] += 1;
+            }
+            *alive_total += discovered;
+        }
+        if let Some(st) = self.exec.recorder().stats() {
             st.update.inserts.inc();
             st.update.instances_discovered.add(discovered as u64);
-            st.update.postings_appended.add(appended);
+            st.update
+                .postings_appended
+                .add((discovered * stride) as u64);
         }
         #[cfg(debug_assertions)]
         self.check_invariants();
@@ -767,86 +752,118 @@ impl PartitionedCoverageIndex {
     }
 
     /// Edges participating in at least one alive instance, sorted
-    /// canonically: the concatenation of the per-shard candidate lists
-    /// (shard ownership follows ascending lower-endpoint ranges, so the
-    /// concatenation is globally sorted without any merge).
+    /// canonically: the edges whose count is not 0, read off the counts.
     #[must_use]
     pub fn alive_candidate_edges(&self) -> Vec<Edge> {
-        let total: usize = self.shards.iter().map(|s| s.alive_candidates.len()).sum();
-        let mut out = Vec::with_capacity(total);
-        for shard in &self.shards {
-            out.extend_from_slice(&shard.alive_candidates);
+        let layout = &*self.layout;
+        let mut out: Vec<Edge> = layout
+            .edges
+            .iter()
+            .zip(&self.edge_alive)
+            .filter(|&(_, &c)| c > 0)
+            .map(|(&e, _)| e)
+            .collect();
+        if layout.edges.len() > layout.built_edges() {
+            out.sort_unstable();
         }
         out
     }
 
-    /// The per-shard alive-candidate slices, in shard order (zero-copy
-    /// alternative to [`alive_candidate_edges`](Self::alive_candidate_edges)).
-    pub fn alive_candidate_slices(&self) -> impl Iterator<Item = &[Edge]> + '_ {
-        self.shards.iter().map(|s| s.alive_candidates.as_slice())
-    }
-
-    /// All edges that ever participated in an instance (alive or dead),
-    /// sorted.
+    /// All edges that ever participated in an instance (alive or dead,
+    /// since the last [`compact`](Self::compact)), sorted.
     #[must_use]
     pub fn all_candidate_edges(&self) -> Vec<Edge> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            out.extend(shard.postings.keys().copied());
+        let layout = &*self.layout;
+        let mut out = layout.edges.clone();
+        if layout.edges.len() > layout.built_edges() {
+            out.sort_unstable();
         }
-        out.sort_unstable();
         out
     }
 
     /// Iterates alive instances as `(target index, sorted edges)`, in
     /// instance-id order (for reporting / verification).
-    pub fn alive_instances(&self) -> impl Iterator<Item = (usize, &[Edge])> + '_ {
-        self.instance_target
-            .iter()
-            .enumerate()
-            .filter(|&(id, _)| self.alive[id])
-            .map(|(id, &ti)| (ti as usize, self.instance(id)))
+    pub fn alive_instances(&self) -> impl Iterator<Item = (usize, Vec<Edge>)> + '_ {
+        let layout = &*self.layout;
+        (0..layout.instance_target.len())
+            .filter(|&id| self.alive[id])
+            .map(move |id| {
+                let edges = layout.instance(id).iter();
+                let mut edges: Vec<Edge> = edges.map(|&e| layout.edges[e as usize]).collect();
+                edges.sort_unstable();
+                (layout.instance_target[id] as usize, edges)
+            })
     }
 
-    /// Verifies internal consistency: counters vs alive flags, per-shard
-    /// alive counts vs posting walks, candidate lists, and edge ownership.
-    /// Runs automatically after every deletion in debug builds; release
-    /// rounds never pay this walk.
+    /// Verifies internal consistency: counters vs alive flags, the edge
+    /// table and its id map, every posting against the arena, and the
+    /// per-edge counts against posting walks. Runs automatically after
+    /// every deletion and insertion in debug builds; release rounds never
+    /// pay this walk.
     pub fn check_invariants(&self) {
+        let layout = &*self.layout;
+        let instances = layout.instance_target.len();
+        assert_eq!(self.alive.len(), instances, "alive arity");
+        assert_eq!(
+            layout.instance_edges.len(),
+            instances * layout.stride(),
+            "instance arena stride"
+        );
         let alive_count = self.alive.iter().filter(|&&a| a).count();
         assert_eq!(alive_count, self.alive_total, "alive_total out of sync");
-        let mut per_target = vec![0usize; self.targets.len()];
-        for (id, &ti) in self.instance_target.iter().enumerate() {
+        let mut per_target = vec![0usize; layout.targets.len()];
+        for (id, &ti) in layout.instance_target.iter().enumerate() {
             if self.alive[id] {
                 per_target[ti as usize] += 1;
             }
         }
         assert_eq!(per_target, self.per_target_alive, "per-target out of sync");
-        assert_eq!(self.alive.len(), self.instance_target.len(), "alive arity");
-        assert_eq!(
-            self.instance_edges.len(),
-            self.instance_target.len() * self.motif.edges_per_instance(),
-            "instance arena stride"
+
+        let edges = &layout.edges;
+        assert!(layout.built_edges() <= edges.len(), "offset table arity");
+        assert!(
+            edges[..layout.built_edges()]
+                .windows(2)
+                .all(|w| w[0] < w[1]),
+            "built edge ids out of canonical order"
         );
-        assert_eq!(self.bounds.len(), self.shards.len() + 1, "bounds arity");
-        for (s, shard) in self.shards.iter().enumerate() {
-            for &e in shard.postings.keys() {
-                assert_eq!(self.shard_of(e.u()), s, "edge {e} posted off-shard");
-            }
-            let mut candidates = Vec::new();
-            for (&e, po) in &shard.postings {
-                let walked = po.ids.iter().filter(|&&id| self.alive[id as usize]).count();
-                assert_eq!(walked, po.alive as usize, "alive count of {e} out of sync");
-                if walked > 0 {
-                    candidates.push(e);
-                }
-            }
-            candidates.sort_unstable();
-            assert_eq!(
-                candidates, shard.alive_candidates,
-                "candidate list of shard {s} out of sync"
+        assert_eq!(layout.ids.len(), edges.len(), "edge id map arity");
+        assert_eq!(self.edge_alive.len(), edges.len(), "edge count arity");
+        for id in 0..instances {
+            let mut inst = layout.instance(id).to_vec();
+            inst.sort_unstable();
+            assert!(
+                inst.windows(2).all(|w| w[0] != w[1]),
+                "instance {id} holds an edge twice"
             );
         }
+        let mut posted = 0usize;
+        for (e, &edge) in (0u32..).zip(edges) {
+            assert_eq!(layout.ids.get(&edge), Some(&e), "edge id of {edge}");
+            let ids: Vec<InstanceId> = layout.posting(e).collect();
+            assert!(!ids.is_empty(), "edge {edge} has no instance");
+            assert!(
+                ids.windows(2).all(|w| w[0] < w[1]),
+                "posting of {edge} not ascending"
+            );
+            for &id in &ids {
+                assert!(
+                    layout.instance(id as usize).contains(&e),
+                    "posting of {edge} names instance {id}, which lacks it"
+                );
+            }
+            let walked = ids.iter().filter(|&&id| self.alive[id as usize]).count();
+            assert_eq!(
+                walked, self.edge_alive[e as usize] as usize,
+                "alive count of {edge} out of sync"
+            );
+            posted += ids.len();
+        }
+        assert_eq!(
+            posted,
+            layout.instance_edges.len(),
+            "an instance edge is missing from its posting"
+        );
     }
 }
 
@@ -857,19 +874,18 @@ mod tests {
     use tpp_graph::Graph;
 
     /// The index on the calling thread, as every sequential caller builds it.
-    fn build_seq(
+    fn build_seq(g: &Graph, targets: &[Edge], motif: Motif) -> PartitionedCoverageIndex {
+        build_on(g, targets, motif, 1)
+    }
+
+    /// The index built on a pool of `threads` workers.
+    fn build_on(
         g: &Graph,
         targets: &[Edge],
         motif: Motif,
-        parts: usize,
+        threads: usize,
     ) -> PartitionedCoverageIndex {
-        PartitionedCoverageIndex::build_parallel(
-            g,
-            targets,
-            motif,
-            parts,
-            &Parallelism::sequential(),
-        )
+        PartitionedCoverageIndex::build_parallel(g, targets, motif, 1, &Parallelism::new(threads))
     }
 
     fn fixture() -> (Graph, Vec<Edge>) {
@@ -889,49 +905,11 @@ mod tests {
         (g, vec![Edge::new(0, 1), Edge::new(0, 2)])
     }
 
-    /// Shard cuts over a graph that keeps a degree prefix (a snapshot's
-    /// offset table, an overlay's base's) cover `0..n` in order, like the
-    /// cuts of a graph whose degrees are summed here, and for a snapshot
-    /// they are those cuts.
-    #[test]
-    fn cuts_from_the_offset_table_cover_the_node_space() {
-        let mut g = tpp_graph::generators::holme_kim(300, 3, 0.4, 11);
-        for _ in 0..3 {
-            g.add_node();
-        }
-        let csr = tpp_store::CsrGraph::from_graph(&g);
-        let mut view = tpp_store::DeltaView::new(&csr);
-        for e in g.edge_vec().into_iter().step_by(7) {
-            view.delete_edge(e);
-        }
-        assert_eq!(view.degree_prefix(), Some(csr.offsets()));
-        assert_eq!(g.degree_prefix(), None);
-        let n = g.node_count() as NodeId;
-        for parts in [1usize, 2, 3, 8, 64, 1000] {
-            let computed = degree_balanced_bounds(&g, parts);
-            for bounds in [
-                computed.clone(),
-                degree_balanced_bounds(&csr, parts),
-                degree_balanced_bounds(&view, parts),
-            ] {
-                assert_eq!((bounds[0], *bounds.last().unwrap()), (0, n), "{parts}");
-                assert!(
-                    bounds.windows(2).all(|w| w[0] <= w[1]),
-                    "{parts}: {bounds:?}"
-                );
-                assert!(bounds.len() <= parts + 1, "{parts}");
-            }
-            assert_eq!(degree_balanced_bounds(&csr, parts), computed, "{parts}");
-        }
-        let empty = tpp_store::CsrGraph::from_graph(&Graph::new(0));
-        assert_eq!(degree_balanced_bounds(&empty, 8), vec![0, 0]);
-    }
-
     #[test]
     fn build_counts_instances() {
         let (g, targets) = shared_protector_graph();
-        for parts in [1usize, 3] {
-            let idx = build_seq(&g, &targets, Motif::Triangle, parts);
+        for threads in [1usize, 3] {
+            let idx = build_on(&g, &targets, Motif::Triangle, threads);
             assert_eq!(idx.total_similarity(), 2);
             assert_eq!(idx.target_similarity(0), 1);
             assert_eq!(idx.target_similarity(1), 1);
@@ -943,8 +921,8 @@ mod tests {
     #[test]
     fn gain_counts_cross_target_coverage() {
         let (g, targets) = shared_protector_graph();
-        for parts in [1usize, 3] {
-            let idx = build_seq(&g, &targets, Motif::Triangle, parts);
+        for threads in [1usize, 3] {
+            let idx = build_on(&g, &targets, Motif::Triangle, threads);
             // (0,3) covers one instance of each target.
             assert_eq!(idx.gain(Edge::new(0, 3)), 2);
             assert_eq!(idx.gain(Edge::new(1, 3)), 1);
@@ -959,8 +937,8 @@ mod tests {
     #[test]
     fn delete_kills_instances_once() {
         let (g, targets) = shared_protector_graph();
-        for parts in [1usize, 3] {
-            let mut idx = build_seq(&g, &targets, Motif::Triangle, parts);
+        for threads in [1usize, 3] {
+            let mut idx = build_on(&g, &targets, Motif::Triangle, threads);
             assert_eq!(idx.delete_edge(Edge::new(0, 3)), 2);
             assert_eq!(idx.total_similarity(), 0);
             assert_eq!(idx.delete_edge(Edge::new(1, 3)), 0, "already dead");
@@ -972,8 +950,8 @@ mod tests {
     #[test]
     fn candidates_shrink_as_instances_die() {
         let (g, targets) = shared_protector_graph();
-        for parts in [1usize, 3] {
-            let mut idx = build_seq(&g, &targets, Motif::Triangle, parts);
+        for threads in [1usize, 3] {
+            let mut idx = build_on(&g, &targets, Motif::Triangle, threads);
             assert_eq!(
                 idx.all_candidate_edges(),
                 vec![Edge::new(0, 3), Edge::new(1, 3), Edge::new(2, 3)]
@@ -990,28 +968,14 @@ mod tests {
     #[should_panic(expected = "phase 1")]
     fn build_rejects_unremoved_targets() {
         let g = Graph::from_edges([(0u32, 1u32), (0, 2), (2, 1)]);
-        let exec = Parallelism::sequential();
-        let _ = PartitionedCoverageIndex::build_parallel(
-            &g,
-            &[Edge::new(0, 1)],
-            Motif::Triangle,
-            1,
-            &exec,
-        );
+        let _ = build_seq(&g, &[Edge::new(0, 1)], Motif::Triangle);
     }
 
     #[test]
     #[should_panic(expected = "phase 1")]
     fn build_parallel_rejects_unremoved_targets() {
         let g = Graph::from_edges([(0u32, 1u32), (0, 2), (2, 1)]);
-        let exec = Parallelism::new(2);
-        let _ = PartitionedCoverageIndex::build_parallel(
-            &g,
-            &[Edge::new(0, 1)],
-            Motif::Triangle,
-            3,
-            &exec,
-        );
+        let _ = build_on(&g, &[Edge::new(0, 1)], Motif::Triangle, 2);
     }
 
     #[test]
@@ -1025,8 +989,8 @@ mod tests {
         }
         for motif in Motif::ALL {
             let before: usize = count_all_targets(&g, &targets, motif).iter().sum();
-            for parts in [1usize, 3] {
-                let idx = build_seq(&g, &targets, motif, parts);
+            for threads in [1usize, 3] {
+                let idx = build_on(&g, &targets, motif, threads);
                 assert_eq!(idx.total_similarity(), before);
                 for p in idx.all_candidate_edges() {
                     let mut g2 = g.clone();
@@ -1035,7 +999,7 @@ mod tests {
                     assert_eq!(
                         idx.gain(p),
                         before - after,
-                        "motif {motif} x{parts} edge {p}"
+                        "motif {motif} t{threads} edge {p}"
                     );
                 }
             }
@@ -1045,12 +1009,15 @@ mod tests {
     #[test]
     fn alive_instances_iterator() {
         let (g, targets) = shared_protector_graph();
-        for parts in [1usize, 3] {
-            let mut idx = build_seq(&g, &targets, Motif::Triangle, parts);
+        for threads in [1usize, 3] {
+            let mut idx = build_on(&g, &targets, Motif::Triangle, threads);
             assert_eq!(idx.alive_instances().count(), 2);
             idx.delete_edge(Edge::new(2, 3));
             assert_eq!(idx.alive_instances().count(), 1);
-            assert_eq!(idx.alive_instances().next().unwrap().0, 0);
+            assert_eq!(
+                idx.alive_instances().next().unwrap(),
+                (0, vec![Edge::new(0, 3), Edge::new(1, 3)])
+            );
         }
     }
 
@@ -1063,8 +1030,8 @@ mod tests {
         for t in &targets {
             g.remove_edge(t.u(), t.v());
         }
-        for parts in [1usize, 3] {
-            let mut idx = build_seq(&g, &targets, Motif::Triangle, parts);
+        for threads in [1usize, 3] {
+            let mut idx = build_on(&g, &targets, Motif::Triangle, threads);
             while let Some(&p) = idx.alive_candidate_edges().first() {
                 let expect = idx.gain(p);
                 assert!(expect > 0, "candidate list must only hold alive edges");
@@ -1076,51 +1043,54 @@ mod tests {
         }
     }
 
-    /// Every shard count reads exactly like the one-shard (monolithic)
-    /// layout, which itself agrees with the brute-force recount.
+    /// Every build thread count reads exactly like the sequential build,
+    /// which itself agrees with the brute-force recount.
     #[test]
     fn matches_monolithic_index_at_every_part_count() {
         let (g, targets) = fixture();
         for motif in Motif::ALL {
-            let mono = build_seq(&g, &targets, motif, 1);
+            let mono = build_seq(&g, &targets, motif);
             assert_eq!(mono.similarities(), count_all_targets(&g, &targets, motif));
-            for parts in [2usize, 3, 7] {
-                let part = build_seq(&g, &targets, motif, parts);
-                assert_eq!(part.total_similarity(), mono.total_similarity());
-                assert_eq!(part.similarities(), mono.similarities());
-                assert_eq!(part.all_candidate_edges(), mono.all_candidate_edges());
+            for threads in [2usize, 3, 7] {
+                let idx = build_on(&g, &targets, motif, threads);
+                assert_eq!(idx.total_similarity(), mono.total_similarity());
+                assert_eq!(idx.similarities(), mono.similarities());
+                assert_eq!(idx.all_candidate_edges(), mono.all_candidate_edges());
                 assert_eq!(
-                    part.alive_candidate_edges(),
+                    idx.alive_candidate_edges(),
                     mono.alive_candidate_edges(),
-                    "{motif} x{parts}"
+                    "{motif} t{threads}"
                 );
                 for p in mono.alive_candidate_edges() {
-                    assert_eq!(part.gain(p), mono.gain(p), "{motif} gain({p})");
-                    assert_eq!(part.gain_vector(p), mono.gain_vector(p));
-                    assert_eq!(part.gain_split(p, 0), mono.gain_split(p, 0));
+                    assert_eq!(idx.gain(p), mono.gain(p), "{motif} gain({p})");
+                    assert_eq!(idx.gain_vector(p), mono.gain_vector(p));
+                    assert_eq!(idx.gain_split(p, 0), mono.gain_split(p, 0));
+                    assert_eq!(idx.alive_instance_ids(p), mono.alive_instance_ids(p));
                 }
-                part.check_invariants();
+                assert_eq!(idx.layout.postings, mono.layout.postings);
+                assert_eq!(idx.layout.instance_edges, mono.layout.instance_edges);
+                idx.check_invariants();
             }
         }
     }
 
-    /// A full teardown driven by the sequential one-shard (monolithic)
-    /// layout breaks the same counts at every shard and thread count.
+    /// A full teardown driven by the sequential build breaks the same
+    /// counts on indexes built and handled at every thread count.
     #[test]
     fn deletions_agree_with_monolithic_for_all_parts_and_threads() {
         let (g, targets) = fixture();
-        let mut mono = build_seq(&g, &targets, Motif::Triangle, 1);
-        let mut parted: Vec<PartitionedCoverageIndex> = Vec::new();
-        for parts in [1usize, 4, 8] {
+        let mut mono = build_seq(&g, &targets, Motif::Triangle);
+        let mut others: Vec<PartitionedCoverageIndex> = Vec::new();
+        for build_threads in [1usize, 4] {
             for threads in [1usize, 3] {
-                let mut idx = build_seq(&g, &targets, Motif::Triangle, parts);
+                let mut idx = build_on(&g, &targets, Motif::Triangle, build_threads);
                 idx.set_parallelism(Parallelism::new(threads));
-                parted.push(idx);
+                others.push(idx);
             }
         }
         while let Some(&p) = mono.alive_candidate_edges().first() {
             let broken = mono.delete_edge(p);
-            for idx in &mut parted {
+            for idx in &mut others {
                 assert_eq!(idx.delete_edge(p), broken, "delete({p})");
                 assert_eq!(idx.total_similarity(), mono.total_similarity());
                 assert_eq!(idx.alive_candidate_edges(), mono.alive_candidate_edges());
@@ -1132,7 +1102,7 @@ mod tests {
     #[test]
     fn batch_delete_equals_sequential_on_disjoint_gain_sets() {
         let (g, targets) = fixture();
-        let base = build_seq(&g, &targets, Motif::Triangle, 4);
+        let base = build_seq(&g, &targets, Motif::Triangle);
         // Assemble a batch with pairwise-disjoint gain sets, greedily.
         let mut batch: Vec<Edge> = Vec::new();
         let mut claimed: Vec<InstanceId> = Vec::new();
@@ -1165,7 +1135,7 @@ mod tests {
         // gets the kill, the second breaks only what is left.
         let mut g = Graph::from_edges([(0u32, 1u32), (0, 2), (2, 1)]);
         g.remove_edge(0, 1);
-        let mut idx = build_seq(&g, &[Edge::new(0, 1)], Motif::Triangle, 2);
+        let mut idx = build_seq(&g, &[Edge::new(0, 1)], Motif::Triangle);
         let broken = idx.delete_edges(&[Edge::new(0, 2), Edge::new(1, 2)]);
         assert_eq!(broken, vec![1, 0]);
         assert_eq!(idx.total_similarity(), 0);
@@ -1174,17 +1144,18 @@ mod tests {
     #[test]
     fn empty_and_unknown_edges_are_harmless() {
         let (g, targets) = fixture();
-        let mut idx = build_seq(&g, &targets, Motif::Triangle, 3);
+        let mut idx = build_on(&g, &targets, Motif::Triangle, 3);
         let before = idx.total_similarity();
-        let mono = build_seq(&g, &targets, Motif::Triangle, 1);
+        let mono = build_seq(&g, &targets, Motif::Triangle);
         assert_eq!(idx.gain(Edge::new(70, 79)), mono.gain(Edge::new(70, 79)));
         assert_eq!(idx.gain(Edge::new(1000, 2000)), 0, "out-of-range edge");
         assert_eq!(idx.delete_edges(&[]), Vec::<usize>::new());
         assert_eq!(idx.delete_edge(Edge::new(1000, 2000)), 0);
         assert_eq!(idx.total_similarity(), before);
-        let empty = build_seq(&Graph::new(0), &[], Motif::Triangle, 4);
+        let empty = build_on(&Graph::new(0), &[], Motif::Triangle, 4);
         assert_eq!(empty.total_similarity(), 0);
         assert!(empty.alive_candidate_edges().is_empty());
+        empty.check_invariants();
     }
 
     /// Test-local reference index: the instances of
@@ -1239,7 +1210,10 @@ mod tests {
         let mut reference = Reference::new(&g, &targets, Motif::Triangle);
         let st = rec.stats().unwrap();
         assert_eq!(st.index.builds.get(), 1);
-        assert!(st.index.build_ns.get() >= st.index.build_enumerate_ns.get());
+        assert!(
+            st.index.build_ns.get()
+                >= st.index.build_enumerate_ns.get() + st.index.build_merge_ns.get()
+        );
         assert_eq!(
             observed.all_candidate_edges(),
             reference.postings.keys().copied().collect::<Vec<_>>()
@@ -1255,7 +1229,11 @@ mod tests {
         assert!(!reference.alive.contains(&true));
         assert_eq!(st.index.commits.get(), st.index.instances_killed.count());
         assert!(st.index.commits.get() > 0);
-        assert!(st.index.compactions.get() > 0, "full teardown must compact");
+        assert_eq!(
+            st.index.instances_killed.sum(),
+            observed.initial_similarity() as u64,
+            "a full teardown kills every instance once"
+        );
     }
 
     /// The first `count` canonical non-edges of `g` that avoid `targets`
@@ -1298,15 +1276,15 @@ mod tests {
         let adds = non_edges(&g, &targets, 3);
         assert_eq!(adds.len(), 3);
         for motif in Motif::ALL {
-            for parts in [1usize, 3, 8] {
-                let mut idx = build_seq(&g, &targets, motif, parts);
+            for threads in [1usize, 3, 8] {
+                let mut idx = build_on(&g, &targets, motif, threads);
                 let mut g2 = g.clone();
                 for &e in &adds {
                     assert!(!g2.contains(e), "fixture add {e} must be a non-edge");
                     g2.add_edge(e.u(), e.v());
                     idx.insert_edge(&g2, e);
                 }
-                let rebuilt = build_seq(&g2, &targets, motif, parts);
+                let rebuilt = build_on(&g2, &targets, motif, threads);
                 assert_matches_rebuild(&idx, &rebuilt);
             }
         }
@@ -1315,7 +1293,7 @@ mod tests {
     #[test]
     fn insert_returns_the_similarity_increase() {
         let (g, targets) = fixture();
-        let mut idx = build_seq(&g, &targets, Motif::Triangle, 4);
+        let mut idx = build_seq(&g, &targets, Motif::Triangle);
         let before = idx.total_similarity();
         let e = non_edges(&g, &targets, 1)[0];
         let mut g2 = g.clone();
@@ -1330,7 +1308,7 @@ mod tests {
     #[test]
     fn interleaved_insert_delete_matches_rebuild() {
         let (g, targets) = fixture();
-        let mut idx = build_seq(&g, &targets, Motif::Triangle, 4);
+        let mut idx = build_seq(&g, &targets, Motif::Triangle);
         let mut live = g.clone();
         // Delete a committed protector, insert a new edge, delete another,
         // then reinsert the first deleted edge. `add` is picked from the
@@ -1350,7 +1328,7 @@ mod tests {
         live.remove_edge(kill2.u(), kill2.v());
         live.add_edge(kill1.u(), kill1.v());
         idx.insert_edge(&live, kill1);
-        let rebuilt = build_seq(&live, &targets, Motif::Triangle, 4);
+        let rebuilt = build_seq(&live, &targets, Motif::Triangle);
         assert_matches_rebuild(&idx, &rebuilt);
     }
 
@@ -1358,7 +1336,7 @@ mod tests {
     #[should_panic(expected = "post-insert graph")]
     fn insert_rejects_absent_edges() {
         let (g, targets) = fixture();
-        let mut idx = build_seq(&g, &targets, Motif::Triangle, 2);
+        let mut idx = build_seq(&g, &targets, Motif::Triangle);
         let absent = non_edges(&g, &targets, 1)[0];
         let _ = idx.insert_edge(&g, absent);
     }
@@ -1367,7 +1345,7 @@ mod tests {
     #[should_panic(expected = "target edge")]
     fn insert_rejects_target_edges() {
         let (mut g, targets) = fixture();
-        let mut idx = build_seq(&g, &targets, Motif::Triangle, 2);
+        let mut idx = build_seq(&g, &targets, Motif::Triangle);
         g.add_edge(0, 1);
         let _ = idx.insert_edge(&g, Edge::new(0, 1));
     }
@@ -1376,7 +1354,7 @@ mod tests {
     #[should_panic(expected = "double insertion")]
     fn insert_rejects_already_indexed_edges() {
         let (g, targets) = fixture();
-        let mut idx = build_seq(&g, &targets, Motif::Triangle, 2);
+        let mut idx = build_seq(&g, &targets, Motif::Triangle);
         let present = idx.alive_candidate_edges()[0];
         let _ = idx.insert_edge(&g, present);
     }
@@ -1385,7 +1363,7 @@ mod tests {
     fn insert_records_update_stats() {
         let (g, targets) = fixture();
         let rec = tpp_obs::Recorder::enabled();
-        let mut idx = build_seq(&g, &targets, Motif::Triangle, 4);
+        let mut idx = build_seq(&g, &targets, Motif::Triangle);
         idx.set_parallelism(Parallelism::new(1).attach_recorder(rec.clone()));
         let e = non_edges(&g, &targets, 1)[0];
         let mut g2 = g.clone();
@@ -1403,10 +1381,7 @@ mod tests {
     /// The alive instances as sorted `(target, edges)` pairs: instance
     /// ids differ between a patched index and a rebuild, the set does not.
     fn alive_set(idx: &PartitionedCoverageIndex) -> Vec<(usize, Vec<Edge>)> {
-        let mut set: Vec<(usize, Vec<Edge>)> = idx
-            .alive_instances()
-            .map(|(ti, edges)| (ti, edges.to_vec()))
-            .collect();
+        let mut set: Vec<(usize, Vec<Edge>)> = idx.alive_instances().collect();
         set.sort();
         set
     }
@@ -1416,7 +1391,7 @@ mod tests {
         let (g, targets) = fixture();
         let add = non_edges(&g, &targets, 1)[0];
         for motif in Motif::ALL {
-            let mut idx = build_seq(&g, &targets, motif, 3);
+            let mut idx = build_on(&g, &targets, motif, 3);
             assert!(idx
                 .alive_instances()
                 .all(|(_, edges)| edges.len() == motif.edges_per_instance()
@@ -1429,25 +1404,70 @@ mod tests {
             }
             live.add_edge(add.u(), add.v());
             idx.insert_edge(&live, add);
-            let rebuilt = build_seq(&live, &targets, motif, 3);
+            let rebuilt = build_on(&live, &targets, motif, 3);
             assert_eq!(alive_set(&idx), alive_set(&rebuilt), "{motif}");
             assert_eq!(idx.alive_instances().count(), idx.total_similarity());
         }
     }
 
+    /// A clone shares the built layout and copies only the counts; the
+    /// first insertion that finds an instance gives the clone its own
+    /// layout and leaves the original as it was.
     #[test]
-    fn shard_ranges_cover_and_candidates_partition() {
+    fn clones_share_the_layout_until_an_insertion() {
         let (g, targets) = fixture();
-        let idx = build_seq(&g, &targets, Motif::Rectangle, 5);
-        let ranges = idx.shard_ranges();
-        assert_eq!(ranges.len(), idx.parts());
-        assert_eq!(ranges[0].start, 0);
-        for w in ranges.windows(2) {
-            assert_eq!(w[0].end, w[1].start);
+        let original = build_seq(&g, &targets, Motif::Triangle);
+        let mut copy = original.clone();
+        assert!(Arc::ptr_eq(&original.layout, &copy.layout));
+        let p = copy.alive_candidate_edges()[0];
+        let gain = copy.delete_edge(p);
+        assert!(Arc::ptr_eq(&original.layout, &copy.layout), "commits");
+        // Reinserting `p` revives its instances under fresh ids.
+        assert_eq!(copy.insert_edge(&g, p), gain);
+        assert!(!Arc::ptr_eq(&original.layout, &copy.layout));
+        assert!(original.layout.appended.is_empty());
+        assert!(!copy.layout.appended.is_empty());
+        let fresh = build_seq(&g, &targets, Motif::Triangle);
+        assert_matches_rebuild(&original, &fresh);
+        assert_matches_rebuild(&copy, &fresh);
+    }
+
+    /// `compact` after deletions and insertions leaves exactly the arena a
+    /// fresh build on the mutated graph has: no dead instance, no
+    /// overflow, the same edge table, and the same answers.
+    #[test]
+    fn compact_leaves_what_a_fresh_build_has() {
+        let (g, targets) = fixture();
+        let adds = non_edges(&g, &targets, 3);
+        for motif in Motif::ALL {
+            let mut idx = build_seq(&g, &targets, motif);
+            let mut live = g.clone();
+            for &p in idx.alive_candidate_edges().iter().step_by(5).take(4) {
+                idx.delete_edge(p);
+                live.remove_edge(p.u(), p.v());
+            }
+            for &e in &adds {
+                live.add_edge(e.u(), e.v());
+                idx.insert_edge(&live, e);
+            }
+            let before = alive_set(&idx);
+            idx.compact();
+            let fresh = build_seq(&live, &targets, motif);
+            assert_eq!(
+                idx.initial_similarity(),
+                fresh.initial_similarity(),
+                "{motif}"
+            );
+            assert_eq!(idx.all_candidate_edges(), fresh.all_candidate_edges());
+            assert!(idx.layout.appended.is_empty());
+            assert_eq!(alive_set(&idx), before);
+            assert_matches_rebuild(&idx, &fresh);
+            let unchanged = Arc::clone(&idx.layout);
+            idx.compact();
+            assert!(
+                Arc::ptr_eq(&unchanged, &idx.layout),
+                "a compact index stays"
+            );
         }
-        let counts = idx.shard_candidate_counts();
-        let flat: Vec<Edge> = idx.alive_candidate_slices().flatten().copied().collect();
-        assert_eq!(counts.iter().sum::<usize>(), flat.len());
-        assert_eq!(flat, idx.alive_candidate_edges());
     }
 }

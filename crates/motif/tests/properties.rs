@@ -21,9 +21,10 @@ fn total_similarity(g: &Graph, targets: &[Edge], motif: Motif) -> usize {
     count_all_targets(g, targets, motif).iter().sum()
 }
 
-/// The index on the calling thread, as every sequential caller builds it.
-fn build_seq(g: &Graph, targets: &[Edge], motif: Motif, parts: usize) -> PartitionedCoverageIndex {
-    PartitionedCoverageIndex::build_parallel(g, targets, motif, parts, &Parallelism::sequential())
+/// The index built on a pool of `threads` workers (one: on the calling
+/// thread, as every sequential caller builds it).
+fn build_on(g: &Graph, targets: &[Edge], motif: Motif, threads: usize) -> PartitionedCoverageIndex {
+    PartitionedCoverageIndex::build_parallel(g, targets, motif, 1, &Parallelism::new(threads))
 }
 
 /// Test-local reference index for the differential build tests: the
@@ -243,12 +244,12 @@ proptest! {
     }
 
     /// The incremental coverage index agrees with fresh recounts after any
-    /// deletion sequence, with one shard and with several.
+    /// deletion sequence, built on one thread and on several.
     #[test]
     fn index_matches_recount_after_deletions((g, targets) in instance_strategy(), order in 0usize..1000) {
         for motif in MOTIFS {
-            for parts in [1usize, 3] {
-                let mut index = build_seq(&g, &targets, motif, parts);
+            for threads in [1usize, 3] {
+                let mut index = build_on(&g, &targets, motif, threads);
                 let mut g2 = g.clone();
                 let mut edges = g.edge_vec();
                 if edges.is_empty() { continue; }
@@ -260,7 +261,7 @@ proptest! {
                     prop_assert_eq!(
                         index.total_similarity(),
                         total_similarity(&g2, &targets, motif),
-                        "motif {} x{} diverged after deleting {}", motif, parts, e
+                        "motif {} t{} diverged after deleting {}", motif, threads, e
                     );
                     index.check_invariants();
                 }
@@ -269,13 +270,13 @@ proptest! {
     }
 
     /// Instance gains reported by the index equal physical recount deltas,
-    /// with one shard and with several.
+    /// built on one thread and on several.
     #[test]
     fn index_gain_equals_recount_delta((g, targets) in instance_strategy()) {
         for motif in MOTIFS {
             let before = total_similarity(&g, &targets, motif);
-            for parts in [1usize, 3] {
-                let index = build_seq(&g, &targets, motif, parts);
+            for threads in [1usize, 3] {
+                let index = build_on(&g, &targets, motif, threads);
                 prop_assert_eq!(index.total_similarity(), before);
                 for p in index.all_candidate_edges().into_iter().take(10) {
                     let mut g2 = g.clone();
@@ -290,25 +291,22 @@ proptest! {
         }
     }
 
-    /// Randomized delete sequences keep the partitioned index consistent
-    /// with a **freshly built** one-shard index on the mutated graph — for every
-    /// partition count and with the shard-parallel commit phase on: total
-    /// and per-target similarities, the O(1) gains, and the maintained
-    /// alive-candidate list all match a from-scratch build after every
-    /// deletion.
+    /// Randomized delete sequences keep the index consistent with a
+    /// **freshly built** sequential index on the mutated graph — for
+    /// indexes built and committed on 1, 2 and 3 threads: total and
+    /// per-target similarities, the O(1) gains, and the alive-candidate
+    /// list all match a from-scratch build after every deletion.
     #[test]
     fn partitioned_index_matches_fresh_build_after_deletions(
         (g, targets) in instance_strategy(),
         order in 0usize..1000,
     ) {
         for motif in MOTIFS {
-            let mut indexes: Vec<PartitionedCoverageIndex> = [1usize, 3, 6]
+            let mut indexes: Vec<PartitionedCoverageIndex> = [1usize, 2, 3]
                 .iter()
-                .map(|&parts| {
-                    let mut idx = build_seq(&g, &targets, motif, parts);
-                    idx.set_parallelism(Parallelism::new(
-                        if parts == 6 { 3 } else { 1 },
-                    ));
+                .map(|&threads| {
+                    let mut idx = build_on(&g, &targets, motif, threads);
+                    idx.set_parallelism(Parallelism::new(threads));
                     idx
                 })
                 .collect();
@@ -321,9 +319,9 @@ proptest! {
                 let broken: Vec<usize> =
                     indexes.iter_mut().map(|idx| idx.delete_edge(*e)).collect();
                 prop_assert!(broken.windows(2).all(|w| w[0] == w[1]),
-                    "partition counts disagree on delete({})", e);
+                    "thread counts disagree on delete({})", e);
                 g2.remove_edge(e.u(), e.v());
-                let fresh = build_seq(&g2, &targets, motif, 1);
+                let fresh = build_on(&g2, &targets, motif, 1);
                 let idx = &indexes[0];
                 prop_assert_eq!(idx.total_similarity(), fresh.total_similarity(),
                     "motif {} diverged after deleting {}", motif, e);
@@ -340,12 +338,12 @@ proptest! {
         }
     }
 
-    /// Differential build harness: the index build (targets enumerated
-    /// directly into per-shard postings) equals a test-local reference
+    /// Differential build harness: the index build (span-local arenas,
+    /// then one count, prefix sum and fill) equals a test-local reference
     /// enumeration — per-target similarities, both candidate lists, gains,
-    /// and per-edge alive-instance-id lists, order included — across shard
-    /// counts {1, 2, 4, 8} × build threads {1, 2, 4}, and stays equal
-    /// under a shared deletion sequence.
+    /// and per-edge alive-instance-id lists, order included — across build
+    /// threads {1, 2, 4}, and stays equal under a shared deletion
+    /// sequence.
     #[test]
     fn parallel_build_is_bit_identical_to_sequential(
         (g, targets) in instance_strategy(),
@@ -357,29 +355,25 @@ proptest! {
             edges.rotate_left(rot);
         }
         for motif in MOTIFS {
-            for parts in [1usize, 2, 4, 8] {
-                for threads in [1usize, 2, 4] {
-                    let what = format!("{motif} x{parts} t{threads}");
-                    let mut idx = PartitionedCoverageIndex::build_parallel(
-                        &g, &targets, motif, parts, &Parallelism::new(threads));
-                    let mut reference = Reference::new(&g, &targets, motif);
-                    assert_matches_reference(&idx, &reference, &what);
+            for threads in [1usize, 2, 4] {
+                let what = format!("{motif} t{threads}");
+                let mut idx = build_on(&g, &targets, motif, threads);
+                let mut reference = Reference::new(&g, &targets, motif);
+                assert_matches_reference(&idx, &reference, &what);
 
-                    // A shared deletion sequence keeps both equal.
-                    for e in edges.iter().take(4) {
-                        prop_assert_eq!(idx.delete_edge(*e), reference.delete_edge(*e));
-                        assert_matches_reference(&idx, &reference, &format!("{what} -{e}"));
-                    }
+                // A shared deletion sequence keeps both equal.
+                for e in edges.iter().take(4) {
+                    prop_assert_eq!(idx.delete_edge(*e), reference.delete_edge(*e));
+                    assert_matches_reference(&idx, &reference, &format!("{what} -{e}"));
                 }
             }
         }
     }
 
     /// Edge insertions — alone and interleaved with deletions — keep the
-    /// partitioned index consistent with a **fresh build** on the mutated
-    /// graph: totals, per-target similarities, the alive-candidate list,
-    /// and every gain, across shard counts {1, 2, 4} paired with commit
-    /// thread counts {1, 2, 4}. (Instance ids legitimately differ — a
+    /// index consistent with a **fresh build** on the mutated graph:
+    /// totals, per-target similarities, the alive-candidate list, and every
+    /// gain, for indexes built and updated on 1, 2 and 4 threads. (Instance ids legitimately differ — a
     /// re-discovered instance gets a fresh id — so equivalence is on
     /// counts, candidates, and gains.) `KPath(5)` joins the motifs because
     /// it is the one motif whose insertions skip the radius-1 target
@@ -407,8 +401,8 @@ proptest! {
             let rot = order % edges.len();
             edges.rotate_left(rot);
 
-            for (parts, threads) in [(1usize, 1usize), (2, 2), (4, 4)] {
-                let mut idx = build_seq(&g, &targets, motif, parts);
+            for threads in [1usize, 2, 4] {
+                let mut idx = build_on(&g, &targets, motif, threads);
                 idx.set_parallelism(Parallelism::new(threads));
                 let mut live = g.clone();
                 // Interleave inserts (from the non-edge pool) with
@@ -426,27 +420,100 @@ proptest! {
                         live.remove_edge(e.u(), e.v());
                         idx.delete_edge(e);
                     }
-                    let fresh =
-                        build_seq(&live, &targets, motif, parts);
+                    let fresh = build_on(&live, &targets, motif, threads);
                     prop_assert_eq!(
                         idx.total_similarity(), fresh.total_similarity(),
-                        "{} x{} t{} total diverged after {} of {}",
-                        motif, parts, threads,
+                        "{} t{} total diverged after {} of {}",
+                        motif, threads,
                         if is_insert { "insert" } else { "delete" }, e);
                     prop_assert_eq!(idx.similarities(), fresh.similarities());
                     prop_assert_eq!(
                         idx.alive_candidate_edges(),
                         fresh.alive_candidate_edges(),
-                        "{} x{} t{} candidates diverged after {}",
-                        motif, parts, threads, e);
+                        "{} t{} candidates diverged after {}",
+                        motif, threads, e);
                     for p in fresh.alive_candidate_edges() {
                         prop_assert_eq!(
                             idx.gain(p), fresh.gain(p),
-                            "{} x{} t{} gain({}) stale", motif, parts, threads, p);
+                            "{} t{} gain({}) stale", motif, threads, p);
                     }
                     idx.check_invariants();
                 }
             }
+        }
+    }
+
+    /// The flat index against a naive reference recounted from the live
+    /// graph, for every motif (plus `KPath(5)`, whose insertions skip the
+    /// radius-1 target filter) on ER and Holme–Kim graphs: random
+    /// `delete_edges` batches interleaved with `insert_edge`, built at one
+    /// and two threads, and once more after `compact`. Gains, gain vectors
+    /// and splits, alive instance ids (as the instances they name), both
+    /// candidate lists, similarities and the internal invariants agree
+    /// after every step.
+    #[test]
+    fn flat_index_matches_naive_reference_under_batches_and_inserts(
+        (g, targets) in er_or_hk_strategy(),
+        step_count in 1usize..8,
+        script in 0u64..1_000_000_000,
+        threads in 1usize..=2,
+    ) {
+        // `(insert?, pick, batch size)` per step, drawn from `script`.
+        let mut state = script;
+        let steps: Vec<(bool, usize, usize)> = (0..step_count)
+            .map(|_| {
+                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+                let r = (state >> 16) as usize;
+                (r.is_multiple_of(3), r / 3 % 10_000, 1 + r / 30_000 % 4)
+            })
+            .collect();
+        for motif in MOTIFS.into_iter().chain([Motif::KPath(5)]) {
+            let mut idx = PartitionedCoverageIndex::build_parallel(
+                &g, &targets, motif, 1, &Parallelism::new(threads));
+            let mut reference = LiveReference::new(&g, &targets, motif);
+            assert_matches_live_reference(&idx, &reference, &format!("{motif} build"));
+            let mut live = g.clone();
+            for (i, &(insert, pick, batch)) in steps.iter().enumerate() {
+                let what = format!("{motif} t{threads} step {i}");
+                if insert {
+                    let n = live.node_count() as u32;
+                    let absent: Vec<Edge> = (0..n)
+                        .flat_map(|u| ((u + 1)..n).map(move |v| Edge::new(u, v)))
+                        .filter(|e| !live.contains(*e) && !targets.contains(e))
+                        .collect();
+                    if absent.is_empty() { continue; }
+                    let e = absent[pick % absent.len()];
+                    live.add_edge(e.u(), e.v());
+                    let before = reference.alive.len();
+                    reference.recount(&live, &targets, motif);
+                    prop_assert_eq!(idx.insert_edge(&live, e), reference.alive.len() - before,
+                        "{} discovered", what);
+                } else {
+                    let edges = live.edge_vec();
+                    if edges.is_empty() { continue; }
+                    let chosen: Vec<Edge> = (0..batch)
+                        .map(|j| edges[(pick + j * 7919) % edges.len()])
+                        .fold(Vec::new(), |mut acc, e| {
+                            if !acc.contains(&e) { acc.push(e); }
+                            acc
+                        });
+                    // The first edge in input order is charged for an
+                    // instance several batch edges share.
+                    let mut expect = Vec::new();
+                    for e in &chosen {
+                        let before = reference.alive.len();
+                        reference.alive.retain(|(_, edges)| !edges.contains(e));
+                        expect.push(before - reference.alive.len());
+                        live.remove_edge(e.u(), e.v());
+                    }
+                    prop_assert_eq!(idx.delete_edges(&chosen), expect, "{} broken", what);
+                    reference.recount(&live, &targets, motif);
+                }
+                assert_matches_live_reference(&idx, &reference, &what);
+            }
+            idx.compact();
+            reference.ever = reference.alive_candidate_edges().into_iter().collect();
+            assert_matches_live_reference(&idx, &reference, &format!("{motif} compacted"));
         }
     }
 
@@ -502,25 +569,150 @@ proptest! {
     }
 }
 
+/// Naive reference for the flat index under deletions and insertions:
+/// the alive instances are recounted from the live graph at every step,
+/// and every edge that was ever in an instance is remembered.
+struct LiveReference {
+    /// Alive instances as `(target, sorted edges)`, recounted.
+    alive: Vec<(usize, Vec<Edge>)>,
+    /// Edges of every instance seen so far, alive or dead.
+    ever: std::collections::BTreeSet<Edge>,
+    target_count: usize,
+}
+
+impl LiveReference {
+    fn new(g: &Graph, targets: &[Edge], motif: Motif) -> Self {
+        let mut r = LiveReference {
+            alive: Vec::new(),
+            ever: std::collections::BTreeSet::new(),
+            target_count: targets.len(),
+        };
+        r.recount(g, targets, motif);
+        r
+    }
+
+    fn recount(&mut self, g: &Graph, targets: &[Edge], motif: Motif) {
+        self.alive.clear();
+        for (ti, t) in targets.iter().enumerate() {
+            for inst in tpp_motif::enumerate_target_subgraphs(g, t.u(), t.v(), motif, ti) {
+                let mut edges = inst.edges().to_vec();
+                edges.sort_unstable();
+                self.ever.extend(edges.iter().copied());
+                self.alive.push((ti, edges));
+            }
+        }
+        self.alive.sort();
+    }
+
+    fn holding(&self, p: Edge) -> Vec<(usize, Vec<Edge>)> {
+        let all = self.alive.iter().filter(|(_, edges)| edges.contains(&p));
+        all.cloned().collect()
+    }
+
+    fn gain_vector(&self, p: Edge) -> Vec<usize> {
+        let mut v = vec![0usize; self.target_count];
+        for (ti, _) in self.holding(p) {
+            v[ti] += 1;
+        }
+        v
+    }
+
+    fn similarities(&self) -> Vec<usize> {
+        let mut v = vec![0usize; self.target_count];
+        for (ti, _) in &self.alive {
+            v[*ti] += 1;
+        }
+        v
+    }
+
+    fn alive_candidate_edges(&self) -> Vec<Edge> {
+        let edges = self
+            .alive
+            .iter()
+            .flat_map(|(_, edges)| edges.iter().copied());
+        let set: std::collections::BTreeSet<Edge> = edges.collect();
+        set.into_iter().collect()
+    }
+}
+
+/// Asserts that `idx` answers every query like `reference`; instance ids
+/// are compared as the sets of instances they name.
+fn assert_matches_live_reference(
+    idx: &PartitionedCoverageIndex,
+    reference: &LiveReference,
+    what: &str,
+) {
+    idx.check_invariants();
+    assert_eq!(
+        idx.total_similarity(),
+        reference.alive.len(),
+        "{what} total"
+    );
+    assert_eq!(
+        idx.similarities(),
+        reference.similarities(),
+        "{what} per target"
+    );
+    let candidates = reference.alive_candidate_edges();
+    assert_eq!(
+        idx.alive_candidate_edges(),
+        candidates,
+        "{what} alive candidates"
+    );
+    let ever: Vec<Edge> = reference.ever.iter().copied().collect();
+    assert_eq!(idx.all_candidate_edges(), ever, "{what} all candidates");
+    // Alive ids ascend, and `alive_instances` walks them in that order.
+    let mut alive_ids: Vec<InstanceId> = candidates
+        .iter()
+        .flat_map(|&p| idx.alive_instance_ids(p))
+        .collect();
+    alive_ids.sort_unstable();
+    alive_ids.dedup();
+    let by_id: BTreeMap<InstanceId, (usize, Vec<Edge>)> =
+        alive_ids.into_iter().zip(idx.alive_instances()).collect();
+    assert_eq!(by_id.len(), reference.alive.len(), "{what} alive instances");
+    for &p in reference
+        .ever
+        .iter()
+        .chain(&[Edge::new(0, 1), Edge::new(1000, 1001)])
+    {
+        let v = reference.gain_vector(p);
+        assert_eq!(idx.gain(p), v.iter().sum::<usize>(), "{what} gain({p})");
+        assert_eq!(idx.gain_vector(p), v, "{what} gain_vector({p})");
+        for t in 0..reference.target_count {
+            let own = v[t];
+            let cross = v.iter().sum::<usize>() - own;
+            assert_eq!(
+                idx.gain_split(p, t),
+                (own, cross),
+                "{what} gain_split({p}, {t})"
+            );
+        }
+        let mut named: Vec<(usize, Vec<Edge>)> = idx
+            .alive_instance_ids(p)
+            .iter()
+            .map(|id| by_id[id].clone())
+            .collect();
+        named.sort();
+        assert_eq!(
+            named,
+            reference.holding(p),
+            "{what} alive_instance_ids({p})"
+        );
+    }
+}
+
 /// The differential build harness at a scale where the parallel paths are
-/// real: enough targets that the enumeration phase cuts many chunks and
-/// the merge phase spans many shards per worker.
+/// real: enough targets that the enumeration phase cuts many spans, whose
+/// edge tables the fill merges.
 #[test]
 fn parallel_build_matches_sequential_on_ba_workload() {
     let (g, targets) = tpp_bench::fixtures::ba_released_workload(800, 4, 17, 60);
     for motif in [Motif::Triangle, Motif::Rectangle] {
         let reference = Reference::new(&g, &targets, motif);
-        for parts in [1usize, 2, 4, 8] {
-            for threads in [1usize, 2, 4] {
-                let idx = PartitionedCoverageIndex::build_parallel(
-                    &g,
-                    &targets,
-                    motif,
-                    parts,
-                    &Parallelism::new(threads),
-                );
-                assert_matches_reference(&idx, &reference, &format!("{motif} x{parts} t{threads}"));
-            }
+        for threads in [1usize, 2, 4] {
+            let idx = build_on(&g, &targets, motif, threads);
+            assert_matches_reference(&idx, &reference, &format!("{motif} t{threads}"));
         }
     }
 }

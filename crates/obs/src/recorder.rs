@@ -30,27 +30,24 @@ pub struct RoundStats {
     pub sequential_fallbacks: Counter,
 }
 
-/// Partitioned coverage-index telemetry: build phases and commit costs.
+/// Coverage-index telemetry: build phases, the seed copy and commit costs.
 #[derive(Debug, Default)]
 pub struct IndexStats {
     /// Index builds.
     pub builds: Counter,
     /// Total build wall time.
     pub build_ns: Counter,
-    /// Build phase 1: per-target-chunk instance enumeration.
+    /// Build phase 1: per-target-span instance enumeration.
     pub build_enumerate_ns: Counter,
-    /// Build phase 2: merging chunk output into owner shards.
+    /// Build phase 2: the fill — edge ids, count, prefix sum and postings.
     pub build_merge_ns: Counter,
+    /// Copying a pre-built index seed (a served protect's registry hit)
+    /// into the run's own index.
+    pub seed_copy_ns: Counter,
     /// Edge-deletion commits applied to the index.
     pub commits: Counter,
-    /// Commits whose decrement phase ran on the pool.
-    pub parallel_commits: Counter,
     /// Motif instances killed per commit.
     pub instances_killed: Histogram,
-    /// Shards dirtied per commit.
-    pub dirty_shards: Histogram,
-    /// Candidate-list compactions triggered by retired instances.
-    pub compactions: Counter,
 }
 
 /// Executor telemetry: dispatch latency and work-stealing balance.
@@ -154,7 +151,7 @@ pub struct UpdateStats {
     /// Fresh motif instances discovered by localized enumeration around
     /// inserted edges.
     pub instances_discovered: Counter,
-    /// Posting-list appends ((instance, edge) pairs routed to shards).
+    /// Posting appends (one per (instance, edge) pair an insertion adds).
     pub postings_appended: Counter,
     /// Wall time a served `update` spent patching the resident graph's
     /// base statistics (0 when none were resident).
@@ -370,20 +367,12 @@ impl Stats {
                     "build_merge_ns",
                     self.index.build_merge_ns.get().to_string(),
                 ),
+                ("seed_copy_ns", self.index.seed_copy_ns.get().to_string()),
                 ("commits", self.index.commits.get().to_string()),
-                (
-                    "parallel_commits",
-                    self.index.parallel_commits.get().to_string(),
-                ),
                 (
                     "instances_killed",
                     hist_json(&self.index.instances_killed.snapshot(), ""),
                 ),
-                (
-                    "dirty_shards",
-                    hist_json(&self.index.dirty_shards.snapshot(), ""),
-                ),
-                ("compactions", self.index.compactions.get().to_string()),
             ],
             false,
         );

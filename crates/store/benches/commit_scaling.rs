@@ -1,33 +1,32 @@
 //! Benchmark: the **commit phase** of a greedy round — deleting a protector
-//! edge from the coverage index and keeping the alive-candidate set current
-//! — on the partitioned index, on the `ba_50k` workload (Barabási–Albert,
+//! edge from the coverage index, which keeps the per-edge alive counts the
+//! candidate list is read off — on the `ba_50k` workload (Barabási–Albert,
 //! 50 000 nodes, m = 4, rectangle motif over 2 500 hidden targets).
 //!
 //! What is being compared:
 //!
 //! * `partitioned_commit` — `PartitionedCoverageIndex::delete_edge` over
-//!   16 degree-balanced shards: each deletion touches only the shards
-//!   owning edges of the broken instances, so compaction cost is bounded
-//!   by the dirty shards' lists (single-threaded here — the win is
-//!   structural, not parallelism).
+//!   the flat index: a posting walk, alive flags flipped, per-edge counts
+//!   decremented (the bench keeps the name of the earlier sharded layout).
 //! * `partitioned_commit_batch8` — the same deletion sequence through
 //!   `delete_edges` in batches of 8 (the engine's `run_global(k, 8)`
-//!   commit shape): one routing + compaction pass per batch.
+//!   commit shape).
 //! * `clone_partitioned` — the per-iteration index clone both commit
-//!   benches pay, so the JSON keeps the commit-only margins readable.
+//!   benches pay (the served protect's seed copy: flags and counts, the
+//!   layout shared), so the JSON keeps the commit-only margins readable.
 //! * `rounds_sequential` vs `rounds_batch_j2` / `rounds_batch_j8` — 64
-//!   greedy commits driven the round-loop way on the partitioned index:
+//!   greedy commits driven the round-loop way on the index:
 //!   argmax-scan-per-commit versus one scan per 2 or 8 disjoint-gain-set
-//!   commits (the batch-width sweep).
+//!   commits (the batch-width sweep). Each scan reads the candidate list
+//!   once (`alive_candidate_edges`, derived from the counts).
 //! * `rounds_targeted_sequential` vs `rounds_targeted_batch_j8` — the same
 //!   64 commits as **targeted** (CT/WT-shaped) rounds: lexicographic
 //!   `(own, cross)` argmax per open target, versus 8 disjoint picks per
-//!   scan capped per charged target (this PR's batch-aware targeted
-//!   rounds, modeled directly on the index).
+//!   scan capped per charged target.
 //!
-//! The 16-shard sequential and batch commits, and a one-shard index, are
-//! asserted to produce identical break counts and final state before
-//! anything is timed.
+//! Sequential and batch commits, on indexes built on one thread and on
+//! two, are asserted to produce identical break counts and final state
+//! before anything is timed.
 //!
 //! The workload is the shared `ba_50k` fixture
 //! ([`tpp_bench::fixtures::ba_50k_rectangle`]).
@@ -38,7 +37,6 @@ use tpp_graph::Edge;
 use tpp_motif::{InstanceId, Motif, PartitionedCoverageIndex};
 
 const MOTIF: Motif = Motif::Rectangle;
-const PARTS: usize = 16;
 const DELETES: usize = 512;
 const BATCH_J: usize = 8;
 const ROUND_COMMITS: usize = 64;
@@ -56,12 +54,10 @@ fn rounds_sequential(mut idx: PartitionedCoverageIndex) -> usize {
     let mut broken = 0usize;
     for _ in 0..ROUND_COMMITS {
         let mut best: Option<(usize, Edge)> = None;
-        for slice in idx.alive_candidate_slices() {
-            for &e in slice {
-                let g = idx.gain(e);
-                if best.is_none_or(|(bg, _)| g > bg) {
-                    best = Some((g, e));
-                }
+        for e in idx.alive_candidate_edges() {
+            let g = idx.gain(e);
+            if best.is_none_or(|(bg, _)| g > bg) {
+                best = Some((g, e));
             }
         }
         let Some((g, e)) = best else { break };
@@ -81,9 +77,9 @@ fn rounds_batch(mut idx: PartitionedCoverageIndex, j: usize) -> usize {
     let mut committed = 0usize;
     while committed < ROUND_COMMITS {
         let mut scored: Vec<(usize, Edge)> = idx
-            .alive_candidate_slices()
-            .flatten()
-            .map(|&e| (idx.gain(e), e))
+            .alive_candidate_edges()
+            .into_iter()
+            .map(|e| (idx.gain(e), e))
             .collect();
         scored.sort_unstable_by_key(|&(g, e)| (std::cmp::Reverse(g), e));
         let mut batch: Vec<Edge> = Vec::with_capacity(j);
@@ -123,12 +119,10 @@ fn rounds_targeted_sequential(mut idx: PartitionedCoverageIndex) -> usize {
         };
         t = open;
         let mut best: Option<((usize, usize), Edge)> = None;
-        for slice in idx.alive_candidate_slices() {
-            for &e in slice {
-                let s = idx.gain_split(e, t);
-                if best.is_none_or(|(bs, _)| s > bs) {
-                    best = Some((s, e));
-                }
+        for e in idx.alive_candidate_edges() {
+            let s = idx.gain_split(e, t);
+            if best.is_none_or(|(bs, _)| s > bs) {
+                best = Some((s, e));
             }
         }
         let Some((_, e)) = best else { break };
@@ -150,9 +144,9 @@ fn rounds_targeted_batch_j8(mut idx: PartitionedCoverageIndex) -> usize {
         };
         t = open;
         let mut scored: Vec<((usize, usize), Edge)> = idx
-            .alive_candidate_slices()
-            .flatten()
-            .map(|&e| (idx.gain_split(e, t), e))
+            .alive_candidate_edges()
+            .into_iter()
+            .map(|e| (idx.gain_split(e, t), e))
             .collect();
         scored.sort_unstable_by_key(|&((own, cross), e)| {
             (std::cmp::Reverse(own), std::cmp::Reverse(cross), e)
@@ -183,22 +177,23 @@ fn rounds_targeted_batch_j8(mut idx: PartitionedCoverageIndex) -> usize {
 
 fn bench_commit_scaling(c: &mut Criterion) {
     let (g, targets) = tpp_bench::fixtures::ba_50k_rectangle();
-    // The margin under test is structural, not threads.
+    // Commits run on the calling thread.
     let sequential = tpp_exec::Parallelism::sequential();
-    let part = PartitionedCoverageIndex::build_parallel(&g, &targets, MOTIF, PARTS, &sequential);
+    let part = PartitionedCoverageIndex::build_parallel(&g, &targets, MOTIF, 1, &sequential);
     let deletes = deletion_sequence(&part, DELETES);
     assert!(deletes.len() >= 256, "workload must yield a real sequence");
 
     // Every commit shape must agree exactly before anything is timed.
     {
-        let mut m = PartitionedCoverageIndex::build_parallel(&g, &targets, MOTIF, 1, &sequential);
+        let two = tpp_exec::Parallelism::new(2);
+        let mut m = PartitionedCoverageIndex::build_parallel(&g, &targets, MOTIF, 1, &two);
         let mut p = part.clone();
         let mut pb = part.clone();
         let batched: usize = pb.delete_edges(&deletes).iter().sum();
         let mut seq = 0usize;
         for &e in &deletes {
             let broken = m.delete_edge(e);
-            assert_eq!(broken, p.delete_edge(e), "shard counts diverged at {e}");
+            assert_eq!(broken, p.delete_edge(e), "thread counts diverged at {e}");
             seq += broken;
         }
         assert!(seq > 0, "sequence must break instances");

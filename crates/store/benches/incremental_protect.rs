@@ -32,7 +32,6 @@ use tpp_motif::{Motif, PartitionedCoverageIndex};
 use tpp_obs::Recorder;
 
 const MOTIF: Motif = Motif::Rectangle;
-const PARTS: usize = 16;
 const BUDGET: usize = 16;
 /// 200 removals + 200 additions ≈ 0.2% of the ~197k released edges.
 const DELTA_HALF: usize = 200;
@@ -117,8 +116,7 @@ fn bench_incremental_protect(c: &mut Criterion) {
     // The warm pre-delta index a resident service would hold; its alive
     // candidate pool and the prior plan steer the delta.
     let sequential = tpp_exec::Parallelism::sequential();
-    let warm =
-        PartitionedCoverageIndex::build_parallel(&released, &targets, MOTIF, PARTS, &sequential);
+    let warm = PartitionedCoverageIndex::build_parallel(&released, &targets, MOTIF, 1, &sequential);
     let cfg = GreedyConfig::scalable(MOTIF);
     let prior = sgb_greedy(&base, BUDGET, &cfg);
     let picked: FastSet<Edge> = prior.steps.iter().map(|s| s.protector).collect();

@@ -4,16 +4,14 @@
 //! * `index_build/partitioned_direct_t{1,2,4}` — the `ba_50k` workload
 //!   (Barabási–Albert, 50 000 nodes, m = 4, rectangle motif over 2 500
 //!   hidden targets — the shared [`tpp_bench::fixtures::ba_50k_rectangle`]
-//!   fixture) over 16 degree-balanced shards: targets enumerate in chunks
-//!   into per-chunk shard fragments, merged per shard, across 1/2/4
-//!   worker threads (`t1` is the sequential build every single-threaded
-//!   caller runs).
+//!   fixture): targets enumerate in spans into span-local arenas, which
+//!   one count, prefix sum and fill lay out, across 1/2/4 worker threads
+//!   (`t1` is the sequential build every single-threaded caller runs).
 //! * `index_build_arenas_kpath4/t{1,2}` — the arenas graph
 //!   (`tpp generate --model arenas --seed 1`: 1 133 nodes, 5 451 edges)
 //!   with the 500 targets `tpp protect --random 500 --seed 7` samples,
-//!   kpath4 motif, over the default 8 shards — the cold index build of
-//!   a served kpath4 protect, where the k-path half-path join and the
-//!   flat instance arena carry the cost.
+//!   kpath4 motif — the cold index build of a served kpath4 protect,
+//!   where the k-path half-path join and the fill carry the cost.
 //!
 //! On a single core `t2`/`t4` cannot beat `t1`; the threaded variants
 //! document the scaling headroom for real cores. Every thread count is
@@ -26,8 +24,6 @@ use std::hint::black_box;
 use tpp_graph::{Edge, NeighborAccess};
 use tpp_motif::{Motif, PartitionedCoverageIndex};
 
-const PARTS: usize = 16;
-
 /// Asserts that every thread count in `threads` builds the same index as
 /// the sequential build: totals, per-target similarities and the alive
 /// candidate list.
@@ -35,14 +31,13 @@ fn assert_thread_invariant<G: NeighborAccess + Sync>(
     g: &G,
     targets: &[Edge],
     motif: Motif,
-    parts: usize,
     threads: &[usize],
 ) {
     let sequential = tpp_exec::Parallelism::sequential();
-    let t1 = PartitionedCoverageIndex::build_parallel(g, targets, motif, parts, &sequential);
+    let t1 = PartitionedCoverageIndex::build_parallel(g, targets, motif, 1, &sequential);
     for &threads in threads {
         let exec = tpp_exec::Parallelism::new(threads);
-        let direct = PartitionedCoverageIndex::build_parallel(g, targets, motif, parts, &exec);
+        let direct = PartitionedCoverageIndex::build_parallel(g, targets, motif, 1, &exec);
         assert_eq!(direct.total_similarity(), t1.total_similarity());
         assert_eq!(direct.similarities(), t1.similarities());
         assert_eq!(
@@ -58,7 +53,7 @@ fn bench_index_build(c: &mut Criterion) {
     let motif = Motif::Rectangle;
 
     // Every thread count must agree exactly before anything is timed.
-    assert_thread_invariant(&g, &targets, motif, PARTS, &[2, 4]);
+    assert_thread_invariant(&g, &targets, motif, &[2, 4]);
 
     let mut group = c.benchmark_group("index_build");
     group.sample_size(10);
@@ -69,7 +64,7 @@ fn bench_index_build(c: &mut Criterion) {
         group.bench_function(format!("partitioned_direct_t{threads}"), |b| {
             b.iter(|| {
                 black_box(PartitionedCoverageIndex::build_parallel(
-                    &g, &targets, motif, PARTS, &exec,
+                    &g, &targets, motif, 1, &exec,
                 ))
             });
         });
@@ -82,9 +77,8 @@ fn bench_index_build_arenas_kpath4(c: &mut Criterion) {
         tpp_core::TppInstance::with_random_targets(tpp_datasets::arenas_email_like(1), 500, 7);
     let (g, targets) = (inst.released(), inst.targets());
     let motif = Motif::KPath(4);
-    let parts = tpp_core::DEFAULT_INDEX_PARTITIONS;
 
-    assert_thread_invariant(g, targets, motif, parts, &[2]);
+    assert_thread_invariant(g, targets, motif, &[2]);
 
     let mut group = c.benchmark_group("index_build_arenas_kpath4");
     group.sample_size(10);
@@ -93,7 +87,7 @@ fn bench_index_build_arenas_kpath4(c: &mut Criterion) {
         group.bench_function(format!("t{threads}"), |b| {
             b.iter(|| {
                 black_box(PartitionedCoverageIndex::build_parallel(
-                    g, targets, motif, parts, &exec,
+                    g, targets, motif, 1, &exec,
                 ))
             });
         });

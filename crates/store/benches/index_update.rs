@@ -25,7 +25,6 @@ use tpp_graph::{Edge, Graph};
 use tpp_motif::{Motif, PartitionedCoverageIndex};
 
 const MOTIF: Motif = Motif::Rectangle;
-const PARTS: usize = 16;
 
 /// Splits a delta of `2 * half` edges off the workload: `half` removals
 /// stride-sampled from the released edge list (never targets) and `half`
@@ -63,9 +62,8 @@ fn pick_delta(g: &Graph, targets: &[Edge], half: usize) -> (Vec<Edge>, Vec<Edge>
 fn bench_index_update(c: &mut Criterion) {
     let (base, targets) = tpp_bench::fixtures::ba_50k_rectangle();
     let sequential = tpp_exec::Parallelism::sequential();
-    let build = |g: &Graph| {
-        PartitionedCoverageIndex::build_parallel(g, &targets, MOTIF, PARTS, &sequential)
-    };
+    let build =
+        |g: &Graph| PartitionedCoverageIndex::build_parallel(g, &targets, MOTIF, 1, &sequential);
     let warm = build(&base);
 
     let mut group = c.benchmark_group("index_update");

@@ -421,11 +421,6 @@ impl NeighborAccess for CsrGraph {
                 .get_or_init(|| tpp_graph::access::upper_edge_prefix(self).into()),
         )
     }
-
-    /// The offset table.
-    fn degree_prefix(&self) -> Option<&[u64]> {
-        Some(self.offsets())
-    }
 }
 
 #[cfg(test)]
