@@ -84,16 +84,18 @@ FLAGS:       every command takes only the flags listed above, and
              `unknown flag --verfy for protect`
 MOTIFS:      triangle (default), rectangle, rectri, kpath2..kpath5
 ALGORITHMS:  sgb (default), celf, ct, wt, rd, rdt
-DIVISIONS:   tbd (default), dbd
+DIVISIONS:   tbd (default), dbd: how ct and wt split the budget across
+             targets; any other algorithm rejects --division
 THREADS:     --threads 0 (default) uses every available core; plans are
              bit-identical for every thread count
-BATCH:       --batch J commits up to J non-interacting picks per candidate
-             scan, for every greedy strategy: sgb/celf accept J pairwise-
-             disjoint gain sets per scan (celf pops J disjoint heap tops
-             per lazy refresh), ct/wt additionally cap each round's picks
-             by the charged targets' remaining budgets. --batch 1
+BATCH:       --batch J commits up to J non-interacting picks per round,
+             for every greedy strategy: every greedy pops its picks from
+             one lazy gain queue, and a round accepts up to J fresh heap
+             tops with pairwise-disjoint gain sets (celf closes the round
+             at the first conflict); ct/wt additionally cap each round's
+             picks by the charged targets' remaining budgets. --batch 1
              (default) is the exact sequential greedy; J must be >= 1.
-             rd/rdt have no candidate scan and reject --batch
+             rd/rdt have no gain queue and reject --batch
 SNAPSHOTS:   protect/attack/kstar/stats/utility accept a .csr snapshot
              anywhere an edge list is expected (detected by file magic);
              snapshots are memory-mapped zero-copy and re-verified at the
@@ -646,6 +648,18 @@ pub(crate) fn run_protect(
              {algorithm:?} has no candidate scan to batch"
         ));
     }
+    // Per-target budget division: only ct and wt split the budget.
+    let division = match p.get_or("division", "tbd") {
+        "tbd" => BudgetDivision::Tbd,
+        "dbd" => BudgetDivision::Dbd,
+        other => return Err(format!("unknown division {other:?}")),
+    };
+    if p.has("division") && matches!(algorithm, "sgb" | "celf" | "rd" | "rdt") {
+        return Err(format!(
+            "--division requires a per-target algorithm (ct, wt); \
+             {algorithm:?} spends one global budget"
+        ));
+    }
     // --incremental swaps the problem for the delta-mutated one; the
     // greedy and everything downstream (report, --out, --plan) are
     // shared, so the repaired plan file is byte-identical to a
@@ -680,11 +694,6 @@ pub(crate) fn run_protect(
         "sgb" => sgb_greedy_batch(&instance, budget, batch, &cfg),
         "celf" => celf_greedy_batch(&instance, budget, batch, &cfg),
         "ct" | "wt" => {
-            let division = match p.get_or("division", "tbd") {
-                "tbd" => BudgetDivision::Tbd,
-                "dbd" => BudgetDivision::Dbd,
-                other => return Err(format!("unknown division {other:?}")),
-            };
             let budgets = divide_budget(division, budget, &instance, motif);
             if algorithm == "ct" {
                 ct_greedy_batch(&instance, &budgets, batch, &cfg).map_err(|e| e.to_string())?
@@ -1691,11 +1700,35 @@ mod tests {
                 "batched {alg} run keeps its algorithm"
             );
         }
-        // Guard rails: batch 0, and batch with a scan-less baseline.
+        // Guard rails: batch 0, batch with a scan-less baseline, an
+        // unknown division for every algorithm, and a division with a
+        // global-budget algorithm.
         for (bad_flags, needle) in [
             (vec!["--batch", "0"], "at least 1"),
             (vec!["--batch", "3", "--algorithm", "rd"], "greedy"),
             (vec!["--batch", "3", "--algorithm", "rdt"], "greedy"),
+            (vec!["--division", "bogus"], "unknown division \"bogus\""),
+            (
+                vec!["--division", "bogus", "--algorithm", "ct"],
+                "unknown division \"bogus\"",
+            ),
+            (
+                vec!["--division", "bogus", "--algorithm", "rd"],
+                "unknown division \"bogus\"",
+            ),
+            (
+                vec!["--division", "dbd", "--algorithm", "sgb"],
+                "per-target",
+            ),
+            (
+                vec!["--division", "tbd", "--algorithm", "celf"],
+                "per-target",
+            ),
+            (vec!["--division", "tbd", "--algorithm", "rd"], "per-target"),
+            (
+                vec!["--division", "dbd", "--algorithm", "rdt"],
+                "per-target",
+            ),
         ] {
             let mut args = vec![
                 "protect",

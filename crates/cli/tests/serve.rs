@@ -407,6 +407,17 @@ fn info_reports_registries_and_absurd_threads_are_rejected() {
 
     let err = serve::request(&socket, &strs(&["frobnicate"])).unwrap_err();
     assert!(err.contains("unknown serve request"), "got: {err}");
+
+    // Served protect validates --division like one-shot protect.
+    let protect = |extra: &[&str]| {
+        let mut argv = vec!["protect", &graph, "--budget", "3", "--random", "3"];
+        argv.extend_from_slice(extra);
+        serve::request(&socket, &strs(&argv)).unwrap_err()
+    };
+    let err = protect(&["--division", "bogus"]);
+    assert!(err.contains("unknown division \"bogus\""), "got: {err}");
+    let err = protect(&["--division", "dbd", "--algorithm", "celf"]);
+    assert!(err.contains("per-target"), "got: {err}");
     shut_down(&socket, handle);
 }
 

@@ -12,8 +12,8 @@ use crate::problem::TppInstance;
 /// Runs CT-Greedy with per-target budgets `budgets[t]`.
 ///
 /// A strategy config on the [`RoundEngine`]: every round opens the targets
-/// with remaining budget and lets the engine maximize the paper's
-/// `Δ_t^p = own + cross / C` over all `(target, protector)` pairs —
+/// with remaining budget, and the engine's lazy gain queue maximizes the
+/// paper's `Δ_t^p = own + cross / C` over all `(target, protector)` pairs —
 /// realized as the exact lexicographic order `(own, cross)` (equivalent
 /// for any `C > max cross`, and immune to floating-point rounding). The
 /// pick is charged to the chosen target's budget; the deletion itself
@@ -29,15 +29,15 @@ pub fn ct_greedy(
     ct_greedy_batch(instance, budgets, 1, config)
 }
 
-/// Runs CT-Greedy in **batch-commit rounds**: each candidate scan commits
-/// up to `j` picks whose gain sets are pairwise disjoint and whose charged
-/// targets have budget room (see
-/// [`RoundEngine::select_for_targets`]), cutting the number of scans
-/// by up to `j`× on instances with many non-interacting protectors.
+/// Runs CT-Greedy in **batch-commit rounds**: each round commits up to
+/// `j` picks whose gain sets are pairwise disjoint and whose charged
+/// targets have budget room, popped from the one lazy gain queue of
+/// [`RoundEngine::run_cross_target`] — cutting the number of commits by up
+/// to `j`× on instances with many non-interacting protectors.
 ///
 /// `j = 1` produces plans bit-identical to [`ct_greedy`]; larger `j` keeps
 /// every accepted pick's recorded `(own, cross)` split exact (disjointness
-/// makes the scanned vectors the realized ones) but may order picks
+/// makes the cached vectors the realized ones) but may order picks
 /// differently than the strictly sequential greedy would.
 ///
 /// # Errors
@@ -54,21 +54,9 @@ pub fn ct_greedy_batch(
             targets: instance.target_count(),
         });
     }
-    let n = budgets.len();
-    let j = j.max(1);
     let exec = config.parallelism();
     let mut engine = RoundEngine::new(oracle_for(instance, config, &exec), config.candidates, exec);
-    loop {
-        let open: Vec<(usize, usize)> = (0..n)
-            .filter_map(|t| {
-                let remaining = budgets[t].saturating_sub(engine.charged(t));
-                (remaining > 0).then_some((t, remaining))
-            })
-            .collect();
-        if engine.select_for_targets(&open, j) == 0 {
-            break;
-        }
-    }
+    engine.run_cross_target(budgets, j);
     Ok(engine.into_targeted_plan(AlgorithmKind::CtGreedy))
 }
 

@@ -3,10 +3,10 @@
 //! CELF lazy-greedy ablation.
 //!
 //! All of them are thin strategy configs on the unified
-//! [`RoundEngine`](crate::engine::RoundEngine): the engine owns the
-//! per-round candidate scan (sequential or sharded across threads), the
-//! canonical tie-break, the CELF lazy queue, and the step recording; each
-//! algorithm only decides which rounds run and how candidates are scored.
+//! [`RoundEngine`](crate::engine::RoundEngine): the engine owns the one
+//! lazy gain queue every greedy pops its picks from (its bound sweep
+//! sequential or sharded across threads), the canonical tie-break, and the
+//! step recording; each algorithm only picks the entry point and budget.
 //!
 //! Every algorithm is parameterized by a [`GreedyConfig`]. Three fields
 //! are the paper's model:
@@ -20,7 +20,7 @@
 //!
 //! Three are the run's context, plain values that never change a plan:
 //!
-//! * `exec` is the executor each round's scan, the index build and the
+//! * `exec` is the executor each bound sweep, the index build and the
 //!   commits dispatch on — a fresh pool ([`GreedyConfig::with_threads`]) or
 //!   a resident one ([`GreedyConfig::with_shared_pool`]); plans are
 //!   bit-identical at every width and for every evaluator;

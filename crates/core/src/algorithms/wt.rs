@@ -12,12 +12,12 @@ use crate::problem::TppInstance;
 /// Runs WT-Greedy with per-target budgets `budgets[t]`.
 ///
 /// A strategy config on the [`RoundEngine`]: targets are processed in
-/// declaration order, each spending its whole sub-budget through rounds
-/// that open *only* the current target — the engine maximizes the paper's
-/// `Δ_t^p = own + cross / C` (lexicographic `(own, cross)`: own-target
-/// instance breaks dominate, cross-target assistance tie-breaks). A
-/// globally exhausted round (no candidate breaks anything anywhere)
-/// terminates the whole run, mirroring the paper's `return`.
+/// declaration order, each spending its whole sub-budget through a lazy
+/// gain queue that opens *only* the current target — the engine maximizes
+/// the paper's `Δ_t^p = own + cross / C` (lexicographic `(own, cross)`:
+/// own-target instance breaks dominate, cross-target assistance
+/// tie-breaks). A globally exhausted round (no candidate breaks anything
+/// anywhere) terminates the whole run, mirroring the paper's `return`.
 ///
 /// # Errors
 /// [`TppError::BudgetArityMismatch`] if `budgets.len() != |T|`.
@@ -30,11 +30,9 @@ pub fn wt_greedy(
 }
 
 /// Runs WT-Greedy in **batch-commit rounds**: while a target's sub-budget
-/// lasts, each candidate scan commits up to `j` disjoint-gain-set picks
-/// charged to the current target (see
-/// [`RoundEngine::select_for_targets`] — the open set is the single
-/// current target, so per-charged-target budget capping bounds the batch
-/// by the remaining sub-budget).
+/// lasts, each round commits up to `min(j, remaining)` disjoint-gain-set
+/// picks charged to the current target, popped from that target's lazy
+/// gain queue (see [`RoundEngine::run_within_target`]).
 ///
 /// `j = 1` produces plans bit-identical to [`wt_greedy`]. A round that
 /// commits nothing means no candidate breaks anything anywhere — global
@@ -54,17 +52,9 @@ pub fn wt_greedy_batch(
             targets: instance.target_count(),
         });
     }
-    let j = j.max(1);
     let exec = config.parallelism();
     let mut engine = RoundEngine::new(oracle_for(instance, config, &exec), config.candidates, exec);
-    'targets: for (t, &budget) in budgets.iter().enumerate() {
-        while engine.charged(t) < budget {
-            let remaining = budget - engine.charged(t);
-            if engine.select_for_targets(&[(t, remaining)], j.min(remaining)) == 0 {
-                break 'targets;
-            }
-        }
-    }
+    engine.run_within_target(budgets, j);
     Ok(engine.into_targeted_plan(AlgorithmKind::WtGreedy))
 }
 

@@ -14,9 +14,9 @@
 //! Every full candidate scan fans out across worker threads for **any**
 //! oracle: gain queries are `&self` reads of the committed state, so every
 //! worker scores candidates through the one shared oracle, with no
-//! per-worker scratch. SGB and CELF scan once per run (the lazy queue's
-//! bound sweep, their only parallel scan); CT/WT scan once per round. The
-//! scan is **work-stealing**: candidates
+//! per-worker scratch. Every greedy scans once per lazy gain queue (its
+//! bound sweep, its only parallel scan): SGB, CELF and CT once per run, WT
+//! once per target it opens. The scan is **work-stealing**: candidates
 //! are pre-cut into contiguous weight-balanced spans (the same
 //! partition-range discipline as `tpp_store::CsrGraph::shard_ranges`, but
 //! several spans per worker), and workers claim spans through one atomic
@@ -35,42 +35,29 @@
 //! weight-balanced spans per worker) and the claim-and-reduce scaffold;
 //! the engine only supplies candidate weights, scoring, and the reduce.
 //!
-//! ## One lazy gain queue for the global budget
+//! ## One lazy gain queue
 //!
 //! Deleting an edge only kills motif instances, so a candidate's gain
-//! never rises (Lemmas 1–2). SGB and CELF therefore pop their picks from
-//! one lazy gain queue (the accelerated greedy of Minoux 1978; CELF,
-//! Leskovec et al. 2007): one sharded bound sweep fills a max-heap of
-//! cached gains, a stale heap top is refreshed and pushed back, and a
-//! fresh top is the round's next pick in `(gain desc, edge asc)` order —
-//! the order a full scan-and-sort of the current gains would give. Fresh
-//! tops are offered to one disjoint-gain-set acceptance rule
+//! never rises (Lemmas 1–2), in total or towards any one target. Every
+//! greedy therefore pops its picks from one lazy gain queue (the
+//! accelerated greedy of Minoux 1978; CELF, Leskovec et al. 2007): one
+//! sharded bound sweep fills a max-heap of cached keys, a stale heap top
+//! is refreshed and pushed back, and a fresh top is the round's next pick
+//! in `(key desc, edge asc)` order — the order a full scan-and-sort of the
+//! current keys would give. SGB and CELF key a candidate by its total
+//! gain; CT and WT by its `(own, cross)` split, charged to the first open
+//! target maximizing it. CT runs one queue over every target with budget
+//! left; WT one queue per target, in declaration order.
+//!
+//! Fresh tops are offered to one disjoint-gain-set acceptance rule
 //! ([`GainOracle::gain_set`]); a pick set with pairwise-disjoint gain sets
-//! keeps every cached gain exact at commit, and an oracle that cannot
+//! keeps every cached key exact at commit, and an oracle that cannot
 //! enumerate gain sets degrades to one commit per round (the sequential
-//! fallback). The two entry points differ only in a skipped (conflicting)
-//! top: SGB sets it aside for the round and keeps offering the
-//! next-ranked candidates; CELF pushes it back and closes the round. With
-//! room for one pick neither enumerates a gain set, so at `j = 1` both
-//! are the sequential greedy.
-//!
-//! ## One CT/WT selection round
-//!
-//! CT and WT rounds, single-pick or batched, run through one private
-//! `round(open, room)`. It scores every candidate once, charges it to the
-//! first open target maximizing its `(own, cross)` split, ranks the
-//! candidates by that split descending with ties to the canonically
-//! smallest edge, accepts picks through the same disjoint-gain-set rule
-//! (a pick must also fit its charged target's remaining budget) and
-//! commits them together through [`GainOracle::commit_batch`]. A round
-//! with room for one pick keeps the first maximizer of a fused scan fold:
-//! no sort and no gain-set probe. A conflicting candidate is skipped for
-//! the round and rescored in the next one.
-//!
-//! The entry points are [`RoundEngine::run_global`] (SGB, up to `j`
-//! picks per round), [`RoundEngine::run_global_lazy`] (CELF, up to `j`
-//! picks per round) and [`RoundEngine::select_for_targets`] (one CT/WT
-//! round over the open targets).
+//! fallback). A conflicting top is set aside for the round, as is a CT/WT
+//! top whose charged target has no room left; CELF instead pushes a
+//! conflicting top back and closes the round. With room for one pick no
+//! round enumerates a gain set, so at `j = 1` every entry point is its
+//! sequential greedy.
 
 use crate::oracle::{CandidatePolicy, GainOracle};
 use crate::plan::{AlgorithmKind, ProtectionPlan, StepRecord};
@@ -168,23 +155,60 @@ where
     per_span.into_iter().flatten().collect()
 }
 
-/// Charges a per-target gain vector to the first `open` target maximizing
-/// lexicographic `(own, cross)` — the CT/WT round score. `open` holds
-/// `(target, remaining budget)` pairs. Returns `(own, cross, target)`;
-/// `None` when the deletion breaks nothing.
-fn charge_to_open(v: &[usize], open: &[(usize, usize)]) -> Option<(usize, usize, usize)> {
-    let total: usize = v.iter().sum();
-    if total == 0 {
-        return None;
+/// The lazy gain queue's key, larger first: the total gain under the
+/// global budget (SGB, CELF), the `(own, cross)` split under per-target
+/// budgets (CT, WT). The default key breaks nothing.
+trait QueueKey: Copy + Default + Ord + Send {
+    /// The target a pick is charged to (`()` under the global budget).
+    type Target: Copy + Ord + Send;
+    /// Scores `p` against the round's `open` targets.
+    fn score(oracle: &dyn GainOracle, p: Edge, open: &[(usize, usize)]) -> (Self, Self::Target);
+    /// The pick's charged target, own breaks and total breaks.
+    fn charge(self, target: Self::Target) -> (Option<usize>, Option<usize>, usize);
+}
+
+impl QueueKey for usize {
+    type Target = ();
+
+    fn score(oracle: &dyn GainOracle, p: Edge, _: &[(usize, usize)]) -> (Self, ()) {
+        (oracle.gain(p), ())
     }
-    let mut best: Option<(usize, usize, usize)> = None;
-    for &(t, _) in open {
-        let (own, cross) = (v[t], total - v[t]);
-        if best.is_none_or(|(bo, bc, _)| (own, cross) > (bo, bc)) {
-            best = Some((own, cross, t));
-        }
+
+    fn charge(self, (): ()) -> (Option<usize>, Option<usize>, usize) {
+        (None, None, self)
     }
-    best
+}
+
+impl QueueKey for (usize, usize) {
+    type Target = usize;
+
+    /// Charges `p` to the first `open` target maximizing its split.
+    fn score(oracle: &dyn GainOracle, p: Edge, open: &[(usize, usize)]) -> (Self, usize) {
+        let v = oracle.gain_vector(p);
+        let total: usize = v.iter().sum();
+        let split = |t: usize| (v[t], total - v[t]);
+        let t = (open.iter().map(|&(t, _)| t))
+            .reduce(|best, t| if split(t) > split(best) { t } else { best })
+            .expect("a queue with room has an open target");
+        (split(t), t)
+    }
+
+    fn charge(self, t: usize) -> (Option<usize>, Option<usize>, usize) {
+        (Some(t), Some(self.0), self.0 + self.1)
+    }
+}
+
+/// The budget one lazy gain queue spends.
+#[derive(Clone, Copy)]
+enum Budget<'b> {
+    /// SGB/CELF: `k` picks in all; a round has room for `min(j, k − picks)`.
+    Global(usize),
+    /// CT: up to `budgets[t]` picks charged to each target `t`; a round has
+    /// room for `j`, however little budget the open targets have left.
+    Targets(&'b [usize]),
+    /// WT: up to `budget` picks charged to target `t` alone; a round has
+    /// room for `min(j, remaining)`.
+    Within { t: usize, budget: usize },
 }
 
 /// What a [`BatchAcceptor`] did with an offered candidate.
@@ -192,7 +216,7 @@ fn charge_to_open(v: &[usize], open: &[(usize, usize)]) -> Option<(usize, usize,
 enum Admission {
     /// Joins the batch.
     Accepted,
-    /// Conflicts with the batch: skipped this round, rescored next round.
+    /// Conflicts with the batch: skipped this round.
     Skipped,
     /// Nothing more can join: the gain sets are unknowable, or the
     /// round's conflict budget is spent.
@@ -200,20 +224,18 @@ enum Admission {
 }
 
 /// What the lazy gain queue does with a fresh top its batch skipped — the
-/// one difference between the SGB and CELF entry points.
+/// one difference between the SGB (and CT/WT) and CELF entry points.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Requeue {
-    /// SGB: set the top aside until the round commits and keep offering
-    /// the next-ranked candidates, as a scan-and-sort round would.
+    /// SGB, CT, WT: set the top aside until the round commits and keep
+    /// offering the next-ranked candidates, as a scan-and-sort round would.
     SetAside,
     /// CELF: push the top back and close the round; the top is
     /// re-evaluated in the next one.
     Close,
 }
 
-/// Disjoint-gain-set admission for one batch round — the one acceptance
-/// rule of the CT/WT round and the lazy gain queue, which differ only in
-/// what they do with a non-accepted candidate.
+/// Disjoint-gain-set admission for one batch round of the lazy gain queue.
 ///
 /// The first offer is always accepted: it is exactly the pick the
 /// sequential round would commit. Later offers are accepted iff their gain
@@ -247,10 +269,6 @@ impl BatchAcceptor {
             opaque: false,
             conflicts_left: room.saturating_mul(BATCH_CONFLICTS_PER_SLOT),
         }
-    }
-
-    fn is_full(&self) -> bool {
-        self.picks.len() >= self.room
     }
 
     /// Offers the next candidate in the round's canonical order.
@@ -309,20 +327,22 @@ impl BatchAcceptor {
 /// across threads), canonical tie-break, commit, and step recording over
 /// one boxed gain oracle.
 ///
-/// Algorithms drive it through four entry points:
+/// Algorithms drive it through five entry points:
 ///
 /// * [`run_global`](Self::run_global) — SGB-Greedy rounds (argmax total
 ///   gain), up to `j` disjoint picks per round;
 /// * [`run_global_lazy`](Self::run_global_lazy) — CELF rounds (identical
 ///   output at `j = 1`; a batch conflict closes the round);
-/// * [`select_for_targets`](Self::select_for_targets) — one CT/WT round
-///   maximizing lexicographic `(own, cross)` over the open targets;
+/// * [`run_cross_target`](Self::run_cross_target) — CT-Greedy rounds
+///   maximizing lexicographic `(own, cross)` over the targets with budget
+///   left;
+/// * [`run_within_target`](Self::run_within_target) — WT-Greedy rounds,
+///   one target at a time;
 /// * [`select_custom`](Self::select_custom) + [`commit_pick`](Self::commit_pick)
 ///   — bring-your-own score (the weighted extension).
 ///
-/// The first two share one private lazy gain queue, CT/WT rounds one
-/// private round (see the module docs), and every commit goes through one
-/// batch commit.
+/// The first four share one private lazy gain queue (see the module
+/// docs), and every commit goes through one batch commit.
 pub struct RoundEngine<'a> {
     oracle: Box<dyn GainOracle + Sync + 'a>,
     policy: CandidatePolicy,
@@ -368,8 +388,8 @@ impl<'a> RoundEngine<'a> {
         }
     }
 
-    /// **The** full candidate scan (the lazy queue's bound sweep, every
-    /// CT/WT round, [`select_custom`](Self::select_custom)): runs `span` over
+    /// **The** full candidate scan (the lazy queue's bound sweep,
+    /// [`select_custom`](Self::select_custom)): runs `span` over
     /// contiguous spans of `candidates` and returns the span results in
     /// span order. Workers claim the spans of [`Parallelism::steal_spans`]
     /// and all score through the one shared oracle; a sequential executor
@@ -419,12 +439,6 @@ impl<'a> RoundEngine<'a> {
     #[must_use]
     pub fn picks(&self) -> usize {
         self.protectors.len()
-    }
-
-    /// Number of picks charged to target `t` so far.
-    #[must_use]
-    pub fn charged(&self, t: usize) -> usize {
-        self.per_target[t].len()
     }
 
     /// Scans the current candidate set and returns the first maximizer of
@@ -504,118 +518,102 @@ impl<'a> RoundEngine<'a> {
         broken.len()
     }
 
-    /// **The** CT/WT selection round, single-pick or batched: charges
-    /// every candidate to the first `open` target maximizing its
-    /// `(own, cross)` split, ranks the candidates by that split descending
-    /// with ties to the canonically smallest edge, and commits up to
-    /// `room` of them together. Returns the number committed (0 when no
-    /// candidate breaks anything, or no pick fits).
-    ///
-    /// With `room == 1` the round keeps the first maximizer of the fused
-    /// [`select_custom`](Self::select_custom) fold and never enumerates a
-    /// gain set. With more room it sorts the scanned scores and accepts
-    /// picks through a [`BatchAcceptor`]: each accepted gain set
-    /// ([`GainOracle::gain_set`]) is disjoint from the others, which keeps
-    /// every accepted `(own, cross)` split exact at commit, per target. A
-    /// pick must also fit its charged target's remaining budget: a
-    /// candidate whose target is full this round is skipped and rescored
-    /// next round, when the target has left the open set.
-    fn round(&mut self, open: &[(usize, usize)], room: usize) -> usize {
-        let eval = |oracle: &dyn GainOracle, p| charge_to_open(&oracle.gain_vector(p), open);
-        let split = |&(own, cross, _): &(usize, usize, usize)| (own, cross);
-        let ranked: Vec<((usize, usize, usize), Edge)> = if room == 1 {
-            self.select_custom(eval, |a, b| split(a) > split(b))
-                .into_iter()
-                .collect()
-        } else {
-            let candidates = self.oracle.candidates(self.policy);
-            let scores = self.scan_map(&candidates, eval);
-            let mut ranked: Vec<_> = scores
-                .into_iter()
-                .zip(candidates)
-                .filter_map(|(s, p)| Some((s?, p)))
-                .collect();
-            ranked.sort_unstable_by_key(|&(s, p)| (Reverse(split(&s)), p));
-            ranked
-        };
-        // Per-target room left this round, indexed by target id (`open`
-        // is in ascending target order).
-        let mut budget_left = vec![0usize; open.last().map_or(0, |&(t, _)| t + 1)];
-        for &(t, remaining) in open {
-            budget_left[t] = remaining;
-        }
-        let mut batch = BatchAcceptor::new(room);
-        // `charge_to_open` scores only breakers, so every `own + cross > 0`.
-        for ((own, cross, t), p) in ranked {
-            if batch.is_full() {
-                break;
+    /// The targets with budget left, as `(target, remaining)` pairs in
+    /// ascending target order (none under the global budget), and the next
+    /// round's room. Room 0 means the budget is spent.
+    fn open_targets(&self, budget: Budget, j: usize) -> (Vec<(usize, usize)>, usize) {
+        let remaining = |t: usize, budget: usize| budget.saturating_sub(self.per_target[t].len());
+        match budget {
+            Budget::Global(k) => (Vec::new(), j.min(k.saturating_sub(self.picks()))),
+            Budget::Targets(budgets) => {
+                let open: Vec<(usize, usize)> = (0..budgets.len())
+                    .map(|t| (t, remaining(t, budgets[t])))
+                    .filter(|&(_, left)| left > 0)
+                    .collect();
+                let room = if open.is_empty() { 0 } else { j };
+                (open, room)
             }
-            if budget_left[t] == 0 {
-                continue; // target full this round: rescored next round
-            }
-            let pick = (p, Some(t), Some(own));
-            match batch.offer(self.oracle.as_ref(), &self.obs, pick, own + cross) {
-                Admission::Accepted => budget_left[t] -= 1,
-                Admission::Skipped => {}
-                Admission::Closed => break,
+            Budget::Within { t, budget } => {
+                let left = remaining(t, budget);
+                (vec![(t, left)], j.min(left))
             }
         }
-        self.commit_accepted(&batch)
     }
 
-    /// The lazy gain queue behind both global-budget entry points (Minoux's
-    /// accelerated greedy; CELF, Leskovec et al. 2007): one sharded bound
-    /// sweep, then rounds that pop their picks from a max-heap of
-    /// `(cached gain, Reverse(edge), round evaluated)` until `k` picks are
-    /// committed or gains are exhausted, each round committing up to `j`.
+    /// **The** selection loop of every greedy (Minoux's accelerated greedy;
+    /// CELF, Leskovec et al. 2007): one sharded bound sweep, then rounds
+    /// that pop their picks from a max-heap of
+    /// `(cached key, Reverse(edge), round evaluated, charged target)` until
+    /// `budget` is spent or gains are exhausted.
     ///
-    /// A stale top is refreshed through [`GainOracle::gain`] and pushed
-    /// back; deletions never raise a gain, so every cached gain bounds the
-    /// current one and a fresh top is the round's next pick in
-    /// `(gain desc, edge asc)` order — the order a full scan-and-sort of
-    /// the current gains would give. Fresh tops are offered to one
-    /// [`BatchAcceptor`]; `requeue` says what happens to a skipped one.
-    /// A closed batch or a cached gain of 0 ends the round.
-    fn run_queue(&mut self, k: usize, j: usize, requeue: Requeue) {
+    /// Keys are scored against the targets open at the start of a round,
+    /// and deletions never raise a candidate's total or per-target gain
+    /// while the open set only shrinks, so every cached key bounds the
+    /// current one. A stale top is refreshed and pushed back; a fresh top
+    /// is the round's next pick in `(key desc, edge asc)` order, as a full
+    /// scan-and-sort of the current keys would rank it. Fresh tops are
+    /// offered to one [`BatchAcceptor`] (`requeue` says what happens to a
+    /// skipped one); a top whose charged target has no room left this round
+    /// is set aside. Returns `false` when a round finds nothing to commit.
+    fn run_queue<K: QueueKey>(&mut self, budget: Budget, j: usize, requeue: Requeue) -> bool {
         let j = j.max(1);
-        if self.picks() >= k {
-            return;
+        let (mut open, mut room) = self.open_targets(budget, j);
+        if room == 0 {
+            return true;
         }
         let candidates = self.oracle.candidates(self.policy);
-        let gains = self.scan_map(&candidates, |oracle, p| oracle.gain(p));
+        let keys = self.scan_map(&candidates, |oracle, p| K::score(oracle, p, &open));
         // Ordering by Reverse(edge) second pops the canonically smallest
-        // edge on gain ties — the scan's tie-break exactly. A zero gain
-        // never rises, so it never enters the heap.
-        let mut heap: BinaryHeap<(usize, Reverse<Edge>, usize)> = candidates
+        // edge on key ties — the scan's tie-break exactly; a heap never
+        // holds one edge twice, so the charged target never decides. A
+        // zero key never rises, so it never enters the heap.
+        let mut heap: BinaryHeap<(K, Reverse<Edge>, usize, K::Target)> = candidates
             .into_iter()
-            .zip(gains)
-            .filter(|&(_, g)| g > 0)
-            .map(|(p, g)| (g, Reverse(p), 0usize))
+            .zip(keys)
+            .filter(|&(_, (key, _))| key > K::default())
+            .map(|(p, (key, t))| (key, Reverse(p), 0, t))
             .collect();
         let mut set_aside = Vec::new();
         let mut round = 0usize;
-        while self.picks() < k {
+        loop {
             let t0 = self.obs.is_enabled().then(Instant::now);
             let mut refreshed = 0u64;
-            let mut batch = BatchAcceptor::new(j.min(k - self.picks()));
-            while !batch.is_full() {
+            // Each open target's room this round, indexed by target id. The
+            // round ends once its room, or every open target's, is spent.
+            let mut left = vec![0usize; open.last().map_or(0, |&(t, _)| t + 1)];
+            let mut spare = if open.is_empty() { room } else { 0 };
+            for &(t, remaining) in &open {
+                left[t] = remaining;
+                spare = spare.saturating_add(remaining);
+            }
+            let mut batch = BatchAcceptor::new(room);
+            while batch.picks.len() < room.min(spare) {
                 let Some(top) = heap.pop() else {
                     break;
                 };
-                let (cached, Reverse(p), evaluated_at) = top;
-                if cached == 0 {
+                let (cached, Reverse(p), evaluated_at, target) = top;
+                if cached == K::default() {
                     break; // all remaining upper bounds are 0
                 }
                 if evaluated_at < round {
                     // Stale bound: refresh and reinsert.
-                    let fresh = self.oracle.gain(p);
+                    let (fresh, t) = K::score(self.oracle.as_ref(), p, &open);
                     refreshed += 1;
                     debug_assert!(fresh <= cached, "a deletion raised a gain");
-                    heap.push((fresh, Reverse(p), round));
+                    heap.push((fresh, Reverse(p), round, t));
                     continue;
                 }
-                match batch.offer(self.oracle.as_ref(), &self.obs, (p, None, None), cached) {
-                    Admission::Accepted => {}
+                let (charged, own, gain) = cached.charge(target);
+                if charged.is_some_and(|t| left[t] == 0) {
+                    set_aside.push(top);
+                    continue;
+                }
+                match batch.offer(self.oracle.as_ref(), &self.obs, (p, charged, own), gain) {
+                    Admission::Accepted => {
+                        if let Some(t) = charged {
+                            left[t] -= 1;
+                        }
+                    }
                     Admission::Skipped if requeue == Requeue::SetAside => set_aside.push(top),
                     Admission::Skipped | Admission::Closed => {
                         heap.push(top);
@@ -631,8 +629,12 @@ impl<'a> RoundEngine<'a> {
             // refreshed before they can win again.
             heap.extend(set_aside.drain(..));
             match self.commit_accepted(&batch) {
-                0 => break,
+                0 => return false,
                 committed => round += committed,
+            }
+            (open, room) = self.open_targets(budget, j);
+            if room == 0 {
+                return true;
             }
         }
     }
@@ -655,7 +657,7 @@ impl<'a> RoundEngine<'a> {
     /// heap tops are re-evaluated. The plan equals a per-round
     /// scan-and-sort of the current gains.
     pub fn run_global(&mut self, k: usize, j: usize) {
-        self.run_queue(k, j, Requeue::SetAside);
+        self.run_queue::<usize>(Budget::Global(k), j, Requeue::SetAside);
     }
 
     /// Runs CELF rounds (Leskovec et al. 2007) until `k` picks are
@@ -677,25 +679,32 @@ impl<'a> RoundEngine<'a> {
     /// `j = 1` is the classic CELF loop — bit-identical to
     /// `run_global(k, 1)` for every oracle and thread count.
     pub fn run_global_lazy(&mut self, k: usize, j: usize) {
-        self.run_queue(k, j, Requeue::Close);
+        self.run_queue::<usize>(Budget::Global(k), j, Requeue::Close);
     }
 
-    /// One CT/WT round: charges every candidate to the first `open`
-    /// target maximizing its lexicographic `(own, cross)` split (ascending
-    /// target order breaks own-level ties) and commits up to `room` of the
-    /// best, each within its target's remaining budget. `open` lists
-    /// `(target, remaining budget)` pairs in ascending target order (every
-    /// `remaining >= 1`).
-    ///
-    /// `room == 1` commits the first maximizer; larger rooms accept only
-    /// picks with pairwise-disjoint gain sets, which keeps every recorded
-    /// split exact. Returns the number of committed picks; 0 means global
-    /// exhaustion (no candidate breaks anything) or an empty `open`/`room`.
-    pub fn select_for_targets(&mut self, open: &[(usize, usize)], room: usize) -> usize {
-        if open.is_empty() || room == 0 {
-            return 0;
+    /// Runs CT rounds (Algorithm 2) until every target's budget
+    /// `budgets[t]` is spent or gains are exhausted, committing up to `j`
+    /// picks per round from one lazy gain queue over every target with
+    /// budget left. A candidate is charged to the first open target
+    /// maximizing its lexicographic `(own, cross)` split; `j = 1` is the
+    /// sequential CT-Greedy, and larger `j` accepts only picks with
+    /// pairwise-disjoint gain sets, which keeps every recorded split exact.
+    pub fn run_cross_target(&mut self, budgets: &[usize], j: usize) {
+        self.run_queue::<(usize, usize)>(Budget::Targets(budgets), j, Requeue::SetAside);
+    }
+
+    /// Runs WT rounds (Algorithm 3): targets in declaration order, each
+    /// spending `budgets[t]` through a lazy gain queue of its own that opens
+    /// only that target (a key for one target does not bound the key for
+    /// the next), up to `min(j, remaining)` picks per round. The run stops
+    /// at the first round that finds nothing to commit.
+    pub fn run_within_target(&mut self, budgets: &[usize], j: usize) {
+        for (t, &budget) in budgets.iter().enumerate() {
+            if !self.run_queue::<(usize, usize)>(Budget::Within { t, budget }, j, Requeue::SetAside)
+            {
+                break;
+            }
         }
-        self.round(open, room)
     }
 
     /// Finishes a global-budget run (SGB/CELF shape: no per-target
@@ -847,7 +856,8 @@ mod tests {
         }
     }
 
-    /// An [`IndexOracle`](crate::IndexOracle) that counts its `gain` calls.
+    /// An [`IndexOracle`](crate::IndexOracle) that counts its `gain` and
+    /// `gain_vector` calls.
     struct CountingOracle<'a> {
         inner: crate::IndexOracle<'a>,
         gains: &'a AtomicUsize,
@@ -864,6 +874,7 @@ mod tests {
         }
 
         fn gain_vector(&self, p: Edge) -> Vec<usize> {
+            self.gains.fetch_add(1, Ordering::Relaxed);
             self.inner.gain_vector(p)
         }
 
@@ -898,12 +909,16 @@ mod tests {
 
     #[test]
     fn candidates_probed_counts_every_gain_evaluation() {
-        // The sweep and every lazy refresh are gain evaluations; the stats
-        // must count each one, for SGB and CELF rounds alike.
+        // The sweep and every lazy refresh are gain evaluations (`gain` for
+        // SGB and CELF, `gain_vector` for CT and WT); the stats must count
+        // each one. CT sweeps once; WT sweeps once per target it opens.
         let g = tpp_graph::generators::holme_kim(300, 4, 0.5, 5);
         let instance = crate::TppInstance::with_random_targets(g, 30, 5);
         let motif = tpp_motif::Motif::Triangle;
-        for (name, lazy) in [("sgb", false), ("celf", true)] {
+        let budgets = crate::divide_budget(crate::BudgetDivision::Tbd, 20, &instance, motif);
+        let opened = budgets.iter().filter(|&&b| b > 0).count();
+        assert!(opened > 1);
+        for (name, scans) in [("sgb", 1), ("celf", 1), ("ct", 1), ("wt", opened)] {
             for (j, threads) in [(1, 1), (1, 2), (4, 1), (4, 2)] {
                 let gains = AtomicUsize::new(0);
                 let oracle = CountingOracle {
@@ -916,19 +931,32 @@ mod tests {
                     CandidatePolicy::SubgraphEdges,
                     Parallelism::new(threads).attach_recorder(recorder.clone()),
                 );
-                if lazy {
-                    engine.run_global_lazy(20, j);
-                } else {
-                    engine.run_global(20, j);
-                }
-                assert_eq!(engine.picks(), 20, "{name}");
+                let picks = match name {
+                    "sgb" => {
+                        engine.run_global(20, j);
+                        20
+                    }
+                    "celf" => {
+                        engine.run_global_lazy(20, j);
+                        20
+                    }
+                    "ct" => {
+                        engine.run_cross_target(&budgets, j);
+                        budgets.iter().sum()
+                    }
+                    _ => {
+                        engine.run_within_target(&budgets, j);
+                        budgets.iter().sum()
+                    }
+                };
+                let label = format!("{name} j={j} x{threads}");
+                assert_eq!(engine.picks(), picks, "{label}");
                 let st = recorder.stats().unwrap();
                 let probed = st.round.candidates_probed.get();
-                let label = format!("{name} j={j} x{threads}");
                 assert_eq!(probed, gains.load(Ordering::Relaxed) as u64, "{label}");
-                assert_eq!(st.round.scans.get(), 1, "{label}: one sweep");
-                // One sample for the sweep, one per round's selection.
-                let samples = 1 + st.round.rounds.get();
+                assert_eq!(st.round.scans.get(), scans as u64, "{label}: sweeps");
+                // One sample per sweep, one per round's selection.
+                let samples = st.round.scans.get() + st.round.rounds.get();
                 assert_eq!(st.round.scan_ns.snapshot().count, samples, "{label}");
             }
         }

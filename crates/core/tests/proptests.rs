@@ -217,7 +217,7 @@ fn evaluator_configs(motif: Motif) -> [GreedyConfig; 2] {
 /// maximum and commits it. An SGB round scores `(gain, 0)`; a CT/WT round
 /// charges each candidate to the first open target maximizing its
 /// `(own, cross)` split. The single-pick rounds run over the recount
-/// oracle; the SGB batch rounds need gain sets and run over the index.
+/// oracle; the batch rounds need gain sets and run over the index.
 struct NaiveGreedy<'a> {
     oracle: Box<dyn GainOracle + 'a>,
     plan: ProtectionPlan,
@@ -327,49 +327,125 @@ impl<'a> NaiveGreedy<'a> {
         naive.plan
     }
 
-    /// SGB with up to `j` picks per round as a scan-and-sort: score every
-    /// candidate, sort by `(gain desc, edge asc)`, accept the picks whose
-    /// gain sets are pairwise disjoint (a conflict skips the candidate;
-    /// `16 × room` conflicts close the round), then commit them in order.
+    /// One batch round as a scan-and-sort over the index: score every
+    /// candidate (`(gain, 0)` in an SGB round, `open = None`; in a CT/WT
+    /// round the `(own, cross)` split charged to the first `open` target
+    /// maximizing it), sort by `(split desc, edge asc)`, and accept the
+    /// picks whose gain sets are pairwise disjoint and whose charged target
+    /// has room left (a conflict skips the candidate; `16 × room` conflicts
+    /// close the round), then commit them in order. `open` lists
+    /// `(target, remaining budget)` pairs. Returns the number committed.
+    fn scan_and_sort_round(&mut self, open: Option<&[(usize, usize)]>, room: usize) -> usize {
+        let mut ranked: Vec<((usize, usize), Option<usize>, Edge)> = Vec::new();
+        for p in self.oracle.candidates(CandidatePolicy::SubgraphEdges) {
+            let v = self.oracle.gain_vector(p);
+            let total: usize = v.iter().sum();
+            if total == 0 {
+                continue;
+            }
+            let Some(open) = open else {
+                ranked.push(((total, 0), None, p));
+                continue;
+            };
+            let mut charge: Option<((usize, usize), usize)> = None;
+            for &(t, _) in open {
+                let key = (v[t], total - v[t]);
+                if charge.is_none_or(|(k, _)| key > k) {
+                    charge = Some((key, t));
+                }
+            }
+            if let Some((key, t)) = charge {
+                ranked.push((key, Some(t), p));
+            }
+        }
+        ranked.sort_unstable_by_key(|&(key, _, p)| (std::cmp::Reverse(key), p));
+        let mut left: Vec<usize> = vec![0; self.oracle.target_count()];
+        for &(t, remaining) in open.unwrap_or_default() {
+            left[t] = remaining;
+        }
+        let mut picks: Vec<((usize, usize), Option<usize>, Edge)> = Vec::new();
+        let mut claimed = FastSet::default();
+        let mut conflicts_left = 16 * room;
+        for (key, target, p) in ranked {
+            if picks.len() == room {
+                break;
+            }
+            if target.is_some_and(|t| left[t] == 0) {
+                continue;
+            }
+            let ids = self
+                .oracle
+                .gain_set(p)
+                .expect("the index enumerates gain sets");
+            if !picks.is_empty() && ids.iter().any(|id| claimed.contains(id)) {
+                conflicts_left -= 1;
+                if conflicts_left == 0 {
+                    break;
+                }
+                continue;
+            }
+            claimed.extend(ids);
+            if let Some(t) = target {
+                left[t] -= 1;
+            }
+            picks.push((key, target, p));
+        }
+        for &((own, cross), target, p) in &picks {
+            self.commit(p, target, own, own + cross);
+        }
+        picks.len()
+    }
+
+    /// SGB with up to `j` picks per round, each round a scan-and-sort.
     fn sgb_batch(instance: &'a TppInstance, k: usize, j: usize, motif: Motif) -> ProtectionPlan {
         let oracle = IndexOracle::new(instance.released(), instance.targets(), motif);
         let mut naive = NaiveGreedy::over(instance, Box::new(oracle), AlgorithmKind::SgbGreedy);
         while naive.plan.protectors.len() < k {
             let room = j.min(k - naive.plan.protectors.len());
-            let mut ranked: Vec<(usize, Edge)> = Vec::new();
-            for p in naive.oracle.candidates(CandidatePolicy::SubgraphEdges) {
-                let gain = naive.oracle.gain(p);
-                if gain > 0 {
-                    ranked.push((gain, p));
-                }
-            }
-            ranked.sort_unstable_by_key(|&(gain, p)| (std::cmp::Reverse(gain), p));
-            let mut picks: Vec<(usize, Edge)> = Vec::new();
-            let mut claimed = FastSet::default();
-            let mut conflicts_left = 16 * room;
-            for (gain, p) in ranked {
-                if picks.len() == room {
-                    break;
-                }
-                let ids = naive
-                    .oracle
-                    .gain_set(p)
-                    .expect("the index enumerates gain sets");
-                if !picks.is_empty() && ids.iter().any(|id| claimed.contains(id)) {
-                    conflicts_left -= 1;
-                    if conflicts_left == 0 {
-                        break;
-                    }
-                    continue;
-                }
-                claimed.extend(ids);
-                picks.push((gain, p));
-            }
-            if picks.is_empty() {
+            if naive.scan_and_sort_round(None, room) == 0 {
                 break;
             }
-            for (gain, p) in picks {
-                naive.commit(p, None, gain, gain);
+        }
+        naive.plan
+    }
+
+    /// CT with up to `j` picks per round, each round a scan-and-sort over
+    /// every target with budget left.
+    fn ct_batch(
+        instance: &'a TppInstance,
+        budgets: &[usize],
+        j: usize,
+        motif: Motif,
+    ) -> ProtectionPlan {
+        let oracle = IndexOracle::new(instance.released(), instance.targets(), motif);
+        let mut naive = NaiveGreedy::over(instance, Box::new(oracle), AlgorithmKind::CtGreedy);
+        loop {
+            let open: Vec<(usize, usize)> = (0..budgets.len())
+                .map(|t| (t, budgets[t].saturating_sub(naive.charged(t))))
+                .filter(|&(_, remaining)| remaining > 0)
+                .collect();
+            if open.is_empty() || naive.scan_and_sort_round(Some(&open), j) == 0 {
+                break naive.plan;
+            }
+        }
+    }
+
+    /// WT with up to `min(j, remaining)` picks per round, each round a
+    /// scan-and-sort over the current target alone.
+    fn wt_batch(
+        instance: &'a TppInstance,
+        budgets: &[usize],
+        j: usize,
+        motif: Motif,
+    ) -> ProtectionPlan {
+        let oracle = IndexOracle::new(instance.released(), instance.targets(), motif);
+        let mut naive = NaiveGreedy::over(instance, Box::new(oracle), AlgorithmKind::WtGreedy);
+        'targets: for (t, &budget) in budgets.iter().enumerate() {
+            while naive.charged(t) < budget {
+                let remaining = budget - naive.charged(t);
+                if naive.scan_and_sort_round(Some(&[(t, remaining)]), j.min(remaining)) == 0 {
+                    break 'targets;
+                }
             }
         }
         naive.plan
@@ -493,6 +569,39 @@ proptest! {
         }
     }
 
+    /// CT and WT batch rounds (`j > 1`) commit exactly the picks of a
+    /// scan-and-sort round: the whole plan (steps and `per_target` too)
+    /// equals the naive batch greedy under both budget divisions, for
+    /// every thread count.
+    #[test]
+    fn targeted_batches_equal_the_scan_and_sort_round(
+        n in 20usize..=40,
+        seed in 0u64..=5_000,
+        tcount in 4usize..=10,
+        k in 1usize..=8,
+    ) {
+        let instance = er_instance(n, seed, tcount);
+        for motif in [Motif::Triangle, Motif::Rectangle] {
+            let cfg = GreedyConfig::scalable(motif);
+            for division in [BudgetDivision::Tbd, BudgetDivision::Dbd] {
+                let budgets = divide_budget(division, k, &instance, motif);
+                for j in [2usize, 3, 8] {
+                    let ct_naive = NaiveGreedy::ct_batch(&instance, &budgets, j, motif);
+                    let wt_naive = NaiveGreedy::wt_batch(&instance, &budgets, j, motif);
+                    for threads in [1usize, 2] {
+                        let tcfg = cfg.clone().with_threads(threads);
+                        let ct = ct_greedy_batch(&instance, &budgets, j, &tcfg).unwrap();
+                        prop_assert_eq!(&ct_naive, &ct,
+                            "ct {} {:?} j={} x{} diverged", motif, division, j, threads);
+                        let wt = wt_greedy_batch(&instance, &budgets, j, &tcfg).unwrap();
+                        prop_assert_eq!(&wt_naive, &wt,
+                            "wt {} {:?} j={} x{} diverged", motif, division, j, threads);
+                    }
+                }
+            }
+        }
+    }
+
     /// Thread-invariance holds for the targeted (CT) rounds and the CELF
     /// lazy queue too, for every oracle kind.
     #[test]
@@ -521,30 +630,31 @@ proptest! {
 
     /// Batch-of-one rounds are bit-identical to the naive sequential
     /// greedy for the targeted (CT/WT) and lazy (CELF) strategies too —
-    /// the whole plan (protectors, steps, `per_target`), for every oracle
-    /// kind and `threads ∈ {1, 2, 4}`.
+    /// the whole plan (protectors, steps, `per_target`), for every motif,
+    /// every oracle kind and `threads ∈ {1, 2, 4}`.
     #[test]
     fn targeted_and_lazy_batch_of_one_is_bit_identical(
         instance in instance_strategy(),
         k in 1usize..=5,
     ) {
-        let motif = Motif::Triangle;
-        let budgets = divide_budget(BudgetDivision::Tbd, k, &instance, motif);
-        let ct_seq = NaiveGreedy::ct(&instance, &budgets, motif);
-        let wt_seq = NaiveGreedy::wt(&instance, &budgets, motif);
-        let celf_seq = NaiveGreedy::sgb(&instance, k, motif, AlgorithmKind::CelfGreedy);
-        for cfg in evaluator_configs(motif) {
-            for threads in [1usize, 2, 4] {
-                let tcfg = cfg.clone().with_threads(threads);
-                let ct_b = ct_greedy_batch(&instance, &budgets, 1, &tcfg).unwrap();
-                prop_assert_eq!(&ct_seq, &ct_b,
-                    "ct batch(1) {:?} x{} diverged", cfg.evaluator, threads);
-                let wt_b = wt_greedy_batch(&instance, &budgets, 1, &tcfg).unwrap();
-                prop_assert_eq!(&wt_seq, &wt_b,
-                    "wt batch(1) {:?} x{} diverged", cfg.evaluator, threads);
-                let celf_b = celf_greedy_batch(&instance, k, 1, &tcfg);
-                prop_assert_eq!(&celf_seq, &celf_b,
-                    "celf batch(1) {:?} x{} diverged", cfg.evaluator, threads);
+        for motif in Motif::ALL {
+            let budgets = divide_budget(BudgetDivision::Tbd, k, &instance, motif);
+            let ct_seq = NaiveGreedy::ct(&instance, &budgets, motif);
+            let wt_seq = NaiveGreedy::wt(&instance, &budgets, motif);
+            let celf_seq = NaiveGreedy::sgb(&instance, k, motif, AlgorithmKind::CelfGreedy);
+            for cfg in evaluator_configs(motif) {
+                for threads in [1usize, 2, 4] {
+                    let tcfg = cfg.clone().with_threads(threads);
+                    let ct_b = ct_greedy_batch(&instance, &budgets, 1, &tcfg).unwrap();
+                    prop_assert_eq!(&ct_seq, &ct_b,
+                        "ct batch(1) {} {:?} x{} diverged", motif, cfg.evaluator, threads);
+                    let wt_b = wt_greedy_batch(&instance, &budgets, 1, &tcfg).unwrap();
+                    prop_assert_eq!(&wt_seq, &wt_b,
+                        "wt batch(1) {} {:?} x{} diverged", motif, cfg.evaluator, threads);
+                    let celf_b = celf_greedy_batch(&instance, k, 1, &tcfg);
+                    prop_assert_eq!(&celf_seq, &celf_b,
+                        "celf batch(1) {} {:?} x{} diverged", motif, cfg.evaluator, threads);
+                }
             }
         }
     }

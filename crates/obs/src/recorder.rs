@@ -10,8 +10,9 @@ use std::sync::Arc;
 pub struct RoundStats {
     /// Committed rounds (single picks and accepted batches).
     pub rounds: Counter,
-    /// Full candidate scans: the lazy gain queue's one bound sweep per
-    /// SGB/CELF run, one per CT/WT round.
+    /// Full candidate scans: one bound sweep per lazy gain queue (one per
+    /// SGB, CELF or CT run, one per WT target with budget), and one per
+    /// `select_custom` call.
     pub scans: Counter,
     /// Candidate evaluations: every candidate a full scan scores plus
     /// every stale lazy-queue entry refreshed.
