@@ -105,6 +105,65 @@ pub fn hk_released_workload(n: usize, seed: u64) -> (Graph, Vec<Edge>) {
     (g, targets)
 }
 
+/// The original graph of the hub workload: node 0 is adjacent to every
+/// leaf `1..=leaves`, the leaves form a ring, and every third leaf `i`
+/// (`i % 3 == 1`) has a chord to the leaf seven further round the ring.
+fn hub_graph(leaves: usize) -> Graph {
+    let leaves = leaves as u32;
+    let next = |i: u32, step: u32| (i - 1 + step) % leaves + 1;
+    let mut g = Graph::new(leaves as usize + 1);
+    for i in 1..=leaves {
+        g.add_edge(0, i);
+        g.add_edge(i, next(i, 1));
+        if i % 3 == 1 {
+            g.add_edge(i, next(i, 7));
+        }
+    }
+    g
+}
+
+/// The hub workload's targets: `(0, 1 + 3i)` for `i < target_count`.
+fn hub_targets(leaves: usize, target_count: usize) -> Vec<Edge> {
+    assert!(
+        (1..=leaves / 3).contains(&target_count),
+        "{target_count} targets need at least {} leaves",
+        3 * target_count
+    );
+    (0..target_count as u32)
+        .map(|i| Edge::new(0, 1 + 3 * i))
+        .collect()
+}
+
+/// Hub released workload: a hub adjacent to all `leaves` leaves of a
+/// chorded ring, with `target_count` hub links `(0, 1 + 3i)` hidden.
+/// Every target's enumeration (and its predicted cost) reads the hub's
+/// adjacency, so a few dozen targets over a few thousand leaves make an
+/// index build heavy enough to be pooled, at every motif, while the
+/// instances stay few: the fixture of the tests that pin pooled builds
+/// and sweeps to the sequential ones.
+///
+/// # Panics
+/// Panics if `target_count` is 0 or above `leaves / 3`.
+#[must_use]
+pub fn hub_released_workload(leaves: usize, target_count: usize) -> (Graph, Vec<Edge>) {
+    let mut g = hub_graph(leaves);
+    let targets = hub_targets(leaves, target_count);
+    for t in &targets {
+        g.remove_edge(t.u(), t.v());
+    }
+    (g, targets)
+}
+
+/// [`hub_released_workload`] as a full [`TppInstance`].
+///
+/// # Panics
+/// Panics if `target_count` is 0 or above `leaves / 3`.
+#[must_use]
+pub fn hub_instance(leaves: usize, target_count: usize) -> TppInstance {
+    TppInstance::new(hub_graph(leaves), hub_targets(leaves, target_count))
+        .expect("hub targets are distinct hub links")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -211,7 +211,11 @@ struct IndexEntry {
     /// name it. The `Weak` frees the graph with the registry but keeps its
     /// allocation, so no later graph can take its address.
     graph: Weak<CsrGraph>,
-    /// Last request that touched this entry (the LRU/TTL clock).
+    /// When the last request that touched this entry looked it up (the
+    /// LRU/TTL clock). A miss is stamped with its lookup, not the end of
+    /// its build, so entries rank in request order: a slow build that
+    /// finishes late cannot outrank the entries other requests hit while
+    /// it ran.
     last_used: Instant,
 }
 
@@ -713,11 +717,12 @@ impl Server {
             motif.to_string(),
             instance.targets().iter().map(|e| (e.u(), e.v())).collect(),
         );
+        let looked_up = Instant::now();
         let cached = lock(&self.indexes)
             .get_mut(&key)
             .filter(|entry| entry.covers(g))
             .map(|entry| {
-                entry.last_used = Instant::now();
+                entry.last_used = looked_up;
                 Arc::clone(&entry.index)
             });
         if let Some(index) = cached {
@@ -744,7 +749,7 @@ impl Server {
                 IndexEntry {
                     index: Arc::clone(&index),
                     graph: Arc::downgrade(g),
-                    last_used: Instant::now(),
+                    last_used: looked_up,
                 },
             );
         }

@@ -13,10 +13,12 @@ use crate::problem::TppInstance;
 
 /// Runs the CELF lazy variant of SGB-Greedy with global budget `k`.
 ///
-/// A strategy config on the [`RoundEngine`]'s lazy gain queue: the initial
-/// bound sweep dispatches on `config.exec`, refreshes are incremental, and the
-/// plan is bit-identical to [`sgb_greedy`](crate::sgb_greedy) under the
-/// same config. All evaluators are supported.
+/// A strategy config on the [`RoundEngine`]'s lazy gain queue: one initial
+/// bound sweep (inline on the index oracle, whose probes are count reads;
+/// pooled on `config.exec` when its probes are worth a dispatch), then
+/// incremental refreshes. The plan is bit-identical to
+/// [`sgb_greedy`](crate::sgb_greedy) under the same config. All evaluators
+/// are supported.
 #[must_use]
 pub fn celf_greedy(instance: &TppInstance, k: usize, config: &GreedyConfig) -> ProtectionPlan {
     celf_greedy_batch(instance, k, 1, config)

@@ -20,9 +20,10 @@
 //!
 //! Three are the run's context, plain values that never change a plan:
 //!
-//! * `exec` is the executor each bound sweep, the index build and the
-//!   commits dispatch on — a fresh pool ([`GreedyConfig::with_threads`]) or
-//!   a resident one ([`GreedyConfig::with_shared_pool`]); plans are
+//! * `exec` is the executor the index build and each bound sweep may
+//!   dispatch on — a fresh pool ([`GreedyConfig::with_threads`]) or a
+//!   resident one ([`GreedyConfig::with_shared_pool`]); a job too small to
+//!   pay for a dispatch runs inline whatever its width, and plans are
 //!   bit-identical at every width and for every evaluator;
 //! * `recorder` is the telemetry sink ([`GreedyConfig::with_obs`]);
 //! * `index_seed` is a pre-built coverage index the run clones instead of
@@ -76,10 +77,13 @@ pub struct GreedyConfig {
     pub candidates: CandidatePolicy,
     /// Gain oracle implementation.
     pub evaluator: EvaluatorKind,
-    /// The executor every scan, index build and commit of the run
-    /// dispatches on (sequential by default). Plans are bit-identical at
-    /// every width — the round engine reduces sharded chunks in candidate
-    /// order.
+    /// The executor the run's index build and bound sweeps may dispatch on
+    /// (sequential by default); commits run on the calling thread.
+    /// `tpp_exec::Parallelism::steal_spans` pools only a job whose
+    /// predicted work pays for a dispatch: on the index oracle that is the
+    /// build of a long-path motif and the CT/WT sweeps, while an SGB/CELF
+    /// sweep of count reads runs inline. Plans are bit-identical at every
+    /// width — results reduce in candidate order.
     pub exec: Parallelism,
     /// Telemetry sink (disabled by default; surfaced by `tpp --stats`).
     pub recorder: Recorder,

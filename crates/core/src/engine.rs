@@ -9,31 +9,37 @@
 //! boxed [`GainOracle`], and the algorithms shrink to strategy configs:
 //! which rounds run, which targets are open, how a candidate is scored.
 //!
-//! ## Parallelism for every oracle
+//! ## Parallelism that pays
 //!
-//! Every full candidate scan fans out across worker threads for **any**
-//! oracle: gain queries are `&self` reads of the committed state, so every
-//! worker scores candidates through the one shared oracle, with no
-//! per-worker scratch. Every greedy scans once per lazy gain queue (its
-//! bound sweep, its only parallel scan): SGB, CELF and CT once per run, WT
-//! once per target it opens. The scan is **work-stealing**: candidates
-//! are pre-cut into contiguous weight-balanced spans (the same
-//! partition-range discipline as `tpp_store::CsrGraph::shard_ranges`, but
-//! several spans per worker), and workers claim spans through one atomic
-//! cursor — a worker that drew cheap spans steals the remaining ones
-//! instead of idling, so skewed scans no longer serialize on the worker
-//! that inherited the hubs. Span results still reduce in span order, so
-//! the selected protector is **bit-identical to the sequential
-//! left-to-right scan for every thread count**. The determinism proptests
-//! pin this across every oracle.
+//! Every greedy scans all candidates once per lazy gain queue (its bound
+//! sweep, its only full scan): SGB, CELF and CT once per run, WT once per
+//! target it opens. Gain queries are `&self` reads of the committed state,
+//! so a sweep can be spread over worker threads for **any** oracle, every
+//! worker scoring through the one shared oracle with no per-worker
+//! scratch. Whether it is spread is not the engine's choice:
+//! [`Parallelism::steal_spans`] owns the one inline-or-pool rule and the
+//! one span rule of the workspace, and the engine only states each
+//! candidate's probe cost in entries read ([`GainOracle::probe_costs`]).
 //!
-//! The workers themselves belong to a persistent [`Parallelism`] pool
-//! (`tpp-exec`), created **once** per run and plumbed through the engine
-//! into the oracle's commit and build phases — a k-round greedy run pays
-//! thread creation once, not once per round. [`Parallelism::steal_spans`]
-//! owns the span plan (the workspace's one span rule: four
-//! weight-balanced spans per worker) and the claim-and-reduce scaffold;
-//! the engine only supplies candidate weights, scoring, and the reduce.
+//! * An SGB or CELF sweep on the index oracle is one count read per
+//!   candidate (unit costs, no weight vector): tens of microseconds, less
+//!   than a dispatch costs, so it runs inline on the calling thread and
+//!   never waits behind another request's job on a shared pool.
+//! * A CT or WT sweep on the index oracle zeroes |T| counts and walks the
+//!   candidate's posting per probe, and a recount probe re-enumerates every
+//!   target: large sweeps of either kind are pooled.
+//!
+//! A pooled sweep is **work-stealing**: candidates are pre-cut into
+//! contiguous spans of near-equal probe cost, several per worker, and
+//! workers claim spans through one atomic cursor, so a worker that drew
+//! cheap spans steals the remaining ones instead of idling. Span results
+//! reduce in span order, so the selected protector is **bit-identical to
+//! the sequential left-to-right scan for every thread count**, pooled or
+//! inline; the determinism proptests pin this across every oracle.
+//!
+//! The workers belong to a persistent [`Parallelism`] pool (`tpp-exec`),
+//! created **once** per run (or once per resident process) and shared with
+//! the oracle's index build, so a run pays thread creation at most once.
 //!
 //! ## One lazy gain queue
 //!
@@ -41,7 +47,7 @@
 //! never rises (Lemmas 1–2), in total or towards any one target. Every
 //! greedy therefore pops its picks from one lazy gain queue (the
 //! accelerated greedy of Minoux 1978; CELF, Leskovec et al. 2007): one
-//! sharded bound sweep fills a max-heap of cached keys, a stale heap top
+//! bound sweep fills a max-heap of cached keys, a stale heap top
 //! is refreshed and pushed back, and a fresh top is the round's next pick
 //! in `(key desc, edge asc)` order — the order a full scan-and-sort of the
 //! current keys would give. SGB and CELF key a candidate by its total
@@ -59,8 +65,9 @@
 //! round enumerates a gain set, so at `j = 1` every entry point is its
 //! sequential greedy.
 
-use crate::oracle::{CandidatePolicy, GainOracle};
+use crate::oracle::{CandidatePolicy, GainOracle, Probe};
 use crate::plan::{AlgorithmKind, ProtectionPlan, StepRecord};
+use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Instant;
@@ -86,7 +93,9 @@ const BATCH_CONFLICTS_PER_SLOT: usize = 16;
 /// one atomic cursor until none remain. Skewed rounds — where one span's
 /// candidates are far more expensive than predicted — therefore do not
 /// serialize on the unlucky worker. The workers belong to the persistent
-/// executor pool: spawned once per pool, not once per scan.
+/// executor pool: spawned once per pool, not once per scan. `weights`
+/// states each item's cost as `steal_spans` takes it: called only on a
+/// parallel handle, and a job too light to pay for a dispatch runs inline.
 ///
 /// Each worker builds one private context with `make_ctx` (reused across
 /// every span it claims), scores spans left-to-right with `eval` (`None`
@@ -95,10 +104,10 @@ const BATCH_CONFLICTS_PER_SLOT: usize = 16;
 /// therefore **identical to a sequential left-to-right scan** for every
 /// thread count and claim interleaving — the property all the engine's
 /// determinism guarantees rest on.
-pub fn sharded_argmax<T, C, S, M, E, B>(
+pub fn sharded_argmax<'w, T, C, S, W, M, E, B>(
     items: &[T],
     exec: &Parallelism,
-    weights: Option<&[usize]>,
+    weights: W,
     make_ctx: M,
     eval: E,
     better: B,
@@ -106,6 +115,7 @@ pub fn sharded_argmax<T, C, S, M, E, B>(
 where
     T: Copy + Send + Sync,
     S: Send,
+    W: FnOnce() -> Option<Cow<'w, [usize]>>,
     M: Fn() -> C + Sync,
     E: Fn(&mut C, T) -> Option<S> + Sync,
     B: Fn(&S, &S) -> bool + Sync,
@@ -136,16 +146,17 @@ fn first_max<S, T>(
 /// Maps `eval` over `items` with the same per-worker-context,
 /// work-stealing span claiming as [`sharded_argmax`]; results come back in
 /// item order regardless of thread count or claim interleaving.
-pub fn sharded_map<T, C, R, M, E>(
+pub fn sharded_map<'w, T, C, R, W, M, E>(
     items: &[T],
     exec: &Parallelism,
-    weights: Option<&[usize]>,
+    weights: W,
     make_ctx: M,
     eval: E,
 ) -> Vec<R>
 where
     T: Copy + Send + Sync,
     R: Send,
+    W: FnOnce() -> Option<Cow<'w, [usize]>>,
     M: Fn() -> C + Sync,
     E: Fn(&mut C, T) -> R + Sync,
 {
@@ -161,6 +172,8 @@ where
 trait QueueKey: Copy + Default + Ord + Send {
     /// The target a pick is charged to (`()` under the global budget).
     type Target: Copy + Ord + Send;
+    /// The gain read [`score`](Self::score) makes.
+    const PROBE: Probe;
     /// Scores `p` against the round's `open` targets.
     fn score(oracle: &dyn GainOracle, p: Edge, open: &[(usize, usize)]) -> (Self, Self::Target);
     /// The pick's charged target, own breaks and total breaks.
@@ -169,6 +182,7 @@ trait QueueKey: Copy + Default + Ord + Send {
 
 impl QueueKey for usize {
     type Target = ();
+    const PROBE: Probe = Probe::Total;
 
     fn score(oracle: &dyn GainOracle, p: Edge, _: &[(usize, usize)]) -> (Self, ()) {
         (oracle.gain(p), ())
@@ -181,6 +195,7 @@ impl QueueKey for usize {
 
 impl QueueKey for (usize, usize) {
     type Target = usize;
+    const PROBE: Probe = Probe::Split;
 
     /// Charges `p` to the first `open` target maximizing its split.
     fn score(oracle: &dyn GainOracle, p: Edge, open: &[(usize, usize)]) -> (Self, usize) {
@@ -346,7 +361,7 @@ impl BatchAcceptor {
 pub struct RoundEngine<'a> {
     oracle: Box<dyn GainOracle + Sync + 'a>,
     policy: CandidatePolicy,
-    /// The persistent executor every scan dispatches on (and, via
+    /// The persistent executor every scan runs on (and, via
     /// [`GainOracle::set_parallelism`], every commit too).
     exec: Parallelism,
     initial_similarity: usize,
@@ -391,26 +406,23 @@ impl<'a> RoundEngine<'a> {
     /// **The** full candidate scan (the lazy queue's bound sweep,
     /// [`select_custom`](Self::select_custom)): runs `span` over
     /// contiguous spans of `candidates` and returns the span results in
-    /// span order. Workers claim the spans of [`Parallelism::steal_spans`]
-    /// and all score through the one shared oracle; a sequential executor
-    /// runs the whole list as one inline span, so only a parallel one pays
-    /// for candidate weights. Either way the round stats record one scan.
+    /// span order. [`Parallelism::steal_spans`] weighs each candidate by
+    /// the oracle's cost for a `probe` of it
+    /// ([`GainOracle::probe_costs`]; none when every probe is a count
+    /// read), so a sweep too cheap to pay for a dispatch runs inline and a
+    /// pooled one is cut into balanced spans that all score through the
+    /// one shared oracle. Either way the round stats record one scan.
     fn scan<R: Send>(
         &self,
         candidates: &[Edge],
+        probe: Probe,
         span: impl Fn(&dyn GainOracle, &[Edge]) -> R + Sync,
     ) -> Vec<R> {
         let t0 = self.obs.is_enabled().then(Instant::now);
         let oracle = self.oracle.as_ref();
-        let weights: Option<Vec<usize>> = (!self.exec.is_sequential()).then(|| {
-            candidates
-                .iter()
-                .map(|&p| oracle.candidate_weight(p))
-                .collect()
-        });
         let out = self.exec.steal_spans(
             candidates,
-            weights.as_deref(),
+            || oracle.probe_costs(candidates, probe).map(Cow::Owned),
             || (),
             |(), chunk| span(oracle, chunk),
         );
@@ -427,9 +439,10 @@ impl<'a> RoundEngine<'a> {
     fn scan_map<R: Send>(
         &self,
         candidates: &[Edge],
+        probe: Probe,
         eval: impl Fn(&dyn GainOracle, Edge) -> R + Sync,
     ) -> Vec<R> {
-        let per_span = self.scan(candidates, |oracle, span| {
+        let per_span = self.scan(candidates, probe, |oracle, span| {
             span.iter().map(|&p| eval(oracle, p)).collect::<Vec<R>>()
         });
         per_span.into_iter().flatten().collect()
@@ -443,7 +456,9 @@ impl<'a> RoundEngine<'a> {
 
     /// Scans the current candidate set and returns the first maximizer of
     /// `eval` under `better` **without committing it**. `None` from `eval`
-    /// skips a candidate; `None` overall means no candidate scored.
+    /// skips a candidate; `None` overall means no candidate scored. The
+    /// scan weighs each candidate as a [`Probe::Split`], the widest gain
+    /// read `eval` can make.
     pub fn select_custom<S: Send>(
         &self,
         eval: impl Fn(&dyn GainOracle, Edge) -> Option<S> + Sync,
@@ -452,7 +467,7 @@ impl<'a> RoundEngine<'a> {
         let candidates = self.oracle.candidates(self.policy);
         // One fused first-maximizer fold per span (no per-round score
         // vector), then the canonical reduce over the span maxima.
-        let span_best = self.scan(&candidates, |oracle, span| {
+        let span_best = self.scan(&candidates, Probe::Split, |oracle, span| {
             first_max(
                 span.iter().filter_map(|&p| eval(oracle, p).map(|s| (s, p))),
                 &better,
@@ -541,7 +556,7 @@ impl<'a> RoundEngine<'a> {
     }
 
     /// **The** selection loop of every greedy (Minoux's accelerated greedy;
-    /// CELF, Leskovec et al. 2007): one sharded bound sweep, then rounds
+    /// CELF, Leskovec et al. 2007): one bound sweep, then rounds
     /// that pop their picks from a max-heap of
     /// `(cached key, Reverse(edge), round evaluated, charged target)` until
     /// `budget` is spent or gains are exhausted.
@@ -562,7 +577,9 @@ impl<'a> RoundEngine<'a> {
             return true;
         }
         let candidates = self.oracle.candidates(self.policy);
-        let keys = self.scan_map(&candidates, |oracle, p| K::score(oracle, p, &open));
+        let keys = self.scan_map(&candidates, K::PROBE, |oracle, p| {
+            K::score(oracle, p, &open)
+        });
         // Ordering by Reverse(edge) second pops the canonically smallest
         // edge on key ties — the scan's tie-break exactly; a heap never
         // holds one edge twice, so the charged target never decides. A
@@ -783,7 +800,7 @@ mod tests {
             let got = sharded_argmax(
                 &items,
                 &exec,
-                None,
+                || None,
                 || (),
                 |(), e| Some(score(&e)),
                 |a, b| a > b,
@@ -795,7 +812,7 @@ mod tests {
         let got = sharded_argmax(
             &items,
             &Parallelism::new(4),
-            Some(&weights),
+            || Some(Cow::from(&weights)),
             || (),
             |(), e| Some(score(&e)),
             |a, b| a > b,
@@ -902,8 +919,8 @@ mod tests {
             self.inner.target_count()
         }
 
-        fn candidate_weight(&self, p: Edge) -> usize {
-            self.inner.candidate_weight(p)
+        fn probe_costs(&self, candidates: &[Edge], probe: Probe) -> Option<Vec<usize>> {
+            self.inner.probe_costs(candidates, probe)
         }
     }
 
@@ -963,12 +980,47 @@ mod tests {
     }
 
     #[test]
+    fn pooled_sweeps_keep_every_plan() {
+        // On this instance split sweeps (|T| counts per probe) and recount
+        // sweeps are worth a dispatch at two threads, while the index
+        // build and an SGB sweep of count reads are not: pooled or inline,
+        // every plan equals the one-thread plan.
+        let g = tpp_graph::generators::holme_kim(1500, 4, 0.5, 9);
+        let instance = crate::TppInstance::with_random_targets(g, 300, 9);
+        let motif = tpp_motif::Motif::Triangle;
+        let budgets = crate::divide_budget(crate::BudgetDivision::Tbd, 12, &instance, motif);
+        let run = |algorithm: &str, config: &crate::GreedyConfig| match algorithm {
+            "ct" => crate::ct_greedy(&instance, &budgets, config).unwrap(),
+            "wt" => crate::wt_greedy(&instance, &budgets, config).unwrap(),
+            _ => crate::sgb_greedy(&instance, budgets.iter().sum(), config),
+        };
+        let (index, recount) = (
+            crate::GreedyConfig::scalable(motif),
+            crate::GreedyConfig::snapshot(motif),
+        );
+        for (algorithm, config, pooled) in [
+            ("sgb", &index, false),
+            ("sgb", &recount, true),
+            ("ct", &index, true),
+            ("wt", &index, true),
+        ] {
+            let label = format!("{algorithm} {:?}", config.evaluator);
+            let sequential = run(algorithm, &config.clone().with_threads(1));
+            let recorder = Recorder::enabled();
+            let config = config.clone().with_threads(2).with_obs(recorder.clone());
+            assert_eq!(run(algorithm, &config), sequential, "{label}");
+            let dispatches = recorder.stats().unwrap().exec.dispatches.get();
+            assert_eq!(dispatches > 0, pooled, "{label}: {dispatches} dispatches");
+        }
+    }
+
+    #[test]
     fn sharded_map_preserves_item_order() {
         let items: Vec<Edge> = (0..41u32).map(|i| Edge::new(i, i + 1)).collect();
         let expect: Vec<u32> = items.iter().map(|e| e.u() * 2).collect();
         for threads in [1usize, 2, 5, 16] {
             let exec = Parallelism::new(threads);
-            let got = sharded_map(&items, &exec, None, || (), |(), e: Edge| e.u() * 2);
+            let got = sharded_map(&items, &exec, || None, || (), |(), e: Edge| e.u() * 2);
             assert_eq!(got, expect, "threads = {threads}");
         }
     }
@@ -980,17 +1032,17 @@ mod tests {
         let none_at_all = sharded_argmax(
             &items,
             &exec,
-            None,
+            || None,
             || (),
             |(), _| None::<usize>,
             |a, b| a > b,
         );
         assert_eq!(none_at_all, None);
         assert_eq!(
-            sharded_argmax::<Edge, (), usize, _, _, _>(
+            sharded_argmax::<Edge, (), usize, _, _, _, _>(
                 &[],
                 &exec,
-                None,
+                || None,
                 || (),
                 |(), _| Some(1),
                 |a, b| a > b

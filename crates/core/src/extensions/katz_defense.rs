@@ -132,9 +132,12 @@ pub fn katz_defense_greedy(
     let mut exposure = initial_exposure;
     // One persistent executor pool for every round's scan (spawn-once
     // workers, like the round engine). Katz evaluation cost is uniform
-    // across candidates (every probe propagates walk counts over the
-    // whole graph), so the scan cuts unweighted spans.
+    // across candidates: every probe propagates walk counts from each
+    // target over every node and adjacency entry, `max_len` times.
     let exec = Parallelism::new(config.threads);
+    let probe = (instance.targets().len())
+        .saturating_mul(config.max_len)
+        .saturating_mul(g.node_count() + 2 * g.edge_count());
     for round in 0..k {
         // Same scan machinery as the motif engine: each worker clones the
         // committed overlay (the base graph is shared, never copied) and
@@ -146,7 +149,7 @@ pub fn katz_defense_greedy(
         let best = crate::engine::sharded_argmax(
             &candidates,
             &exec,
-            None,
+            || Some(vec![probe.max(1); candidates.len()].into()),
             || g.clone(),
             |view, p| {
                 if !view.delete_edge(p) {

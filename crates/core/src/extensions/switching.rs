@@ -149,10 +149,21 @@ pub fn backfire_rate_parallel(
         .map(|i| (i * chunk, ((i + 1) * chunk).min(trials)))
         .filter(|&(lo, hi)| lo < hi)
         .collect();
+    // A trial makes `k` switches, then recounts every target.
+    let weights = || {
+        let trial: usize = (instance.targets().iter())
+            .map(|t| tpp_motif::enumeration_cost(snapshot, t.u(), t.v(), motif))
+            .sum::<usize>()
+            + k;
+        let weights: Vec<usize> = (ranges.iter())
+            .map(|&(lo, hi)| trial.saturating_mul((hi - lo) as usize))
+            .collect();
+        Some(weights.into())
+    };
     let counts: Vec<u64> = crate::engine::sharded_map(
         &ranges,
         &exec,
-        None,
+        weights,
         || (),
         |(), (lo, hi)| {
             (lo..hi)

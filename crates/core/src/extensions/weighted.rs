@@ -21,7 +21,7 @@
 //!   the eager weighted greedy (pinned by proptest below).
 
 use crate::engine::RoundEngine;
-use crate::oracle::{CandidatePolicy, GainOracle, IndexOracle};
+use crate::oracle::{CandidatePolicy, GainOracle, IndexOracle, Probe};
 use crate::plan::{AlgorithmKind, ProtectionPlan};
 use crate::problem::Release;
 use crate::problem::TppInstance;
@@ -222,8 +222,9 @@ impl GainOracle for WeightedIndexOracle<'_> {
         self.inner.target_count()
     }
 
-    fn candidate_weight(&self, p: Edge) -> usize {
-        self.inner.candidate_weight(p)
+    /// Every gain here reads the gain vector.
+    fn probe_costs(&self, candidates: &[Edge], _: Probe) -> Option<Vec<usize>> {
+        self.inner.probe_costs(candidates, Probe::Split)
     }
 }
 

@@ -51,7 +51,7 @@ pub use critical::critical_budget;
 pub use engine::RoundEngine;
 pub use error::TppError;
 pub use oracle::{
-    CandidatePolicy, GainOracle, IndexOracle, SnapshotOracle, DEFAULT_INDEX_PARTITIONS,
+    CandidatePolicy, GainOracle, IndexOracle, Probe, SnapshotOracle, DEFAULT_INDEX_PARTITIONS,
 };
 pub use plan::{AlgorithmKind, ProtectionPlan, StepRecord};
 pub use problem::{IntoSharedCsr, Release, TppInstance};

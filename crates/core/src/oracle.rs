@@ -78,13 +78,27 @@ pub trait GainOracle {
     }
     /// Number of targets.
     fn target_count(&self) -> usize;
-    /// Rough relative cost of evaluating candidate `p` (used by the round
-    /// engine to cut degree-balanced scan chunks; any positive value is
-    /// correct, only balance is affected).
-    fn candidate_weight(&self, p: Edge) -> usize {
-        let _ = p;
-        1
+    /// Predicted cost of one `probe` of each of `candidates`, in entries
+    /// read — one adjacency or posting entry is 1, the unit of
+    /// [`Parallelism::steal_spans`] weights — or `None` when every such
+    /// probe costs 1 (a count read). The round engine's bound sweep passes
+    /// them to `steal_spans`, where they balance the spans and decide
+    /// whether the sweep is worth a dispatch; no gain depends on them. The
+    /// default: every probe costs 1.
+    fn probe_costs(&self, candidates: &[Edge], probe: Probe) -> Option<Vec<usize>> {
+        let _ = (candidates, probe);
+        None
     }
+}
+
+/// Which gain read a bound-sweep probe makes, for
+/// [`GainOracle::probe_costs`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Probe {
+    /// [`GainOracle::gain`]: the total (SGB, CELF).
+    Total,
+    /// [`GainOracle::gain_vector`]: the per-target split (CT, WT).
+    Split,
 }
 
 /// The `parts` argument every [`IndexOracle`] passes to
@@ -204,12 +218,16 @@ impl GainOracle for IndexOracle<'_> {
         self.index.targets().len()
     }
 
-    fn candidate_weight(&self, p: Edge) -> usize {
-        // Index gains walk the instance lists of p's endpoints — degree is
-        // the cheap proxy for that list mass. Released degrees ignore the
-        // committed deletions; weights only place chunk boundaries, never
-        // change a gain.
-        self.released.degree(p.u()) + self.released.degree(p.v()) + 1
+    /// A total is one count read. A split zeroes |T| counts, then walks
+    /// the candidate's posting.
+    fn probe_costs(&self, candidates: &[Edge], probe: Probe) -> Option<Vec<usize>> {
+        let targets = self.index.targets().len();
+        (probe == Probe::Split).then(|| {
+            candidates
+                .iter()
+                .map(|&p| targets + self.index.posting_len(p) + 1)
+                .collect()
+        })
     }
 }
 
@@ -350,12 +368,26 @@ impl<B: NeighborAccess> GainOracle for SnapshotOracle<B> {
     fn target_count(&self) -> usize {
         self.targets.len()
     }
+
+    /// Either probe recounts every target over a view stacked on the
+    /// committed one, whose reads of `p`'s endpoints pass its deletion.
+    fn probe_costs(&self, candidates: &[Edge], _: Probe) -> Option<Vec<usize>> {
+        let recount: usize = (self.targets.iter())
+            .map(|t| tpp_motif::enumeration_cost(&self.view, t.u(), t.v(), self.motif))
+            .sum();
+        Some(
+            candidates
+                .iter()
+                .map(|&p| recount + self.view.degree(p.u()) + self.view.degree(p.v()) + 1)
+                .collect(),
+        )
+    }
 }
 
 /// Builds the oracle `config.evaluator` selects over the instance's
 /// released graph and targets, on the run's shared executor — the index
-/// build dispatches on the same pool the engine's scans will (the build
-/// is bit-identical at every pool width). A matching seed is copied, and
+/// build runs on the same pool as the engine's sweeps (the build is
+/// bit-identical at every pool width). A matching seed is copied, and
 /// the copy timed (`index.seed_copy_ns`): only its flags and counts are
 /// copied, the layout is shared.
 pub(crate) fn oracle_for<'a>(

@@ -3,7 +3,8 @@
 //! budget-division laws on random instances.
 
 use proptest::prelude::*;
-use tpp_bench::fixtures::er_instance;
+use proptest::test_runner::TestCaseError;
+use tpp_bench::fixtures::{er_instance, hub_instance};
 use tpp_core::{
     celf_greedy, celf_greedy_batch, critical_budget, ct_greedy, ct_greedy_batch, divide_budget,
     random_deletion, random_deletion_from_subgraphs, sgb_greedy, sgb_greedy_batch, verify_plan,
@@ -488,25 +489,7 @@ proptest! {
         instance in instance_strategy(),
         k in 1usize..=4,
     ) {
-        let motif = Motif::Triangle;
-        let mut reference: Option<tpp_core::ProtectionPlan> = None;
-        for cfg in evaluator_configs(motif) {
-            let base = sgb_greedy(&instance, k, &cfg.clone().with_threads(1));
-            for threads in [2usize, 4] {
-                let par = sgb_greedy(&instance, k, &cfg.clone().with_threads(threads));
-                prop_assert_eq!(&base, &par,
-                    "sgb {:?} x{} diverged", cfg.evaluator, threads);
-            }
-            // Cross-oracle agreement on the restricted candidate set.
-            match &reference {
-                None => reference = Some(base),
-                Some(r) => {
-                    prop_assert_eq!(&r.protectors, &base.protectors,
-                        "oracle {:?} picks diverged", cfg.evaluator);
-                    prop_assert_eq!(r.final_similarity, base.final_similarity);
-                }
-            }
-        }
+        engine_plans_are_thread_and_oracle_invariant_on(&instance, k)?;
     }
 
     /// The batch-commit acceptance contract: SGB at `j = 1` produces
@@ -519,28 +502,7 @@ proptest! {
         instance in instance_strategy(),
         k in 1usize..=5,
     ) {
-        let motif = Motif::Triangle;
-        let naive = NaiveGreedy::sgb(&instance, k, motif, AlgorithmKind::SgbGreedy);
-        for cfg in evaluator_configs(motif) {
-            for threads in [1usize, 2, 4] {
-                let batch = sgb_greedy_batch(&instance, k, 1, &cfg.clone().with_threads(threads));
-                prop_assert_eq!(&naive, &batch,
-                    "sgb j=1 {:?} x{} diverged from the naive greedy", cfg.evaluator, threads);
-            }
-        }
-        // j > 1: disjointness-verified batches stay exact and feasible.
-        let cfg = GreedyConfig::scalable(motif);
-        let full_seq = sgb_greedy(&instance, usize::MAX, &cfg);
-        for j in [2usize, 3] {
-            // Exhaustive budgets protect fully, batched or not.
-            let full_batch = sgb_greedy_batch(&instance, usize::MAX, j, &cfg);
-            prop_assert_eq!(full_seq.final_similarity, full_batch.final_similarity);
-            for threads in [1usize, 2] {
-                let plan = sgb_greedy_batch(&instance, k, j, &cfg.clone().with_threads(threads));
-                check_feasible(&instance, &plan, motif);
-                prop_assert!(plan.deletions() <= k);
-            }
-        }
+        batch_of_one_is_bit_identical_to_sequential_on(&instance, k)?;
     }
 
     /// SGB batch rounds (`j > 1`) commit exactly the picks of a
@@ -554,19 +516,7 @@ proptest! {
         tcount in 4usize..=10,
         k in 1usize..=8,
     ) {
-        let instance = er_instance(n, seed, tcount);
-        for motif in [Motif::Triangle, Motif::Rectangle] {
-            let cfg = GreedyConfig::scalable(motif);
-            for j in [2usize, 3, 8] {
-                let naive = NaiveGreedy::sgb_batch(&instance, k, j, motif);
-                for threads in [1usize, 2] {
-                    let plan =
-                        sgb_greedy_batch(&instance, k, j, &cfg.clone().with_threads(threads));
-                    prop_assert_eq!(&naive, &plan,
-                        "sgb {} j={} x{} diverged", motif, j, threads);
-                }
-            }
-        }
+        sgb_batches_equal_the_scan_and_sort_round_on(&er_instance(n, seed, tcount), k)?;
     }
 
     /// CT and WT batch rounds (`j > 1`) commit exactly the picks of a
@@ -580,26 +530,7 @@ proptest! {
         tcount in 4usize..=10,
         k in 1usize..=8,
     ) {
-        let instance = er_instance(n, seed, tcount);
-        for motif in [Motif::Triangle, Motif::Rectangle] {
-            let cfg = GreedyConfig::scalable(motif);
-            for division in [BudgetDivision::Tbd, BudgetDivision::Dbd] {
-                let budgets = divide_budget(division, k, &instance, motif);
-                for j in [2usize, 3, 8] {
-                    let ct_naive = NaiveGreedy::ct_batch(&instance, &budgets, j, motif);
-                    let wt_naive = NaiveGreedy::wt_batch(&instance, &budgets, j, motif);
-                    for threads in [1usize, 2] {
-                        let tcfg = cfg.clone().with_threads(threads);
-                        let ct = ct_greedy_batch(&instance, &budgets, j, &tcfg).unwrap();
-                        prop_assert_eq!(&ct_naive, &ct,
-                            "ct {} {:?} j={} x{} diverged", motif, division, j, threads);
-                        let wt = wt_greedy_batch(&instance, &budgets, j, &tcfg).unwrap();
-                        prop_assert_eq!(&wt_naive, &wt,
-                            "wt {} {:?} j={} x{} diverged", motif, division, j, threads);
-                    }
-                }
-            }
-        }
+        targeted_batches_equal_the_scan_and_sort_round_on(&er_instance(n, seed, tcount), k)?;
     }
 
     /// Thread-invariance holds for the targeted (CT) rounds and the CELF
@@ -609,23 +540,7 @@ proptest! {
         instance in instance_strategy(),
         k in 1usize..=4,
     ) {
-        let motif = Motif::Triangle;
-        let budgets = divide_budget(BudgetDivision::Tbd, k, &instance, motif);
-        let eager = NaiveGreedy::sgb(&instance, k, motif, AlgorithmKind::SgbGreedy);
-        for cfg in evaluator_configs(motif) {
-            let ct_base = ct_greedy(&instance, &budgets, &cfg.clone().with_threads(1)).unwrap();
-            let celf_base = celf_greedy(&instance, k, &cfg.clone().with_threads(1));
-            for threads in [2usize, 4] {
-                let ct_par = ct_greedy(&instance, &budgets, &cfg.clone().with_threads(threads)).unwrap();
-                prop_assert_eq!(&ct_base, &ct_par,
-                    "ct {:?} x{} diverged", cfg.evaluator, threads);
-                let celf_par = celf_greedy(&instance, k, &cfg.clone().with_threads(threads));
-                prop_assert_eq!(&celf_base, &celf_par,
-                    "celf {:?} x{} diverged", cfg.evaluator, threads);
-            }
-            // CELF must still equal eager SGB under the same config.
-            prop_assert_eq!(&eager.protectors, &celf_base.protectors);
-        }
+        targeted_and_lazy_rounds_are_thread_invariant_on(&instance, k)?;
     }
 
     /// Batch-of-one rounds are bit-identical to the naive sequential
@@ -637,26 +552,7 @@ proptest! {
         instance in instance_strategy(),
         k in 1usize..=5,
     ) {
-        for motif in Motif::ALL {
-            let budgets = divide_budget(BudgetDivision::Tbd, k, &instance, motif);
-            let ct_seq = NaiveGreedy::ct(&instance, &budgets, motif);
-            let wt_seq = NaiveGreedy::wt(&instance, &budgets, motif);
-            let celf_seq = NaiveGreedy::sgb(&instance, k, motif, AlgorithmKind::CelfGreedy);
-            for cfg in evaluator_configs(motif) {
-                for threads in [1usize, 2, 4] {
-                    let tcfg = cfg.clone().with_threads(threads);
-                    let ct_b = ct_greedy_batch(&instance, &budgets, 1, &tcfg).unwrap();
-                    prop_assert_eq!(&ct_seq, &ct_b,
-                        "ct batch(1) {} {:?} x{} diverged", motif, cfg.evaluator, threads);
-                    let wt_b = wt_greedy_batch(&instance, &budgets, 1, &tcfg).unwrap();
-                    prop_assert_eq!(&wt_seq, &wt_b,
-                        "wt batch(1) {} {:?} x{} diverged", motif, cfg.evaluator, threads);
-                    let celf_b = celf_greedy_batch(&instance, k, 1, &tcfg);
-                    prop_assert_eq!(&celf_seq, &celf_b,
-                        "celf batch(1) {} {:?} x{} diverged", motif, cfg.evaluator, threads);
-                }
-            }
-        }
+        targeted_and_lazy_batch_of_one_is_bit_identical_on(&instance, k)?;
     }
 
     /// The observability contract: enabling stats collection never changes
@@ -669,38 +565,7 @@ proptest! {
         instance in instance_strategy(),
         k in 1usize..=4,
     ) {
-        let motif = Motif::Triangle;
-        let budgets = divide_budget(BudgetDivision::Tbd, k, &instance, motif);
-        for cfg in evaluator_configs(motif) {
-            for threads in [1usize, 2, 4] {
-                let plain = cfg.clone().with_threads(threads);
-                let obs = plain.clone().with_obs(Recorder::enabled());
-                prop_assert_eq!(
-                    sgb_greedy(&instance, k, &plain),
-                    sgb_greedy(&instance, k, &obs),
-                    "sgb {:?} x{} diverged under stats", cfg.evaluator, threads);
-                prop_assert_eq!(
-                    sgb_greedy_batch(&instance, k, 3, &plain),
-                    sgb_greedy_batch(&instance, k, 3, &obs),
-                    "sgb batch {:?} x{} diverged under stats", cfg.evaluator, threads);
-                prop_assert_eq!(
-                    ct_greedy(&instance, &budgets, &plain).unwrap(),
-                    ct_greedy(&instance, &budgets, &obs).unwrap(),
-                    "ct {:?} x{} diverged under stats", cfg.evaluator, threads);
-                prop_assert_eq!(
-                    celf_greedy_batch(&instance, k, 2, &plain),
-                    celf_greedy_batch(&instance, k, 2, &obs),
-                    "celf batch {:?} x{} diverged under stats", cfg.evaluator, threads);
-                // The observed run actually recorded: the engine counted
-                // its committed rounds (unless nothing was committable).
-                let recorder = &obs.recorder;
-                let st = recorder.stats().expect("enabled recorder has stats");
-                let plan = sgb_greedy(&instance, k, &obs);
-                prop_assert!(
-                    st.round.rounds.get() > 0 || plan.deletions() == 0,
-                    "enabled recorder saw no rounds");
-            }
-        }
+        stats_collection_never_changes_plans_on(&instance, k)?;
     }
 
     /// `j > 1` batched targeted/lazy rounds: every per-step record stays
@@ -822,6 +687,332 @@ proptest! {
             }
         }
     }
+}
+
+/// The body of the `engine_plans_are_thread_and_oracle_invariant` property.
+fn engine_plans_are_thread_and_oracle_invariant_on(
+    instance: &TppInstance,
+    k: usize,
+) -> Result<(), TestCaseError> {
+    let motif = Motif::Triangle;
+    let mut reference: Option<tpp_core::ProtectionPlan> = None;
+    for cfg in evaluator_configs(motif) {
+        let base = sgb_greedy(instance, k, &cfg.clone().with_threads(1));
+        for threads in [2usize, 4] {
+            let par = sgb_greedy(instance, k, &cfg.clone().with_threads(threads));
+            prop_assert_eq!(&base, &par, "sgb {:?} x{} diverged", cfg.evaluator, threads);
+        }
+        // Cross-oracle agreement on the restricted candidate set.
+        match &reference {
+            None => reference = Some(base),
+            Some(r) => {
+                prop_assert_eq!(
+                    &r.protectors,
+                    &base.protectors,
+                    "oracle {:?} picks diverged",
+                    cfg.evaluator
+                );
+                prop_assert_eq!(r.final_similarity, base.final_similarity);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The body of the `batch_of_one_is_bit_identical_to_sequential` property.
+fn batch_of_one_is_bit_identical_to_sequential_on(
+    instance: &TppInstance,
+    k: usize,
+) -> Result<(), TestCaseError> {
+    let motif = Motif::Triangle;
+    let naive = NaiveGreedy::sgb(instance, k, motif, AlgorithmKind::SgbGreedy);
+    for cfg in evaluator_configs(motif) {
+        for threads in [1usize, 2, 4] {
+            let batch = sgb_greedy_batch(instance, k, 1, &cfg.clone().with_threads(threads));
+            prop_assert_eq!(
+                &naive,
+                &batch,
+                "sgb j=1 {:?} x{} diverged from the naive greedy",
+                cfg.evaluator,
+                threads
+            );
+        }
+    }
+    // j > 1: disjointness-verified batches stay exact and feasible.
+    let cfg = GreedyConfig::scalable(motif);
+    let full_seq = sgb_greedy(instance, usize::MAX, &cfg);
+    for j in [2usize, 3] {
+        // Exhaustive budgets protect fully, batched or not.
+        let full_batch = sgb_greedy_batch(instance, usize::MAX, j, &cfg);
+        prop_assert_eq!(full_seq.final_similarity, full_batch.final_similarity);
+        for threads in [1usize, 2] {
+            let plan = sgb_greedy_batch(instance, k, j, &cfg.clone().with_threads(threads));
+            check_feasible(instance, &plan, motif);
+            prop_assert!(plan.deletions() <= k);
+        }
+    }
+    Ok(())
+}
+
+/// The body of the `sgb_batches_equal_the_scan_and_sort_round` property.
+fn sgb_batches_equal_the_scan_and_sort_round_on(
+    instance: &TppInstance,
+    k: usize,
+) -> Result<(), TestCaseError> {
+    for motif in [Motif::Triangle, Motif::Rectangle] {
+        let cfg = GreedyConfig::scalable(motif);
+        for j in [2usize, 3, 8] {
+            let naive = NaiveGreedy::sgb_batch(instance, k, j, motif);
+            for threads in [1usize, 2] {
+                let plan = sgb_greedy_batch(instance, k, j, &cfg.clone().with_threads(threads));
+                prop_assert_eq!(&naive, &plan, "sgb {} j={} x{} diverged", motif, j, threads);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The body of the `targeted_batches_equal_the_scan_and_sort_round` property.
+fn targeted_batches_equal_the_scan_and_sort_round_on(
+    instance: &TppInstance,
+    k: usize,
+) -> Result<(), TestCaseError> {
+    for motif in [Motif::Triangle, Motif::Rectangle] {
+        let cfg = GreedyConfig::scalable(motif);
+        for division in [BudgetDivision::Tbd, BudgetDivision::Dbd] {
+            let budgets = divide_budget(division, k, instance, motif);
+            for j in [2usize, 3, 8] {
+                let ct_naive = NaiveGreedy::ct_batch(instance, &budgets, j, motif);
+                let wt_naive = NaiveGreedy::wt_batch(instance, &budgets, j, motif);
+                for threads in [1usize, 2] {
+                    let tcfg = cfg.clone().with_threads(threads);
+                    let ct = ct_greedy_batch(instance, &budgets, j, &tcfg).unwrap();
+                    prop_assert_eq!(
+                        &ct_naive,
+                        &ct,
+                        "ct {} {:?} j={} x{} diverged",
+                        motif,
+                        division,
+                        j,
+                        threads
+                    );
+                    let wt = wt_greedy_batch(instance, &budgets, j, &tcfg).unwrap();
+                    prop_assert_eq!(
+                        &wt_naive,
+                        &wt,
+                        "wt {} {:?} j={} x{} diverged",
+                        motif,
+                        division,
+                        j,
+                        threads
+                    );
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The body of the `targeted_and_lazy_rounds_are_thread_invariant` property.
+fn targeted_and_lazy_rounds_are_thread_invariant_on(
+    instance: &TppInstance,
+    k: usize,
+) -> Result<(), TestCaseError> {
+    let motif = Motif::Triangle;
+    let budgets = divide_budget(BudgetDivision::Tbd, k, instance, motif);
+    let eager = NaiveGreedy::sgb(instance, k, motif, AlgorithmKind::SgbGreedy);
+    for cfg in evaluator_configs(motif) {
+        let ct_base = ct_greedy(instance, &budgets, &cfg.clone().with_threads(1)).unwrap();
+        let celf_base = celf_greedy(instance, k, &cfg.clone().with_threads(1));
+        for threads in [2usize, 4] {
+            let ct_par = ct_greedy(instance, &budgets, &cfg.clone().with_threads(threads)).unwrap();
+            prop_assert_eq!(
+                &ct_base,
+                &ct_par,
+                "ct {:?} x{} diverged",
+                cfg.evaluator,
+                threads
+            );
+            let celf_par = celf_greedy(instance, k, &cfg.clone().with_threads(threads));
+            prop_assert_eq!(
+                &celf_base,
+                &celf_par,
+                "celf {:?} x{} diverged",
+                cfg.evaluator,
+                threads
+            );
+        }
+        // CELF must still equal eager SGB under the same config.
+        prop_assert_eq!(&eager.protectors, &celf_base.protectors);
+    }
+    Ok(())
+}
+
+/// The body of the `targeted_and_lazy_batch_of_one_is_bit_identical` property.
+fn targeted_and_lazy_batch_of_one_is_bit_identical_on(
+    instance: &TppInstance,
+    k: usize,
+) -> Result<(), TestCaseError> {
+    for motif in Motif::ALL {
+        let budgets = divide_budget(BudgetDivision::Tbd, k, instance, motif);
+        let ct_seq = NaiveGreedy::ct(instance, &budgets, motif);
+        let wt_seq = NaiveGreedy::wt(instance, &budgets, motif);
+        let celf_seq = NaiveGreedy::sgb(instance, k, motif, AlgorithmKind::CelfGreedy);
+        for cfg in evaluator_configs(motif) {
+            for threads in [1usize, 2, 4] {
+                let tcfg = cfg.clone().with_threads(threads);
+                let ct_b = ct_greedy_batch(instance, &budgets, 1, &tcfg).unwrap();
+                prop_assert_eq!(
+                    &ct_seq,
+                    &ct_b,
+                    "ct batch(1) {} {:?} x{} diverged",
+                    motif,
+                    cfg.evaluator,
+                    threads
+                );
+                let wt_b = wt_greedy_batch(instance, &budgets, 1, &tcfg).unwrap();
+                prop_assert_eq!(
+                    &wt_seq,
+                    &wt_b,
+                    "wt batch(1) {} {:?} x{} diverged",
+                    motif,
+                    cfg.evaluator,
+                    threads
+                );
+                let celf_b = celf_greedy_batch(instance, k, 1, &tcfg);
+                prop_assert_eq!(
+                    &celf_seq,
+                    &celf_b,
+                    "celf batch(1) {} {:?} x{} diverged",
+                    motif,
+                    cfg.evaluator,
+                    threads
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The body of the `stats_collection_never_changes_plans` property.
+fn stats_collection_never_changes_plans_on(
+    instance: &TppInstance,
+    k: usize,
+) -> Result<(), TestCaseError> {
+    let motif = Motif::Triangle;
+    let budgets = divide_budget(BudgetDivision::Tbd, k, instance, motif);
+    for cfg in evaluator_configs(motif) {
+        for threads in [1usize, 2, 4] {
+            let plain = cfg.clone().with_threads(threads);
+            let obs = plain.clone().with_obs(Recorder::enabled());
+            prop_assert_eq!(
+                sgb_greedy(instance, k, &plain),
+                sgb_greedy(instance, k, &obs),
+                "sgb {:?} x{} diverged under stats",
+                cfg.evaluator,
+                threads
+            );
+            prop_assert_eq!(
+                sgb_greedy_batch(instance, k, 3, &plain),
+                sgb_greedy_batch(instance, k, 3, &obs),
+                "sgb batch {:?} x{} diverged under stats",
+                cfg.evaluator,
+                threads
+            );
+            prop_assert_eq!(
+                ct_greedy(instance, &budgets, &plain).unwrap(),
+                ct_greedy(instance, &budgets, &obs).unwrap(),
+                "ct {:?} x{} diverged under stats",
+                cfg.evaluator,
+                threads
+            );
+            prop_assert_eq!(
+                celf_greedy_batch(instance, k, 2, &plain),
+                celf_greedy_batch(instance, k, 2, &obs),
+                "celf batch {:?} x{} diverged under stats",
+                cfg.evaluator,
+                threads
+            );
+            // The observed run actually recorded: the engine counted
+            // its committed rounds (unless nothing was committable).
+            let recorder = &obs.recorder;
+            let st = recorder.stats().expect("enabled recorder has stats");
+            let plan = sgb_greedy(instance, k, &obs);
+            prop_assert!(
+                st.round.rounds.get() > 0 || plan.deletions() == 0,
+                "enabled recorder saw no rounds"
+            );
+        }
+    }
+    Ok(())
+}
+
+/// The thread-invariance properties' fixed case: a hub linked to every
+/// leaf of a chorded ring, 4 hub links hidden. Every run over it
+/// dispatches on a pool wider than one (checked here, for each of
+/// `motifs` and each oracle kind, so a fixture that fell below the
+/// pooling threshold fails loudly), while its proptest instances are all
+/// small enough to run inline.
+fn pooled_instance(motifs: &[Motif]) -> TppInstance {
+    let instance = hub_instance(17_000, 4);
+    for &motif in motifs {
+        for cfg in evaluator_configs(motif) {
+            for threads in [2usize, 4] {
+                let recorder = Recorder::enabled();
+                let cfg = cfg.clone().with_threads(threads).with_obs(recorder.clone());
+                let _ = sgb_greedy(&instance, 1, &cfg);
+                let dispatches = recorder.stats().unwrap().exec.dispatches.get();
+                assert!(
+                    dispatches > 0,
+                    "{motif} {:?} x{threads} ran inline",
+                    cfg.evaluator
+                );
+            }
+        }
+    }
+    instance
+}
+
+#[test]
+fn engine_plans_are_thread_and_oracle_invariant_on_a_pooled_instance() {
+    let instance = pooled_instance(&[Motif::Triangle]);
+    engine_plans_are_thread_and_oracle_invariant_on(&instance, 4).unwrap();
+}
+
+#[test]
+fn batch_of_one_is_bit_identical_to_sequential_on_a_pooled_instance() {
+    let instance = pooled_instance(&[Motif::Triangle]);
+    batch_of_one_is_bit_identical_to_sequential_on(&instance, 5).unwrap();
+}
+
+#[test]
+fn sgb_batches_equal_the_scan_and_sort_round_on_a_pooled_instance() {
+    let instance = pooled_instance(&[Motif::Triangle, Motif::Rectangle]);
+    sgb_batches_equal_the_scan_and_sort_round_on(&instance, 8).unwrap();
+}
+
+#[test]
+fn targeted_batches_equal_the_scan_and_sort_round_on_a_pooled_instance() {
+    let instance = pooled_instance(&[Motif::Triangle, Motif::Rectangle]);
+    targeted_batches_equal_the_scan_and_sort_round_on(&instance, 8).unwrap();
+}
+
+#[test]
+fn targeted_and_lazy_rounds_are_thread_invariant_on_a_pooled_instance() {
+    let instance = pooled_instance(&[Motif::Triangle]);
+    targeted_and_lazy_rounds_are_thread_invariant_on(&instance, 4).unwrap();
+}
+
+#[test]
+fn targeted_and_lazy_batch_of_one_is_bit_identical_on_a_pooled_instance() {
+    let instance = pooled_instance(&[Motif::Triangle, Motif::Rectangle, Motif::RecTri]);
+    targeted_and_lazy_batch_of_one_is_bit_identical_on(&instance, 3).unwrap();
+}
+
+#[test]
+fn stats_collection_never_changes_plans_on_a_pooled_instance() {
+    let instance = pooled_instance(&[Motif::Triangle]);
+    stats_collection_never_changes_plans_on(&instance, 4).unwrap();
 }
 
 /// The rank walk `sample_targets` ran before the upper-edge prefix: the

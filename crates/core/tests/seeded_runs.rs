@@ -8,7 +8,9 @@
 //! index build entirely (the registry-hit acceptance criterion), and a
 //! mismatched seed must be ignored rather than trusted.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
+use std::thread;
+use std::time::Duration;
 use tpp_core::{
     sgb_greedy, wt_greedy, GreedyConfig, ProtectionPlan, TppInstance, DEFAULT_INDEX_PARTITIONS,
 };
@@ -110,10 +112,13 @@ fn seeded_and_shared_run_combines_both_knobs() {
 
 #[test]
 fn shared_pool_config_dispatches_on_that_pool_into_its_own_recorder() {
-    let inst = instance(15);
+    // Large enough that the rectangle index build is worth a dispatch.
+    let g = generators::barabasi_albert(2000, 4, 15);
+    let targets = TppInstance::sample_targets(&g, 400, 15);
+    let inst = TppInstance::new(g, targets).unwrap();
     let pool = Parallelism::new(2);
     let recorder = Recorder::enabled();
-    let config = GreedyConfig::scalable(Motif::Triangle)
+    let config = GreedyConfig::scalable(Motif::Rectangle)
         .with_shared_pool(pool.clone())
         .with_obs(recorder.clone());
     let exec = config.parallelism();
@@ -143,4 +148,60 @@ fn shared_pool_config_dispatches_on_that_pool_into_its_own_recorder() {
         "the run's dispatches land in its recorder"
     );
     assert_eq!(st.round.rounds.get() as usize, plan.deletions());
+    let sequential = GreedyConfig::scalable(Motif::Rectangle).with_threads(1);
+    assert_eq!(
+        plan,
+        sgb_greedy(&inst, 5, &sequential),
+        "the pooled plan is the sequential one"
+    );
+}
+
+#[test]
+fn seeded_protect_never_queues_behind_another_dispatch() {
+    // Another thread holds the shared pool inside a dispatch that stays
+    // blocked until the protect has returned. A seeded SGB run's only
+    // pooled-looking work is its bound sweep of count reads, which runs
+    // inline, so the run finishes without waiting for the pool.
+    let inst = instance(16);
+    let seed = prebuilt(&inst, Motif::Triangle);
+    let pool = Parallelism::new(2);
+    let (entered_tx, entered_rx) = mpsc::channel::<()>();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let release_rx = Mutex::new(release_rx);
+    let blocker = {
+        let pool = pool.clone();
+        thread::spawn(move || {
+            pool.pool().run(&|participant| {
+                if participant == 0 {
+                    entered_tx.send(()).unwrap();
+                    release_rx.lock().unwrap().recv().unwrap();
+                }
+            });
+        })
+    };
+    entered_rx.recv().unwrap();
+
+    let recorder = Recorder::enabled();
+    let config = GreedyConfig::scalable(Motif::Triangle)
+        .with_index_seed(Arc::clone(&seed))
+        .with_shared_pool(pool)
+        .with_obs(recorder.clone());
+    let (done_tx, done_rx) = mpsc::channel();
+    let protect = {
+        let inst = inst.clone();
+        thread::spawn(move || done_tx.send(sgb_greedy(&inst, 5, &config)).unwrap())
+    };
+    // The blocker is released only after the protect has returned; the
+    // guard below only turns a hang into a failure.
+    let plan = done_rx.recv_timeout(Duration::from_secs(120));
+    release_tx.send(()).unwrap();
+    blocker.join().unwrap();
+    protect.join().unwrap();
+    let plan = plan.expect("the seeded protect waited for the blocked pool");
+
+    let st = recorder.stats().unwrap();
+    assert_eq!(st.exec.dispatches.get(), 0, "nothing was dispatched");
+    assert_eq!(st.index.builds.get(), 0, "the seed was used");
+    let sequential = GreedyConfig::scalable(Motif::Triangle).with_threads(1);
+    assert_eq!(plan, sgb_greedy(&inst, 5, &sequential));
 }

@@ -15,6 +15,15 @@
 //! `GreedyConfig::exec`) down through all of them, and every dispatch
 //! reuses the same spawn-once workers.
 //!
+//! ## Inline or pooled
+//!
+//! [`Parallelism::steal_spans`] decides, for every parallel job of the
+//! workspace, whether it is worth a dispatch: callers state each item's
+//! predicted cost in entries read, and a job whose total is below one
+//! private threshold runs inline as one span, dispatching nothing. A
+//! resident service's pool runs one job at a time, so a small job that
+//! stays inline also never waits behind another request's job.
+//!
 //! ## Determinism
 //!
 //! The combinators ([`Parallelism::run_indexed`],

@@ -1,11 +1,14 @@
 //! The persistent work-stealing worker pool and its cheap cloneable
 //! [`Parallelism`] handle.
 
-use crate::ranges::ranges_for;
+use crate::ranges::{balanced_prefix_ranges, prefix_sums, uniform_ranges};
+use std::borrow::Cow;
 use std::cell::RefCell;
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 use tpp_obs::{Recorder, SpanTimer};
 
 /// Spans per participant in every [`Parallelism::steal_spans`] job: enough
@@ -13,6 +16,21 @@ use tpp_obs::{Recorder, SpanTimer};
 /// from the shared cursor, few enough that claim overhead stays
 /// negligible. The one span-count rule of the workspace.
 const SPANS_PER_WORKER: usize = 4;
+
+/// Predicted work below which a [`Parallelism::steal_spans`] job runs
+/// inline as one span on the calling thread, whatever the pool's width:
+/// the one inline-or-pool rule of the workspace. The unit is **one
+/// adjacency or posting entry read**; a job's work is the sum of its
+/// weights, or its item count when it has none (one entry per item).
+///
+/// A dispatch costs a wake-up and a join, and in a resident process it
+/// first waits for another request's job to retire (`ExecPool` runs one
+/// job at a time). On a 2-vCPU container an idle 2-wide dispatch of no
+/// work round-trips in ~17 µs, and a span reads an entry in 1–3 ns: a
+/// 16k-entry job took 17 µs inline against 25 µs pooled, a 64k-entry one
+/// 168 µs against 136 µs. Below 64k entries two participants cannot win
+/// back the dispatch, let alone a wait behind another request's job.
+const MIN_POOLED_WORK: usize = 1 << 16;
 
 /// A dispatched task, type- and lifetime-erased for storage in the shared
 /// pool state. The raw pointer is only ever dereferenced between the epoch
@@ -216,9 +234,15 @@ impl ExecPool {
     /// dispatch from inside a running task of this same pool (a dispatch
     /// from another *thread* queues instead — see the type-level docs).
     pub fn run(&self, task: &(dyn Fn(usize) + Sync)) {
+        let _ = self.run_queued(task);
+    }
+
+    /// [`run`](Self::run), returning how long the dispatch waited for the
+    /// job of another dispatching thread to retire before its own began.
+    fn run_queued(&self, task: &(dyn Fn(usize) + Sync)) -> Duration {
         if self.threads == 1 {
             task(0);
-            return;
+            return Duration::ZERO;
         }
         let key = self.shared.key();
         assert!(
@@ -231,7 +255,9 @@ impl ExecPool {
         // time, in arrival order. Poisoning only means a previous
         // dispatcher panicked *after* its job retired (the re-raise below
         // happens with the guard released), so recovery is safe.
+        let queued = Instant::now();
         let turn = self.dispatch.lock().unwrap_or_else(PoisonError::into_inner);
+        let waited = queued.elapsed();
         let mark = DispatchMark::enter(key);
         {
             let mut st = self.shared.lock_state();
@@ -269,6 +295,7 @@ impl ExecPool {
         if let Some(payload) = worker_panic {
             resume_unwind(payload);
         }
+        waited
     }
 }
 
@@ -328,14 +355,16 @@ fn worker_loop(shared: &PoolShared, id: usize) {
 /// A cheap cloneable handle to one [`ExecPool`], plumbed once from the
 /// thread-count knob (`tpp protect --threads`, `GreedyConfig::exec`)
 /// down through every parallel layer. Clones share the same pool — the
-/// engine's scans, the index's build and commits, and the snapshot build
-/// all dispatch onto the same spawn-once workers.
+/// engine's sweeps and the index build dispatch onto the same spawn-once
+/// workers.
 ///
-/// All three combinators are **deterministic**: work is claimed through an
+/// Both combinators are **deterministic**: work is claimed through an
 /// atomic cursor (so scheduling is free to be unfair) but results are
 /// assembled in item/span order, making every output bit-identical to the
 /// sequential path for every thread count. With `threads() == 1` every
-/// combinator runs inline on the caller with no extra allocation.
+/// combinator runs inline on the caller with no extra allocation, and
+/// [`steal_spans`](Self::steal_spans) also runs inline any job too small
+/// to pay for a dispatch.
 #[derive(Clone)]
 pub struct Parallelism {
     pool: Arc<ExecPool>,
@@ -417,8 +446,7 @@ impl Parallelism {
     }
 
     /// `true` when dispatch runs inline on the caller only.
-    #[must_use]
-    pub fn is_sequential(&self) -> bool {
+    fn is_sequential(&self) -> bool {
         self.threads() <= 1
     }
 
@@ -447,7 +475,7 @@ impl Parallelism {
         let dispatch_span = SpanTimer::hist(stats.map(|s| &s.exec.dispatch_ns));
         let cursor = AtomicUsize::new(0);
         let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(count));
-        self.pool.run(&|pid| {
+        let waited = self.pool.run_queued(&|pid| {
             let mut ctx: Option<C> = None;
             let mut got: Vec<(usize, R)> = Vec::new();
             loop {
@@ -477,6 +505,7 @@ impl Parallelism {
         });
         if let Some(st) = stats {
             st.exec.dispatches.inc();
+            st.exec.queue_wait_ns.record_duration(waited);
         }
         dispatch_span.stop();
         let mut tagged = collected
@@ -510,43 +539,44 @@ impl Parallelism {
     /// `run_span` result **in span order** — which participant ran a span,
     /// and how many spans there were, is scheduling noise the caller never
     /// observes once the per-span results are flattened or reduced in
-    /// order. A sequential handle runs `run_span` once, inline, over the
-    /// whole slice; no items means no spans at every width. This is the
-    /// one span rule of the workspace: callers never choose a span count.
+    /// order. No items means no spans at every width. This is the one span
+    /// rule of the workspace: callers never choose a span count.
     ///
-    /// `weights` (one per item) balance the spans by predicted cost;
-    /// `None` cuts near-equal item counts.
+    /// It is also the one inline-or-pool rule: a job whose predicted work
+    /// is below `MIN_POOLED_WORK` entries runs `run_span` once, inline,
+    /// over the whole slice — the path of a sequential handle — so it
+    /// dispatches nothing and never queues behind another thread's job.
+    /// Callers state work, never a decision.
+    ///
+    /// `weights` gives each item's predicted cost in entries read (one
+    /// adjacency or posting entry = 1, one weight per item); the weights
+    /// balance the spans and sum to the job's work. It is called only on a
+    /// handle wider than one, so a sequential run never computes them.
+    /// `None` means every item costs 1: the spans cut near-equal item
+    /// counts, and the work is the item count.
     ///
     /// # Panics
-    /// Panics if `weights` is given and its length differs from `items`'s.
-    pub fn steal_spans<T, C, R, M, F>(
+    /// Panics if `weights` returns a length other than `items`'s.
+    pub fn steal_spans<'w, T, C, R, W, M, F>(
         &self,
         items: &[T],
-        weights: Option<&[usize]>,
+        weights: W,
         make_ctx: M,
         run_span: F,
     ) -> Vec<R>
     where
         T: Sync,
         R: Send,
+        W: FnOnce() -> Option<Cow<'w, [usize]>>,
         M: Fn() -> C + Sync,
         F: Fn(&mut C, &[T]) -> R + Sync,
     {
-        if let Some(w) = weights {
-            assert_eq!(
-                w.len(),
-                items.len(),
-                "steal_spans needs one weight per item: {} weights for {} items",
-                w.len(),
-                items.len()
-            );
-        }
         if items.is_empty() {
             return Vec::new();
         }
         let spans = (!self.is_sequential())
-            .then(|| ranges_for(items.len(), self.threads() * SPANS_PER_WORKER, weights))
-            .filter(|spans| spans.len() > 1);
+            .then(|| self.pooled_spans(items.len(), weights().as_deref()))
+            .flatten();
         let Some(spans) = spans else {
             return vec![run_span(&mut make_ctx(), items)];
         };
@@ -557,6 +587,29 @@ impl Parallelism {
         self.claim_in_order(spans.len(), make_ctx, |ctx, i| {
             run_span(ctx, &items[spans[i].clone()])
         })
+    }
+
+    /// The spans of a `len`-item job on this (parallel) handle, or `None`
+    /// when the job runs inline: its work is below `MIN_POOLED_WORK`, or
+    /// it cuts into one span. One prefix-sum pass gives both the work and
+    /// the weight-balanced cut.
+    fn pooled_spans(&self, len: usize, weights: Option<&[usize]>) -> Option<Vec<Range<usize>>> {
+        let parts = self.threads() * SPANS_PER_WORKER;
+        let spans = match weights {
+            None => (len >= MIN_POOLED_WORK).then(|| uniform_ranges(len, parts)),
+            Some(w) => {
+                assert_eq!(
+                    w.len(),
+                    len,
+                    "steal_spans needs one weight per item: {} weights for {len} items",
+                    w.len()
+                );
+                let prefix = prefix_sums(w);
+                (prefix[len] >= MIN_POOLED_WORK as u64)
+                    .then(|| balanced_prefix_ranges(&prefix, parts))
+            }
+        };
+        spans.filter(|spans| spans.len() > 1)
     }
 }
 
@@ -608,7 +661,7 @@ mod tests {
         let exec = Parallelism::new(3);
         assert!(exec.run_indexed(0, |i| i).is_empty());
         let spans: Vec<usize> =
-            exec.steal_spans(&[] as &[u8], None, || (), |(), chunk| chunk.len());
+            exec.steal_spans(&[] as &[u8], || None, || (), |(), chunk| chunk.len());
         assert!(spans.is_empty());
         // The pool is still healthy afterwards.
         assert_eq!(exec.run_indexed(2, |i| i), vec![0, 1]);
@@ -771,8 +824,8 @@ mod tests {
     fn steal_spans_reduces_in_span_order() {
         // Flattened per-item results, in item order, equal a plain
         // sequential map at every width, weighted or not, on a reused
-        // pool.
-        let items: Vec<u32> = (0..1000).collect();
+        // pool. Both jobs are large enough to be pooled.
+        let items: Vec<u32> = (0..MIN_POOLED_WORK as u32 + 1000).collect();
         let weights: Vec<usize> = items.iter().map(|&x| (x as usize * 7919) % 13).collect();
         let expect: Vec<u64> = items.iter().map(|&x| u64::from(x) * 3 + 1).collect();
         for threads in [1usize, 2, 3, 4, 8] {
@@ -782,7 +835,7 @@ mod tests {
                     let got = exec
                         .steal_spans(
                             &items,
-                            w,
+                            || w.map(Cow::from),
                             || (),
                             |(), chunk| {
                                 chunk
@@ -805,9 +858,10 @@ mod tests {
 
     #[test]
     fn steal_spans_plan_is_the_one_span_rule() {
-        // Every span is reported as its item range: at most 4 per
-        // participant, non-empty, contiguous, covering every item.
-        let items: Vec<usize> = (0..97).collect();
+        // Every span of a pooled job is reported as its item range: at
+        // most 4 per participant, non-empty, contiguous, covering every
+        // item.
+        let items: Vec<usize> = (0..MIN_POOLED_WORK + 97).collect();
         let skewed: Vec<usize> = items
             .iter()
             .map(|&i| if i % 10 == 0 { 50 } else { 1 })
@@ -817,7 +871,7 @@ mod tests {
             for w in [None, Some(skewed.as_slice())] {
                 let spans = exec.steal_spans(
                     &items,
-                    w,
+                    || w.map(Cow::from),
                     || (),
                     |(), chunk| chunk[0]..chunk[0] + chunk.len(),
                 );
@@ -831,13 +885,13 @@ mod tests {
                 assert_eq!(cursor, items.len(), "x{threads}");
             }
         }
-        // A sequential handle makes one context and runs one span over
-        // the whole slice.
+        // A sequential handle never weighs its items, makes one context
+        // and runs one span over the whole slice.
         let contexts = AtomicUsize::new(0);
         let runs = AtomicUsize::new(0);
         let spans = Parallelism::sequential().steal_spans(
             &items,
-            Some(&skewed),
+            || -> Option<Cow<[usize]>> { unreachable!("a sequential handle weighed its items") },
             || contexts.fetch_add(1, Ordering::Relaxed),
             |_, chunk| {
                 runs.fetch_add(1, Ordering::Relaxed);
@@ -850,12 +904,59 @@ mod tests {
     }
 
     #[test]
+    fn jobs_below_the_pooled_work_run_inline_at_every_width() {
+        // Unit items below the threshold, and weighted items whose weights
+        // sum below it, run as one inline span with one context and no
+        // dispatch; a job at the threshold, by item count or by weight,
+        // dispatches on every pool wider than one. Results never differ.
+        let few: Vec<u64> = (0..1000).collect();
+        let many: Vec<u64> = (0..MIN_POOLED_WORK as u64).collect();
+        let light = vec![(MIN_POOLED_WORK - 1) / few.len(); few.len()];
+        let heavy = vec![MIN_POOLED_WORK.div_ceil(few.len()); few.len()];
+        type Job<'a> = (&'a str, &'a [u64], Option<&'a [usize]>, bool);
+        let jobs: [Job; 4] = [
+            ("few unit items", &few, None, false),
+            ("light weights", &few, Some(&light), false),
+            ("many unit items", &many, None, true),
+            ("heavy weights", &few, Some(&heavy), true),
+        ];
+        for threads in [1usize, 2, 3, 8] {
+            for &(name, items, weights, pooled) in &jobs {
+                let rec = Recorder::enabled();
+                let exec = Parallelism::new(threads).attach_recorder(rec.clone());
+                let contexts = AtomicUsize::new(0);
+                let sums = exec.steal_spans(
+                    items,
+                    || weights.map(Cow::from),
+                    || contexts.fetch_add(1, Ordering::Relaxed),
+                    |_, chunk| chunk.iter().sum::<u64>(),
+                );
+                let label = format!("{name} x{threads}");
+                assert_eq!(
+                    sums.iter().sum::<u64>(),
+                    items.iter().sum::<u64>(),
+                    "{label}"
+                );
+                let dispatched = rec.stats().unwrap().exec.dispatches.get();
+                if pooled && threads > 1 {
+                    assert_eq!(dispatched, 1, "{label}");
+                    assert!(sums.len() > 1, "{label}: {} spans", sums.len());
+                } else {
+                    assert_eq!(dispatched, 0, "{label}");
+                    assert_eq!(sums.len(), 1, "{label}: one inline span");
+                    assert_eq!(contexts.load(Ordering::Relaxed), 1, "{label}");
+                }
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "2 weights for 4 items")]
     fn steal_spans_rejects_a_short_weight_slice() {
         let items = [10u64, 20, 30, 40];
         let _ = Parallelism::new(2).steal_spans(
             &items,
-            Some(&[1, 1]),
+            || Some(Cow::from(&[1usize, 1][..])),
             || (),
             |(), chunk| chunk.iter().sum::<u64>(),
         );

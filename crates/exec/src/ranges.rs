@@ -33,7 +33,7 @@ pub fn balanced_prefix_ranges(prefix: &[u64], parts: usize) -> Vec<std::ops::Ran
         } else {
             // First boundary whose cumulative weight reaches i/parts of
             // the total, but always at least one item per range.
-            let quota = total * i as u64 / parts as u64;
+            let quota = (u128::from(total) * i as u128 / parts as u128) as u64;
             let window = &prefix[start + 1..=n];
             (start + 1 + window.partition_point(|&o| o < quota)).min(n)
         };
@@ -52,14 +52,20 @@ pub fn balanced_prefix_ranges(prefix: &[u64], parts: usize) -> Vec<std::ops::Ran
 /// Panics if `parts == 0`.
 #[must_use]
 pub fn balanced_ranges(weights: &[usize], parts: usize) -> Vec<std::ops::Range<usize>> {
+    balanced_prefix_ranges(&prefix_sums(weights), parts)
+}
+
+/// The prefix-sum table of `weights` (`prefix[i]` = total weight of items
+/// `0..i`, saturating), whose last entry is their total.
+pub(crate) fn prefix_sums(weights: &[usize]) -> Vec<u64> {
     let mut prefix = Vec::with_capacity(weights.len() + 1);
     let mut acc = 0u64;
     prefix.push(0u64);
     for &w in weights {
-        acc += w as u64;
+        acc = acc.saturating_add(w as u64);
         prefix.push(acc);
     }
-    balanced_prefix_ranges(&prefix, parts)
+    prefix
 }
 
 /// Uniform contiguous ranges when no per-item weights are known.
@@ -68,18 +74,6 @@ pub(crate) fn uniform_ranges(len: usize, parts: usize) -> Vec<std::ops::Range<us
     (0..len.div_ceil(chunk))
         .map(|i| i * chunk..((i + 1) * chunk).min(len))
         .collect()
-}
-
-/// Weight-balanced ranges when weights are known, uniform ranges otherwise.
-pub(crate) fn ranges_for(
-    len: usize,
-    parts: usize,
-    weights: Option<&[usize]>,
-) -> Vec<std::ops::Range<usize>> {
-    match weights {
-        Some(w) => balanced_ranges(w, parts),
-        None => uniform_ranges(len, parts),
-    }
 }
 
 /// How far an explicit thread request may exceed the machine, as a

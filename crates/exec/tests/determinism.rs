@@ -4,7 +4,9 @@
 //! downstream plan/build/commit equivalence guarantees rest on.
 
 use proptest::prelude::*;
+use std::borrow::Cow;
 use tpp_exec::Parallelism;
+use tpp_obs::Recorder;
 
 /// Deterministic pseudo-random weights from a `(len, seed)` pair — the
 /// offline proptest shim has no collection strategies, so quoting the pair
@@ -42,11 +44,35 @@ proptest! {
         };
         for threads in [1usize, 2, 3, 4, 8] {
             let exec = Parallelism::new(threads);
-            let par: Vec<u64> = exec.steal_spans(&items, w, || (), run).concat();
+            let par: Vec<u64> = exec.steal_spans(&items, || w.map(Cow::from), || (), run).concat();
             prop_assert_eq!(&expect, &par, "threads = {}", threads);
             // The same handle reused again (pool persistence) stays exact.
-            let again: Vec<u64> = exec.steal_spans(&items, w, || (), run).concat();
+            let again: Vec<u64> = exec.steal_spans(&items, || w.map(Cow::from), || (), run).concat();
             prop_assert_eq!(&expect, &again, "reused pool, threads = {}", threads);
+        }
+    }
+
+    /// The same property for jobs heavy enough to be pooled: every item
+    /// alone weighs more than a job needs to be worth a dispatch, so
+    /// every pool wider than one dispatches each job exactly once.
+    #[test]
+    fn pooled_steal_spans_matches_sequential(
+        len in 2usize..120,
+        seed in 0u64..10_000,
+    ) {
+        let weights: Vec<usize> = weights_for(len, seed).iter().map(|&w| (w + 1) << 20).collect();
+        let items: Vec<u64> = (0..len as u64).map(|i| i * 7 + 3).collect();
+        let expect: Vec<u64> = items.iter().map(|&x| x * x + 1).collect();
+        let run = |_ctx: &mut (), chunk: &[u64]| -> Vec<u64> {
+            chunk.iter().map(|&x| x * x + 1).collect()
+        };
+        for threads in [2usize, 3, 4, 8] {
+            let recorder = Recorder::enabled();
+            let exec = Parallelism::new(threads).attach_recorder(recorder.clone());
+            let par: Vec<u64> = exec.steal_spans(&items, || Some(Cow::from(&weights)), || (), run).concat();
+            prop_assert_eq!(&expect, &par, "threads = {}", threads);
+            let dispatches = recorder.stats().unwrap().exec.dispatches.get();
+            prop_assert_eq!(dispatches, 1, "threads = {}", threads);
         }
     }
 

@@ -110,10 +110,12 @@ pub fn sample_non_edges<G: NeighborAccess>(
 }
 
 /// Scores every pair in `pairs` against `g`, in pair order, through
-/// [`Parallelism::steal_spans`]: contiguous weight-balanced spans (weight
-/// `deg(u) + deg(v) + 1`, the dominant cost factor for every attacker
-/// kind) claimed work-stealing, the per-span results flattened **in span
-/// order** — so the score vector is bit-identical at every thread count.
+/// [`Parallelism::steal_spans`]: a pair weighs `deg(u) + deg(v) + 1`
+/// adjacency entries, the dominant cost factor for every attacker kind,
+/// so a scoring too small to pay for a dispatch runs inline and a larger
+/// one is cut into weight-balanced spans claimed work-stealing. The
+/// per-span results are flattened **in span order**, so the score vector
+/// is bit-identical at every thread count.
 fn score_pairs<G: NeighborAccess + Sync>(
     g: &G,
     pairs: &[Edge],
@@ -122,14 +124,16 @@ fn score_pairs<G: NeighborAccess + Sync>(
 ) -> Vec<f64> {
     let stats = exec.recorder().stats();
     let t0 = stats.map(|_| Instant::now());
-    let weights: Vec<usize> = pairs
-        .iter()
-        .map(|e| g.degree(e.u()) + g.degree(e.v()) + 1)
-        .collect();
+    let weights = || {
+        let weights: Vec<usize> = (pairs.iter())
+            .map(|e| g.degree(e.u()) + g.degree(e.v()) + 1)
+            .collect();
+        Some(weights.into())
+    };
     let scores = exec
         .steal_spans(
             pairs,
-            Some(&weights),
+            weights,
             || (),
             |(), span| {
                 span.iter()

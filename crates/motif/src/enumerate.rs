@@ -172,6 +172,28 @@ pub(crate) fn for_each_target_subgraph<G: NeighborAccess, F: FnMut(&[Edge])>(
     }
 }
 
+/// Predicted cost of enumerating (or counting) the target subgraphs of
+/// `motif` for target `(u, v)`, in adjacency entries read — the unit of
+/// `tpp_exec::Parallelism::steal_spans` weights. A triangle enumeration
+/// intersects the two endpoint lists, so it reads about `deg(u) + deg(v)`
+/// entries. Every longer motif walks paths through the endpoints'
+/// neighbors, so its cost is estimated by the 2-hop mass
+/// `Σ_{w ∈ N(u), N(v)} (deg(w) + 1)` — a floor for k-paths past 3 edges,
+/// whose joins read further. A node outside `g` has degree 0.
+#[must_use]
+pub fn enumeration_cost<G: NeighborAccess>(g: &G, u: NodeId, v: NodeId, motif: Motif) -> usize {
+    let n = g.node_count();
+    let ends = [u, v].into_iter().filter(|&x| (x as usize) < n);
+    let hop: usize = match motif {
+        Motif::Triangle | Motif::KPath(2) => ends.map(|x| g.degree(x)).sum(),
+        _ => ends
+            .flat_map(|x| g.neighbors(x))
+            .map(|&w| g.degree(w) + 1)
+            .sum(),
+    };
+    hop + 1
+}
+
 /// Enumerates all target subgraphs of `motif` for target `(u, v)`.
 ///
 /// `target_idx` is threaded through to the produced instances so callers

@@ -34,7 +34,7 @@ mod pattern;
 
 pub use enumerate::{
     count_all_targets, count_target_subgraphs, enumerate_target_subgraphs,
-    enumerate_target_subgraphs_through,
+    enumerate_target_subgraphs_through, enumeration_cost,
 };
 pub use instance::MotifInstance;
 pub use partitioned::{InstanceId, PartitionedCoverageIndex};

@@ -104,15 +104,20 @@ impl Layout {
         self.posting_offsets.len() - 1
     }
 
-    /// Every instance id containing edge id `e`, ascending.
-    fn posting(&self, e: u32) -> impl Iterator<Item = InstanceId> + '_ {
+    /// Edge id `e`'s built posting and its appended overflow.
+    fn posting_parts(&self, e: u32) -> [&[InstanceId]; 2] {
         let i = e as usize;
         let built = if i < self.built_edges() {
             &self.postings[self.posting_offsets[i]..self.posting_offsets[i + 1]]
         } else {
             &[]
         };
-        let appended = self.appended.get(&e).map_or(&[][..], Vec::as_slice);
+        [built, self.appended.get(&e).map_or(&[][..], Vec::as_slice)]
+    }
+
+    /// Every instance id containing edge id `e`, ascending.
+    fn posting(&self, e: u32) -> impl Iterator<Item = InstanceId> + '_ {
+        let [built, appended] = self.posting_parts(e);
         built.iter().chain(appended).copied()
     }
 }
@@ -217,7 +222,10 @@ impl PartitionedCoverageIndex {
     /// `g` must already have all targets removed (phase 1). Two phases:
     ///
     /// 1. **enumerate** — [`Parallelism::steal_spans`] cuts the target
-    ///    list into contiguous spans of near-equal endpoint-degree mass;
+    ///    list into contiguous spans of near-equal predicted enumeration
+    ///    cost ([`enumeration_cost`](crate::enumeration_cost)), or runs it
+    ///    inline as one span when the whole build is too small to pay for
+    ///    a dispatch;
     ///    each span writes its instances into a span-local arena under
     ///    span-local edge ids, and counts how many instances hold each
     ///    edge;
@@ -249,21 +257,15 @@ impl PartitionedCoverageIndex {
         let build_span = tpp_obs::SpanTimer::counter(stats.map(|s| &s.index.build_ns));
         assert_phase_one(g, targets);
 
-        // Spans are weighted by endpoint degree mass (the enumeration-cost
-        // proxy).
-        let n = g.node_count();
-        let degree_of = |u: NodeId| -> usize {
-            if (u as usize) < n {
-                g.degree(u)
-            } else {
-                0
-            }
-        };
+        // Spans are weighted by each target's predicted enumeration cost,
+        // which also decides whether the build is worth a dispatch.
         let indexed: Vec<(u32, Edge)> = (0u32..).zip(targets.iter().copied()).collect();
-        let weights: Vec<usize> = targets
-            .iter()
-            .map(|t| degree_of(t.u()) + degree_of(t.v()) + 1)
-            .collect();
+        let weights = || {
+            let weights: Vec<usize> = (targets.iter())
+                .map(|t| crate::enumeration_cost(g, t.u(), t.v(), motif))
+                .collect();
+            Some(weights.into())
+        };
 
         let enumerate_span =
             tpp_obs::SpanTimer::counter(stats.map(|s| &s.index.build_enumerate_ns));
@@ -272,7 +274,7 @@ impl PartitionedCoverageIndex {
         // is the deterministic target order.
         let fragments = exec.steal_spans(
             &indexed,
-            Some(&weights),
+            weights,
             Scratch::default,
             |scratch: &mut Scratch, span: &[(u32, Edge)]| {
                 let Scratch { join, local } = scratch;
@@ -542,6 +544,18 @@ impl PartitionedCoverageIndex {
             v[self.layout.instance_target[id as usize] as usize] += 1;
         }
         v
+    }
+
+    /// Length of `p`'s posting, dead entries included: what
+    /// [`gain_vector`](Self::gain_vector) and
+    /// [`alive_instance_ids`](Self::alive_instance_ids) walk.
+    #[must_use]
+    pub fn posting_len(&self, p: Edge) -> usize {
+        let layout = &*self.layout;
+        (layout.ids.get(&p)).map_or(0, |&e| {
+            let [built, appended] = layout.posting_parts(e);
+            built.len() + appended.len()
+        })
     }
 
     /// The alive entries of `p`'s posting, in posting order.
@@ -1043,16 +1057,44 @@ mod tests {
         }
     }
 
+    /// The hub workload (a hub linked to every leaf of a chorded ring, 40
+    /// hub links hidden): every build over it is heavy enough to be
+    /// pooled, and its hub links are shared by many targets' instances.
+    fn pooled_fixture() -> (Graph, Vec<Edge>) {
+        tpp_bench::fixtures::hub_released_workload(2400, 40)
+    }
+
+    /// [`build_on`], asserting that the build dispatched on the pool at
+    /// every width above one (so the multi-span enumeration and the fill
+    /// that merges its span arenas really ran).
+    fn build_pooled(
+        g: &Graph,
+        targets: &[Edge],
+        motif: Motif,
+        threads: usize,
+    ) -> PartitionedCoverageIndex {
+        let recorder = tpp_obs::Recorder::enabled();
+        let exec = Parallelism::new(threads).attach_recorder(recorder.clone());
+        let idx = PartitionedCoverageIndex::build_parallel(g, targets, motif, 1, &exec);
+        let dispatches = recorder.stats().unwrap().exec.dispatches.get();
+        assert_eq!(
+            dispatches > 0,
+            threads > 1,
+            "{motif} t{threads}: {dispatches} dispatches"
+        );
+        idx
+    }
+
     /// Every build thread count reads exactly like the sequential build,
     /// which itself agrees with the brute-force recount.
     #[test]
     fn matches_monolithic_index_at_every_part_count() {
-        let (g, targets) = fixture();
+        let (g, targets) = pooled_fixture();
         for motif in Motif::ALL {
             let mono = build_seq(&g, &targets, motif);
             assert_eq!(mono.similarities(), count_all_targets(&g, &targets, motif));
             for threads in [2usize, 3, 7] {
-                let idx = build_on(&g, &targets, motif, threads);
+                let idx = build_pooled(&g, &targets, motif, threads);
                 assert_eq!(idx.total_similarity(), mono.total_similarity());
                 assert_eq!(idx.similarities(), mono.similarities());
                 assert_eq!(idx.all_candidate_edges(), mono.all_candidate_edges());
@@ -1078,12 +1120,12 @@ mod tests {
     /// counts on indexes built and handled at every thread count.
     #[test]
     fn deletions_agree_with_monolithic_for_all_parts_and_threads() {
-        let (g, targets) = fixture();
+        let (g, targets) = pooled_fixture();
         let mut mono = build_seq(&g, &targets, Motif::Triangle);
         let mut others: Vec<PartitionedCoverageIndex> = Vec::new();
         for build_threads in [1usize, 4] {
             for threads in [1usize, 3] {
-                let mut idx = build_on(&g, &targets, Motif::Triangle, build_threads);
+                let mut idx = build_pooled(&g, &targets, Motif::Triangle, build_threads);
                 idx.set_parallelism(Parallelism::new(threads));
                 others.push(idx);
             }

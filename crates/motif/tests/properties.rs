@@ -702,17 +702,55 @@ fn assert_matches_live_reference(
     }
 }
 
+/// [`build_on`], returning how many jobs the build dispatched on the pool.
+fn build_counted(
+    g: &Graph,
+    targets: &[Edge],
+    motif: Motif,
+    threads: usize,
+) -> (PartitionedCoverageIndex, u64) {
+    let recorder = tpp_obs::Recorder::enabled();
+    let exec = Parallelism::new(threads).attach_recorder(recorder.clone());
+    let idx = PartitionedCoverageIndex::build_parallel(g, targets, motif, 1, &exec);
+    (idx, recorder.stats().unwrap().exec.dispatches.get())
+}
+
 /// The differential build harness at a scale where the parallel paths are
-/// real: enough targets that the enumeration phase cuts many spans, whose
-/// edge tables the fill merges.
+/// real: every build is heavy enough to be pooled at every width above
+/// one (the test fails if one runs inline), so the enumeration phase cuts
+/// many spans, whose edge tables the fill merges. The BA workload is
+/// skewed by preferential attachment; the hub workload shares its hub
+/// links across every target's instances.
 #[test]
 fn parallel_build_matches_sequential_on_ba_workload() {
-    let (g, targets) = tpp_bench::fixtures::ba_released_workload(800, 4, 17, 60);
-    for motif in [Motif::Triangle, Motif::Rectangle] {
-        let reference = Reference::new(&g, &targets, motif);
-        for threads in [1usize, 2, 4] {
-            let idx = build_on(&g, &targets, motif, threads);
-            assert_matches_reference(&idx, &reference, &format!("{motif} t{threads}"));
+    let ba = tpp_bench::fixtures::ba_released_workload(6000, 6, 17, 1500);
+    let hub = tpp_bench::fixtures::hub_released_workload(2400, 40);
+    let cases: [(&str, _, &[Motif]); 2] = [
+        ("ba", ba, &[Motif::Triangle, Motif::Rectangle]),
+        (
+            "hub",
+            hub,
+            &[
+                Motif::Triangle,
+                Motif::Rectangle,
+                Motif::RecTri,
+                Motif::KPath(5),
+            ],
+        ),
+    ];
+    for (name, (g, targets), motifs) in cases {
+        for &motif in motifs {
+            let reference = Reference::new(&g, &targets, motif);
+            for threads in [1usize, 2, 4] {
+                let what = format!("{name} {motif} t{threads}");
+                let (idx, dispatches) = build_counted(&g, &targets, motif, threads);
+                assert_eq!(
+                    dispatches > 0,
+                    threads > 1,
+                    "{what}: {dispatches} dispatches"
+                );
+                assert_matches_reference(&idx, &reference, &what);
+            }
         }
     }
 }

@@ -58,8 +58,12 @@ pub struct ExecStats {
     pub threads: Counter,
     /// Parallel dispatches (sequential inline runs are not counted).
     pub dispatches: Counter,
-    /// Wall time per dispatch, including the dispatcher's own share.
+    /// Wall time per dispatch, including the dispatcher's own share and
+    /// its `queue_wait_ns`.
     pub dispatch_ns: Histogram,
+    /// Time per dispatch spent waiting for the pool: another thread's job
+    /// (a concurrent request on a shared pool) had to retire first.
+    pub queue_wait_ns: Histogram,
     /// Work items claimed across all participants.
     pub items_claimed: Counter,
     /// Items claimed by participants other than the dispatcher — work
@@ -386,6 +390,10 @@ impl Stats {
                 (
                     "dispatch_ns",
                     hist_json(&self.exec.dispatch_ns.snapshot(), "_ns"),
+                ),
+                (
+                    "queue_wait_ns",
+                    hist_json(&self.exec.queue_wait_ns.snapshot(), "_ns"),
                 ),
                 ("items_claimed", self.exec.items_claimed.get().to_string()),
                 ("items_stolen", self.exec.items_stolen.get().to_string()),

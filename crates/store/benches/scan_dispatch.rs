@@ -28,6 +28,12 @@ const ROUNDS: usize = 64;
 /// Spans the scoped baseline cuts per thread: the same count
 /// `Parallelism::steal_spans` cuts, so both sides claim equal spans.
 const SCOPED_SPANS_PER_THREAD: usize = 4;
+/// The cost each candidate declares to `Parallelism::steal_spans`, in
+/// entries read. A round of count-read-like candidates at weight 1 is
+/// below the inline-or-pool threshold and would run inline; this bench
+/// times the pool's dispatch itself, so every round declares enough work
+/// (`ITEMS × 64` entries) to be pooled.
+const POOLED_WEIGHT: usize = 64;
 
 /// Per-candidate work: a short arithmetic chain, roughly an O(1) index
 /// gain lookup's worth of latency.
@@ -42,10 +48,15 @@ fn span_sum(chunk: &[u64]) -> u64 {
 }
 
 /// One scan round through the persistent pool.
-fn pool_round(exec: &Parallelism, items: &[u64]) -> u64 {
-    exec.steal_spans(items, None, || (), |(), chunk| span_sum(chunk))
-        .into_iter()
-        .sum()
+fn pool_round(exec: &Parallelism, items: &[u64], weights: &[usize]) -> u64 {
+    exec.steal_spans(
+        items,
+        || Some(weights.into()),
+        || (),
+        |(), chunk| span_sum(chunk),
+    )
+    .into_iter()
+    .sum()
 }
 
 /// One scan round the pre-refactor way: fresh scoped threads every call,
@@ -85,13 +96,14 @@ fn bench_scan_dispatch(c: &mut Criterion) {
     let items: Vec<u64> = (0..ITEMS as u64)
         .map(|i| i.wrapping_mul(2654435761))
         .collect();
+    let weights = vec![POOLED_WEIGHT; ITEMS];
 
     // Every dispatch discipline must agree exactly before anything is
     // timed.
     let expect: u64 = items.iter().map(|&x| eval(x)).sum();
     for threads in [2usize, 4] {
         let exec = Parallelism::new(threads);
-        assert_eq!(expect, pool_round(&exec, &items));
+        assert_eq!(expect, pool_round(&exec, &items, &weights));
         assert_eq!(expect, scoped_round(&items, threads));
     }
 
@@ -116,7 +128,7 @@ fn bench_scan_dispatch(c: &mut Criterion) {
             b.iter(|| {
                 let mut acc = 0u64;
                 for _ in 0..ROUNDS {
-                    acc = acc.wrapping_add(black_box(pool_round(&exec, &items)));
+                    acc = acc.wrapping_add(black_box(pool_round(&exec, &items, &weights)));
                 }
                 acc
             });
