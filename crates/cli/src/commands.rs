@@ -72,7 +72,7 @@ USAGE:
   tpp utility  <original> <released> [--full] [--seed S]
   tpp store build   <edgelist> --out FILE.csr [--chunk-mb M]
                     [--stats stats.json|-]
-  tpp store info    <FILE.csr> [--verify full|header|none] [--shards N]
+  tpp store info    <FILE.csr> [--verify full|header|none]
   tpp store convert <FILE.csr> --out edgelist.txt [--verify full|header|none]
   tpp serve  --socket FILE.sock [--threads T] [--max-graphs N]
              [--max-indexes N] [--ttl-secs S]
@@ -152,7 +152,7 @@ fn accepted_flags(name: &str) -> Option<&'static str> {
         // `--threads` is taken and ignored: the streaming build is
         // single-threaded.
         "store build" => "out chunk-mb stats threads",
-        "store info" => "verify shards",
+        "store info" => "verify",
         "store convert" => "out verify",
         "serve" => "socket threads max-graphs max-indexes ttl-secs",
         "update" => "delta stats verify",
@@ -982,10 +982,6 @@ fn store(p: &Parsed) -> Result<(), String> {
                 VerifyMode::Full => println!("checksum: verified"),
                 other => println!("checksum: skipped (--verify {})", other.name()),
             }
-            let shards: usize = p.num_or("shards", 0usize)?;
-            if shards > 0 {
-                print!("{}", shard_plan_report(&csr, shards));
-            }
             Ok(())
         }
         "convert" => {
@@ -1014,46 +1010,6 @@ fn snapshot_base(g: &CsrGraph) -> tpp_store::BaseSection {
         triangles: tpp_metrics::clustering::triangle_counts(g).into(),
         cores: tpp_metrics::core_numbers(g).into(),
     }
-}
-
-/// The `store info --shards` report: the degree-balanced node ranges of
-/// [`CsrGraph::shard_ranges`], each with its payload (its share of the
-/// neighbor array), its owned edges (lower endpoint in range: the index's
-/// commit partitioning) and its intra edges (both endpoints in range).
-fn shard_plan_report(csr: &CsrGraph, shards: usize) -> String {
-    use std::fmt::Write as _;
-    let mut out = format!("shard plan ({shards} requested, degree-balanced):\n");
-    let ranges = csr.shard_ranges(shards);
-    let offsets = csr.offsets();
-    let total_payload = csr.neighbor_array().len().max(1);
-    let mut max_payload = 0usize;
-    for (i, r) in ranges.iter().enumerate() {
-        let payload = (offsets[r.end as usize] - offsets[r.start as usize]) as usize;
-        let (mut owned, mut intra) = (0usize, 0usize);
-        for u in r.clone() {
-            let nbrs = csr.neighbors(u);
-            let above = nbrs.partition_point(|&v| v <= u);
-            owned += nbrs.len() - above;
-            intra += nbrs.partition_point(|&v| v < r.end) - above;
-        }
-        max_payload = max_payload.max(payload);
-        let _ = writeln!(
-            out,
-            "  shard {i}: nodes {}..{} ({} nodes, payload {payload} = {:.1}%, \
-             owned-edges {owned}, intra-edges {intra})",
-            r.start,
-            r.end,
-            r.end - r.start,
-            payload as f64 * 100.0 / total_payload as f64,
-        );
-    }
-    let ideal = total_payload as f64 / ranges.len() as f64;
-    let _ = writeln!(
-        out,
-        "  balance: max payload {:.2}x the ideal even split",
-        max_payload as f64 / ideal.max(1.0),
-    );
-    out
 }
 
 fn kstar(p: &Parsed) -> Result<(), String> {
@@ -1926,7 +1882,7 @@ mod tests {
     }
 
     #[test]
-    fn store_info_shard_plan() {
+    fn store_info_rejects_the_shards_flag() {
         let dir = tmpdir();
         let edges = dir.join("shard-src.txt");
         let snapshot = dir.join("shard.csr");
@@ -1954,7 +1910,7 @@ mod tests {
             .unwrap(),
         )
         .unwrap();
-        dispatch(
+        let err = dispatch(
             &parse(&strs(&[
                 "store",
                 "info",
@@ -1964,38 +1920,8 @@ mod tests {
             ]))
             .unwrap(),
         )
-        .unwrap();
-    }
-
-    #[test]
-    fn shard_plan_report_is_exact_on_a_hand_checked_graph() {
-        // Two triangles' worth of edges: degrees 2 2 3 3 2 2, offsets
-        // 0 2 4 7 10 12 14. Three shards cut at the first offsets reaching
-        // 14/3 and 28/3 of the payload: 0..2, 2..4, 4..6.
-        let g = tpp_graph::Graph::from_edges([
-            (0u32, 1u32),
-            (0, 2),
-            (1, 2),
-            (2, 3),
-            (3, 4),
-            (4, 5),
-            (3, 5),
-        ]);
-        let csr = CsrGraph::from_graph(&g);
-        assert_eq!(
-            shard_plan_report(&csr, 3),
-            "shard plan (3 requested, degree-balanced):\n\
-             \x20 shard 0: nodes 0..2 (2 nodes, payload 4 = 28.6%, owned-edges 3, intra-edges 1)\n\
-             \x20 shard 1: nodes 2..4 (2 nodes, payload 6 = 42.9%, owned-edges 3, intra-edges 1)\n\
-             \x20 shard 2: nodes 4..6 (2 nodes, payload 4 = 28.6%, owned-edges 1, intra-edges 1)\n\
-             \x20 balance: max payload 1.29x the ideal even split\n"
-        );
-        assert_eq!(
-            shard_plan_report(&csr, 1),
-            "shard plan (1 requested, degree-balanced):\n\
-             \x20 shard 0: nodes 0..6 (6 nodes, payload 14 = 100.0%, owned-edges 7, intra-edges 7)\n\
-             \x20 balance: max payload 1.00x the ideal even split\n"
-        );
+        .unwrap_err();
+        assert_eq!(err, "unknown flag --shards for store info");
     }
 
     #[test]

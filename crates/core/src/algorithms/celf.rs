@@ -52,23 +52,48 @@ pub fn celf_greedy_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::GainOracle;
+    use crate::plan::StepRecord;
+    use std::cmp::Reverse;
     use tpp_motif::Motif;
 
-    /// Eager SGB, independent of the lazy gain queue: every round scans
-    /// all candidates and commits the first maximizer.
+    /// Eager SGB, independent of the round engine: each round walks the
+    /// oracle's candidates, commits the first maximum gain above 0 (ties
+    /// to the smallest edge) and records the step.
     fn eager_sgb(instance: &TppInstance, k: usize, config: &GreedyConfig) -> ProtectionPlan {
         let exec = config.parallelism();
-        let oracle = oracle_for(instance, config, &exec);
-        let mut engine = RoundEngine::new(oracle, config.candidates, exec);
-        let gain = |o: &dyn GainOracle, p| Some(o.gain(p)).filter(|&g| g > 0);
-        while engine.picks() < k {
-            let Some((_, p)) = engine.select_custom(gain, |a, b| a > b) else {
+        let mut oracle = oracle_for(instance, config, &exec);
+        let initial = oracle.total_similarity();
+        let mut plan = ProtectionPlan {
+            algorithm: AlgorithmKind::SgbGreedy,
+            protectors: Vec::new(),
+            initial_similarity: initial,
+            final_similarity: initial,
+            steps: Vec::new(),
+            per_target: Vec::new(),
+        };
+        while plan.protectors.len() < k {
+            let candidates = oracle.candidates(config.candidates);
+            let best = (candidates.into_iter())
+                .map(|p| (oracle.gain(p), Reverse(p)))
+                .filter(|&(gain, _)| gain > 0)
+                .max();
+            let Some((gain, Reverse(p))) = best else {
                 break;
             };
-            engine.commit_pick(p, None, None);
+            let broken = oracle.commit(p);
+            assert_eq!(broken, gain, "eager gain must realize");
+            plan.protectors.push(p);
+            plan.final_similarity = oracle.total_similarity();
+            plan.steps.push(StepRecord {
+                round: plan.steps.len(),
+                protector: p,
+                charged_target: None,
+                own_broken: broken,
+                total_broken: broken,
+                similarity_after: plan.final_similarity,
+            });
         }
-        engine.into_global_plan(AlgorithmKind::SgbGreedy)
+        plan
     }
 
     #[test]

@@ -1,13 +1,12 @@
-//! The unified round engine: one implementation of the greedy
-//! argmax-per-round loop shared by every protector-selection algorithm.
+//! The unified round engine: the one greedy selection loop shared by
+//! every protector-selection algorithm.
 //!
 //! The paper's algorithms (SGB/CT/WT, their `-R` variants, CELF, the
-//! parallel and weighted extensions) all share the same skeleton — scan
-//! every candidate protector, score it through a gain oracle, commit the
-//! argmax with a canonical tie-break, record the step — and previously
-//! each reimplemented it. [`RoundEngine`] owns that skeleton once over one
-//! boxed [`GainOracle`], and the algorithms shrink to strategy configs:
-//! which rounds run, which targets are open, how a candidate is scored.
+//! parallel and weighted extensions) all share the same skeleton — bound
+//! every candidate protector's gain through a gain oracle, commit the best
+//! with a canonical tie-break, record the step. [`RoundEngine`] owns that
+//! skeleton once over one boxed [`GainOracle`], and the algorithms shrink
+//! to strategy configs: which budget is spent and which targets are open.
 //!
 //! ## Parallelism that pays
 //!
@@ -85,86 +84,6 @@ use tpp_obs::Recorder;
 /// valve: a round always accepts at least the top pick, so progress and
 /// the documented greedy-feasibility are unaffected.
 const BATCH_CONFLICTS_PER_SLOT: usize = 16;
-
-/// First-maximizer-wins argmax over `items`, scanned by `exec`'s workers
-/// under **work stealing**: [`Parallelism::steal_spans`] cuts the items
-/// into contiguous weight-balanced spans (the same boundary discipline as
-/// `tpp_store::CsrGraph::shard_ranges`) and workers claim spans through
-/// one atomic cursor until none remain. Skewed rounds — where one span's
-/// candidates are far more expensive than predicted — therefore do not
-/// serialize on the unlucky worker. The workers belong to the persistent
-/// executor pool: spawned once per pool, not once per scan. `weights`
-/// states each item's cost as `steal_spans` takes it: called only on a
-/// parallel handle, and a job too light to pay for a dispatch runs inline.
-///
-/// Each worker builds one private context with `make_ctx` (reused across
-/// every span it claims), scores spans left-to-right with `eval` (`None`
-/// skips an item), and keeps the first strict maximum under
-/// `better(new, best)`; span maxima reduce in span order. The result is
-/// therefore **identical to a sequential left-to-right scan** for every
-/// thread count and claim interleaving — the property all the engine's
-/// determinism guarantees rest on.
-pub fn sharded_argmax<'w, T, C, S, W, M, E, B>(
-    items: &[T],
-    exec: &Parallelism,
-    weights: W,
-    make_ctx: M,
-    eval: E,
-    better: B,
-) -> Option<(S, T)>
-where
-    T: Copy + Send + Sync,
-    S: Send,
-    W: FnOnce() -> Option<Cow<'w, [usize]>>,
-    M: Fn() -> C + Sync,
-    E: Fn(&mut C, T) -> Option<S> + Sync,
-    B: Fn(&S, &S) -> bool + Sync,
-{
-    let span_best = exec.steal_spans(items, weights, &make_ctx, |ctx, span| {
-        first_max(
-            span.iter()
-                .filter_map(|&item| eval(ctx, item).map(|s| (s, item))),
-            &better,
-        )
-    });
-    // Canonical-order reduce over the span-ordered maxima.
-    first_max(span_best.into_iter().flatten(), &better)
-}
-
-/// The first strict maximum of `scored` under `better(new, best)` — the
-/// canonical tie-break every argmax scan and every span reduce shares.
-fn first_max<S, T>(
-    scored: impl IntoIterator<Item = (S, T)>,
-    better: &impl Fn(&S, &S) -> bool,
-) -> Option<(S, T)> {
-    scored.into_iter().fold(None, |best, next| match best {
-        Some(b) if !better(&next.0, &b.0) => Some(b),
-        _ => Some(next),
-    })
-}
-
-/// Maps `eval` over `items` with the same per-worker-context,
-/// work-stealing span claiming as [`sharded_argmax`]; results come back in
-/// item order regardless of thread count or claim interleaving.
-pub fn sharded_map<'w, T, C, R, W, M, E>(
-    items: &[T],
-    exec: &Parallelism,
-    weights: W,
-    make_ctx: M,
-    eval: E,
-) -> Vec<R>
-where
-    T: Copy + Send + Sync,
-    R: Send,
-    W: FnOnce() -> Option<Cow<'w, [usize]>>,
-    M: Fn() -> C + Sync,
-    E: Fn(&mut C, T) -> R + Sync,
-{
-    let per_span = exec.steal_spans(items, weights, &make_ctx, |ctx, span| {
-        span.iter().map(|&item| eval(ctx, item)).collect::<Vec<R>>()
-    });
-    per_span.into_iter().flatten().collect()
-}
 
 /// The lazy gain queue's key, larger first: the total gain under the
 /// global budget (SGB, CELF), the `(own, cross)` split under per-target
@@ -338,11 +257,10 @@ impl BatchAcceptor {
     }
 }
 
-/// The shared selection loop: candidate scan (sequential or sharded
-/// across threads), canonical tie-break, commit, and step recording over
-/// one boxed gain oracle.
+/// The shared selection loop: one lazy gain queue, canonical tie-break,
+/// batch commit, and step recording over one boxed gain oracle.
 ///
-/// Algorithms drive it through five entry points:
+/// Algorithms drive it through four entry points:
 ///
 /// * [`run_global`](Self::run_global) — SGB-Greedy rounds (argmax total
 ///   gain), up to `j` disjoint picks per round;
@@ -352,12 +270,12 @@ impl BatchAcceptor {
 ///   maximizing lexicographic `(own, cross)` over the targets with budget
 ///   left;
 /// * [`run_within_target`](Self::run_within_target) — WT-Greedy rounds,
-///   one target at a time;
-/// * [`select_custom`](Self::select_custom) + [`commit_pick`](Self::commit_pick)
-///   — bring-your-own score (the weighted extension).
+///   one target at a time.
 ///
-/// The first four share one private lazy gain queue (see the module
-/// docs), and every commit goes through one batch commit.
+/// All four pop their picks from one private lazy gain queue (see the
+/// module docs), and every commit goes through one batch commit.
+/// [`into_global_plan`](Self::into_global_plan) and
+/// [`into_targeted_plan`](Self::into_targeted_plan) finish a run.
 pub struct RoundEngine<'a> {
     oracle: Box<dyn GainOracle + Sync + 'a>,
     policy: CandidatePolicy,
@@ -403,84 +321,38 @@ impl<'a> RoundEngine<'a> {
         }
     }
 
-    /// **The** full candidate scan (the lazy queue's bound sweep,
-    /// [`select_custom`](Self::select_custom)): runs `span` over
-    /// contiguous spans of `candidates` and returns the span results in
-    /// span order. [`Parallelism::steal_spans`] weighs each candidate by
-    /// the oracle's cost for a `probe` of it
+    /// **The** full candidate scan, the lazy queue's bound sweep: `eval`
+    /// for every candidate, in candidate order. [`Parallelism::steal_spans`]
+    /// weighs each candidate by the oracle's cost for a `probe` of it
     /// ([`GainOracle::probe_costs`]; none when every probe is a count
     /// read), so a sweep too cheap to pay for a dispatch runs inline and a
     /// pooled one is cut into balanced spans that all score through the
     /// one shared oracle. Either way the round stats record one scan.
-    fn scan<R: Send>(
-        &self,
-        candidates: &[Edge],
-        probe: Probe,
-        span: impl Fn(&dyn GainOracle, &[Edge]) -> R + Sync,
-    ) -> Vec<R> {
-        let t0 = self.obs.is_enabled().then(Instant::now);
-        let oracle = self.oracle.as_ref();
-        let out = self.exec.steal_spans(
-            candidates,
-            || oracle.probe_costs(candidates, probe).map(Cow::Owned),
-            || (),
-            |(), chunk| span(oracle, chunk),
-        );
-        if let (Some(t0), Some(st)) = (t0, self.obs.stats()) {
-            st.round.scans.inc();
-            st.round.candidates_probed.add(candidates.len() as u64);
-            st.round.scan_ns.record_duration(t0.elapsed());
-        }
-        out
-    }
-
-    /// `eval` for every candidate, in candidate order, through
-    /// [`scan`](Self::scan).
     fn scan_map<R: Send>(
         &self,
         candidates: &[Edge],
         probe: Probe,
         eval: impl Fn(&dyn GainOracle, Edge) -> R + Sync,
     ) -> Vec<R> {
-        let per_span = self.scan(candidates, probe, |oracle, span| {
-            span.iter().map(|&p| eval(oracle, p)).collect::<Vec<R>>()
-        });
+        let t0 = self.obs.is_enabled().then(Instant::now);
+        let oracle = self.oracle.as_ref();
+        let per_span = self.exec.steal_spans(
+            candidates,
+            || oracle.probe_costs(candidates, probe).map(Cow::Owned),
+            || (),
+            |(), span| span.iter().map(|&p| eval(oracle, p)).collect::<Vec<R>>(),
+        );
+        if let (Some(t0), Some(st)) = (t0, self.obs.stats()) {
+            st.round.scans.inc();
+            st.round.candidates_probed.add(candidates.len() as u64);
+            st.round.scan_ns.record_duration(t0.elapsed());
+        }
         per_span.into_iter().flatten().collect()
     }
 
     /// Number of committed picks so far.
-    #[must_use]
-    pub fn picks(&self) -> usize {
+    fn picks(&self) -> usize {
         self.protectors.len()
-    }
-
-    /// Scans the current candidate set and returns the first maximizer of
-    /// `eval` under `better` **without committing it**. `None` from `eval`
-    /// skips a candidate; `None` overall means no candidate scored. The
-    /// scan weighs each candidate as a [`Probe::Split`], the widest gain
-    /// read `eval` can make.
-    pub fn select_custom<S: Send>(
-        &self,
-        eval: impl Fn(&dyn GainOracle, Edge) -> Option<S> + Sync,
-        better: impl Fn(&S, &S) -> bool + Sync,
-    ) -> Option<(S, Edge)> {
-        let candidates = self.oracle.candidates(self.policy);
-        // One fused first-maximizer fold per span (no per-round score
-        // vector), then the canonical reduce over the span maxima.
-        let span_best = self.scan(&candidates, Probe::Split, |oracle, span| {
-            first_max(
-                span.iter().filter_map(|&p| eval(oracle, p).map(|s| (s, p))),
-                &better,
-            )
-        });
-        first_max(span_best.into_iter().flatten(), &better)
-    }
-
-    /// Commits protector `p`: deletes it through the oracle, pushes it to
-    /// the plan, and records the audit step. Returns the realized break
-    /// count.
-    pub fn commit_pick(&mut self, p: Edge, charged: Option<usize>, own: Option<usize>) -> usize {
-        self.commit_picks(&[(p, charged, own)])[0]
     }
 
     /// **The** commit path of every round mode: deletes `picks` —
@@ -779,48 +651,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_argmax_matches_sequential_scan_exactly() {
-        // Scores with many ties: first maximizer must win at every
-        // thread count, including ones that don't divide the length.
-        let items: Vec<Edge> = (0..97u32).map(|i| Edge::new(i, i + 1)).collect();
-        let score = |e: &Edge| usize::from(e.u() % 7 == 3);
-        let seq =
-            items
-                .iter()
-                .map(|e| (score(e), *e))
-                .fold(None::<(usize, Edge)>, |best, (s, e)| {
-                    if best.is_none_or(|(b, _)| s > b) {
-                        Some((s, e))
-                    } else {
-                        best
-                    }
-                });
-        for threads in [1usize, 2, 3, 4, 8, 16] {
-            let exec = Parallelism::new(threads);
-            let got = sharded_argmax(
-                &items,
-                &exec,
-                || None,
-                || (),
-                |(), e| Some(score(&e)),
-                |a, b| a > b,
-            );
-            assert_eq!(got, seq, "threads = {threads}");
-        }
-        // Weighted splitting must not change the winner either.
-        let weights: Vec<usize> = items.iter().map(|e| 1 + e.u() as usize % 5).collect();
-        let got = sharded_argmax(
-            &items,
-            &Parallelism::new(4),
-            || Some(Cow::from(&weights)),
-            || (),
-            |(), e| Some(score(&e)),
-            |a, b| a > b,
-        );
-        assert_eq!(got, seq);
-    }
-
-    #[test]
     fn single_slot_batch_rounds_never_fall_back() {
         // With room for one pick there is nothing to prove disjoint, so an
         // oracle without gain sets must not count a sequential fallback.
@@ -1012,42 +842,5 @@ mod tests {
             let dispatches = recorder.stats().unwrap().exec.dispatches.get();
             assert_eq!(dispatches > 0, pooled, "{label}: {dispatches} dispatches");
         }
-    }
-
-    #[test]
-    fn sharded_map_preserves_item_order() {
-        let items: Vec<Edge> = (0..41u32).map(|i| Edge::new(i, i + 1)).collect();
-        let expect: Vec<u32> = items.iter().map(|e| e.u() * 2).collect();
-        for threads in [1usize, 2, 5, 16] {
-            let exec = Parallelism::new(threads);
-            let got = sharded_map(&items, &exec, || None, || (), |(), e: Edge| e.u() * 2);
-            assert_eq!(got, expect, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn sharded_argmax_skips_none_scores() {
-        let items: Vec<Edge> = (0..10u32).map(|i| Edge::new(i, i + 1)).collect();
-        let exec = Parallelism::new(3);
-        let none_at_all = sharded_argmax(
-            &items,
-            &exec,
-            || None,
-            || (),
-            |(), _| None::<usize>,
-            |a, b| a > b,
-        );
-        assert_eq!(none_at_all, None);
-        assert_eq!(
-            sharded_argmax::<Edge, (), usize, _, _, _, _>(
-                &[],
-                &exec,
-                || None,
-                || (),
-                |(), _| Some(1),
-                |a, b| a > b
-            ),
-            None
-        );
     }
 }

@@ -12,6 +12,7 @@
 
 use crate::plan::{AlgorithmKind, ProtectionPlan, StepRecord};
 use crate::problem::TppInstance;
+use std::borrow::Cow;
 use tpp_exec::Parallelism;
 use tpp_graph::{Edge, FastSet, NeighborAccess};
 use tpp_motif::Motif;
@@ -146,7 +147,7 @@ pub fn katz_defense_greedy(
         // finite reductions) — an epsilon band is not transitive, and a
         // non-transitive comparator would let the chunked reduce pick a
         // different edge than the sequential scan.
-        let best = crate::engine::sharded_argmax(
+        let best = sharded_argmax(
             &candidates,
             &exec,
             || Some(vec![probe.max(1); candidates.len()].into()),
@@ -188,6 +189,57 @@ pub fn katz_defense_greedy(
         per_target: Vec::new(),
     };
     (plan, initial_exposure, exposure)
+}
+
+/// First-maximizer-wins argmax over `items`, scanned by `exec`'s workers
+/// under work stealing ([`Parallelism::steal_spans`]: contiguous
+/// weight-balanced spans claimed through one atomic cursor, or one inline
+/// span when the job is too light to pay for a dispatch). `weights` states
+/// each item's cost as `steal_spans` takes it.
+///
+/// Each worker builds one private context with `make_ctx` (reused across
+/// every span it claims), scores spans left-to-right with `eval` (`None`
+/// skips an item), and keeps the first strict maximum under
+/// `better(new, best)`; span maxima reduce in span order. The result is
+/// therefore **identical to a sequential left-to-right scan** for every
+/// thread count and claim interleaving.
+fn sharded_argmax<'w, T, C, S, W, M, E, B>(
+    items: &[T],
+    exec: &Parallelism,
+    weights: W,
+    make_ctx: M,
+    eval: E,
+    better: B,
+) -> Option<(S, T)>
+where
+    T: Copy + Send + Sync,
+    S: Send,
+    W: FnOnce() -> Option<Cow<'w, [usize]>>,
+    M: Fn() -> C + Sync,
+    E: Fn(&mut C, T) -> Option<S> + Sync,
+    B: Fn(&S, &S) -> bool + Sync,
+{
+    let span_best = exec.steal_spans(items, weights, &make_ctx, |ctx, span| {
+        first_max(
+            span.iter()
+                .filter_map(|&item| eval(ctx, item).map(|s| (s, item))),
+            &better,
+        )
+    });
+    // Canonical-order reduce over the span-ordered maxima.
+    first_max(span_best.into_iter().flatten(), &better)
+}
+
+/// The first strict maximum of `scored` under `better(new, best)` — the
+/// canonical tie-break every span scan and the span reduce share.
+fn first_max<S, T>(
+    scored: impl IntoIterator<Item = (S, T)>,
+    better: &impl Fn(&S, &S) -> bool,
+) -> Option<(S, T)> {
+    scored.into_iter().fold(None, |best, next| match best {
+        Some(b) if !better(&next.0, &b.0) => Some(b),
+        _ => Some(next),
+    })
 }
 
 #[cfg(test)]
@@ -276,5 +328,73 @@ mod tests {
             threads: 1,
         };
         assert!((katz_pair_score(&g, 0, 1, &cfg) - 0.3).abs() < 1e-12);
+    }
+
+    #[test]
+    fn sharded_argmax_matches_sequential_scan_exactly() {
+        // Scores with many ties: first maximizer must win at every
+        // thread count, including ones that don't divide the length.
+        let items: Vec<Edge> = (0..97u32).map(|i| Edge::new(i, i + 1)).collect();
+        let score = |e: &Edge| usize::from(e.u() % 7 == 3);
+        let seq =
+            items
+                .iter()
+                .map(|e| (score(e), *e))
+                .fold(None::<(usize, Edge)>, |best, (s, e)| {
+                    if best.is_none_or(|(b, _)| s > b) {
+                        Some((s, e))
+                    } else {
+                        best
+                    }
+                });
+        for threads in [1usize, 2, 3, 4, 8, 16] {
+            let exec = Parallelism::new(threads);
+            let got = sharded_argmax(
+                &items,
+                &exec,
+                || None,
+                || (),
+                |(), e| Some(score(&e)),
+                |a, b| a > b,
+            );
+            assert_eq!(got, seq, "threads = {threads}");
+        }
+        // Weighted splitting must not change the winner either.
+        let weights: Vec<usize> = items.iter().map(|e| 1 + e.u() as usize % 5).collect();
+        let got = sharded_argmax(
+            &items,
+            &Parallelism::new(4),
+            || Some(Cow::from(&weights)),
+            || (),
+            |(), e| Some(score(&e)),
+            |a, b| a > b,
+        );
+        assert_eq!(got, seq);
+    }
+
+    #[test]
+    fn sharded_argmax_skips_none_scores() {
+        let items: Vec<Edge> = (0..10u32).map(|i| Edge::new(i, i + 1)).collect();
+        let exec = Parallelism::new(3);
+        let none_at_all = sharded_argmax(
+            &items,
+            &exec,
+            || None,
+            || (),
+            |(), _| None::<usize>,
+            |a, b| a > b,
+        );
+        assert_eq!(none_at_all, None);
+        assert_eq!(
+            sharded_argmax::<Edge, (), usize, _, _, _, _>(
+                &[],
+                &exec,
+                || None,
+                || (),
+                |(), _| Some(1),
+                |a, b| a > b
+            ),
+            None
+        );
     }
 }

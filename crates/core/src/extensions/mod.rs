@@ -15,4 +15,4 @@ pub use node_privacy::{
     protect_node, protect_node_links, NodeProtection,
 };
 pub use switching::{backfire_rate, backfire_rate_parallel, random_switch, SwitchOutcome};
-pub use weighted::{weighted_celf_greedy_batch, weighted_sgb_greedy, WeightedIndexOracle};
+pub use weighted::{weighted_celf_greedy_batch, WeightedIndexOracle};

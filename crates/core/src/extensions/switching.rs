@@ -160,24 +160,25 @@ pub fn backfire_rate_parallel(
             .collect();
         Some(weights.into())
     };
-    let counts: Vec<u64> = crate::engine::sharded_map(
+    // The trials of one seed range that backfired.
+    let backfires = |&(lo, hi): &(u64, u64)| {
+        (lo..hi)
+            .filter(|&seed| {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut view = DeltaView::new(snapshot);
+                switch_on_view(&mut view, instance.targets(), k, &mut rng);
+                let after: usize = count_all_targets(&view, instance.targets(), motif)
+                    .iter()
+                    .sum();
+                after > before
+            })
+            .count() as u64
+    };
+    let counts: Vec<u64> = exec.steal_spans(
         &ranges,
-        &exec,
         weights,
         || (),
-        |(), (lo, hi)| {
-            (lo..hi)
-                .filter(|&seed| {
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    let mut view = DeltaView::new(snapshot);
-                    switch_on_view(&mut view, instance.targets(), k, &mut rng);
-                    let after: usize = count_all_targets(&view, instance.targets(), motif)
-                        .iter()
-                        .sum();
-                    after > before
-                })
-                .count() as u64
-        },
+        |(), span| span.iter().map(backfires).sum(),
     );
     counts.iter().sum::<u64>() as f64 / trials as f64
 }

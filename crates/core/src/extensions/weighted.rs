@@ -7,18 +7,14 @@
 //! monotone submodular functions, hence still monotone submodular, so the
 //! greedy keeps its `1 − 1/e` guarantee.
 //!
-//! Two entry points share the objective:
-//!
-//! * [`weighted_sgb_greedy`] — the original eager loop over real-valued
-//!   weights (custom `f64` score on the engine);
-//! * [`weighted_celf_greedy_batch`] — the CELF + batch hybrid over
-//!   **integer** weights: a [`WeightedIndexOracle`] makes the weighted
-//!   mass the oracle's native gain, so the engine's
-//!   [`RoundEngine::run_global_lazy`] (lazy queue, up to `j`
-//!   disjoint commits per refresh phase) applies unchanged. Integer
-//!   weights keep every cached bound exact — no epsilon comparisons in
-//!   the heap — which is what makes the `j = 1` path bit-identical to
-//!   the eager weighted greedy (pinned by proptest below).
+//! [`weighted_celf_greedy_batch`] is the one entry point: a
+//! [`WeightedIndexOracle`] makes the **integer** weighted mass the
+//! oracle's native gain, so the engine's
+//! [`RoundEngine::run_global_lazy`] (lazy queue, up to `j` disjoint
+//! commits per refresh phase) applies unchanged. Integer weights keep
+//! every cached bound exact — no epsilon comparisons in the heap — which
+//! is what makes the `j = 1` path bit-identical to the eager weighted
+//! greedy (pinned by proptest below).
 
 use crate::engine::RoundEngine;
 use crate::oracle::{CandidatePolicy, GainOracle, IndexOracle, Probe};
@@ -28,68 +24,6 @@ use crate::problem::TppInstance;
 use tpp_exec::Parallelism;
 use tpp_graph::Edge;
 use tpp_motif::{InstanceId, Motif, PartitionedCoverageIndex};
-
-/// Runs weighted SGB-Greedy: each round deletes the candidate maximizing
-/// the weighted broken-instance mass `Σ_t w_t · Δ_t(p)`.
-///
-/// A custom-score strategy on the [`RoundEngine`]: candidates are scanned
-/// in canonical order and the first maximizer of the weighted mass wins
-/// (raw gain is the secondary criterion among weighted ties), exactly the
-/// sequential SGB tie-break.
-///
-/// `weights[t] >= 0` is the importance of target `t`. With all weights 1
-/// this reduces exactly to [`crate::sgb_greedy`] with the scalable config.
-///
-/// # Panics
-/// Panics if `weights.len() != |T|` or any weight is negative/NaN.
-#[must_use]
-pub fn weighted_sgb_greedy(
-    instance: &TppInstance,
-    weights: &[f64],
-    k: usize,
-    motif: Motif,
-) -> ProtectionPlan {
-    assert_eq!(
-        weights.len(),
-        instance.target_count(),
-        "one weight per target required"
-    );
-    assert!(
-        weights.iter().all(|w| w.is_finite() && *w >= 0.0),
-        "weights must be finite and non-negative"
-    );
-    let mut engine = RoundEngine::new(
-        Box::new(IndexOracle::new(
-            instance.released(),
-            instance.targets(),
-            motif,
-        )),
-        CandidatePolicy::SubgraphEdges,
-        Parallelism::sequential(),
-    );
-    while engine.picks() < k {
-        let pick = engine.select_custom(
-            |oracle, p| {
-                let v = oracle.gain_vector(p);
-                let raw: usize = v.iter().sum();
-                if raw == 0 {
-                    return None;
-                }
-                let weighted: f64 = v.iter().zip(weights).map(|(&g, &w)| g as f64 * w).sum();
-                Some((weighted, raw))
-            },
-            |a, b| a.0 > b.0 + 1e-12 || ((a.0 - b.0).abs() <= 1e-12 && a.1 > b.1),
-        );
-        let Some(((weighted, _), p)) = pick else {
-            break;
-        };
-        if weighted <= 0.0 {
-            break; // remaining evidence belongs to zero-weight targets only
-        }
-        engine.commit_pick(p, None, None);
-    }
-    engine.into_global_plan(AlgorithmKind::SgbGreedy)
-}
 
 /// The weighted objective as a first-class [`GainOracle`]: gains are the
 /// **integer** weighted broken-instance mass `Σ_t w_t · Δ_t(p)` over a
@@ -122,7 +56,8 @@ impl<'a> WeightedIndexOracle<'a> {
     /// build). `weights[t]` is the integer importance of target `t`.
     ///
     /// # Panics
-    /// Panics if `weights.len() != targets.len()`.
+    /// Panics if `weights.len() != targets.len()`, or if the initial
+    /// weighted similarity `Σ_t w_t · s_t(∅)` overflows `usize`.
     #[must_use]
     pub fn new(released: &'a Release, targets: &[Edge], motif: Motif, weights: &[usize]) -> Self {
         Self::with_parallelism(
@@ -138,7 +73,8 @@ impl<'a> WeightedIndexOracle<'a> {
     /// (the same pool the engine will scan on).
     ///
     /// # Panics
-    /// Panics if `weights.len() != targets.len()`.
+    /// Panics if `weights.len() != targets.len()`, or if the initial
+    /// weighted similarity `Σ_t w_t · s_t(∅)` overflows `usize`.
     #[must_use]
     pub fn with_parallelism(
         released: &'a Release,
@@ -152,8 +88,18 @@ impl<'a> WeightedIndexOracle<'a> {
             targets.len(),
             "one weight per target required"
         );
+        let inner = IndexOracle::build_on(released, targets, motif, exec);
+        // No gain, break count or remaining total exceeds the initial
+        // weighted similarity, so one checked fold here keeps every later
+        // plain-`usize` fold exact.
+        let initial = (inner.index().similarities().iter().zip(weights))
+            .try_fold(0usize, |sum, (&s, &w)| sum.checked_add(s.checked_mul(w)?));
+        assert!(
+            initial.is_some(),
+            "weighted similarity Σ w_t · s_t overflows usize"
+        );
         WeightedIndexOracle {
-            inner: IndexOracle::build_on(released, targets, motif, exec),
+            inner,
             weights: weights.to_vec(),
         }
     }
@@ -244,7 +190,8 @@ impl GainOracle for WeightedIndexOracle<'_> {
 /// commits.
 ///
 /// # Panics
-/// Panics if `weights.len() != |T|`.
+/// Panics if `weights.len() != |T|`, or if the initial weighted
+/// similarity `Σ_t w_t · s_t(∅)` overflows `usize`.
 #[must_use]
 pub fn weighted_celf_greedy_batch(
     instance: &TppInstance,
@@ -271,7 +218,8 @@ pub fn weighted_celf_greedy_batch(
 mod tests {
     use super::*;
     use crate::algorithms::{sgb_greedy, GreedyConfig};
-    use tpp_graph::Edge;
+    use crate::plan::StepRecord;
+    use std::cmp::Reverse;
     use tpp_graph::Graph;
 
     fn fixture() -> TppInstance {
@@ -290,19 +238,94 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "one weight per target")]
+    fn weight_arity_checked() {
+        let inst = fixture();
+        let _ = WeightedIndexOracle::new(inst.released(), inst.targets(), Motif::Triangle, &[1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "weighted similarity Σ w_t · s_t overflows usize")]
+    fn weighted_similarity_overflow_is_rejected() {
+        // Target 0 has two triangles: 2 · usize::MAX does not fit.
+        let inst = fixture();
+        let _ = weighted_celf_greedy_batch(&inst, &[usize::MAX, 1], 2, 1, Motif::Triangle, 1);
+    }
+
+    /// The eager reference the batch hybrid's `j = 1` path must reproduce
+    /// bit-for-bit, independent of the round engine: each round walks the
+    /// weighted oracle's candidates, commits the first maximum gain above
+    /// 0 (ties to the smallest edge) and records the step.
+    fn eager_weighted(
+        instance: &TppInstance,
+        weights: &[usize],
+        k: usize,
+        motif: Motif,
+    ) -> ProtectionPlan {
+        let mut oracle =
+            WeightedIndexOracle::new(instance.released(), instance.targets(), motif, weights);
+        let initial = oracle.total_similarity();
+        let mut plan = ProtectionPlan {
+            algorithm: AlgorithmKind::CelfGreedy,
+            protectors: Vec::new(),
+            initial_similarity: initial,
+            final_similarity: initial,
+            steps: Vec::new(),
+            per_target: Vec::new(),
+        };
+        while plan.protectors.len() < k {
+            let candidates = oracle.candidates(CandidatePolicy::SubgraphEdges);
+            let best = (candidates.into_iter())
+                .map(|p| (oracle.gain(p), Reverse(p)))
+                .filter(|&(gain, _)| gain > 0)
+                .max();
+            let Some((gain, Reverse(p))) = best else {
+                break;
+            };
+            let broken = oracle.commit(p);
+            assert_eq!(broken, gain, "eager gain must realize");
+            plan.protectors.push(p);
+            plan.final_similarity = oracle.total_similarity();
+            plan.steps.push(StepRecord {
+                round: plan.steps.len(),
+                protector: p,
+                charged_target: None,
+                own_broken: broken,
+                total_broken: broken,
+                similarity_after: plan.final_similarity,
+            });
+        }
+        plan
+    }
+
+    /// Applies `plan`'s deletions to a fresh index and returns the raw
+    /// (unweighted) similarity left on target `t`.
+    fn raw_similarity_after(inst: &TppInstance, plan: &ProtectionPlan, t: usize) -> usize {
+        let mut idx = inst.build_index(Motif::Triangle);
+        for p in &plan.protectors {
+            idx.delete_edge(*p);
+        }
+        idx.target_similarity(t)
+    }
+
+    // The eager weighted greedy on its own: the proptest below trusts it
+    // as the reference, so its weighting is pinned here first.
+
+    #[test]
     fn unit_weights_reduce_to_sgb() {
         let inst = fixture();
-        let weighted = weighted_sgb_greedy(&inst, &[1.0, 1.0], 3, Motif::Triangle);
+        let weighted = eager_weighted(&inst, &[1, 1], 3, Motif::Triangle);
         let plain = sgb_greedy(&inst, 3, &GreedyConfig::scalable(Motif::Triangle));
         assert_eq!(weighted.protectors, plain.protectors);
+        assert_eq!(weighted.final_similarity, plain.final_similarity);
     }
 
     #[test]
     fn heavy_weight_redirects_protection() {
         let inst = fixture();
         // With overwhelming weight on target 1, its (single-coverage) edges
-        // win over target 0's edges despite equal raw gains.
-        let plan = weighted_sgb_greedy(&inst, &[0.01, 100.0], 1, Motif::Triangle);
+        // win over target 0's edges despite target 0's larger raw gains.
+        let plan = eager_weighted(&inst, &[1, 100], 1, Motif::Triangle);
         let p = plan.protectors[0];
         assert!(
             p.touches(5) || p.touches(6) || p.touches(7),
@@ -313,51 +336,11 @@ mod tests {
     #[test]
     fn zero_weight_targets_are_ignored() {
         let inst = fixture();
-        let plan = weighted_sgb_greedy(&inst, &[1.0, 0.0], usize::MAX, Motif::Triangle);
-        // stops once target 0's evidence is gone; target 1's remains
-        assert_eq!(plan.final_similarity, 1);
-        let idx = inst.build_index(Motif::Triangle);
-        assert_eq!(idx.target_similarity(1), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "one weight per target")]
-    fn weight_arity_checked() {
-        let inst = fixture();
-        let _ = weighted_sgb_greedy(&inst, &[1.0], 2, Motif::Triangle);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn negative_weights_rejected() {
-        let inst = fixture();
-        let _ = weighted_sgb_greedy(&inst, &[1.0, -2.0], 2, Motif::Triangle);
-    }
-
-    /// The eager reference the batch hybrid's `j = 1` path must reproduce
-    /// bit-for-bit: full-scan single-pick rounds over the same weighted
-    /// oracle, independent of the lazy gain queue.
-    fn eager_weighted(
-        instance: &TppInstance,
-        weights: &[usize],
-        k: usize,
-        motif: Motif,
-    ) -> ProtectionPlan {
-        let oracle =
-            WeightedIndexOracle::new(instance.released(), instance.targets(), motif, weights);
-        let mut engine = RoundEngine::new(
-            Box::new(oracle),
-            CandidatePolicy::SubgraphEdges,
-            Parallelism::sequential(),
-        );
-        let gain = |o: &dyn GainOracle, p| Some(o.gain(p)).filter(|&g| g > 0);
-        while engine.picks() < k {
-            let Some((_, p)) = engine.select_custom(gain, |a, b| a > b) else {
-                break;
-            };
-            engine.commit_pick(p, None, None);
-        }
-        engine.into_global_plan(AlgorithmKind::CelfGreedy)
+        let plan = eager_weighted(&inst, &[1, 0], usize::MAX, Motif::Triangle);
+        // Stops once target 0's evidence is gone; target 1's remains.
+        assert_eq!(plan.final_similarity, 0);
+        assert_eq!(raw_similarity_after(&inst, &plan, 0), 0);
+        assert_eq!(raw_similarity_after(&inst, &plan, 1), 1);
     }
 
     /// Deterministic pseudo-random integer weights (the offline proptest

@@ -1,9 +1,8 @@
 //! The range-balancing math every parallel layer splits work with.
 //!
 //! One boundary computation — [`balanced_prefix_ranges`] over a monotone
-//! prefix-sum table — backs `tpp_store::CsrGraph::shard_ranges` and (via
-//! [`balanced_ranges`] over per-item weights) every
-//! [`Parallelism::steal_spans`] span plan.
+//! prefix-sum table, directly or via [`balanced_ranges`] over per-item
+//! weights — backs every [`Parallelism::steal_spans`] span plan.
 //! It lives beside the executor so the split and the dispatch share one
 //! crate.
 //!

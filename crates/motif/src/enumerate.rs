@@ -258,23 +258,29 @@ fn enumerate_triangles<G: NeighborAccess, F: FnMut(&[Edge])>(
 /// nodes distinct, edges `{(u,a), (a,b), (b,v)}`.
 ///
 /// Ordered pairs `(a, b)` and `(b, a)` describe different paths with
-/// different edge sets, so no deduplication is needed.
+/// different edge sets, so no deduplication is needed. A rectangle is
+/// symmetric in `u` and `v`, so the walk starts from the endpoint whose
+/// neighbours' degree sum (the adjacency entries the walk reads) is
+/// smaller, ties to `u`: a target at a hub is walked from its other end.
+/// Either start emits the same instance edge sets.
 fn enumerate_rectangles<G: NeighborAccess, F: FnMut(&[Edge])>(
     g: &G,
     u: NodeId,
     v: NodeId,
     mut emit: F,
 ) {
-    for &a in g.neighbors(u) {
-        if a == v {
+    let reach = |x: NodeId| -> usize { g.neighbors(x).iter().map(|&a| g.degree(a)).sum() };
+    let (start, end) = if reach(v) < reach(u) { (v, u) } else { (u, v) };
+    for &a in g.neighbors(start) {
+        if a == end {
             continue; // would require the deleted target edge's endpoint
         }
         for &b in g.neighbors(a) {
-            if b == u || b == v || b == a {
+            if b == start || b == end || b == a {
                 continue;
             }
-            if g.has_edge(b, v) {
-                emit(&[Edge::new(u, a), Edge::new(a, b), Edge::new(b, v)]);
+            if g.has_edge(b, end) {
+                emit(&[Edge::new(start, a), Edge::new(a, b), Edge::new(b, end)]);
             }
         }
     }
@@ -724,6 +730,33 @@ mod tests {
                 assert_eq!(a, b, "{kpath} != {base} at ({u},{v})");
             }
         }
+    }
+
+    #[test]
+    fn rectangles_at_a_hub_match_from_either_end_and_kpath3() {
+        // A hub linked to every node of a chorded ring, one hub link
+        // hidden: the walk starts from the leaf for (hub, leaf) and for
+        // (leaf, hub), and both equal the independent k-path join.
+        let n = 60u32;
+        let mut g = Graph::from_edges((1..n).map(|i| (0u32, i)));
+        for i in 1..n {
+            g.add_edge(i, i % (n - 1) + 1);
+            g.add_edge(i, (i + 6) % (n - 1) + 1);
+        }
+        let leaf = 17u32;
+        g.remove_edge(0, leaf);
+        let sorted_edges = |u: NodeId, v: NodeId, motif: Motif| {
+            let mut sets: Vec<Vec<Edge>> = enumerate_target_subgraphs(&g, u, v, motif, 0)
+                .iter()
+                .map(|i| i.edges().to_vec())
+                .collect();
+            sets.sort();
+            sets
+        };
+        let from_hub = sorted_edges(0, leaf, Motif::Rectangle);
+        assert!(from_hub.len() > 10, "{} rectangles", from_hub.len());
+        assert_eq!(from_hub, sorted_edges(leaf, 0, Motif::Rectangle));
+        assert_eq!(from_hub, sorted_edges(0, leaf, Motif::KPath(3)));
     }
 
     #[test]

@@ -11,8 +11,7 @@ pub struct RoundStats {
     /// Committed rounds (single picks and accepted batches).
     pub rounds: Counter,
     /// Full candidate scans: one bound sweep per lazy gain queue (one per
-    /// SGB, CELF or CT run, one per WT target with budget), and one per
-    /// `select_custom` call.
+    /// SGB, CELF or CT run, one per WT target with budget).
     pub scans: Counter,
     /// Candidate evaluations: every candidate a full scan scores plus
     /// every stale lazy-queue entry refreshed.

@@ -10,7 +10,6 @@ use crate::error::StoreError;
 use crate::storage::CsrStorage;
 use std::borrow::Cow;
 use std::sync::OnceLock;
-use tpp_exec::balanced_prefix_ranges;
 use tpp_graph::{Edge, Graph, NeighborAccess, NodeId, Words};
 
 /// An immutable CSR snapshot of a simple undirected graph.
@@ -287,26 +286,6 @@ impl CsrGraph {
             .is_ok()
     }
 
-    /// Splits the node space into up to `parts` contiguous ranges balanced
-    /// by **adjacency payload** (the per-range share of the neighbor
-    /// array), not node count — on skewed degree distributions the hub
-    /// shard would otherwise dwarf the rest.
-    ///
-    /// The ranges are non-empty, ascending, and cover `0..node_count()`
-    /// exactly; fewer than `parts` ranges are returned when the graph has
-    /// fewer nodes. `tpp store info --shards` reports this plan; the
-    /// coverage index cuts its own shards by the same degree prefix.
-    ///
-    /// # Panics
-    /// Panics if `parts == 0`.
-    #[must_use]
-    pub fn shard_ranges(&self, parts: usize) -> Vec<std::ops::Range<NodeId>> {
-        balanced_prefix_ranges(self.offsets(), parts)
-            .into_iter()
-            .map(|r| r.start as NodeId..r.end as NodeId)
-            .collect()
-    }
-
     /// Materializes the snapshot back into an adjacency-list [`Graph`].
     #[must_use]
     pub fn to_graph(&self) -> Graph {
@@ -429,50 +408,6 @@ mod tests {
 
     fn diamond() -> Graph {
         Graph::from_edges([(0u32, 1u32), (1, 2), (2, 3), (3, 0), (0, 2)])
-    }
-
-    /// A node range's share of the neighbor array: the payload
-    /// [`CsrGraph::shard_ranges`] balances.
-    fn payload_span(csr: &CsrGraph, r: &std::ops::Range<NodeId>) -> usize {
-        (csr.offsets()[r.end as usize] - csr.offsets()[r.start as usize]) as usize
-    }
-
-    #[test]
-    fn shards_cover_the_node_space_in_order() {
-        let csr = CsrGraph::from_graph(&tpp_graph::generators::holme_kim(300, 4, 0.4, 9));
-        for parts in [1usize, 2, 3, 7, 16] {
-            let ranges = csr.shard_ranges(parts);
-            assert!(!ranges.is_empty() && ranges.len() <= parts);
-            assert_eq!(ranges[0].start, 0);
-            assert_eq!(ranges.last().unwrap().end as usize, csr.node_count());
-            for w in ranges.windows(2) {
-                assert_eq!(w[0].end, w[1].start);
-                assert!(w[0].start < w[0].end);
-            }
-        }
-    }
-
-    #[test]
-    fn payload_spans_are_balanced() {
-        let csr = CsrGraph::from_graph(&tpp_graph::generators::holme_kim(300, 4, 0.4, 9));
-        let parts = 4;
-        let ranges = csr.shard_ranges(parts);
-        let max_deg = (0..csr.node_count() as NodeId)
-            .map(|u| csr.degree(u))
-            .max()
-            .unwrap();
-        let ideal = csr.neighbor_array().len() / parts;
-        for r in &ranges {
-            // Each span can miss the ideal by at most one node's degree
-            // (plus integer-division rounding).
-            let span = payload_span(&csr, r);
-            assert!(
-                span <= ideal + max_deg + parts,
-                "span {span} vs ideal {ideal} (max degree {max_deg})"
-            );
-        }
-        let covered: usize = ranges.iter().map(|r| payload_span(&csr, r)).sum();
-        assert_eq!(covered, csr.neighbor_array().len());
     }
 
     #[test]

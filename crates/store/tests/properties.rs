@@ -336,26 +336,6 @@ proptest! {
             );
         }
     }
-
-    /// Shard ranges tile the node space in order, and their payload spans
-    /// tile the neighbor array, for every shard count.
-    #[test]
-    fn shards_partition_nodes_and_edges(g in graph_strategy(), parts in 1usize..=8) {
-        let csr = CsrGraph::from_graph(&g);
-        let ranges = csr.shard_ranges(parts);
-        prop_assert!(!ranges.is_empty() && ranges.len() <= parts);
-
-        let mut cursor = 0u32;
-        let mut payload = 0u64;
-        for r in &ranges {
-            prop_assert_eq!(r.start, cursor);
-            prop_assert!(r.end > cursor);
-            cursor = r.end;
-            payload += csr.offsets()[r.end as usize] - csr.offsets()[r.start as usize];
-        }
-        prop_assert_eq!(cursor as usize, csr.node_count());
-        prop_assert_eq!(payload as usize, 2 * csr.edge_count());
-    }
 }
 
 #[test]
